@@ -59,10 +59,12 @@ from .signal_model import (
     true_coefficient,
 )
 from .spline_kernel import (
+    ClassTable,
     FilterTable,
     FilterVariant,
     KernelConfig,
     class_gain_sum,
+    class_table,
     dc_class_gain_sum,
     filter_response,
     gain,

@@ -95,13 +95,15 @@ def progression_tail(s, step, offset, m_start=1, alternating=False):
 
     Computes ``sum_{m>=m_start} eps(m) (m*step + offset)^(-s)`` where
     ``eps(m) = (-1)^m`` when `alternating` else 1. `offset` may be
-    negative as long as the first term's base is positive.
+    negative as long as the first term's base is positive. `offset` and
+    integer `m_start` may be arrays; they broadcast, and the result has
+    their broadcast shape.
     """
     if s <= 1:
         raise ValueError("progression tail requires s > 1")
-    if m_start < 1:
+    if np.any(np.asarray(m_start) < 1):
         raise ValueError("m_start must be >= 1")
-    if m_start * step + offset <= 0:
+    if np.any(m_start * step + offset <= 0):
         raise ValueError("first progression term must be positive")
     if not alternating:
         return step**-float(s) * zeta(s, m_start + offset / step)

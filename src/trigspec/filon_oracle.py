@@ -23,7 +23,7 @@ import numpy as np
 from . import _series
 from .errors import QuadratureConvergenceError
 from .signal_model import _rotate_pair, true_coefficient, true_coefficient_arrays
-from .trig_spline import spline_fourier_coeff
+from .trig_spline import spline_fourier_coeff, unfolded_spectrum
 
 _SUP_MIN_POINTS = 1024
 
@@ -92,7 +92,7 @@ def quad_fourier_coeff(fn, k, qc=QuadratureConfig(), _cache=None):
     G = max(qc.points, 32 * max(k, 1))
     if G & (G - 1):
         G = 1 << G.bit_length()
-    prev = None
+    before = prev = None
     for _ in range(qc.max_doublings + 1):
         vals = _values_on_grid(fn, G, _cache)
         cur = _trapezoid_pair(vals, k)
@@ -101,13 +101,13 @@ def quad_fourier_coeff(fn, k, qc=QuadratureConfig(), _cache=None):
             and abs(cur[1] - prev[1]) <= qc.convergence_tol
         ):
             return cur
-        prev = cur
+        before, prev = prev, cur
         G *= 2
     raise QuadratureConvergenceError(
         f"quadrature for k={k} did not converge within "
-        f"{qc.max_doublings} doublings (last {prev})",
+        f"{qc.max_doublings} doublings (last {prev}, previous {before})",
         last=prev,
-        previous=None,
+        previous=before,
     )
 
 
@@ -173,8 +173,7 @@ def estimate_diff_variation(signal, spline, q, points=2**16, j_terms=None):
     """
     if j_terms is None:
         j_terms = 4 * points
-    js = np.arange(1, j_terms + 1)
-    sa, sb = _spline_law_arrays(spline, js)
+    js, sa, sb = unfolded_spectrum(spline, j_terms)
     ta, tb = true_coefficient_arrays(signal, j_terms)
     diff_a = ta - sa
     diff_b = tb - sb
@@ -187,12 +186,6 @@ def estimate_diff_variation(signal, spline, q, points=2**16, j_terms=None):
     np.add.at(W, js % points, da - 1j * db)
     vals = _series.synth_folded(W, 0.0)
     return _series.grid_total_variation(vals)
-
-
-def _spline_law_arrays(spline, js):
-    from .trig_spline import _law_coefficients
-
-    return _law_coefficients(spline.config, spline.spectrum, spline.table, js)
 
 
 def filon_table(signal, spline, k_max, qc=QuadratureConfig(), sup_points=2**14):

@@ -11,8 +11,10 @@ edge and a roll-off slope set by the order r.
 
 Class sums are series over all fold terms; they are evaluated in closed
 form through Hurwitz zeta tails, so results carry no truncation error.
+They depend only on the grid, the order and the gain family, so each
+configuration's per-class data is computed once (:func:`class_table`).
 A direct truncated summation is kept alongside as an independent
-cross-check path (and for the benchmark).
+cross-check path.
 """
 
 import csv
@@ -20,6 +22,7 @@ import enum
 import io
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -191,6 +194,46 @@ class FilterTable:
         return gain(j, self.config, self)
 
 
+@dataclass(frozen=True)
+class ClassTable:
+    """Per-class data of one (grid, order, variant), for k = 1..n.
+
+    ``magnitudes`` holds F_k, the |sin| factor shared by every member of
+    class k (1 for inverse power); ``raw_gains`` the in-band raw gain
+    sigma_k; ``sums`` the validated class sums H_k; ``dc_sum`` the
+    constant-class normalizer. The arrays are read-only.
+    """
+
+    magnitudes: np.ndarray = field(repr=False)
+    raw_gains: np.ndarray = field(repr=False)
+    sums: np.ndarray = field(repr=False)
+    dc_sum: float
+
+
+def class_table(config):
+    """The :class:`ClassTable` of ``config``, computed once per configuration.
+
+    Entries are the scalar :func:`class_gain_sum`, :func:`raw_gain` and
+    class-magnitude values, so every consumer sees the same bits as a
+    direct call. ``tail_tol`` and ``m_max_cap`` do not enter.
+    """
+    return _class_table(config.grid, config.order, config.variant)
+
+
+@lru_cache(maxsize=64)
+def _class_table(grid, order, variant):
+    config = KernelConfig(grid=grid, order=order, variant=variant)
+    ks = range(1, grid.n + 1)
+    arrays = (
+        np.array([_class_magnitude(k, config) for k in ks]),
+        np.array([raw_gain(k, config) for k in ks]),
+        _validated_class_sums(config),
+    )
+    for arr in arrays:
+        arr.setflags(write=False)
+    return ClassTable(*arrays, dc_sum=dc_class_gain_sum(config))
+
+
 def _validated_class_sums(config):
     sums = np.array(
         [class_gain_sum(k, config) for k in range(1, config.grid.n + 1)]
@@ -224,8 +267,9 @@ def gain_array(j, config, table=None):
         class_sums = table.class_sums
         dc_sum = table.dc_class_sum
     else:
-        class_sums = _validated_class_sums(config)
-        dc_sum = dc_class_gain_sum(config)
+        ct = class_table(config)
+        class_sums = ct.sums
+        dc_sum = ct.dc_sum
     N = config.grid.N
     res = np.mod(j, N)
     k = np.minimum(res, N - res)
@@ -256,22 +300,13 @@ def filter_response(config, j_max):
     """
     if j_max < config.grid.n:
         raise ValueError("j_max must cover the band (j_max >= n)")
-    class_sums = _validated_class_sums(config)
-    dc_sum = dc_class_gain_sum(config)
-    table = FilterTable(
-        config=config,
-        class_sums=class_sums,
-        dc_class_sum=dc_sum,
-        gains=np.empty(0),
-        j_max=0,
-    )
-    gains = gain_array(np.arange(1, j_max + 1), config, table)
+    ct = class_table(config)
+    gains = gain_array(np.arange(1, j_max + 1), config)
     gains.setflags(write=False)
-    class_sums.setflags(write=False)
     return FilterTable(
         config=config,
-        class_sums=class_sums,
-        dc_class_sum=dc_sum,
+        class_sums=ct.sums,
+        dc_class_sum=ct.dc_sum,
         gains=gains,
         j_max=int(j_max),
     )

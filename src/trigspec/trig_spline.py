@@ -15,11 +15,18 @@ evaluation on uniform grids folds the *entire* infinite series onto the
 grid through Hurwitz zeta tails, so grid values — including the node
 values that define interpolation — are exact to rounding. Scattered
 points fall back to a long truncated sum with a documented bound.
+
+Work that depends only on the configuration (grid, order, variant) is
+kept apart from work on the samples: the class table of
+:func:`~trigspec.spline_kernel.class_table` and the per-class tails
+behind the truncation bound are computed once per configuration, so the
+search for the truncation length is one array pass over the spectrum.
 """
 
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,14 +36,16 @@ from .signal_model import _rotate_pair, true_coefficient
 from .spline_kernel import (
     FilterVariant,
     KernelConfig,
-    _class_magnitude,
+    class_table,
     filter_response,
     gain_array,
-    raw_gain,
 )
 
 _REPRESENTATION_CAP = 64     # largest L in the stored-series truncation J = L*N
 _SCATTER_CAP = 1024          # largest L used by scattered-point evaluation
+# The fold is vectorized over blocks of classes holding at most this many
+# fold terms per branch, so its work arrays stay small for any grid size.
+_FOLD_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,20 +102,41 @@ def _law_coefficients(config, spectrum, table, js):
     return ca, cb
 
 
-def _representation_tail_bound(config, spectrum, table, L):
-    """Bound on sum of |coefficients| beyond J = L*N."""
-    s = config.power
-    N = config.grid.N
-    total = 0.0
-    for k in range(1, config.grid.n + 1):
-        w = abs(spectrum.a[k - 1]) + abs(spectrum.b[k - 1])
-        if w == 0.0:
-            continue
-        F = _class_magnitude(k, config)
-        Hk = abs(float(table.class_sums[k - 1]))
-        plus = _series.progression_tail(s, N, float(k), m_start=L)
-        minus = _series.progression_tail(s, N, float(-k), m_start=L + 1)
-        total += w * F / Hk * (plus + minus)
+def _tail_sums(N, s, Ls):
+    """S_k(L) = tail(k, L) + tail(-k, L+1) for k = 1..n (rows) and each L in Ls.
+
+    The per-class mass, before the factor F_k / H_k, of the class-k
+    coefficients beyond J = L*N: members mN+k with m >= L and mN-k with
+    m >= L+1.
+    """
+    k = np.arange(1, (N - 1) // 2 + 1, dtype=float)[:, None]
+    Ls = np.asarray(Ls, dtype=np.int64)[None, :]
+    plus = _series.progression_tail(s, N, k, m_start=Ls)
+    minus = _series.progression_tail(s, N, -k, m_start=Ls + 1)
+    return plus + minus
+
+
+@lru_cache(maxsize=64)
+def _representation_tail_sums(N, s):
+    """:func:`_tail_sums` for L = 1.._REPRESENTATION_CAP, computed once per (N, s)."""
+    S = _tail_sums(N, s, np.arange(1, _REPRESENTATION_CAP + 1))
+    S.setflags(write=False)
+    return S
+
+
+def _tail_bounds(config, spectrum, S):
+    """Bounds on the sum of |coefficients| beyond J = L*N, one per column of S.
+
+    Each class contributes ((w F) / |H|) S_k(L) with w = |a*_k| + |b*_k|;
+    contributions are added in class order and classes with w = 0 are
+    skipped.
+    """
+    ct = class_table(config)
+    w = np.abs(spectrum.a) + np.abs(spectrum.b)
+    terms = (w * ct.magnitudes / np.abs(ct.sums))[:, None] * S
+    total = np.zeros(S.shape[1])
+    for row in terms[w != 0.0]:
+        total += row
     return total
 
 
@@ -116,22 +146,18 @@ def build_spline(samples, config):
     The stored series is truncated at the smallest J = L*N whose
     coefficient tail bound drops below ``config.tail_tol``, capped at
     L = 64 (the achieved bound is recorded either way; uniform-grid
-    evaluation is exact regardless of the truncation).
+    evaluation is exact regardless of the truncation). The bounds for
+    every L = 1..64 come from one pass over a per-configuration table of
+    class tails, computed on the first build of that configuration.
     """
     if samples.grid != config.grid:
         raise ValueError("samples and kernel config use different grids")
     spectrum = discrete_coeffs(samples)
-    probe = filter_response(config, config.grid.n)
-    L = _REPRESENTATION_CAP
-    bound = None
-    for cand in range(1, _REPRESENTATION_CAP + 1):
-        bound = _representation_tail_bound(config, spectrum, probe, cand)
-        if bound < config.tail_tol:
-            L = cand
-            break
-    else:
-        bound = _representation_tail_bound(config, spectrum, probe, _REPRESENTATION_CAP)
-    J = L * config.grid.N
+    N = config.grid.N
+    bounds = _tail_bounds(config, spectrum, _representation_tail_sums(N, config.power))
+    hits = np.flatnonzero(bounds < config.tail_tol)
+    L = int(hits[0]) + 1 if hits.size else _REPRESENTATION_CAP
+    J = L * N
     table = filter_response(config, J)
     ca, cb = _law_coefficients(config, spectrum, table, np.arange(1, J + 1))
     ca.setflags(write=False)
@@ -144,7 +170,7 @@ def build_spline(samples, config):
         a0=spectrum.a0,
         coeff_a=ca,
         coeff_b=cb,
-        tail_bound=float(bound),
+        tail_bound=float(bounds[L - 1]),
     )
 
 
@@ -168,13 +194,22 @@ def spline_eval(spline, t):
 
 
 def _scatter_series(spline):
+    # Double L from the stored truncation until the tail bound meets
+    # tail_tol or L reaches _SCATTER_CAP; the whole ladder is bounded at once.
     cfg = spline.config
-    L = max(spline.J // cfg.grid.N, 1)
+    N = cfg.grid.N
+    L = max(spline.J // N, 1)
     bound = spline.tail_bound
-    while bound >= cfg.tail_tol and L < _SCATTER_CAP:
-        L = min(2 * L, _SCATTER_CAP)
-        bound = _representation_tail_bound(cfg, spline.spectrum, spline.table, L)
-    J = L * cfg.grid.N
+    if bound >= cfg.tail_tol and L < _SCATTER_CAP:
+        ladder = []
+        while L < _SCATTER_CAP:
+            L = min(2 * L, _SCATTER_CAP)
+            ladder.append(L)
+        bounds = _tail_bounds(cfg, spline.spectrum, _tail_sums(N, cfg.power, ladder))
+        hits = np.flatnonzero(bounds < cfg.tail_tol)
+        i = int(hits[0]) if hits.size else len(ladder) - 1
+        L, bound = ladder[i], bounds[i]
+    J = L * N
     if J == spline.J:
         return spline.coeff_a, spline.coeff_b, bound
     ca, cb = _law_coefficients(
@@ -202,34 +237,43 @@ def values_on_uniform_grid(spline, points):
 
 
 def _folded_spectrum(spline, G):
+    # Class k contributes its in-band term at j = k and, on each branch
+    # j = mN +- k (m >= 1), P Hurwitz tails of step P*N that fold onto the
+    # grid residues. Classes are processed in blocks, and one np.add.at per
+    # block adds the terms in class order (band, + branch, - branch), the
+    # order of a per-class loop.
     cfg = spline.config
     N = cfg.grid.N
     s = cfg.power
     spec = spline.spectrum
+    ct = class_table(cfg)
     P = G // math.gcd(N, G)
     PN = float(P * N)
+    scale = PN**-float(s)
     W = np.zeros(G, dtype=complex)
     m0 = np.arange(1, P + 1, dtype=np.int64)
-    for k in range(1, cfg.grid.n + 1):
-        Hk = float(spline.table.class_sums[k - 1])
-        F = _class_magnitude(k, cfg)
-        astar = float(spec.a[k - 1])
-        bstar = float(spec.b[k - 1])
-        if astar == 0.0 and bstar == 0.0:
-            continue
-        W[k % G] += raw_gain(k, cfg) / Hk * (astar - 1j * bstar)
-        for branch in (1, -1):
-            cfac = (astar - 1j * branch * bstar) * (F / Hk)
-            j0 = m0 * N + branch * k
-            q = j0 / PN
-            if cfg.signed:
-                sgn0 = np.where((j0 // N) % 2 == 1, -1.0, 1.0)
-                tails = sgn0 * PN**-float(s) * _series.hurwitz_tail(
-                    s, q, alternating=(P % 2 == 1)
-                )
-            else:
-                tails = PN**-float(s) * _series.hurwitz_tail(s, q)
-            np.add.at(W, np.mod(j0, G), cfac * tails)
+    branch = np.array([1, -1])
+    live = np.flatnonzero((spec.a != 0.0) | (spec.b != 0.0))
+    per_block = max(_FOLD_BLOCK // P, 1)
+    for start in range(0, live.size, per_block):
+        idx = live[start:start + per_block, None]   # column: one row per class
+        k = idx + 1
+        astar = spec.a[idx]
+        bstar = spec.b[idx]
+        Hk = ct.sums[idx]
+        band = ct.raw_gains[idx] / Hk * (astar - 1j * bstar)
+        cfac = (astar - 1j * branch * bstar) * (ct.magnitudes[idx] / Hk)
+        j0 = m0 * N + (branch * k)[:, :, None]
+        q = j0 / PN
+        if cfg.signed:
+            sgn0 = np.where((j0 // N) % 2 == 1, -1.0, 1.0)
+            tails = sgn0 * scale * _series.hurwitz_tail(s, q, alternating=(P % 2 == 1))
+        else:
+            tails = scale * _series.hurwitz_tail(s, q)
+        rows = len(idx)
+        terms = np.concatenate((band, (cfac[:, :, None] * tails).reshape(rows, -1)), axis=1)
+        where = np.concatenate((k % G, np.mod(j0, G).reshape(rows, -1)), axis=1)
+        np.add.at(W, where.ravel(), terms.ravel())
     return W
 
 

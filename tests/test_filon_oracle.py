@@ -88,7 +88,11 @@ def test_quad_non_convergence_raises():
     qc = QuadratureConfig(points=256, max_doublings=1, convergence_tol=1e-11)
     with pytest.raises(QuadratureConvergenceError) as err:
         quad_fourier_coeff(f, 1, qc)
-    assert err.value.last is not None
+    last, previous = err.value.last, err.value.previous
+    assert last is not None
+    assert previous is not None
+    # The two estimates are the ones the convergence test compared.
+    assert max(abs(last[0] - previous[0]), abs(last[1] - previous[1])) > qc.convergence_tol
 
 
 def test_quadrature_config_validation():
