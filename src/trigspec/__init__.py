@@ -7,7 +7,6 @@ the Nyquist band, and quadrature-based coefficient estimation — all
 checkable against analytic test signals.
 """
 
-from ._kernels import BACKEND as kernel_backend
 from .alias_analysis import (
     FoldReport,
     aliasing_error_bound,
@@ -84,3 +83,7 @@ from .trig_spline import (
 )
 
 __version__ = "0.1.0"
+
+# The kernels exist in one implementation; benchmark results carry this
+# stamp and are compared only against results with the same one.
+kernel_backend = "python"

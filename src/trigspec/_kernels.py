@@ -1,8 +1,4 @@
-"""NumPy reference implementations of the hot kernels.
-
-These are the import-time fallback when the compiled extension is not
-built, and the reference the parity tests compare it against. Both
-backends implement the same contracts:
+"""The hot kernels, in NumPy.
 
 - ``synth``: evaluate a finite trigonometric series at arbitrary points.
 - ``dft``: direct discrete Fourier coefficients on an odd uniform grid

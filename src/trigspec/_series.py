@@ -27,6 +27,20 @@ def reduce_angle(t):
     return np.mod(t, TWO_PI)
 
 
+def rotate_pair(a, b, rot):
+    """(a, b) after `rot` derivatives of a*cos(kt) + b*sin(kt), up to k^rot.
+
+    One derivative maps (a, b) to (b, -a), so only `rot` mod 4 matters.
+    """
+    if rot == 0:
+        return a, b
+    if rot == 1:
+        return b, -a
+    if rot == 2:
+        return -a, -b
+    return -b, a
+
+
 @lru_cache(maxsize=None)
 def _bernoulli_number(n):
     # Exact rational B_n (B_1 = -1/2 convention) via the defining recurrence;

@@ -11,14 +11,13 @@ Fold sums over the power-decay families are evaluated exactly: the tails
 are Hurwitz zeta values, so the usual truncation error never enters.
 """
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels, _series
+from ._wire import csv_text
 from .errors import SeriesPrecisionError, UnsupportedSignalError
 from .sampling import discrete_coeffs, sample
 from .signal_model import (
@@ -271,9 +270,7 @@ def fold_report_table(signal, grid, tol=1e-12):
 
 
 def fold_table_to_csv(rows):
-    """CSV with the fixed fold-report column set."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
+    """CSV with the fixed fold-report column set; a missing bound8 is empty."""
     header = [
         "k",
         "a_star_fold",
@@ -284,11 +281,4 @@ def fold_table_to_csv(rows):
         "abs_diff_b",
         "bound8",
     ]
-    w.writerow(header)
-    for r in rows:
-        out = [r["k"]]
-        for col in header[1:-1]:
-            out.append(format(r[col], ".17g"))
-        out.append("" if r["bound8"] is None else format(r["bound8"], ".17g"))
-        w.writerow(out)
-    return buf.getvalue()
+    return csv_text(header, ([r[col] for col in header] for r in rows))

@@ -10,14 +10,13 @@ quadrature non-convergence, unreachable series precision).
 """
 
 import argparse
-import csv
-import io
 import json
 import sys
 
 import numpy as np
 
 from . import alias_analysis, filon_oracle, signal_model, spline_kernel, trig_spline
+from ._wire import csv_text
 from .errors import NumericalError
 from .sampling import discrete_coeffs, make_grid, sample, spectrum_to_csv
 from .spline_kernel import FilterVariant, KernelConfig
@@ -61,10 +60,6 @@ def _write_text(path, text):
         return
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-
-
-def _fmt(x):
-    return format(x, ".17g")
 
 
 def _parse_variant(text):
@@ -142,18 +137,9 @@ def cmd_spline(args):
     )
     j_max = args.j_max if args.j_max else 4 * grid.N
     rows = trig_spline.unfolded_table(spline, j_max, signal=sig)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["j", "a_hat", "b_hat", "a_true", "b_true", "abs_err_a", "abs_err_b"])
-    for r in rows:
-        w.writerow(
-            [r["j"]]
-            + [
-                _fmt(r[c])
-                for c in ("a_hat", "b_hat", "a_true", "b_true", "abs_err_a", "abs_err_b")
-            ]
-        )
-    _write_text(args.out + ".unfolded.csv", buf.getvalue())
+    header = ["j", "a_hat", "b_hat", "a_true", "b_true", "abs_err_a", "abs_err_b"]
+    table = ([r[c] for c in header] for r in rows)
+    _write_text(args.out + ".unfolded.csv", csv_text(header, table))
     if args.eval_grid:
         P = args.eval_grid
         if P < 1:
@@ -161,12 +147,8 @@ def cmd_spline(args):
         t = 2.0 * np.pi * np.arange(P) / P
         sv = trig_spline.values_on_uniform_grid(spline, P)
         fv = np.atleast_1d(signal_model.evaluate(sig, t))
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["t", "spline", "signal", "abs_err"])
-        for g in range(P):
-            w.writerow([_fmt(t[g]), _fmt(sv[g]), _fmt(fv[g]), _fmt(abs(sv[g] - fv[g]))])
-        _write_text(args.out + ".eval.csv", buf.getvalue())
+        table = zip(t, sv, fv, np.abs(sv - fv))
+        _write_text(args.out + ".eval.csv", csv_text(["t", "spline", "signal", "abs_err"], table))
     return 0
 
 
@@ -216,16 +198,10 @@ def cmd_bounds(args):
         raise _ConfigError("--n must be >= 1")
     grid = make_grid(args.n)
     rows = _bound_rows(sig, grid, args)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["k", "measured", "bound", "holds"])
-    ok = True
-    for k, measured, bound in rows:
-        holds = measured <= bound
-        ok = ok and holds
-        w.writerow([k, _fmt(measured), _fmt(bound), str(holds).lower()])
-    _write_text(args.out, buf.getvalue())
-    return 0 if ok else 1
+    holds = [measured <= bound for _, measured, bound in rows]
+    table = [(*row, str(ok).lower()) for row, ok in zip(rows, holds)]
+    _write_text(args.out, csv_text(["k", "measured", "bound", "holds"], table))
+    return 0 if all(holds) else 1
 
 
 def _bound_rows(sig, grid, args):

@@ -13,16 +13,15 @@ sup-norm bound (4/pi) ||f - phi||_C, and the refined bound
 variation / (pi k^(q+1)) that restores the decay order q = min(r, m).
 """
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _series
+from ._wire import csv_text
 from .errors import QuadratureConvergenceError
-from .signal_model import _rotate_pair, true_coefficient, true_coefficient_arrays
+from .signal_model import true_coefficient, true_coefficient_arrays
 from .trig_spline import spline_fourier_coeff, unfolded_spectrum
 
 _SUP_MIN_POINTS = 1024
@@ -178,7 +177,7 @@ def estimate_diff_variation(signal, spline, q, points=2**16, j_terms=None):
     diff_a = ta - sa
     diff_b = tb - sb
     rot = q % 4
-    ra, rb = _rotate_pair(diff_a, diff_b, rot)
+    ra, rb = _series.rotate_pair(diff_a, diff_b, rot)
     scale = js.astype(float) ** q
     da = scale * ra
     db = scale * rb
@@ -214,10 +213,5 @@ def filon_table(signal, spline, k_max, qc=QuadratureConfig(), sup_points=2**14):
 
 def filon_table_to_csv(rows):
     """CSV with the fixed coefficient-comparison column set."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
     header = ["k", "a_hat", "b_hat", "a_true", "b_true", "cnorm_bound", "refined_bound"]
-    w.writerow(header)
-    for r in rows:
-        w.writerow([r["k"]] + [format(r[c], ".17g") for c in header[1:]])
-    return buf.getvalue()
+    return csv_text(header, ([r[c] for c in header] for r in rows))

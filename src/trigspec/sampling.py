@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from . import _kernels
+from ._wire import csv_text
 from .signal_model import evaluate
 
 
@@ -183,25 +184,19 @@ def extended_coefficient(spectrum, j):
 # -- CSV wire formats -----------------------------------------------------
 
 
-def _fmt(x):
-    return format(x, ".17g")
-
-
 def samples_to_csv(samples):
     """CSV text with header ``j,t,f``, one row per node."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["j", "t", "f"])
-    for j in range(samples.grid.N):
-        w.writerow([j + 1, _fmt(samples.grid.nodes[j]), _fmt(samples.values[j])])
-    return buf.getvalue()
+    grid = samples.grid
+    return csv_text(
+        ["j", "t", "f"],
+        ([j + 1, grid.nodes[j], samples.values[j]] for j in range(grid.N)),
+    )
 
 
 def samples_from_csv(text):
-    rows = list(csv.reader(io.StringIO(text)))
-    if rows[0] != ["j", "t", "f"]:
-        raise ValueError("expected header j,t,f")
-    values = [float(r[2]) for r in rows[1:]]
+    """Inverse of :func:`samples_to_csv`; malformed text raises ValueError."""
+    rows = _csv_body(text, ["j", "t", "f"], first_index=1)
+    values = [float(r[2]) for r in rows]
     N = len(values)
     if N % 2 == 0 or N < 3:
         raise ValueError("sample CSV must hold an odd number of rows")
@@ -210,22 +205,35 @@ def samples_from_csv(text):
 
 def spectrum_to_csv(spectrum):
     """CSV text with header ``k,a,b``; the k = 0 row carries (a0, 0)."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["k", "a", "b"])
-    w.writerow([0, _fmt(spectrum.a0), _fmt(0.0)])
-    for k in range(1, spectrum.grid.n + 1):
-        w.writerow([k, _fmt(spectrum.a[k - 1]), _fmt(spectrum.b[k - 1])])
-    return buf.getvalue()
+    n = spectrum.grid.n
+    rows = [[0, spectrum.a0, 0.0]]
+    rows += ([k, spectrum.a[k - 1], spectrum.b[k - 1]] for k in range(1, n + 1))
+    return csv_text(["k", "a", "b"], rows)
 
 
 def spectrum_from_csv(text):
+    """Inverse of :func:`spectrum_to_csv`; malformed text raises ValueError."""
+    rows = _csv_body(text, ["k", "a", "b"], first_index=0)
+    if len(rows) < 2:
+        raise ValueError("spectrum CSV needs the k = 0 row and at least one more")
+    a0 = float(rows[0][1])
+    a = [float(r[1]) for r in rows[1:]]
+    b = [float(r[2]) for r in rows[1:]]
+    return DiscreteSpectrum(make_grid(len(rows) - 1), a0, a, b)
+
+
+def _csv_body(text, header, first_index):
+    # The data rows, once the header, each row's width and the index
+    # column (counting up from first_index) have been checked.
     rows = list(csv.reader(io.StringIO(text)))
-    if rows[0] != ["k", "a", "b"]:
-        raise ValueError("expected header k,a,b")
+    if not rows or rows[0] != header:
+        raise ValueError(f"expected header {','.join(header)}")
     body = rows[1:]
-    n = len(body) - 1
-    a0 = float(body[0][1])
-    a = [float(r[1]) for r in body[1:]]
-    b = [float(r[2]) for r in body[1:]]
-    return DiscreteSpectrum(make_grid(n), a0, a, b)
+    for i, row in enumerate(body):
+        if len(row) != len(header):
+            raise ValueError(f"row {i + 1} has {len(row)} cells, expected {len(header)}")
+        if int(row[0]) != first_index + i:
+            raise ValueError(
+                f"row {i + 1} has {header[0]} = {row[0]!r}, expected {first_index + i}"
+            )
+    return body

@@ -307,7 +307,7 @@ def derivative_values(signal, order, t):
             if k == 0:
                 continue
             scale = float(k) ** order
-            ka, kb = _rotate_pair(a, b, rot)
+            ka, kb = _series.rotate_pair(a, b, rot)
             out += scale * (ka * np.cos(k * t) + kb * np.sin(k * t))
         return out
     s = signal.p - order
@@ -315,7 +315,7 @@ def derivative_values(signal, order, t):
         raise ValueError("derivative series no longer converges absolutely")
     base_cos = signal.kind == POWER_DECAY_COSINE
     # Termwise derivative rotates cos->-sin->-cos->sin (and sin->cos->-sin->-cos).
-    ka, kb = _rotate_pair(1.0 if base_cos else 0.0, 0.0 if base_cos else 1.0, rot)
+    ka, kb = _series.rotate_pair(1.0 if base_cos else 0.0, 0.0 if base_cos else 1.0, rot)
     if s == int(s) and int(s) % 2 == 0 and kb == 0.0:
         return ka * _series.fourier_power_cos(int(s), t)
     if s == int(s) and int(s) % 2 == 1 and ka == 0.0:
@@ -323,17 +323,6 @@ def derivative_values(signal, order, t):
     kind = POWER_DECAY_COSINE if kb == 0.0 else POWER_DECAY_SINE
     sign = ka if kb == 0.0 else kb
     return sign * _truncated_power_eval(kind, s, t)
-
-
-def _rotate_pair(a, b, rot):
-    # Quarter-period phase shifts of a*cos + b*sin under differentiation.
-    if rot == 0:
-        return a, b
-    if rot == 1:
-        return b, -a
-    if rot == 2:
-        return -a, -b
-    return -b, a
 
 
 def estimate_derivative_variation(signal, order, points=2**16):

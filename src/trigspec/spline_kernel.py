@@ -17,9 +17,7 @@ A direct truncated summation is kept alongside as an independent
 cross-check path.
 """
 
-import csv
 import enum
-import io
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -27,10 +25,14 @@ from functools import lru_cache
 import numpy as np
 
 from . import _series
+from ._wire import csv_text
 from .errors import DegenerateKernelError
 from .sampling import alias_class
 
 _H_GUARD = 1e-12
+# Largest fold index a direct class summation accepts; larger requests are
+# refused before their index arrays are allocated.
+_M_TERMS_CAP = 10**6
 
 
 class FilterVariant(enum.Enum):
@@ -53,26 +55,23 @@ class FilterVariant(enum.Enum):
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Spline order, grid and gain family, plus accuracy knobs.
+    """Spline order, grid and gain family, plus the accuracy knob ``tail_tol``.
 
     ``tail_tol`` governs the truncated *representation* (the explicit
     coefficient list a spline stores); closed-form paths are exact and
-    ignore it. ``m_max_cap`` caps any directly summed series.
+    ignore it.
     """
 
     grid: object
     order: int
     variant: FilterVariant
     tail_tol: float = 1e-12
-    m_max_cap: int = 10**6
 
     def __post_init__(self):
         if self.order < 1 or self.order != int(self.order):
             raise ValueError("spline order must be an integer >= 1")
         if self.tail_tol <= 0:
             raise ValueError("tail_tol must be positive")
-        if self.m_max_cap < 1:
-            raise ValueError("m_max_cap must be >= 1")
 
     @property
     def power(self):
@@ -154,9 +153,12 @@ def class_gain_sum(k, config):
 
 
 def class_gain_sum_direct(k, config, m_terms):
-    """Truncated direct summation of the class sum (oracle/benchmark path)."""
-    if m_terms > config.m_max_cap:
-        raise ValueError("m_terms exceeds m_max_cap")
+    """Truncated direct summation of the class sum over fold indices m <= m_terms.
+
+    This is the oracle path; ``m_terms`` above 10**6 is refused.
+    """
+    if m_terms > _M_TERMS_CAP:
+        raise ValueError(f"m_terms exceeds the cap of {_M_TERMS_CAP}")
     m = np.arange(1, m_terms + 1, dtype=float)
     N = config.grid.N
     total = raw_gain(k, config)
@@ -215,7 +217,7 @@ def class_table(config):
 
     Entries are the scalar :func:`class_gain_sum`, :func:`raw_gain` and
     class-magnitude values, so every consumer sees the same bits as a
-    direct call. ``tail_tol`` and ``m_max_cap`` do not enter.
+    direct call. ``tail_tol`` does not enter.
     """
     return _class_table(config.grid, config.order, config.variant)
 
@@ -324,11 +326,8 @@ def class_partition_terms(k, config, m_terms, table=None):
         H = float(table.class_sums[k - 1])
     else:
         H = class_gain_sum(k, config)
-    m = np.arange(1, m_terms + 1, dtype=float)
+    partial = class_gain_sum_direct(k, config, m_terms)
     N = config.grid.N
-    partial = raw_gain(k, config) + float(
-        np.sum(raw_gain_array(m * N + k, config) + raw_gain_array(m * N - k, config))
-    )
     s = config.power
     F = _class_magnitude(k, config)
     if config.signed:
@@ -348,21 +347,11 @@ def response_table_to_csv(table):
     """CSV with header ``j,k_class,sigma,H,alpha`` for j = 1..j_max."""
     cfg = table.config
     N = cfg.grid.N
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["j", "k_class", "sigma", "H", "alpha"])
     js = np.arange(1, table.j_max + 1)
     sig = raw_gain_array(js, cfg)
+    rows = []
     for j in js:
         cls = alias_class(int(j), N)
         H = table.dc_class_sum if cls.k == 0 else float(table.class_sums[cls.k - 1])
-        w.writerow(
-            [
-                int(j),
-                cls.k,
-                format(float(sig[j - 1]), ".17g"),
-                format(H, ".17g"),
-                format(float(table.gains[j - 1]), ".17g"),
-            ]
-        )
-    return buf.getvalue()
+        rows.append([int(j), cls.k, sig[j - 1], H, table.gains[j - 1]])
+    return csv_text(["j", "k_class", "sigma", "H", "alpha"], rows)

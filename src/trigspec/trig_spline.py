@@ -32,7 +32,7 @@ import numpy as np
 
 from . import _kernels, _series
 from .sampling import discrete_coeffs, make_grid
-from .signal_model import _rotate_pair, true_coefficient
+from .signal_model import true_coefficient
 from .spline_kernel import (
     FilterVariant,
     KernelConfig,
@@ -340,7 +340,7 @@ def curvature_functional(fn, order, resolution=None):
     J = len(a)
     if order:
         j = np.arange(1, J + 1, dtype=float)
-        ra, rb = _rotate_pair(a, b, order % 4)
+        ra, rb = _series.rotate_pair(a, b, order % 4)
         da = j**order * ra
         db = j**order * rb
         d0 = 0.0

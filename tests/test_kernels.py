@@ -1,11 +1,9 @@
-"""Backend parity and determinism for the hot kernels."""
+"""Determinism and contracts of the hot kernels."""
 
 import numpy as np
 import pytest
 
-from trigspec._kernels import available_backends
-
-BACKENDS = available_backends()
+from trigspec import _kernels
 
 
 def _case(J=400, P=97, seed=7):
@@ -16,59 +14,30 @@ def _case(J=400, P=97, seed=7):
     return 0.37, a, b, t
 
 
-def test_python_backend_always_available():
-    assert "python" in BACKENDS
-
-
-@pytest.mark.skipif("c" not in BACKENDS, reason="compiled extension not built")
-def test_synth_parity():
+def test_deterministic_reruns():
     a0, a, b, t = _case()
-    ref = BACKENDS["python"].synth(a0, a, b, t)
-    fast = BACKENDS["c"].synth(a0, a, b, t)
-    assert np.allclose(ref, fast, rtol=1e-12, atol=1e-12)
-
-
-@pytest.mark.skipif("c" not in BACKENDS, reason="compiled extension not built")
-def test_dft_parity():
-    rng = np.random.default_rng(3)
-    values = rng.standard_normal(33)
-    ref = BACKENDS["python"].dft(values)
-    fast = BACKENDS["c"].dft(values)
-    assert abs(ref[0] - fast[0]) < 1e-14
-    assert np.allclose(ref[1], fast[1], atol=1e-14)
-    assert np.allclose(ref[2], fast[2], atol=1e-14)
-
-
-@pytest.mark.parametrize("name", sorted(BACKENDS))
-def test_deterministic_reruns(name):
-    mod = BACKENDS[name]
-    a0, a, b, t = _case()
-    first = mod.synth(a0, a, b, t)
-    second = mod.synth(a0, a, b, t)
+    first = _kernels.synth(a0, a, b, t)
+    second = _kernels.synth(a0, a, b, t)
     assert np.array_equal(first, second)
 
 
-@pytest.mark.parametrize("name", sorted(BACKENDS))
-def test_dft_rejects_even_length(name):
+def test_dft_rejects_even_length():
     with pytest.raises(ValueError):
-        BACKENDS[name].dft(np.zeros(4))
+        _kernels.dft(np.zeros(4))
 
 
-@pytest.mark.parametrize("name", sorted(BACKENDS))
-def test_synth_pure_harmonic(name):
+def test_synth_pure_harmonic():
     # Single harmonic: synth must reproduce cos/sin exactly up to rounding.
-    mod = BACKENDS[name]
     t = np.linspace(0, 2 * np.pi, 11, endpoint=False)
     a = np.array([0.0, 1.0])
     b = np.array([0.0, 0.0])
-    vals = mod.synth(0.0, a, b, t)
+    vals = _kernels.synth(0.0, a, b, t)
     assert np.allclose(vals, np.cos(2 * t), atol=1e-14)
 
 
-@pytest.mark.parametrize("name", sorted(BACKENDS))
-def test_synth_readonly_inputs(name):
+def test_synth_readonly_inputs():
     a0, a, b, t = _case(J=16, P=5)
     for arr in (a, b, t):
         arr.setflags(write=False)
-    vals = BACKENDS[name].synth(a0, a, b, t)
+    vals = _kernels.synth(a0, a, b, t)
     assert vals.shape == t.shape

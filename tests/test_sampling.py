@@ -250,3 +250,37 @@ def test_spectrum_csv_round_trip():
     assert back.a0 == spec.a0
     assert np.array_equal(back.a, spec.a)
     assert np.array_equal(back.b, spec.b)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "j,t\n",
+        "j,t,f\n1,0\n2,1,2\n3,2,3\n",
+        "j,t,f\n1,0,1\n3,1,2\n2,2,3\n",
+        "j,t,f\n0,0,1\n1,1,2\n2,2,3\n",
+    ],
+    ids=["empty", "header", "short-row", "out-of-order", "zero-based"],
+)
+def test_samples_csv_rejects_malformed_text(text):
+    with pytest.raises(ValueError):
+        samples_from_csv(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "k,a,b\n",
+        "k,a,b\n0,1,0\n",
+        "k,a,b\n0,1,0\n1,2\n",
+        "k,a,b\n0,1,0\n1,2,3,4\n",
+        "k,a,b\n1,2,3\n0,1,0\n",
+        "k,a\n0,1\n1,2\n",
+    ],
+    ids=["empty", "header-only", "dc-only", "short-row", "long-row", "out-of-order", "header"],
+)
+def test_spectrum_csv_rejects_malformed_text(text):
+    with pytest.raises(ValueError):
+        spectrum_from_csv(text)

@@ -158,6 +158,14 @@ def test_gain_positive_and_bounded_in_band():
             assert np.all(gains <= 1.0)
 
 
+def test_direct_summation_refuses_oversized_m_terms():
+    c = cfg(2, 1, "inv-power")
+    with pytest.raises(ValueError):
+        class_gain_sum_direct(1, c, 10**6 + 1)
+    with pytest.raises(ValueError):
+        class_partition_terms(1, c, 10**6 + 1)
+
+
 def test_partition_of_unity_residue_cross_check():
     # alpha(1) computed directly equals 1 minus the summed rest of its class.
     c = cfg(16, 3, "abs-sinc")
