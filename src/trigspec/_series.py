@@ -7,19 +7,35 @@ guarantees:
   ``sum_{k>=1} sin(kt)/k^s`` (odd s), which are Bernoulli polynomials in
   t/(2*pi) up to a constant factor;
 - tails of arithmetic-progression power sums
-  ``sum_{m>=m0} (m*step + offset)^(-s)``, which are Hurwitz zeta values.
+  ``sum_{m>=m0} (m*step + offset)^(-s)``, which are Hurwitz zeta values;
+- the Lerch transcendent on the unit circle,
+  ``sum_{m>=0} e^(i m theta) (m+q)^(-s)``, and the polylogarithm
+  Li_s(e^(i theta)) it contains, through their zeta-series expansion
+  (Erdelyi et al., *Higher Transcendental Functions* I, 1.11; Crandall,
+  "Note on fast polylogarithm computation", 2006).
 
 Everything here is pure and vectorized.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
-from scipy.special import zeta
+from scipy.special import digamma, gamma, gammaln, zeta
+
+from .errors import SeriesPrecisionError
 
 TWO_PI = 2.0 * np.pi
+# Terms of the Lerch expansion kept beyond the order s. Past the singular
+# term they fall off by a factor of at least 2 for |theta| <= pi, so 64 of
+# them reach far below rounding (see lerch_remainder_bound).
+_LERCH_EXTRA_TERMS = 64
+# lerch_unit works on blocks of this many angles, so its table of powers
+# stays small for any number of points.
+_LERCH_BLOCK = 4096
+_I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
 def reduce_angle(t):
@@ -144,6 +160,128 @@ def grid_total_variation(values):
     """Total variation of a periodic sequence, wrap-around step included."""
     values = np.asarray(values, dtype=float)
     return float(np.sum(np.abs(np.diff(values))) + abs(values[0] - values[-1]))
+
+
+def _lerch_terms(s):
+    return int(s) + _LERCH_EXTRA_TERMS
+
+
+@lru_cache(maxsize=64)
+def _lerch_table(s, q):
+    # Row i, column r: c_r(q_i) times the real sign of i^r (1, 1, -1, -1
+    # for r = 0, 1, 2, 3 mod 4), with c_r the coefficient of (i theta)^r
+    # in e^(i q theta) Phi(e^(i theta), s, q) minus its singular term.
+    # Every c_r is real, so even columns give the real part and odd
+    # columns the imaginary part.
+    q = np.asarray(q, dtype=float)
+    R = _lerch_terms(s)
+    c = np.empty((q.size, R))
+    if s == int(s):
+        s = int(s)
+        for r in range(R):
+            if r < s - 1:
+                c[:, r] = zeta(s - r, q)
+            elif r == s - 1:
+                harmonic = math.fsum(1.0 / j for j in range(1, s))
+                c[:, r] = harmonic - digamma(q) - np.euler_gamma
+            else:
+                # zeta(-m, q) = -B_{m+1}(q)/(m+1); B_n(1-x) = (-1)^n B_n(x)
+                # keeps the Horner argument in [0, 1/2].
+                n = r - s + 1
+                sign = np.where(q > 0.5, (-1.0) ** n, 1.0)
+                c[:, r] = -sign * _bernoulli_poly(n, np.minimum(q, 1.0 - q)) / n
+    else:
+        if np.any(q != 1.0):
+            raise ValueError("non-integer s is supported for q = 1 only")
+        c[:] = zeta(s - np.arange(R, dtype=float))
+    inv_fact = np.array([float(Fraction(1, factorial(r))) for r in range(R)])
+    table = c * inv_fact * np.array([1.0, 1.0, -1.0, -1.0])[np.arange(R) % 4]
+    if not np.all(np.isfinite(table)):
+        raise SeriesPrecisionError(f"Lerch expansion coefficients overflow at s={s}")
+    table.setflags(write=False)
+    return table
+
+
+def _lerch_singular(s, theta):
+    # The term the power series leaves out, the same for every q:
+    # Gamma(1-s) (-i theta)^(s-1) for non-integer s and
+    # -(i theta)^(s-1) log(-i theta) / (s-1)! for integer s; 0 at theta = 0.
+    out = np.zeros(theta.shape, dtype=complex)
+    nz = theta != 0.0
+    mag = np.abs(theta[nz])
+    sgn = np.sign(theta[nz])
+    if s == int(s):
+        s = int(s)
+        log = np.log(mag) - 0.5j * np.pi * sgn
+        out[nz] = -_I_POW[(s - 1) % 4] * theta[nz] ** (s - 1) * log / factorial(s - 1)
+    else:
+        out[nz] = gamma(1.0 - s) * mag ** (s - 1.0) * np.exp(-0.5j * np.pi * (s - 1.0) * sgn)
+    return out
+
+
+def lerch_unit(s, q, theta):
+    """Lerch transcendent ``Phi(e^(i theta), s, q) = sum_{m>=0} e^(i m theta) (m+q)^(-s)``.
+
+    Returns a complex array with one row per q and one column per theta.
+    Integer s >= 2 takes any q in (0, 1]; non-integer s > 1 takes q = 1
+    only. Angles reduce to [-pi, pi), where the expansion
+
+        e^(-i q theta) [sum_r zeta(s-r, q) (i theta)^r / r! + singular term]
+
+    converges geometrically; :func:`lerch_remainder_bound` bounds the
+    terms it drops. Its coefficients depend only on (s, q) and are cached.
+    """
+    if s <= 1:
+        raise ValueError("lerch_unit requires s > 1")
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    if q.ndim != 1 or np.any((q <= 0.0) | (q > 1.0)):
+        raise ValueError("q must be a 1-D array of values in (0, 1]")
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if theta.ndim != 1 or not np.all(np.isfinite(theta)):
+        raise ValueError("theta must be a 1-D array of finite angles")
+    table = _lerch_table(float(s), tuple(q.tolist()))
+    theta = np.mod(theta + np.pi, TWO_PI) - np.pi
+    out = np.empty((q.size, theta.size), dtype=complex)
+    for start in range(0, theta.size, _LERCH_BLOCK):
+        th = theta[start:start + _LERCH_BLOCK]
+        powers = np.empty((table.shape[1], th.size))
+        powers[0] = 1.0
+        powers[1:] = th
+        np.cumprod(powers, axis=0, out=powers)
+        series = table[:, 0::2] @ powers[0::2] + 1j * (table[:, 1::2] @ powers[1::2])
+        series += _lerch_singular(s, th)
+        out[:, start:start + _LERCH_BLOCK] = np.exp(-1j * np.multiply.outer(q, th)) * series
+    return out
+
+
+def lerch_remainder_bound(s):
+    """Bound on the terms :func:`lerch_unit` drops, for any q in (0, 1] and theta.
+
+    With R terms kept, term r >= R is at most
+    T_r = 2 Gamma(r-s+1) zeta(r-s+1) pi^r / ((2 pi)^(r-s+1) r!), from
+    |B_n(x)| <= 2 n! zeta(n) / (2 pi)^n on [0, 1] and the functional
+    equation of zeta; T_{r+1} <= T_r / 2, so the remainder is at most
+    2 T_R. Rounding is not included.
+    """
+    R = _lerch_terms(s)
+    x = R - s + 1.0
+    log_term = (
+        math.log(2.0) + gammaln(x) + math.log(zeta(x)) + R * math.log(math.pi)
+        - x * math.log(TWO_PI) - gammaln(R + 1.0)
+    )
+    return 2.0 * math.exp(log_term)
+
+
+def polylog_unit(s, theta):
+    """Polylogarithm ``Li_s(e^(i theta)) = sum_{k>=1} e^(i k theta) / k^s``, s > 1.
+
+    Its real part is ``sum cos(k theta)/k^s`` and its imaginary part
+    ``sum sin(k theta)/k^s``. Shape follows theta.
+    """
+    theta = np.asarray(theta, dtype=float)
+    flat = theta.ravel()
+    vals = np.exp(1j * flat) * lerch_unit(s, 1.0, flat)[0]
+    return vals.reshape(theta.shape)
 
 
 def synth_folded(W, a0=0.0):

@@ -174,7 +174,11 @@ def band_component(signal, n, t):
 
 
 def dc_class_component(signal, grid, t, tol=1e-12):
-    """The constant-class tail ``sum_m (a_mN cos(mNt) + b_mN sin(mNt))``."""
+    """The constant-class tail ``sum_m (a_mN cos(mNt) + b_mN sin(mNt))``.
+
+    Every shipped signal kind gives it in closed form, so `tol` is only
+    validated.
+    """
     _require_analytic(signal)
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -186,26 +190,8 @@ def dc_class_component(signal, grid, t, tol=1e-12):
             if k >= N and k % N == 0:
                 out += a * np.cos(k * t_arr) + b * np.sin(k * t_arr)
         return out if np.ndim(t) else float(out[0])
-    p = signal.p
-    scaled = N * t_arr
-    if p == int(p) and signal.kind == POWER_DECAY_COSINE and int(p) % 2 == 0:
-        out = N**-p * _series.fourier_power_cos(int(p), scaled)
-    elif p == int(p) and signal.kind == POWER_DECAY_SINE and int(p) % 2 == 1:
-        out = N**-p * _series.fourier_power_sin(int(p), scaled)
-    else:
-        # Truncate sum_m (mN)^-p trig(mNt); tail below (MN)^(1-p)/(N(p-1)).
-        M = math.ceil((((p - 1.0) * tol * N) ** (-1.0 / (p - 1.0))) / N) + 1
-        if M > 5_000_000:
-            raise SeriesPrecisionError(
-                f"constant-class tail needs {M} terms for tol={tol}"
-            )
-        m = np.arange(1, M + 1, dtype=float)
-        coeff = (m * N) ** -p
-        phases = np.multiply.outer(t_arr, m * N)
-        if signal.kind == POWER_DECAY_COSINE:
-            out = np.cos(phases) @ coeff
-        else:
-            out = np.sin(phases) @ coeff
+    # sum_m (mN)^-p trig(mNt) = N^-p f(Nt): the signal itself at the scaled angle.
+    out = N**-signal.p * evaluate(signal, N * t_arr)
     return out if np.ndim(t) else float(out[0])
 
 

@@ -21,6 +21,9 @@ from . import _kernels
 from ._wire import csv_text
 from .signal_model import evaluate
 
+# Largest distance a CSV t value may lie from its node 2*pi*(j-1)/N.
+_NODE_TOL = 1e-12
+
 
 class UniformGrid:
     """N = 2n+1 equally spaced nodes on [0, 2*pi), starting at 0."""
@@ -196,11 +199,18 @@ def samples_to_csv(samples):
 def samples_from_csv(text):
     """Inverse of :func:`samples_to_csv`; malformed text raises ValueError."""
     rows = _csv_body(text, ["j", "t", "f"], first_index=1)
-    values = [float(r[2]) for r in rows]
-    N = len(values)
+    N = len(rows)
     if N % 2 == 0 or N < 3:
         raise ValueError("sample CSV must hold an odd number of rows")
-    return SampleVector(make_grid((N - 1) // 2), values)
+    grid = make_grid((N - 1) // 2)
+    for row, node in zip(rows, grid.nodes):
+        try:
+            t = float(row[1])
+        except ValueError:
+            raise ValueError(f"row j = {row[0]} has t = {row[1]!r}, not a number") from None
+        if not abs(t - node) <= _NODE_TOL:
+            raise ValueError(f"row j = {row[0]} has t = {row[1]!r}, expected the node {float(node)!r}")
+    return SampleVector(grid, [float(r[2]) for r in rows])
 
 
 def spectrum_to_csv(spectrum):

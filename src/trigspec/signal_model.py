@@ -4,8 +4,9 @@ Every later identity and bound in the package is checked against these
 signals, so the module keeps evaluation *exact*: finite harmonic sums are
 summed directly, and the power-decay families use Bernoulli-polynomial
 closed forms whenever the decay exponent's parity matches the series
-(cosine with even integer p, sine with odd integer p). Other exponents
-fall back to a truncated sum whose tail is provably below 1e-14.
+(cosine with even integer p, sine with odd integer p). Every other
+exponent, integer or not, is the real or imaginary part of the
+polylogarithm Li_p(e^(it)), also a closed form exact to rounding.
 
 A signal carries its smoothness class: the order ``r`` of the derivative
 that still has bounded variation, and an upper bound on that variation.
@@ -18,18 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, _series
-from .errors import SeriesPrecisionError
+from . import _series
 
 HARMONIC_SUM = "HarmonicSum"
 POWER_DECAY_COSINE = "PowerDecayCosine"
 POWER_DECAY_SINE = "PowerDecaySine"
 
 _KINDS = (HARMONIC_SUM, POWER_DECAY_COSINE, POWER_DECAY_SINE)
-
-# Tail contract for truncated power-decay evaluation.
-_EVAL_TAIL = 1e-14
-_EVAL_TERM_CAP = 30_000_000
 
 
 @dataclass(frozen=True)
@@ -112,34 +108,20 @@ class AnalyticSignal:
         return true_coefficient(self, 0)[0], a, b
 
 
-def _exact_power_eval(kind, p, t):
-    """Closed-form power series value, or None when no closed form applies."""
-    if p != int(p):
-        return None
-    s = int(p)
-    if kind == POWER_DECAY_COSINE and s % 2 == 0:
-        return _series.fourier_power_cos(s, t)
-    if kind == POWER_DECAY_SINE and s % 2 == 1:
-        return _series.fourier_power_sin(s, t)
-    return None
+def _power_eval(kind, p, t):
+    """``sum_{k>=1} k^-p cos(kt)`` (cosine kind) or ``... sin(kt)`` (sine kind).
 
-
-def _truncated_power_eval(kind, p, t):
-    # Tail of sum_{k>K} k^-p is below K^(1-p)/(p-1); pick K for the 1e-14 contract.
-    K = math.ceil(((p - 1.0) * _EVAL_TAIL) ** (-1.0 / (p - 1.0)))
-    if K > _EVAL_TERM_CAP:
-        raise SeriesPrecisionError(
-            f"power-decay evaluation with p={p} needs {K} terms for the "
-            f"1e-14 tail contract, above the cap {_EVAL_TERM_CAP}"
-        )
-    coeff = np.arange(1, K + 1, dtype=float) ** -p
-    zeros = np.zeros(K)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if kind == POWER_DECAY_COSINE:
-        vals = _kernels.synth(0.0, coeff, zeros, t_arr)
-    else:
-        vals = _kernels.synth(0.0, zeros, coeff, t_arr)
-    return vals if np.ndim(t) else float(vals[0])
+    Bernoulli closed forms where the parity matches, Re/Im Li_p(e^(it))
+    otherwise; shape follows t.
+    """
+    if p == int(p):
+        s = int(p)
+        if kind == POWER_DECAY_COSINE and s % 2 == 0:
+            return _series.fourier_power_cos(s, t)
+        if kind == POWER_DECAY_SINE and s % 2 == 1:
+            return _series.fourier_power_sin(s, t)
+    li = _series.polylog_unit(p, t)
+    return li.real if kind == POWER_DECAY_COSINE else li.imag
 
 
 def evaluate(signal, t):
@@ -160,10 +142,8 @@ def evaluate(signal, t):
             else:
                 out += a * np.cos(k * flat) + b * np.sin(k * flat)
         return out.reshape(t_arr.shape) if t_arr.ndim else float(out[0])
-    exact = _exact_power_eval(signal.kind, signal.p, t_arr)
-    if exact is not None:
-        return exact if t_arr.ndim else float(exact)
-    return _truncated_power_eval(signal.kind, signal.p, t_arr if t_arr.ndim else float(t_arr))
+    vals = _power_eval(signal.kind, signal.p, t_arr)
+    return vals if t_arr.ndim else float(vals)
 
 
 def true_coefficient(signal, k):
@@ -256,7 +236,7 @@ def _power_smoothness(kind, p, r, variation):
     if not matched:
         raise ValueError(
             "smoothness (r, variation) must be supplied explicitly for this p; "
-            "closed-form values exist only for parity-matched integer p "
+            "the smoothness class is derived only for parity-matched integer p "
             "(see estimate_derivative_variation for a numerical derivation)"
         )
     # The (p-1)-th derivative is the sawtooth sum sin(kt)/k up to sign, so the
@@ -316,13 +296,9 @@ def derivative_values(signal, order, t):
     base_cos = signal.kind == POWER_DECAY_COSINE
     # Termwise derivative rotates cos->-sin->-cos->sin (and sin->cos->-sin->-cos).
     ka, kb = _series.rotate_pair(1.0 if base_cos else 0.0, 0.0 if base_cos else 1.0, rot)
-    if s == int(s) and int(s) % 2 == 0 and kb == 0.0:
-        return ka * _series.fourier_power_cos(int(s), t)
-    if s == int(s) and int(s) % 2 == 1 and ka == 0.0:
-        return kb * _series.fourier_power_sin(int(s), t)
-    kind = POWER_DECAY_COSINE if kb == 0.0 else POWER_DECAY_SINE
-    sign = ka if kb == 0.0 else kb
-    return sign * _truncated_power_eval(kind, s, t)
+    if kb == 0.0:
+        return ka * _power_eval(POWER_DECAY_COSINE, s, t)
+    return kb * _power_eval(POWER_DECAY_SINE, s, t)
 
 
 def estimate_derivative_variation(signal, order, points=2**16):

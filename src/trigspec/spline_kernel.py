@@ -323,6 +323,8 @@ def class_partition_terms(k, config, m_terms, table=None):
     rounding: the partition-of-unity property.
     """
     if table is not None:
+        if k < 1 or k > config.grid.n:
+            raise ValueError("class representative k must lie in 1..n")
         H = float(table.class_sums[k - 1])
     else:
         H = class_gain_sum(k, config)

@@ -11,10 +11,12 @@ exact for every gain family.
 
 Evaluation strategy: the spline stores an explicit truncated coefficient
 list (a representation view, with a recorded neglect bound), but
-evaluation on uniform grids folds the *entire* infinite series onto the
-grid through Hurwitz zeta tails, so grid values — including the node
-values that define interpolation — are exact to rounding. Scattered
-points fall back to a long truncated sum with a documented bound.
+evaluation never reads it. Uniform grids fold the *entire* infinite
+series onto the grid through Hurwitz zeta tails, so grid values —
+including the node values that define interpolation — are exact to
+rounding. Scattered points sum each alias class's two branches as Lerch
+transcendents on the unit circle, again the whole series, with an
+expansion remainder far below rounding.
 
 Work that depends only on the configuration (grid, order, variant) is
 kept apart from work on the samples: the class table of
@@ -30,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _kernels, _series
+from . import _series
 from .sampling import discrete_coeffs, make_grid
 from .signal_model import true_coefficient
 from .spline_kernel import (
@@ -42,7 +44,9 @@ from .spline_kernel import (
 )
 
 _REPRESENTATION_CAP = 64     # largest L in the stored-series truncation J = L*N
-_SCATTER_CAP = 1024          # largest L used by scattered-point evaluation
+# Scattered evaluation works on blocks of points holding at most this many
+# (Lerch row x point) cells.
+_EVAL_CELLS = 1 << 16
 # The fold is vectorized over blocks of classes holding at most this many
 # fold terms per branch, so its work arrays stay small for any grid size.
 _FOLD_BLOCK = 4096
@@ -102,24 +106,19 @@ def _law_coefficients(config, spectrum, table, js):
     return ca, cb
 
 
-def _tail_sums(N, s, Ls):
-    """S_k(L) = tail(k, L) + tail(-k, L+1) for k = 1..n (rows) and each L in Ls.
+@lru_cache(maxsize=64)
+def _representation_tail_sums(N, s):
+    """S_k(L) = tail(k, L) + tail(-k, L+1) for k = 1..n (rows), L = 1.._REPRESENTATION_CAP.
 
     The per-class mass, before the factor F_k / H_k, of the class-k
     coefficients beyond J = L*N: members mN+k with m >= L and mN-k with
-    m >= L+1.
+    m >= L+1. Computed once per (N, s).
     """
     k = np.arange(1, (N - 1) // 2 + 1, dtype=float)[:, None]
-    Ls = np.asarray(Ls, dtype=np.int64)[None, :]
+    Ls = np.arange(1, _REPRESENTATION_CAP + 1)[None, :]
     plus = _series.progression_tail(s, N, k, m_start=Ls)
     minus = _series.progression_tail(s, N, -k, m_start=Ls + 1)
-    return plus + minus
-
-
-@lru_cache(maxsize=64)
-def _representation_tail_sums(N, s):
-    """:func:`_tail_sums` for L = 1.._REPRESENTATION_CAP, computed once per (N, s)."""
-    S = _tail_sums(N, s, np.arange(1, _REPRESENTATION_CAP + 1))
+    S = plus + minus
     S.setflags(write=False)
     return S
 
@@ -178,49 +177,61 @@ def build_spline(samples, config):
 
 
 def spline_eval(spline, t):
-    """Spline value at arbitrary points (scalar in, scalar out).
+    """Spline value at arbitrary points; scalar in, scalar out, arrays keep their shape.
 
-    Angles reduce modulo 2*pi first, so periodicity is exact. Accuracy
-    for scattered points is the truncated-series bound reported by
-    :func:`scattered_eval_bound`; uniform grids should go through
-    :func:`values_on_uniform_grid`, which is exact.
+    The whole infinite series is summed in closed form. Class k's members
+    on each branch, j = mN + k (m >= 0) and j = mN - k (m >= 1), form the
+    Lerch transcendents ``Phi(z, s, k/N)`` and ``Phi(z, s, 1 - k/N)`` with
+    ``z = e^(iNt)`` (``-e^(iNt)`` for the signed family), so
+
+        S(t) = a0/2 + Re sum_k (F_k/H_k) N^-s [(a*_k - i b*_k) e^(ikt) Phi(z, s, k/N)
+                                           + (a*_k + i b*_k) e^(i(N-k)t) Phi(z, s, 1-k/N)].
+
+    The error beyond rounding is :func:`scattered_eval_bound`, for every
+    order and every point; it does not depend on ``tail_tol``.
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    t_arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t_arr)):
         raise ValueError("evaluation point must be finite")
-    a_ext, b_ext, _ = _scatter_series(spline)
-    vals = _kernels.synth(spline.a0, a_ext, b_ext, _series.reduce_angle(t_arr))
-    return vals if np.ndim(t) else float(vals[0])
-
-
-def _scatter_series(spline):
-    # Double L from the stored truncation until the tail bound meets
-    # tail_tol or L reaches _SCATTER_CAP; the whole ladder is bounded at once.
     cfg = spline.config
     N = cfg.grid.N
-    L = max(spline.J // N, 1)
-    bound = spline.tail_bound
-    if bound >= cfg.tail_tol and L < _SCATTER_CAP:
-        ladder = []
-        while L < _SCATTER_CAP:
-            L = min(2 * L, _SCATTER_CAP)
-            ladder.append(L)
-        bounds = _tail_bounds(cfg, spline.spectrum, _tail_sums(N, cfg.power, ladder))
-        hits = np.flatnonzero(bounds < cfg.tail_tol)
-        i = int(hits[0]) if hits.size else len(ladder) - 1
-        L, bound = ladder[i], bounds[i]
-    J = L * N
-    if J == spline.J:
-        return spline.coeff_a, spline.coeff_b, bound
-    ca, cb = _law_coefficients(
-        cfg, spline.spectrum, spline.table, np.arange(1, J + 1)
-    )
-    return ca, cb, bound
+    n = cfg.grid.n
+    s = cfg.power
+    spec = spline.spectrum
+    k = np.arange(1, n + 1)
+    first = np.concatenate((k, N - k)).astype(float)   # first member j of each branch
+    q = first / N
+    scale = _class_scales(spline)
+    weights = np.concatenate((scale * (spec.a - 1j * spec.b), scale * (spec.a + 1j * spec.b)))
+    flat = _series.reduce_angle(t_arr.ravel())
+    shift = np.pi if cfg.signed else 0.0
+    out = np.empty(flat.shape)
+    step = max(_EVAL_CELLS // (2 * n), 1)
+    for start in range(0, flat.size, step):
+        tb = flat[start:start + step]
+        phi = _series.lerch_unit(s, q, N * tb + shift)
+        out[start:start + step] = np.real(weights @ (np.exp(1j * np.multiply.outer(first, tb)) * phi))
+    out += 0.5 * spline.a0
+    return out.reshape(t_arr.shape) if t_arr.ndim else float(out[0])
+
+
+def _class_scales(spline):
+    # (F_k / H_k) N^-s: the factor of class k's Lerch terms.
+    cfg = spline.config
+    ct = class_table(cfg)
+    return ct.magnitudes / ct.sums * float(cfg.grid.N) ** -float(cfg.power)
 
 
 def scattered_eval_bound(spline):
-    """Guaranteed absolute accuracy of :func:`spline_eval` off the grid."""
-    return _scatter_series(spline)[2]
+    """Guaranteed absolute accuracy of :func:`spline_eval`, rounding excluded.
+
+    Each Lerch value carries at most :func:`_series.lerch_remainder_bound`
+    of neglected expansion terms; the bound weighs it by the class
+    factors and coefficient magnitudes.
+    """
+    spec = spline.spectrum
+    mass = 2.0 * np.sum(np.abs(_class_scales(spline)) * np.hypot(spec.a, spec.b))
+    return float(mass) * _series.lerch_remainder_bound(spline.config.power)
 
 
 def values_on_uniform_grid(spline, points):

@@ -395,7 +395,8 @@ def test_c9_cli_contract(tmp_path):
         "kind": "PowerDecaySine", "terms": [], "p": 2.0, "r": 0, "variation": 5.0,
     }))
     codes["numerical"] = cli_main([
-        "dft", "--signal", str(hard), "--n", "2", "--out", str(tmp_path / "no2.csv"),
+        "alias", "--signal", str(hard), "--n", "2", "--tail-tol", "1e-20",
+        "--out", str(tmp_path / "no2.csv"),
     ])
     expected = {"success": 0, "violation": 1, "config": 2, "numerical": 3}
     ok = deterministic and codes == expected

@@ -199,6 +199,24 @@ def test_time_domain_split_identity_dense_grid():
     assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
+@pytest.mark.parametrize("maker,p", [
+    (power_decay_sine, 2.0),
+    (power_decay_cosine, 3.0),
+    (power_decay_cosine, 2.5),
+])
+def test_dc_class_component_without_bernoulli_form(maker, p, lerch_fold):
+    # sum_m (mN)^-p trig(mNt) at t = 2*pi*g/G is N^-p Li_p(e^(iNt)), and Nt
+    # is the grid angle of index N*g mod G.
+    sig = maker(p, r=0, variation=1.0)
+    grid = make_grid(3)
+    N, G = grid.N, 30
+    for g in range(G):
+        h = N * g % G
+        li = np.exp(2j * np.pi * h / G) * lerch_fold(p, 1.0, h, G)
+        want = N**-p * (li.real if maker is power_decay_cosine else li.imag)
+        assert abs(dc_class_component(sig, grid, 2.0 * np.pi * g / G) - want) <= 1e-14
+
+
 def test_time_domain_split_identity_at_nodes():
     # At the nodes the folded polynomial replaces f, up to the constant fold.
     sig = power_decay_cosine(4)

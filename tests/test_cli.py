@@ -205,14 +205,15 @@ def test_bounds_eq9_needs_smooth_class(tmp_path):
 # -- numerical failure ------------------------------------------------------------
 
 
-def test_numerical_failure_exit_code(tmp_path):
-    # Sine decay with p=2 has no closed form and an infeasible tail target.
+def test_numerical_failure_exit_code(tmp_path, capsys):
+    # A fold sum cannot be certified below its rounding floor.
     doc = {"kind": "PowerDecaySine", "terms": [], "p": 2.0, "r": 0,
            "variation": 5.0}
     spec = tmp_path / "hard.json"
     spec.write_text(json.dumps(doc))
-    assert run(["dft", "--signal", str(spec), "--n", "2",
+    assert run(["alias", "--signal", str(spec), "--n", "2", "--tail-tol", "1e-20",
                 "--out", str(tmp_path / "x.csv")]) == 3
+    assert "fold sum cannot be certified below tol=1e-20" in capsys.readouterr().err
 
 
 # -- determinism -------------------------------------------------------------------

@@ -260,8 +260,13 @@ def test_spectrum_csv_round_trip():
         "j,t,f\n1,0\n2,1,2\n3,2,3\n",
         "j,t,f\n1,0,1\n3,1,2\n2,2,3\n",
         "j,t,f\n0,0,1\n1,1,2\n2,2,3\n",
+        "j,t,f\n1,banana,1\n2,9,2\n3,-1,3\n",
+        "j,t,f\n1,0,1\n2,9,2\n3,-1,3\n",
+        "j,t,f\n1,nan,1\n2,2.0943951023931953,2\n3,4.1887902047863905,3\n",
+        "j,t,f\n1,0,1\n2,2.0943951024031953,2\n3,4.1887902047863905,3\n",
     ],
-    ids=["empty", "header", "short-row", "out-of-order", "zero-based"],
+    ids=["empty", "header", "short-row", "out-of-order", "zero-based",
+         "t-not-a-number", "t-off-grid", "t-nan", "t-1e-11-off-node"],
 )
 def test_samples_csv_rejects_malformed_text(text):
     with pytest.raises(ValueError):

@@ -99,3 +99,67 @@ def test_synth_folded_matches_direct():
     j = np.arange(1, J + 1)
     direct = 0.3 + np.cos(np.outer(t, j)) @ a + np.sin(np.outer(t, j)) @ b
     assert np.allclose(vals, direct, atol=1e-12)
+
+
+# -- Lerch transcendent and polylogarithm on the unit circle ---------------------
+
+# (G, g): theta = 2*pi*g/G covers 0, small angles, just inside +pi, just
+# inside -pi (after reduction), and pi itself (reduced to -pi).
+ANGLES = ((97, (0, 1, 24, 48, 49, 96)), (64, (0, 5, 31, 32, 33)))
+
+
+@pytest.mark.parametrize("s", [2, 2.5, 3, 3.7, 4, 6])
+def test_lerch_unit_matches_residue_fold(s, lerch_fold):
+    qs = [1.0] if s != int(s) else [1.0 / 129, 0.25, 0.5, 0.8, 128.0 / 129, 1.0]
+    for G, gs in ANGLES:
+        got = _series.lerch_unit(s, qs, 2.0 * np.pi * np.asarray(gs) / G)
+        assert got.shape == (len(qs), len(gs))
+        for i, q in enumerate(qs):
+            for j, g in enumerate(gs):
+                want = lerch_fold(s, q, g, G)
+                assert abs(got[i, j] - want) <= 1e-13 * max(1.0, abs(want)), (q, g, G)
+
+
+@pytest.mark.parametrize("s", [2, 2.5, 3, 3.7, 4, 6])
+def test_polylog_unit_matches_residue_fold(s, lerch_fold):
+    for G, gs in ANGLES:
+        got = _series.polylog_unit(s, 2.0 * np.pi * np.asarray(gs) / G)
+        for j, g in enumerate(gs):
+            want = np.exp(2j * np.pi * g / G) * lerch_fold(s, 1.0, g, G)
+            assert abs(got[j] - want) <= 1e-13, (g, G)
+
+
+def test_polylog_unit_agrees_with_bernoulli_closed_forms():
+    # The Bernoulli forms carry their own rounding: at s = 6 just below
+    # t = 0 (x = t/2pi near 1) they are off by about 1.1e-14.
+    t = np.linspace(-7.0, 7.0, 301)
+    for s in (2, 4, 6):
+        err = np.abs(_series.polylog_unit(s, t).real - _series.fourier_power_cos(s, t))
+        assert np.max(err) < 3e-14
+    for s in (3, 5):
+        err = np.abs(_series.polylog_unit(s, t).imag - _series.fourier_power_sin(s, t))
+        assert np.max(err) < 3e-14
+
+
+def test_polylog_unit_keeps_shape():
+    assert _series.polylog_unit(3, 0.5).shape == ()
+    assert _series.polylog_unit(3, np.zeros((2, 3))).shape == (2, 3)
+    assert _series.polylog_unit(3, 0.0) == pytest.approx(1.2020569031595942, rel=1e-15)
+
+
+def test_lerch_unit_validation():
+    with pytest.raises(ValueError):
+        _series.lerch_unit(1, 0.5, 0.1)
+    with pytest.raises(ValueError):
+        _series.lerch_unit(3, 0.0, 0.1)
+    with pytest.raises(ValueError):
+        _series.lerch_unit(3, 1.5, 0.1)
+    with pytest.raises(ValueError):
+        _series.lerch_unit(2.5, 0.5, 0.1)
+    with pytest.raises(ValueError):
+        _series.lerch_unit(3, 0.5, np.inf)
+
+
+@pytest.mark.parametrize("s", [2, 2.5, 3, 11])
+def test_lerch_remainder_bound_is_far_below_rounding(s):
+    assert 0.0 < _series.lerch_remainder_bound(s) < 1e-20

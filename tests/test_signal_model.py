@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.special import zeta
 from hypothesis import strategies as st
 
 from trigspec import (
@@ -19,7 +20,7 @@ from trigspec import (
     signal_to_json,
     true_coefficient,
 )
-from trigspec.errors import SeriesPrecisionError
+from trigspec.signal_model import derivative_values
 
 
 def brute_power_eval(kind_cos, p, t, terms=400_000):
@@ -99,10 +100,38 @@ def test_mismatched_parity_eval_feasible():
     assert abs(evaluate(sig, 1.3) - oracle) < 1e-10
 
 
-def test_mismatched_parity_eval_infeasible_raises():
+def test_mismatched_parity_eval_clausen_exact(lerch_fold):
+    # Sine with p = 2 is the Clausen function Cl_2(t) = Im Li_2(e^(it)),
+    # once refused as needing 1.6e9 truncated terms; its derivative
+    # series of cosine p = 3 is the same function with a minus sign.
     sig = power_decay_sine(2, r=0, variation=5.0)
-    with pytest.raises(SeriesPrecisionError):
-        evaluate(sig, 1.0)
+    cos3 = power_decay_cosine(3, r=1, variation=5.0)
+    G = 96
+    t = 2.0 * np.pi * np.arange(G) / G
+    want = np.array([(np.exp(1j * x) * lerch_fold(2, 1.0, g, G)).imag for g, x in enumerate(t)])
+    assert np.max(np.abs(evaluate(sig, t) - want)) <= 1e-13
+    assert np.max(np.abs(derivative_values(cos3, 1, t) + want)) <= 1e-13
+
+
+@pytest.mark.parametrize("p", [2, 2.5, 3, 4])
+def test_power_decay_at_zero_is_zeta(p):
+    # The series at t = 0 sums to zeta(p); the truncated sum that preceded
+    # the polylogarithm missed its 1e-14 contract here at p = 3 (by 1.45e-13).
+    cos = power_decay_cosine(p, r=0, variation=1.0)
+    sin = power_decay_sine(p, r=0, variation=1.0)
+    assert abs(evaluate(cos, 0.0) - zeta(p)) <= 1e-15 * zeta(p)
+    assert evaluate(sin, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("p", [2.5, 3.7])
+def test_non_integer_power_eval_matches_residue_fold(p, lerch_fold):
+    G = 40
+    t = 2.0 * np.pi * np.arange(G) / G
+    li = np.array([np.exp(1j * x) * lerch_fold(p, 1.0, g, G) for g, x in enumerate(t)])
+    cos = power_decay_cosine(p, r=0, variation=1.0)
+    sin = power_decay_sine(p, r=0, variation=1.0)
+    assert np.max(np.abs(evaluate(cos, t) - li.real)) <= 1e-13
+    assert np.max(np.abs(evaluate(sin, t) - li.imag)) <= 1e-13
 
 
 # -- coefficients -----------------------------------------------------------

@@ -166,6 +166,16 @@ def test_direct_summation_refuses_oversized_m_terms():
         class_partition_terms(1, c, 10**6 + 1)
 
 
+@pytest.mark.parametrize("k", [0, 5])
+@pytest.mark.parametrize("with_table", [False, True])
+def test_partition_terms_reject_class_outside_band(k, with_table):
+    # With a table, k = 0 used to read class_sums[-1] and return (2.83, 0.0).
+    c = cfg(4, 1, "abs-sinc")
+    table = filter_response(c, 9) if with_table else None
+    with pytest.raises(ValueError, match="1..n"):
+        class_partition_terms(k, c, 64, table)
+
+
 def test_partition_of_unity_residue_cross_check():
     # alpha(1) computed directly equals 1 minus the summed rest of its class.
     c = cfg(16, 3, "abs-sinc")

@@ -5,6 +5,11 @@ over arrays, but each keeps the floating-point expressions and the
 summation order of a per-class (or per-coefficient) loop. The loops are
 kept here as oracles, and results must agree exactly (``==``), not
 within a tolerance.
+
+The same inputs also drive the agreement of the two exact evaluation
+paths, Lerch-summed scattered points against the Hurwitz fold on a
+uniform grid; they sum in different orders, so that check allows
+rounding.
 """
 
 import math
@@ -60,16 +65,6 @@ def loop_build_search(config, spectrum):
         if bound < config.tail_tol:
             return L, bound
     return 64, loop_tail_bound(config, spectrum, probe, 64)
-
-
-def loop_scatter_bound(spline):
-    cfg = spline.config
-    L = max(spline.J // cfg.grid.N, 1)
-    bound = spline.tail_bound
-    while bound >= cfg.tail_tol and L < 1024:
-        L = min(2 * L, 1024)
-        bound = loop_tail_bound(cfg, spline.spectrum, spline.table, L)
-    return bound
 
 
 def loop_folded_spectrum(spline, G):
@@ -162,7 +157,6 @@ def test_tail_search_matches_scalar_loop(data):
     L, bound = loop_build_search(config, spectrum)
     assert spline.J == L * config.grid.N
     assert spline.tail_bound == bound
-    assert trig_spline.scattered_eval_bound(spline) == loop_scatter_bound(spline)
 
 
 def test_tail_search_cap_path_when_tolerance_unreachable():
@@ -207,6 +201,27 @@ def test_folded_spectrum_matches_per_class_loop(data):
     assert np.array_equal(
         trig_spline.values_on_uniform_grid(spline, G), _series.synth_folded(old, spline.a0)
     )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_scattered_eval_matches_uniform_grid_values(data):
+    config = data.draw(configs(max_n=64))
+    spectrum = data.draw(spectra(config.grid))
+    spline = build_from(spectrum, config)
+    N = config.grid.N
+    if data.draw(st.booleans()):
+        G = _grid_size("coprime", N, np.random.default_rng(data.draw(st.integers(0, 2**16))))
+    else:
+        G = N * data.draw(st.integers(min_value=1, max_value=4))
+    g = np.arange(G)
+    got = trig_spline.spline_eval(spline, 2.0 * np.pi * g / G)
+    want = trig_spline.values_on_uniform_grid(spline, G)
+    # Both sides are exact up to rounding, which grows with the size of
+    # the spectrum (and t = 2*pi*g/G itself is rounded).
+    size = 0.5 * abs(spectrum.a0) + float(np.sum(np.hypot(spectrum.a, spectrum.b)))
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, size)
+    assert trig_spline.scattered_eval_bound(spline) < 1e-20 * max(1.0, size)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
