@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
-from scipy.special import digamma, gamma, gammaln, zeta
+from scipy.special import digamma, gammaln, zeta
 
 from .errors import SeriesPrecisionError
 
@@ -166,108 +166,198 @@ def _lerch_terms(s):
     return int(s) + _LERCH_EXTRA_TERMS
 
 
+def _powers_over_factorial(x, R):
+    # x^r / r! for r = 0..R-1 by recurrence: no overflow, graceful underflow.
+    out = np.empty(R)
+    out[0] = 1.0
+    for r in range(1, R):
+        out[r] = out[r - 1] * x / r
+    return out
+
+
+def _zeta_minus_pole(eps):
+    # zeta(1 + eps) - 1/eps by Euler-Maclaurin after K - 1 direct terms;
+    # the pole is taken out of K^-eps/eps exactly, through expm1.
+    K = 10
+    s = 1.0 + eps
+    total = math.fsum(k ** -s for k in range(1, K))
+    total += math.expm1(-eps * math.log(K)) / eps + 0.5 * K ** -s
+    rising = s                                   # s (s+1) ... (s + 2j - 2)
+    for j in range(1, 11):
+        total += float(_bernoulli_number(2 * j)) / factorial(2 * j) * rising * K ** (1.0 - s - 2 * j)
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+    return total
+
+
+def _log_pole_factor(eps, m):
+    # log[(pi eps / sin(pi eps)) m! / Gamma(m + 1 + eps)] as its power series
+    # sum_k zeta(2k) eps^(2k) / k - psi(m+1) eps - sum_{k>=2} (-1)^k zeta(k, m+1) eps^k / k,
+    # accurate relative to eps for |eps| <= 1/2.
+    total = -(math.fsum(1.0 / j for j in range(1, m + 1)) - np.euler_gamma) * eps
+    for k in range(2, 64):
+        coeff = -((-1) ** k) * zeta(k, m + 1.0) / k
+        if k % 2 == 0:
+            coeff += 2.0 * zeta(k) / k
+        total += coeff * eps**k
+    return total
+
+
+def _expm1_complex(z):
+    # e^z - 1 without cancellation for small |z|.
+    x, y = z.real, z.imag
+    return np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2 + 1j * np.exp(x) * np.sin(y)
+
+
 @lru_cache(maxsize=64)
-def _lerch_table(s, q):
-    # Row i, column r: c_r(q_i) times the real sign of i^r (1, 1, -1, -1
-    # for r = 0, 1, 2, 3 mod 4), with c_r the coefficient of (i theta)^r
-    # in e^(i q theta) Phi(e^(i theta), s, q) minus its singular term.
-    # Every c_r is real, so even columns give the real part and odd
-    # columns the imaginary part.
+def _pole_constants(s):
+    # For non-integer s = n + eps, n = round(s), |eps| <= 1/2: n, eps,
+    # zeta(1 + eps) - 1/eps and log P(eps) (see _pole_pair).
+    n = round(s)
+    eps = s - n
+    return n, eps, _zeta_minus_pole(eps), _log_pole_factor(eps, n - 1)
+
+
+def _pole_pair(s, theta):
+    # For non-integer s = n + eps and m = n - 1: m! / (i theta)^m times
+    # zeta(1 + eps) (i theta)^m / m! + Gamma(1 - s) (-i theta)^(s-1).
+    # Both terms grow like 1/eps and cancel, losing about 1e-16/|eps| if
+    # summed as they stand. The reflection formula turns the second into
+    # -(i theta)^m / m! P(eps) e^(eps L) / eps, L = log(-i theta),
+    # P(eps) = (pi eps / sin(pi eps)) m! / Gamma(m + 1 + eps), so the sum
+    # is zeta(1+eps) - 1/eps - expm1(eps L + log P) / eps with every piece
+    # computed without cancellation. At theta = 0 the singular term
+    # vanishes and it is zeta(1 + eps).
+    _, eps, zeta_reg, log_p = _pole_constants(s)
+    out = np.full(theta.shape, zeta_reg + 1.0 / eps, dtype=complex)
+    nz = theta != 0.0
+    log = np.log(np.abs(theta[nz])) - 0.5j * np.pi * np.sign(theta[nz])
+    out[nz] = zeta_reg - _expm1_complex(eps * log + log_p) / eps
+    return out
+
+
+@lru_cache(maxsize=64)
+def _lerch_table(s, q, step):
+    # Row i, column r: the coefficient of u^r, u = theta/pi, in
+    # e^(i q_i theta/step) sum_m e^(i m theta) (m step + q_i)^-s minus its
+    # singular part, times the real sign of i^r (1, 1, -1, -1 for
+    # r = 0, 1, 2, 3 mod 4). Unscaled (step = 1) the coefficient of
+    # (i theta)^r is zeta(s-r, q)/r!; every entry is real, so even columns
+    # give the real part and odd columns the imaginary part. Step powers
+    # are folded in factor by factor: zeta(s-r, q/step) alone overflows
+    # once step^s passes the float range, the scaled entry never does.
     q = np.asarray(q, dtype=float)
     R = _lerch_terms(s)
-    c = np.empty((q.size, R))
-    if s == int(s):
-        s = int(s)
-        for r in range(R):
-            if r < s - 1:
-                c[:, r] = zeta(s - r, q)
-            elif r == s - 1:
-                harmonic = math.fsum(1.0 / j for j in range(1, s))
-                c[:, r] = harmonic - digamma(q) - np.euler_gamma
-            else:
-                # zeta(-m, q) = -B_{m+1}(q)/(m+1); B_n(1-x) = (-1)^n B_n(x)
-                # keeps the Horner argument in [0, 1/2].
-                n = r - s + 1
-                sign = np.where(q > 0.5, (-1.0) ** n, 1.0)
-                c[:, r] = -sign * _bernoulli_poly(n, np.minimum(q, 1.0 - q)) / n
-    else:
-        if np.any(q != 1.0):
-            raise ValueError("non-integer s is supported for q = 1 only")
-        c[:] = zeta(s - np.arange(R, dtype=float))
-    inv_fact = np.array([float(Fraction(1, factorial(r))) for r in range(R)])
-    table = c * inv_fact * np.array([1.0, 1.0, -1.0, -1.0])[np.arange(R) % 4]
+    integer = s == int(s)
+    pole_col = -1 if integer else _pole_constants(s)[0] - 1
+    scaled = _powers_over_factorial(math.pi / step, R)       # (pi/step)^r / r!
+    plain = _powers_over_factorial(math.pi, R) * step**-s    # pi^r / r! step^-s
+    c = np.zeros((q.size, R))
+    for r in range(R):
+        x = s - r
+        if r == pole_col:
+            continue                             # summed with the singular term
+        if x > 1.0:
+            # step^-x zeta(x, q/step) = sum_m (m step + q)^-x
+            c[:, r] = (q**-x + step**-x * zeta(x, 1.0 + q / step)) * scaled[r]
+        elif not integer:
+            c[:, r] = zeta(x) * plain[r]
+        elif x == 1.0:
+            harmonic = math.fsum(1.0 / j for j in range(1, r + 1))
+            c[:, r] = (harmonic - digamma(q / step) - np.euler_gamma) * plain[r]
+        else:
+            # zeta(-m, a) = -B_{m+1}(a)/(m+1); B_n(1-a) = (-1)^n B_n(a)
+            # keeps the Horner argument in [0, 1/2].
+            n = 1 - int(x)
+            a = q / step
+            sign = np.where(a > 0.5, (-1.0) ** n, 1.0)
+            c[:, r] = -sign * _bernoulli_poly(n, np.minimum(a, 1.0 - a)) / n * plain[r]
+    table = c * np.array([1.0, 1.0, -1.0, -1.0])[np.arange(R) % 4]
     if not np.all(np.isfinite(table)):
         raise SeriesPrecisionError(f"Lerch expansion coefficients overflow at s={s}")
     table.setflags(write=False)
     return table
 
 
-def _lerch_singular(s, theta):
-    # The term the power series leaves out, the same for every q:
-    # Gamma(1-s) (-i theta)^(s-1) for non-integer s and
-    # -(i theta)^(s-1) log(-i theta) / (s-1)! for integer s; 0 at theta = 0.
+def _lerch_singular(s, theta, step):
+    # The part of step^-s e^(i q theta) Phi the power series leaves out, the
+    # same for every q: -(i theta)^(s-1) log(-i theta) / (s-1)! for integer
+    # s (0 at theta = 0), and for non-integer s the pole pair of _pole_pair,
+    # which also carries the coefficient of (i theta)^(round(s)-1).
+    m = (int(s) if s == int(s) else _pole_constants(s)[0]) - 1
+    coeff = _powers_over_factorial(math.pi, m + 1)[m] * step**-s * _I_POW[m % 4]
+    u = (theta / math.pi) ** m
+    if s != int(s):
+        return coeff * u * _pole_pair(s, theta)
     out = np.zeros(theta.shape, dtype=complex)
     nz = theta != 0.0
-    mag = np.abs(theta[nz])
-    sgn = np.sign(theta[nz])
-    if s == int(s):
-        s = int(s)
-        log = np.log(mag) - 0.5j * np.pi * sgn
-        out[nz] = -_I_POW[(s - 1) % 4] * theta[nz] ** (s - 1) * log / factorial(s - 1)
-    else:
-        out[nz] = gamma(1.0 - s) * mag ** (s - 1.0) * np.exp(-0.5j * np.pi * (s - 1.0) * sgn)
+    log = np.log(np.abs(theta[nz])) - 0.5j * np.pi * np.sign(theta[nz])
+    out[nz] = -coeff * u[nz] * log
     return out
 
 
-def lerch_unit(s, q, theta):
-    """Lerch transcendent ``Phi(e^(i theta), s, q) = sum_{m>=0} e^(i m theta) (m+q)^(-s)``.
+def lerch_unit(s, q, theta, step=1.0):
+    """``sum_{m>=0} e^(i m theta) (m*step + q)^(-s)``, the Lerch transcendent on the unit circle.
 
-    Returns a complex array with one row per q and one column per theta.
-    Integer s >= 2 takes any q in (0, 1]; non-integer s > 1 takes q = 1
-    only. Angles reduce to [-pi, pi), where the expansion
+    With the default step this is ``Phi(e^(i theta), s, q)``; in general
+    it is ``step^-s Phi(e^(i theta), s, q/step)``, computed without
+    forming either factor, so large ``step^s`` neither overflows nor
+    loses precision. Returns a complex array with one row per q and one
+    column per theta. Integer s >= 2 takes any q in (0, step];
+    non-integer s > 1 takes q = step only. Angles reduce to [-pi, pi),
+    where the expansion (shown for step = 1)
 
         e^(-i q theta) [sum_r zeta(s-r, q) (i theta)^r / r! + singular term]
 
     converges geometrically; :func:`lerch_remainder_bound` bounds the
-    terms it drops. Its coefficients depend only on (s, q) and are cached.
+    terms it drops. Its coefficients depend only on (s, q, step) and are
+    cached. For non-integer s the singular term
+    ``Gamma(1-s) (-i theta)^(s-1)`` and the coefficient
+    ``zeta(1 + s - round(s))`` are summed in closed form, since each alone
+    is of order 1/(s - round(s)) and p close to an integer would lose
+    that factor to cancellation.
     """
     if s <= 1:
         raise ValueError("lerch_unit requires s > 1")
+    if not step > 0.0:
+        raise ValueError("step must be positive")
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    if q.ndim != 1 or np.any((q <= 0.0) | (q > 1.0)):
-        raise ValueError("q must be a 1-D array of values in (0, 1]")
+    if q.ndim != 1 or np.any((q <= 0.0) | (q > step)):
+        raise ValueError("q must be a 1-D array of values in (0, step]")
+    if s != int(s) and np.any(q != step):
+        raise ValueError("non-integer s is supported for q = step only")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.ndim != 1 or not np.all(np.isfinite(theta)):
         raise ValueError("theta must be a 1-D array of finite angles")
-    table = _lerch_table(float(s), tuple(q.tolist()))
+    step = float(step)
+    table = _lerch_table(float(s), tuple(q.tolist()), step)
     theta = np.mod(theta + np.pi, TWO_PI) - np.pi
     out = np.empty((q.size, theta.size), dtype=complex)
     for start in range(0, theta.size, _LERCH_BLOCK):
         th = theta[start:start + _LERCH_BLOCK]
         powers = np.empty((table.shape[1], th.size))
         powers[0] = 1.0
-        powers[1:] = th
+        powers[1:] = th / math.pi
         np.cumprod(powers, axis=0, out=powers)
         series = table[:, 0::2] @ powers[0::2] + 1j * (table[:, 1::2] @ powers[1::2])
-        series += _lerch_singular(s, th)
-        out[:, start:start + _LERCH_BLOCK] = np.exp(-1j * np.multiply.outer(q, th)) * series
+        series += _lerch_singular(s, th, step)
+        out[:, start:start + _LERCH_BLOCK] = np.exp(-1j * np.multiply.outer(q / step, th)) * series
     return out
 
 
-def lerch_remainder_bound(s):
-    """Bound on the terms :func:`lerch_unit` drops, for any q in (0, 1] and theta.
+def lerch_remainder_bound(s, step=1.0):
+    """Bound on the terms :func:`lerch_unit` drops, for any q in (0, step] and theta.
 
-    With R terms kept, term r >= R is at most
+    With R terms kept, term r >= R of ``Phi`` is at most
     T_r = 2 Gamma(r-s+1) zeta(r-s+1) pi^r / ((2 pi)^(r-s+1) r!), from
     |B_n(x)| <= 2 n! zeta(n) / (2 pi)^n on [0, 1] and the functional
     equation of zeta; T_{r+1} <= T_r / 2, so the remainder is at most
-    2 T_R. Rounding is not included.
+    2 T_R, times ``step^-s``. Rounding is not included.
     """
     R = _lerch_terms(s)
     x = R - s + 1.0
     log_term = (
         math.log(2.0) + gammaln(x) + math.log(zeta(x)) + R * math.log(math.pi)
-        - x * math.log(TWO_PI) - gammaln(R + 1.0)
+        - x * math.log(TWO_PI) - gammaln(R + 1.0) - s * math.log(step)
     )
     return 2.0 * math.exp(log_term)
 

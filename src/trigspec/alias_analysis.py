@@ -173,15 +173,12 @@ def band_component(signal, n, t):
     return vals if np.ndim(t) else float(vals[0])
 
 
-def dc_class_component(signal, grid, t, tol=1e-12):
+def dc_class_component(signal, grid, t):
     """The constant-class tail ``sum_m (a_mN cos(mNt) + b_mN sin(mNt))``.
 
-    Every shipped signal kind gives it in closed form, so `tol` is only
-    validated.
+    Every shipped signal kind gives it in closed form.
     """
     _require_analytic(signal)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     N = grid.N
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if signal.kind == HARMONIC_SUM:
@@ -195,7 +192,7 @@ def dc_class_component(signal, grid, t, tol=1e-12):
     return out if np.ndim(t) else float(out[0])
 
 
-def residual_component(signal, grid, t, tol=1e-12):
+def residual_component(signal, grid, t):
     """The out-of-band, non-constant-class remainder of the signal.
 
     This is ``sum over j > n, j not a multiple of N`` of the true series,
@@ -203,13 +200,11 @@ def residual_component(signal, grid, t, tol=1e-12):
     the band. Computed as f(t) minus the band part minus the constant
     class tail; each piece is exact for the shipped signal kinds.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     full = evaluate(signal, t)
     return (
         full
         - band_component(signal, grid.n, t)
-        - dc_class_component(signal, grid, t, tol)
+        - dc_class_component(signal, grid, t)
     )
 
 

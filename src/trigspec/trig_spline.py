@@ -181,14 +181,17 @@ def spline_eval(spline, t):
 
     The whole infinite series is summed in closed form. Class k's members
     on each branch, j = mN + k (m >= 0) and j = mN - k (m >= 1), form the
-    Lerch transcendents ``Phi(z, s, k/N)`` and ``Phi(z, s, 1 - k/N)`` with
-    ``z = e^(iNt)`` (``-e^(iNt)`` for the signed family), so
+    Lerch sums ``L(z, j0) = sum_m z^m (mN + j0)^-s`` with first member
+    ``j0 = k`` or ``N - k`` and ``z = e^(iNt)`` (``-e^(iNt)`` for the signed
+    family), so
 
-        S(t) = a0/2 + Re sum_k (F_k/H_k) N^-s [(a*_k - i b*_k) e^(ikt) Phi(z, s, k/N)
-                                           + (a*_k + i b*_k) e^(i(N-k)t) Phi(z, s, 1-k/N)].
+        S(t) = a0/2 + Re sum_k (F_k/H_k) [(a*_k - i b*_k) e^(ikt) L(z, k)
+                                       + (a*_k + i b*_k) e^(i(N-k)t) L(z, N-k)].
 
-    The error beyond rounding is :func:`scattered_eval_bound`, for every
-    order and every point; it does not depend on ``tail_tol``.
+    ``L`` is :func:`_series.lerch_unit` with step N, which keeps the
+    factor N^-s inside its coefficients, so no order overflows. The error
+    beyond rounding is :func:`scattered_eval_bound`, for every order and
+    every point; it does not depend on ``tail_tol``.
     """
     t_arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t_arr)):
@@ -199,8 +202,7 @@ def spline_eval(spline, t):
     s = cfg.power
     spec = spline.spectrum
     k = np.arange(1, n + 1)
-    first = np.concatenate((k, N - k)).astype(float)   # first member j of each branch
-    q = first / N
+    first = np.concatenate((k, N - k)).astype(float)   # first member j0 of each branch
     scale = _class_scales(spline)
     weights = np.concatenate((scale * (spec.a - 1j * spec.b), scale * (spec.a + 1j * spec.b)))
     flat = _series.reduce_angle(t_arr.ravel())
@@ -209,29 +211,29 @@ def spline_eval(spline, t):
     step = max(_EVAL_CELLS // (2 * n), 1)
     for start in range(0, flat.size, step):
         tb = flat[start:start + step]
-        phi = _series.lerch_unit(s, q, N * tb + shift)
-        out[start:start + step] = np.real(weights @ (np.exp(1j * np.multiply.outer(first, tb)) * phi))
+        lerch = _series.lerch_unit(s, first, N * tb + shift, step=N)
+        out[start:start + step] = np.real(weights @ (np.exp(1j * np.multiply.outer(first, tb)) * lerch))
     out += 0.5 * spline.a0
     return out.reshape(t_arr.shape) if t_arr.ndim else float(out[0])
 
 
 def _class_scales(spline):
-    # (F_k / H_k) N^-s: the factor of class k's Lerch terms.
-    cfg = spline.config
-    ct = class_table(cfg)
-    return ct.magnitudes / ct.sums * float(cfg.grid.N) ** -float(cfg.power)
+    # F_k / H_k: the factor of class k's Lerch sums.
+    ct = class_table(spline.config)
+    return ct.magnitudes / ct.sums
 
 
 def scattered_eval_bound(spline):
     """Guaranteed absolute accuracy of :func:`spline_eval`, rounding excluded.
 
-    Each Lerch value carries at most :func:`_series.lerch_remainder_bound`
+    Each Lerch sum carries at most :func:`_series.lerch_remainder_bound`
     of neglected expansion terms; the bound weighs it by the class
     factors and coefficient magnitudes.
     """
     spec = spline.spectrum
+    cfg = spline.config
     mass = 2.0 * np.sum(np.abs(_class_scales(spline)) * np.hypot(spec.a, spec.b))
-    return float(mass) * _series.lerch_remainder_bound(spline.config.power)
+    return float(mass) * _series.lerch_remainder_bound(cfg.power, cfg.grid.N)
 
 
 def values_on_uniform_grid(spline, points):

@@ -108,7 +108,13 @@ def test_synth_folded_matches_direct():
 ANGLES = ((97, (0, 1, 24, 48, 49, 96)), (64, (0, 5, 31, 32, 33)))
 
 
-@pytest.mark.parametrize("s", [2, 2.5, 3, 3.7, 4, 6])
+# Non-integer orders cover both ends of s - round(s) in [-1/2, 1/2] and
+# orders within 1e-9 and 1e-12 of an integer, where the pole pair of the
+# expansion would cancel to 1e-7 and 1e-4 if it were not summed in closed form.
+NEAR_INTEGER = [3 + 1e-9, 3 - 1e-9, 2 + 1e-12, 1.5, 3.5]
+
+
+@pytest.mark.parametrize("s", [2, 2.5, 3, 3.7, 4, 6] + NEAR_INTEGER)
 def test_lerch_unit_matches_residue_fold(s, lerch_fold):
     qs = [1.0] if s != int(s) else [1.0 / 129, 0.25, 0.5, 0.8, 128.0 / 129, 1.0]
     for G, gs in ANGLES:
@@ -120,7 +126,7 @@ def test_lerch_unit_matches_residue_fold(s, lerch_fold):
                 assert abs(got[i, j] - want) <= 1e-13 * max(1.0, abs(want)), (q, g, G)
 
 
-@pytest.mark.parametrize("s", [2, 2.5, 3, 3.7, 4, 6])
+@pytest.mark.parametrize("s", [2, 2.5, 3, 3.7, 4, 6] + NEAR_INTEGER)
 def test_polylog_unit_matches_residue_fold(s, lerch_fold):
     for G, gs in ANGLES:
         got = _series.polylog_unit(s, 2.0 * np.pi * np.asarray(gs) / G)
@@ -141,6 +147,36 @@ def test_polylog_unit_agrees_with_bernoulli_closed_forms():
         assert np.max(err) < 3e-14
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_polylog_unit_is_continuous_in_the_order(n):
+    # Li_s moves by about 1e-14 between s = n and n + 1e-14; cancellation
+    # in the pole pair would show as an error near 1e-2. s = 1 compares
+    # with Li_1(e^(it)) = -log(1 - e^(it)).
+    t = np.array([-3.0, -1e-3, 0.4, 1.0, 2.5, np.pi])
+    if n == 1:
+        want = -np.log(1.0 - np.exp(1j * t))
+    else:
+        want = _series.polylog_unit(n, t)
+    for eps in (1e-14, -1e-14):
+        if n + eps <= 1:
+            continue
+        assert np.max(np.abs(_series.polylog_unit(n + eps, t) - want)) <= 2e-13
+
+
+def test_lerch_unit_step_keeps_large_orders_finite():
+    # sum_m e^(i m theta) (m N + j)^-s at s = 151, N = 129: the unscaled
+    # Phi(z, s, j/N) alone would be about (N/j)^s, past the float range.
+    N, s = 129, 151
+    j = np.array([1.0, 2.0, 64.0, 65.0, 100.0])
+    theta = np.array([0.0, 0.3, -2.0, 3.1])
+    got = _series.lerch_unit(s, j, theta, step=N)
+    m = np.arange(4)
+    for a, jj in enumerate(j):
+        for b, th in enumerate(theta):
+            want = np.sum(np.exp(1j * m * th) * (m * N + jj) ** -float(s))
+            assert abs(got[a, b] - want) <= 1e-15 * abs(want)
+
+
 def test_polylog_unit_keeps_shape():
     assert _series.polylog_unit(3, 0.5).shape == ()
     assert _series.polylog_unit(3, np.zeros((2, 3))).shape == (2, 3)
@@ -158,6 +194,10 @@ def test_lerch_unit_validation():
         _series.lerch_unit(2.5, 0.5, 0.1)
     with pytest.raises(ValueError):
         _series.lerch_unit(3, 0.5, np.inf)
+    with pytest.raises(ValueError):
+        _series.lerch_unit(3, 5.0, 0.1, step=4.0)
+    with pytest.raises(ValueError):
+        _series.lerch_unit(3, 0.5, 0.1, step=0.0)
 
 
 @pytest.mark.parametrize("s", [2, 2.5, 3, 11])

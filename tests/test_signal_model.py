@@ -123,7 +123,7 @@ def test_power_decay_at_zero_is_zeta(p):
     assert evaluate(sin, 0.0) == 0.0
 
 
-@pytest.mark.parametrize("p", [2.5, 3.7])
+@pytest.mark.parametrize("p", [2.5, 3.7, 3 + 1e-9, 3 - 1e-9, 2 + 1e-12])
 def test_non_integer_power_eval_matches_residue_fold(p, lerch_fold):
     G = 40
     t = 2.0 * np.pi * np.arange(G) / G

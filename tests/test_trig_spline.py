@@ -119,6 +119,20 @@ def test_scattered_eval_matches_exact_grid_values():
     assert np.max(np.abs(exact - approx)) <= scattered_eval_bound(spl) + 1e-13
 
 
+@pytest.mark.parametrize("variant", ["sinc", "abs-sinc", "inv-power"])
+def test_scattered_eval_at_high_order_matches_series(variant):
+    # At order 150 on N = 129, N^-s is below the float range and
+    # zeta(s, 1/N) above it; the Lerch sums carry the scale inside their
+    # coefficients. Gains fall like (j/k)^-151 past the band, so eight
+    # periods of the coefficient law give the series to rounding.
+    sig = harmonic_sum([(k, np.cos(k), np.sin(2 * k)) for k in range(1, 70)])
+    spl, c = spline_of(sig, 64, 150, variant)
+    js, ca, cb = unfolded_spectrum(spl, 8 * c.grid.N)
+    t = np.linspace(0.0, 2 * np.pi, 37)
+    series = spl.a0 / 2 + np.cos(np.outer(t, js)) @ ca + np.sin(np.outer(t, js)) @ cb
+    assert np.max(np.abs(spline_eval(spl, t) - series)) <= 1e-12
+
+
 def test_uniform_grid_values_match_brute_series():
     # Independent check of the zeta fold: long direct summation of the
     # coefficient law on a grid size coprime to N.
