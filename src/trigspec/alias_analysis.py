@@ -136,15 +136,13 @@ def folded_coefficients(signal, grid, k, tol=1e-12):
     )
 
 
-def aliasing_error_bound(k, grid, smoothness, tol=1e-12):
+def aliasing_error_bound(k, grid, smoothness):
     """Upper bound on |a_k - a*_k| (and |b_k - b*_k|) for the smoothness class.
 
     The bound is ``(variation/pi) * sum_m [(mN+k)^-(r+1) + (mN-k)^-(r+1)]``,
     evaluated exactly via Hurwitz zeta tails. For r = 0 the series
     diverges and the bound is reported as ``inf`` (still a true bound).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if k < 1 or k > grid.n:
         raise ValueError("band index k must lie in 1..n")
     if smoothness.variation == 0.0:
@@ -234,7 +232,7 @@ def fold_report_table(signal, grid, tol=1e-12):
             bound = None
         else:
             dft_a, dft_b = spec.a[k - 1], spec.b[k - 1]
-            bound = aliasing_error_bound(k, grid, signal.smoothness, tol)
+            bound = aliasing_error_bound(k, grid, signal.smoothness)
         rows.append(
             {
                 "k": k,

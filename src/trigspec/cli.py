@@ -69,16 +69,16 @@ def _parse_variant(text):
         raise _ConfigError(str(exc)) from exc
 
 
-def _kernel_config(args, grid):
+def _kernel_config(args, grid, tail_tol=1e-12):
     if args.r < 1:
         raise _ConfigError("--r must be >= 1")
-    if args.tail_tol <= 0:
+    if tail_tol <= 0:
         raise _ConfigError("--tail-tol must be positive")
     return KernelConfig(
         grid=grid,
         order=args.r,
         variant=_parse_variant(args.variant),
-        tail_tol=args.tail_tol,
+        tail_tol=tail_tol,
     )
 
 
@@ -129,7 +129,7 @@ def cmd_spline(args):
     if args.out is None:
         raise _ConfigError("spline needs --out STEM for its output files")
     grid = make_grid(args.n)
-    config = _kernel_config(args, grid)
+    config = _kernel_config(args, grid, args.tail_tol)
     spline = trig_spline.build_spline(sample(sig, grid), config)
     _write_text(
         args.out + ".spline.json",
@@ -168,12 +168,7 @@ def cmd_response(args):
     if args.out is None:
         raise _ConfigError("response needs --out STEM for its output files")
     for r in orders:
-        config = KernelConfig(
-            grid=grid,
-            order=r,
-            variant=_parse_variant(args.variant),
-            tail_tol=args.tail_tol,
-        )
+        config = KernelConfig(grid=grid, order=r, variant=_parse_variant(args.variant))
         table = spline_kernel.filter_response(config, j_max)
         _write_text(
             f"{args.out}.r{r}.csv", spline_kernel.response_table_to_csv(table)
@@ -220,9 +215,7 @@ def _bound_rows(sig, grid, args):
         for k in range(1, grid.n + 1):
             ta, tb = signal_model.true_coefficient(sig, k)
             measured = max(abs(ta - spec.a[k - 1]), abs(tb - spec.b[k - 1]))
-            bound = alias_analysis.aliasing_error_bound(
-                k, grid, sig.smoothness, args.tail_tol
-            )
+            bound = alias_analysis.aliasing_error_bound(k, grid, sig.smoothness)
             rows.append((k, measured, bound))
         return rows
     if family == "eq9":
@@ -294,7 +287,6 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", default="1,3,10", help="comma list of orders")
     p.add_argument("--variant", default="abs-sinc")
-    p.add_argument("--tail-tol", type=float, default=1e-12)
     p.add_argument("--j-max", type=int, default=0, help="table size (default 2N)")
     p.add_argument("--out", help="output stem (writes STEM.r{r}.csv)")
     p.set_defaults(handler=cmd_response)
@@ -315,7 +307,6 @@ def build_parser():
     )
     p.add_argument("--r", type=int, default=3, help="spline order (filon family)")
     p.add_argument("--variant", default="abs-sinc")
-    p.add_argument("--tail-tol", type=float, default=1e-12)
     p.add_argument("--j-max", type=int, default=0, help="row count override")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(handler=cmd_bounds)

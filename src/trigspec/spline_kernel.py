@@ -57,9 +57,9 @@ class FilterVariant(enum.Enum):
 class KernelConfig:
     """Spline order, grid and gain family, plus the accuracy knob ``tail_tol``.
 
-    ``tail_tol`` governs the truncated *representation* (the explicit
-    coefficient list a spline stores); closed-form paths are exact and
-    ignore it.
+    ``tail_tol`` only sets the length of a spline's truncated series,
+    ``fourier_series()`` and the rows of its JSON document; evaluation
+    and every closed-form path are exact and ignore it.
     """
 
     grid: object
@@ -193,7 +193,7 @@ class FilterTable:
     def gain_at(self, j):
         if 1 <= j <= self.j_max:
             return float(self.gains[j - 1])
-        return gain(j, self.config, self)
+        return gain(j, self.config)
 
 
 @dataclass(frozen=True)
@@ -254,28 +254,22 @@ def _validated_class_sums(config):
     return sums
 
 
-def gain(j, config, table=None):
+def gain(j, config):
     """Normalized gain alpha(r, j) = sigma_j / (class sum of j's alias class)."""
-    arr = gain_array(np.asarray([j]), config, table)
+    arr = gain_array(np.asarray([j]), config)
     return float(arr[0])
 
 
-def gain_array(j, config, table=None):
+def gain_array(j, config):
     """Vectorized :func:`gain` over an integer index array (j >= 1)."""
     j = np.asarray(j, dtype=np.int64)
     if np.any(j < 1):
         raise ValueError("gain is defined for harmonic indices j >= 1")
-    if table is not None and table.config == config:
-        class_sums = table.class_sums
-        dc_sum = table.dc_class_sum
-    else:
-        ct = class_table(config)
-        class_sums = ct.sums
-        dc_sum = ct.dc_sum
+    ct = class_table(config)
     N = config.grid.N
     res = np.mod(j, N)
     k = np.minimum(res, N - res)
-    denom = np.where(k == 0, dc_sum, class_sums[np.maximum(k, 1) - 1])
+    denom = np.where(k == 0, ct.dc_sum, ct.sums[np.maximum(k, 1) - 1])
     return raw_gain_array(j, config) / denom
 
 

@@ -9,14 +9,16 @@ smoothness class. Harmonics at multiples of N carry no energy: the
 constant class enters only through a*_0/2, which keeps interpolation
 exact for every gain family.
 
-Evaluation strategy: the spline stores an explicit truncated coefficient
-list (a representation view, with a recorded neglect bound), but
-evaluation never reads it. Uniform grids fold the *entire* infinite
-series onto the grid through Hurwitz zeta tails, so grid values —
-including the node values that define interpolation — are exact to
-rounding. Scattered points sum each alias class's two branches as Lerch
-transcendents on the unit circle, again the whole series, with an
-expansion remainder far below rounding.
+A spline is its configuration and the discrete spectrum of its samples;
+every coefficient and value derives from those two, and evaluation never
+truncates. Uniform grids fold the *entire* infinite series onto the grid
+through Hurwitz zeta tails, so grid values — including the node values
+that define interpolation — are exact to rounding. Scattered points sum
+each alias class's two branches as Lerch transcendents on the unit
+circle, again the whole series, with an expansion remainder far below
+rounding. A truncated coefficient list, with a recorded neglect bound, is
+built on demand only (:meth:`TrigSpline.fourier_series`, the JSON
+document).
 
 Work that depends only on the configuration (grid, order, variant) is
 kept apart from work on the samples: the class table of
@@ -27,13 +29,14 @@ search for the truncation length is one array pass over the spectrum.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import _series
-from .sampling import discrete_coeffs, make_grid
+from .errors import SeriesPrecisionError
+from .sampling import DiscreteSpectrum, discrete_coeffs, make_grid
 from .signal_model import true_coefficient
 from .spline_kernel import (
     FilterVariant,
@@ -43,7 +46,7 @@ from .spline_kernel import (
     gain_array,
 )
 
-_REPRESENTATION_CAP = 64     # largest L in the stored-series truncation J = L*N
+_REPRESENTATION_CAP = 64     # largest L in the series truncation J = L*N
 # Scattered evaluation works on blocks of points holding at most this many
 # (Lerch row x point) cells.
 _EVAL_CELLS = 1 << 16
@@ -54,21 +57,25 @@ _FOLD_BLOCK = 4096
 
 @dataclass(frozen=True, eq=False)
 class TrigSpline:
-    """Immutable spline: config, source spectrum, gain table, coefficients.
+    """Immutable spline: its configuration and the discrete spectrum of its samples.
 
-    ``coeff_a``/``coeff_b`` hold the explicit series for j = 1..J;
-    ``tail_bound`` bounds the coefficient mass beyond J. ``a0`` equals
-    the discrete a*_0 of the samples.
+    These two fix every coefficient and value through the coefficient
+    law; nothing else is stored. ``a0`` is the discrete a*_0 of the
+    samples. :meth:`fourier_series` builds the truncated series on each
+    call; evaluation never reads it.
     """
 
     config: KernelConfig
     spectrum: object
-    table: object = field(repr=False)
-    J: int
-    a0: float
-    coeff_a: np.ndarray = field(repr=False)
-    coeff_b: np.ndarray = field(repr=False)
-    tail_bound: float
+
+    @property
+    def a0(self):
+        return self.spectrum.a0
+
+    @property
+    def table(self):
+        """The band gain table, ``filter_response(config, n)``."""
+        return filter_response(self.config, self.config.grid.n)
 
     def __call__(self, t):
         return spline_eval(self, t)
@@ -77,24 +84,26 @@ class TrigSpline:
         return values_on_uniform_grid(self, points)
 
     def fourier_series(self):
-        """Truncated coefficient view (a0, a[1..J], b[1..J])."""
-        return self.a0, self.coeff_a, self.coeff_b
+        """Truncated series (a0, a[1..J], b[1..J]), J from :func:`series_truncation`."""
+        J, _ = series_truncation(self)
+        _, ca, cb = unfolded_spectrum(self, J)
+        return self.a0, ca, cb
 
     def fourier_coeff(self, j):
         return spline_fourier_coeff(self, j)
 
 
-def _law_coefficients(config, spectrum, table, js):
+def _law_coefficients(config, spectrum, js):
     """Coefficients (a_hat_j, b_hat_j) = gain * extended discrete coefficient.
 
-    Single code path shared by construction and on-demand queries so the
-    coefficient law holds as the same floating-point expression. The
-    constant class (j a multiple of N) carries zero.
+    The one code path of every coefficient query, so the coefficient law
+    holds as the same floating-point expression everywhere. The constant
+    class (j a multiple of N) carries zero.
     """
     js = np.asarray(js, dtype=np.int64)
     N = config.grid.N
     n = config.grid.n
-    gains = gain_array(js, config, table)
+    gains = gain_array(js, config)
     res = np.mod(js, N)
     k = np.minimum(res, N - res)
     sin_sign = np.where(res > n, -1.0, 1.0)
@@ -123,54 +132,43 @@ def _representation_tail_sums(N, s):
     return S
 
 
-def _tail_bounds(config, spectrum, S):
-    """Bounds on the sum of |coefficients| beyond J = L*N, one per column of S.
+def series_truncation(spline):
+    """Length J and neglect bound of the truncated series :meth:`TrigSpline.fourier_series`.
 
-    Each class contributes ((w F) / |H|) S_k(L) with w = |a*_k| + |b*_k|;
-    contributions are added in class order and classes with w = 0 are
-    skipped.
+    J = L*N is the smallest multiple whose bound on the sum of
+    |coefficients| beyond J drops below ``config.tail_tol``, capped at
+    L = 64; returns ``(J, tail_bound)``, the bound achieved at that J.
+    Class k contributes ((w F) / |H|) S_k(L) with w = |a*_k| + |b*_k|,
+    added in class order with classes of w = 0 skipped, where S_k(L)
+    comes from a table computed once per (N, order).
     """
+    config = spline.config
+    spectrum = spline.spectrum
+    N = config.grid.N
     ct = class_table(config)
     w = np.abs(spectrum.a) + np.abs(spectrum.b)
-    terms = (w * ct.magnitudes / np.abs(ct.sums))[:, None] * S
-    total = np.zeros(S.shape[1])
+    terms = (w * ct.magnitudes / np.abs(ct.sums))[:, None] * _representation_tail_sums(
+        N, config.power
+    )
+    bounds = np.zeros(_REPRESENTATION_CAP)
     for row in terms[w != 0.0]:
-        total += row
-    return total
+        bounds += row
+    hits = np.flatnonzero(bounds < config.tail_tol)
+    L = int(hits[0]) + 1 if hits.size else _REPRESENTATION_CAP
+    return L * N, float(bounds[L - 1])
 
 
 def build_spline(samples, config):
     """Construct the interpolating spline of the given order from samples.
 
-    The stored series is truncated at the smallest J = L*N whose
-    coefficient tail bound drops below ``config.tail_tol``, capped at
-    L = 64 (the achieved bound is recorded either way; uniform-grid
-    evaluation is exact regardless of the truncation). The bounds for
-    every L = 1..64 come from one pass over a per-configuration table of
-    class tails, computed on the first build of that configuration.
+    The spline is the configuration and the direct DFT of the samples;
+    the configuration's class table is computed (once per configuration)
+    so a degenerate kernel is refused here rather than at evaluation.
     """
     if samples.grid != config.grid:
         raise ValueError("samples and kernel config use different grids")
-    spectrum = discrete_coeffs(samples)
-    N = config.grid.N
-    bounds = _tail_bounds(config, spectrum, _representation_tail_sums(N, config.power))
-    hits = np.flatnonzero(bounds < config.tail_tol)
-    L = int(hits[0]) + 1 if hits.size else _REPRESENTATION_CAP
-    J = L * N
-    table = filter_response(config, J)
-    ca, cb = _law_coefficients(config, spectrum, table, np.arange(1, J + 1))
-    ca.setflags(write=False)
-    cb.setflags(write=False)
-    return TrigSpline(
-        config=config,
-        spectrum=spectrum,
-        table=table,
-        J=J,
-        a0=spectrum.a0,
-        coeff_a=ca,
-        coeff_b=cb,
-        tail_bound=float(bounds[L - 1]),
-    )
+    class_table(config)
+    return TrigSpline(config=config, spectrum=discrete_coeffs(samples))
 
 
 # -- evaluation -------------------------------------------------------------
@@ -241,12 +239,20 @@ def values_on_uniform_grid(spline, points):
 
     The whole infinite series is folded onto the grid residues; fold
     tails are Hurwitz zeta values, so the only error is rounding. Works
-    for any grid size, in particular the N nodes themselves.
+    for any grid size, in particular the N nodes themselves. Raises
+    :class:`SeriesPrecisionError` when a fold term leaves the float
+    range and the values come out non-finite.
     """
     if points < 1 or points != int(points):
         raise ValueError("points must be a positive integer")
-    W = _folded_spectrum(spline, int(points))
-    return _series.synth_folded(W, spline.a0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _series.synth_folded(_folded_spectrum(spline, int(points)), spline.a0)
+    if not np.all(np.isfinite(vals)):
+        raise SeriesPrecisionError(
+            f"uniform-grid fold left the float range (N={spline.config.grid.N}, "
+            f"order {spline.config.order}, {int(points)} points)"
+        )
+    return vals
 
 
 def _folded_spectrum(spline, G):
@@ -302,9 +308,7 @@ def spline_fourier_coeff(spline, j):
     """
     if j < 1 or j != int(j):
         raise ValueError("coefficient index must be an integer >= 1")
-    ca, cb = _law_coefficients(
-        spline.config, spline.spectrum, spline.table, np.asarray([int(j)])
-    )
+    ca, cb = _law_coefficients(spline.config, spline.spectrum, np.asarray([int(j)]))
     return float(ca[0]), float(cb[0])
 
 
@@ -313,7 +317,7 @@ def unfolded_spectrum(spline, j_max):
     if j_max < 1 or j_max != int(j_max):
         raise ValueError("j_max must be a positive integer")
     js = np.arange(1, int(j_max) + 1)
-    ca, cb = _law_coefficients(spline.config, spline.spectrum, spline.table, js)
+    ca, cb = _law_coefficients(spline.config, spline.spectrum, js)
     return js, ca, cb
 
 
@@ -403,21 +407,21 @@ def interpolating_polynomial(samples):
 def spline_to_json(spline):
     """JSON document with keys r/variant/N/J/a0/coeffs.
 
-    Only nonzero coefficient rows are listed (a constant spline has an
-    empty list); absent rows mean exactly zero.
+    The rows are :meth:`TrigSpline.fourier_series`, so ``config.tail_tol``
+    sets J. Only nonzero coefficient rows are listed (a constant spline
+    has an empty list); absent rows mean exactly zero.
     """
+    a0, ca, cb = spline.fourier_series()
     coeffs = []
-    for j in range(1, spline.J + 1):
-        a = float(spline.coeff_a[j - 1])
-        b = float(spline.coeff_b[j - 1])
+    for j, (a, b) in enumerate(zip(ca.tolist(), cb.tolist()), start=1):
         if a != 0.0 or b != 0.0:
             coeffs.append([j, a, b])
     return {
         "r": spline.config.order,
         "variant": spline.config.variant.value,
         "N": spline.config.grid.N,
-        "J": spline.J,
-        "a0": spline.a0,
+        "J": len(ca),
+        "a0": a0,
         "coeffs": coeffs,
     }
 
@@ -426,7 +430,7 @@ def spline_from_json(doc, tail_tol=1e-12):
     """Rebuild a spline from its JSON document.
 
     The in-band rows divided by their gains recover the discrete
-    spectrum, from which the full object is reconstructed.
+    spectrum, which with the configuration is the whole spline.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -438,20 +442,15 @@ def spline_from_json(doc, tail_tol=1e-12):
         variant=FilterVariant.from_string(doc["variant"]),
         tail_tol=tail_tol,
     )
-    table = filter_response(config, grid.n)
     rows = {int(j): (a, b) for j, a, b in doc["coeffs"]}
-    gains = gain_array(np.arange(1, grid.n + 1), config, table)
+    gains = gain_array(np.arange(1, grid.n + 1), config)
     a = np.empty(grid.n)
     b = np.empty(grid.n)
     for k in range(1, grid.n + 1):
         ra, rb = rows.get(k, (0.0, 0.0))
         a[k - 1] = ra / gains[k - 1]
         b[k - 1] = rb / gains[k - 1]
-    from .sampling import DiscreteSpectrum, SampleVector
-
-    spectrum = DiscreteSpectrum(grid, float(doc["a0"]), a, b)
-    samples = SampleVector(grid, spectrum.reconstruct(grid.nodes))
-    return build_spline(samples, config)
+    return TrigSpline(config=config, spectrum=DiscreteSpectrum(grid, float(doc["a0"]), a, b))
 
 
 # -- comparison table -------------------------------------------------------

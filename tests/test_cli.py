@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from trigspec.cli import main
@@ -214,6 +215,18 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert run(["alias", "--signal", str(spec), "--n", "2", "--tail-tol", "1e-20",
                 "--out", str(tmp_path / "x.csv")]) == 3
     assert "fold sum cannot be certified below tol=1e-20" in capsys.readouterr().err
+
+
+def test_eval_grid_out_of_float_range_exits_three(tmp_path, capsys):
+    # Order 150 on N = 129: the uniform-grid fold at G = 64 leaves the
+    # float range, which is a numerical failure, not rows of nan.
+    rng = np.random.default_rng(3)
+    ab = rng.standard_normal((130, 2)).tolist()
+    terms = [[j, a, b if j else 0.0] for j, (a, b) in enumerate(ab)]
+    doc = {"kind": "HarmonicSum", "terms": terms, "p": None, "r": 1, "variation": 1.0}
+    assert run(["spline", "--inline", json.dumps(doc), "--n", "64", "--r", "150",
+                "--eval-grid", "64", "--out", str(tmp_path / "s")]) == 3
+    assert "numerical failure" in capsys.readouterr().err
 
 
 # -- determinism -------------------------------------------------------------------

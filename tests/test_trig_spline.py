@@ -25,7 +25,8 @@ from trigspec import (
     unfolded_spectrum,
     values_on_uniform_grid,
 )
-from trigspec.trig_spline import scattered_eval_bound
+from trigspec.errors import SeriesPrecisionError
+from trigspec.trig_spline import scattered_eval_bound, series_truncation
 
 
 def cfg(n, r, variant="abs-sinc", **kw):
@@ -51,8 +52,9 @@ def test_constant_signal_gives_constant_spline():
     for variant in ("abs-sinc", "inv-power"):
         spl, _ = spline_of(CONSTANT, 2, 3, variant)
         assert spl.a0 == pytest.approx(2.0, abs=1e-15)
-        assert np.max(np.abs(spl.coeff_a)) < 1e-14
-        assert np.max(np.abs(spl.coeff_b)) < 1e-14
+        _, ca, cb = spl.fourier_series()
+        assert np.max(np.abs(ca)) < 1e-14
+        assert np.max(np.abs(cb)) < 1e-14
         for t in (0.0, 0.123, 4.0):
             assert spline_eval(spl, t) == pytest.approx(1.0, abs=1e-12)
 
@@ -61,10 +63,11 @@ def test_cosine_spline_coefficients_follow_folds():
     sig = harmonic_sum([(1, 1.0, 0.0)])
     spl, c = spline_of(sig, 2, 3)
     N = c.grid.N
-    # a*_1 = 1; the stored coefficients carry the gain at 1, N-1, N+1.
-    assert spl.coeff_a[0] == pytest.approx(gain(1, c), rel=1e-14)
-    assert spl.coeff_a[N - 2] == pytest.approx(gain(N - 1, c), rel=1e-14)
-    assert spl.coeff_a[N] == pytest.approx(gain(N + 1, c), rel=1e-14)
+    # a*_1 = 1; the series coefficients carry the gain at 1, N-1, N+1.
+    _, ca, _ = spl.fourier_series()
+    assert ca[0] == pytest.approx(gain(1, c), rel=1e-14)
+    assert ca[N - 2] == pytest.approx(gain(N - 1, c), rel=1e-14)
+    assert ca[N] == pytest.approx(gain(N + 1, c), rel=1e-14)
     nodes = values_on_uniform_grid(spl, N)
     assert np.max(np.abs(nodes - np.cos(c.grid.nodes))) < 1e-12
 
@@ -133,6 +136,19 @@ def test_scattered_eval_at_high_order_matches_series(variant):
     assert np.max(np.abs(spline_eval(spl, t) - series)) <= 1e-12
 
 
+def test_uniform_grid_fold_out_of_float_range_raises():
+    # At order 150 on N = 129 with G = 64 (coprime, so fold step 64N), the
+    # fold scale (64N)^-151 underflows to zero while zeta(151, q) at the
+    # smallest offsets overflows; their product is NaN, which must not be
+    # returned as values.
+    rng = np.random.default_rng(3)
+    ab = rng.standard_normal((130, 2))
+    sig = harmonic_sum([(j, a, b if j else 0.0) for j, (a, b) in enumerate(ab)])
+    spl, _ = spline_of(sig, 64, 150)
+    with pytest.raises(SeriesPrecisionError):
+        values_on_uniform_grid(spl, 64)
+
+
 def test_uniform_grid_values_match_brute_series():
     # Independent check of the zeta fold: long direct summation of the
     # coefficient law on a grid size coprime to N.
@@ -182,12 +198,15 @@ def test_eval_rejects_non_finite():
 # -- coefficient law ----------------------------------------------------------
 
 
-def test_fourier_coeff_matches_stored_exactly():
+def test_fourier_coeff_matches_series_exactly():
     spl, c = spline_of(power_decay_cosine(4), 8, 3)
-    for j in (1, 5, 17, 30, spl.J):
+    J, _ = series_truncation(spl)
+    _, ca, cb = spl.fourier_series()
+    assert len(ca) == len(cb) == J
+    for j in (1, 5, 17, 30, J):
         a, b = spline_fourier_coeff(spl, j)
-        assert a == spl.coeff_a[j - 1]
-        assert b == spl.coeff_b[j - 1]
+        assert a == ca[j - 1]
+        assert b == cb[j - 1]
 
 
 def test_fourier_coeff_beyond_band_is_gain_times_extension():
@@ -224,8 +243,11 @@ def test_coefficientwise_linearity():
     s_f = build_spline(sample(f, c.grid), c)
     s_g = build_spline(sample(g, c.grid), c)
     s_fg = build_spline(sample(fg, c.grid), c)
-    assert np.allclose(s_f.coeff_a + s_g.coeff_a, s_fg.coeff_a, atol=1e-12)
-    assert np.allclose(s_f.coeff_b + s_g.coeff_b, s_fg.coeff_b, atol=1e-12)
+    _, fa, fb = s_f.fourier_series()
+    _, ga, gb = s_g.fourier_series()
+    _, fga, fgb = s_fg.fourier_series()
+    assert np.allclose(fa + ga, fga, atol=1e-12)
+    assert np.allclose(fb + gb, fgb, atol=1e-12)
     assert s_f.a0 + s_g.a0 == pytest.approx(s_fg.a0, abs=1e-12)
 
 
@@ -243,11 +265,12 @@ def test_smoothness_transfer_decay_slope():
 # -- unfolded spectrum ----------------------------------------------------------
 
 
-def test_unfolded_in_band_rows_equal_stored():
+def test_unfolded_in_band_rows_equal_series():
     spl, _ = spline_of(power_decay_cosine(4), 8, 3)
     js, ca, cb = unfolded_spectrum(spl, 8)
-    assert np.array_equal(ca, spl.coeff_a[:8])
-    assert np.array_equal(cb, spl.coeff_b[:8])
+    _, sa, sb = spl.fourier_series()
+    assert np.array_equal(ca, sa[:8])
+    assert np.array_equal(cb, sb[:8])
 
 
 def test_unfolded_constant_signal_all_zero():
@@ -317,8 +340,10 @@ def test_curvature_rejects_odd_order():
 def test_curvature_matches_parseval_oracle():
     # Independent oracle: pi * sum j^(2*order) (a_j^2 + b_j^2).
     spl, _ = spline_of(power_decay_cosine(6), 8, 3)
-    j = np.arange(1, spl.J + 1, dtype=float)
-    oracle = np.pi * float(np.sum(j**4 * (spl.coeff_a**2 + spl.coeff_b**2)))
+    J, _ = series_truncation(spl)
+    j = np.arange(1, J + 1, dtype=float)
+    _, ca, cb = spl.fourier_series()
+    oracle = np.pi * float(np.sum(j**4 * (ca**2 + cb**2)))
     assert curvature_functional(spl, 2) == pytest.approx(oracle, rel=1e-12)
 
 
@@ -352,9 +377,11 @@ def test_json_round_trip_reproduces_spline():
     doc = json.loads(json.dumps(spline_to_json(spl)))
     assert set(doc) == {"r", "variant", "N", "J", "a0", "coeffs"}
     back = spline_from_json(doc)
-    assert back.J == spl.J
-    assert np.allclose(back.coeff_a, spl.coeff_a, atol=1e-13)
-    assert np.allclose(back.coeff_b, spl.coeff_b, atol=1e-13)
+    assert series_truncation(back)[0] == series_truncation(spl)[0] == doc["J"]
+    _, back_a, back_b = back.fourier_series()
+    _, ca, cb = spl.fourier_series()
+    assert np.allclose(back_a, ca, atol=1e-13)
+    assert np.allclose(back_b, cb, atol=1e-13)
     g = values_on_uniform_grid(back, 64)
     assert np.allclose(g, values_on_uniform_grid(spl, 64), atol=1e-12)
 

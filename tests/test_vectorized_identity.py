@@ -155,8 +155,7 @@ def test_tail_search_matches_scalar_loop(data):
     spectrum = data.draw(spectra(config.grid))
     spline = build_from(spectrum, config)
     L, bound = loop_build_search(config, spectrum)
-    assert spline.J == L * config.grid.N
-    assert spline.tail_bound == bound
+    assert trig_spline.series_truncation(spline) == (L * config.grid.N, bound)
 
 
 def test_tail_search_cap_path_when_tolerance_unreachable():
@@ -165,9 +164,10 @@ def test_tail_search_cap_path_when_tolerance_unreachable():
     )
     spectrum = DiscreteSpectrum(config.grid, 0.0, np.ones(5), np.zeros(5))
     spline = build_from(spectrum, config)
-    assert spline.J == 64 * config.grid.N
-    assert spline.tail_bound == loop_build_search(config, spectrum)[1]
-    assert spline.tail_bound >= config.tail_tol
+    J, tail_bound = trig_spline.series_truncation(spline)
+    assert J == 64 * config.grid.N
+    assert tail_bound == loop_build_search(config, spectrum)[1]
+    assert tail_bound >= config.tail_tol
 
 
 def _grid_size(kind, N, rng):
