@@ -89,10 +89,8 @@ def folded_coefficients(signal, grid, k, tol=1e-12):
         m_used = 1  # at least one fold term is always inspected
         m = 1
         while m * N - k <= kmax:
-            ap, _bp = true_coefficient(signal, m * N + k)
-            am, _bm = true_coefficient(signal, m * N - k)
-            bp = _bp
-            bm = _bm
+            ap, bp = true_coefficient(signal, m * N + k)
+            am, bm = true_coefficient(signal, m * N - k)
             if k == 0:
                 acc_a += 2.0 * ap
             else:

@@ -5,8 +5,8 @@ output is deterministic CSV/JSON (17 significant digits, LF endings, '.'
 decimal point); identical invocations produce byte-identical files.
 
 Exit codes: 0 success, 1 a bound or identity check failed, 2 invalid
-configuration or input, 3 numerical failure (degenerate kernel,
-quadrature non-convergence, unreachable series precision).
+configuration or input (or too large to allocate), 3 numerical failure
+(degenerate kernel, quadrature non-convergence, unreachable series precision).
 """
 
 import argparse
@@ -327,6 +327,9 @@ def main(argv=None):
         return 3
     except ValueError as exc:
         print(f"trigspec: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"trigspec: error: input too large: {exc}", file=sys.stderr)
         return 2
 
 

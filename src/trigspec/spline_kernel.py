@@ -57,9 +57,9 @@ class FilterVariant(enum.Enum):
 class KernelConfig:
     """Spline order, grid and gain family, plus the accuracy knob ``tail_tol``.
 
-    ``tail_tol`` only sets the length of a spline's truncated series,
-    ``fourier_series()`` and the rows of its JSON document; evaluation
-    and every closed-form path are exact and ignore it.
+    ``tail_tol`` sets only the truncated series of ``fourier_series()``
+    and the rows of ``.spline.json``; evaluation, the curvature functional
+    and every other closed-form path are exact and ignore it.
     """
 
     grid: object
@@ -189,11 +189,6 @@ class FilterTable:
     dc_class_sum: float
     gains: np.ndarray = field(repr=False)  # alpha_j, j = 1..j_max
     j_max: int
-
-    def gain_at(self, j):
-        if 1 <= j <= self.j_max:
-            return float(self.gains[j - 1])
-        return gain(j, self.config)
 
 
 @dataclass(frozen=True)

@@ -89,9 +89,6 @@ class TrigSpline:
         _, ca, cb = unfolded_spectrum(self, J)
         return self.a0, ca, cb
 
-    def fourier_coeff(self, j):
-        return spline_fourier_coeff(self, j)
-
 
 def _law_coefficients(config, spectrum, js):
     """Coefficients (a_hat_j, b_hat_j) = gain * extended discrete coefficient.
@@ -335,41 +332,42 @@ def _series_view(fn):
     )
 
 
-def _next_pow2(x):
-    return 1 << max(int(x) - 1, 1).bit_length()
+def curvature_functional(fn, order):
+    """Integral over one period of the squared order-th derivative, in closed form.
 
-
-def curvature_functional(fn, order, resolution=None):
-    """Integral over one period of the squared order-th derivative.
-
-    The derivative is taken termwise on the function's Fourier series
-    (never by finite differences) and the square is integrated by the
-    periodic trapezoid rule, which is exact for trigonometric
-    polynomials once the resolution exceeds twice the series length.
-    `order` must be even; `resolution` defaults to the smallest adequate
-    power of two.
+    By Parseval it is pi * sum_j j^(2q) (a_j^2 + b_j^2), q = `order`,
+    plus pi a0^2 / 2 at q = 0. For a spline every member j of alias class
+    k has |gain_j| = (F_k / H_k) j^-s, s = r + 1, so the class is its
+    in-band term times sum_j (k/j)^(2s - 2q), two Hurwitz zeta tails:
+    O(n), no truncation, independent of ``tail_tol``. That sum diverges
+    for q > r, which raises ValueError. Other inputs (``.fourier_series()``
+    or an ``(a0, a, b)`` tuple) are finite series, summed term by term.
+    `order` must be an even integer >= 0.
     """
     if order < 0 or order % 2 != 0 or order != int(order):
         raise ValueError("derivative order must be an even integer >= 0")
-    a0, a, b = _series_view(fn)
+    if isinstance(fn, TrigSpline):
+        cfg = fn.config
+        if order > cfg.order:
+            raise ValueError(f"curvature of order {order} diverges at spline order {cfg.order}")
+        # (k/j)^e over the members j = mN +- k is (m N/k +- 1)^-e; the step
+        # N/k keeps every power inside the float range at any order.
+        e = 2 * (cfg.power - order)
+        step = cfg.grid.N / np.arange(1, cfg.grid.n + 1)
+        mass = 1.0 + _series.progression_tail(e, step, 1.0)
+        mass += _series.progression_tail(e, step, -1.0)
+        a0 = fn.a0
+        _, a, b = unfolded_spectrum(fn, cfg.grid.n)
+    else:
+        a0, a, b = _series_view(fn)
+        mass = 1.0
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    J = len(a)
-    if order:
-        j = np.arange(1, J + 1, dtype=float)
-        ra, rb = _series.rotate_pair(a, b, order % 4)
-        da = j**order * ra
-        db = j**order * rb
-        d0 = 0.0
-    else:
-        da, db, d0 = a, b, a0
-    G = int(resolution) if resolution is not None else _next_pow2(2 * J + 2)
-    if G < 1:
-        raise ValueError("resolution must be a positive integer")
-    W = np.zeros(G, dtype=complex)
-    np.add.at(W, np.arange(1, J + 1) % G, da - 1j * db)
-    vals = _series.synth_folded(W, d0)
-    return 2.0 * math.pi * float(np.mean(vals**2))
+    j = np.arange(1, len(a) + 1, dtype=float)
+    total = float(np.sum(j ** (2 * order) * (a * a + b * b) * mass))
+    if order == 0:
+        total += 0.5 * a0 * a0
+    return math.pi * total
 
 
 # -- band-limited baseline --------------------------------------------------

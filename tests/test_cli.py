@@ -203,6 +203,17 @@ def test_bounds_eq9_needs_smooth_class(tmp_path):
                 "--family", "eq9", "--out", str(tmp_path / "x.csv")]) == 2
 
 
+def test_oversized_input_exits_two(cosine_spec, tmp_path, monkeypatch, capsys):
+    # An allocation that fails is bad input, not a failed check (exit 1).
+    def refuse(n):
+        raise MemoryError(f"cannot allocate a grid of {2 * n + 1} nodes")
+
+    monkeypatch.setattr("trigspec.cli.make_grid", refuse)
+    assert run(["dft", "--signal", cosine_spec, "--n", "1000000000000",
+                "--out", str(tmp_path / "x.csv")]) == 2
+    assert "trigspec: error: input too large: cannot allocate" in capsys.readouterr().err
+
+
 # -- numerical failure ------------------------------------------------------------
 
 

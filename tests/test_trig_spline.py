@@ -1,9 +1,12 @@
 """Spline construction, evaluation, unfolded spectrum and curvature."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from trigspec import (
     FilterVariant,
@@ -337,14 +340,104 @@ def test_curvature_rejects_odd_order():
         curvature_functional(harmonic_sum([(1, 1.0, 0.0)]), 3)
 
 
-def test_curvature_matches_parseval_oracle():
-    # Independent oracle: pi * sum j^(2*order) (a_j^2 + b_j^2).
+def _curvature_partial_sum(spl, order, J):
+    # pi * sum_{j <= J} j^(2 order) (a_j^2 + b_j^2), plus pi a0^2/2 at order 0,
+    # summed exactly over the unfolded spectrum.
+    js, ca, cb = unfolded_spectrum(spl, J)
+    terms = js.astype(float) ** (2 * order) * (ca * ca + cb * cb)
+    if order == 0:
+        terms = np.append(terms, 0.5 * spl.a0 * spl.a0)
+    return math.pi * math.fsum(terms.tolist())
+
+
+def _curvature_bracket(spl, order, L=256):
+    # (lower, upper) around the curvature of a spline, with no zeta: the
+    # partial sum to J = L*N plus, for each class k, its members beyond J
+    # (j = mN + k, m >= L; j = mN - k, m >= L + 1). Member j contributes
+    # c_k (k/j)^e with c_k = k^(2 order)(a_k^2 + b_k^2) and e = 2(s - order),
+    # a decreasing function of m, so its tail from m0 lies between the
+    # integrals from m0 and from m0 - 1.
+    cfg = spl.config
+    N = cfg.grid.N
+    e = 2 * (cfg.power - order)
+    ks, ka, kb = unfolded_spectrum(spl, cfg.grid.n)
+    k = ks.astype(float)
+    c = k ** (2 * order) * (ka * ka + kb * kb)
+
+    def integral(m0, off):
+        base = m0 * N + off
+        return (k / base) ** e * base / (N * (e - 1))
+
+    partial = _curvature_partial_sum(spl, order, L * N)
+    lower = math.fsum((c * (integral(L, k) + integral(L + 1, -k))).tolist())
+    upper = math.fsum((c * (integral(L - 1, k) + integral(L, -k))).tolist())
+    return partial + math.pi * lower, partial + math.pi * upper
+
+
+def _assert_in_bracket(value, bracket, slack=1e-14):
+    lower, upper = bracket
+    assert lower * (1.0 - slack) <= value <= upper * (1.0 + slack), (value, bracket)
+
+
+def test_curvature_lies_in_partial_sum_bracket():
+    # The truncated series misses this bracket (by 1e-10 below it at the
+    # default tail_tol), the closed form does not.
     spl, _ = spline_of(power_decay_cosine(6), 8, 3)
-    J, _ = series_truncation(spl)
-    j = np.arange(1, J + 1, dtype=float)
-    _, ca, cb = spl.fourier_series()
-    oracle = np.pi * float(np.sum(j**4 * (ca**2 + cb**2)))
-    assert curvature_functional(spl, 2) == pytest.approx(oracle, rel=1e-12)
+    _assert_in_bracket(curvature_functional(spl, 2), _curvature_bracket(spl, 2))
+
+
+def test_curvature_ignores_tail_tol():
+    values = {
+        curvature_functional(spline_of(power_decay_cosine(6), 8, 3, tail_tol=tol)[0], 2)
+        for tol in (1e-12, 1e-6, 1e-3)
+    }
+    assert len(values) == 1
+
+
+@pytest.mark.parametrize("r,order", [(1, 2), (3, 4)])
+def test_curvature_refuses_divergent_order(r, order):
+    spl, _ = spline_of(power_decay_cosine(6), 8, r)
+    with pytest.raises(ValueError, match="diverges"):
+        curvature_functional(spl, order)
+
+
+def _random_harmonic_sum(seed, size):
+    rng = np.random.default_rng(seed)
+    ab = rng.standard_normal((size, 2))
+    return harmonic_sum([(j, a, b if j else 0.0) for j, (a, b) in enumerate(ab.tolist())])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from(["sinc", "abs-sinc", "inv-power"]),
+    st.sampled_from([0, 2, 4]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_curvature_sweep_lies_in_bracket(n, r, variant, order, seed, fill):
+    assume(order <= r)
+    N = 2 * n + 1
+    sig = _random_harmonic_sum(seed, max(1, round(fill * 3 * N)))
+    spl, _ = spline_of(sig, n, r, variant)
+    _assert_in_bracket(curvature_functional(spl, order), _curvature_bracket(spl, order))
+    # The signal itself is a finite series: Parseval over its term list.
+    exact = math.fsum(
+        (k ** (2 * order) * (a * a + b * b) if k else (0.5 * a * a if order == 0 else 0.0))
+        for k, a, b in sig.terms
+    )
+    assert curvature_functional(sig, order) == pytest.approx(math.pi * exact, rel=1e-14)
+
+
+@pytest.mark.parametrize("variant", ["sinc", "abs-sinc", "inv-power"])
+def test_curvature_order_150_matches_partial_sum(variant):
+    spl, c = spline_of(_random_harmonic_sum(3, 130), 64, 150, variant)
+    for order in (0, 2, 4):
+        value = curvature_functional(spl, order)
+        assert math.isfinite(value)
+        oracle = _curvature_partial_sum(spl, order, 40 * c.grid.N)
+        assert value == pytest.approx(oracle, rel=1e-12)
 
 
 @pytest.mark.parametrize("signal_name", ["power-cos-4", "power-cos-6", "power-sin-3"])
