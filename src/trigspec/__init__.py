@@ -24,7 +24,6 @@ from .errors import (
     UnsupportedSignalError,
 )
 from .filon_oracle import (
-    QuadratureConfig,
     cnorm_error_bound,
     estimate_diff_variation,
     filon_coeffs,

@@ -24,10 +24,6 @@ from .spline_kernel import FilterVariant, KernelConfig
 _FOLD_CHECK_TOL = 1e-10
 
 
-class _ConfigError(ValueError):
-    """Invalid CLI configuration or input document."""
-
-
 def _presets():
     presets = dict(signal_model.suite_signals())
     presets["constant"] = signal_model.harmonic_sum([(0, 2.0, 0.0)], r=1)
@@ -40,18 +36,18 @@ def _load_signal(args):
             with open(args.signal, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise _ConfigError(f"cannot read signal spec: {exc}") from exc
+            raise ValueError(f"cannot read signal spec: {exc}") from exc
     elif getattr(args, "inline", None):
         try:
             doc = json.loads(args.inline)
         except json.JSONDecodeError as exc:
-            raise _ConfigError(f"bad inline JSON: {exc}") from exc
+            raise ValueError(f"bad inline JSON: {exc}") from exc
     else:
-        raise _ConfigError("a signal is required (--signal PATH or --inline JSON)")
+        raise ValueError("a signal is required (--signal PATH or --inline JSON)")
     try:
         return signal_model.signal_from_json(doc)
     except (KeyError, TypeError, ValueError) as exc:
-        raise _ConfigError(f"bad signal document: {exc}") from exc
+        raise ValueError(f"bad signal document: {exc}") from exc
 
 
 def _write_text(path, text):
@@ -62,22 +58,15 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _parse_variant(text):
-    try:
-        return FilterVariant.from_string(text)
-    except ValueError as exc:
-        raise _ConfigError(str(exc)) from exc
-
-
 def _kernel_config(args, grid, tail_tol=1e-12):
     if args.r < 1:
-        raise _ConfigError("--r must be >= 1")
+        raise ValueError("--r must be >= 1")
     if tail_tol <= 0:
-        raise _ConfigError("--tail-tol must be positive")
+        raise ValueError("--tail-tol must be positive")
     return KernelConfig(
         grid=grid,
         order=args.r,
-        variant=_parse_variant(args.variant),
+        variant=FilterVariant.from_string(args.variant),
         tail_tol=tail_tol,
     )
 
@@ -89,7 +78,7 @@ def cmd_gen_signal(args):
     presets = _presets()
     if args.preset:
         if args.preset not in presets:
-            raise _ConfigError(
+            raise ValueError(
                 f"unknown preset {args.preset!r}; available: "
                 + ", ".join(sorted(presets))
             )
@@ -97,7 +86,7 @@ def cmd_gen_signal(args):
     elif args.inline:
         sig = _load_signal(args)
     else:
-        raise _ConfigError("gen-signal needs --preset NAME or --inline JSON")
+        raise ValueError("gen-signal needs --preset NAME or --inline JSON")
     doc = signal_model.signal_to_json(sig)
     _write_text(args.out, json.dumps(doc, sort_keys=True) + "\n")
     return 0
@@ -106,7 +95,7 @@ def cmd_gen_signal(args):
 def cmd_dft(args):
     sig = _load_signal(args)
     if args.n < 1:
-        raise _ConfigError("--n must be >= 1")
+        raise ValueError("--n must be >= 1")
     grid = make_grid(args.n)
     spec = discrete_coeffs(sample(sig, grid))
     if args.format == "json":
@@ -125,9 +114,9 @@ def cmd_dft(args):
 def cmd_spline(args):
     sig = _load_signal(args)
     if args.n < 1:
-        raise _ConfigError("--n must be >= 1")
+        raise ValueError("--n must be >= 1")
     if args.out is None:
-        raise _ConfigError("spline needs --out STEM for its output files")
+        raise ValueError("spline needs --out STEM for its output files")
     grid = make_grid(args.n)
     config = _kernel_config(args, grid, args.tail_tol)
     spline = trig_spline.build_spline(sample(sig, grid), config)
@@ -143,7 +132,7 @@ def cmd_spline(args):
     if args.eval_grid:
         P = args.eval_grid
         if P < 1:
-            raise _ConfigError("--eval-grid must be positive")
+            raise ValueError("--eval-grid must be positive")
         t = 2.0 * np.pi * np.arange(P) / P
         sv = trig_spline.values_on_uniform_grid(spline, P)
         fv = np.atleast_1d(signal_model.evaluate(sig, t))
@@ -154,21 +143,22 @@ def cmd_spline(args):
 
 def cmd_response(args):
     if args.n < 1:
-        raise _ConfigError("--n must be >= 1")
+        raise ValueError("--n must be >= 1")
     grid = make_grid(args.n)
     try:
         orders = [int(x) for x in str(args.r).split(",") if x != ""]
     except ValueError as exc:
-        raise _ConfigError(f"bad --r list: {exc}") from exc
+        raise ValueError(f"bad --r list: {exc}") from exc
     if not orders or any(r < 1 for r in orders):
-        raise _ConfigError("--r must list integers >= 1")
+        raise ValueError("--r must list integers >= 1")
     j_max = args.j_max if args.j_max else 2 * grid.N
     if j_max < grid.n:
-        raise _ConfigError("--j-max must cover the band (>= n)")
+        raise ValueError("--j-max must cover the band (>= n)")
     if args.out is None:
-        raise _ConfigError("response needs --out STEM for its output files")
+        raise ValueError("response needs --out STEM for its output files")
+    variant = FilterVariant.from_string(args.variant)
     for r in orders:
-        config = KernelConfig(grid=grid, order=r, variant=_parse_variant(args.variant))
+        config = KernelConfig(grid=grid, order=r, variant=variant)
         table = spline_kernel.filter_response(config, j_max)
         _write_text(
             f"{args.out}.r{r}.csv", spline_kernel.response_table_to_csv(table)
@@ -179,7 +169,7 @@ def cmd_response(args):
 def cmd_alias(args):
     sig = _load_signal(args)
     if args.n < 1:
-        raise _ConfigError("--n must be >= 1")
+        raise ValueError("--n must be >= 1")
     grid = make_grid(args.n)
     rows = alias_analysis.fold_report_table(sig, grid, args.tail_tol)
     _write_text(args.out, alias_analysis.fold_table_to_csv(rows))
@@ -190,7 +180,7 @@ def cmd_alias(args):
 def cmd_bounds(args):
     sig = _load_signal(args)
     if args.n < 1:
-        raise _ConfigError("--n must be >= 1")
+        raise ValueError("--n must be >= 1")
     grid = make_grid(args.n)
     rows = _bound_rows(sig, grid, args)
     holds = [measured <= bound for _, measured, bound in rows]
@@ -220,7 +210,7 @@ def _bound_rows(sig, grid, args):
         return rows
     if family == "eq9":
         if sig.smoothness.r < 1:
-            raise _ConfigError("eq9 bound needs smoothness order r >= 1")
+            raise ValueError("eq9 bound needs smoothness order r >= 1")
         spec = discrete_coeffs(sample(sig, grid))
         t = 2.0 * np.pi * np.arange(4096) / 4096
         fn = np.atleast_1d(alias_analysis.band_component(sig, grid.n, t))
@@ -241,7 +231,7 @@ def _bound_rows(sig, grid, args):
             )
             for r in table
         ]
-    raise _ConfigError(f"unknown bound family {family!r}")
+    raise ValueError(f"unknown bound family {family!r}")
 
 
 # -- parser ------------------------------------------------------------------
@@ -319,9 +309,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except _ConfigError as exc:
-        print(f"trigspec: error: {exc}", file=sys.stderr)
-        return 2
     except NumericalError as exc:
         print(f"trigspec: numerical failure: {exc}", file=sys.stderr)
         return 3

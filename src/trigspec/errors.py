@@ -12,10 +12,12 @@ class NumericalError(Exception):
 
 
 class DegenerateKernelError(NumericalError):
-    """A class normalizer came out below the guard threshold.
+    """A class normalizer cancelled to below the guard threshold.
 
-    Only conceivable for the signed sinc-power factor family with an odd
-    power; positive factor families cannot trigger it.
+    Checked, and raised, only for the signed sinc-power factor family
+    with an odd power, the one family whose class sums can cancel. A
+    class sum or raw gain that leaves the float range is a
+    :class:`SeriesPrecisionError` in every family.
     """
 
 
@@ -33,7 +35,11 @@ class QuadratureConvergenceError(NumericalError):
 
 
 class SeriesPrecisionError(NumericalError):
-    """A series evaluation cannot meet its tail-bound contract within the term cap."""
+    """A series result cannot be certified to its accuracy contract.
+
+    Raised when a term of a closed form leaves the float range, or when
+    rounding alone already exceeds the requested tolerance.
+    """
 
 
 class UnsupportedSignalError(ValueError):

@@ -14,7 +14,6 @@ variation / (pi k^(q+1)) that restores the decay order q = min(r, m).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,29 +23,16 @@ from .errors import QuadratureConvergenceError
 from .signal_model import true_coefficient, true_coefficient_arrays
 from .trig_spline import spline_fourier_coeff, unfolded_spectrum
 
-_SUP_MIN_POINTS = 1024
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Dense-grid quadrature policy.
-
-    ``points`` is the base grid size (a power of two, at least 256);
-    grids double until two successive estimates agree within
-    ``convergence_tol``, at most ``max_doublings`` times.
-    """
-
-    points: int = 1024
-    max_doublings: int = 10
-    convergence_tol: float = 1e-11
-
-    def __post_init__(self):
-        if self.points < 256 or (self.points & (self.points - 1)) != 0:
-            raise ValueError("points must be a power of two >= 256")
-        if self.max_doublings < 1:
-            raise ValueError("max_doublings must be >= 1")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be positive")
+# Quadrature policy: the base grid (a power of two), the doubling budget
+# and the agreement two successive estimates must reach.
+_BASE_POINTS = 1024
+_MAX_DOUBLINGS = 10
+_CONVERGENCE_TOL = 1e-11
+# Grid of the sup-norm distance; grid and series length of the
+# difference-variation estimate.
+_SUP_POINTS = 2**14
+_VARIATION_POINTS = 2**16
+_VARIATION_TERMS = 4 * _VARIATION_POINTS
 
 
 def _values_on_grid(fn, G, cache=None):
@@ -72,12 +58,12 @@ def _trapezoid_pair(values, k):
     return a, b
 
 
-def quad_fourier_coeff(fn, k, qc=QuadratureConfig(), _cache=None):
+def quad_fourier_coeff(fn, k, _cache=None):
     """Coefficients (a_k, b_k) of fn by periodic trapezoid quadrature.
 
-    The grid starts at max(qc.points, 32*max(k,1)) rounded up to a power
-    of two and doubles until two successive estimates agree within
-    ``qc.convergence_tol`` in both components.
+    The grid starts at max(1024, 32*max(k,1)) rounded up to a power of
+    two and doubles, at most 10 times, until two successive estimates
+    agree within 1e-11 in both components.
 
     Raises
     ------
@@ -88,43 +74,39 @@ def quad_fourier_coeff(fn, k, qc=QuadratureConfig(), _cache=None):
     if k < 0 or k != int(k):
         raise ValueError("coefficient index must be an integer >= 0")
     k = int(k)
-    G = max(qc.points, 32 * max(k, 1))
+    G = max(_BASE_POINTS, 32 * max(k, 1))
     if G & (G - 1):
         G = 1 << G.bit_length()
     before = prev = None
-    for _ in range(qc.max_doublings + 1):
+    for _ in range(_MAX_DOUBLINGS + 1):
         vals = _values_on_grid(fn, G, _cache)
         cur = _trapezoid_pair(vals, k)
         if prev is not None and (
-            abs(cur[0] - prev[0]) <= qc.convergence_tol
-            and abs(cur[1] - prev[1]) <= qc.convergence_tol
+            abs(cur[0] - prev[0]) <= _CONVERGENCE_TOL
+            and abs(cur[1] - prev[1]) <= _CONVERGENCE_TOL
         ):
             return cur
         before, prev = prev, cur
         G *= 2
     raise QuadratureConvergenceError(
         f"quadrature for k={k} did not converge within "
-        f"{qc.max_doublings} doublings (last {prev}, previous {before})",
+        f"{_MAX_DOUBLINGS} doublings (last {prev}, previous {before})",
         last=prev,
         previous=before,
     )
 
 
-def filon_coeffs(phi, k_range, qc=QuadratureConfig()):
+def filon_coeffs(phi, k_range):
     """Quadrature coefficients of an approximant over a range of indices.
 
-    `k_range` is an inclusive (k_lo, k_hi) pair or an iterable of
-    indices. Grid evaluations are shared across indices. Returns a list
-    of (k, a_hat_k, b_hat_k).
+    `k_range` is an inclusive (k_lo, k_hi) pair. Grid evaluations are
+    shared across indices. Returns a list of (k, a_hat_k, b_hat_k).
     """
-    if isinstance(k_range, tuple) and len(k_range) == 2:
-        indices = range(int(k_range[0]), int(k_range[1]) + 1)
-    else:
-        indices = [int(k) for k in k_range]
+    k_lo, k_hi = k_range
     cache = {}
     out = []
-    for k in indices:
-        a, b = quad_fourier_coeff(phi, k, qc, _cache=cache)
+    for k in range(int(k_lo), int(k_hi) + 1):
+        a, b = quad_fourier_coeff(phi, k, _cache=cache)
         out.append((k, a, b))
     return out
 
@@ -152,28 +134,24 @@ def refined_error_bound(k, q, diff_variation):
     return diff_variation / (math.pi * float(k) ** (q + 1))
 
 
-def sup_distance(f, g, points=4096):
-    """Max of |f - g| over a dense uniform grid (a lower sup-norm estimate)."""
-    if points < _SUP_MIN_POINTS:
-        raise ValueError(f"points must be >= {_SUP_MIN_POINTS}")
-    fv = _values_on_grid(f, points)
-    gv = _values_on_grid(g, points)
+def sup_distance(f, g):
+    """Max of |f - g| over a uniform grid of 2**14 points (a lower sup-norm estimate)."""
+    fv = _values_on_grid(f, _SUP_POINTS)
+    gv = _values_on_grid(g, _SUP_POINTS)
     return float(np.max(np.abs(fv - gv)))
 
 
-def estimate_diff_variation(signal, spline, q, points=2**16, j_terms=None):
+def estimate_diff_variation(signal, spline, q):
     """Grid estimate of Var of the q-th derivative of (signal - spline).
 
-    The difference series is truncated at `j_terms` coefficients
-    (default 4*points), differentiated termwise, folded onto the grid
-    and measured by summed absolute steps. An estimate, not a bound:
+    The difference series is truncated at 2**18 coefficients,
+    differentiated termwise, folded onto a grid of 2**16 points and
+    measured by summed absolute steps. An estimate, not a bound:
     truncation ripple inflates it slightly, which only loosens the bound
     it feeds.
     """
-    if j_terms is None:
-        j_terms = 4 * points
-    js, sa, sb = unfolded_spectrum(spline, j_terms)
-    ta, tb = true_coefficient_arrays(signal, j_terms)
+    js, sa, sb = unfolded_spectrum(spline, _VARIATION_TERMS)
+    ta, tb = true_coefficient_arrays(signal, _VARIATION_TERMS)
     diff_a = ta - sa
     diff_b = tb - sb
     rot = q % 4
@@ -181,15 +159,15 @@ def estimate_diff_variation(signal, spline, q, points=2**16, j_terms=None):
     scale = js.astype(float) ** q
     da = scale * ra
     db = scale * rb
-    W = np.zeros(points, dtype=complex)
-    np.add.at(W, js % points, da - 1j * db)
+    W = np.zeros(_VARIATION_POINTS, dtype=complex)
+    np.add.at(W, js % _VARIATION_POINTS, da - 1j * db)
     vals = _series.synth_folded(W, 0.0)
     return _series.grid_total_variation(vals)
 
 
-def filon_table(signal, spline, k_max, qc=QuadratureConfig(), sup_points=2**14):
+def filon_table(signal, spline, k_max):
     """Rows for the coefficient-comparison CSV with both bounds attached."""
-    sup = sup_distance(signal, spline, sup_points)
+    sup = sup_distance(signal, spline)
     cbound = cnorm_error_bound(sup)
     q = min(signal.smoothness.r, spline.config.order)
     dv = estimate_diff_variation(signal, spline, q)

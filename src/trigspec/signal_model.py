@@ -26,6 +26,7 @@ POWER_DECAY_COSINE = "PowerDecayCosine"
 POWER_DECAY_SINE = "PowerDecaySine"
 
 _KINDS = (HARMONIC_SUM, POWER_DECAY_COSINE, POWER_DECAY_SINE)
+_VARIATION_POINTS = 2**16  # grid of estimate_derivative_variation
 
 
 @dataclass(frozen=True)
@@ -301,14 +302,15 @@ def derivative_values(signal, order, t):
     return kb * _power_eval(POWER_DECAY_SINE, s, t)
 
 
-def estimate_derivative_variation(signal, order, points=2**16):
+def estimate_derivative_variation(signal, order):
     """Grid estimate of the total variation of the order-th derivative.
 
     This is the documented derivation path for supplying `variation` to
-    the power-decay factories when no closed form applies. The estimate
-    converges from below for continuous derivatives.
+    the power-decay factories when no closed form applies. The grid has
+    2**16 uniform points; the estimate converges from below for
+    continuous derivatives.
     """
-    t = np.linspace(0.0, _series.TWO_PI, points, endpoint=False)
+    t = np.linspace(0.0, _series.TWO_PI, _VARIATION_POINTS, endpoint=False)
     return _series.grid_total_variation(derivative_values(signal, order, t))
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _series
 from ._wire import csv_text
-from .errors import DegenerateKernelError
+from .errors import DegenerateKernelError, SeriesPrecisionError
 from .sampling import alias_class
 
 _H_GUARD = 1e-12
@@ -125,7 +125,13 @@ def _class_magnitude(k, config):
     if config.variant is FilterVariant.INVERSE_POWER:
         return 1.0
     N = config.grid.N
-    return (math.sin(math.pi * k / N) * N / math.pi) ** config.power
+    try:
+        return (math.sin(math.pi * k / N) * N / math.pi) ** config.power
+    except OverflowError:
+        raise SeriesPrecisionError(
+            f"class magnitude for k={k} leaves the float range "
+            f"(n={config.grid.n}, order {config.order}, {config.variant.value})"
+        ) from None
 
 
 def class_gain_sum(k, config):
@@ -235,12 +241,22 @@ def _validated_class_sums(config):
     sums = np.array(
         [class_gain_sum(k, config) for k in range(1, config.grid.n + 1)]
     )
+    scale = raw_gain_array(np.arange(1, config.grid.n + 1), config)
+    # In-band raw gains and class sums are finite and nonzero; a zero or
+    # non-finite value left the float range (a cancellation is not exact).
+    lost = (scale == 0.0) | (sums == 0.0) | ~np.isfinite(scale) | ~np.isfinite(sums)
+    if np.any(lost):
+        bad = 1 + int(np.argmax(lost))
+        raise SeriesPrecisionError(
+            f"class k={bad} left the float range (raw gain {scale[bad - 1]:.3e}, "
+            f"class sum {sums[bad - 1]:.3e}; n={config.grid.n}, order {config.order}, "
+            f"{config.variant.value})"
+        )
     # Degeneracy means cancellation: the class sum collapsing relative to
-    # the in-band raw gain (conceivable only for the signed family). An
+    # the in-band raw gain, which only the signed family can do. An
     # absolute threshold would reject healthy high-order tables whose
     # gains are legitimately tiny.
-    scale = raw_gain_array(np.arange(1, config.grid.n + 1), config)
-    if np.any(np.abs(sums) <= _H_GUARD * np.abs(scale)):
+    if config.signed and np.any(np.abs(sums) <= _H_GUARD * np.abs(scale)):
         bad = 1 + int(np.argmin(np.abs(sums) / np.abs(scale)))
         raise DegenerateKernelError(
             f"class sum for k={bad} collapsed to {sums[bad - 1]:.3e} "

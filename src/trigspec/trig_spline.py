@@ -22,15 +22,13 @@ document).
 
 Work that depends only on the configuration (grid, order, variant) is
 kept apart from work on the samples: the class table of
-:func:`~trigspec.spline_kernel.class_table` and the per-class tails
-behind the truncation bound are computed once per configuration, so the
-search for the truncation length is one array pass over the spectrum.
+:func:`~trigspec.spline_kernel.class_table` is computed once per
+configuration.
 """
 
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -112,23 +110,6 @@ def _law_coefficients(config, spectrum, js):
     return ca, cb
 
 
-@lru_cache(maxsize=64)
-def _representation_tail_sums(N, s):
-    """S_k(L) = tail(k, L) + tail(-k, L+1) for k = 1..n (rows), L = 1.._REPRESENTATION_CAP.
-
-    The per-class mass, before the factor F_k / H_k, of the class-k
-    coefficients beyond J = L*N: members mN+k with m >= L and mN-k with
-    m >= L+1. Computed once per (N, s).
-    """
-    k = np.arange(1, (N - 1) // 2 + 1, dtype=float)[:, None]
-    Ls = np.arange(1, _REPRESENTATION_CAP + 1)[None, :]
-    plus = _series.progression_tail(s, N, k, m_start=Ls)
-    minus = _series.progression_tail(s, N, -k, m_start=Ls + 1)
-    S = plus + minus
-    S.setflags(write=False)
-    return S
-
-
 def series_truncation(spline):
     """Length J and neglect bound of the truncated series :meth:`TrigSpline.fourier_series`.
 
@@ -136,23 +117,27 @@ def series_truncation(spline):
     |coefficients| beyond J drops below ``config.tail_tol``, capped at
     L = 64; returns ``(J, tail_bound)``, the bound achieved at that J.
     Class k contributes ((w F) / |H|) S_k(L) with w = |a*_k| + |b*_k|,
-    added in class order with classes of w = 0 skipped, where S_k(L)
-    comes from a table computed once per (N, order).
+    added in class order with classes of w = 0 skipped; S_k(L) is the
+    per-class mass of the members beyond J, mN + k with m >= L and mN - k
+    with m >= L + 1, as two Hurwitz zeta tails.
     """
     config = spline.config
     spectrum = spline.spectrum
     N = config.grid.N
+    s = config.power
     ct = class_table(config)
     w = np.abs(spectrum.a) + np.abs(spectrum.b)
-    terms = (w * ct.magnitudes / np.abs(ct.sums))[:, None] * _representation_tail_sums(
-        N, config.power
-    )
-    bounds = np.zeros(_REPRESENTATION_CAP)
-    for row in terms[w != 0.0]:
-        bounds += row
-    hits = np.flatnonzero(bounds < config.tail_tol)
-    L = int(hits[0]) + 1 if hits.size else _REPRESENTATION_CAP
-    return L * N, float(bounds[L - 1])
+    live = w != 0.0
+    k = np.arange(1, config.grid.n + 1, dtype=float)[live]
+    factor = (w * ct.magnitudes / np.abs(ct.sums))[live]
+    for L in range(1, _REPRESENTATION_CAP + 1):
+        plus = _series.progression_tail(s, N, k, m_start=L)
+        minus = _series.progression_tail(s, N, -k, m_start=L + 1)
+        # cumsum adds in class order, as a per-class loop would.
+        bound = float(np.cumsum(factor * (plus + minus))[-1]) if k.size else 0.0
+        if bound < config.tail_tol:
+            break
+    return L * N, bound
 
 
 def build_spline(samples, config):
@@ -424,7 +409,7 @@ def spline_to_json(spline):
     }
 
 
-def spline_from_json(doc, tail_tol=1e-12):
+def spline_from_json(doc):
     """Rebuild a spline from its JSON document.
 
     The in-band rows divided by their gains recover the discrete
@@ -438,7 +423,6 @@ def spline_from_json(doc, tail_tol=1e-12):
         grid=grid,
         order=int(doc["r"]),
         variant=FilterVariant.from_string(doc["variant"]),
-        tail_tol=tail_tol,
     )
     rows = {int(j): (a, b) for j, a, b in doc["coeffs"]}
     gains = gain_array(np.arange(1, grid.n + 1), config)

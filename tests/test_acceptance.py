@@ -144,7 +144,7 @@ def test_c3_bound_suite(suite):
     for name in SIX_SIGNALS:
         sig = suite[name]
         spl = build_spline(sample(sig, grid), _config(8, 3, "abs-sinc"))
-        sup = sup_distance(sig, spl, 2**14)
+        sup = sup_distance(sig, spl)
         cbound = cnorm_error_bound(sup)
         q = min(sig.smoothness.r, 3)
         dv = estimate_diff_variation(sig, spl, q)

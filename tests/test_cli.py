@@ -240,6 +240,15 @@ def test_eval_grid_out_of_float_range_exits_three(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("variant", ["abs-sinc", "inv-power", "sinc"])
+def test_spline_order_beyond_float_range_exits_three(power_spec, tmp_path, capsys, variant):
+    assert run(["spline", "--signal", power_spec, "--n", "64", "--r", "200",
+                "--variant", variant, "--out", str(tmp_path / "s")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("trigspec: numerical failure:")
+    assert variant in err and "Traceback" not in err
+
+
 # -- determinism -------------------------------------------------------------------
 
 

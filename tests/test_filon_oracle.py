@@ -6,7 +6,6 @@ import pytest
 from trigspec import (
     FilterVariant,
     KernelConfig,
-    QuadratureConfig,
     build_spline,
     cnorm_error_bound,
     estimate_diff_variation,
@@ -60,9 +59,8 @@ def test_quad_exact_on_trig_polynomials(rng):
     terms = [(int(k), float(rng.standard_normal()), float(rng.standard_normal()))
              for k in range(1, 60)]
     f = harmonic_sum(terms)
-    qc = QuadratureConfig(points=256)
     for k in (1, 17, 59):
-        a, b = quad_fourier_coeff(f, k, qc)
+        a, b = quad_fourier_coeff(f, k)
         ta, tb = true_coefficient(f, k)
         assert a == pytest.approx(ta, abs=1e-12)
         assert b == pytest.approx(tb, abs=1e-12)
@@ -82,26 +80,16 @@ def test_quad_spline_matches_closed_form():
 
 
 def test_quad_non_convergence_raises():
-    # A kinked integrand converges only at trapezoid rate; one doubling
-    # cannot reach 1e-11.
-    f = lambda t: np.abs(np.pi - np.asarray(t))  # noqa: E731
-    qc = QuadratureConfig(points=256, max_doublings=1, convergence_tol=1e-11)
+    # An integrand with jumps converges only like 1/G; ten doublings from
+    # 1024 points cannot reach 1e-11.
+    f = lambda t: np.sign(np.sin(np.asarray(t)) + 0.3)  # noqa: E731
     with pytest.raises(QuadratureConvergenceError) as err:
-        quad_fourier_coeff(f, 1, qc)
+        quad_fourier_coeff(f, 1)
     last, previous = err.value.last, err.value.previous
     assert last is not None
     assert previous is not None
     # The two estimates are the ones the convergence test compared.
-    assert max(abs(last[0] - previous[0]), abs(last[1] - previous[1])) > qc.convergence_tol
-
-
-def test_quadrature_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(points=300)
-    with pytest.raises(ValueError):
-        QuadratureConfig(points=128)
-    with pytest.raises(ValueError):
-        QuadratureConfig(convergence_tol=0.0)
+    assert max(abs(last[0] - previous[0]), abs(last[1] - previous[1])) > 1e-11
 
 
 def test_filon_coeffs_pure_cosine():
@@ -148,7 +136,7 @@ def test_refined_bound_arithmetic():
 def test_cnorm_bound_dominates_coefficient_errors():
     sig = power_decay_cosine(6)
     spl = spline_of(sig, 8, 3)
-    sup = sup_distance(sig, spl, 2**14)
+    sup = sup_distance(sig, spl)
     bound = cnorm_error_bound(sup)
     N = spl.config.grid.N
     for k in range(1, 4 * N + 1):
@@ -183,19 +171,13 @@ def test_refined_bound_dominates_and_restores_decay():
 
 def test_sup_distance_identical_functions():
     f = harmonic_sum([(1, 1.0, 0.0)])
-    assert sup_distance(f, f, 2048) == 0.0
+    assert sup_distance(f, f) == 0.0
 
 
 def test_sup_distance_cosine_vs_zero():
     f = harmonic_sum([(1, 1.0, 0.0)])
     zero = harmonic_sum([])
-    assert sup_distance(f, zero, 4096) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_sup_distance_minimum_points():
-    f = harmonic_sum([(1, 1.0, 0.0)])
-    with pytest.raises(ValueError):
-        sup_distance(f, f, 512)
+    assert sup_distance(f, zero) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_sup_distance_improves_with_grid_size():
@@ -203,7 +185,7 @@ def test_sup_distance_improves_with_grid_size():
     sups = []
     for n in (2, 8, 16):
         spl = spline_of(sig, n, 3)
-        sups.append(sup_distance(sig, spl, 4096))
+        sups.append(sup_distance(sig, spl))
     assert sups[0] > sups[1] > sups[2]
 
 

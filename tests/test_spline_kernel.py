@@ -7,6 +7,7 @@ from trigspec import (
     FilterVariant,
     KernelConfig,
     class_gain_sum,
+    class_table,
     dc_class_gain_sum,
     filter_response,
     gain,
@@ -14,6 +15,7 @@ from trigspec import (
     raw_gain,
 )
 from trigspec._series import fit_loglog_slope
+from trigspec.errors import SeriesPrecisionError
 from trigspec.spline_kernel import (
     class_gain_sum_direct,
     class_partition_terms,
@@ -121,6 +123,20 @@ def test_no_degenerate_class_sums_in_scan():
                 # above the in-band gain (equality only when the tail is
                 # below machine epsilon).
                 assert H >= sigma_k * (1.0 - 1e-12), (n, r, k)
+
+
+@pytest.mark.parametrize("variant", ["abs-sinc", "inv-power", "sinc"])
+def test_class_table_out_of_float_range_is_refused(variant):
+    # At n = 64, order 200 the sinc magnitudes (N/pi)^201 overflow and the
+    # inverse-power gains k^-201 underflow to zero; each names its family.
+    with pytest.raises(SeriesPrecisionError, match=f"order 200, {variant}"):
+        class_table(cfg(64, 200, variant))
+
+
+def test_class_table_order_150_still_builds():
+    for variant in ("abs-sinc", "inv-power", "sinc"):
+        ct = class_table(cfg(64, 150, variant))
+        assert np.all(np.isfinite(ct.sums)) and np.all(ct.sums > 0)
 
 
 def test_dc_class_sum():

@@ -2,8 +2,11 @@
 
 Runs a fixed set of invocations (``gen-signal``, ``dft`` as CSV and JSON,
 ``spline --eval-grid 512``, ``response``, ``alias`` and ``bounds`` for the
-eq3, eq8, eq9 and filon families) on suite presets at small n, and prints
-one ``name sha256`` line per output file, sorted by name. The package is
+eq3, eq8, eq9 and filon families) on suite presets at small n, plus a
+power signal without a Bernoulli closed form (evaluated through the
+polylogarithm), a signed spline on a grid whose fold step is odd, filon
+bounds for the other two gain families and a response at order 40. It
+prints one ``name sha256`` line per output file, sorted by name. The package is
 the one on the import path, so two versions compare by running the script
 once against each and diffing the listings:
 
@@ -29,6 +32,10 @@ N_BAND = "8"
 # (variant, order) pairs for the spline; sinc at even order is the signed family.
 SPLINES = (("abs-sinc", "3"), ("inv-power", "1"), ("sinc", "2"))
 VARIANTS = ("sinc", "abs-sinc", "inv-power")
+# p = 3 is odd, so the cosine series has no Bernoulli closed form; its
+# smoothness class is declared.
+POLYLOG_SIGNAL = ('{"kind": "PowerDecayCosine", "p": 3.0, "r": 1, "terms": [], '
+                  '"variation": 10.0}')
 
 
 def invocations(out):
@@ -49,9 +56,30 @@ def invocations(out):
             yield f"bounds {preset} {family}", [
                 "bounds", *src, "--family", family,
                 "--out", str(out / f"{preset}.bounds.{family}.csv")]
+        yield f"bounds {preset} filon sinc", [
+            "bounds", *src, "--family", "filon", "--variant", "sinc",
+            "--out", str(out / f"{preset}.bounds.filon.sinc.csv")]
+        yield f"bounds {preset} filon inv-power", [
+            "bounds", *src, "--family", "filon", "--variant", "inv-power",
+            "--out", str(out / f"{preset}.bounds.filon.inv-power.csv")]
+    # N = 17 and 51 points: the fold step P = 3 is odd, which takes the
+    # alternating Hurwitz branch of the signed (sinc, even order) family.
+    src = ["--signal", str(out / "power-cos-4.signal.json"), "--n", N_BAND]
+    yield "spline power-cos-4 sinc r2 grid51", [
+        "spline", *src, "--r", "2", "--variant", "sinc", "--eval-grid", "51",
+        "--out", str(out / "power-cos-4.sinc.r2.grid51")]
+    sig = str(out / "polylog.signal.json")
+    yield "gen-signal polylog", ["gen-signal", "--inline", POLYLOG_SIGNAL, "--out", sig]
+    src = ["--signal", sig, "--n", N_BAND]
+    yield "dft polylog", ["dft", *src, "--out", str(out / "polylog.dft.csv")]
+    yield "spline polylog", [
+        "spline", *src, "--eval-grid", "512", "--out", str(out / "polylog.abs-sinc.r3")]
+    yield "alias polylog", ["alias", *src, "--out", str(out / "polylog.alias.csv")]
+    yield "bounds polylog filon", [
+        "bounds", *src, "--family", "filon", "--out", str(out / "polylog.bounds.filon.csv")]
     for variant in VARIANTS:
         yield f"response {variant}", [
-            "response", "--n", N_BAND, "--r", "1,3,10", "--variant", variant,
+            "response", "--n", N_BAND, "--r", "1,3,10,40", "--variant", variant,
             "--out", str(out / f"response.{variant}")]
 
 
