@@ -242,9 +242,15 @@ def _validated_class_sums(config):
         [class_gain_sum(k, config) for k in range(1, config.grid.n + 1)]
     )
     scale = raw_gain_array(np.arange(1, config.grid.n + 1), config)
-    # In-band raw gains and class sums are finite and nonzero; a zero or
-    # non-finite value left the float range (a cancellation is not exact).
-    lost = (scale == 0.0) | (sums == 0.0) | ~np.isfinite(scale) | ~np.isfinite(sums)
+    # In-band raw gains are finite and nonzero, and so are the class sums
+    # of the positive families; a zero or non-finite value there left the
+    # float range. A zero signed class sum is cancellation, checked below.
+    lost = (
+        (scale == 0.0)
+        | ~np.isfinite(scale)
+        | ~np.isfinite(sums)
+        | (not config.signed and sums == 0.0)
+    )
     if np.any(lost):
         bad = 1 + int(np.argmax(lost))
         raise SeriesPrecisionError(

@@ -130,14 +130,26 @@ def series_truncation(spline):
     live = w != 0.0
     k = np.arange(1, config.grid.n + 1, dtype=float)[live]
     factor = (w * ct.magnitudes / np.abs(ct.sums))[live]
-    for L in range(1, _REPRESENTATION_CAP + 1):
-        plus = _series.progression_tail(s, N, k, m_start=L)
-        minus = _series.progression_tail(s, N, -k, m_start=L + 1)
+
+    def bound(L):
+        S = _series.progression_tail(s, N, k, m_start=L) + _series.progression_tail(
+            s, N, -k, m_start=L + 1
+        )
         # cumsum adds in class order, as a per-class loop would.
-        bound = float(np.cumsum(factor * (plus + minus))[-1]) if k.size else 0.0
-        if bound < config.tail_tol:
-            break
-    return L * N, bound
+        return float(np.cumsum(factor * S)[-1]) if k.size else 0.0
+
+    # The bound falls as L grows, so the first L below tail_tol is found
+    # by bisection: at most eight bounds instead of all 64.
+    lo, hi = 1, _REPRESENTATION_CAP
+    if bound(hi) >= config.tail_tol:
+        lo = hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if bound(mid) < config.tail_tol:
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi * N, bound(hi)
 
 
 def build_spline(samples, config):

@@ -15,7 +15,8 @@ from trigspec import (
     raw_gain,
 )
 from trigspec._series import fit_loglog_slope
-from trigspec.errors import SeriesPrecisionError
+from trigspec import spline_kernel
+from trigspec.errors import DegenerateKernelError, SeriesPrecisionError
 from trigspec.spline_kernel import (
     class_gain_sum_direct,
     class_partition_terms,
@@ -131,6 +132,21 @@ def test_class_table_out_of_float_range_is_refused(variant):
     # inverse-power gains k^-201 underflow to zero; each names its family.
     with pytest.raises(SeriesPrecisionError, match=f"order 200, {variant}"):
         class_table(cfg(64, 200, variant))
+
+
+@pytest.mark.parametrize(
+    "variant, error",
+    [("sinc", DegenerateKernelError), ("abs-sinc", SeriesPrecisionError),
+     ("inv-power", SeriesPrecisionError)],
+)
+def test_zero_class_sum_names_its_cause(monkeypatch, variant, error):
+    # An exact zero class sum is cancellation in the signed family and a
+    # float-range loss in the positive ones.
+    monkeypatch.setattr(spline_kernel, "class_gain_sum", lambda k, config: 0.0)
+    c = cfg(8, 2, variant)
+    assert c.signed == (error is DegenerateKernelError)
+    with pytest.raises(error):
+        spline_kernel._validated_class_sums(c)
 
 
 def test_class_table_order_150_still_builds():
