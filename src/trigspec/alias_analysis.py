@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, _series
+from . import _kernels, _series, sampling
 from ._wire import csv_text
 from .errors import SeriesPrecisionError, UnsupportedSignalError
-from .sampling import discrete_coeffs, sample
 from .signal_model import (
     HARMONIC_SUM,
     POWER_DECAY_COSINE,
@@ -34,19 +33,11 @@ _DIRECT_TERMS = 16
 
 @dataclass(frozen=True)
 class FoldReport:
-    """One alias class's fold sum.
-
-    ``folded_a``/``folded_b`` are the out-of-band-inclusive coefficient
-    sums; ``m_used`` counts explicitly summed fold terms and
-    ``tail_bound`` bounds everything beyond them (zero when the remainder
-    was evaluated in closed form up to rounding).
-    """
+    """One alias class's fold sum: the out-of-band-inclusive coefficient sums."""
 
     k: int
     folded_a: float
     folded_b: float
-    m_used: int
-    tail_bound: float
 
 
 def _require_analytic(signal):
@@ -80,15 +71,10 @@ def folded_coefficients(signal, grid, k, tol=1e-12):
     N = grid.N
 
     if signal.kind == HARMONIC_SUM:
-        a, b = true_coefficient(signal, k)
-        if k == 0:
-            acc_a, acc_b = a, 0.0
-        else:
-            acc_a, acc_b = a, b
+        acc_a, b = true_coefficient(signal, k)
+        acc_b = b if k else 0.0
         kmax = max((kk for kk, _, _ in signal.terms), default=0)
-        m_used = 1  # at least one fold term is always inspected
-        m = 1
-        while m * N - k <= kmax:
+        for m in range(1, (kmax + k) // N + 1):
             ap, bp = true_coefficient(signal, m * N + k)
             am, bm = true_coefficient(signal, m * N - k)
             if k == 0:
@@ -96,9 +82,7 @@ def folded_coefficients(signal, grid, k, tol=1e-12):
             else:
                 acc_a += ap + am
                 acc_b += bp - bm
-            m_used = m
-            m += 1
-        return FoldReport(k=k, folded_a=acc_a, folded_b=acc_b, m_used=m_used, tail_bound=0.0)
+        return FoldReport(k=k, folded_a=acc_a, folded_b=acc_b)
 
     p = signal.p
     is_cos = signal.kind == POWER_DECAY_COSINE
@@ -125,13 +109,7 @@ def folded_coefficients(signal, grid, k, tol=1e-12):
         raise SeriesPrecisionError(
             f"fold sum cannot be certified below tol={tol} (rounding floor {tail:.2e})"
         )
-    return FoldReport(
-        k=k,
-        folded_a=report_val[0],
-        folded_b=report_val[1],
-        m_used=_DIRECT_TERMS,
-        tail_bound=tail,
-    )
+    return FoldReport(k=k, folded_a=report_val[0], folded_b=report_val[1])
 
 
 def aliasing_error_bound(k, grid, smoothness):
@@ -221,7 +199,7 @@ def time_domain_overlay_bound(n, smoothness):
 
 def fold_report_table(signal, grid, tol=1e-12):
     """Rows comparing fold sums against the sampled discrete coefficients."""
-    spec = discrete_coeffs(sample(signal, grid))
+    spec = sampling.discrete_coeffs(sampling.sample(signal, grid))
     rows = []
     for k in range(0, grid.n + 1):
         rep = folded_coefficients(signal, grid, k, tol)

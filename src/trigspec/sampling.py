@@ -14,6 +14,7 @@ is auditable against the defining formula.
 import csv
 import io
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,25 +134,12 @@ def discrete_coeffs(samples):
     return DiscreteSpectrum(samples.grid, a0, a, b)
 
 
-class AliasClass(tuple):
-    """Band representative of a harmonic index: (k, cos_sign, sin_sign)."""
+class AliasClass(NamedTuple):
+    """Band representative of a harmonic index and the signs its folding applies."""
 
-    __slots__ = ()
-
-    def __new__(cls, k, sin_sign):
-        return super().__new__(cls, (k, +1, sin_sign))
-
-    @property
-    def k(self):
-        return self[0]
-
-    @property
-    def cos_sign(self):
-        return self[1]
-
-    @property
-    def sin_sign(self):
-        return self[2]
+    k: int
+    cos_sign: int
+    sin_sign: int
 
 
 def alias_class(j, N):
@@ -168,10 +156,10 @@ def alias_class(j, N):
     n = (N - 1) // 2
     res = int(j) % N
     if res == 0:
-        return AliasClass(0, +1)
+        return AliasClass(0, +1, +1)
     if res <= n:
-        return AliasClass(res, +1)
-    return AliasClass(N - res, -1)
+        return AliasClass(res, +1, +1)
+    return AliasClass(N - res, +1, -1)
 
 
 def extended_coefficient(spectrum, j):

@@ -27,7 +27,6 @@ import numpy as np
 from . import _series
 from ._wire import csv_text
 from .errors import DegenerateKernelError, SeriesPrecisionError
-from .sampling import alias_class
 
 _H_GUARD = 1e-12
 # Largest fold index a direct class summation accepts; larger requests are
@@ -139,23 +138,25 @@ def class_gain_sum(k, config):
 
     Exact: the fold series sigma_k + sum_m (sigma_{mN+k} + sigma_{mN-k})
     reduces to Hurwitz zeta tails because |sin| is constant on a class.
+    The value is the class table's entry, so a configuration whose table
+    is refused raises its error here too.
     """
     if k < 1 or k > config.grid.n:
         raise ValueError("class representative k must lie in 1..n")
+    return float(class_table(config).sums[k - 1])
+
+
+def _branch_tails(config, k, m_start=1):
+    # (plus, signed minus): the fold members of class k beyond the band,
+    # sum over m >= m_start of (mN + k)^-s and of (mN - k)^-s, both
+    # without the factor F_k. The signed family alternates in m and enters
+    # the minus branch negated, so class sums are k^-s + plus + minus.
     s = config.power
     N = config.grid.N
-    F = _class_magnitude(k, config)
-    if config.signed:
-        plus = _series.progression_tail(s, N, float(k), alternating=True)
-        minus = _series.progression_tail(s, N, float(-k), alternating=True)
-        bracket = float(k) ** -s + plus - minus
-    else:
-        bracket = (
-            float(k) ** -s
-            + _series.progression_tail(s, N, float(k))
-            + _series.progression_tail(s, N, float(-k))
-        )
-    return F * bracket
+    alternating = config.signed
+    plus = _series.progression_tail(s, N, k, m_start=m_start, alternating=alternating)
+    minus = _series.progression_tail(s, N, -k, m_start=m_start, alternating=alternating)
+    return plus, -minus if alternating else minus
 
 
 def class_gain_sum_direct(k, config, m_terms):
@@ -180,10 +181,7 @@ def dc_class_gain_sum(config):
     Exactly 1 for the sinc families (their gains vanish at multiples of
     N); finite and slightly above 1 for the inverse-power family.
     """
-    if config.variant is FilterVariant.INVERSE_POWER:
-        s = config.power
-        return 1.0 + 2.0 * _series.progression_tail(s, config.grid.N, 0.0)
-    return 1.0
+    return class_table(config).dc_sum
 
 
 @dataclass(frozen=True)
@@ -216,9 +214,9 @@ class ClassTable:
 def class_table(config):
     """The :class:`ClassTable` of ``config``, computed once per configuration.
 
-    Entries are the scalar :func:`class_gain_sum`, :func:`raw_gain` and
-    class-magnitude values, so every consumer sees the same bits as a
-    direct call. ``tail_tol`` does not enter.
+    One array pass over k = 1..n builds every entry; ``tail_tol`` does
+    not enter. A table whose entries left the float range, or whose
+    signed class sums cancelled, is refused.
     """
     return _class_table(config.grid, config.order, config.variant)
 
@@ -226,22 +224,27 @@ def class_table(config):
 @lru_cache(maxsize=64)
 def _class_table(grid, order, variant):
     config = KernelConfig(grid=grid, order=order, variant=variant)
+    s = config.power
     ks = range(1, grid.n + 1)
-    arrays = (
-        np.array([_class_magnitude(k, config) for k in ks]),
-        np.array([raw_gain(k, config) for k in ks]),
-        _validated_class_sums(config),
-    )
-    for arr in arrays:
+    # F_k and k^-s by Python's scalar **: NumPy's array power differs from
+    # it in the last bit for some inputs, and these bits reach the CSVs.
+    magnitudes = np.array([_class_magnitude(k, config) for k in ks])
+    in_band = np.array([float(k) ** -s for k in ks])
+    plus, minus = _branch_tails(config, np.arange(1.0, grid.n + 1))
+    sums = magnitudes * (in_band + plus + minus)
+    raw_gains = raw_gain_array(np.arange(1, grid.n + 1), config)
+    _check_class_sums(config, raw_gains, sums)
+    if variant is FilterVariant.INVERSE_POWER:
+        dc_sum = 1.0 + 2.0 * _series.progression_tail(s, grid.N, 0.0)
+    else:
+        dc_sum = 1.0
+    for arr in (magnitudes, raw_gains, sums):
         arr.setflags(write=False)
-    return ClassTable(*arrays, dc_sum=dc_class_gain_sum(config))
+    return ClassTable(magnitudes, raw_gains, sums, dc_sum)
 
 
-def _validated_class_sums(config):
-    sums = np.array(
-        [class_gain_sum(k, config) for k in range(1, config.grid.n + 1)]
-    )
-    scale = raw_gain_array(np.arange(1, config.grid.n + 1), config)
+def _check_class_sums(config, scale, sums):
+    # scale holds the in-band raw gains sigma_k, sums the class sums H_k.
     # In-band raw gains are finite and nonzero, and so are the class sums
     # of the positive families; a zero or non-finite value there left the
     # float range. A zero signed class sum is cancellation, checked below.
@@ -268,7 +271,6 @@ def _validated_class_sums(config):
             f"class sum for k={bad} collapsed to {sums[bad - 1]:.3e} "
             f"(raw gain {scale[bad - 1]:.3e}); the signed sinc family degenerated"
         )
-    return sums
 
 
 def gain(j, config):
@@ -283,11 +285,15 @@ def gain_array(j, config):
     if np.any(j < 1):
         raise ValueError("gain is defined for harmonic indices j >= 1")
     ct = class_table(config)
-    N = config.grid.N
+    _, denom = _class_normalizers(j, config.grid.N, ct.sums, ct.dc_sum)
+    return raw_gain_array(j, config) / denom
+
+
+def _class_normalizers(j, N, sums, dc_sum):
+    # Alias class k of each harmonic j (0 for multiples of N) and its class sum.
     res = np.mod(j, N)
     k = np.minimum(res, N - res)
-    denom = np.where(k == 0, ct.dc_sum, ct.sums[np.maximum(k, 1) - 1])
-    return raw_gain_array(j, config) / denom
+    return k, np.where(k == 0, dc_sum, sums[np.maximum(k, 1) - 1])
 
 
 def filter_response(config, j_max):
@@ -331,40 +337,22 @@ def class_partition_terms(k, config, m_terms, table=None):
     Returns ``(partial, remainder)`` with partial the directly summed
     alpha over the class members up to fold index m_terms and remainder
     the closed-form value of everything beyond. Their sum is 1 up to
-    rounding: the partition-of-unity property.
+    rounding: the partition-of-unity property. The class sum is read from
+    ``table`` when one is given, else from the class table.
     """
-    if table is not None:
-        if k < 1 or k > config.grid.n:
-            raise ValueError("class representative k must lie in 1..n")
-        H = float(table.class_sums[k - 1])
-    else:
-        H = class_gain_sum(k, config)
+    if k < 1 or k > config.grid.n:
+        raise ValueError("class representative k must lie in 1..n")
+    ct = class_table(config)
+    H = float((ct.sums if table is None else table.class_sums)[k - 1])
     partial = class_gain_sum_direct(k, config, m_terms)
-    N = config.grid.N
-    s = config.power
-    F = _class_magnitude(k, config)
-    if config.signed:
-        rem = F * (
-            _series.progression_tail(s, N, float(k), m_start=m_terms + 1, alternating=True)
-            - _series.progression_tail(s, N, float(-k), m_start=m_terms + 1, alternating=True)
-        )
-    else:
-        rem = F * (
-            _series.progression_tail(s, N, float(k), m_start=m_terms + 1)
-            + _series.progression_tail(s, N, float(-k), m_start=m_terms + 1)
-        )
-    return partial / H, rem / H
+    plus, minus = _branch_tails(config, float(k), m_start=m_terms + 1)
+    return partial / H, ct.magnitudes[k - 1] * (plus + minus) / H
 
 
 def response_table_to_csv(table):
     """CSV with header ``j,k_class,sigma,H,alpha`` for j = 1..j_max."""
     cfg = table.config
-    N = cfg.grid.N
     js = np.arange(1, table.j_max + 1)
-    sig = raw_gain_array(js, cfg)
-    rows = []
-    for j in js:
-        cls = alias_class(int(j), N)
-        H = table.dc_class_sum if cls.k == 0 else float(table.class_sums[cls.k - 1])
-        rows.append([int(j), cls.k, sig[j - 1], H, table.gains[j - 1]])
+    k, H = _class_normalizers(js, cfg.grid.N, table.class_sums, table.dc_class_sum)
+    rows = zip(js.tolist(), k.tolist(), raw_gain_array(js, cfg), H, table.gains)
     return csv_text(["j", "k_class", "sigma", "H", "alpha"], rows)

@@ -181,9 +181,11 @@ def spline_eval(spline, t):
                                        + (a*_k + i b*_k) e^(i(N-k)t) L(z, N-k)].
 
     ``L`` is :func:`_series.lerch_unit` with step N, which keeps the
-    factor N^-s inside its coefficients, so no order overflows. The error
-    beyond rounding is :func:`scattered_eval_bound`, for every order and
-    every point; it does not depend on ``tail_tol``.
+    factor N^-s inside its coefficients. The error beyond rounding is
+    :func:`scattered_eval_bound`, for every order and every point; it does
+    not depend on ``tail_tol``. Raises :class:`SeriesPrecisionError` when
+    a class factor F_k/H_k leaves the float range and the values come out
+    non-finite.
     """
     t_arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t_arr)):
@@ -195,17 +197,22 @@ def spline_eval(spline, t):
     spec = spline.spectrum
     k = np.arange(1, n + 1)
     first = np.concatenate((k, N - k)).astype(float)   # first member j0 of each branch
-    scale = _class_scales(spline)
-    weights = np.concatenate((scale * (spec.a - 1j * spec.b), scale * (spec.a + 1j * spec.b)))
     flat = _series.reduce_angle(t_arr.ravel())
     shift = np.pi if cfg.signed else 0.0
     out = np.empty(flat.shape)
     step = max(_EVAL_CELLS // (2 * n), 1)
-    for start in range(0, flat.size, step):
-        tb = flat[start:start + step]
-        lerch = _series.lerch_unit(s, first, N * tb + shift, step=N)
-        out[start:start + step] = np.real(weights @ (np.exp(1j * np.multiply.outer(first, tb)) * lerch))
-    out += 0.5 * spline.a0
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = _class_scales(spline)
+        weights = np.concatenate((scale * (spec.a - 1j * spec.b), scale * (spec.a + 1j * spec.b)))
+        for start in range(0, flat.size, step):
+            tb = flat[start:start + step]
+            lerch = _series.lerch_unit(s, first, N * tb + shift, step=N)
+            out[start:start + step] = np.real(weights @ (np.exp(1j * np.multiply.outer(first, tb)) * lerch))
+        out += 0.5 * spline.a0
+    if not np.all(np.isfinite(out)):
+        raise SeriesPrecisionError(
+            f"scattered evaluation left the float range (N={N}, order {cfg.order})"
+        )
     return out.reshape(t_arr.shape) if t_arr.ndim else float(out[0])
 
 

@@ -38,14 +38,12 @@ def test_fold_in_band_harmonic_is_exact():
     rep = folded_coefficients(harmonic_sum([(1, 1.0, 0.0)]), grid, 1)
     assert rep.folded_a == 1.0
     assert rep.folded_b == 0.0
-    assert rep.tail_bound == 0.0
 
 
 def test_fold_single_out_of_band_harmonic():
     grid = make_grid(2)  # N = 5
     rep = folded_coefficients(harmonic_sum([(6, 1.0, 0.0)]), grid, 1)
     assert rep.folded_a == 1.0
-    assert rep.m_used >= 1
 
 
 def test_fold_identity_power_cosine():

@@ -2,8 +2,10 @@
 
 Signals are seeded harmonic sums of up to 3N terms at indices 0..3N, so
 most draws put energy beyond the band and exercise the aliasing fold.
-Each identity holds in exact arithmetic; the tolerances leave rounding
-room of a few hundred ulps relative to the data's scale.
+The identities are interpolation, partition of unity, the fold identity
+and the agreement of grid and scattered evaluation. Each holds in exact
+arithmetic; the tolerances leave rounding room of a few hundred ulps
+relative to the data's scale.
 """
 
 import math
@@ -25,6 +27,7 @@ from trigspec import (
     values_on_uniform_grid,
 )
 from trigspec.spline_kernel import class_partition_terms
+from trigspec.trig_spline import scattered_eval_bound
 
 
 @st.composite
@@ -57,6 +60,26 @@ def test_spline_interpolates_its_samples(data):
     tol = 1e-12 * max(1.0, float(np.max(np.abs(samples.values))))
     assert np.max(np.abs(values_on_uniform_grid(spline, grid.N) - samples.values)) <= tol
     assert np.max(np.abs(spline_eval(spline, grid.nodes) - samples.values)) <= tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_scattered_eval_agrees_with_grid_values(data):
+    config = data.draw(configs())
+    grid = config.grid
+    N = grid.N
+    samples = sample(data.draw(harmonic_sums(grid)), grid)
+    spline = build_spline(samples, config)
+    # Grid sizes coprime to N or not: any size up to 4N, a multiple of N, N + 1.
+    G = data.draw(st.one_of(
+        st.integers(min_value=1, max_value=4 * N),
+        st.integers(min_value=1, max_value=4).map(lambda m: m * N),
+        st.just(N + 1),
+    ))
+    want = values_on_uniform_grid(spline, G)
+    got = spline_eval(spline, 2.0 * np.pi * np.arange(G) / G)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(samples.values)))) + scattered_eval_bound(spline)
+    assert np.max(np.abs(got - want)) <= tol
 
 
 @settings(max_examples=30, deadline=None)

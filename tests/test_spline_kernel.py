@@ -139,14 +139,21 @@ def test_class_table_out_of_float_range_is_refused(variant):
     [("sinc", DegenerateKernelError), ("abs-sinc", SeriesPrecisionError),
      ("inv-power", SeriesPrecisionError)],
 )
-def test_zero_class_sum_names_its_cause(monkeypatch, variant, error):
+def test_zero_class_sum_names_its_cause(variant, error):
     # An exact zero class sum is cancellation in the signed family and a
     # float-range loss in the positive ones.
-    monkeypatch.setattr(spline_kernel, "class_gain_sum", lambda k, config: 0.0)
     c = cfg(8, 2, variant)
     assert c.signed == (error is DegenerateKernelError)
+    scale = class_table(c).raw_gains
     with pytest.raises(error):
-        spline_kernel._validated_class_sums(c)
+        spline_kernel._check_class_sums(c, scale, np.zeros_like(scale))
+
+
+def test_class_gain_sum_raises_the_table_refusal():
+    # The value is the class table's entry, so an out-of-range
+    # configuration is refused here as well, not answered unchecked.
+    with pytest.raises(SeriesPrecisionError, match="order 200"):
+        class_gain_sum(1, cfg(64, 200, "abs-sinc"))
 
 
 def test_class_table_order_150_still_builds():

@@ -152,6 +152,17 @@ def test_uniform_grid_fold_out_of_float_range_raises():
         values_on_uniform_grid(spl, 64)
 
 
+def test_scattered_eval_out_of_float_range_raises():
+    # At order 170 on N = 129 the class factors F_k/H_k overflow: scattered
+    # evaluation refuses instead of returning NaN at the nodes.
+    rng = np.random.default_rng(3)
+    ab = rng.standard_normal((130, 2))
+    sig = harmonic_sum([(j, a, b if j else 0.0) for j, (a, b) in enumerate(ab)])
+    spl, c = spline_of(sig, 64, 170)
+    with pytest.raises(SeriesPrecisionError, match="order 170"):
+        spline_eval(spl, c.grid.nodes)
+
+
 def test_uniform_grid_values_match_brute_series():
     # Independent check of the zeta fold: long direct summation of the
     # coefficient law on a grid size coprime to N.

@@ -58,6 +58,25 @@ def loop_tail_bound(config, spectrum, table, L):
     return total
 
 
+def loop_class_sum(k, config):
+    # The class sum as one scalar formula per class, F_k times the
+    # in-band term plus both fold branches.
+    s = config.power
+    N = config.grid.N
+    F = _class_magnitude(k, config)
+    if config.signed:
+        plus = _series.progression_tail(s, N, float(k), alternating=True)
+        minus = _series.progression_tail(s, N, float(-k), alternating=True)
+        bracket = float(k) ** -s + plus - minus
+    else:
+        bracket = (
+            float(k) ** -s
+            + _series.progression_tail(s, N, float(k))
+            + _series.progression_tail(s, N, float(-k))
+        )
+    return F * bracket
+
+
 def loop_build_search(config, spectrum):
     probe = filter_response(config, config.grid.n)
     for L in range(1, 65):
@@ -258,12 +277,22 @@ def test_class_table_holds_the_scalar_values(variant, r):
     for k in range(1, 10):
         assert ct.magnitudes[k - 1] == _class_magnitude(k, config)
         assert ct.raw_gains[k - 1] == raw_gain(k, config)
-        assert ct.sums[k - 1] == class_gain_sum(k, config)
+        assert ct.sums[k - 1] == loop_class_sum(k, config) == class_gain_sum(k, config)
     assert ct.dc_sum == dc_class_gain_sum(config)
     table = filter_response(config, 30)
     assert table.class_sums is ct.sums
     with pytest.raises(ValueError):
         ct.sums[0] = 1.0
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_class_table_sums_match_per_class_formula(variant):
+    # The table's one array pass against the scalar formula, class by class.
+    for order in [*range(1, 13), 40, 100, 150]:
+        for n in range(1, 65):
+            config = KernelConfig(grid=make_grid(n), order=order, variant=variant)
+            want = [loop_class_sum(k, config) for k in range(1, n + 1)]
+            assert np.array_equal(class_table(config).sums, want), (n, order)
 
 
 @settings(max_examples=40, deadline=None)

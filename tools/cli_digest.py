@@ -1,4 +1,4 @@
-"""Digest of the trigspec command line's output files, for byte-identity checks.
+"""Digest of the trigspec command line's output files and refusals, for byte-identity checks.
 
 Runs a fixed set of invocations (``gen-signal``, ``dft`` as CSV and JSON,
 ``spline --eval-grid 512``, ``response``, ``alias`` and ``bounds`` for the
@@ -6,23 +6,32 @@ eq3, eq8, eq9 and filon families) on suite presets at small n, plus a
 power signal without a Bernoulli closed form (evaluated through the
 polylogarithm), a signed spline on a grid whose fold step is odd, filon
 bounds for the other two gain families and a response at order 40. It
-prints one ``name sha256`` line per output file, sorted by name. The package is
-the one on the import path, so two versions compare by running the script
-once against each and diffing the listings:
+prints one ``name sha256`` line per output file, sorted by name. A second
+fixed set of invocations must be refused (exit status 2 for invalid input,
+3 for a numerical failure); each prints as ``label exit=<status>
+stderr=<sha256>`` after the files, so a change to an error message or an
+exit status shows too. The package is the one on the import path, so two
+versions compare by running the script once against each and diffing the
+listings:
 
     PYTHONPATH=path/to/base/src python tools/cli_digest.py > base.txt
     PYTHONPATH=src python tools/cli_digest.py > head.txt
     diff base.txt head.txt
 
-Exits 1 if an invocation reports invalid input or a numerical failure
-(exit status 2 or 3), since its missing files would make the listing
-incomplete.
+Exits 1 if an invocation of the first set reports invalid input or a
+numerical failure (exit status 2 or 3), since its missing files would make
+the listing incomplete, or if a refusal succeeds.
 """
 
+import contextlib
 import hashlib
+import io
+import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 import trigspec
 from trigspec.cli import main
@@ -36,6 +45,10 @@ VARIANTS = ("sinc", "abs-sinc", "inv-power")
 # smoothness class is declared.
 POLYLOG_SIGNAL = ('{"kind": "PowerDecayCosine", "p": 3.0, "r": 1, "terms": [], '
                   '"variation": 10.0}')
+# p = 2 and r = 0: its fold sums cannot be certified below 1e-20, and the
+# eq9 bound needs r >= 1.
+ROUGH_SIGNAL = ('{"kind": "PowerDecaySine", "p": 2.0, "r": 0, "terms": [], '
+                '"variation": 5.0}')
 
 
 def invocations(out):
@@ -83,6 +96,51 @@ def invocations(out):
             "--out", str(out / f"response.{variant}")]
 
 
+def _long_harmonic_sum():
+    # 130 seeded harmonics at indices 0..129.
+    ab = np.random.default_rng(3).standard_normal((130, 2)).tolist()
+    terms = [[j, a, b if j else 0.0] for j, (a, b) in enumerate(ab)]
+    return json.dumps({"kind": "HarmonicSum", "terms": terms, "p": None, "r": 1,
+                       "variation": 1.0})
+
+
+def refusals(out):
+    """Yield (label, argv) pairs that must exit 2 or 3; files land in `out`."""
+    sig = ["--inline", POLYLOG_SIGNAL]
+    rough = ["--inline", ROUGH_SIGNAL]
+    yield "dft n0", ["dft", *sig, "--n", "0", "--out", str(out / "dft.csv")]
+    yield "spline no-out", ["spline", *sig, "--n", N_BAND]
+    yield "response j-max 1", ["response", "--n", N_BAND, "--j-max", "1", "--out", str(out / "r")]
+    yield "response variant nope", [
+        "response", "--n", N_BAND, "--variant", "nope", "--out", str(out / "r")]
+    yield "gen-signal bad inline", ["gen-signal", "--inline", "{bad", "--out", str(out / "g.json")]
+    yield "bounds eq9 r0", [
+        "bounds", *rough, "--n", N_BAND, "--family", "eq9", "--out", str(out / "b.csv")]
+    yield "alias tail-tol 1e-20", [
+        "alias", *rough, "--n", "2", "--tail-tol", "1e-20", "--out", str(out / "a.csv")]
+    # n = 64, order 200: class magnitudes overflow or raw gains underflow.
+    for variant in VARIANTS:
+        yield f"spline r200 {variant}", [
+            "spline", *sig, "--n", "64", "--r", "200", "--variant", variant,
+            "--out", str(out / "s")]
+    # n = 64, order 150: the uniform-grid fold at 64 points leaves the float range.
+    yield "spline r150 eval-grid 64", [
+        "spline", "--inline", _long_harmonic_sum(), "--n", "64", "--r", "150",
+        "--eval-grid", "64", "--out", str(out / "s")]
+
+
+def refusal_listing():
+    """Run every refusal; return (label, exit status, stderr sha256) triples."""
+    listing = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, argv in refusals(Path(tmp)):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                status = main(argv)
+            listing.append((label, status, hashlib.sha256(err.getvalue().encode()).hexdigest()))
+    return listing
+
+
 def digest_listing():
     """Run every invocation; return sorted (file name, sha256) pairs and the failures."""
     failures = []
@@ -104,6 +162,10 @@ if __name__ == "__main__":
     listing, failures = digest_listing()
     for name, sha in listing:
         print(name, sha)
+    for label, status, sha in refusal_listing():
+        print(f"{label} exit={status} stderr={sha}")
+        if status not in (2, 3):
+            failures.append(f"{label}: exit {status}, expected a refusal")
     for failure in failures:
         print(f"cli_digest: {failure}", file=sys.stderr)
     sys.exit(1 if failures else 0)
