@@ -39,6 +39,7 @@ from .sampling import (
     alias_class,
     discrete_coeffs,
     extended_coefficient,
+    interpolating_polynomial,
     make_grid,
     sample,
 )
@@ -72,7 +73,6 @@ from .trig_spline import (
     TrigSpline,
     build_spline,
     curvature_functional,
-    interpolating_polynomial,
     spline_eval,
     spline_fourier_coeff,
     spline_from_json,

@@ -14,6 +14,10 @@ guarantees:
   (Erdelyi et al., *Higher Transcendental Functions* I, 1.11; Crandall,
   "Note on fast polylogarithm computation", 2006).
 
+Alongside them sit the small index and angle primitives every layer
+shares: angle reduction, derivative rotation of a coefficient pair, and
+the fold of a harmonic index onto its alias class (:func:`alias_fold`).
+
 Everything here is pure and vectorized.
 """
 
@@ -55,6 +59,18 @@ def rotate_pair(a, b, rot):
     if rot == 2:
         return -a, -b
     return -b, a
+
+
+def alias_fold(j, N):
+    """Alias class k and sine sign of integer harmonic indices j on N = 2n+1 nodes.
+
+    k = min(j mod N, N - j mod N), 0 for multiples of N. The sine sign is
+    -1.0 on the mN - k branch (j mod N > n) and 1.0 elsewhere. No
+    validation: j are integers >= 0 and N is odd.
+    """
+    res = np.mod(j, N)
+    k = np.minimum(res, N - res)
+    return k, np.where(res > N // 2, -1.0, 1.0)
 
 
 @lru_cache(maxsize=None)

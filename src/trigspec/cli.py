@@ -125,9 +125,13 @@ def cmd_spline(args):
         json.dumps(trig_spline.spline_to_json(spline), sort_keys=True) + "\n",
     )
     j_max = args.j_max if args.j_max else 4 * grid.N
-    rows = trig_spline.unfolded_table(spline, j_max, signal=sig)
+    js, ca, cb = (x.tolist() for x in trig_spline.unfolded_spectrum(spline, j_max))
+    truth = (signal_model.true_coefficient(sig, j) for j in js)
+    table = (
+        (j, a, b, ta, tb, abs(a - ta), abs(b - tb))
+        for j, a, b, (ta, tb) in zip(js, ca, cb, truth)
+    )
     header = ["j", "a_hat", "b_hat", "a_true", "b_true", "abs_err_a", "abs_err_b"]
-    table = ([r[c] for c in header] for r in rows)
     _write_text(args.out + ".unfolded.csv", csv_text(header, table))
     if args.eval_grid:
         P = args.eval_grid
@@ -214,7 +218,7 @@ def _bound_rows(sig, grid, args):
         spec = discrete_coeffs(sample(sig, grid))
         t = 2.0 * np.pi * np.arange(4096) / 4096
         fn = np.atleast_1d(alias_analysis.band_component(sig, grid.n, t))
-        fstar = spec.reconstruct(t)
+        fstar = spec(t)
         measured = float(np.max(np.abs(fn - fstar)))
         bound = alias_analysis.time_domain_overlay_bound(grid.n, sig.smoothness)
         return [(grid.n, measured, bound)]

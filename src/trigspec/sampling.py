@@ -7,6 +7,9 @@ the cosine sequence extends periodically and evenly, the sine sequence
 periodically and oddly. ``alias_class`` names that folding and
 ``extended_coefficient`` applies it.
 
+The discrete spectrum is also the band-limited interpolant of the
+samples: called at t, it evaluates a*_0/2 + sum_k (a*_k cos kt + b*_k sin kt).
+
 Coefficients are computed by direct summation (no FFT) so every number
 is auditable against the defining formula.
 """
@@ -18,9 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _series
 from ._wire import csv_text
-from .signal_model import evaluate
 
 # Largest distance a CSV t value may lie from its node 2*pi*(j-1)/N.
 _NODE_TOL = 1e-12
@@ -78,12 +80,12 @@ class SampleVector:
 def sample(signal, grid):
     """Evaluate the signal at the grid nodes.
 
-    Accepts the package's analytic signals or any plain callable
-    (black-box signals sample fine; only the analytic bound checks need
-    known coefficients).
+    The signal is any callable of t: the package's analytic signals or a
+    black box (black-box signals sample fine; only the analytic bound
+    checks need known coefficients). It is called once on the array of
+    nodes; one that does not return an array of that shape is called
+    node by node.
     """
-    if hasattr(signal, "kind"):
-        return SampleVector(grid, evaluate(signal, grid.nodes))
     values = np.asarray(signal(grid.nodes), dtype=float)
     if values.shape != grid.nodes.shape:
         values = np.array([float(signal(t)) for t in grid.nodes])
@@ -92,6 +94,9 @@ def sample(signal, grid):
 
 class DiscreteSpectrum:
     """The N independent discrete coefficients of a sample vector.
+
+    Called at t it is the band-limited interpolating polynomial of the
+    samples.
 
     Attributes
     ----------
@@ -119,10 +124,20 @@ class DiscreteSpectrum:
         self.a = a
         self.b = b
 
-    def reconstruct(self, t):
-        """Value of the band-limited polynomial a0/2 + sum a_k cos + b_k sin."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
+    def __call__(self, t):
+        """Polynomial value at t; scalar in, scalar out, arrays keep their shape."""
+        t_arr = np.asarray(t, dtype=float)
+        vals = _kernels.synth(self.a0, self.a, self.b, _series.reduce_angle(np.atleast_1d(t_arr)))
+        return vals if t_arr.ndim else float(vals[0])
+
+    def eval_on_uniform_grid(self, points):
+        """Polynomial values at t_g = 2*pi*g/points, g = 0..points-1."""
+        t = 2.0 * np.pi * np.arange(points) / points
         return _kernels.synth(self.a0, self.a, self.b, t)
+
+    def fourier_series(self):
+        """The polynomial's series (a0, a[1..n], b[1..n])."""
+        return self.a0, self.a, self.b
 
     def __repr__(self):
         return f"DiscreteSpectrum(n={self.grid.n})"
@@ -132,6 +147,11 @@ def discrete_coeffs(samples):
     """Discrete Fourier coefficients of the samples, by direct summation."""
     a0, a, b = _kernels.dft(samples.values)
     return DiscreteSpectrum(samples.grid, a0, a, b)
+
+
+def interpolating_polynomial(samples):
+    """Band-limited interpolating polynomial of the samples: their discrete spectrum."""
+    return discrete_coeffs(samples)
 
 
 class AliasClass(NamedTuple):
@@ -153,13 +173,9 @@ def alias_class(j, N):
         raise ValueError("N must be odd and >= 3")
     if j < 0 or j != int(j):
         raise ValueError("harmonic index must be an integer >= 0")
-    n = (N - 1) // 2
-    res = int(j) % N
-    if res == 0:
-        return AliasClass(0, +1, +1)
-    if res <= n:
-        return AliasClass(res, +1, +1)
-    return AliasClass(N - res, +1, -1)
+    # Reduced by Python's % first, so indices beyond the int64 range fold too.
+    k, sin_sign = _series.alias_fold(int(j) % N, N)
+    return AliasClass(int(k), +1, int(sin_sign))
 
 
 def extended_coefficient(spectrum, j):

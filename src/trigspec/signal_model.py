@@ -286,6 +286,9 @@ def derivative_values(signal, order, t):
         out = np.zeros(t.shape)
         for k, a, b in signal.terms:
             if k == 0:
+                # The constant term survives only the zeroth derivative.
+                if order == 0:
+                    out += 0.5 * a
                 continue
             scale = float(k) ** order
             ka, kb = _series.rotate_pair(a, b, rot)

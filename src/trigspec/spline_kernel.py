@@ -88,15 +88,11 @@ def raw_gain(j, config):
 
     Sinc families use sinc(pi j / N) raised to the power 1+r with
     sinc(0) = 1, hitting exact zeros at multiples of N; the inverse-power
-    family uses j^-(1+r) and rejects j = 0.
+    family uses j^-(1+r) and rejects j = 0. j is an integer or an integer
+    array; a scalar gives a float, an array an array of its shape.
     """
-    arr = raw_gain_array(np.asarray([j], dtype=float), config)
-    return float(arr[0])
-
-
-def raw_gain_array(j, config):
-    """Vectorized :func:`raw_gain`; j is an integer array."""
-    j = np.asarray(j, dtype=float)
+    j_in = np.asarray(j, dtype=float)
+    j = np.atleast_1d(j_in)
     if np.any(j < 0):
         raise ValueError("harmonic index must be >= 0")
     s = config.power
@@ -104,19 +100,20 @@ def raw_gain_array(j, config):
     if config.variant is FilterVariant.INVERSE_POWER:
         if np.any(j == 0):
             raise ValueError("inverse-power gain is undefined at j = 0")
-        return j**-float(s)
-    res = np.mod(j, N)
-    nz = res != 0
-    # |sin(pi j/N)| from the folded residue keeps precision at large j;
-    # exact zeros at nonzero multiples of N, sinc(0) = 1.
-    mag = np.zeros(j.shape)
-    mag[nz] = np.sin(np.pi * res[nz] / N) * N / (np.pi * j[nz])
-    mag[j == 0] = 1.0
-    out = mag**s
-    if config.signed:
-        flips = np.where((j.astype(np.int64) // N) % 2 == 1, -1.0, 1.0)
-        out = out * flips
-    return out
+        out = j**-float(s)
+    else:
+        res = np.mod(j, N)
+        nz = res != 0
+        # |sin(pi j/N)| from the folded residue keeps precision at large j;
+        # exact zeros at nonzero multiples of N, sinc(0) = 1.
+        mag = np.zeros(j.shape)
+        mag[nz] = np.sin(np.pi * res[nz] / N) * N / (np.pi * j[nz])
+        mag[j == 0] = 1.0
+        out = mag**s
+        if config.signed:
+            flips = np.where((j.astype(np.int64) // N) % 2 == 1, -1.0, 1.0)
+            out = out * flips
+    return out if j_in.ndim else float(out[0])
 
 
 def _class_magnitude(k, config):
@@ -170,7 +167,7 @@ def class_gain_sum_direct(k, config, m_terms):
     N = config.grid.N
     total = raw_gain(k, config)
     total += float(
-        np.sum(raw_gain_array(m * N + k, config) + raw_gain_array(m * N - k, config))
+        np.sum(raw_gain(m * N + k, config) + raw_gain(m * N - k, config))
     )
     return total
 
@@ -232,7 +229,7 @@ def _class_table(grid, order, variant):
     in_band = np.array([float(k) ** -s for k in ks])
     plus, minus = _branch_tails(config, np.arange(1.0, grid.n + 1))
     sums = magnitudes * (in_band + plus + minus)
-    raw_gains = raw_gain_array(np.arange(1, grid.n + 1), config)
+    raw_gains = raw_gain(np.arange(1, grid.n + 1), config)
     _check_class_sums(config, raw_gains, sums)
     if variant is FilterVariant.INVERSE_POWER:
         dc_sum = 1.0 + 2.0 * _series.progression_tail(s, grid.N, 0.0)
@@ -274,25 +271,24 @@ def _check_class_sums(config, scale, sums):
 
 
 def gain(j, config):
-    """Normalized gain alpha(r, j) = sigma_j / (class sum of j's alias class)."""
-    arr = gain_array(np.asarray([j]), config)
-    return float(arr[0])
+    """Normalized gain alpha(r, j) = sigma_j / (class sum of j's alias class).
 
-
-def gain_array(j, config):
-    """Vectorized :func:`gain` over an integer index array (j >= 1)."""
-    j = np.asarray(j, dtype=np.int64)
+    j is an integer >= 1 or an integer array; a scalar gives a float, an
+    array an array of its shape.
+    """
+    j_in = np.asarray(j, dtype=np.int64)
+    j = np.atleast_1d(j_in)
     if np.any(j < 1):
         raise ValueError("gain is defined for harmonic indices j >= 1")
     ct = class_table(config)
     _, denom = _class_normalizers(j, config.grid.N, ct.sums, ct.dc_sum)
-    return raw_gain_array(j, config) / denom
+    out = raw_gain(j, config) / denom
+    return out if j_in.ndim else float(out[0])
 
 
 def _class_normalizers(j, N, sums, dc_sum):
     # Alias class k of each harmonic j (0 for multiples of N) and its class sum.
-    res = np.mod(j, N)
-    k = np.minimum(res, N - res)
+    k, _ = _series.alias_fold(j, N)
     return k, np.where(k == 0, dc_sum, sums[np.maximum(k, 1) - 1])
 
 
@@ -320,7 +316,7 @@ def filter_response(config, j_max):
     if j_max < config.grid.n:
         raise ValueError("j_max must cover the band (j_max >= n)")
     ct = class_table(config)
-    gains = gain_array(np.arange(1, j_max + 1), config)
+    gains = gain(np.arange(1, j_max + 1), config)
     gains.setflags(write=False)
     return FilterTable(
         config=config,
@@ -354,5 +350,5 @@ def response_table_to_csv(table):
     cfg = table.config
     js = np.arange(1, table.j_max + 1)
     k, H = _class_normalizers(js, cfg.grid.N, table.class_sums, table.dc_class_sum)
-    rows = zip(js.tolist(), k.tolist(), raw_gain_array(js, cfg), H, table.gains)
+    rows = zip(js.tolist(), k.tolist(), raw_gain(js, cfg), H, table.gains)
     return csv_text(["j", "k_class", "sigma", "H", "alpha"], rows)

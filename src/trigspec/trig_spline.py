@@ -35,14 +35,7 @@ import numpy as np
 from . import _series
 from .errors import SeriesPrecisionError
 from .sampling import DiscreteSpectrum, discrete_coeffs, make_grid
-from .signal_model import true_coefficient
-from .spline_kernel import (
-    FilterVariant,
-    KernelConfig,
-    class_table,
-    filter_response,
-    gain_array,
-)
+from .spline_kernel import FilterVariant, KernelConfig, class_table, filter_response, gain
 
 _REPRESENTATION_CAP = 64     # largest L in the series truncation J = L*N
 # Scattered evaluation works on blocks of points holding at most this many
@@ -96,12 +89,8 @@ def _law_coefficients(config, spectrum, js):
     class (j a multiple of N) carries zero.
     """
     js = np.asarray(js, dtype=np.int64)
-    N = config.grid.N
-    n = config.grid.n
-    gains = gain_array(js, config)
-    res = np.mod(js, N)
-    k = np.minimum(res, N - res)
-    sin_sign = np.where(res > n, -1.0, 1.0)
+    gains = gain(js, config)
+    k, sin_sign = _series.alias_fold(js, config.grid.N)
     a_look = np.concatenate(([0.0], spectrum.a))
     b_look = np.concatenate(([0.0], spectrum.b))
     dc = k == 0
@@ -119,7 +108,9 @@ def series_truncation(spline):
     Class k contributes ((w F) / |H|) S_k(L) with w = |a*_k| + |b*_k|,
     added in class order with classes of w = 0 skipped; S_k(L) is the
     per-class mass of the members beyond J, mN + k with m >= L and mN - k
-    with m >= L + 1, as two Hurwitz zeta tails.
+    with m >= L + 1, as two Hurwitz zeta tails. Raises
+    :class:`SeriesPrecisionError` when a class factor (w F) / |H| leaves
+    the float range and the bound comes out non-finite.
     """
     config = spline.config
     spectrum = spline.spectrum
@@ -129,7 +120,12 @@ def series_truncation(spline):
     w = np.abs(spectrum.a) + np.abs(spectrum.b)
     live = w != 0.0
     k = np.arange(1, config.grid.n + 1, dtype=float)[live]
-    factor = (w * ct.magnitudes / np.abs(ct.sums))[live]
+    with np.errstate(over="ignore"):
+        factor = (w * ct.magnitudes / np.abs(ct.sums))[live]
+    if not np.all(np.isfinite(factor)):
+        raise SeriesPrecisionError(
+            f"series truncation bound left the float range (N={N}, order {config.order})"
+        )
 
     def bound(L):
         S = _series.progression_tail(s, N, k, m_start=L) + _series.progression_tail(
@@ -227,12 +223,20 @@ def scattered_eval_bound(spline):
 
     Each Lerch sum carries at most :func:`_series.lerch_remainder_bound`
     of neglected expansion terms; the bound weighs it by the class
-    factors and coefficient magnitudes.
+    factors and coefficient magnitudes. Raises :class:`SeriesPrecisionError`
+    when a class factor F_k/H_k leaves the float range and the bound comes
+    out non-finite.
     """
     spec = spline.spectrum
     cfg = spline.config
-    mass = 2.0 * np.sum(np.abs(_class_scales(spline)) * np.hypot(spec.a, spec.b))
-    return float(mass) * _series.lerch_remainder_bound(cfg.power, cfg.grid.N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = 2.0 * np.sum(np.abs(_class_scales(spline)) * np.hypot(spec.a, spec.b))
+    bound = float(mass) * _series.lerch_remainder_bound(cfg.power, cfg.grid.N)
+    if not math.isfinite(bound):
+        raise SeriesPrecisionError(
+            f"scattered evaluation bound left the float range (N={cfg.grid.N}, order {cfg.order})"
+        )
+    return bound
 
 
 def values_on_uniform_grid(spline, points):
@@ -374,35 +378,6 @@ def curvature_functional(fn, order):
     return math.pi * total
 
 
-# -- band-limited baseline --------------------------------------------------
-
-
-class InterpolatingTrigPolynomial:
-    """The unit-gain-in-band interpolant sharing the spline's data."""
-
-    __slots__ = ("spectrum",)
-
-    def __init__(self, spectrum):
-        self.spectrum = spectrum
-
-    def __call__(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        vals = self.spectrum.reconstruct(_series.reduce_angle(t_arr))
-        return vals if np.ndim(t) else float(vals[0])
-
-    def eval_on_uniform_grid(self, points):
-        t = 2.0 * np.pi * np.arange(points) / points
-        return self.spectrum.reconstruct(t)
-
-    def fourier_series(self):
-        return self.spectrum.a0, self.spectrum.a, self.spectrum.b
-
-
-def interpolating_polynomial(samples):
-    """Band-limited interpolating polynomial of the samples."""
-    return InterpolatingTrigPolynomial(discrete_coeffs(samples))
-
-
 # -- serialization ----------------------------------------------------------
 
 
@@ -444,7 +419,7 @@ def spline_from_json(doc):
         variant=FilterVariant.from_string(doc["variant"]),
     )
     rows = {int(j): (a, b) for j, a, b in doc["coeffs"]}
-    gains = gain_array(np.arange(1, grid.n + 1), config)
+    gains = gain(np.arange(1, grid.n + 1), config)
     a = np.empty(grid.n)
     b = np.empty(grid.n)
     for k in range(1, grid.n + 1):
@@ -452,29 +427,3 @@ def spline_from_json(doc):
         a[k - 1] = ra / gains[k - 1]
         b[k - 1] = rb / gains[k - 1]
     return TrigSpline(config=config, spectrum=DiscreteSpectrum(grid, float(doc["a0"]), a, b))
-
-
-# -- comparison table -------------------------------------------------------
-
-
-def unfolded_table(spline, j_max, signal=None):
-    """Rows for the unfolded-spectrum CSV, with ground truth when available."""
-    js, ca, cb = unfolded_spectrum(spline, j_max)
-    rows = []
-    for idx, j in enumerate(js):
-        if signal is not None:
-            ta, tb = true_coefficient(signal, int(j))
-        else:
-            ta = tb = float("nan")
-        rows.append(
-            {
-                "j": int(j),
-                "a_hat": float(ca[idx]),
-                "b_hat": float(cb[idx]),
-                "a_true": ta,
-                "b_true": tb,
-                "abs_err_a": abs(float(ca[idx]) - ta),
-                "abs_err_b": abs(float(cb[idx]) - tb),
-            }
-        )
-    return rows

@@ -220,7 +220,7 @@ def test_time_domain_split_identity_at_nodes():
     sig = power_decay_cosine(4)
     grid = make_grid(2)
     spec = discrete_coeffs(sample(sig, grid))
-    fstar = spec.reconstruct(grid.nodes)
+    fstar = spec(grid.nodes)
     dc_fold = (spec.a0 - true_coefficient(sig, 0)[0]) / 2.0
     split = (
         band_component(sig, grid.n, grid.nodes)
@@ -245,7 +245,7 @@ def test_overlay_bound_dominates_sup():
     grid = make_grid(8)
     spec = discrete_coeffs(sample(sig, grid))
     t = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
-    sup = float(np.max(np.abs(band_component(sig, grid.n, t) - spec.reconstruct(t))))
+    sup = float(np.max(np.abs(band_component(sig, grid.n, t) - spec(t))))
     assert sup <= time_domain_overlay_bound(grid.n, sig.smoothness)
 
 

@@ -1,6 +1,7 @@
 """Command line contract: outputs, determinism, and exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -238,6 +239,22 @@ def test_eval_grid_out_of_float_range_exits_three(tmp_path, capsys):
     assert run(["spline", "--inline", json.dumps(doc), "--n", "64", "--r", "150",
                 "--eval-grid", "64", "--out", str(tmp_path / "s")]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_spline_truncation_out_of_float_range_exits_three(tmp_path, capsys):
+    # Order 170 on N = 129: the class factors of the truncation bound
+    # overflow, which is a numerical failure, not a JSON with J = 64N.
+    rng = np.random.default_rng(3)
+    ab = rng.standard_normal((130, 2)).tolist()
+    terms = [[j, a, b if j else 0.0] for j, (a, b) in enumerate(ab)]
+    doc = {"kind": "HarmonicSum", "terms": terms, "p": None, "r": 1, "variation": 1.0}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["spline", "--inline", json.dumps(doc), "--n", "64", "--r", "170",
+                    "--out", str(tmp_path / "s")])
+    assert code == 3 and not caught
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "s.spline.json").exists()
 
 
 @pytest.mark.parametrize("variant", ["abs-sinc", "inv-power", "sinc"])

@@ -17,8 +17,10 @@ from trigspec import (
     power_decay_cosine,
     sample,
 )
+from trigspec._series import alias_fold
 from trigspec.sampling import (
     SampleVector,
+    interpolating_polynomial,
     samples_from_csv,
     samples_to_csv,
     spectrum_from_csv,
@@ -148,12 +150,23 @@ def test_dft_agrees_with_python_oracle(rng):
         assert np.allclose(spec.b, b, atol=1e-13)
 
 
+def test_interpolating_polynomial_is_the_discrete_spectrum():
+    samples = sample(power_decay_cosine(4), make_grid(8))
+    poly = interpolating_polynomial(samples)
+    spec = discrete_coeffs(samples)
+    assert isinstance(poly, DiscreteSpectrum)
+    assert poly.a0 == spec.a0
+    assert np.array_equal(poly.a, spec.a) and np.array_equal(poly.b, spec.b)
+    assert type(poly(1.0)) is float
+    assert poly(1.0 + 2.0 * np.pi) == pytest.approx(poly(1.0), abs=1e-14)
+
+
 def test_reconstruction_at_nodes(rng):
     for n in (2, 8, 64):
         grid = make_grid(n)
         values = rng.standard_normal(grid.N)
         spec = discrete_coeffs(SampleVector(grid, values))
-        assert np.max(np.abs(spec.reconstruct(grid.nodes) - values)) < 1e-10
+        assert np.max(np.abs(spec(grid.nodes) - values)) < 1e-10
 
 
 # -- alias classes ---------------------------------------------------------------
@@ -187,6 +200,15 @@ def test_alias_class_properties(j, n):
     t = 2 * np.pi * np.arange(N) / N
     assert np.allclose(np.cos(j * t), np.cos(cls.k * t), atol=1e-9)
     assert np.allclose(np.sin(j * t), cls.sin_sign * np.sin(cls.k * t), atol=1e-9)
+
+
+@pytest.mark.parametrize("N", [3, 5, 17, 129])
+def test_alias_fold_agrees_with_alias_class(N):
+    js = np.arange(5 * N + 1)
+    k, sin_sign = alias_fold(js, N)
+    want = [alias_class(j, N) for j in js.tolist()]
+    assert k.tolist() == [c.k for c in want]
+    assert sin_sign.tolist() == [float(c.sin_sign) for c in want]
 
 
 # -- extended coefficients -------------------------------------------------------

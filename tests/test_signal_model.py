@@ -113,6 +113,14 @@ def test_mismatched_parity_eval_clausen_exact(lerch_fold):
     assert np.max(np.abs(derivative_values(cos3, 1, t) + want)) <= 1e-13
 
 
+@pytest.mark.parametrize("name", ["harmonic-mixed", "power-cos-4"])
+def test_zeroth_derivative_is_the_signal(name, suite):
+    # harmonic-mixed has a constant term, which the zeroth derivative keeps.
+    sig = suite[name]
+    t = np.linspace(0.0, 2.0 * np.pi, 257)
+    assert np.array_equal(derivative_values(sig, 0, t), evaluate(sig, t))
+
+
 @pytest.mark.parametrize("p", [2, 2.5, 3, 4])
 def test_power_decay_at_zero_is_zeta(p):
     # The series at t = 0 sums to zeta(p); the truncated sum that preceded

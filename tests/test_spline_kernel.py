@@ -20,7 +20,6 @@ from trigspec.errors import DegenerateKernelError, SeriesPrecisionError
 from trigspec.spline_kernel import (
     class_gain_sum_direct,
     class_partition_terms,
-    gain_array,
     response_table_to_csv,
 )
 
@@ -182,6 +181,19 @@ def test_gain_times_class_sum_is_raw_gain():
         )
 
 
+@pytest.mark.parametrize("variant,r", [("sinc", 2), ("sinc", 3), ("abs-sinc", 3), ("inv-power", 1)])
+def test_gains_on_arrays_equal_scalar_calls(variant, r):
+    c = cfg(8, r, variant)
+    js = np.arange(1, 5 * c.grid.N + 1)
+    raw = raw_gain(js, c)
+    alpha = gain(js, c)
+    for j, want_raw, want_alpha in zip(js.tolist(), raw, alpha):
+        assert type(raw_gain(j, c)) is float and type(gain(j, c)) is float
+        assert raw_gain(j, c) == want_raw
+        assert gain(j, c) == want_alpha
+    assert raw_gain(js.reshape(5, -1), c).shape == (5, c.grid.N)
+
+
 def test_gain_zero_at_multiples_of_N_for_sinc():
     c = cfg(2, 3, "abs-sinc")
     assert gain(c.grid.N, c) == 0.0
@@ -192,7 +204,7 @@ def test_gain_positive_and_bounded_in_band():
     for variant in ("abs-sinc", "inv-power"):
         for r in (1, 3, 10):
             c = cfg(16, r, variant)
-            gains = gain_array(np.arange(1, 17), c)
+            gains = gain(np.arange(1, 17), c)
             assert np.all(gains > 0)
             assert np.all(gains <= 1.0)
 
@@ -243,7 +255,7 @@ def test_abs_sinc_and_inverse_power_gains_coincide_off_dc():
         js = np.arange(1, 6 * 17)
         js = js[js % 17 != 0]
         assert np.allclose(
-            gain_array(js, c_abs), gain_array(js, c_inv), rtol=1e-12, atol=1e-15
+            gain(js, c_abs), gain(js, c_inv), rtol=1e-12, atol=1e-15
         )
 
 
@@ -287,7 +299,7 @@ def test_gain_decay_slope(variant, r):
     N = c.grid.N
     js = np.arange(2 * N, 16 * N + 1)
     js = js[js % N != 0]
-    slope = fit_loglog_slope(js, gain_array(js, c))
+    slope = fit_loglog_slope(js, gain(js, c))
     assert abs(slope - (-(1 + r))) < 0.3
 
 

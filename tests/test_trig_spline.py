@@ -163,6 +163,24 @@ def test_scattered_eval_out_of_float_range_raises():
         spline_eval(spl, c.grid.nodes)
 
 
+def test_high_order_bounds_out_of_float_range_raise():
+    # At order 170 on N = 129 the class factors F_k/H_k overflow, so the
+    # truncation and scattered-evaluation bounds refuse instead of
+    # returning NaN (and a truncation at the cap). At order 160 they are
+    # finite, and the truncation is J = N.
+    rng = np.random.default_rng(3)
+    ab = rng.standard_normal((130, 2))
+    sig = harmonic_sum([(j, a, b if j else 0.0) for j, (a, b) in enumerate(ab)])
+    spl, _ = spline_of(sig, 64, 170)
+    with pytest.raises(SeriesPrecisionError, match=r"N=129, order 170"):
+        series_truncation(spl)
+    with pytest.raises(SeriesPrecisionError, match=r"N=129, order 170"):
+        scattered_eval_bound(spl)
+    spl, _ = spline_of(sig, 64, 160)
+    assert series_truncation(spl) == (129, 0.0)
+    assert math.isfinite(scattered_eval_bound(spl))
+
+
 def test_uniform_grid_values_match_brute_series():
     # Independent check of the zeta fold: long direct summation of the
     # coefficient law on a grid size coprime to N.
