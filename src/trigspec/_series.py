@@ -7,16 +7,21 @@ guarantees:
   ``sum_{k>=1} sin(kt)/k^s`` (odd s), which are Bernoulli polynomials in
   t/(2*pi) up to a constant factor;
 - tails of arithmetic-progression power sums
-  ``sum_{m>=m0} (m*step + offset)^(-s)``, which are Hurwitz zeta values;
+  ``sum_{m>=m0} (m*step + offset)^(-s)``, which are Hurwitz zeta values,
+  and their ratio form ``sum_i (k/(i*step + j0))^s`` (:func:`ratio_tail`),
+  whose terms are powers of ratios below one and never leave the float
+  range before they are negligible;
 - the Lerch transcendent on the unit circle,
-  ``sum_{m>=0} e^(i m theta) (m+q)^(-s)``, and the polylogarithm
+  ``sum_{m>=0} e^(i m theta) (q/(m+q))^s``, and the polylogarithm
   Li_s(e^(i theta)) it contains, through their zeta-series expansion
   (Erdelyi et al., *Higher Transcendental Functions* I, 1.11; Crandall,
   "Note on fast polylogarithm computation", 2006).
 
-Alongside them sit the small index and angle primitives every layer
-shares: angle reduction, derivative rotation of a coefficient pair, and
-the fold of a harmonic index onto its alias class (:func:`alias_fold`).
+Alongside them sit the small primitives every layer shares: angle
+reduction, derivative rotation of a coefficient pair, the fold of a
+harmonic index onto its alias class (:func:`alias_fold`), and powers of
+ratios formed from their exact numerator and denominator
+(:func:`ratio_power`).
 
 Everything here is pure and vectorized.
 """
@@ -28,8 +33,6 @@ from math import comb, factorial
 
 import numpy as np
 from scipy.special import digamma, gammaln, zeta
-
-from .errors import SeriesPrecisionError
 
 TWO_PI = 2.0 * np.pi
 # Terms of the Lerch expansion kept beyond the order s. Past the singular
@@ -71,6 +74,51 @@ def alias_fold(j, N):
     res = np.mod(j, N)
     k = np.minimum(res, N - res)
     return k, np.where(res > N // 2, -1.0, 1.0)
+
+
+def ratio_power(a, b, x):
+    """``(a/b)^x`` for positive a and b, formed from a and b themselves; arrays broadcast.
+
+    The quotient a/b rounded and raised to x carries x times its rounding
+    error. The frexp mantissas of a and b are exact and lie in [1/2, 1),
+    so their powers stay normal up to x = 1000 and the result carries a
+    few ulps; larger x is split into powers of 1000 and a rest. x >= 0 is
+    a scalar, an integer unless a and b share their binary exponent.
+    Powers go through the ``np.power`` ufunc, whose bits do not depend on
+    whether an operand is a scalar or an array.
+    """
+    return _ratio_power(a, b, x)
+
+
+def _ratio_power(a, b, x):
+    # ratio_power's body. The cached _lerch_table calls it directly, so a
+    # table built on a cache miss adds no public calls: the benchmark's
+    # traced call counts must not depend on cache state.
+    if x > 1000:
+        times, rest = divmod(x, 1000)
+        return np.power(_ratio_power(a, b, 1000), times) * _ratio_power(a, b, rest)
+    ma, ea = np.frexp(a)
+    mb, eb = np.frexp(b)
+    shift = ea - eb
+    if x == int(x):
+        shift = int(x) * shift
+    elif np.any(shift != 0):
+        raise ValueError("a non-integer power needs a and b with the same binary exponent")
+    return np.ldexp(np.power(ma, x) / np.power(mb, x), shift)
+
+
+def ratio_tail(s, k, j0, step, alternating=False):
+    """``sum_{i>=0} eps^i (k/(i*step + j0))^s``, eps = -1 when `alternating`, else 1.
+
+    k, j0 and step are positive and exact (integers, in every use here);
+    arrays broadcast. The first term is :func:`ratio_power` of k and j0,
+    the rest ``(k/step)^s`` times a Hurwitz tail at 1 + j0/step. For
+    k <= j0 every term lies below one, so whatever underflows is
+    negligible beside the first.
+    """
+    rest = ratio_power(k, step, s) * hurwitz_tail(s, 1.0 + np.asarray(j0) / step, alternating)
+    first = ratio_power(k, j0, s)
+    return first - rest if alternating else first + rest
 
 
 @lru_cache(maxsize=None)
@@ -162,16 +210,6 @@ def progression_tail(s, step, offset, m_start=1, alternating=False):
     return half * (even_part - odd_part)
 
 
-def fit_loglog_slope(x, y):
-    """Least-squares slope of log(y) against log(x), ignoring nonpositive y."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    keep = y > 0
-    if np.count_nonzero(keep) < 2:
-        raise ValueError("need at least two positive values for a slope fit")
-    return float(np.polyfit(np.log(x[keep]), np.log(y[keep]), 1)[0])
-
-
 def grid_total_variation(values):
     """Total variation of a periodic sequence, wrap-around step included."""
     values = np.asarray(values, dtype=float)
@@ -253,54 +291,54 @@ def _pole_pair(s, theta):
 
 @lru_cache(maxsize=64)
 def _lerch_table(s, q, step):
-    # Row i, column r: the coefficient of u^r, u = theta/pi, in
-    # e^(i q_i theta/step) sum_m e^(i m theta) (m step + q_i)^-s minus its
-    # singular part, times the real sign of i^r (1, 1, -1, -1 for
-    # r = 0, 1, 2, 3 mod 4). Unscaled (step = 1) the coefficient of
-    # (i theta)^r is zeta(s-r, q)/r!; every entry is real, so even columns
-    # give the real part and odd columns the imaginary part. Step powers
-    # are folded in factor by factor: zeta(s-r, q/step) alone overflows
-    # once step^s passes the float range, the scaled entry never does.
+    # Returns (table, lead). Row i of table, column r: the coefficient of
+    # u^r, u = theta/pi, in e^(i a theta) sum_m e^(i m theta) (q/(m step + q))^s
+    # minus its singular part, a = q_i/step, times the real sign of i^r
+    # (1, 1, -1, -1 for r = 0, 1, 2, 3 mod 4); every entry is real, so even
+    # columns give the real part and odd columns the imaginary part. The
+    # row is a^s Phi(e^(i theta), s, a), and the coefficient of (i theta)^r
+    # is a^s zeta(s-r, a)/r!; taking the first term of zeta apart gives
+    # a^r [1 + a^(s-r) zeta(s-r, 1+a)] / r!, whose powers of a stay below
+    # one and are formed from q and step. lead holds a^s, the factor of the
+    # singular part and of the columns with s - r <= 1.
     q = np.asarray(q, dtype=float)
     R = _lerch_terms(s)
     integer = s == int(s)
     pole_col = -1 if integer else _pole_constants(s)[0] - 1
-    scaled = _powers_over_factorial(math.pi / step, R)       # (pi/step)^r / r!
-    plain = _powers_over_factorial(math.pi, R) * step**-s    # pi^r / r! step^-s
+    a = q / step
+    lead = _ratio_power(q, step, s)
+    pf = _powers_over_factorial(math.pi, R)      # pi^r / r!
     c = np.zeros((q.size, R))
     for r in range(R):
         x = s - r
         if r == pole_col:
             continue                             # summed with the singular term
         if x > 1.0:
-            # step^-x zeta(x, q/step) = sum_m (m step + q)^-x
-            c[:, r] = (q**-x + step**-x * zeta(x, 1.0 + q / step)) * scaled[r]
+            c[:, r] = (1.0 + _ratio_power(q, step, x) * zeta(x, 1.0 + a)) * (_ratio_power(q, step, r) * pf[r])
         elif not integer:
-            c[:, r] = zeta(x) * plain[r]
+            c[:, r] = zeta(x) * lead * pf[r]
         elif x == 1.0:
             harmonic = math.fsum(1.0 / j for j in range(1, r + 1))
-            c[:, r] = (harmonic - digamma(q / step) - np.euler_gamma) * plain[r]
+            c[:, r] = (harmonic - digamma(a) - np.euler_gamma) * lead * pf[r]
         else:
             # zeta(-m, a) = -B_{m+1}(a)/(m+1); B_n(1-a) = (-1)^n B_n(a)
             # keeps the Horner argument in [0, 1/2].
             n = 1 - int(x)
-            a = q / step
             sign = np.where(a > 0.5, (-1.0) ** n, 1.0)
-            c[:, r] = -sign * _bernoulli_poly(n, np.minimum(a, 1.0 - a)) / n * plain[r]
+            c[:, r] = -sign * _bernoulli_poly(n, np.minimum(a, 1.0 - a)) / n * lead * pf[r]
     table = c * np.array([1.0, 1.0, -1.0, -1.0])[np.arange(R) % 4]
-    if not np.all(np.isfinite(table)):
-        raise SeriesPrecisionError(f"Lerch expansion coefficients overflow at s={s}")
     table.setflags(write=False)
-    return table
+    lead.setflags(write=False)
+    return table, lead
 
 
-def _lerch_singular(s, theta, step):
-    # The part of step^-s e^(i q theta) Phi the power series leaves out, the
-    # same for every q: -(i theta)^(s-1) log(-i theta) / (s-1)! for integer
-    # s (0 at theta = 0), and for non-integer s the pole pair of _pole_pair,
-    # which also carries the coefficient of (i theta)^(round(s)-1).
+def _lerch_singular(s, theta):
+    # The part of e^(i a theta) Phi(e^(i theta), s, a) the power series
+    # leaves out, the same for every a: -(i theta)^(s-1) log(-i theta) / (s-1)!
+    # for integer s (0 at theta = 0), and for non-integer s the pole pair of
+    # _pole_pair, which also carries the coefficient of (i theta)^(round(s)-1).
     m = (int(s) if s == int(s) else _pole_constants(s)[0]) - 1
-    coeff = _powers_over_factorial(math.pi, m + 1)[m] * step**-s * _I_POW[m % 4]
+    coeff = _powers_over_factorial(math.pi, m + 1)[m] * _I_POW[m % 4]
     u = (theta / math.pi) ** m
     if s != int(s):
         return coeff * u * _pole_pair(s, theta)
@@ -312,17 +350,17 @@ def _lerch_singular(s, theta, step):
 
 
 def lerch_unit(s, q, theta, step=1.0):
-    """``sum_{m>=0} e^(i m theta) (m*step + q)^(-s)``, the Lerch transcendent on the unit circle.
+    """``sum_{m>=0} e^(i m theta) (q/(m*step + q))^s``, the Lerch transcendent on the unit circle.
 
-    With the default step this is ``Phi(e^(i theta), s, q)``; in general
-    it is ``step^-s Phi(e^(i theta), s, q/step)``, computed without
-    forming either factor, so large ``step^s`` neither overflows nor
-    loses precision. Returns a complex array with one row per q and one
-    column per theta. Integer s >= 2 takes any q in (0, step];
-    non-integer s > 1 takes q = step only. Angles reduce to [-pi, pi),
-    where the expansion (shown for step = 1)
+    The sum is normalized so that its first term is 1: it is
+    ``a^s Phi(e^(i theta), s, a)`` with ``a = q/step``, and with the
+    default step and q = 1 it is ``Phi(e^(i theta), s, 1)``. Every term is
+    a power of a ratio below one, so no order takes it out of the float
+    range. Returns a complex array with one row per q and one column per
+    theta. Integer s >= 2 takes any q in (0, step]; non-integer s > 1
+    takes q = step only. Angles reduce to [-pi, pi), where the expansion
 
-        e^(-i q theta) [sum_r zeta(s-r, q) (i theta)^r / r! + singular term]
+        a^s e^(-i a theta) [sum_r zeta(s-r, a) (i theta)^r / r! + singular term]
 
     converges geometrically; :func:`lerch_remainder_bound` bounds the
     terms it drops. Its coefficients depend only on (s, q, step) and are
@@ -345,7 +383,7 @@ def lerch_unit(s, q, theta, step=1.0):
     if theta.ndim != 1 or not np.all(np.isfinite(theta)):
         raise ValueError("theta must be a 1-D array of finite angles")
     step = float(step)
-    table = _lerch_table(float(s), tuple(q.tolist()), step)
+    table, lead = _lerch_table(float(s), tuple(q.tolist()), step)
     theta = np.mod(theta + np.pi, TWO_PI) - np.pi
     out = np.empty((q.size, theta.size), dtype=complex)
     for start in range(0, theta.size, _LERCH_BLOCK):
@@ -355,25 +393,26 @@ def lerch_unit(s, q, theta, step=1.0):
         powers[1:] = th / math.pi
         np.cumprod(powers, axis=0, out=powers)
         series = table[:, 0::2] @ powers[0::2] + 1j * (table[:, 1::2] @ powers[1::2])
-        series += _lerch_singular(s, th, step)
+        series += np.multiply.outer(lead, _lerch_singular(s, th))
         out[:, start:start + _LERCH_BLOCK] = np.exp(-1j * np.multiply.outer(q / step, th)) * series
     return out
 
 
-def lerch_remainder_bound(s, step=1.0):
+def lerch_remainder_bound(s):
     """Bound on the terms :func:`lerch_unit` drops, for any q in (0, step] and theta.
 
     With R terms kept, term r >= R of ``Phi`` is at most
     T_r = 2 Gamma(r-s+1) zeta(r-s+1) pi^r / ((2 pi)^(r-s+1) r!), from
     |B_n(x)| <= 2 n! zeta(n) / (2 pi)^n on [0, 1] and the functional
     equation of zeta; T_{r+1} <= T_r / 2, so the remainder is at most
-    2 T_R, times ``step^-s``. Rounding is not included.
+    2 T_R. A row of :func:`lerch_unit` carries it times ``(q/step)^s``,
+    which is at most 1. Rounding is not included.
     """
     R = _lerch_terms(s)
     x = R - s + 1.0
     log_term = (
         math.log(2.0) + gammaln(x) + math.log(zeta(x)) + R * math.log(math.pi)
-        - x * math.log(TWO_PI) - gammaln(R + 1.0) - s * math.log(step)
+        - x * math.log(TWO_PI) - gammaln(R + 1.0)
     )
     return 2.0 * math.exp(log_term)
 

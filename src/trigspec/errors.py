@@ -15,9 +15,7 @@ class DegenerateKernelError(NumericalError):
     """A class normalizer cancelled to below the guard threshold.
 
     Checked, and raised, only for the signed sinc-power factor family
-    with an odd power, the one family whose class sums can cancel. A
-    class sum or raw gain that leaves the float range is a
-    :class:`SeriesPrecisionError` in every family.
+    with an odd power, the one family whose class sums can cancel.
     """
 
 
@@ -37,8 +35,7 @@ class QuadratureConvergenceError(NumericalError):
 class SeriesPrecisionError(NumericalError):
     """A series result cannot be certified to its accuracy contract.
 
-    Raised when a term of a closed form leaves the float range, or when
-    rounding alone already exceeds the requested tolerance.
+    Raised when rounding alone already exceeds the requested tolerance.
     """
 
 

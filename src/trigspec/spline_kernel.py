@@ -9,16 +9,24 @@ from them interpolate the samples. Plotted over j, the normalized gains
 are the amplitude response of a low-pass filter with cutoff at the band
 edge and a roll-off slope set by the order r.
 
-Class sums are series over all fold terms; they are evaluated in closed
-form through Hurwitz zeta tails, so results carry no truncation error.
-They depend only on the grid, the order and the gain family, so each
-configuration's per-class data is computed once (:func:`class_table`).
-A direct truncated summation is kept alongside as an independent
-cross-check path.
+Only ratios enter the gains. |sin(pi j/N)| is the same on every member
+of a class, so a member j of class k has
+
+    alpha_j = eps_j (k/j)^s / (1 + rho_k),
+    rho_k = sum_{m>=1} [eps_{mN+k} (k/(mN+k))^s + eps_{mN-k} (k/(mN-k))^s],
+
+with s = r + 1 and eps_j the sign of sigma_j (-1 on odd blocks of N in
+the signed family, else 1). Every term of rho_k lies below one, so the
+gains stay in the float range at any order. rho_k is evaluated in
+closed form, each branch's first term apart and the rest as a Hurwitz
+zeta tail, so results carry no truncation error. It depends only on the
+grid, the order and the gain family, so each configuration's per-class
+data is computed once (:func:`class_table`). The class sums
+H_k = sigma_k (1 + rho_k) are output data; a direct truncated summation
+of them is kept alongside as an independent cross-check path.
 """
 
 import enum
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -26,7 +34,7 @@ import numpy as np
 
 from . import _series
 from ._wire import csv_text
-from .errors import DegenerateKernelError, SeriesPrecisionError
+from .errors import DegenerateKernelError
 
 _H_GUARD = 1e-12
 # Largest fold index a direct class summation accepts; larger requests are
@@ -116,27 +124,13 @@ def raw_gain(j, config):
     return out if j_in.ndim else float(out[0])
 
 
-def _class_magnitude(k, config):
-    # Common |sin| factor of every member of class k (1 for inverse power).
-    if config.variant is FilterVariant.INVERSE_POWER:
-        return 1.0
-    N = config.grid.N
-    try:
-        return (math.sin(math.pi * k / N) * N / math.pi) ** config.power
-    except OverflowError:
-        raise SeriesPrecisionError(
-            f"class magnitude for k={k} leaves the float range "
-            f"(n={config.grid.n}, order {config.order}, {config.variant.value})"
-        ) from None
-
-
 def class_gain_sum(k, config):
     """Sum of raw gains over alias class k (the interpolation normalizer).
 
     Exact: the fold series sigma_k + sum_m (sigma_{mN+k} + sigma_{mN-k})
-    reduces to Hurwitz zeta tails because |sin| is constant on a class.
-    The value is the class table's entry, so a configuration whose table
-    is refused raises its error here too.
+    is sigma_k (1 + rho_k), with rho_k in closed form because |sin| is
+    constant on a class. The value is the class table's entry, so a
+    configuration whose table is refused raises its error here too.
     """
     if k < 1 or k > config.grid.n:
         raise ValueError("class representative k must lie in 1..n")
@@ -144,16 +138,28 @@ def class_gain_sum(k, config):
 
 
 def _branch_tails(config, k, m_start=1):
-    # (plus, signed minus): the fold members of class k beyond the band,
-    # sum over m >= m_start of (mN + k)^-s and of (mN - k)^-s, both
-    # without the factor F_k. The signed family alternates in m and enters
-    # the minus branch negated, so class sums are k^-s + plus + minus.
+    # (plus, minus): the fold members of class k with m >= m_start as
+    # signed ratios to the in-band member, sum eps_j (k/j)^s over
+    # j = mN + k and over j = mN - k. The signed family's sign is (-1)^m
+    # on the plus branch and -(-1)^m on the minus branch, so rho_k is
+    # plus + minus at m_start = 1.
     s = config.power
     N = config.grid.N
-    alternating = config.signed
-    plus = _series.progression_tail(s, N, k, m_start=m_start, alternating=alternating)
-    minus = _series.progression_tail(s, N, -k, m_start=m_start, alternating=alternating)
-    return plus, -minus if alternating else minus
+    signed = config.signed
+    plus = _series.ratio_tail(s, k, m_start * N + k, N, signed)
+    minus = _series.ratio_tail(s, k, m_start * N - k, N, signed)
+    if not signed:
+        return plus, minus
+    sign = -1.0 if m_start % 2 else 1.0
+    return sign * plus, -sign * minus
+
+
+def _member_ratios(j, k, config):
+    # eps_j (k/j)^s for members j of classes k >= 1: alpha_j / alpha_k.
+    out = _series.ratio_power(k, j, config.power)
+    if config.signed:
+        out = np.where((j // config.grid.N) % 2 == 1, -out, out)
+    return out
 
 
 def class_gain_sum_direct(k, config, m_terms):
@@ -186,7 +192,7 @@ class FilterTable:
     """Normalized gains alpha for j = 1..j_max plus the per-class sums."""
 
     config: KernelConfig
-    class_sums: np.ndarray = field(repr=False)  # H_k, k = 1..n
+    class_sums: np.ndarray = field(repr=False)  # H_k = sigma_k (1 + rho_k), k = 1..n
     dc_class_sum: float
     gains: np.ndarray = field(repr=False)  # alpha_j, j = 1..j_max
     j_max: int
@@ -196,13 +202,15 @@ class FilterTable:
 class ClassTable:
     """Per-class data of one (grid, order, variant), for k = 1..n.
 
-    ``magnitudes`` holds F_k, the |sin| factor shared by every member of
-    class k (1 for inverse power); ``raw_gains`` the in-band raw gain
-    sigma_k; ``sums`` the validated class sums H_k; ``dc_sum`` the
-    constant-class normalizer. The arrays are read-only.
+    ``gains`` holds the in-band gains alpha_k = 1/(1 + rho_k), the factor
+    every member of class k carries (alpha_j = eps_j (k/j)^s alpha_k);
+    ``raw_gains`` the in-band raw gains sigma_k; ``sums`` the class sums
+    H_k = sigma_k (1 + rho_k), output data only, which underflow with
+    sigma_k at high orders; ``dc_sum`` the constant-class normalizer. The
+    arrays are read-only.
     """
 
-    magnitudes: np.ndarray = field(repr=False)
+    gains: np.ndarray = field(repr=False)
     raw_gains: np.ndarray = field(repr=False)
     sums: np.ndarray = field(repr=False)
     dc_sum: float
@@ -212,8 +220,7 @@ def class_table(config):
     """The :class:`ClassTable` of ``config``, computed once per configuration.
 
     One array pass over k = 1..n builds every entry; ``tail_tol`` does
-    not enter. A table whose entries left the float range, or whose
-    signed class sums cancelled, is refused.
+    not enter. A signed table whose class sums cancelled is refused.
     """
     return _class_table(config.grid, config.order, config.variant)
 
@@ -221,59 +228,40 @@ def class_table(config):
 @lru_cache(maxsize=64)
 def _class_table(grid, order, variant):
     config = KernelConfig(grid=grid, order=order, variant=variant)
-    s = config.power
-    ks = range(1, grid.n + 1)
-    # F_k and k^-s by Python's scalar **: NumPy's array power differs from
-    # it in the last bit for some inputs, and these bits reach the CSVs.
-    magnitudes = np.array([_class_magnitude(k, config) for k in ks])
-    in_band = np.array([float(k) ** -s for k in ks])
-    plus, minus = _branch_tails(config, np.arange(1.0, grid.n + 1))
-    sums = magnitudes * (in_band + plus + minus)
-    raw_gains = raw_gain(np.arange(1, grid.n + 1), config)
-    _check_class_sums(config, raw_gains, sums)
+    k = np.arange(1, grid.n + 1)
+    plus, minus = _branch_tails(config, k)
+    one_plus_rho = 1.0 + (plus + minus)
+    _check_class_sums(config, one_plus_rho)
+    gains = 1.0 / one_plus_rho
+    raw_gains = raw_gain(k, config)
+    sums = raw_gains * one_plus_rho
     if variant is FilterVariant.INVERSE_POWER:
-        dc_sum = 1.0 + 2.0 * _series.progression_tail(s, grid.N, 0.0)
+        dc_sum = 1.0 + 2.0 * _series.progression_tail(config.power, grid.N, 0.0)
     else:
         dc_sum = 1.0
-    for arr in (magnitudes, raw_gains, sums):
+    for arr in (gains, raw_gains, sums):
         arr.setflags(write=False)
-    return ClassTable(magnitudes, raw_gains, sums, dc_sum)
+    return ClassTable(gains, raw_gains, sums, dc_sum)
 
 
-def _check_class_sums(config, scale, sums):
-    # scale holds the in-band raw gains sigma_k, sums the class sums H_k.
-    # In-band raw gains are finite and nonzero, and so are the class sums
-    # of the positive families; a zero or non-finite value there left the
-    # float range. A zero signed class sum is cancellation, checked below.
-    lost = (
-        (scale == 0.0)
-        | ~np.isfinite(scale)
-        | ~np.isfinite(sums)
-        | (not config.signed and sums == 0.0)
-    )
-    if np.any(lost):
-        bad = 1 + int(np.argmax(lost))
-        raise SeriesPrecisionError(
-            f"class k={bad} left the float range (raw gain {scale[bad - 1]:.3e}, "
-            f"class sum {sums[bad - 1]:.3e}; n={config.grid.n}, order {config.order}, "
-            f"{config.variant.value})"
-        )
-    # Degeneracy means cancellation: the class sum collapsing relative to
-    # the in-band raw gain, which only the signed family can do. An
-    # absolute threshold would reject healthy high-order tables whose
-    # gains are legitimately tiny.
-    if config.signed and np.any(np.abs(sums) <= _H_GUARD * np.abs(scale)):
-        bad = 1 + int(np.argmin(np.abs(sums) / np.abs(scale)))
+def _check_class_sums(config, one_plus_rho):
+    # Degeneracy is cancellation: the class sum collapsing relative to the
+    # in-band raw gain, 1 + rho_k near zero, which only the signed family
+    # can do (rho_k > 0 in the others).
+    if config.signed and np.any(np.abs(one_plus_rho) <= _H_GUARD):
+        bad = 1 + int(np.argmin(np.abs(one_plus_rho)))
         raise DegenerateKernelError(
-            f"class sum for k={bad} collapsed to {sums[bad - 1]:.3e} "
-            f"(raw gain {scale[bad - 1]:.3e}); the signed sinc family degenerated"
+            f"class sum for k={bad} collapsed to {one_plus_rho[bad - 1]:.3e} times its "
+            f"in-band raw gain; the signed sinc family degenerated"
         )
 
 
 def gain(j, config):
     """Normalized gain alpha(r, j) = sigma_j / (class sum of j's alias class).
 
-    j is an integer >= 1 or an integer array; a scalar gives a float, an
+    It is formed as eps_j (k/j)^s alpha_k for a member j of class k, and
+    as sigma_j over the constant-class normalizer for multiples of N. j
+    is an integer >= 1 or an integer array; a scalar gives a float, an
     array an array of its shape.
     """
     j_in = np.asarray(j, dtype=np.int64)
@@ -281,8 +269,11 @@ def gain(j, config):
     if np.any(j < 1):
         raise ValueError("gain is defined for harmonic indices j >= 1")
     ct = class_table(config)
-    _, denom = _class_normalizers(j, config.grid.N, ct.sums, ct.dc_sum)
-    out = raw_gain(j, config) / denom
+    k, _ = _series.alias_fold(j, config.grid.N)
+    dc = k == 0
+    out = _member_ratios(j, k, config) * ct.gains[np.maximum(k, 1) - 1]
+    if np.any(dc):
+        out[dc] = raw_gain(j[dc], config) / ct.dc_sum
     return out if j_in.ndim else float(out[0])
 
 
@@ -298,7 +289,8 @@ def filter_response(config, j_max):
     Requires j_max >= n so the whole band is covered.
 
     Around the band edge, for the abs-sinc and inverse-power families, a
-    member j of class k has alpha(r, j) = (k/j)^(1+r) alpha(r, k):
+    member j of class k has alpha(r, j) = (k/j)^(1+r) alpha(r, k), with
+    alpha(r, k) = 1/(1 + rho_k) as in the module docstring:
 
     - at j = n the gain rises strictly with the order r, since
       alpha(r, n) = 1 / (1 + sum_m [(n/(mN-n))^(1+r) + (n/(mN+n))^(1+r)])
@@ -333,16 +325,21 @@ def class_partition_terms(k, config, m_terms, table=None):
     Returns ``(partial, remainder)`` with partial the directly summed
     alpha over the class members up to fold index m_terms and remainder
     the closed-form value of everything beyond. Their sum is 1 up to
-    rounding: the partition-of-unity property. The class sum is read from
-    ``table`` when one is given, else from the class table.
+    rounding: the partition-of-unity property. The in-band gain alpha_k
+    is read from ``table`` when one is given, else from the class table.
+    ``m_terms`` must lie in 0..10**6.
     """
     if k < 1 or k > config.grid.n:
         raise ValueError("class representative k must lie in 1..n")
-    ct = class_table(config)
-    H = float((ct.sums if table is None else table.class_sums)[k - 1])
-    partial = class_gain_sum_direct(k, config, m_terms)
-    plus, minus = _branch_tails(config, float(k), m_start=m_terms + 1)
-    return partial / H, ct.magnitudes[k - 1] * (plus + minus) / H
+    if not 0 <= m_terms <= _M_TERMS_CAP:
+        raise ValueError(f"m_terms must lie in 0..{_M_TERMS_CAP}")
+    alpha = float((class_table(config).gains if table is None else table.gains)[k - 1])
+    m = np.arange(1, m_terms + 1)
+    N = config.grid.N
+    members = np.concatenate(([k], m * N + k, m * N - k))
+    partial = alpha * float(np.sum(_member_ratios(members, k, config)))
+    plus, minus = _branch_tails(config, k, m_start=m_terms + 1)
+    return partial, alpha * (plus + minus)
 
 
 def response_table_to_csv(table):

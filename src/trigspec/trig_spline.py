@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _series
-from .errors import SeriesPrecisionError
 from .sampling import DiscreteSpectrum, discrete_coeffs, make_grid
 from .spline_kernel import FilterVariant, KernelConfig, class_table, filter_response, gain
 
@@ -105,32 +104,22 @@ def series_truncation(spline):
     J = L*N is the smallest multiple whose bound on the sum of
     |coefficients| beyond J drops below ``config.tail_tol``, capped at
     L = 64; returns ``(J, tail_bound)``, the bound achieved at that J.
-    Class k contributes ((w F) / |H|) S_k(L) with w = |a*_k| + |b*_k|,
-    added in class order with classes of w = 0 skipped; S_k(L) is the
-    per-class mass of the members beyond J, mN + k with m >= L and mN - k
-    with m >= L + 1, as two Hurwitz zeta tails. Raises
-    :class:`SeriesPrecisionError` when a class factor (w F) / |H| leaves
-    the float range and the bound comes out non-finite.
+    Class k contributes w |alpha_k| S_k(L) with w = |a*_k| + |b*_k| and
+    alpha_k the in-band gain, added in class order with classes of w = 0
+    skipped; S_k(L) is the sum of (k/j)^s over the members beyond J,
+    j = mN + k with m >= L and j = mN - k with m >= L + 1, in ratio form.
     """
     config = spline.config
     spectrum = spline.spectrum
     N = config.grid.N
     s = config.power
-    ct = class_table(config)
     w = np.abs(spectrum.a) + np.abs(spectrum.b)
     live = w != 0.0
-    k = np.arange(1, config.grid.n + 1, dtype=float)[live]
-    with np.errstate(over="ignore"):
-        factor = (w * ct.magnitudes / np.abs(ct.sums))[live]
-    if not np.all(np.isfinite(factor)):
-        raise SeriesPrecisionError(
-            f"series truncation bound left the float range (N={N}, order {config.order})"
-        )
+    k = np.arange(1, config.grid.n + 1)[live]
+    factor = (w * np.abs(class_table(config).gains))[live]
 
     def bound(L):
-        S = _series.progression_tail(s, N, k, m_start=L) + _series.progression_tail(
-            s, N, -k, m_start=L + 1
-        )
+        S = _series.ratio_tail(s, k, L * N + k, N) + _series.ratio_tail(s, k, (L + 1) * N - k, N)
         # cumsum adds in class order, as a per-class loop would.
         return float(np.cumsum(factor * S)[-1]) if k.size else 0.0
 
@@ -169,19 +158,17 @@ def spline_eval(spline, t):
 
     The whole infinite series is summed in closed form. Class k's members
     on each branch, j = mN + k (m >= 0) and j = mN - k (m >= 1), form the
-    Lerch sums ``L(z, j0) = sum_m z^m (mN + j0)^-s`` with first member
-    ``j0 = k`` or ``N - k`` and ``z = e^(iNt)`` (``-e^(iNt)`` for the signed
-    family), so
+    normalized Lerch sums ``L(z, j0) = sum_m z^m (j0/(mN + j0))^s`` with
+    first member ``j0 = k`` or ``N - k`` and ``z = e^(iNt)``
+    (``-e^(iNt)`` for the signed family), so with the in-band gain alpha_k
 
-        S(t) = a0/2 + Re sum_k (F_k/H_k) [(a*_k - i b*_k) e^(ikt) L(z, k)
-                                       + (a*_k + i b*_k) e^(i(N-k)t) L(z, N-k)].
+        S(t) = a0/2 + Re sum_k alpha_k [(a*_k - i b*_k) e^(ikt) L(z, k)
+                          + (k/(N-k))^s (a*_k + i b*_k) e^(i(N-k)t) L(z, N-k)].
 
-    ``L`` is :func:`_series.lerch_unit` with step N, which keeps the
-    factor N^-s inside its coefficients. The error beyond rounding is
+    ``L`` is :func:`_series.lerch_unit` with step N; every factor lies in
+    the float range at any order. The error beyond rounding is
     :func:`scattered_eval_bound`, for every order and every point; it does
-    not depend on ``tail_tol``. Raises :class:`SeriesPrecisionError` when
-    a class factor F_k/H_k leaves the float range and the values come out
-    non-finite.
+    not depend on ``tail_tol``.
     """
     t_arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t_arr)):
@@ -192,88 +179,64 @@ def spline_eval(spline, t):
     s = cfg.power
     spec = spline.spectrum
     k = np.arange(1, n + 1)
-    first = np.concatenate((k, N - k)).astype(float)   # first member j0 of each branch
+    first = np.concatenate((k, N - k))   # first member j0 of each branch
+    alpha = class_table(cfg).gains
+    coeff = spec.a - 1j * spec.b
+    weights = np.concatenate((alpha * coeff, alpha * _series.ratio_power(k, N - k, s) * np.conj(coeff)))
     flat = _series.reduce_angle(t_arr.ravel())
     shift = np.pi if cfg.signed else 0.0
     out = np.empty(flat.shape)
     step = max(_EVAL_CELLS // (2 * n), 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = _class_scales(spline)
-        weights = np.concatenate((scale * (spec.a - 1j * spec.b), scale * (spec.a + 1j * spec.b)))
-        for start in range(0, flat.size, step):
-            tb = flat[start:start + step]
-            lerch = _series.lerch_unit(s, first, N * tb + shift, step=N)
-            out[start:start + step] = np.real(weights @ (np.exp(1j * np.multiply.outer(first, tb)) * lerch))
-        out += 0.5 * spline.a0
-    if not np.all(np.isfinite(out)):
-        raise SeriesPrecisionError(
-            f"scattered evaluation left the float range (N={N}, order {cfg.order})"
-        )
+    for start in range(0, flat.size, step):
+        tb = flat[start:start + step]
+        lerch = _series.lerch_unit(s, first, N * tb + shift, step=N)
+        out[start:start + step] = np.real(weights @ (np.exp(1j * np.multiply.outer(first, tb)) * lerch))
+    out += 0.5 * spline.a0
     return out.reshape(t_arr.shape) if t_arr.ndim else float(out[0])
-
-
-def _class_scales(spline):
-    # F_k / H_k: the factor of class k's Lerch sums.
-    ct = class_table(spline.config)
-    return ct.magnitudes / ct.sums
 
 
 def scattered_eval_bound(spline):
     """Guaranteed absolute accuracy of :func:`spline_eval`, rounding excluded.
 
-    Each Lerch sum carries at most :func:`_series.lerch_remainder_bound`
-    of neglected expansion terms; the bound weighs it by the class
-    factors and coefficient magnitudes. Raises :class:`SeriesPrecisionError`
-    when a class factor F_k/H_k leaves the float range and the bound comes
-    out non-finite.
+    The Lerch sum of first member j0 carries at most (j0/N)^s times
+    :func:`_series.lerch_remainder_bound` of neglected expansion terms, so
+    each branch of class k adds alpha_k (k/N)^s |a*_k - i b*_k| times it.
     """
     spec = spline.spectrum
     cfg = spline.config
-    with np.errstate(over="ignore", invalid="ignore"):
-        mass = 2.0 * np.sum(np.abs(_class_scales(spline)) * np.hypot(spec.a, spec.b))
-    bound = float(mass) * _series.lerch_remainder_bound(cfg.power, cfg.grid.N)
-    if not math.isfinite(bound):
-        raise SeriesPrecisionError(
-            f"scattered evaluation bound left the float range (N={cfg.grid.N}, order {cfg.order})"
-        )
-    return bound
+    k = np.arange(1, cfg.grid.n + 1)
+    weight = np.abs(class_table(cfg).gains) * _series.ratio_power(k, cfg.grid.N, cfg.power)
+    mass = 2.0 * np.sum(weight * np.hypot(spec.a, spec.b))
+    return float(mass) * _series.lerch_remainder_bound(cfg.power)
 
 
 def values_on_uniform_grid(spline, points):
     """Exact spline values at t_g = 2*pi*g/points, g = 0..points-1.
 
     The whole infinite series is folded onto the grid residues; fold
-    tails are Hurwitz zeta values, so the only error is rounding. Works
-    for any grid size, in particular the N nodes themselves. Raises
-    :class:`SeriesPrecisionError` when a fold term leaves the float
-    range and the values come out non-finite.
+    tails are Hurwitz zeta values in ratio form, so the only error is
+    rounding, at any order. Works for any grid size, in particular the N
+    nodes themselves.
     """
     if points < 1 or points != int(points):
         raise ValueError("points must be a positive integer")
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = _series.synth_folded(_folded_spectrum(spline, int(points)), spline.a0)
-    if not np.all(np.isfinite(vals)):
-        raise SeriesPrecisionError(
-            f"uniform-grid fold left the float range (N={spline.config.grid.N}, "
-            f"order {spline.config.order}, {int(points)} points)"
-        )
-    return vals
+    return _series.synth_folded(_folded_spectrum(spline, int(points)), spline.a0)
 
 
 def _folded_spectrum(spline, G):
-    # Class k contributes its in-band term at j = k and, on each branch
-    # j = mN +- k (m >= 1), P Hurwitz tails of step P*N that fold onto the
-    # grid residues. Classes are processed in blocks, and one np.add.at per
-    # block adds the terms in class order (band, + branch, - branch), the
-    # order of a per-class loop.
+    # Class k contributes its in-band term alpha_k (a*_k - i b*_k) at j = k
+    # and, on each branch j = mN +- k (m >= 1), P tails of step P*N that
+    # fold onto the grid residues: alpha_k times sum_i eps (k/(j0 + i P N))^s
+    # from the first member j0 = mN +- k, m = 1..P. Classes are processed in
+    # blocks, and one np.add.at per block adds the terms in class order
+    # (band, + branch, - branch), the order of a per-class loop.
     cfg = spline.config
     N = cfg.grid.N
     s = cfg.power
     spec = spline.spectrum
-    ct = class_table(cfg)
+    alpha = class_table(cfg).gains
     P = G // math.gcd(N, G)
-    PN = float(P * N)
-    scale = PN**-float(s)
+    PN = P * N
     W = np.zeros(G, dtype=complex)
     m0 = np.arange(1, P + 1, dtype=np.int64)
     branch = np.array([1, -1])
@@ -284,16 +247,14 @@ def _folded_spectrum(spline, G):
         k = idx + 1
         astar = spec.a[idx]
         bstar = spec.b[idx]
-        Hk = ct.sums[idx]
-        band = ct.raw_gains[idx] / Hk * (astar - 1j * bstar)
-        cfac = (astar - 1j * branch * bstar) * (ct.magnitudes[idx] / Hk)
+        band = alpha[idx] * (astar - 1j * bstar)
+        cfac = (astar - 1j * branch * bstar) * alpha[idx]
         j0 = m0 * N + (branch * k)[:, :, None]
-        q = j0 / PN
         if cfg.signed:
             sgn0 = np.where((j0 // N) % 2 == 1, -1.0, 1.0)
-            tails = sgn0 * scale * _series.hurwitz_tail(s, q, alternating=(P % 2 == 1))
+            tails = sgn0 * _series.ratio_tail(s, k[:, :, None], j0, PN, alternating=(P % 2 == 1))
         else:
-            tails = scale * _series.hurwitz_tail(s, q)
+            tails = _series.ratio_tail(s, k[:, :, None], j0, PN)
         rows = len(idx)
         terms = np.concatenate((band, (cfac[:, :, None] * tails).reshape(rows, -1)), axis=1)
         where = np.concatenate((k % G, np.mod(j0, G).reshape(rows, -1)), axis=1)
@@ -345,9 +306,9 @@ def curvature_functional(fn, order):
 
     By Parseval it is pi * sum_j j^(2q) (a_j^2 + b_j^2), q = `order`,
     plus pi a0^2 / 2 at q = 0. For a spline every member j of alias class
-    k has |gain_j| = (F_k / H_k) j^-s, s = r + 1, so the class is its
-    in-band term times sum_j (k/j)^(2s - 2q), two Hurwitz zeta tails:
-    O(n), no truncation, independent of ``tail_tol``. That sum diverges
+    k has |gain_j| = |alpha_k| (k/j)^s, s = r + 1, so the class is its
+    in-band term times sum_j (k/j)^(2s - 2q), in ratio form with two
+    Hurwitz zeta tails: O(n), no truncation, independent of ``tail_tol``. That sum diverges
     for q > r, which raises ValueError. Other inputs (``.fourier_series()``
     or an ``(a0, a, b)`` tuple) are finite series, summed term by term.
     `order` must be an even integer >= 0.
@@ -358,12 +319,13 @@ def curvature_functional(fn, order):
         cfg = fn.config
         if order > cfg.order:
             raise ValueError(f"curvature of order {order} diverges at spline order {cfg.order}")
-        # (k/j)^e over the members j = mN +- k is (m N/k +- 1)^-e; the step
-        # N/k keeps every power inside the float range at any order.
+        # (k/j)^e over the members j = mN +- k, m >= 1: ratios below one,
+        # inside the float range at any order.
         e = 2 * (cfg.power - order)
-        step = cfg.grid.N / np.arange(1, cfg.grid.n + 1)
-        mass = 1.0 + _series.progression_tail(e, step, 1.0)
-        mass += _series.progression_tail(e, step, -1.0)
+        N = cfg.grid.N
+        k = np.arange(1, cfg.grid.n + 1)
+        mass = 1.0 + _series.ratio_tail(e, k, N + k, N)
+        mass += _series.ratio_tail(e, k, N - k, N)
         a0 = fn.a0
         _, a, b = unfolded_spectrum(fn, cfg.grid.n)
     else:

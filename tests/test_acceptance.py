@@ -39,9 +39,10 @@ from trigspec import (
     true_coefficient,
     values_on_uniform_grid,
 )
-from trigspec._series import fit_loglog_slope
 from trigspec.cli import main as cli_main
 from trigspec.spline_kernel import class_partition_terms, gain
+
+from loglog import fit_loglog_slope
 
 SIX_SIGNALS = [
     "harmonic-single",

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from trigspec import trig_spline
 from trigspec.cli import main
 
 
@@ -229,41 +230,63 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "fold sum cannot be certified below tol=1e-20" in capsys.readouterr().err
 
 
-def test_eval_grid_out_of_float_range_exits_three(tmp_path, capsys):
-    # Order 150 on N = 129: the uniform-grid fold at G = 64 leaves the
-    # float range, which is a numerical failure, not rows of nan.
-    rng = np.random.default_rng(3)
-    ab = rng.standard_normal((130, 2)).tolist()
+def _long_harmonic_doc():
+    # The seeded 130-term harmonic sum of tests/spline_checks.py.
+    ab = np.random.default_rng(3).standard_normal((130, 2)).tolist()
     terms = [[j, a, b if j else 0.0] for j, (a, b) in enumerate(ab)]
-    doc = {"kind": "HarmonicSum", "terms": terms, "p": None, "r": 1, "variation": 1.0}
+    return {"kind": "HarmonicSum", "terms": terms, "p": None, "r": 1, "variation": 1.0}
+
+
+def _eval_rows(path):
+    # Columns t, spline, signal, abs_err of a .eval.csv file.
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def test_eval_grid_at_order_150_matches_the_library(tmp_path, capsys):
+    # Order 150 on N = 129 with --eval-grid 64, where (64 N)^-151 is below
+    # the float range: the rows are the library's grid values, which agree
+    # with scattered evaluation within its bound.
+    doc = _long_harmonic_doc()
     assert run(["spline", "--inline", json.dumps(doc), "--n", "64", "--r", "150",
-                "--eval-grid", "64", "--out", str(tmp_path / "s")]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+                "--eval-grid", "64", "--out", str(tmp_path / "s")]) == 0
+    assert capsys.readouterr().err == ""
+    spline = trig_spline.spline_from_json((tmp_path / "s.spline.json").read_text())
+    rows = _eval_rows(tmp_path / "s.eval.csv")
+    assert rows.shape == (64, 4)
+    scattered = trig_spline.spline_eval(spline, rows[:, 0])
+    tol = 1e-12 * np.max(np.abs(rows[:, 2])) + trig_spline.scattered_eval_bound(spline)
+    assert np.max(np.abs(rows[:, 1] - scattered)) <= tol
 
 
-def test_spline_truncation_out_of_float_range_exits_three(tmp_path, capsys):
-    # Order 170 on N = 129: the class factors of the truncation bound
-    # overflow, which is a numerical failure, not a JSON with J = 64N.
-    rng = np.random.default_rng(3)
-    ab = rng.standard_normal((130, 2)).tolist()
-    terms = [[j, a, b if j else 0.0] for j, (a, b) in enumerate(ab)]
-    doc = {"kind": "HarmonicSum", "terms": terms, "p": None, "r": 1, "variation": 1.0}
+def test_spline_truncation_at_order_170_writes_the_series(tmp_path, capsys):
+    # Order 170 on N = 129, where (N/pi)^171 is past the float range: the
+    # truncation bound is finite, with no warning, and the series has
+    # J = N rows.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = run(["spline", "--inline", json.dumps(doc), "--n", "64", "--r", "170",
-                    "--out", str(tmp_path / "s")])
-    assert code == 3 and not caught
-    assert "numerical failure" in capsys.readouterr().err
-    assert not (tmp_path / "s.spline.json").exists()
+        code = run(["spline", "--inline", json.dumps(_long_harmonic_doc()), "--n", "64",
+                    "--r", "170", "--eval-grid", "129", "--out", str(tmp_path / "s")])
+    assert code == 0 and not caught
+    assert capsys.readouterr().err == ""
+    doc = json.loads((tmp_path / "s.spline.json").read_text())
+    assert doc["J"] == 129 and doc["r"] == 170
+    rows = _eval_rows(tmp_path / "s.eval.csv")
+    # At the nodes the spline reproduces the signal.
+    assert np.max(rows[:, 3]) <= 1e-12 * np.max(np.abs(rows[:, 2]))
 
 
 @pytest.mark.parametrize("variant", ["abs-sinc", "inv-power", "sinc"])
-def test_spline_order_beyond_float_range_exits_three(power_spec, tmp_path, capsys, variant):
+def test_spline_at_order_200_interpolates(power_spec, tmp_path, capsys, variant):
+    # Order 200 on N = 129, where (N/pi)^201 and 64^-201 leave the float
+    # range: every family interpolates.
     assert run(["spline", "--signal", power_spec, "--n", "64", "--r", "200",
-                "--variant", variant, "--out", str(tmp_path / "s")]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("trigspec: numerical failure:")
-    assert variant in err and "Traceback" not in err
+                "--variant", variant, "--eval-grid", "129", "--out", str(tmp_path / "s")]) == 0
+    assert capsys.readouterr().err == ""
+    rows = _eval_rows(tmp_path / "s.eval.csv")
+    assert np.max(rows[:, 3]) <= 1e-12 * np.max(np.abs(rows[:, 2]))
+    spline = trig_spline.spline_from_json((tmp_path / "s.spline.json").read_text())
+    assert np.max(np.abs(trig_spline.spline_eval(spline, rows[:, 0]) - rows[:, 2])) <= (
+        1e-12 * np.max(np.abs(rows[:, 2])))
 
 
 # -- determinism -------------------------------------------------------------------

@@ -160,7 +160,7 @@ def test_refined_bound_dominates_and_restores_decay():
         if k >= 2 * N:
             measured.append(abs(ta - ca))
         assert abs(ta - ca) <= 1.1 * refined_error_bound(k, q, dv), k
-    from trigspec._series import fit_loglog_slope
+    from loglog import fit_loglog_slope
 
     slope = fit_loglog_slope(ks, np.array(measured))
     assert slope <= -(q + 1) + 0.4

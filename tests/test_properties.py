@@ -5,12 +5,14 @@ most draws put energy beyond the band and exercise the aliasing fold.
 The identities are interpolation, partition of unity, the fold identity
 and the agreement of grid and scattered evaluation. Each holds in exact
 arithmetic; the tolerances leave rounding room of a few hundred ulps
-relative to the data's scale.
+relative to the data's scale. Interpolation and the grid agreement are
+swept to n = 64 and order 200, where no configuration may be refused.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,11 +31,13 @@ from trigspec import (
 from trigspec.spline_kernel import class_partition_terms
 from trigspec.trig_spline import scattered_eval_bound
 
+from spline_checks import assert_spline_values_hold, long_harmonic_sum
+
 
 @st.composite
-def configs(draw):
-    grid = make_grid(draw(st.integers(min_value=1, max_value=24)))
-    order = draw(st.integers(min_value=1, max_value=40))
+def configs(draw, max_n=24, max_order=40):
+    grid = make_grid(draw(st.integers(min_value=1, max_value=max_n)))
+    order = draw(st.integers(min_value=1, max_value=max_order))
     variant = draw(st.sampled_from(list(FilterVariant)))
     return KernelConfig(grid=grid, order=order, variant=variant)
 
@@ -53,7 +57,7 @@ def harmonic_sums(draw, grid):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_spline_interpolates_its_samples(data):
-    config = data.draw(configs())
+    config = data.draw(configs(max_n=64, max_order=200))
     grid = config.grid
     samples = sample(data.draw(harmonic_sums(grid)), grid)
     spline = build_spline(samples, config)
@@ -65,7 +69,7 @@ def test_spline_interpolates_its_samples(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_scattered_eval_agrees_with_grid_values(data):
-    config = data.draw(configs())
+    config = data.draw(configs(max_n=64, max_order=200))
     grid = config.grid
     N = grid.N
     samples = sample(data.draw(harmonic_sums(grid)), grid)
@@ -80,6 +84,17 @@ def test_scattered_eval_agrees_with_grid_values(data):
     got = spline_eval(spline, 2.0 * np.pi * np.arange(G) / G)
     tol = 1e-12 * max(1.0, float(np.max(np.abs(samples.values)))) + scattered_eval_bound(spline)
     assert np.max(np.abs(got - want)) <= tol
+
+
+@pytest.mark.parametrize("variant", list(FilterVariant))
+@pytest.mark.parametrize("order", range(132, 201, 4))
+def test_long_harmonic_sum_at_high_orders(order, variant):
+    # The seeded 130-term sum at n = 64, where N^-s and (2N)^-s are
+    # subnormal or zero: class sums formed from them would lose their fold
+    # tails and the nodes would miss by up to 0.47.
+    config = KernelConfig(grid=make_grid(64), order=order, variant=variant)
+    samples = sample(long_harmonic_sum(), config.grid)
+    assert_spline_values_hold(build_spline(samples, config), samples)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,9 +1,14 @@
 """Closed-form series machinery against brute-force summation."""
 
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
 from trigspec import _series
+
+from loglog import fit_loglog_slope
 
 
 @pytest.mark.parametrize("s", [2, 4, 6, 8])
@@ -83,7 +88,7 @@ def test_grid_total_variation_sawtooth():
 
 def test_fit_loglog_slope_exact_power():
     x = np.arange(10, 200, dtype=float)
-    assert _series.fit_loglog_slope(x, x**-3.5) == pytest.approx(-3.5, abs=1e-9)
+    assert fit_loglog_slope(x, x**-3.5) == pytest.approx(-3.5, abs=1e-9)
 
 
 def test_synth_folded_matches_direct():
@@ -116,13 +121,14 @@ NEAR_INTEGER = [3 + 1e-9, 3 - 1e-9, 2 + 1e-12, 1.5, 3.5]
 
 @pytest.mark.parametrize("s", [2, 2.5, 3, 3.7, 4, 6] + NEAR_INTEGER)
 def test_lerch_unit_matches_residue_fold(s, lerch_fold):
+    # lerch_unit is normalized to a first term of 1: q^s Phi(z, s, q).
     qs = [1.0] if s != int(s) else [1.0 / 129, 0.25, 0.5, 0.8, 128.0 / 129, 1.0]
     for G, gs in ANGLES:
         got = _series.lerch_unit(s, qs, 2.0 * np.pi * np.asarray(gs) / G)
         assert got.shape == (len(qs), len(gs))
         for i, q in enumerate(qs):
             for j, g in enumerate(gs):
-                want = lerch_fold(s, q, g, G)
+                want = q**s * lerch_fold(s, q, g, G)
                 assert abs(got[i, j] - want) <= 1e-13 * max(1.0, abs(want)), (q, g, G)
 
 
@@ -164,8 +170,9 @@ def test_polylog_unit_is_continuous_in_the_order(n):
 
 
 def test_lerch_unit_step_keeps_large_orders_finite():
-    # sum_m e^(i m theta) (m N + j)^-s at s = 151, N = 129: the unscaled
-    # Phi(z, s, j/N) alone would be about (N/j)^s, past the float range.
+    # sum_m e^(i m theta) (j/(m N + j))^s at s = 151, N = 129: the unscaled
+    # Phi(z, s, j/N) alone would be about (N/j)^s, past the float range,
+    # and (m N + j)^-s below it.
     N, s = 129, 151
     j = np.array([1.0, 2.0, 64.0, 65.0, 100.0])
     theta = np.array([0.0, 0.3, -2.0, 3.1])
@@ -173,7 +180,7 @@ def test_lerch_unit_step_keeps_large_orders_finite():
     m = np.arange(4)
     for a, jj in enumerate(j):
         for b, th in enumerate(theta):
-            want = np.sum(np.exp(1j * m * th) * (m * N + jj) ** -float(s))
+            want = np.sum(np.exp(1j * m * th) * (jj / (m * N + jj)) ** float(s))
             assert abs(got[a, b] - want) <= 1e-15 * abs(want)
 
 
@@ -203,3 +210,52 @@ def test_lerch_unit_validation():
 @pytest.mark.parametrize("s", [2, 2.5, 3, 11])
 def test_lerch_remainder_bound_is_far_below_rounding(s):
     assert 0.0 < _series.lerch_remainder_bound(s) < 1e-20
+
+
+# -- powers of ratios ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("x", [2, 11, 101, 201, 1500, 2001])
+def test_ratio_power_is_within_a_few_ulps(x):
+    # Against (a/b)^x at 50 digits; the rounded quotient a/b raised to x
+    # would carry up to x/2 ulps. Above x = 1000 the power is a product of
+    # powers, which doubles the bound.
+    rng = np.random.default_rng(int(x * 10))
+    a = rng.integers(1, 300, 200)
+    b = a + rng.integers(1, 300, 200)
+    got = _series.ratio_power(a, b, x)
+    ulps = 6 if x > 1000 else 3
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for ai, bi, value in zip(a.tolist(), b.tolist(), got.tolist()):
+            exact = (Decimal(ai) / Decimal(bi)) ** Decimal(x)
+            if exact < Decimal("1e-300"):
+                continue
+            assert abs(Decimal(value) - exact) <= ulps * Decimal(2) ** -53 * exact, (ai, bi)
+
+
+def test_ratio_power_non_integer_needs_a_shared_binary_exponent():
+    # 5 and 7 lie in [4, 8): their quotient is a quotient of mantissas.
+    assert _series.ratio_power(5, 7, 2.5) == pytest.approx((5 / 7) ** 2.5, rel=1e-15)
+    assert _series.ratio_power(3.0, 3.0, 7.25) == 1.0
+    with pytest.raises(ValueError, match="binary exponent"):
+        _series.ratio_power(5, 17, 2.5)
+
+
+def test_ratio_power_scalars_equal_array_entries():
+    a = np.arange(1, 300)
+    b = 2 * a + 7
+    arr = _series.ratio_power(a, b, 151)
+    for ai, bi, value in zip(a.tolist(), b.tolist(), arr.tolist()):
+        assert float(_series.ratio_power(ai, bi, 151)) == value
+
+
+@pytest.mark.parametrize("alternating", [False, True])
+@pytest.mark.parametrize("s", [4, 7, 151])
+def test_ratio_tail_matches_brute_force(s, alternating):
+    k, j0, step = 5, 17, 13
+    i = np.arange(200_000)
+    sign = np.where(i % 2 == 1, -1.0, 1.0) if alternating else 1.0
+    brute = math.fsum((sign * (k / (i * step + j0)) ** float(s)).tolist())
+    got = _series.ratio_tail(s, k, j0, step, alternating)
+    assert got == pytest.approx(brute, rel=1e-12, abs=1e-300)

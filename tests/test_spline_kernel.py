@@ -1,11 +1,16 @@
 """Raw gains, class sums, normalized gains and the filter-response table."""
 
+import json
+from decimal import Decimal
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from trigspec import (
     FilterVariant,
     KernelConfig,
+    build_spline,
     class_gain_sum,
     class_table,
     dc_class_gain_sum,
@@ -13,15 +18,18 @@ from trigspec import (
     gain,
     make_grid,
     raw_gain,
+    sample,
 )
-from trigspec._series import fit_loglog_slope
 from trigspec import spline_kernel
-from trigspec.errors import DegenerateKernelError, SeriesPrecisionError
+from trigspec.errors import DegenerateKernelError
 from trigspec.spline_kernel import (
     class_gain_sum_direct,
     class_partition_terms,
     response_table_to_csv,
 )
+
+from loglog import fit_loglog_slope
+from spline_checks import assert_spline_values_hold, long_harmonic_sum
 
 
 def cfg(n, r, variant, **kw):
@@ -126,33 +134,37 @@ def test_no_degenerate_class_sums_in_scan():
 
 
 @pytest.mark.parametrize("variant", ["abs-sinc", "inv-power", "sinc"])
-def test_class_table_out_of_float_range_is_refused(variant):
-    # At n = 64, order 200 the sinc magnitudes (N/pi)^201 overflow and the
-    # inverse-power gains k^-201 underflow to zero; each names its family.
-    with pytest.raises(SeriesPrecisionError, match=f"order 200, {variant}"):
-        class_table(cfg(64, 200, variant))
+def test_class_table_at_order_200_gives_exact_splines(variant):
+    # At n = 64, order 200, (N/pi)^201 overflows and k^-201 underflows; the
+    # in-band gains 1/(1 + rho_k) form neither, and the spline they make is
+    # exact.
+    c = cfg(64, 200, variant)
+    gains = class_table(c).gains
+    assert np.all(np.isfinite(gains))
+    if not c.signed:
+        assert np.all((gains > 0.0) & (gains <= 1.0))
+    samples = sample(long_harmonic_sum(), c.grid)
+    assert_spline_values_hold(build_spline(samples, c), samples)
 
 
-@pytest.mark.parametrize(
-    "variant, error",
-    [("sinc", DegenerateKernelError), ("abs-sinc", SeriesPrecisionError),
-     ("inv-power", SeriesPrecisionError)],
-)
+@pytest.mark.parametrize("variant, error", [("sinc", DegenerateKernelError)])
 def test_zero_class_sum_names_its_cause(variant, error):
-    # An exact zero class sum is cancellation in the signed family and a
-    # float-range loss in the positive ones.
+    # A class sum that cancels to zero relative to its in-band raw gain
+    # (1 + rho_k = 0) is a degenerate signed family.
     c = cfg(8, 2, variant)
-    assert c.signed == (error is DegenerateKernelError)
-    scale = class_table(c).raw_gains
-    with pytest.raises(error):
-        spline_kernel._check_class_sums(c, scale, np.zeros_like(scale))
+    assert c.signed
+    with pytest.raises(error, match="signed sinc family degenerated"):
+        spline_kernel._check_class_sums(c, np.zeros(c.grid.n))
 
 
-def test_class_gain_sum_raises_the_table_refusal():
-    # The value is the class table's entry, so an out-of-range
-    # configuration is refused here as well, not answered unchecked.
-    with pytest.raises(SeriesPrecisionError, match="order 200"):
-        class_gain_sum(1, cfg(64, 200, "abs-sinc"))
+def test_class_gain_sum_at_order_200_is_raw_gain_over_band_gain():
+    # The class sum is output data, sigma_k (1 + rho_k); at order 200 it is
+    # the in-band raw gain over the in-band gain, and the spline is exact.
+    c = cfg(64, 200, "abs-sinc")
+    for k in (1, 32, 64):
+        assert class_gain_sum(k, c) == pytest.approx(raw_gain(k, c) / gain(k, c), rel=1e-15)
+    samples = sample(long_harmonic_sum(), c.grid)
+    assert_spline_values_hold(build_spline(samples, c), samples, grids=(1000,))
 
 
 def test_class_table_order_150_still_builds():
@@ -215,6 +227,8 @@ def test_direct_summation_refuses_oversized_m_terms():
         class_gain_sum_direct(1, c, 10**6 + 1)
     with pytest.raises(ValueError):
         class_partition_terms(1, c, 10**6 + 1)
+    with pytest.raises(ValueError, match="m_terms"):
+        class_partition_terms(1, c, -1)
 
 
 @pytest.mark.parametrize("k", [0, 5])
@@ -257,6 +271,34 @@ def test_abs_sinc_and_inverse_power_gains_coincide_off_dc():
         assert np.allclose(
             gain(js, c_abs), gain(js, c_inv), rtol=1e-12, atol=1e-15
         )
+
+
+GAIN_REFERENCE = Path(__file__).parent / "data" / "gain_reference.json"
+
+
+def _reference_error(got, refs):
+    # Largest |got - ref| / (4 eps |ref| + 2^-1074), computed exactly in
+    # decimal: a reference below the float range may be matched by zero or
+    # a subnormal, within one subnormal spacing.
+    worst = Decimal(0)
+    for value, text in zip(got.tolist(), refs):
+        ref = Decimal(text)
+        allowed = 4 * Decimal(2) ** -52 * abs(ref) + Decimal(2) ** -1074
+        worst = max(worst, abs(Decimal(value) - ref) / allowed)
+    return worst
+
+
+@pytest.mark.parametrize(
+    "entry", json.loads(GAIN_REFERENCE.read_text())["configs"],
+    ids=lambda e: f"n{e['n']}-r{e['order']}-{e['variant']}",
+)
+def test_gains_match_40_digit_reference(entry):
+    # tools/gain_reference.py evaluates sigma_j / H_k with mpmath; every gain
+    # and every in-band gain 1/(1 + rho_k) lies within 4 eps of it.
+    c = cfg(entry["n"], entry["order"], entry["variant"])
+    js = np.arange(1, len(entry["gains"]) + 1)
+    assert _reference_error(gain(js, c), entry["gains"]) <= 1
+    assert _reference_error(class_table(c).gains, entry["band_gains"]) <= 1
 
 
 # -- filter response ----------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from trigspec import (
     FilterVariant,
     KernelConfig,
+    SampleVector,
     build_spline,
     curvature_functional,
     gain,
@@ -28,8 +29,10 @@ from trigspec import (
     unfolded_spectrum,
     values_on_uniform_grid,
 )
-from trigspec.errors import SeriesPrecisionError
 from trigspec.trig_spline import scattered_eval_bound, series_truncation
+
+from loglog import fit_loglog_slope
+from spline_checks import assert_spline_values_hold, long_harmonic_sum
 
 
 def cfg(n, r, variant="abs-sinc", **kw):
@@ -139,46 +142,54 @@ def test_scattered_eval_at_high_order_matches_series(variant):
     assert np.max(np.abs(spline_eval(spl, t) - series)) <= 1e-12
 
 
-def test_uniform_grid_fold_out_of_float_range_raises():
-    # At order 150 on N = 129 with G = 64 (coprime, so fold step 64N), the
-    # fold scale (64N)^-151 underflows to zero while zeta(151, q) at the
-    # smallest offsets overflows; their product is NaN, which must not be
-    # returned as values.
-    rng = np.random.default_rng(3)
-    ab = rng.standard_normal((130, 2))
-    sig = harmonic_sum([(j, a, b if j else 0.0) for j, (a, b) in enumerate(ab)])
-    spl, _ = spline_of(sig, 64, 150)
-    with pytest.raises(SeriesPrecisionError):
-        values_on_uniform_grid(spl, 64)
+def test_uniform_grid_fold_at_order_150_matches_scattered_values():
+    # At order 150 on N = 129 with G = 64 (coprime, so fold step 64N),
+    # (64N)^-151 underflows and zeta(151, q) overflows at the smallest
+    # offsets; the fold forms neither, only powers of ratios below one.
+    spl, c = spline_of(long_harmonic_sum(), 64, 150)
+    assert_spline_values_hold(spl, sample(long_harmonic_sum(), c.grid), grids=(64, 1000))
 
 
-def test_scattered_eval_out_of_float_range_raises():
-    # At order 170 on N = 129 the class factors F_k/H_k overflow: scattered
-    # evaluation refuses instead of returning NaN at the nodes.
-    rng = np.random.default_rng(3)
-    ab = rng.standard_normal((130, 2))
-    sig = harmonic_sum([(j, a, b if j else 0.0) for j, (a, b) in enumerate(ab)])
-    spl, c = spline_of(sig, 64, 170)
-    with pytest.raises(SeriesPrecisionError, match="order 170"):
-        spline_eval(spl, c.grid.nodes)
+def test_scattered_eval_at_order_170_interpolates():
+    # At order 170 on N = 129, (N/pi)^171 overflows; the Lerch rows carry
+    # only the in-band gain and (k/(N-k))^s.
+    sig = long_harmonic_sum()
+    for variant in ("sinc", "abs-sinc", "inv-power"):
+        spl, c = spline_of(sig, 64, 170, variant)
+        assert_spline_values_hold(spl, sample(sig, c.grid))
 
 
-def test_high_order_bounds_out_of_float_range_raise():
-    # At order 170 on N = 129 the class factors F_k/H_k overflow, so the
-    # truncation and scattered-evaluation bounds refuse instead of
-    # returning NaN (and a truncation at the cap). At order 160 they are
-    # finite, and the truncation is J = N.
-    rng = np.random.default_rng(3)
-    ab = rng.standard_normal((130, 2))
-    sig = harmonic_sum([(j, a, b if j else 0.0) for j, (a, b) in enumerate(ab)])
-    spl, _ = spline_of(sig, 64, 170)
-    with pytest.raises(SeriesPrecisionError, match=r"N=129, order 170"):
-        series_truncation(spl)
-    with pytest.raises(SeriesPrecisionError, match=r"N=129, order 170"):
-        scattered_eval_bound(spl)
-    spl, _ = spline_of(sig, 64, 160)
-    assert series_truncation(spl) == (129, 0.0)
-    assert math.isfinite(scattered_eval_bound(spl))
+def test_high_order_bounds_are_finite_and_hold():
+    # At orders 160 and 170 on N = 129 the truncation bound is finite and
+    # the truncation is J = N: the members beyond it weigh (k/(N+k))^s at
+    # most, below tail_tol. The truncated series then reproduces the
+    # samples, and the scattered bound holds against the grid fold.
+    sig = long_harmonic_sum()
+    for order in (160, 170):
+        spl, c = spline_of(sig, 64, order)
+        J, bound = series_truncation(spl)
+        assert J == c.grid.N and 0.0 <= bound < c.tail_tol
+        a0, ca, cb = spl.fourier_series()
+        js = np.arange(1, J + 1)
+        phase = np.outer(c.grid.nodes, js)
+        series = a0 / 2 + np.cos(phase) @ ca + np.sin(phase) @ cb
+        samples = sample(sig, c.grid)
+        assert np.max(np.abs(series - samples.values)) <= 1e-12 * np.max(np.abs(samples.values)) + bound
+        assert_spline_values_hold(spl, samples)
+
+
+@pytest.mark.parametrize("variant", ["sinc", "abs-sinc", "inv-power"])
+def test_grid_at_order_100_on_1000_points_for_every_size(variant):
+    # With P = 1000 / gcd(N, 1000), (P N)^-101 lies below the float range
+    # for most of these sizes; the fold does not form it.
+    for n in (*range(1, 17), 64):
+        c = cfg(n, 100, variant)
+        samples = SampleVector(c.grid, np.random.default_rng(n).standard_normal(c.grid.N))
+        spl = build_spline(samples, c)
+        grid = values_on_uniform_grid(spl, 1000)
+        got = spline_eval(spl, 2 * np.pi * np.arange(1000) / 1000)
+        tol = 1e-12 * np.max(np.abs(samples.values)) + scattered_eval_bound(spl)
+        assert np.max(np.abs(got - grid)) <= tol, n
 
 
 def test_uniform_grid_values_match_brute_series():
@@ -284,8 +295,6 @@ def test_coefficientwise_linearity():
 
 
 def test_smoothness_transfer_decay_slope():
-    from trigspec._series import fit_loglog_slope
-
     spl, c = spline_of(power_decay_cosine(6), 8, 3)
     N = c.grid.N
     js, ca, cb = unfolded_spectrum(spl, 8 * N)
@@ -341,8 +350,6 @@ def test_unfolding_recovers_coefficients_at_matching_order():
 
 
 def test_unfolded_decay_slope_near_band():
-    from trigspec._series import fit_loglog_slope
-
     spl, c = spline_of(power_decay_cosine(6), 8, 3)
     N = c.grid.N
     js, ca, _ = unfolded_spectrum(spl, 4 * N)

@@ -27,6 +27,7 @@ from trigspec import (
     class_table,
     dc_class_gain_sum,
     filter_response,
+    gain,
     make_grid,
     raw_gain,
     trig_spline,
@@ -34,7 +35,6 @@ from trigspec import (
 from trigspec import _series
 from trigspec import _kernels
 from trigspec.sampling import DiscreteSpectrum, SampleVector
-from trigspec.spline_kernel import _class_magnitude
 
 VARIANTS = list(FilterVariant)
 
@@ -50,31 +50,27 @@ def loop_tail_bound(config, spectrum, table, L):
         w = abs(spectrum.a[k - 1]) + abs(spectrum.b[k - 1])
         if w == 0.0:
             continue
-        F = _class_magnitude(k, config)
-        Hk = abs(float(table.class_sums[k - 1]))
-        plus = _series.progression_tail(s, N, float(k), m_start=L)
-        minus = _series.progression_tail(s, N, float(-k), m_start=L + 1)
-        total += w * F / Hk * (plus + minus)
+        alpha = abs(float(table.gains[k - 1]))
+        plus = _series.ratio_tail(s, k, L * N + k, N)
+        minus = _series.ratio_tail(s, k, (L + 1) * N - k, N)
+        total += w * alpha * (plus + minus)
     return total
 
 
-def loop_class_sum(k, config):
-    # The class sum as one scalar formula per class, F_k times the
-    # in-band term plus both fold branches.
+def loop_one_plus_rho(k, config):
+    # The class sum over the in-band raw gain as one formula per class: one
+    # plus both fold branches in ratio form. In the signed family the first
+    # fold term of the plus branch (m = 1) is negative and that of the
+    # minus branch positive.
     s = config.power
     N = config.grid.N
-    F = _class_magnitude(k, config)
-    if config.signed:
-        plus = _series.progression_tail(s, N, float(k), alternating=True)
-        minus = _series.progression_tail(s, N, float(-k), alternating=True)
-        bracket = float(k) ** -s + plus - minus
-    else:
-        bracket = (
-            float(k) ** -s
-            + _series.progression_tail(s, N, float(k))
-            + _series.progression_tail(s, N, float(-k))
-        )
-    return F * bracket
+    plus, minus = _series.ratio_tail(s, k, np.array([N + k, N - k]), N, config.signed)
+    rho = minus - plus if config.signed else plus + minus
+    return 1.0 + rho
+
+
+def loop_class_sum(k, config):
+    return raw_gain(k, config) * loop_one_plus_rho(k, config)
 
 
 def loop_build_search(config, spectrum):
@@ -92,28 +88,24 @@ def loop_folded_spectrum(spline, G):
     s = cfg.power
     spec = spline.spectrum
     P = G // math.gcd(N, G)
-    PN = float(P * N)
+    PN = P * N
     W = np.zeros(G, dtype=complex)
     m0 = np.arange(1, P + 1, dtype=np.int64)
     for k in range(1, cfg.grid.n + 1):
-        Hk = float(spline.table.class_sums[k - 1])
-        F = _class_magnitude(k, cfg)
+        alpha = float(spline.table.gains[k - 1])
         astar = float(spec.a[k - 1])
         bstar = float(spec.b[k - 1])
         if astar == 0.0 and bstar == 0.0:
             continue
-        W[k % G] += raw_gain(k, cfg) / Hk * (astar - 1j * bstar)
+        W[k % G] += alpha * (astar - 1j * bstar)
         for branch in (1, -1):
-            cfac = (astar - 1j * branch * bstar) * (F / Hk)
+            cfac = (astar - 1j * branch * bstar) * alpha
             j0 = m0 * N + branch * k
-            q = j0 / PN
             if cfg.signed:
                 sgn0 = np.where((j0 // N) % 2 == 1, -1.0, 1.0)
-                tails = sgn0 * PN**-float(s) * _series.hurwitz_tail(
-                    s, q, alternating=(P % 2 == 1)
-                )
+                tails = sgn0 * _series.ratio_tail(s, k, j0, PN, alternating=(P % 2 == 1))
             else:
-                tails = PN**-float(s) * _series.hurwitz_tail(s, q)
+                tails = _series.ratio_tail(s, k, j0, PN)
             np.add.at(W, np.mod(j0, G), cfac * tails)
     return W
 
@@ -275,7 +267,7 @@ def test_class_table_holds_the_scalar_values(variant, r):
     config = KernelConfig(grid=make_grid(9), order=r, variant=variant, tail_tol=1e-9)
     ct = class_table(config)
     for k in range(1, 10):
-        assert ct.magnitudes[k - 1] == _class_magnitude(k, config)
+        assert ct.gains[k - 1] == gain(k, config)
         assert ct.raw_gains[k - 1] == raw_gain(k, config)
         assert ct.sums[k - 1] == loop_class_sum(k, config) == class_gain_sum(k, config)
     assert ct.dc_sum == dc_class_gain_sum(config)
@@ -291,7 +283,8 @@ def test_class_table_sums_match_per_class_formula(variant):
     for order in [*range(1, 13), 40, 100, 150]:
         for n in range(1, 65):
             config = KernelConfig(grid=make_grid(n), order=order, variant=variant)
-            want = [loop_class_sum(k, config) for k in range(1, n + 1)]
+            raw = raw_gain(np.arange(1, n + 1), config)
+            want = [raw[k - 1] * loop_one_plus_rho(k, config) for k in range(1, n + 1)]
             assert np.array_equal(class_table(config).sums, want), (n, order)
 
 

@@ -5,8 +5,10 @@ Runs a fixed set of invocations (``gen-signal``, ``dft`` as CSV and JSON,
 eq3, eq8, eq9 and filon families) on suite presets at small n, plus a
 power signal without a Bernoulli closed form (evaluated through the
 polylogarithm), a signed spline on a grid whose fold step is odd, filon
-bounds for the other two gain families and a response at order 40. It
-prints one ``name sha256`` line per output file, sorted by name. A second
+bounds for the other two gain families, a response at order 40, and
+splines at n = 64 of order 200 (every family) and of order 150 on a
+64-point grid. It prints one ``name sha256`` line per output file,
+sorted by name. A second
 fixed set of invocations must be refused (exit status 2 for invalid input,
 3 for a numerical failure); each prints as ``label exit=<status>
 stderr=<sha256>`` after the files, so a change to an error message or an
@@ -94,6 +96,15 @@ def invocations(out):
         yield f"response {variant}", [
             "response", "--n", N_BAND, "--r", "1,3,10,40", "--variant", variant,
             "--out", str(out / f"response.{variant}")]
+    # n = 64 at orders 150 and 200: the class sums are formed as ratios, so
+    # no power of N leaves the float range.
+    for variant in VARIANTS:
+        yield f"spline r200 {variant}", [
+            "spline", "--inline", POLYLOG_SIGNAL, "--n", "64", "--r", "200",
+            "--variant", variant, "--out", str(out / f"polylog.{variant}.r200")]
+    yield "spline r150 eval-grid 64", [
+        "spline", "--inline", _long_harmonic_sum(), "--n", "64", "--r", "150",
+        "--eval-grid", "64", "--out", str(out / "harmonic130.abs-sinc.r150")]
 
 
 def _long_harmonic_sum():
@@ -118,15 +129,6 @@ def refusals(out):
         "bounds", *rough, "--n", N_BAND, "--family", "eq9", "--out", str(out / "b.csv")]
     yield "alias tail-tol 1e-20", [
         "alias", *rough, "--n", "2", "--tail-tol", "1e-20", "--out", str(out / "a.csv")]
-    # n = 64, order 200: class magnitudes overflow or raw gains underflow.
-    for variant in VARIANTS:
-        yield f"spline r200 {variant}", [
-            "spline", *sig, "--n", "64", "--r", "200", "--variant", variant,
-            "--out", str(out / "s")]
-    # n = 64, order 150: the uniform-grid fold at 64 points leaves the float range.
-    yield "spline r150 eval-grid 64", [
-        "spline", "--inline", _long_harmonic_sum(), "--n", "64", "--r", "150",
-        "--eval-grid", "64", "--out", str(out / "s")]
 
 
 def refusal_listing():

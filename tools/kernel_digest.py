@@ -82,7 +82,7 @@ def kernel_lines():
                 parts = [class_partition_terms(k, config, 8) for k in ks]
                 csv = response_table_to_csv(filter_response(config, 2 * config.grid.N))
                 yield f"{label} " + _sha([
-                    ct.magnitudes, ct.raw_gains, ct.sums, ct.dc_sum,
+                    ct.raw_gains, ct.sums, ct.dc_sum,
                     [class_gain_sum(k, config) for k in ks], parts,
                     np.frombuffer(csv.encode(), dtype=np.uint8),
                 ])
