@@ -1,6 +1,6 @@
 """Closed-form machinery for slowly converging trigonometric power series.
 
-Two families of exact evaluations drive most of the package's accuracy
+Three families of exact evaluations drive most of the package's accuracy
 guarantees:
 
 - full power series ``sum_{k>=1} cos(kt)/k^s`` (even s) and
@@ -15,7 +15,9 @@ guarantees:
   ``sum_{m>=0} e^(i m theta) (q/(m+q))^s``, and the polylogarithm
   Li_s(e^(i theta)) it contains, through their zeta-series expansion
   (Erdelyi et al., *Higher Transcendental Functions* I, 1.11; Crandall,
-  "Note on fast polylogarithm computation", 2006).
+  "Note on fast polylogarithm computation", 2006). The expansion itself,
+  for |theta| <= pi, is :func:`lerch_series`; every spline value is a
+  weighted sum of its rows.
 
 Alongside them sit the small primitives every layer shares: angle
 reduction, derivative rotation of a coefficient pair, the fold of a
@@ -39,7 +41,7 @@ TWO_PI = 2.0 * np.pi
 # term they fall off by a factor of at least 2 for |theta| <= pi, so 64 of
 # them reach far below rounding (see lerch_remainder_bound).
 _LERCH_EXTRA_TERMS = 64
-# lerch_unit works on blocks of this many angles, so its table of powers
+# lerch_series works on blocks of this many angles, so its table of powers
 # stays small for any number of points.
 _LERCH_BLOCK = 4096
 _I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])
@@ -127,15 +129,19 @@ def _bernoulli_number(n):
     # scipy's floating values lose ~1e-13 and would cap series accuracy.
     if n == 0:
         return Fraction(1)
+    if n % 2 and n > 1:
+        return Fraction(0)
     return -Fraction(1, n + 1) * sum(
-        comb(n + 1, j) * _bernoulli_number(j) for j in range(n)
+        comb(n + 1, j) * _bernoulli_number(j) for j in range(n) if j < 2 or j % 2 == 0
     )
 
 
 @lru_cache(maxsize=None)
 def _bernoulli_poly_coeffs(n):
-    # Coefficients of B_n(x) in descending powers: B_n(x) = sum_j C(n,j) B_j x^(n-j).
-    return tuple(float(comb(n, j) * _bernoulli_number(j)) for j in range(n + 1))
+    # Coefficients of B_n(x) in descending powers: B_n(x) = sum_j C(n,j) B_j x^(n-j),
+    # each rounded once by the integer division.
+    return tuple(comb(n, j) * b.numerator / b.denominator
+                 for j, b in enumerate(map(_bernoulli_number, range(n + 1))))
 
 
 def _bernoulli_poly(n, x):
@@ -184,11 +190,10 @@ def hurwitz_tail(s, q, alternating=False):
     return 2.0**-s * (zeta(s, q / 2.0) - zeta(s, (q + 1.0) / 2.0))
 
 
-def progression_tail(s, step, offset, m_start=1, alternating=False):
+def progression_tail(s, step, offset, m_start=1):
     """Tail of an arithmetic-progression power sum, exactly.
 
-    Computes ``sum_{m>=m_start} eps(m) (m*step + offset)^(-s)`` where
-    ``eps(m) = (-1)^m`` when `alternating` else 1. `offset` may be
+    Computes ``sum_{m>=m_start} (m*step + offset)^(-s)``. `offset` may be
     negative as long as the first term's base is positive. `offset` and
     integer `m_start` may be arrays; they broadcast, and the result has
     their broadcast shape.
@@ -199,15 +204,7 @@ def progression_tail(s, step, offset, m_start=1, alternating=False):
         raise ValueError("m_start must be >= 1")
     if np.any(m_start * step + offset <= 0):
         raise ValueError("first progression term must be positive")
-    if not alternating:
-        return step**-float(s) * zeta(s, m_start + offset / step)
-    # Even m = 2i, odd m = 2i+1, each a plain progression in i.
-    i_even = (m_start + 1) // 2          # smallest i with 2i >= m_start
-    i_odd = m_start // 2                 # smallest i with 2i+1 >= m_start
-    half = (2.0 * step) ** -float(s)
-    even_part = zeta(s, i_even + offset / (2.0 * step))
-    odd_part = zeta(s, i_odd + (step + offset) / (2.0 * step))
-    return half * (even_part - odd_part)
+    return step**-float(s) * zeta(s, m_start + offset / step)
 
 
 def grid_total_variation(values):
@@ -291,16 +288,17 @@ def _pole_pair(s, theta):
 
 @lru_cache(maxsize=64)
 def _lerch_table(s, q, step):
-    # Returns (table, lead). Row i of table, column r: the coefficient of
-    # u^r, u = theta/pi, in e^(i a theta) sum_m e^(i m theta) (q/(m step + q))^s
-    # minus its singular part, a = q_i/step, times the real sign of i^r
-    # (1, 1, -1, -1 for r = 0, 1, 2, 3 mod 4); every entry is real, so even
-    # columns give the real part and odd columns the imaginary part. The
-    # row is a^s Phi(e^(i theta), s, a), and the coefficient of (i theta)^r
-    # is a^s zeta(s-r, a)/r!; taking the first term of zeta apart gives
-    # a^r [1 + a^(s-r) zeta(s-r, 1+a)] / r!, whose powers of a stay below
-    # one and are formed from q and step. lead holds a^s, the factor of the
-    # singular part and of the columns with s - r <= 1.
+    # Returns (even, odd, lead): the even and odd columns of a table, each
+    # contiguous for the matrix products. Row i, column r of the table: the
+    # coefficient of u^r, u = theta/pi, in e^(i a theta) sum_m e^(i m theta)
+    # (q/(m step + q))^s minus its singular part, a = q_i/step, times the
+    # real sign of i^r (1, 1, -1, -1 for r = 0, 1, 2, 3 mod 4); every entry
+    # is real, so even columns give the real part and odd columns the
+    # imaginary part. The row is a^s Phi(e^(i theta), s, a), and the
+    # coefficient of (i theta)^r is a^s zeta(s-r, a)/r!; taking the first
+    # term of zeta apart gives a^r [1 + a^(s-r) zeta(s-r, 1+a)] / r!, whose
+    # powers of a stay below one and are formed from q and step. lead holds
+    # a^s, the factor of the singular part and of the columns with s - r <= 1.
     q = np.asarray(q, dtype=float)
     R = _lerch_terms(s)
     integer = s == int(s)
@@ -327,9 +325,10 @@ def _lerch_table(s, q, step):
             sign = np.where(a > 0.5, (-1.0) ** n, 1.0)
             c[:, r] = -sign * _bernoulli_poly(n, np.minimum(a, 1.0 - a)) / n * lead * pf[r]
     table = c * np.array([1.0, 1.0, -1.0, -1.0])[np.arange(R) % 4]
-    table.setflags(write=False)
-    lead.setflags(write=False)
-    return table, lead
+    even, odd = np.ascontiguousarray(table[:, 0::2]), np.ascontiguousarray(table[:, 1::2])
+    for arr in (even, odd, lead):
+        arr.setflags(write=False)
+    return even, odd, lead
 
 
 def _lerch_singular(s, theta):
@@ -349,57 +348,69 @@ def _lerch_singular(s, theta):
     return out
 
 
+def lerch_series(s, q, theta, step=1.0):
+    """The expansion ``e^(i a theta) sum_{m>=0} e^(i m theta) (q/(m*step + q))^s`` for |theta| <= pi.
+
+    With ``a = q/step`` it is ``a^s e^(i a theta) Phi(e^(i theta), s, a)``,
+
+        a^s [sum_r zeta(s-r, a) (i theta)^r / r! + singular term],
+
+    which converges geometrically; :func:`lerch_remainder_bound` bounds the
+    terms it drops. Returns a complex array with one row per q and one
+    column per theta. Integer s >= 2 takes any q in (0, step]; non-integer
+    s > 1 takes q = step only. The coefficients depend only on (s, q, step)
+    and are cached; each is a power of a ratio below one times a bounded
+    factor, in the float range at any order. For non-integer s the singular
+    term ``Gamma(1-s) (-i theta)^(s-1)`` and the coefficient
+    ``zeta(1 + s - round(s))``, each of order 1/(s - round(s)), are summed
+    in closed form so that they do not cancel.
+    """
+    if s <= 1:
+        raise ValueError("the Lerch expansion requires s > 1")
+    if not step > 0.0:
+        raise ValueError("step must be positive")
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    if q.ndim != 1 or ((q <= 0.0) | (q > step)).any():
+        raise ValueError("q must be a 1-D array of values in (0, step]")
+    if s != int(s) and (q != step).any():
+        raise ValueError("non-integer s is supported for q = step only")
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if theta.ndim != 1 or not (np.abs(theta) <= np.pi).all():
+        raise ValueError("theta must be a 1-D array of angles in [-pi, pi]")
+    even, odd, lead = _lerch_table(float(s), tuple(q.tolist()), float(step))
+    out = np.empty((q.size, theta.size), dtype=complex)
+    for start in range(0, theta.size, _LERCH_BLOCK):
+        th = theta[start:start + _LERCH_BLOCK]
+        powers = np.empty((even.shape[1] + odd.shape[1], th.size))
+        powers[0] = 1.0
+        powers[1:] = th / math.pi
+        np.cumprod(powers, axis=0, out=powers)
+        out[:, start:start + _LERCH_BLOCK] = (even @ powers[0::2] + 1j * (odd @ powers[1::2])
+                                              + np.multiply.outer(lead, _lerch_singular(s, th)))
+    return out
+
+
 def lerch_unit(s, q, theta, step=1.0):
     """``sum_{m>=0} e^(i m theta) (q/(m*step + q))^s``, the Lerch transcendent on the unit circle.
 
     The sum is normalized so that its first term is 1: it is
     ``a^s Phi(e^(i theta), s, a)`` with ``a = q/step``, and with the
-    default step and q = 1 it is ``Phi(e^(i theta), s, 1)``. Every term is
-    a power of a ratio below one, so no order takes it out of the float
-    range. Returns a complex array with one row per q and one column per
-    theta. Integer s >= 2 takes any q in (0, step]; non-integer s > 1
-    takes q = step only. Angles reduce to [-pi, pi), where the expansion
-
-        a^s e^(-i a theta) [sum_r zeta(s-r, a) (i theta)^r / r! + singular term]
-
-    converges geometrically; :func:`lerch_remainder_bound` bounds the
-    terms it drops. Its coefficients depend only on (s, q, step) and are
-    cached. For non-integer s the singular term
-    ``Gamma(1-s) (-i theta)^(s-1)`` and the coefficient
-    ``zeta(1 + s - round(s))`` are summed in closed form, since each alone
-    is of order 1/(s - round(s)) and p close to an integer would lose
-    that factor to cancellation.
+    default step and q = 1 it is ``Phi(e^(i theta), s, 1)``. Angles reduce
+    to [-pi, pi], where it is ``e^(-i a theta)`` times
+    :func:`lerch_series`; q and step are as there. Returns a complex array
+    with one row per q and one column per theta.
     """
-    if s <= 1:
-        raise ValueError("lerch_unit requires s > 1")
-    if not step > 0.0:
-        raise ValueError("step must be positive")
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    if q.ndim != 1 or np.any((q <= 0.0) | (q > step)):
-        raise ValueError("q must be a 1-D array of values in (0, step]")
-    if s != int(s) and np.any(q != step):
-        raise ValueError("non-integer s is supported for q = step only")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.ndim != 1 or not np.all(np.isfinite(theta)):
         raise ValueError("theta must be a 1-D array of finite angles")
-    step = float(step)
-    table, lead = _lerch_table(float(s), tuple(q.tolist()), step)
     theta = np.mod(theta + np.pi, TWO_PI) - np.pi
-    out = np.empty((q.size, theta.size), dtype=complex)
-    for start in range(0, theta.size, _LERCH_BLOCK):
-        th = theta[start:start + _LERCH_BLOCK]
-        powers = np.empty((table.shape[1], th.size))
-        powers[0] = 1.0
-        powers[1:] = th / math.pi
-        np.cumprod(powers, axis=0, out=powers)
-        series = table[:, 0::2] @ powers[0::2] + 1j * (table[:, 1::2] @ powers[1::2])
-        series += np.multiply.outer(lead, _lerch_singular(s, th))
-        out[:, start:start + _LERCH_BLOCK] = np.exp(-1j * np.multiply.outer(q / step, th)) * series
-    return out
+    series = lerch_series(s, q, theta, step)
+    a = np.atleast_1d(np.asarray(q, dtype=float)) / float(step)
+    return np.exp(-1j * np.multiply.outer(a, theta)) * series
 
 
 def lerch_remainder_bound(s):
-    """Bound on the terms :func:`lerch_unit` drops, for any q in (0, step] and theta.
+    """Bound on the terms :func:`lerch_series` drops, for any q in (0, step] and theta.
 
     With R terms kept, term r >= R of ``Phi`` is at most
     T_r = 2 Gamma(r-s+1) zeta(r-s+1) pi^r / ((2 pi)^(r-s+1) r!), from

@@ -204,13 +204,15 @@ class ClassTable:
 
     ``gains`` holds the in-band gains alpha_k = 1/(1 + rho_k), the factor
     every member of class k carries (alpha_j = eps_j (k/j)^s alpha_k);
-    ``raw_gains`` the in-band raw gains sigma_k; ``sums`` the class sums
-    H_k = sigma_k (1 + rho_k), output data only, which underflow with
-    sigma_k at high orders; ``dc_sum`` the constant-class normalizer. The
-    arrays are read-only.
+    ``mirror_gains`` the gains alpha_(N-k) = (k/(N-k))^s alpha_k of the
+    first members of the N - k branches; ``raw_gains`` the in-band raw
+    gains sigma_k; ``sums`` the class sums H_k = sigma_k (1 + rho_k),
+    output data only, which underflow with sigma_k at high orders;
+    ``dc_sum`` the constant-class normalizer. The arrays are read-only.
     """
 
     gains: np.ndarray = field(repr=False)
+    mirror_gains: np.ndarray = field(repr=False)
     raw_gains: np.ndarray = field(repr=False)
     sums: np.ndarray = field(repr=False)
     dc_sum: float
@@ -233,15 +235,16 @@ def _class_table(grid, order, variant):
     one_plus_rho = 1.0 + (plus + minus)
     _check_class_sums(config, one_plus_rho)
     gains = 1.0 / one_plus_rho
+    mirror_gains = _member_ratios(grid.N - k, k, config) * gains
     raw_gains = raw_gain(k, config)
     sums = raw_gains * one_plus_rho
     if variant is FilterVariant.INVERSE_POWER:
         dc_sum = 1.0 + 2.0 * _series.progression_tail(config.power, grid.N, 0.0)
     else:
         dc_sum = 1.0
-    for arr in (gains, raw_gains, sums):
+    for arr in (gains, mirror_gains, raw_gains, sums):
         arr.setflags(write=False)
-    return ClassTable(gains, raw_gains, sums, dc_sum)
+    return ClassTable(gains, mirror_gains, raw_gains, sums, dc_sum)
 
 
 def _check_class_sums(config, one_plus_rho):

@@ -11,14 +11,15 @@ exact for every gain family.
 
 A spline is its configuration and the discrete spectrum of its samples;
 every coefficient and value derives from those two, and evaluation never
-truncates. Uniform grids fold the *entire* infinite series onto the grid
-through Hurwitz zeta tails, so grid values — including the node values
-that define interpolation — are exact to rounding. Scattered points sum
-each alias class's two branches as Lerch transcendents on the unit
-circle, again the whole series, with an expansion remainder far below
-rounding. A truncated coefficient list, with a recorded neglect bound, is
-built on demand only (:meth:`TrigSpline.fourier_series`, the JSON
-document).
+truncates. One engine sums the *entire* infinite series at every point:
+each alias class's two branches are Lerch transcendents on the unit
+circle, expanded at the angle of the point within its cell, and the sum
+over the classes is an inverse FFT read at the cell. Uniform grids take
+cells and angles from integers; their values — including the node values
+that define interpolation — and scattered values are exact to rounding,
+with an expansion remainder far below it. A truncated coefficient list,
+with a recorded neglect bound, is built on demand only
+(:meth:`TrigSpline.fourier_series`, the JSON document).
 
 Work that depends only on the configuration (grid, order, variant) is
 kept apart from work on the samples: the class table of
@@ -37,12 +38,9 @@ from .sampling import DiscreteSpectrum, discrete_coeffs, make_grid
 from .spline_kernel import FilterVariant, KernelConfig, class_table, filter_response, gain
 
 _REPRESENTATION_CAP = 64     # largest L in the series truncation J = L*N
-# Scattered evaluation works on blocks of points holding at most this many
-# (Lerch row x point) cells.
+# Evaluation works on blocks of angles holding at most this many
+# (residue x angle) cells.
 _EVAL_CELLS = 1 << 16
-# The fold is vectorized over blocks of classes holding at most this many
-# fold terms per branch, so its work arrays stay small for any grid size.
-_FOLD_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,6 +151,34 @@ def build_spline(samples, config):
 # -- evaluation -------------------------------------------------------------
 
 
+def _evaluate(spline, theta, cells):
+    # Values at x = N t + shift = 2 pi l + theta (shift pi for the signed
+    # family) for P distinct angles |theta| <= pi and a (P, d) array of
+    # cells l mod N. Class k's members on each branch sum to a Lerch
+    # expansion at theta with first member j0 = k or N - k, times
+    # e^(2 pi i j0 l/N) e^(-i j0 shift/N); the j0 are the residues 1..N-1,
+    # so the sum over them is one length-N inverse FFT per angle, read at
+    # its cells. Blocks of angles hold at most _EVAL_CELLS residue cells.
+    cfg = spline.config
+    N = cfg.grid.N
+    spec = spline.spectrum
+    table = class_table(cfg)
+    coeff = spec.a - 1j * spec.b
+    w = np.concatenate((table.gains * coeff, (table.mirror_gains * np.conj(coeff))[::-1]))
+    j0 = np.arange(1, N)
+    if cfg.signed:
+        w *= np.exp(-1j * np.pi * j0 / N)
+    out = np.empty(cells.shape)
+    block = max(_EVAL_CELLS // N, 1)
+    for start in range(0, theta.size, block):
+        at = slice(start, start + block)
+        Z = np.zeros((cells[at].shape[0], N), dtype=complex)
+        Z[:, 1:] = _series.lerch_series(cfg.power, j0, theta[at], step=N).T * w
+        Y = np.fft.ifft(Z, norm="forward")      # unscaled: sum_j0 Z e^(2 pi i j0 l/N)
+        out[at] = np.real(Y[np.arange(len(Z))[:, None], cells[at]])
+    return out + 0.5 * spline.a0
+
+
 def spline_eval(spline, t):
     """Spline value at arbitrary points; scalar in, scalar out, arrays keep their shape.
 
@@ -165,42 +191,32 @@ def spline_eval(spline, t):
         S(t) = a0/2 + Re sum_k alpha_k [(a*_k - i b*_k) e^(ikt) L(z, k)
                           + (k/(N-k))^s (a*_k + i b*_k) e^(i(N-k)t) L(z, N-k)].
 
-    ``L`` is :func:`_series.lerch_unit` with step N; every factor lies in
-    the float range at any order. The error beyond rounding is
-    :func:`scattered_eval_bound`, for every order and every point; it does
-    not depend on ``tail_tol``.
+    Each point is written as N t + shift = 2 pi l + theta with |theta| <=
+    pi; the sum over first members is then one inverse FFT of the
+    :func:`_series.lerch_series` rows at theta, read at cell l. Every
+    factor lies in the float range at any order. The error beyond rounding
+    is :func:`scattered_eval_bound`, for every order and every point; it
+    does not depend on ``tail_tol``.
     """
     t_arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t_arr)):
         raise ValueError("evaluation point must be finite")
     cfg = spline.config
-    N = cfg.grid.N
-    n = cfg.grid.n
-    s = cfg.power
-    spec = spline.spectrum
-    k = np.arange(1, n + 1)
-    first = np.concatenate((k, N - k))   # first member j0 of each branch
-    alpha = class_table(cfg).gains
-    coeff = spec.a - 1j * spec.b
-    weights = np.concatenate((alpha * coeff, alpha * _series.ratio_power(k, N - k, s) * np.conj(coeff)))
-    flat = _series.reduce_angle(t_arr.ravel())
-    shift = np.pi if cfg.signed else 0.0
-    out = np.empty(flat.shape)
-    step = max(_EVAL_CELLS // (2 * n), 1)
-    for start in range(0, flat.size, step):
-        tb = flat[start:start + step]
-        lerch = _series.lerch_unit(s, first, N * tb + shift, step=N)
-        out[start:start + step] = np.real(weights @ (np.exp(1j * np.multiply.outer(first, tb)) * lerch))
-    out += 0.5 * spline.a0
+    x = cfg.grid.N * _series.reduce_angle(t_arr.ravel()) + (np.pi if cfg.signed else 0.0)
+    theta = _series.reduce_angle(x + np.pi) - np.pi
+    cells = np.rint((x - theta) / _series.TWO_PI).astype(np.int64) % cfg.grid.N
+    out = _evaluate(spline, theta, cells[:, None])[:, 0]
     return out.reshape(t_arr.shape) if t_arr.ndim else float(out[0])
 
 
 def scattered_eval_bound(spline):
-    """Guaranteed absolute accuracy of :func:`spline_eval`, rounding excluded.
+    """Guaranteed absolute accuracy of every spline value, rounding excluded.
 
-    The Lerch sum of first member j0 carries at most (j0/N)^s times
-    :func:`_series.lerch_remainder_bound` of neglected expansion terms, so
-    each branch of class k adds alpha_k (k/N)^s |a*_k - i b*_k| times it.
+    It holds for :func:`spline_eval` and :func:`values_on_uniform_grid`
+    alike, at every point. The Lerch sum of first member j0 carries at most
+    (j0/N)^s times :func:`_series.lerch_remainder_bound` of neglected
+    expansion terms, so each branch of class k adds alpha_k (k/N)^s
+    |a*_k - i b*_k| times it.
     """
     spec = spline.spectrum
     cfg = spline.config
@@ -211,55 +227,24 @@ def scattered_eval_bound(spline):
 
 
 def values_on_uniform_grid(spline, points):
-    """Exact spline values at t_g = 2*pi*g/points, g = 0..points-1.
+    """Spline values at t_g = 2*pi*g/points, g = 0..points-1, at any order.
 
-    The whole infinite series is folded onto the grid residues; fold
-    tails are Hurwitz zeta values in ratio form, so the only error is
-    rounding, at any order. Works for any grid size, in particular the N
-    nodes themselves.
+    The evaluation of :func:`spline_eval` with cells and angles taken from
+    integers: N t_g + shift = pi num/G with num = 2Ng (+ G for the signed
+    family) and G = points, so cell l = round(num/2G) and theta = pi (num -
+    2Gl)/G are exact. Point g shares its angle with g + P, P = G/gcd(N, G),
+    so only P angles are expanded; at G = N all nodes share one. The error
+    beyond rounding is :func:`scattered_eval_bound`.
     """
     if points < 1 or points != int(points):
         raise ValueError("points must be a positive integer")
-    return _series.synth_folded(_folded_spectrum(spline, int(points)), spline.a0)
-
-
-def _folded_spectrum(spline, G):
-    # Class k contributes its in-band term alpha_k (a*_k - i b*_k) at j = k
-    # and, on each branch j = mN +- k (m >= 1), P tails of step P*N that
-    # fold onto the grid residues: alpha_k times sum_i eps (k/(j0 + i P N))^s
-    # from the first member j0 = mN +- k, m = 1..P. Classes are processed in
-    # blocks, and one np.add.at per block adds the terms in class order
-    # (band, + branch, - branch), the order of a per-class loop.
-    cfg = spline.config
-    N = cfg.grid.N
-    s = cfg.power
-    spec = spline.spectrum
-    alpha = class_table(cfg).gains
+    G = int(points)
+    N = spline.config.grid.N
     P = G // math.gcd(N, G)
-    PN = P * N
-    W = np.zeros(G, dtype=complex)
-    m0 = np.arange(1, P + 1, dtype=np.int64)
-    branch = np.array([1, -1])
-    live = np.flatnonzero((spec.a != 0.0) | (spec.b != 0.0))
-    per_block = max(_FOLD_BLOCK // P, 1)
-    for start in range(0, live.size, per_block):
-        idx = live[start:start + per_block, None]   # column: one row per class
-        k = idx + 1
-        astar = spec.a[idx]
-        bstar = spec.b[idx]
-        band = alpha[idx] * (astar - 1j * bstar)
-        cfac = (astar - 1j * branch * bstar) * alpha[idx]
-        j0 = m0 * N + (branch * k)[:, :, None]
-        if cfg.signed:
-            sgn0 = np.where((j0 // N) % 2 == 1, -1.0, 1.0)
-            tails = sgn0 * _series.ratio_tail(s, k[:, :, None], j0, PN, alternating=(P % 2 == 1))
-        else:
-            tails = _series.ratio_tail(s, k[:, :, None], j0, PN)
-        rows = len(idx)
-        terms = np.concatenate((band, (cfac[:, :, None] * tails).reshape(rows, -1)), axis=1)
-        where = np.concatenate((k % G, np.mod(j0, G).reshape(rows, -1)), axis=1)
-        np.add.at(W, where.ravel(), terms.ravel())
-    return W
+    num = 2 * N * np.arange(G) + (G if spline.config.signed else 0)
+    cells = (num + G) // (2 * G)
+    theta = np.pi * ((num[:P] - 2 * G * cells[:P]) / G)
+    return _evaluate(spline, theta, (cells % N).reshape(-1, P).T).T.ravel()
 
 
 # -- spectrum queries -------------------------------------------------------

@@ -23,10 +23,10 @@ def long_harmonic_sum():
 def assert_spline_values_hold(spline, samples, grids=(64,)):
     """Nodes, bound and grid agreement of a spline built from `samples`.
 
-    Scattered evaluation and the uniform-grid fold at G = N both reproduce
+    Scattered evaluation and uniform-grid values at G = N both reproduce
     the samples within 1e-12 max|f|; ``scattered_eval_bound`` is finite;
-    at each G in `grids` the scattered values agree with the fold within
-    that bound plus 1e-12 max|f|.
+    at each G in `grids` the scattered values agree with the grid values
+    within that bound plus 1e-12 max|f|.
     """
     N = spline.config.grid.N
     tol = 1e-12 * max(1.0, float(np.max(np.abs(samples.values))))

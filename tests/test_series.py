@@ -44,25 +44,20 @@ def test_power_series_parity_validation():
         _series.fourier_power_sin(2, 0.5)
 
 
-@pytest.mark.parametrize("alternating", [False, True])
 @pytest.mark.parametrize("s,step,offset,m_start", [
     (2, 5, 1.0, 1),
     (2, 5, -2.0, 1),
     (4, 17, 8.0, 3),
     (11, 33, -16.0, 2),
 ])
-def test_progression_tail_matches_brute_force(s, step, offset, m_start, alternating):
+def test_progression_tail_matches_brute_force(s, step, offset, m_start):
     m_max = 2_000_000
     m = np.arange(m_start, m_max, dtype=float)
-    terms = (m * step + offset) ** -float(s)
-    if alternating:
-        terms = terms * np.where(m.astype(np.int64) % 2 == 1, -1.0, 1.0)
-    brute = float(np.sum(terms))
-    exact = _series.progression_tail(s, step, offset, m_start, alternating)
-    # Brute truncation dominates the comparison; alternating tails cancel.
+    brute = float(np.sum((m * step + offset) ** -float(s)))
+    exact = _series.progression_tail(s, step, offset, m_start)
+    # Brute truncation dominates the comparison.
     tail = (m_max * step + offset) ** (1.0 - s) / (step * (s - 1))
-    tol = (0.6 * tail if alternating else 2.0 * tail) + 1e-12
-    assert abs(exact - brute) < tol
+    assert abs(exact - brute) < 2.0 * tail + 1e-12
 
 
 def test_progression_tail_validation():
@@ -205,6 +200,19 @@ def test_lerch_unit_validation():
         _series.lerch_unit(3, 5.0, 0.1, step=4.0)
     with pytest.raises(ValueError):
         _series.lerch_unit(3, 0.5, 0.1, step=0.0)
+
+
+def test_lerch_series_is_lerch_unit_without_its_phase():
+    # On [-pi, pi] the expansion is e^(i a theta) times the Lerch row, a =
+    # q/step; pi itself is accepted (lerch_unit reduces it to -pi), angles
+    # beyond it are refused.
+    q = np.array([1.0, 2.0, 5.0])
+    theta = np.array([-np.pi, -1.0, 0.0, 2.5, np.pi])
+    got = _series.lerch_series(3, q, theta, step=5.0)
+    want = np.exp(1j * np.multiply.outer(q / 5.0, theta)) * _series.lerch_unit(3, q, theta, step=5.0)
+    assert np.max(np.abs(got - want)) < 1e-14
+    with pytest.raises(ValueError):
+        _series.lerch_series(3, q, np.array([np.pi + 1e-9]), step=5.0)
 
 
 @pytest.mark.parametrize("s", [2, 2.5, 3, 11])

@@ -2,6 +2,8 @@
 
 import json
 import math
+from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trigspec import (
+    DiscreteSpectrum,
     FilterVariant,
     KernelConfig,
     SampleVector,
+    TrigSpline,
     build_spline,
     curvature_functional,
     gain,
@@ -143,9 +147,10 @@ def test_scattered_eval_at_high_order_matches_series(variant):
 
 
 def test_uniform_grid_fold_at_order_150_matches_scattered_values():
-    # At order 150 on N = 129 with G = 64 (coprime, so fold step 64N),
-    # (64N)^-151 underflows and zeta(151, q) overflows at the smallest
-    # offsets; the fold forms neither, only powers of ratios below one.
+    # At order 150 on N = 129 with G = 64 (coprime, so 64 angles), a
+    # Hurwitz fold of step 64N would meet (64N)^-151, which underflows, and
+    # zeta(151, q), which overflows; the engine forms only powers of ratios
+    # below one.
     spl, c = spline_of(long_harmonic_sum(), 64, 150)
     assert_spline_values_hold(spl, sample(long_harmonic_sum(), c.grid), grids=(64, 1000))
 
@@ -163,7 +168,7 @@ def test_high_order_bounds_are_finite_and_hold():
     # At orders 160 and 170 on N = 129 the truncation bound is finite and
     # the truncation is J = N: the members beyond it weigh (k/(N+k))^s at
     # most, below tail_tol. The truncated series then reproduces the
-    # samples, and the scattered bound holds against the grid fold.
+    # samples, and the scattered bound holds against grid values.
     sig = long_harmonic_sum()
     for order in (160, 170):
         spl, c = spline_of(sig, 64, order)
@@ -181,7 +186,7 @@ def test_high_order_bounds_are_finite_and_hold():
 @pytest.mark.parametrize("variant", ["sinc", "abs-sinc", "inv-power"])
 def test_grid_at_order_100_on_1000_points_for_every_size(variant):
     # With P = 1000 / gcd(N, 1000), (P N)^-101 lies below the float range
-    # for most of these sizes; the fold does not form it.
+    # for most of these sizes; no value is formed from it.
     for n in (*range(1, 17), 64):
         c = cfg(n, 100, variant)
         samples = SampleVector(c.grid, np.random.default_rng(n).standard_normal(c.grid.N))
@@ -193,7 +198,7 @@ def test_grid_at_order_100_on_1000_points_for_every_size(variant):
 
 
 def test_uniform_grid_values_match_brute_series():
-    # Independent check of the zeta fold: long direct summation of the
+    # Independent check of grid values: long direct summation of the
     # coefficient law on a grid size coprime to N.
     spl, c = spline_of(power_decay_cosine(6), 8, 3)
     G = 64
@@ -211,9 +216,9 @@ def test_uniform_grid_values_match_brute_series():
 
 
 def test_signed_variant_folds_match_brute_series():
-    # Odd-power signed gains alternate within each class; the folded grid
-    # evaluation must agree with direct summation of the signed series on
-    # grids of every parity regime (fold period odd, even, and coprime).
+    # Odd-power signed gains alternate within each class; grid values must
+    # agree with direct summation of the signed series on grids whose
+    # number of distinct angles P = G/gcd(N, G) is odd, even, and G itself.
     sig = power_decay_cosine(4)
     spl, c = spline_of(sig, 8, 2, "sinc")
     N = c.grid.N
@@ -230,6 +235,25 @@ def test_signed_variant_folds_match_brute_series():
             brute += np.cos(phase) @ ca[start:stop] + np.sin(phase) @ cb[start:stop]
         exact = values_on_uniform_grid(spl, G)
         assert np.max(np.abs(exact - brute)) < 1e-9, G
+
+
+GRID_REFERENCE = Path(__file__).parent / "data" / "grid_reference.json"
+
+
+@pytest.mark.parametrize(
+    "entry", json.loads(GRID_REFERENCE.read_text())["configs"],
+    ids=lambda e: f"n{e['n']}-r{e['order']}-{e['variant']}-G{e['G']}",
+)
+def test_grid_values_match_50_digit_fold(entry):
+    # tools/gain_reference.py folds the whole series onto the grid with
+    # mpmath; every value lies within 4 eps max|f| of it, the difference
+    # taken exactly in decimal.
+    c = cfg(entry["n"], entry["order"], entry["variant"])
+    spectrum = DiscreteSpectrum(c.grid, entry["a0"], np.array(entry["a"]), np.array(entry["b"]))
+    got = values_on_uniform_grid(TrigSpline(c, spectrum), entry["G"])
+    refs = [Decimal(v) for v in entry["values"]]
+    worst = max(abs(Decimal(g) - ref) for g, ref in zip(got.tolist(), refs))
+    assert worst <= 4 * Decimal(2) ** -52 * max(abs(ref) for ref in refs)
 
 
 def test_eval_rejects_non_finite():

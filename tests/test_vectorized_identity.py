@@ -1,15 +1,14 @@
 """The array code of spline construction against the scalar loops it replaced.
 
-The tail-bound search, the Hurwitz fold and the direct DFT are written
-over arrays, but each keeps the floating-point expressions and the
-summation order of a per-class (or per-coefficient) loop. The loops are
-kept here as oracles, and results must agree exactly (``==``), not
-within a tolerance.
+The tail-bound search and the direct DFT are written over arrays, but
+each keeps the floating-point expressions and the summation order of a
+per-class (or per-coefficient) loop. The loops are kept here as oracles,
+and results must agree exactly (``==``), not within a tolerance.
 
-The same inputs also drive the agreement of the two exact evaluation
-paths, Lerch-summed scattered points against the Hurwitz fold on a
-uniform grid; they sum in different orders, so that check allows
-rounding.
+The Hurwitz fold of the whole series onto a uniform grid is kept here as
+a per-class loop too, as the oracle of the evaluation engine; the two
+sum in different orders, so that check allows rounding, as does the
+agreement of scattered points with grid values.
 """
 
 import math
@@ -182,8 +181,8 @@ def test_tail_search_cap_path_when_tolerance_unreachable():
 
 
 def _grid_size(kind, N, rng):
-    # "one": P = 1 with G = 1; "divisor": P = 1 with G = N; "coprime": P = G;
-    # "big": P > 4096, one class per fold block.
+    # "one": G = 1; "divisor": G = N, one angle for every node; "coprime":
+    # G < 300 angles of one point each; "big": more than 4096 angles.
     if kind == "one":
         return 1
     if kind == "divisor":
@@ -199,19 +198,18 @@ def _grid_size(kind, N, rng):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_folded_spectrum_matches_per_class_loop(data):
-    config = data.draw(configs(max_n=20, tiny_tol=False))
+def test_uniform_grid_values_match_hurwitz_fold(data):
+    n = data.draw(st.integers(min_value=1, max_value=64))
+    order = data.draw(st.sampled_from([1, 2, 3, 5, 10, 40, 100, 150, 200]))
+    config = KernelConfig(grid=make_grid(n), order=order, variant=data.draw(st.sampled_from(VARIANTS)))
     spectrum = data.draw(spectra(config.grid))
     spline = build_from(spectrum, config)
     kind = data.draw(st.sampled_from(["one", "divisor", "coprime", "big"]))
-    seed = data.draw(st.integers(min_value=0, max_value=2**16))
-    G = _grid_size(kind, config.grid.N, np.random.default_rng(seed))
-    new = trig_spline._folded_spectrum(spline, G)
-    old = loop_folded_spectrum(spline, G)
-    assert np.array_equal(new, old)
-    assert np.array_equal(
-        trig_spline.values_on_uniform_grid(spline, G), _series.synth_folded(old, spline.a0)
-    )
+    G = _grid_size(kind, config.grid.N, np.random.default_rng(data.draw(st.integers(0, 2**16))))
+    got = trig_spline.values_on_uniform_grid(spline, G)
+    want = _series.synth_folded(loop_folded_spectrum(spline, G), spline.a0)
+    size = 0.5 * abs(spectrum.a0) + float(np.sum(np.hypot(spectrum.a, spectrum.b)))
+    assert np.max(np.abs(got - want)) <= 1e-14 * size
 
 
 @settings(max_examples=80, deadline=None)
@@ -233,21 +231,6 @@ def test_scattered_eval_matches_uniform_grid_values(data):
     size = 0.5 * abs(spectrum.a0) + float(np.sum(np.hypot(spectrum.a, spectrum.b)))
     assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, size)
     assert trig_spline.scattered_eval_bound(spline) < 1e-20 * max(1.0, size)
-
-
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_fold_blocks_span_many_classes(variant):
-    # At N = 129, G = 64, 65 and 1000 give fold blocks of 64, 63 and 4 classes.
-    config = KernelConfig(grid=make_grid(64), order=2, variant=variant)
-    rng = np.random.default_rng(3)
-    spectrum = DiscreteSpectrum(
-        config.grid, 0.5, rng.standard_normal(64), rng.standard_normal(64)
-    )
-    spline = build_from(spectrum, config)
-    for G in (64, 65, 1000):
-        assert np.array_equal(
-            trig_spline._folded_spectrum(spline, G), loop_folded_spectrum(spline, G)
-        )
 
 
 @settings(max_examples=80, deadline=None)
@@ -293,17 +276,15 @@ def test_class_table_sums_match_per_class_formula(variant):
     st.integers(min_value=2, max_value=12),
     st.integers(min_value=3, max_value=101).filter(lambda N: N % 2 == 1),
     st.lists(st.integers(min_value=1, max_value=70), min_size=1, max_size=6),
-    st.booleans(),
 )
-def test_progression_tail_arrays_match_scalar_calls(s, N, m_starts, alternating):
+def test_progression_tail_arrays_match_scalar_calls(s, N, m_starts):
     offsets = np.arange(-(N // 2), N // 2 + 1, dtype=float)[:, None]
     m = np.asarray(m_starts)[None, :]
-    got = _series.progression_tail(s, N, offsets, m_start=m, alternating=alternating)
+    got = _series.progression_tail(s, N, offsets, m_start=m)
     assert got.shape == (offsets.size, m.size)
     for i, off in enumerate(offsets[:, 0]):
         for j, ms in enumerate(m_starts):
-            want = _series.progression_tail(s, N, float(off), m_start=ms, alternating=alternating)
-            assert got[i, j] == want
+            assert got[i, j] == _series.progression_tail(s, N, float(off), m_start=ms)
 
 
 def test_progression_tail_array_validation():

@@ -77,8 +77,8 @@ def invocations(out):
         yield f"bounds {preset} filon inv-power", [
             "bounds", *src, "--family", "filon", "--variant", "inv-power",
             "--out", str(out / f"{preset}.bounds.filon.inv-power.csv")]
-    # N = 17 and 51 points: the fold step P = 3 is odd, which takes the
-    # alternating Hurwitz branch of the signed (sinc, even order) family.
+    # N = 17 and 51 points: P = 3 angles shared by 17 points each, the
+    # signed (sinc, even order) family's shift of pi included.
     src = ["--signal", str(out / "power-cos-4.signal.json"), "--n", N_BAND]
     yield "spline power-cos-4 sinc r2 grid51", [
         "spline", *src, "--r", "2", "--variant", "sinc", "--eval-grid", "51",

@@ -1,4 +1,7 @@
-"""Write reference gains, computed at 50 digits, to ``tests/data/gain_reference.json``.
+"""Write reference gains and grid values, computed at 50 digits, to ``tests/data``.
+
+``gain_reference.json`` holds gains and ``grid_reference.json`` spline
+values on uniform grids.
 
 For each configuration (n, order, variant) below it evaluates, with
 mpmath at 50 significant digits, the normalized gains alpha_j =
@@ -13,6 +16,14 @@ every gain, and each fold series in closed form through Hurwitz zeta
 values, which mpmath carries without leaving its exponent range. Values
 are written as decimal strings of 25 significant digits.
 
+Each grid entry holds a seeded discrete spectrum as exact floats and the
+spline's values at t_g = 2 pi g/G, g = 0..G-1. They come from the same
+class sums through the Hurwitz fold of the whole series onto the grid:
+member j = mN +- k carries eps_j (k/j)^s / (1 + rho_k) times the class's
+discrete coefficient, and the members of one residue mod G form P
+progressions of step P N, P = G/gcd(N, G), each a Hurwitz zeta value
+(alternating when the signed family's sign flips along it).
+
 mpmath is not a dependency of the package; run this by hand after a
 change to the gain definition:
 
@@ -20,9 +31,11 @@ change to the gain definition:
 """
 
 import json
+import math
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 
 VARIANTS = ("sinc", "abs-sinc", "inv-power")
 # n = 8 at the orders of tools/cli_digest.py, then n = 64 up to order 200;
@@ -38,7 +51,16 @@ CONFIGS = (
     (64, 150, "abs-sinc"),
     *((64, 200, variant) for variant in VARIANTS),
 )
-OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "gain_reference.json"
+# (n, order, variant, G): G = N, 3N and a coprime 64 at n = 8, N and 64 at
+# n = 16, then n = 64 at high order.
+GRID_CONFIGS = (
+    *((8, order, variant, G) for G in (17, 51, 64) for order in (1, 2, 3, 10, 40)
+      for variant in VARIANTS),
+    *((16, order, variant, G) for G in (33, 64) for order in (1, 2, 3, 10, 40)
+      for variant in VARIANTS),
+    *((64, order, variant, 64) for order in (3, 150, 200) for variant in VARIANTS),
+)
+DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 
 
 def _branch(s, N, off, signed):
@@ -52,17 +74,28 @@ def _branch(s, N, off, signed):
     return even - odd
 
 
-def reference(n, order, variant):
+def _class_sums(n, s, signed):
+    # k^-s times (1 + rho_k), k = 1..n.
     N = 2 * n + 1
-    s = order + 1
-    signed = variant == "sinc" and s % 2 == 1
-    inverse = variant == "inv-power"
     sums = []
     for k in range(1, n + 1):
         plus = _branch(s, N, k, signed)
         minus = _branch(s, N, -k, signed)
         # The signed family's sign on mN - k is -(-1)^m.
         sums.append(mp.mpf(k) ** -s + plus + (-minus if signed else minus))
+    return sums
+
+
+def _family(order, variant):
+    s = order + 1
+    return s, variant == "sinc" and s % 2 == 1
+
+
+def reference(n, order, variant):
+    N = 2 * n + 1
+    s, signed = _family(order, variant)
+    inverse = variant == "inv-power"
+    sums = _class_sums(n, s, signed)
     dc = 1 + 2 * mp.mpf(N) ** -s * mp.zeta(s) if inverse else mp.mpf(1)
     gains = []
     for j in range(1, 2 * N + n + 1):
@@ -78,6 +111,42 @@ def reference(n, order, variant):
     return band, gains
 
 
+def _progression(s, j0, step, alternating):
+    # sum_{i>=0} (+-1)^i (j0 + i step)^-s.
+    if not alternating:
+        return step ** -s * mp.zeta(s, j0 / step)
+    two = 2 * step
+    return two ** -s * (mp.zeta(s, j0 / two) - mp.zeta(s, (j0 + step) / two))
+
+
+def grid_reference(n, order, variant, G, a0, a, b):
+    """Spline values at t_g = 2 pi g/G from the Hurwitz fold at the working precision."""
+    N = 2 * n + 1
+    s, signed = _family(order, variant)
+    sums = _class_sums(n, s, signed)
+    P = G // math.gcd(N, G)
+    W = [mp.mpc(0)] * G
+    for k in range(1, n + 1):
+        coeff = [mp.mpc(a[k - 1], -b[k - 1]), mp.mpc(a[k - 1], b[k - 1])]
+        scale = mp.mpf(k) ** -s / sums[k - 1]
+        W[k % G] += scale * coeff[0]
+        for branch, c in zip((1, -1), coeff):
+            for m in range(1, P + 1):
+                j0 = m * N + branch * k
+                # eps_j = (-1)^(j // N) in the signed family, which flips
+                # along the progression when P is odd.
+                sign = -1 if signed and (j0 // N) % 2 == 1 else 1
+                tail = _progression(s, mp.mpf(j0), mp.mpf(P * N), signed and P % 2 == 1)
+                W[j0 % G] += sign * tail / sums[k - 1] * c
+    values = []
+    for g in range(G):
+        total = mp.mpf(a0) / 2
+        for rho, w in enumerate(W):
+            total += mp.re(w * mp.expjpi(mp.mpf(2 * rho * g) / G))
+        values.append(total)
+    return values
+
+
 def main():
     mp.mp.dps = 50
     entries = []
@@ -88,10 +157,24 @@ def main():
             "band_gains": [mp.nstr(v, 25) for v in band],
             "gains": [mp.nstr(v, 25) for v in gains],
         })
-    doc = {"digits": 25, "j_max": "2N + n", "configs": entries}
-    OUT.parent.mkdir(parents=True, exist_ok=True)
-    OUT.write_text(json.dumps(doc, indent=1) + "\n")
-    print(f"wrote {OUT}")
+    _write("gain_reference.json", {"digits": 25, "j_max": "2N + n", "configs": entries})
+    entries = []
+    for i, (n, order, variant, G) in enumerate(GRID_CONFIGS):
+        rng = np.random.default_rng(i)
+        a0 = float(rng.standard_normal())
+        a, b = rng.standard_normal((2, n)).tolist()
+        values = grid_reference(n, order, variant, G, a0, a, b)
+        entries.append({
+            "n": n, "order": order, "variant": variant, "G": G, "a0": a0, "a": a, "b": b,
+            "values": [mp.nstr(v, 25) for v in values],
+        })
+    _write("grid_reference.json", {"digits": 25, "configs": entries})
+
+
+def _write(name, doc):
+    DATA.mkdir(parents=True, exist_ok=True)
+    (DATA / name).write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"wrote {DATA / name}")
 
 
 if __name__ == "__main__":
