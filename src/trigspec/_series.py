@@ -71,7 +71,8 @@ def alias_fold(j, N):
 
     k = min(j mod N, N - j mod N), 0 for multiples of N. The sine sign is
     -1.0 on the mN - k branch (j mod N > n) and 1.0 elsewhere. No
-    validation: j are integers >= 0 and N is odd.
+    validation: j are integers (a negative j folds by its residue mod N)
+    and N is odd.
     """
     res = np.mod(j, N)
     k = np.minimum(res, N - res)

@@ -61,7 +61,8 @@ def folded_coefficients(signal, grid, k, tol=1e-12):
 
     and, for k = 0, ``a_0 + 2 sum_m a_{mN}``. Equality of these values
     with the discrete coefficients of the sampled signal is the aliasing
-    identity itself.
+    identity itself. For a harmonic sum each value is the exact sum,
+    correctly rounded.
     """
     _require_analytic(signal)
     if tol <= 0:
@@ -71,18 +72,19 @@ def folded_coefficients(signal, grid, k, tol=1e-12):
     N = grid.N
 
     if signal.kind == HARMONIC_SUM:
-        acc_a, b = true_coefficient(signal, k)
-        acc_b = b if k else 0.0
-        kmax = max((kk for kk, _, _ in signal.terms), default=0)
-        for m in range(1, (kmax + k) // N + 1):
-            ap, bp = true_coefficient(signal, m * N + k)
-            am, bm = true_coefficient(signal, m * N - k)
-            if k == 0:
-                acc_a += 2.0 * ap
-            else:
-                acc_a += ap + am
-                acc_b += bp - bm
-        return FoldReport(k=k, folded_a=acc_a, folded_b=acc_b)
+        # Two-sided view: term j > 0 stands at +j with (a_j, b_j) and at -j
+        # with (a_j, -b_j), a_0 at 0 once. Class k's members are the indices
+        # = k mod N, the ones alias_fold gives class k and sine sign +1, so
+        # the constant class takes each mN twice and its b fold cancels.
+        j = _term_indices(signal)
+        a, b = true_coefficient(signal, j)
+        mirror = j > 0
+        j = np.concatenate((j, -j[mirror]))
+        a = np.concatenate((a, a[mirror]))
+        b = np.concatenate((b, -b[mirror]))
+        cls, sin_sign = _series.alias_fold(j, N)
+        members = (cls == k) & (sin_sign > 0)
+        return FoldReport(k=k, folded_a=math.fsum(a[members]), folded_b=math.fsum(b[members]))
 
     p = signal.p
     is_cos = signal.kind == POWER_DECAY_COSINE
@@ -109,7 +111,7 @@ def folded_coefficients(signal, grid, k, tol=1e-12):
         raise SeriesPrecisionError(
             f"fold sum cannot be certified below tol={tol} (rounding floor {tail:.2e})"
         )
-    return FoldReport(k=k, folded_a=report_val[0], folded_b=report_val[1])
+    return FoldReport(k=k, folded_a=float(report_val[0]), folded_b=float(report_val[1]))
 
 
 def aliasing_error_bound(k, grid, smoothness):
@@ -118,19 +120,22 @@ def aliasing_error_bound(k, grid, smoothness):
     The bound is ``(variation/pi) * sum_m [(mN+k)^-(r+1) + (mN-k)^-(r+1)]``,
     evaluated exactly via Hurwitz zeta tails. For r = 0 the series
     diverges and the bound is reported as ``inf`` (still a true bound).
+    k is a band index or an array of them: a float or an array shaped
+    like k.
     """
-    if k < 1 or k > grid.n:
+    k = np.asarray(k)
+    if np.any(k < 1) or np.any(k > grid.n):
         raise ValueError("band index k must lie in 1..n")
-    if smoothness.variation == 0.0:
-        return 0.0
     s = smoothness.r + 1
-    if s < 2:
-        return math.inf
-    N = grid.N
-    total = _series.progression_tail(s, N, float(k)) + _series.progression_tail(
-        s, N, float(-k)
-    )
-    return smoothness.variation / math.pi * float(total)
+    if smoothness.variation == 0.0 or s < 2:
+        bound = np.full(k.shape, 0.0 if smoothness.variation == 0.0 else math.inf)
+    else:
+        offset = k.astype(float)
+        total = _series.progression_tail(s, grid.N, offset) + _series.progression_tail(
+            s, grid.N, -offset
+        )
+        bound = smoothness.variation / math.pi * total
+    return bound if k.ndim else float(bound)
 
 
 def band_component(signal, n, t):
@@ -138,13 +143,14 @@ def band_component(signal, n, t):
     if n < 1 or n != int(n):
         raise ValueError("band size n must be an integer >= 1")
     a0 = true_coefficient(signal, 0)[0]
-    a = np.empty(int(n))
-    b = np.empty(int(n))
-    for k in range(1, int(n) + 1):
-        a[k - 1], b[k - 1] = true_coefficient(signal, k)
+    a, b = true_coefficient(signal, np.arange(1, int(n) + 1))
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     vals = _kernels.synth(a0, a, b, t_arr)
     return vals if np.ndim(t) else float(vals[0])
+
+
+def _term_indices(signal):
+    return np.array([j for j, _, _ in signal.terms], dtype=np.int64)
 
 
 def dc_class_component(signal, grid, t):
@@ -156,10 +162,11 @@ def dc_class_component(signal, grid, t):
     N = grid.N
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if signal.kind == HARMONIC_SUM:
-        out = np.zeros(t_arr.shape)
-        for k, a, b in signal.terms:
-            if k >= N and k % N == 0:
-                out += a * np.cos(k * t_arr) + b * np.sin(k * t_arr)
+        j = _term_indices(signal)
+        j = j[(_series.alias_fold(j, N)[0] == 0) & (j > 0)]
+        a, b = true_coefficient(signal, j)
+        phase = np.outer(t_arr, j)
+        out = np.cos(phase) @ a + np.sin(phase) @ b
         return out if np.ndim(t) else float(out[0])
     # sum_m (mN)^-p trig(mNt) = N^-p f(Nt): the signal itself at the scaled angle.
     out = N**-signal.p * evaluate(signal, N * t_arr)
@@ -200,15 +207,14 @@ def time_domain_overlay_bound(n, smoothness):
 def fold_report_table(signal, grid, tol=1e-12):
     """Rows comparing fold sums against the sampled discrete coefficients."""
     spec = sampling.discrete_coeffs(sampling.sample(signal, grid))
+    bounds = aliasing_error_bound(np.arange(1, grid.n + 1), grid, signal.smoothness)
     rows = []
-    for k in range(0, grid.n + 1):
+    for k, bound in enumerate([None, *bounds.tolist()]):
         rep = folded_coefficients(signal, grid, k, tol)
         if k == 0:
             dft_a, dft_b = spec.a0, 0.0
-            bound = None
         else:
             dft_a, dft_b = spec.a[k - 1], spec.b[k - 1]
-            bound = aliasing_error_bound(k, grid, signal.smoothness)
         rows.append(
             {
                 "k": k,

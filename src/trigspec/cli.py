@@ -125,12 +125,9 @@ def cmd_spline(args):
         json.dumps(trig_spline.spline_to_json(spline), sort_keys=True) + "\n",
     )
     j_max = args.j_max if args.j_max else 4 * grid.N
-    js, ca, cb = (x.tolist() for x in trig_spline.unfolded_spectrum(spline, j_max))
-    truth = (signal_model.true_coefficient(sig, j) for j in js)
-    table = (
-        (j, a, b, ta, tb, abs(a - ta), abs(b - tb))
-        for j, a, b, (ta, tb) in zip(js, ca, cb, truth)
-    )
+    js, ca, cb = trig_spline.unfolded_spectrum(spline, j_max)
+    ta, tb = signal_model.true_coefficient(sig, js)
+    table = zip(js.tolist(), ca, cb, ta, tb, np.abs(ca - ta), np.abs(cb - tb))
     header = ["j", "a_hat", "b_hat", "a_true", "b_true", "abs_err_a", "abs_err_b"]
     _write_text(args.out + ".unfolded.csv", csv_text(header, table))
     if args.eval_grid:
@@ -196,22 +193,18 @@ def cmd_bounds(args):
 def _bound_rows(sig, grid, args):
     family = args.family
     if family == "eq3":
-        k_max = args.j_max if args.j_max else 64
-        rows = []
-        for k in range(1, k_max + 1):
-            a, b = signal_model.true_coefficient(sig, k)
-            bound = signal_model.coefficient_bound(sig.smoothness, k)
-            rows.append((k, max(abs(a), abs(b)), bound))
-        return rows
+        k = np.arange(1, (args.j_max or 64) + 1)
+        a, b = signal_model.true_coefficient(sig, k)
+        measured = np.maximum(np.abs(a), np.abs(b))
+        bound = signal_model.coefficient_bound(sig.smoothness, k)
+        return list(zip(k.tolist(), measured.tolist(), bound.tolist()))
     if family == "eq8":
         spec = discrete_coeffs(sample(sig, grid))
-        rows = []
-        for k in range(1, grid.n + 1):
-            ta, tb = signal_model.true_coefficient(sig, k)
-            measured = max(abs(ta - spec.a[k - 1]), abs(tb - spec.b[k - 1]))
-            bound = alias_analysis.aliasing_error_bound(k, grid, sig.smoothness)
-            rows.append((k, measured, bound))
-        return rows
+        k = np.arange(1, grid.n + 1)
+        a, b = signal_model.true_coefficient(sig, k)
+        measured = np.maximum(np.abs(a - spec.a), np.abs(b - spec.b))
+        bound = alias_analysis.aliasing_error_bound(k, grid, sig.smoothness)
+        return list(zip(k.tolist(), measured.tolist(), bound.tolist()))
     if family == "eq9":
         if sig.smoothness.r < 1:
             raise ValueError("eq9 bound needs smoothness order r >= 1")

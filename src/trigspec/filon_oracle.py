@@ -20,8 +20,8 @@ import numpy as np
 from . import _series
 from ._wire import csv_text
 from .errors import QuadratureConvergenceError
-from .signal_model import true_coefficient, true_coefficient_arrays
-from .trig_spline import spline_fourier_coeff, unfolded_spectrum
+from .signal_model import true_coefficient
+from .trig_spline import unfolded_spectrum
 
 # Quadrature policy: the base grid (a power of two), the doubling budget
 # and the agreement two successive estimates must reach.
@@ -123,15 +123,18 @@ def refined_error_bound(k, q, diff_variation):
 
     `q` is the shared smoothness order of the signal and approximant
     (the smaller of the two); `diff_variation` bounds the variation of
-    the q-th derivative of their difference.
+    the q-th derivative of their difference. k is an index or an index
+    array: a float or an array shaped like k.
     """
-    if k < 1 or k != int(k):
+    k = np.asarray(k)
+    if np.any(k < 1) or np.any(k != np.floor(k)):
         raise ValueError("bound is defined for integer k >= 1")
     if q < 0:
         raise ValueError("q must be >= 0")
     if diff_variation < 0:
         raise ValueError("diff_variation must be nonnegative")
-    return diff_variation / (math.pi * float(k) ** (q + 1))
+    bound = diff_variation / (math.pi * np.power(k.astype(float), q + 1))
+    return bound if k.ndim else float(bound)
 
 
 def sup_distance(f, g):
@@ -151,7 +154,7 @@ def estimate_diff_variation(signal, spline, q):
     it feeds.
     """
     js, sa, sb = unfolded_spectrum(spline, _VARIATION_TERMS)
-    ta, tb = true_coefficient_arrays(signal, _VARIATION_TERMS)
+    ta, tb = true_coefficient(signal, js)
     diff_a = ta - sa
     diff_b = tb - sb
     rot = q % 4
@@ -171,22 +174,15 @@ def filon_table(signal, spline, k_max):
     cbound = cnorm_error_bound(sup)
     q = min(signal.smoothness.r, spline.config.order)
     dv = estimate_diff_variation(signal, spline, q)
-    rows = []
-    for k in range(1, k_max + 1):
-        ah, bh = spline_fourier_coeff(spline, k)
-        ta, tb = true_coefficient(signal, k)
-        rows.append(
-            {
-                "k": k,
-                "a_hat": ah,
-                "b_hat": bh,
-                "a_true": ta,
-                "b_true": tb,
-                "cnorm_bound": cbound,
-                "refined_bound": refined_error_bound(k, q, dv),
-            }
-        )
-    return rows
+    js, ah, bh = unfolded_spectrum(spline, k_max)
+    ta, tb = true_coefficient(signal, js)
+    refined = refined_error_bound(js, q, dv)
+    columns = (x.tolist() for x in (js, ah, bh, ta, tb, refined))
+    return [
+        {"k": k, "a_hat": a, "b_hat": b, "a_true": at, "b_true": bt,
+         "cnorm_bound": cbound, "refined_bound": bound}
+        for k, a, b, at, bt, bound in zip(*columns)
+    ]
 
 
 def filon_table_to_csv(rows):

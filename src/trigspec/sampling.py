@@ -132,7 +132,9 @@ class DiscreteSpectrum:
 
     def eval_on_uniform_grid(self, points):
         """Polynomial values at t_g = 2*pi*g/points, g = 0..points-1."""
-        t = 2.0 * np.pi * np.arange(points) / points
+        if points < 1 or points != int(points):
+            raise ValueError("points must be a positive integer")
+        t = 2.0 * np.pi * np.arange(int(points)) / points
         return _kernels.synth(self.a0, self.a, self.b, t)
 
     def fourier_series(self):

@@ -105,7 +105,7 @@ class AnalyticSignal:
             if self.kind != HARMONIC_SUM:
                 raise ValueError("specify j_max for power-decay kinds")
             j_max = max((k for k, _, _ in self.terms), default=1)
-        a, b = true_coefficient_arrays(self, j_max)
+        a, b = true_coefficient(self, np.arange(1, int(j_max) + 1))
         return true_coefficient(self, 0)[0], a, b
 
 
@@ -134,63 +134,49 @@ def evaluate(signal, t):
     t_arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t_arr)):
         raise ValueError("evaluation point must be finite")
-    if signal.kind == HARMONIC_SUM:
-        flat = np.atleast_1d(t_arr)
-        out = np.zeros(flat.shape)
-        for k, a, b in signal.terms:
-            if k == 0:
-                out += 0.5 * a
-            else:
-                out += a * np.cos(k * flat) + b * np.sin(k * flat)
-        return out.reshape(t_arr.shape) if t_arr.ndim else float(out[0])
-    vals = _power_eval(signal.kind, signal.p, t_arr)
+    vals = derivative_values(signal, 0, t_arr)
     return vals if t_arr.ndim else float(vals)
 
 
+def _indices(k, lowest, message):
+    # An index or an index array of integers >= lowest, as an int64 array.
+    k_arr = np.asarray(k)
+    if np.any(k_arr < lowest) or np.any(k_arr != np.floor(k_arr)):
+        raise ValueError(message)
+    return k_arr.astype(np.int64)
+
+
 def true_coefficient(signal, k):
-    """Exact Fourier coefficients (a_k, b_k); k = 0 returns (a_0, 0)."""
-    if k < 0 or k != int(k):
-        raise ValueError("coefficient index must be an integer >= 0")
-    k = int(k)
-    if signal.kind == HARMONIC_SUM:
-        for kk, a, b in signal.terms:
-            if kk == k:
-                return (a, 0.0) if k == 0 else (a, b)
-        return (0.0, 0.0)
-    if k == 0:
-        return (0.0, 0.0)
-    mag = float(k) ** -signal.p
-    if signal.kind == POWER_DECAY_COSINE:
-        return (mag, 0.0)
-    return (0.0, mag)
+    """Exact Fourier coefficients (a_k, b_k); k = 0 gives (a_0, 0).
 
-
-def true_coefficient_arrays(signal, j_max):
-    """Vectorized (a, b) coefficient arrays for j = 1..j_max."""
-    j_max = int(j_max)
+    k is an index or an index array: a pair of floats or a pair of arrays
+    shaped like k. Powers go through the ``np.power`` ufunc, so an index
+    gives the same bits alone as inside an array.
+    """
+    k = _indices(k, 0, "coefficient index must be an integer >= 0")
     if signal.kind == HARMONIC_SUM:
-        a = np.zeros(j_max)
-        b = np.zeros(j_max)
-        for k, ta, tb in signal.terms:
-            if 1 <= k <= j_max:
-                a[k - 1] = ta
-                b[k - 1] = tb
-        return a, b
-    mags = np.arange(1, j_max + 1, dtype=float) ** -signal.p
-    zeros = np.zeros(j_max)
-    if signal.kind == POWER_DECAY_COSINE:
-        return mags, zeros
-    return zeros, mags
+        # The sorted term list with a sentinel row (-1, 0, 0), which every
+        # index absent from the sum reads.
+        ks, a_look, b_look = np.array([*signal.terms, (-1, 0.0, 0.0)]).T
+        at = np.searchsorted(ks[:-1], k)
+        at = np.where(ks[at] == k, at, ks.size - 1)
+        a, b = a_look[at], b_look[at]
+    else:
+        mag = np.where(k == 0, 0.0, np.power(np.maximum(k, 1).astype(float), -signal.p))
+        zeros = np.zeros(k.shape)
+        a, b = (mag, zeros) if signal.kind == POWER_DECAY_COSINE else (zeros, mag)
+    return (a, b) if k.ndim else (float(a), float(b))
 
 
 def coefficient_bound(smoothness, k):
     """Decay bound (1/pi) * variation / k^(r+1), valid for |a_k| and |b_k|.
 
-    Defined for k >= 1 only.
+    Defined for k >= 1 only; k is an index or an index array, as in
+    :func:`true_coefficient`.
     """
-    if k < 1 or k != int(k):
-        raise ValueError("decay bound is defined for integer k >= 1")
-    return smoothness.variation / (math.pi * float(k) ** (smoothness.r + 1))
+    k = _indices(k, 1, "decay bound is defined for integer k >= 1")
+    bound = smoothness.variation / (math.pi * np.power(k.astype(float), smoothness.r + 1))
+    return bound if k.ndim else float(bound)
 
 
 # -- factories -----------------------------------------------------------
@@ -290,9 +276,10 @@ def derivative_values(signal, order, t):
                 if order == 0:
                     out += 0.5 * a
                 continue
+            # Scaling the pair, not the values, leaves a cos + b sin itself at order 0.
             scale = float(k) ** order
-            ka, kb = _series.rotate_pair(a, b, rot)
-            out += scale * (ka * np.cos(k * t) + kb * np.sin(k * t))
+            ka, kb = _series.rotate_pair(scale * a, scale * b, rot)
+            out += ka * np.cos(k * t) + kb * np.sin(k * t)
         return out
     s = signal.p - order
     if s <= 1:

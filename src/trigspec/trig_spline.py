@@ -354,23 +354,30 @@ def spline_from_json(doc):
     """Rebuild a spline from its JSON document.
 
     The in-band rows divided by their gains recover the discrete
-    spectrum, which with the configuration is the whole spline.
+    spectrum, which with the configuration is the whole spline. Raises
+    ValueError, naming the field, for an ``N`` that is not an odd integer
+    >= 3 and for ``coeffs`` rows whose index is below 1 or repeated.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
-    N = int(doc["N"])
-    grid = make_grid((N - 1) // 2)
+    N = doc["N"]
+    if N != int(N) or N < 3 or N % 2 == 0:
+        raise ValueError(f"field 'N' must be an odd integer >= 3, got {N!r}")
+    grid = make_grid((int(N) - 1) // 2)
     config = KernelConfig(
         grid=grid,
         order=int(doc["r"]),
         variant=FilterVariant.from_string(doc["variant"]),
     )
-    rows = {int(j): (a, b) for j, a, b in doc["coeffs"]}
+    j, ra, rb = np.array(doc["coeffs"], dtype=float).reshape(-1, 3).T
+    if np.any(j < 1) or np.any(j != np.floor(j)) or np.unique(j).size != j.size:
+        raise ValueError("field 'coeffs' needs distinct integer row indices >= 1")
+    band = j <= grid.n
+    at = j[band].astype(np.int64) - 1
+    a = np.zeros(grid.n)
+    b = np.zeros(grid.n)
+    a[at] = ra[band]
+    b[at] = rb[band]
     gains = gain(np.arange(1, grid.n + 1), config)
-    a = np.empty(grid.n)
-    b = np.empty(grid.n)
-    for k in range(1, grid.n + 1):
-        ra, rb = rows.get(k, (0.0, 0.0))
-        a[k - 1] = ra / gains[k - 1]
-        b[k - 1] = rb / gains[k - 1]
-    return TrigSpline(config=config, spectrum=DiscreteSpectrum(grid, float(doc["a0"]), a, b))
+    spectrum = DiscreteSpectrum(grid, float(doc["a0"]), a / gains, b / gains)
+    return TrigSpline(config=config, spectrum=spectrum)

@@ -1,5 +1,7 @@
 """Fold sums, their bounds, and the time-domain split of a sampled signal."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -33,9 +35,14 @@ def brute_fold_sum(p, N, k, m_max=1_000_000):
 # -- fold sums ----------------------------------------------------------------
 
 
+def assert_float_fields(rep):
+    assert type(rep.folded_a) is float and type(rep.folded_b) is float, rep
+
+
 def test_fold_in_band_harmonic_is_exact():
     grid = make_grid(2)
     rep = folded_coefficients(harmonic_sum([(1, 1.0, 0.0)]), grid, 1)
+    assert_float_fields(rep)
     assert rep.folded_a == 1.0
     assert rep.folded_b == 0.0
 
@@ -64,6 +71,7 @@ def test_fold_identity_all_classes(p, n):
     spec = discrete_coeffs(sample(sig, grid))
     for k in range(0, n + 1):
         rep = folded_coefficients(sig, grid, k, tol=1e-12)
+        assert_float_fields(rep)
         dft_a = spec.a0 if k == 0 else spec.a[k - 1]
         dft_b = 0.0 if k == 0 else spec.b[k - 1]
         assert abs(rep.folded_a - dft_a) < 1e-10, (p, n, k)
@@ -76,6 +84,7 @@ def test_fold_identity_power_sine():
     spec = discrete_coeffs(sample(sig, grid))
     for k in (1, 4, 8):
         rep = folded_coefficients(sig, grid, k)
+        assert_float_fields(rep)
         assert abs(rep.folded_b - spec.b[k - 1]) < 1e-10
         assert abs(rep.folded_a) < 1e-15
 
@@ -87,10 +96,50 @@ def test_fold_identity_every_suite_signal(suite):
             spec = discrete_coeffs(sample(sig, grid))
             for k in range(0, n + 1):
                 rep = folded_coefficients(sig, grid, k)
+                assert_float_fields(rep)
                 dft_a = spec.a0 if k == 0 else spec.a[k - 1]
                 dft_b = 0.0 if k == 0 else spec.b[k - 1]
                 assert abs(rep.folded_a - dft_a) < 1e-10 + 1e-12, (name, n, k)
                 assert abs(rep.folded_b - dft_b) < 1e-10 + 1e-12, (name, n, k)
+
+
+def exact_fold(signal, N, k):
+    """Fold sums of a harmonic sum's class k in exact rational arithmetic."""
+    fa = fb = Fraction(0)
+    for j, a, b in signal.terms:
+        if j % N == k:                 # j = mN + k, a_0 and the mN included
+            fa += Fraction(a) * (2 if k == 0 and j > 0 else 1)
+            fb += Fraction(b) if k else 0
+        elif k and j % N == N - k:     # j = mN - k
+            fa += Fraction(a)
+            fb -= Fraction(b)
+    return fa, fb
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_harmonic_fold_is_the_correctly_rounded_exact_sum(seed):
+    # Every class holds several members, the constant class too: indices
+    # up to 12N, a_0 among them, values spread over six decades so that a
+    # left-to-right float sum would round more than once.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 12))
+    grid = make_grid(n)
+    N = grid.N
+    ks = rng.choice(12 * N + 1, size=min(12 * N + 1, 8 * N), replace=False)
+    ks = np.union1d(ks, [0, N, 3 * N, 7 * N])
+    ab = rng.standard_normal((ks.size, 2)) * 10.0 ** rng.integers(-3, 3, (ks.size, 2))
+    sig = harmonic_sum((int(k), a, b if k else 0.0) for k, (a, b) in zip(ks, ab))
+    spec = discrete_coeffs(sample(sig, grid))
+    scale = sum(abs(a) + abs(b) for _, a, b in sig.terms)
+    for k in range(n + 1):
+        rep = folded_coefficients(sig, grid, k)
+        assert_float_fields(rep)
+        fa, fb = exact_fold(sig, N, k)
+        assert (rep.folded_a, rep.folded_b) == (float(fa), float(fb)), k
+        dft_a = spec.a0 if k == 0 else spec.a[k - 1]
+        dft_b = 0.0 if k == 0 else spec.b[k - 1]
+        assert abs(rep.folded_a - dft_a) <= 1e-13 * scale, k
+        assert abs(rep.folded_b - dft_b) <= 1e-13 * scale, k
 
 
 def test_fold_rejects_black_box():

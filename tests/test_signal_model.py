@@ -162,6 +162,59 @@ def test_true_coefficient_constant_term():
     assert evaluate(sig, 1.234) == pytest.approx(1.0, abs=1e-15)
 
 
+@st.composite
+def signals_and_indices(draw):
+    """A signal of any kind, a node count N and indices to query.
+
+    The indices mix k = 0, multiples of N and arbitrary indices, most of
+    them absent from a harmonic sum's terms.
+    """
+    N = 2 * draw(st.integers(min_value=1, max_value=150)) + 1
+    kind = draw(st.sampled_from(["harmonic", "cos", "sin"]))
+    if kind == "harmonic":
+        terms = draw(st.dictionaries(
+            st.integers(min_value=0, max_value=6 * N),
+            st.tuples(st.floats(-4, 4), st.floats(-4, 4)), max_size=12))
+        sig = harmonic_sum((k, a, b if k else 0.0) for k, (a, b) in terms.items())
+    else:
+        p = draw(st.sampled_from([2.0, 2.5, 3.0, 3.55, 4.0, 5.0, 6.0]))
+        maker = power_decay_cosine if kind == "cos" else power_decay_sine
+        sig = maker(p, r=0, variation=1.0)
+    index = st.one_of(
+        st.just(0),
+        st.integers(min_value=0, max_value=40).map(lambda m: m * N),
+        st.integers(min_value=0, max_value=300_000),
+    )
+    return sig, draw(st.lists(index, min_size=1, max_size=30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(signals_and_indices())
+def test_true_coefficient_scalar_and_array_calls_agree_bitwise(case):
+    sig, ks = case
+    a, b = true_coefficient(sig, np.array(ks))
+    assert a.shape == b.shape == (len(ks),)
+    for i, k in enumerate(ks):
+        sa, sb = true_coefficient(sig, k)
+        assert type(sa) is float and type(sb) is float
+        assert np.array([sa, sb]).tobytes() == np.array([a[i], b[i]]).tobytes(), k
+
+
+def test_true_coefficient_refuses_bad_indices_in_an_array():
+    sig = power_decay_cosine(4)
+    for bad in ([1, -1], [1.5], np.array([2, 3.25])):
+        with pytest.raises(ValueError):
+            true_coefficient(sig, bad)
+
+
+@pytest.mark.parametrize("name", ["harmonic-mixed", "power-cos-4", "power-sin-3"])
+def test_decay_bound_array_matches_scalar_calls(name, suite):
+    sig = suite[name]
+    k = np.arange(1, 300)
+    bound = coefficient_bound(sig.smoothness, k)
+    assert bound.tolist() == [coefficient_bound(sig.smoothness, int(j)) for j in k]
+
+
 # -- decay bound ------------------------------------------------------------
 
 

@@ -522,6 +522,14 @@ def test_polynomial_interpolates_and_exposes_series():
     assert len(a) == 8
 
 
+@pytest.mark.parametrize("points", [2.5, 0, -3])
+def test_polynomial_grid_refuses_a_bad_point_count(points):
+    # 2.5 points used to give 3 values on a grid of spacing 2 pi/2.5.
+    poly = interpolating_polynomial(sample(power_decay_cosine(4), make_grid(8)))
+    with pytest.raises(ValueError, match="positive integer"):
+        poly.eval_on_uniform_grid(points)
+
+
 # -- serialization ----------------------------------------------------------------
 
 
@@ -544,3 +552,33 @@ def test_json_constant_spline_rows_are_rounding_noise():
     doc = spline_to_json(spl)
     assert all(max(abs(a), abs(b)) < 1e-14 for _, a, b in doc["coeffs"])
     assert doc["a0"] == pytest.approx(2.0)
+
+
+def _spline_doc():
+    spl, _ = spline_of(power_decay_sine(5), 8, 3)
+    return json.loads(json.dumps(spline_to_json(spl)))
+
+
+@pytest.mark.parametrize("N", [10, 1, 9.5])
+def test_json_refuses_a_node_count_that_is_not_odd(N):
+    # N = 10 used to build a spline on 9 nodes without a word.
+    doc = _spline_doc()
+    doc["N"] = N
+    with pytest.raises(ValueError, match="'N'"):
+        spline_from_json(doc)
+
+
+def test_json_refuses_a_repeated_row_index():
+    # A repeated row used to overwrite the first one silently.
+    doc = _spline_doc()
+    doc["coeffs"].append([doc["coeffs"][0][0], 1.0, 2.0])
+    with pytest.raises(ValueError, match="'coeffs'"):
+        spline_from_json(doc)
+
+
+def test_json_refuses_a_row_index_of_zero():
+    # Row 0 used to be ignored; a0 has its own field.
+    doc = _spline_doc()
+    doc["coeffs"].insert(0, [0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="'coeffs'"):
+        spline_from_json(doc)

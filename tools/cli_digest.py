@@ -20,9 +20,11 @@ listings:
     PYTHONPATH=src python tools/cli_digest.py > head.txt
     diff base.txt head.txt
 
-Exits 1 if an invocation of the first set reports invalid input or a
-numerical failure (exit status 2 or 3), since its missing files would make
-the listing incomplete, or if a refusal succeeds.
+An invocation of the first set that reports invalid input or a numerical
+failure (exit status 2 or 3) prints as ``label exit=<status>`` after the
+files, so a diff against a version that refuses it shows the invocation,
+not only its missing files. The script then exits 1, as it does if a
+refusal succeeds.
 """
 
 import contextlib
@@ -144,14 +146,17 @@ def refusal_listing():
 
 
 def digest_listing():
-    """Run every invocation; return sorted (file name, sha256) pairs and the failures."""
+    """Run every invocation; return sorted (file name, sha256) pairs and the failures.
+
+    A failure is a (label, exit status) pair.
+    """
     failures = []
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         for label, argv in invocations(out):
             status = main(argv)
             if status not in (0, 1):
-                failures.append(f"{label}: exit {status}")
+                failures.append((label, status))
         listing = sorted(
             (path.name, hashlib.sha256(path.read_bytes()).hexdigest())
             for path in out.iterdir()
@@ -161,9 +166,13 @@ def digest_listing():
 
 if __name__ == "__main__":
     print(f"trigspec from {Path(trigspec.__file__).parent}", file=sys.stderr)
-    listing, failures = digest_listing()
+    listing, failed = digest_listing()
     for name, sha in listing:
         print(name, sha)
+    failures = []
+    for label, status in failed:
+        print(f"{label} exit={status}")
+        failures.append(f"{label}: exit {status}")
     for label, status, sha in refusal_listing():
         print(f"{label} exit={status} stderr={sha}")
         if status not in (2, 3):
