@@ -32,14 +32,11 @@ from .filon_oracle import (
     sup_distance,
 )
 from .sampling import (
-    AliasClass,
     DiscreteSpectrum,
     SampleVector,
     UniformGrid,
-    alias_class,
     discrete_coeffs,
     extended_coefficient,
-    interpolating_polynomial,
     make_grid,
     sample,
 )
@@ -62,9 +59,7 @@ from .spline_kernel import (
     FilterTable,
     FilterVariant,
     KernelConfig,
-    class_gain_sum,
     class_table,
-    dc_class_gain_sum,
     filter_response,
     gain,
     raw_gain,

@@ -65,7 +65,7 @@ def folded_coefficients(signal, grid, k, tol=1e-12):
     correctly rounded.
     """
     _require_analytic(signal)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if k < 0 or k > grid.n:
         raise ValueError("band class k must lie in 0..n")

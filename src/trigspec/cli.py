@@ -61,8 +61,6 @@ def _write_text(path, text):
 def _kernel_config(args, grid, tail_tol=1e-12):
     if args.r < 1:
         raise ValueError("--r must be >= 1")
-    if tail_tol <= 0:
-        raise ValueError("--tail-tol must be positive")
     return KernelConfig(
         grid=grid,
         order=args.r,
@@ -182,6 +180,8 @@ def cmd_bounds(args):
     sig = _load_signal(args)
     if args.n < 1:
         raise ValueError("--n must be >= 1")
+    if args.j_max < 0:
+        raise ValueError("--j-max must be >= 1 (0 or absent picks the default)")
     grid = make_grid(args.n)
     rows = _bound_rows(sig, grid, args)
     holds = [measured <= bound for _, measured, bound in rows]

@@ -18,7 +18,6 @@ import math
 import numpy as np
 
 from . import _series
-from ._wire import csv_text
 from .errors import QuadratureConvergenceError
 from .signal_model import true_coefficient
 from .trig_spline import unfolded_spectrum
@@ -169,7 +168,7 @@ def estimate_diff_variation(signal, spline, q):
 
 
 def filon_table(signal, spline, k_max):
-    """Rows for the coefficient-comparison CSV with both bounds attached."""
+    """Rows comparing the spline's coefficients with the true ones, both bounds attached."""
     sup = sup_distance(signal, spline)
     cbound = cnorm_error_bound(sup)
     q = min(signal.smoothness.r, spline.config.order)
@@ -183,9 +182,3 @@ def filon_table(signal, spline, k_max):
          "cnorm_bound": cbound, "refined_bound": bound}
         for k, a, b, at, bt, bound in zip(*columns)
     ]
-
-
-def filon_table_to_csv(rows):
-    """CSV with the fixed coefficient-comparison column set."""
-    header = ["k", "a_hat", "b_hat", "a_true", "b_true", "cnorm_bound", "refined_bound"]
-    return csv_text(header, ([r[c] for c in header] for r in rows))

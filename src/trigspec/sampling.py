@@ -4,28 +4,23 @@ An odd grid of N = 2n+1 nodes t_j = 2*pi*(j-1)/N carries exactly N
 independent discrete coefficients a*_0, a*_k, b*_k (k = 1..n). Requesting
 a coefficient at any higher harmonic index only replays those N values:
 the cosine sequence extends periodically and evenly, the sine sequence
-periodically and oddly. ``alias_class`` names that folding and
-``extended_coefficient`` applies it.
+periodically and oddly. ``extended_coefficient`` applies that folding
+(``_series.alias_fold``) to an index or an index array.
 
 The discrete spectrum is also the band-limited interpolant of the
 samples: called at t, it evaluates a*_0/2 + sum_k (a*_k cos kt + b*_k sin kt).
+``spectrum_to_csv`` is its one wire format.
 
 Coefficients are computed by direct summation (no FFT) so every number
 is auditable against the defining formula.
 """
 
-import csv
-import io
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels, _series
 from ._wire import csv_text
-
-# Largest distance a CSV t value may lie from its node 2*pi*(j-1)/N.
-_NODE_TOL = 1e-12
 
 
 class UniformGrid:
@@ -151,72 +146,26 @@ def discrete_coeffs(samples):
     return DiscreteSpectrum(samples.grid, a0, a, b)
 
 
-def interpolating_polynomial(samples):
-    """Band-limited interpolating polynomial of the samples: their discrete spectrum."""
-    return discrete_coeffs(samples)
-
-
-class AliasClass(NamedTuple):
-    """Band representative of a harmonic index and the signs its folding applies."""
-
-    k: int
-    cos_sign: int
-    sin_sign: int
-
-
-def alias_class(j, N):
-    """Fold harmonic index j onto its band representative.
-
-    On N = 2n+1 nodes the harmonics j and mN +- k are indistinguishable:
-    cosines coincide with sign +1 always, sines pick up -1 on the mN - k
-    branch. k = 0 marks the constant class (j a multiple of N).
-    """
-    if N < 3 or N % 2 == 0:
-        raise ValueError("N must be odd and >= 3")
-    if j < 0 or j != int(j):
-        raise ValueError("harmonic index must be an integer >= 0")
-    # Reduced by Python's % first, so indices beyond the int64 range fold too.
-    k, sin_sign = _series.alias_fold(int(j) % N, N)
-    return AliasClass(int(k), +1, int(sin_sign))
-
-
 def extended_coefficient(spectrum, j):
-    """Discrete coefficients at any index j >= 1 via the folding rule."""
-    if j < 1 or j != int(j):
+    """Discrete coefficients (a*_j, b*_j) at any index j >= 1, by the folding rule.
+
+    Class k's cosine coefficient repeats on every member, its sine
+    coefficient flips sign on the mN - k branch, and the constant class
+    (j a multiple of N) reads (a*_0, 0). j is an index or an index array:
+    a pair of floats or a pair of arrays shaped like j, with the same bits
+    either way.
+    """
+    j_in = np.asarray(j)
+    # Integer arrays are integral by type; only others pay for the check.
+    if np.any(j_in < 1) or (j_in.dtype.kind not in "iu" and np.any(j_in != np.floor(j_in))):
         raise ValueError("extended index must be an integer >= 1")
-    cls = alias_class(j, spectrum.grid.N)
-    if cls.k == 0:
-        return (spectrum.a0, 0.0)
-    return (spectrum.a[cls.k - 1], cls.sin_sign * spectrum.b[cls.k - 1])
+    k, sin_sign = _series.alias_fold(j_in.astype(np.int64, copy=False), spectrum.grid.N)
+    a = np.concatenate(([spectrum.a0], spectrum.a))[k]
+    b = sin_sign * np.concatenate(([0.0], spectrum.b))[k]
+    return (a, b) if j_in.ndim else (float(a), float(b))
 
 
-# -- CSV wire formats -----------------------------------------------------
-
-
-def samples_to_csv(samples):
-    """CSV text with header ``j,t,f``, one row per node."""
-    grid = samples.grid
-    return csv_text(
-        ["j", "t", "f"],
-        ([j + 1, grid.nodes[j], samples.values[j]] for j in range(grid.N)),
-    )
-
-
-def samples_from_csv(text):
-    """Inverse of :func:`samples_to_csv`; malformed text raises ValueError."""
-    rows = _csv_body(text, ["j", "t", "f"], first_index=1)
-    N = len(rows)
-    if N % 2 == 0 or N < 3:
-        raise ValueError("sample CSV must hold an odd number of rows")
-    grid = make_grid((N - 1) // 2)
-    for row, node in zip(rows, grid.nodes):
-        try:
-            t = float(row[1])
-        except ValueError:
-            raise ValueError(f"row j = {row[0]} has t = {row[1]!r}, not a number") from None
-        if not abs(t - node) <= _NODE_TOL:
-            raise ValueError(f"row j = {row[0]} has t = {row[1]!r}, expected the node {float(node)!r}")
-    return SampleVector(grid, [float(r[2]) for r in rows])
+# -- CSV wire format ------------------------------------------------------
 
 
 def spectrum_to_csv(spectrum):
@@ -225,31 +174,3 @@ def spectrum_to_csv(spectrum):
     rows = [[0, spectrum.a0, 0.0]]
     rows += ([k, spectrum.a[k - 1], spectrum.b[k - 1]] for k in range(1, n + 1))
     return csv_text(["k", "a", "b"], rows)
-
-
-def spectrum_from_csv(text):
-    """Inverse of :func:`spectrum_to_csv`; malformed text raises ValueError."""
-    rows = _csv_body(text, ["k", "a", "b"], first_index=0)
-    if len(rows) < 2:
-        raise ValueError("spectrum CSV needs the k = 0 row and at least one more")
-    a0 = float(rows[0][1])
-    a = [float(r[1]) for r in rows[1:]]
-    b = [float(r[2]) for r in rows[1:]]
-    return DiscreteSpectrum(make_grid(len(rows) - 1), a0, a, b)
-
-
-def _csv_body(text, header, first_index):
-    # The data rows, once the header, each row's width and the index
-    # column (counting up from first_index) have been checked.
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != header:
-        raise ValueError(f"expected header {','.join(header)}")
-    body = rows[1:]
-    for i, row in enumerate(body):
-        if len(row) != len(header):
-            raise ValueError(f"row {i + 1} has {len(row)} cells, expected {len(header)}")
-        if int(row[0]) != first_index + i:
-            raise ValueError(
-                f"row {i + 1} has {header[0]} = {row[0]!r}, expected {first_index + i}"
-            )
-    return body

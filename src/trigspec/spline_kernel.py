@@ -22,8 +22,10 @@ closed form, each branch's first term apart and the rest as a Hurwitz
 zeta tail, so results carry no truncation error. It depends only on the
 grid, the order and the gain family, so each configuration's per-class
 data is computed once (:func:`class_table`). The class sums
-H_k = sigma_k (1 + rho_k) are output data; a direct truncated summation
-of them is kept alongside as an independent cross-check path.
+H_k = sigma_k (1 + rho_k) are output data, the table's ``sums`` and,
+for the constant class, its ``dc_sum``; :func:`class_gain_sum_direct`, a
+truncated direct summation of them, is kept alongside as an independent
+cross-check path.
 """
 
 import enum
@@ -77,7 +79,7 @@ class KernelConfig:
     def __post_init__(self):
         if self.order < 1 or self.order != int(self.order):
             raise ValueError("spline order must be an integer >= 1")
-        if self.tail_tol <= 0:
+        if not self.tail_tol > 0:
             raise ValueError("tail_tol must be positive")
 
     @property
@@ -124,19 +126,6 @@ def raw_gain(j, config):
     return out if j_in.ndim else float(out[0])
 
 
-def class_gain_sum(k, config):
-    """Sum of raw gains over alias class k (the interpolation normalizer).
-
-    Exact: the fold series sigma_k + sum_m (sigma_{mN+k} + sigma_{mN-k})
-    is sigma_k (1 + rho_k), with rho_k in closed form because |sin| is
-    constant on a class. The value is the class table's entry, so a
-    configuration whose table is refused raises its error here too.
-    """
-    if k < 1 or k > config.grid.n:
-        raise ValueError("class representative k must lie in 1..n")
-    return float(class_table(config).sums[k - 1])
-
-
 def _branch_tails(config, k, m_start=1):
     # (plus, minus): the fold members of class k with m >= m_start as
     # signed ratios to the in-band member, sum eps_j (k/j)^s over
@@ -178,22 +167,12 @@ def class_gain_sum_direct(k, config, m_terms):
     return total
 
 
-def dc_class_gain_sum(config):
-    """Normalizer for the constant class: 1 + 2 sum_m sigma_{mN}.
-
-    Exactly 1 for the sinc families (their gains vanish at multiples of
-    N); finite and slightly above 1 for the inverse-power family.
-    """
-    return class_table(config).dc_sum
-
-
 @dataclass(frozen=True)
 class FilterTable:
     """Normalized gains alpha for j = 1..j_max plus the per-class sums."""
 
     config: KernelConfig
     class_sums: np.ndarray = field(repr=False)  # H_k = sigma_k (1 + rho_k), k = 1..n
-    dc_class_sum: float
     gains: np.ndarray = field(repr=False)  # alpha_j, j = 1..j_max
     j_max: int
 
@@ -280,12 +259,6 @@ def gain(j, config):
     return out if j_in.ndim else float(out[0])
 
 
-def _class_normalizers(j, N, sums, dc_sum):
-    # Alias class k of each harmonic j (0 for multiples of N) and its class sum.
-    k, _ = _series.alias_fold(j, N)
-    return k, np.where(k == 0, dc_sum, sums[np.maximum(k, 1) - 1])
-
-
 def filter_response(config, j_max):
     """Gain table for j = 1..j_max (the low-pass amplitude response data).
 
@@ -316,7 +289,6 @@ def filter_response(config, j_max):
     return FilterTable(
         config=config,
         class_sums=ct.sums,
-        dc_class_sum=ct.dc_sum,
         gains=gains,
         j_max=int(j_max),
     )
@@ -348,7 +320,9 @@ def class_partition_terms(k, config, m_terms, table=None):
 def response_table_to_csv(table):
     """CSV with header ``j,k_class,sigma,H,alpha`` for j = 1..j_max."""
     cfg = table.config
+    ct = class_table(cfg)
     js = np.arange(1, table.j_max + 1)
-    k, H = _class_normalizers(js, cfg.grid.N, table.class_sums, table.dc_class_sum)
+    k, _ = _series.alias_fold(js, cfg.grid.N)
+    H = np.where(k == 0, ct.dc_sum, ct.sums[np.maximum(k, 1) - 1])
     rows = zip(js.tolist(), k.tolist(), raw_gain(js, cfg), H, table.gains)
     return csv_text(["j", "k_class", "sigma", "H", "alpha"], rows)

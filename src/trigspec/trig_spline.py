@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _series
-from .sampling import DiscreteSpectrum, discrete_coeffs, make_grid
+from .sampling import DiscreteSpectrum, discrete_coeffs, extended_coefficient, make_grid
 from .spline_kernel import FilterVariant, KernelConfig, class_table, filter_response, gain
 
 _REPRESENTATION_CAP = 64     # largest L in the series truncation J = L*N
@@ -87,13 +87,9 @@ def _law_coefficients(config, spectrum, js):
     """
     js = np.asarray(js, dtype=np.int64)
     gains = gain(js, config)
-    k, sin_sign = _series.alias_fold(js, config.grid.N)
-    a_look = np.concatenate(([0.0], spectrum.a))
-    b_look = np.concatenate(([0.0], spectrum.b))
-    dc = k == 0
-    ca = np.where(dc, 0.0, gains * a_look[k])
-    cb = np.where(dc, 0.0, gains * sin_sign * b_look[k])
-    return ca, cb
+    ea, eb = extended_coefficient(spectrum, js)
+    dc = js % config.grid.N == 0
+    return np.where(dc, 0.0, gains * ea), np.where(dc, 0.0, gains * eb)
 
 
 def series_truncation(spline):

@@ -28,7 +28,6 @@ from trigspec import (
     estimate_diff_variation,
     filter_response,
     folded_coefficients,
-    interpolating_polynomial,
     make_grid,
     quad_fourier_coeff,
     refined_error_bound,
@@ -339,7 +338,7 @@ def test_c8_minimal_curvature(suite):
         sig = suite[name]
         samples = sample(sig, grid)
         spl = build_spline(samples, _config(8, 3, "inv-power"))
-        poly = interpolating_polynomial(samples)
+        poly = discrete_coeffs(samples)
         results[name] = (
             curvature_functional(spl, 2),
             curvature_functional(poly, 2),

@@ -148,8 +148,10 @@ def test_fold_rejects_black_box():
 
 
 def test_fold_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        folded_coefficients(power_decay_cosine(4), make_grid(2), 1, tol=0.0)
+    # A NaN tolerance compares false with every rounding floor; it would certify anything.
+    for tol in (0.0, -1e-12, float("nan")):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            folded_coefficients(power_decay_cosine(4), make_grid(2), 1, tol=tol)
 
 
 # -- frequency-domain bound -----------------------------------------------------

@@ -196,6 +196,16 @@ def test_bounds_families_pass(power_spec, tmp_path, family):
     assert all(line.endswith("true") for line in out.read_text().splitlines()[1:])
 
 
+@pytest.mark.parametrize("family", ["eq3", "filon"])
+def test_bounds_refuses_a_negative_j_max(power_spec, tmp_path, capsys, family):
+    # eq3 used to write a header-only table for --j-max -3 and exit 0.
+    out = tmp_path / "b.csv"
+    assert run(["bounds", "--signal", power_spec, "--n", "2", "--family", family,
+                "--j-max", "-3", "--out", str(out)]) == 2
+    assert "--j-max must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bounds_eq9_needs_smooth_class(tmp_path):
     doc = {"kind": "PowerDecayCosine", "terms": [], "p": 2.0, "r": 0,
            "variation": 4.9348022005446793}
@@ -214,6 +224,15 @@ def test_oversized_input_exits_two(cosine_spec, tmp_path, monkeypatch, capsys):
     assert run(["dft", "--signal", cosine_spec, "--n", "1000000000000",
                 "--out", str(tmp_path / "x.csv")]) == 2
     assert "trigspec: error: input too large: cannot allocate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["spline", "--n", "4", "--r", "3"], ["alias", "--n", "4"]])
+def test_nan_tail_tol_exits_two(power_spec, tmp_path, capsys, command):
+    # NaN fails every comparison: spline used to run to J = 64N, alias to certify anything.
+    stem = str(tmp_path / "x")
+    assert run([*command, "--signal", power_spec, "--tail-tol", "nan", "--out", stem]) == 2
+    assert "must be positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "p4.json"]
 
 
 # -- numerical failure ------------------------------------------------------------

@@ -202,8 +202,4 @@ def test_filon_table_columns_and_bounds_hold():
     for r in rows:
         measured = max(abs(r["a_true"] - r["a_hat"]), abs(r["b_true"] - r["b_hat"]))
         assert measured <= 1.1 * min(r["cnorm_bound"], r["refined_bound"])
-    from trigspec.filon_oracle import filon_table_to_csv
-
-    text = filon_table_to_csv(rows)
-    assert text.splitlines()[0] == "k,a_hat,b_hat,a_true,b_true,cnorm_bound,refined_bound"
-    assert len(text.splitlines()) == 21
+    assert [r["k"] for r in rows] == list(range(1, 21))

@@ -11,9 +11,7 @@ from trigspec import (
     FilterVariant,
     KernelConfig,
     build_spline,
-    class_gain_sum,
     class_table,
-    dc_class_gain_sum,
     filter_response,
     gain,
     make_grid,
@@ -87,8 +85,9 @@ def test_class_sum_inverse_power_matches_brute_oracle():
     c = cfg(2, 1, "inv-power")
     oracle = class_gain_sum_direct(1, c, 1_000_000)
     assert oracle == pytest.approx(1.1426738, abs=1e-5)
-    assert class_gain_sum(1, c) == pytest.approx(1.1426740537, abs=1e-9)
-    assert class_gain_sum(1, c) == pytest.approx(oracle, abs=1e-5)
+    H = class_table(c).sums[0]
+    assert H == pytest.approx(1.1426740537, abs=1e-9)
+    assert H == pytest.approx(oracle, abs=1e-5)
 
 
 @pytest.mark.parametrize("variant", ["abs-sinc", "inv-power", "sinc"])
@@ -99,21 +98,21 @@ def test_class_sum_matches_direct_summation(variant, r):
         direct = class_gain_sum_direct(k, c, 4000)
         # Direct truncation is the limited side; its tail is O(m^-r).
         tol = max(10.0 * 4000.0**-r, 1e-13)
-        assert class_gain_sum(k, c) == pytest.approx(direct, abs=tol)
+        assert class_table(c).sums[k - 1] == pytest.approx(direct, abs=tol)
 
 
 def test_abs_sinc_class_sum_exceeds_own_gain():
     c = cfg(8, 3, "abs-sinc")
+    sums = class_table(c).sums
     for k in range(1, 9):
-        assert class_gain_sum(k, c) > raw_gain(k, c) > 0
+        assert sums[k - 1] > raw_gain(k, c) > 0
 
 
 def test_signed_equals_abs_for_odd_order():
     # Odd order means even power: the sign disappears termwise.
     c_signed = cfg(2, 1, "sinc")
     c_abs = cfg(2, 1, "abs-sinc")
-    for k in (1, 2):
-        assert class_gain_sum(k, c_signed) == class_gain_sum(k, c_abs)
+    assert np.array_equal(class_table(c_signed).sums, class_table(c_abs).sums)
 
 
 def test_no_degenerate_class_sums_in_scan():
@@ -123,8 +122,7 @@ def test_no_degenerate_class_sums_in_scan():
     for n in range(1, 17):
         for r in (2, 4, 6, 8, 10):
             c = cfg(n, r, "sinc")
-            for k in range(1, n + 1):
-                H = class_gain_sum(k, c)
+            for k, H in enumerate(class_table(c).sums, start=1):
                 sigma_k = raw_gain(k, c)
                 assert sigma_k > 0
                 # The alternating fold series is positive, so H stays at or
@@ -162,7 +160,7 @@ def test_class_gain_sum_at_order_200_is_raw_gain_over_band_gain():
     # the in-band raw gain over the in-band gain, and the spline is exact.
     c = cfg(64, 200, "abs-sinc")
     for k in (1, 32, 64):
-        assert class_gain_sum(k, c) == pytest.approx(raw_gain(k, c) / gain(k, c), rel=1e-15)
+        assert class_table(c).sums[k - 1] == pytest.approx(raw_gain(k, c) / gain(k, c), rel=1e-15)
     samples = sample(long_harmonic_sum(), c.grid)
     assert_spline_values_hold(build_spline(samples, c), samples, grids=(1000,))
 
@@ -174,11 +172,11 @@ def test_class_table_order_150_still_builds():
 
 
 def test_dc_class_sum():
-    assert dc_class_gain_sum(cfg(2, 3, "abs-sinc")) == 1.0
+    assert class_table(cfg(2, 3, "abs-sinc")).dc_sum == 1.0
     c = cfg(2, 1, "inv-power")
     m = np.arange(1.0, 200_000.0)
     oracle = 1.0 + 2.0 * float(np.sum((m * c.grid.N) ** -2.0))
-    assert dc_class_gain_sum(c) == pytest.approx(oracle, abs=1e-5)
+    assert class_table(c).dc_sum == pytest.approx(oracle, abs=1e-5)
 
 
 # -- normalized gains -------------------------------------------------------------
@@ -188,7 +186,7 @@ def test_gain_times_class_sum_is_raw_gain():
     c = cfg(8, 3, "abs-sinc")
     for j in (1, 5, 9, 20, 40):
         k = min(j % c.grid.N, c.grid.N - j % c.grid.N)
-        assert gain(j, c) * class_gain_sum(k, c) == pytest.approx(
+        assert gain(j, c) * class_table(c).sums[k - 1] == pytest.approx(
             raw_gain(j, c), rel=1e-14
         )
 
@@ -366,5 +364,7 @@ def test_config_validation():
         cfg(2, 0, "abs-sinc")
     with pytest.raises(ValueError):
         cfg(2, 1, "abs-sinc", tail_tol=0.0)
+    with pytest.raises(ValueError, match="tail_tol must be positive"):
+        cfg(2, 1, "abs-sinc", tail_tol=float("nan"))
     with pytest.raises(ValueError):
         FilterVariant.from_string("nonsense")

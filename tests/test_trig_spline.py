@@ -18,9 +18,10 @@ from trigspec import (
     TrigSpline,
     build_spline,
     curvature_functional,
+    discrete_coeffs,
+    extended_coefficient,
     gain,
     harmonic_sum,
-    interpolating_polynomial,
     make_grid,
     power_decay_cosine,
     power_decay_sine,
@@ -280,14 +281,29 @@ def test_fourier_coeff_beyond_band_is_gain_times_extension():
     sig = power_decay_sine(5)
     spl, c = spline_of(sig, 8, 3)
     N = c.grid.N
-    from trigspec import extended_coefficient
-
     for j in (N + 3, 2 * N - 3, 4 * N + 1):
         a, b = spline_fourier_coeff(spl, j)
         ea, eb = extended_coefficient(spl.spectrum, j)
         g = gain(j, c)
-        assert a == pytest.approx(g * ea, rel=1e-14, abs=1e-18)
-        assert b == pytest.approx(g * eb, rel=1e-14, abs=1e-18)
+        assert (a, b) == (g * ea, g * eb)
+
+
+@pytest.mark.parametrize("variant,r", [("sinc", 2), ("sinc", 3), ("abs-sinc", 3), ("inv-power", 1)])
+def test_unfolded_rows_are_gain_times_extension_bit_for_bit(variant, r, rng):
+    # Off the constant class every row is the coefficient law itself,
+    # signed zeros included; the constant class carries exact zeros.
+    c = cfg(8, r, variant)
+    a, b = rng.standard_normal((2, c.grid.n))
+    a[::3] = 0.0
+    b[1::2] = 0.0       # zero products, whose sign follows the gain's
+    spl = TrigSpline(config=c, spectrum=DiscreteSpectrum(c.grid, rng.standard_normal(), a, b))
+    js, ca, cb = unfolded_spectrum(spl, 6 * c.grid.N)
+    ea, eb = extended_coefficient(spl.spectrum, js)
+    g = gain(js, c)
+    off = js % c.grid.N != 0
+    for got, want in ((ca, g * ea), (cb, g * eb)):
+        assert np.array_equal(got[off].view(np.int64), want[off].view(np.int64))
+        assert np.all(got[~off].view(np.int64) == 0)
 
 
 def test_fourier_coeff_constant_class_is_zero():
@@ -509,14 +525,14 @@ def test_spline_curves_less_than_polynomial(signal_name, suite):
     c = cfg(8, 3, "inv-power")
     samples = sample(sig, c.grid)
     spl = build_spline(samples, c)
-    poly = interpolating_polynomial(samples)
+    poly = discrete_coeffs(samples)
     assert curvature_functional(spl, 2) < curvature_functional(poly, 2)
 
 
 def test_polynomial_interpolates_and_exposes_series():
     sig = power_decay_cosine(4)
     samples = sample(sig, make_grid(8))
-    poly = interpolating_polynomial(samples)
+    poly = discrete_coeffs(samples)
     assert np.max(np.abs(poly.eval_on_uniform_grid(17) - samples.values)) < 1e-10
     a0, a, b = poly.fourier_series()
     assert len(a) == 8
@@ -525,7 +541,7 @@ def test_polynomial_interpolates_and_exposes_series():
 @pytest.mark.parametrize("points", [2.5, 0, -3])
 def test_polynomial_grid_refuses_a_bad_point_count(points):
     # 2.5 points used to give 3 values on a grid of spacing 2 pi/2.5.
-    poly = interpolating_polynomial(sample(power_decay_cosine(4), make_grid(8)))
+    poly = discrete_coeffs(sample(power_decay_cosine(4), make_grid(8)))
     with pytest.raises(ValueError, match="positive integer"):
         poly.eval_on_uniform_grid(points)
 

@@ -22,9 +22,7 @@ from hypothesis import strategies as st
 from trigspec import (
     FilterVariant,
     KernelConfig,
-    class_gain_sum,
     class_table,
-    dc_class_gain_sum,
     filter_response,
     gain,
     make_grid,
@@ -252,8 +250,9 @@ def test_class_table_holds_the_scalar_values(variant, r):
     for k in range(1, 10):
         assert ct.gains[k - 1] == gain(k, config)
         assert ct.raw_gains[k - 1] == raw_gain(k, config)
-        assert ct.sums[k - 1] == loop_class_sum(k, config) == class_gain_sum(k, config)
-    assert ct.dc_sum == dc_class_gain_sum(config)
+        assert ct.sums[k - 1] == loop_class_sum(k, config)
+    # Sinc gains vanish at multiples of N; inverse powers add to the constant class.
+    assert (ct.dc_sum == 1.0) == (variant is not FilterVariant.INVERSE_POWER)
     table = filter_response(config, 30)
     assert table.class_sums is ct.sums
     with pytest.raises(ValueError):
