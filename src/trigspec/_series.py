@@ -16,8 +16,9 @@ guarantees:
   Li_s(e^(i theta)) it contains, through their zeta-series expansion
   (Erdelyi et al., *Higher Transcendental Functions* I, 1.11; Crandall,
   "Note on fast polylogarithm computation", 2006). The expansion itself,
-  for |theta| <= pi, is :func:`lerch_series`; every spline value is a
-  weighted sum of its rows.
+  for |theta| <= pi, is :func:`lerch_series`, read as its cached
+  coefficients (:func:`lerch_coefficients`) and its singular term
+  (:func:`lerch_singular`); every spline value is a weighted sum of them.
 
 Alongside them sit the small primitives every layer shares: angle
 reduction, derivative rotation of a coefficient pair, the fold of a
@@ -332,11 +333,45 @@ def _lerch_table(s, q, step):
     return even, odd, lead
 
 
-def _lerch_singular(s, theta):
-    # The part of e^(i a theta) Phi(e^(i theta), s, a) the power series
-    # leaves out, the same for every a: -(i theta)^(s-1) log(-i theta) / (s-1)!
-    # for integer s (0 at theta = 0), and for non-integer s the pole pair of
-    # _pole_pair, which also carries the coefficient of (i theta)^(round(s)-1).
+def lerch_coefficients(s, q, step=1.0):
+    """The expansion of :func:`lerch_series` as its cached coefficients ``(even, odd, lead)``.
+
+    With ``u = theta/pi`` the row of first member q is
+
+        even @ u^(0, 2, 4, ...) + i odd @ u^(1, 3, 5, ...) + lead * lerch_singular(s, theta),
+
+    one row per q; ``even`` and ``odd`` hold the real coefficients of the
+    even and odd powers (the factor i^r folded in as a real sign), and
+    ``lead`` is ``(q/step)^s``. The number of powers, ``even.shape[1] +
+    odd.shape[1]``, depends only on s. q and step are checked as in
+    :func:`lerch_series`; the arrays are read-only.
+    """
+    if s <= 1:
+        raise ValueError("the Lerch expansion requires s > 1")
+    if not step > 0.0:
+        raise ValueError("step must be positive")
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    if q.ndim != 1 or ((q <= 0.0) | (q > step)).any():
+        raise ValueError("q must be a 1-D array of values in (0, step]")
+    if s != int(s) and (q != step).any():
+        raise ValueError("non-integer s is supported for q = step only")
+    return _lerch_table(float(s), tuple(q.tolist()), float(step))
+
+
+def lerch_singular(s, theta):
+    """The singular term of :func:`lerch_series` at angles |theta| <= pi, the same for every q.
+
+    It is ``-(i theta)^(s-1) log(-i theta) / (s-1)!`` for integer s (0 at
+    theta = 0); for non-integer s it is ``Gamma(1-s) (-i theta)^(s-1)``
+    summed in closed form with the coefficient ``zeta(1 + s - round(s))``
+    of the power ``(i theta)^(round(s)-1)``, which is left out of
+    :func:`lerch_coefficients`. Returns a complex array shaped like theta.
+    """
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if theta.ndim != 1 or not (np.abs(theta) <= np.pi).all():
+        raise ValueError("theta must be a 1-D array of angles in [-pi, pi]")
+    # The pole pair of _pole_pair also carries the coefficient of
+    # (i theta)^(round(s)-1).
     m = (int(s) if s == int(s) else _pole_constants(s)[0]) - 1
     coeff = _powers_over_factorial(math.pi, m + 1)[m] * _I_POW[m % 4]
     u = (theta / math.pi) ** m
@@ -360,34 +395,24 @@ def lerch_series(s, q, theta, step=1.0):
     terms it drops. Returns a complex array with one row per q and one
     column per theta. Integer s >= 2 takes any q in (0, step]; non-integer
     s > 1 takes q = step only. The coefficients depend only on (s, q, step)
-    and are cached; each is a power of a ratio below one times a bounded
-    factor, in the float range at any order. For non-integer s the singular
-    term ``Gamma(1-s) (-i theta)^(s-1)`` and the coefficient
-    ``zeta(1 + s - round(s))``, each of order 1/(s - round(s)), are summed
-    in closed form so that they do not cancel.
+    and are cached (:func:`lerch_coefficients`); each is a power of a ratio
+    below one times a bounded factor, in the float range at any order. For
+    non-integer s the singular term ``Gamma(1-s) (-i theta)^(s-1)`` and the
+    coefficient ``zeta(1 + s - round(s))``, each of order 1/(s - round(s)),
+    are summed in closed form so that they do not cancel
+    (:func:`lerch_singular`).
     """
-    if s <= 1:
-        raise ValueError("the Lerch expansion requires s > 1")
-    if not step > 0.0:
-        raise ValueError("step must be positive")
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    if q.ndim != 1 or ((q <= 0.0) | (q > step)).any():
-        raise ValueError("q must be a 1-D array of values in (0, step]")
-    if s != int(s) and (q != step).any():
-        raise ValueError("non-integer s is supported for q = step only")
+    even, odd, lead = lerch_coefficients(s, q, step)
+    sing = lerch_singular(s, theta)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if theta.ndim != 1 or not (np.abs(theta) <= np.pi).all():
-        raise ValueError("theta must be a 1-D array of angles in [-pi, pi]")
-    even, odd, lead = _lerch_table(float(s), tuple(q.tolist()), float(step))
-    out = np.empty((q.size, theta.size), dtype=complex)
+    out = np.empty((lead.size, theta.size), dtype=complex)
     for start in range(0, theta.size, _LERCH_BLOCK):
-        th = theta[start:start + _LERCH_BLOCK]
-        powers = np.empty((even.shape[1] + odd.shape[1], th.size))
+        at = slice(start, start + _LERCH_BLOCK)
+        powers = np.empty((even.shape[1] + odd.shape[1], theta[at].size))
         powers[0] = 1.0
-        powers[1:] = th / math.pi
+        powers[1:] = theta[at] / math.pi
         np.cumprod(powers, axis=0, out=powers)
-        out[:, start:start + _LERCH_BLOCK] = (even @ powers[0::2] + 1j * (odd @ powers[1::2])
-                                              + np.multiply.outer(lead, _lerch_singular(s, th)))
+        out[:, at] = even @ powers[0::2] + 1j * (odd @ powers[1::2]) + np.multiply.outer(lead, sing[at])
     return out
 
 

@@ -115,6 +115,10 @@ def cmd_spline(args):
         raise ValueError("--n must be >= 1")
     if args.out is None:
         raise ValueError("spline needs --out STEM for its output files")
+    if args.j_max < 0:
+        raise ValueError("--j-max must be >= 1 (0 or absent picks the default)")
+    if args.eval_grid < 0:
+        raise ValueError("--eval-grid must be positive (0 or absent writes no evaluation)")
     grid = make_grid(args.n)
     config = _kernel_config(args, grid, args.tail_tol)
     spline = trig_spline.build_spline(sample(sig, grid), config)
@@ -130,8 +134,6 @@ def cmd_spline(args):
     _write_text(args.out + ".unfolded.csv", csv_text(header, table))
     if args.eval_grid:
         P = args.eval_grid
-        if P < 1:
-            raise ValueError("--eval-grid must be positive")
         t = 2.0 * np.pi * np.arange(P) / P
         sv = trig_spline.values_on_uniform_grid(spline, P)
         fv = np.atleast_1d(signal_model.evaluate(sig, t))

@@ -246,10 +246,11 @@ def gain(j, config):
     is an integer >= 1 or an integer array; a scalar gives a float, an
     array an array of its shape.
     """
-    j_in = np.asarray(j, dtype=np.int64)
-    j = np.atleast_1d(j_in)
-    if np.any(j < 1):
-        raise ValueError("gain is defined for harmonic indices j >= 1")
+    j_in = np.asarray(j)
+    # Integer arrays are integral by type; only others pay for the check.
+    if np.any(j_in < 1) or (j_in.dtype.kind not in "iu" and np.any(j_in != np.floor(j_in))):
+        raise ValueError("gain is defined for integer harmonic indices j >= 1")
+    j = np.atleast_1d(j_in.astype(np.int64, copy=False))
     ct = class_table(config)
     k, _ = _series.alias_fold(j, config.grid.N)
     dc = k == 0

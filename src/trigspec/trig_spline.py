@@ -13,13 +13,18 @@ A spline is its configuration and the discrete spectrum of its samples;
 every coefficient and value derives from those two, and evaluation never
 truncates. One engine sums the *entire* infinite series at every point:
 each alias class's two branches are Lerch transcendents on the unit
-circle, expanded at the angle of the point within its cell, and the sum
-over the classes is an inverse FFT read at the cell. Uniform grids take
-cells and angles from integers; their values — including the node values
-that define interpolation — and scattered values are exact to rounding,
-with an expansion remainder far below it. A truncated coefficient list,
-with a recorded neglect bound, is built on demand only
-(:meth:`TrigSpline.fourier_series`, the JSON document).
+circle, expanded in powers of the angle of the point within its cell, and
+the sum over the classes is a length-N inverse FFT read at the cell. A
+call sums in whichever order needs fewer of those FFTs: one per distinct
+angle, or, when a call has more distinct angles than the expansion has
+columns (R + 1, R = order + 65), one per column into a cell table of R
+real coefficients and one singular factor per cell, after which each
+point costs O(R). Uniform grids take cells and angles from integers;
+their values — including the node values that define interpolation — and
+scattered values are exact to rounding, with an expansion remainder far
+below it. A truncated coefficient list, with a recorded neglect bound, is
+built on demand only (:meth:`TrigSpline.fourier_series`, the JSON
+document).
 
 Work that depends only on the configuration (grid, order, variant) is
 kept apart from work on the samples: the class table of
@@ -38,8 +43,9 @@ from .sampling import DiscreteSpectrum, discrete_coeffs, extended_coefficient, m
 from .spline_kernel import FilterVariant, KernelConfig, class_table, filter_response, gain
 
 _REPRESENTATION_CAP = 64     # largest L in the series truncation J = L*N
-# Evaluation works on blocks of angles holding at most this many
-# (residue x angle) cells.
+# Evaluation angle by angle works on blocks of angles holding at most this
+# many (angle x residue) entries; the cell table needs no blocks, since it
+# holds (R + 1) x N entries whatever the number of points.
 _EVAL_CELLS = 1 << 16
 
 
@@ -153,8 +159,11 @@ def _evaluate(spline, theta, cells):
     # cells l mod N. Class k's members on each branch sum to a Lerch
     # expansion at theta with first member j0 = k or N - k, times
     # e^(2 pi i j0 l/N) e^(-i j0 shift/N); the j0 are the residues 1..N-1,
-    # so the sum over them is one length-N inverse FFT per angle, read at
-    # its cells. Blocks of angles hold at most _EVAL_CELLS residue cells.
+    # so the sum over them is a length-N inverse FFT. It is taken in
+    # whichever order needs fewer of them: over the R expansion columns and
+    # the singular factor (R + 1 FFTs, then O(R) per point) when there are
+    # more angles than that, else over each angle's expansion rows, in
+    # blocks of at most _EVAL_CELLS (angle x residue) entries.
     cfg = spline.config
     N = cfg.grid.N
     spec = spline.spectrum
@@ -164,15 +173,46 @@ def _evaluate(spline, theta, cells):
     j0 = np.arange(1, N)
     if cfg.signed:
         w *= np.exp(-1j * np.pi * j0 / N)
+    even, odd, lead = _series.lerch_coefficients(cfg.power, j0, step=N)
+    sing = _series.lerch_singular(cfg.power, theta)
+    R = even.shape[1] + odd.shape[1]
+    if theta.size > R + 1:
+        return _cell_table_sum((even, odd, lead), w, sing, theta, cells) + 0.5 * spline.a0
     out = np.empty(cells.shape)
     block = max(_EVAL_CELLS // N, 1)
     for start in range(0, theta.size, block):
         at = slice(start, start + block)
+        powers = np.empty((R, theta[at].size))
+        powers[0] = 1.0
+        powers[1:] = theta[at] / np.pi
+        np.cumprod(powers, axis=0, out=powers)
+        rows = even @ powers[0::2] + 1j * (odd @ powers[1::2]) + np.multiply.outer(lead, sing[at])
         Z = np.zeros((cells[at].shape[0], N), dtype=complex)
-        Z[:, 1:] = _series.lerch_series(cfg.power, j0, theta[at], step=N).T * w
+        Z[:, 1:] = rows.T * w
         Y = np.fft.ifft(Z, norm="forward")      # unscaled: sum_j0 Z e^(2 pi i j0 l/N)
         out[at] = np.real(Y[np.arange(len(Z))[:, None], cells[at]])
     return out + 0.5 * spline.a0
+
+
+def _cell_table_sum(columns, w, sing, theta, cells):
+    # The cell table: column r of the expansion (odd ones times i) and the
+    # singular factor, weighted by w and summed over j0 by one inverse FFT
+    # each. Cell l then reads the real coefficients E[r, l] of u^r,
+    # u = theta/pi, summed by Horner's rule, and D[R, l] of the singular term.
+    even, odd, lead = columns
+    R = even.shape[1] + odd.shape[1]
+    Z = np.zeros((R + 1, w.size + 1), dtype=complex)
+    Z[0:R:2, 1:] = even.T * w
+    Z[1:R:2, 1:] = odd.T * (1j * w)
+    Z[R, 1:] = lead * w
+    D = np.fft.ifft(Z, norm="forward")
+    E = D[:R].real
+    u = (theta / np.pi)[:, None]
+    out = E[R - 1][cells]
+    for r in range(R - 2, -1, -1):
+        out *= u
+        out += E[r][cells]
+    return out + np.real(D[R][cells] * sing[:, None])
 
 
 def spline_eval(spline, t):
@@ -189,10 +229,16 @@ def spline_eval(spline, t):
 
     Each point is written as N t + shift = 2 pi l + theta with |theta| <=
     pi; the sum over first members is then one inverse FFT of the
-    :func:`_series.lerch_series` rows at theta, read at cell l. Every
-    factor lies in the float range at any order. The error beyond rounding
-    is :func:`scattered_eval_bound`, for every order and every point; it
-    does not depend on ``tail_tol``.
+    :func:`_series.lerch_series` rows at theta, read at cell l. With more
+    points than the expansion has columns (R + 1, R = order + 65) the sum
+    runs the other way: one inverse FFT per column of
+    :func:`_series.lerch_coefficients` and one for the singular factor
+    builds a table of R + 1 coefficients per cell, and each point sums the
+    R powers of theta/pi at its cell plus the singular term, O(R) per
+    point whatever N is. Every factor lies in the float range at any
+    order. The error beyond rounding is :func:`scattered_eval_bound`, for
+    every order and every point and either order of the sum; it does not
+    depend on ``tail_tol``.
     """
     t_arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t_arr)):
@@ -229,8 +275,11 @@ def values_on_uniform_grid(spline, points):
     integers: N t_g + shift = pi num/G with num = 2Ng (+ G for the signed
     family) and G = points, so cell l = round(num/2G) and theta = pi (num -
     2Gl)/G are exact. Point g shares its angle with g + P, P = G/gcd(N, G),
-    so only P angles are expanded; at G = N all nodes share one. The error
-    beyond rounding is :func:`scattered_eval_bound`.
+    so only P angles are expanded; at G = N all nodes share one. Up to
+    R + 1 angles (R = order + 65) the sum over first members runs angle by
+    angle, one FFT each; beyond that through the cell table of
+    :func:`spline_eval`, R + 1 FFTs in all. The error beyond rounding is
+    :func:`scattered_eval_bound`.
     """
     if points < 1 or points != int(points):
         raise ValueError("points must be a positive integer")

@@ -206,6 +206,17 @@ def test_bounds_refuses_a_negative_j_max(power_spec, tmp_path, capsys, family):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option", [["--j-max", "-3"], ["--eval-grid", "-5"]])
+def test_spline_refuses_a_bad_option_before_writing(power_spec, tmp_path, capsys, option):
+    # Both used to be refused after STEM.spline.json (and, for --eval-grid,
+    # STEM.unfolded.csv) had been written.
+    stem = tmp_path / "x"
+    assert run(["spline", "--signal", power_spec, "--n", "4", *option,
+                "--out", str(stem)]) == 2
+    assert f"{option[0]} must be" in capsys.readouterr().err
+    assert list(tmp_path.glob("x*")) == []
+
+
 def test_bounds_eq9_needs_smooth_class(tmp_path):
     doc = {"kind": "PowerDecayCosine", "terms": [], "p": 2.0, "r": 0,
            "variation": 4.9348022005446793}

@@ -215,6 +215,37 @@ def test_lerch_series_is_lerch_unit_without_its_phase():
         _series.lerch_series(3, q, np.array([np.pi + 1e-9]), step=5.0)
 
 
+@pytest.mark.parametrize("s,q,step", [(3, [1.0, 2.0, 5.0], 5.0), (2.5, [4.0], 4.0), (40, [1.0, 16.0], 17.0)])
+def test_lerch_series_is_its_coefficients_and_singular_term(s, q, step):
+    # The evaluation engine reads the expansion through these two, in
+    # either order of its sum over first members.
+    theta = np.array([-np.pi, -1.0, 0.0, 0.4, np.pi])
+    even, odd, lead = _series.lerch_coefficients(s, q, step)
+    assert even.shape[0] == odd.shape[0] == lead.size == len(q)
+    assert not (even.flags.writeable or odd.flags.writeable or lead.flags.writeable)
+    u = theta / np.pi
+    powers = u[None, :] ** np.arange(even.shape[1] + odd.shape[1])[:, None]
+    want = (even @ powers[0::2] + 1j * (odd @ powers[1::2])
+            + np.multiply.outer(lead, _series.lerch_singular(s, theta)))
+    got = _series.lerch_series(s, q, theta, step)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_lerch_coefficients_and_singular_term_validation():
+    with pytest.raises(ValueError, match="s > 1"):
+        _series.lerch_coefficients(1, 0.5)
+    with pytest.raises(ValueError, match="q must be"):
+        _series.lerch_coefficients(3, 5.0, step=4.0)
+    with pytest.raises(ValueError, match="q = step only"):
+        _series.lerch_coefficients(2.5, 0.5)
+    with pytest.raises(ValueError, match="step must be positive"):
+        _series.lerch_coefficients(3, 0.5, step=0.0)
+    with pytest.raises(ValueError, match="theta must be"):
+        _series.lerch_singular(3, np.array([np.pi + 1e-9]))
+    with pytest.raises(ValueError, match="theta must be"):
+        _series.lerch_singular(3, np.zeros((2, 2)))
+
+
 @pytest.mark.parametrize("s", [2, 2.5, 3, 11])
 def test_lerch_remainder_bound_is_far_below_rounding(s):
     assert 0.0 < _series.lerch_remainder_bound(s) < 1e-20

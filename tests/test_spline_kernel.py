@@ -204,6 +204,19 @@ def test_gains_on_arrays_equal_scalar_calls(variant, r):
     assert raw_gain(js.reshape(5, -1), c).shape == (5, c.grid.N)
 
 
+@pytest.mark.parametrize("j", [1.5, 0, -2, np.array([1, 2.5, 3]), np.array([[1, 0]])])
+def test_gain_refuses_bad_indices(j):
+    # A non-integer index used to be truncated: gain(1.5) returned gain(1).
+    with pytest.raises(ValueError, match="integer harmonic indices"):
+        gain(j, cfg(4, 3, "abs-sinc"))
+
+
+def test_gain_takes_integral_floats_as_their_integers():
+    c = cfg(4, 3, "abs-sinc")
+    assert gain(2.0, c) == gain(2, c)
+    assert np.array_equal(gain(np.array([1.0, 9.0]), c), gain(np.array([1, 9]), c))
+
+
 def test_gain_zero_at_multiples_of_N_for_sinc():
     c = cfg(2, 3, "abs-sinc")
     assert gain(c.grid.N, c) == 0.0

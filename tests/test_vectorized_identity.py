@@ -231,6 +231,42 @@ def test_scattered_eval_matches_uniform_grid_values(data):
     assert trig_spline.scattered_eval_bound(spline) < 1e-20 * max(1.0, size)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_both_contraction_orders_match_hurwitz_fold(data):
+    # The sum over residues runs per angle for up to R + 1 distinct angles
+    # and through the cell table (R + 1 FFTs) beyond; P sits just below, at
+    # and just above the switch, for grids and for scattered points alike.
+    n = data.draw(st.integers(min_value=1, max_value=64))
+    order = data.draw(st.integers(min_value=1, max_value=200))
+    config = KernelConfig(grid=make_grid(n), order=order, variant=data.draw(st.sampled_from(VARIANTS)))
+    spectrum = data.draw(spectra(config.grid))
+    spline = build_from(spectrum, config)
+    N = config.grid.N
+    even, odd, _ = _series.lerch_coefficients(config.power, np.arange(1, N), N)
+    R = even.shape[1] + odd.shape[1]
+    P = R + 1 + data.draw(st.sampled_from([-1, 0, 1]))
+    # G = P d with d a divisor of N and N/d prime to P, so G/gcd(N, G) = P.
+    d = data.draw(st.sampled_from([d for d in range(1, N + 1) if N % d == 0]))
+    if math.gcd(N // d, P) != 1:
+        d = N
+    G = P * d
+    g = np.random.default_rng(data.draw(st.integers(0, 2**16))).choice(G, P, replace=False)
+    table_path = int(P > R + 1)
+    wrapped = mock.patch.object(trig_spline, "_cell_table_sum", wraps=trig_spline._cell_table_sum)
+    with wrapped as table:
+        on_grid = trig_spline.values_on_uniform_grid(spline, G)
+        assert table.call_count == table_path
+        scattered = trig_spline.spline_eval(spline, 2.0 * np.pi * g / G)
+        assert table.call_count == 2 * table_path
+    want = _series.synth_folded(loop_folded_spectrum(spline, G), spline.a0)
+    size = 0.5 * abs(spectrum.a0) + float(np.sum(np.hypot(spectrum.a, spectrum.b)))
+    assert np.max(np.abs(on_grid - want)) <= 1e-14 * size
+    # t = 2 pi g/G is rounded, which moves a value by up to about n^2 eps size.
+    bound = trig_spline.scattered_eval_bound(spline)
+    assert np.max(np.abs(scattered - on_grid[g])) <= bound + 1e-13 * max(1.0, size)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=1, max_value=1024), st.integers(min_value=0, max_value=2**32 - 1))
 def test_dft_matches_per_coefficient_loop(n, seed):

@@ -52,13 +52,18 @@ CONFIGS = (
     *((64, 200, variant) for variant in VARIANTS),
 )
 # (n, order, variant, G): G = N, 3N and a coprime 64 at n = 8, N and 64 at
-# n = 16, then n = 64 at high order.
+# n = 16, then n = 64 at high order; each has at most 64 distinct angles,
+# which evaluation sums angle by angle. Then G = 256 at n = 8, and at
+# n = 64, order 150: 256 angles, more than the Lerch expansion's order + 66
+# columns, so these take the cell table.
 GRID_CONFIGS = (
     *((8, order, variant, G) for G in (17, 51, 64) for order in (1, 2, 3, 10, 40)
       for variant in VARIANTS),
     *((16, order, variant, G) for G in (33, 64) for order in (1, 2, 3, 10, 40)
       for variant in VARIANTS),
     *((64, order, variant, 64) for order in (3, 150, 200) for variant in VARIANTS),
+    *((8, order, variant, 256) for order in (1, 2, 3, 10, 40) for variant in VARIANTS),
+    *((64, 150, variant, 256) for variant in VARIANTS),
 )
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 

@@ -6,8 +6,10 @@ orders 1..12, 20, 40, 100, 150, 160, 170 and 200, every gain family,
 and fold sums of seeded harmonic sums (indices up to 5N) and power
 signals. The spline layer is swept over splines of seeded
 samples at n = 1..16 and 64, orders 1..12, 40, 100 and 150, every gain
-family: ``unfolded_spectrum`` to 4N, ``series_truncation`` and
-``values_on_uniform_grid`` at G = N, 64 and 1000. It prints one ``label
+family: ``unfolded_spectrum`` to 4N, ``series_truncation``,
+``values_on_uniform_grid`` at G = N, 64 and 1000, and ``spline_eval`` at
+32 and 512 seeded scattered points, one count on each side of the switch
+between the two contraction orders of evaluation. It prints one ``label
 sha256`` line per configuration or spline quantity, hashing the exact
 bits of every value, or ``label refused <error> <sha256 of the message>``
 where the class table or the quantity is refused. The package is the one on the import path, so two versions compare by running
@@ -38,6 +40,7 @@ from trigspec import (
     make_grid,
     power_decay_cosine,
     power_decay_sine,
+    spline_eval,
     unfolded_spectrum,
     values_on_uniform_grid,
 )
@@ -52,6 +55,9 @@ POWERS = (2.0, 2.5, 3.0, 4.0, 6.0)
 SPLINE_SIZES = (*range(1, 17), 64)
 SPLINE_ORDERS = (*range(1, 13), 40, 100, 150)
 EVAL_GRIDS = (64, 1000)   # besides the spline's own N nodes
+# Fewer points than the Lerch expansion has columns (order + 66) are summed
+# angle by angle; more go through the cell table.
+SCATTER_POINTS = (32, 512)
 
 
 def _sha(values):
@@ -92,6 +98,8 @@ def spline_lines():
     for n in SPLINE_SIZES:
         grid = make_grid(n)
         samples = SampleVector(grid, np.random.default_rng(n).standard_normal(grid.N))
+        scatter_points = {P: np.random.default_rng([n, P]).uniform(0.0, 2.0 * np.pi, P)
+                          for P in SCATTER_POINTS}
         for variant in FilterVariant:
             for order in SPLINE_ORDERS:
                 label = f"spline {variant.value} r{order} n{n}"
@@ -106,6 +114,8 @@ def spline_lines():
                     ("truncation", lambda: series_truncation(spline)),
                     *((f"grid{G}", lambda G=G: [values_on_uniform_grid(spline, G)])
                       for G in (grid.N, *EVAL_GRIDS)),
+                    *((f"scatter{P}", lambda t=t: [spline_eval(spline, t)])
+                      for P, t in scatter_points.items()),
                 ]
                 for name, compute in quantities:
                     try:
