@@ -20,10 +20,10 @@ the signed family, else 1). Every term of rho_k lies below one, so the
 gains stay in the float range at any order. rho_k is evaluated in
 closed form, each branch's first term apart and the rest as a Hurwitz
 zeta tail, so results carry no truncation error. It depends only on the
-grid, the order and the gain family, so each configuration's per-class
-data is computed once (:func:`class_table`). The class sums
-H_k = sigma_k (1 + rho_k) are output data, the table's ``sums`` and,
-for the constant class, its ``dc_sum``; :func:`class_gain_sum_direct`, a
+grid, the order and the signs eps, so the per-class data is computed
+once per (grid, order, signed) (:func:`class_table`). The class sums
+H_k = sigma_k (1 + rho_k) and the constant-class sum are response data,
+formed where the response is written; :func:`class_gain_sum_direct`, a
 truncated direct summation of them, is kept alongside as an independent
 cross-check path.
 """
@@ -126,15 +126,12 @@ def raw_gain(j, config):
     return out if j_in.ndim else float(out[0])
 
 
-def _branch_tails(config, k, m_start=1):
+def _branch_tails(s, N, signed, k, m_start=1):
     # (plus, minus): the fold members of class k with m >= m_start as
     # signed ratios to the in-band member, sum eps_j (k/j)^s over
     # j = mN + k and over j = mN - k. The signed family's sign is (-1)^m
     # on the plus branch and -(-1)^m on the minus branch, so rho_k is
     # plus + minus at m_start = 1.
-    s = config.power
-    N = config.grid.N
-    signed = config.signed
     plus = _series.ratio_tail(s, k, m_start * N + k, N, signed)
     minus = _series.ratio_tail(s, k, m_start * N - k, N, signed)
     if not signed:
@@ -143,22 +140,26 @@ def _branch_tails(config, k, m_start=1):
     return sign * plus, -sign * minus
 
 
-def _member_ratios(j, k, config):
+def _member_ratios(j, k, s, N, signed):
     # eps_j (k/j)^s for members j of classes k >= 1: alpha_j / alpha_k.
-    out = _series.ratio_power(k, j, config.power)
-    if config.signed:
-        out = np.where((j // config.grid.N) % 2 == 1, -out, out)
+    out = _series.ratio_power(k, j, s)
+    if signed:
+        out = np.where((j // N) % 2 == 1, -out, out)
     return out
+
+
+def _check_m_terms(m_terms):
+    if not 0 <= m_terms <= _M_TERMS_CAP or m_terms != int(m_terms):
+        raise ValueError(f"m_terms must be an integer in 0..{_M_TERMS_CAP}")
+    return int(m_terms)
 
 
 def class_gain_sum_direct(k, config, m_terms):
     """Truncated direct summation of the class sum over fold indices m <= m_terms.
 
-    This is the oracle path; ``m_terms`` above 10**6 is refused.
+    This is the oracle path; ``m_terms`` must be an integer in 0..10**6.
     """
-    if m_terms > _M_TERMS_CAP:
-        raise ValueError(f"m_terms exceeds the cap of {_M_TERMS_CAP}")
-    m = np.arange(1, m_terms + 1, dtype=float)
+    m = np.arange(1, _check_m_terms(m_terms) + 1, dtype=float)
     N = config.grid.N
     total = raw_gain(k, config)
     total += float(
@@ -179,63 +180,64 @@ class FilterTable:
 
 @dataclass(frozen=True)
 class ClassTable:
-    """Per-class data of one (grid, order, variant), for k = 1..n.
+    """Per-class data of one (grid, order, signed), for k = 1..n.
 
     ``gains`` holds the in-band gains alpha_k = 1/(1 + rho_k), the factor
     every member of class k carries (alpha_j = eps_j (k/j)^s alpha_k);
     ``mirror_gains`` the gains alpha_(N-k) = (k/(N-k))^s alpha_k of the
-    first members of the N - k branches; ``raw_gains`` the in-band raw
-    gains sigma_k; ``sums`` the class sums H_k = sigma_k (1 + rho_k),
-    output data only, which underflow with sigma_k at high orders;
-    ``dc_sum`` the constant-class normalizer. The arrays are read-only.
+    first members of the N - k branches; ``norms`` the normalizers
+    1 + rho_k. The arrays are read-only. Gain families with the same signs
+    share one table; the class sums are not in it (:func:`filter_response`).
     """
 
     gains: np.ndarray = field(repr=False)
     mirror_gains: np.ndarray = field(repr=False)
-    raw_gains: np.ndarray = field(repr=False)
-    sums: np.ndarray = field(repr=False)
-    dc_sum: float
+    norms: np.ndarray = field(repr=False)
 
 
 def class_table(config):
-    """The :class:`ClassTable` of ``config``, computed once per configuration.
+    """The :class:`ClassTable` of ``config``, computed once per (grid, order, signed).
 
     One array pass over k = 1..n builds every entry; ``tail_tol`` does
     not enter. A signed table whose class sums cancelled is refused.
     """
-    return _class_table(config.grid, config.order, config.variant)
+    return _class_table(config.grid, config.order, config.signed)
 
 
 @lru_cache(maxsize=64)
-def _class_table(grid, order, variant):
-    config = KernelConfig(grid=grid, order=order, variant=variant)
+def _class_table(grid, order, signed):
+    s = order + 1
+    N = grid.N
     k = np.arange(1, grid.n + 1)
-    plus, minus = _branch_tails(config, k)
-    one_plus_rho = 1.0 + (plus + minus)
-    _check_class_sums(config, one_plus_rho)
-    gains = 1.0 / one_plus_rho
-    mirror_gains = _member_ratios(grid.N - k, k, config) * gains
-    raw_gains = raw_gain(k, config)
-    sums = raw_gains * one_plus_rho
-    if variant is FilterVariant.INVERSE_POWER:
-        dc_sum = 1.0 + 2.0 * _series.progression_tail(config.power, grid.N, 0.0)
-    else:
-        dc_sum = 1.0
-    for arr in (gains, mirror_gains, raw_gains, sums):
+    plus, minus = _branch_tails(s, N, signed, k)
+    norms = 1.0 + (plus + minus)
+    _check_class_sums(signed, norms)
+    gains = 1.0 / norms
+    mirror_gains = _member_ratios(N - k, k, s, N, signed) * gains
+    for arr in (gains, mirror_gains, norms):
         arr.setflags(write=False)
-    return ClassTable(gains, mirror_gains, raw_gains, sums, dc_sum)
+    return ClassTable(gains, mirror_gains, norms)
 
 
-def _check_class_sums(config, one_plus_rho):
+def _check_class_sums(signed, one_plus_rho):
     # Degeneracy is cancellation: the class sum collapsing relative to the
     # in-band raw gain, 1 + rho_k near zero, which only the signed family
     # can do (rho_k > 0 in the others).
-    if config.signed and np.any(np.abs(one_plus_rho) <= _H_GUARD):
+    if signed and np.any(np.abs(one_plus_rho) <= _H_GUARD):
         bad = 1 + int(np.argmin(np.abs(one_plus_rho)))
         raise DegenerateKernelError(
             f"class sum for k={bad} collapsed to {one_plus_rho[bad - 1]:.3e} times its "
             f"in-band raw gain; the signed sinc family degenerated"
         )
+
+
+@lru_cache(maxsize=64)
+def _dc_sum(N, s, variant):
+    # The constant-class normalizer: sigma_0 = 1 plus the raw gains at the
+    # nonzero multiples of N, which only inverse powers do not zero.
+    if variant is not FilterVariant.INVERSE_POWER:
+        return 1.0
+    return 1.0 + 2.0 * _series.progression_tail(s, N, 0.0)
 
 
 def gain(j, config):
@@ -252,18 +254,20 @@ def gain(j, config):
         raise ValueError("gain is defined for integer harmonic indices j >= 1")
     j = np.atleast_1d(j_in.astype(np.int64, copy=False))
     ct = class_table(config)
-    k, _ = _series.alias_fold(j, config.grid.N)
+    N = config.grid.N
+    k, _ = _series.alias_fold(j, N)
     dc = k == 0
-    out = _member_ratios(j, k, config) * ct.gains[np.maximum(k, 1) - 1]
+    out = _member_ratios(j, k, config.power, N, config.signed) * ct.gains[np.maximum(k, 1) - 1]
     if np.any(dc):
-        out[dc] = raw_gain(j[dc], config) / ct.dc_sum
+        out[dc] = raw_gain(j[dc], config) / _dc_sum(N, config.power, config.variant)
     return out if j_in.ndim else float(out[0])
 
 
 def filter_response(config, j_max):
     """Gain table for j = 1..j_max (the low-pass amplitude response data).
 
-    Requires j_max >= n so the whole band is covered.
+    Requires an integer j_max >= n so the whole band is covered. The class
+    sums H_k = sigma_k (1 + rho_k) are formed here from the class table.
 
     Around the band edge, for the abs-sinc and inverse-power families, a
     member j of class k has alpha(r, j) = (k/j)^(1+r) alpha(r, k), with
@@ -282,17 +286,14 @@ def filter_response(config, j_max):
     The signed sinc family is not ordered across r even at j = n: at
     n = 16, alpha(2, n) = 0.5627 exceeds alpha(3, n) = 0.5523.
     """
-    if j_max < config.grid.n:
-        raise ValueError("j_max must cover the band (j_max >= n)")
-    ct = class_table(config)
-    gains = gain(np.arange(1, j_max + 1), config)
-    gains.setflags(write=False)
-    return FilterTable(
-        config=config,
-        class_sums=ct.sums,
-        gains=gains,
-        j_max=int(j_max),
-    )
+    if j_max < config.grid.n or not float(j_max).is_integer():
+        raise ValueError("j_max must be an integer covering the band (j_max >= n)")
+    norms = class_table(config).norms
+    class_sums = raw_gain(np.arange(1, config.grid.n + 1), config) * norms
+    gains = gain(np.arange(1, int(j_max) + 1), config)
+    for arr in (class_sums, gains):
+        arr.setflags(write=False)
+    return FilterTable(config, class_sums, gains, int(j_max))
 
 
 def class_partition_terms(k, config, m_terms, table=None):
@@ -303,27 +304,26 @@ def class_partition_terms(k, config, m_terms, table=None):
     the closed-form value of everything beyond. Their sum is 1 up to
     rounding: the partition-of-unity property. The in-band gain alpha_k
     is read from ``table`` when one is given, else from the class table.
-    ``m_terms`` must lie in 0..10**6.
+    ``m_terms`` must be an integer in 0..10**6.
     """
     if k < 1 or k > config.grid.n:
         raise ValueError("class representative k must lie in 1..n")
-    if not 0 <= m_terms <= _M_TERMS_CAP:
-        raise ValueError(f"m_terms must lie in 0..{_M_TERMS_CAP}")
+    m_terms = _check_m_terms(m_terms)
     alpha = float((class_table(config).gains if table is None else table.gains)[k - 1])
     m = np.arange(1, m_terms + 1)
-    N = config.grid.N
+    s, N, signed = config.power, config.grid.N, config.signed
     members = np.concatenate(([k], m * N + k, m * N - k))
-    partial = alpha * float(np.sum(_member_ratios(members, k, config)))
-    plus, minus = _branch_tails(config, k, m_start=m_terms + 1)
+    partial = alpha * float(np.sum(_member_ratios(members, k, s, N, signed)))
+    plus, minus = _branch_tails(s, N, signed, k, m_start=m_terms + 1)
     return partial, alpha * (plus + minus)
 
 
 def response_table_to_csv(table):
     """CSV with header ``j,k_class,sigma,H,alpha`` for j = 1..j_max."""
     cfg = table.config
-    ct = class_table(cfg)
+    N = cfg.grid.N
     js = np.arange(1, table.j_max + 1)
-    k, _ = _series.alias_fold(js, cfg.grid.N)
-    H = np.where(k == 0, ct.dc_sum, ct.sums[np.maximum(k, 1) - 1])
+    k, _ = _series.alias_fold(js, N)
+    H = np.where(k == 0, _dc_sum(N, cfg.power, cfg.variant), table.class_sums[np.maximum(k, 1) - 1])
     rows = zip(js.tolist(), k.tolist(), raw_gain(js, cfg), H, table.gains)
     return csv_text(["j", "k_class", "sigma", "H", "alpha"], rows)

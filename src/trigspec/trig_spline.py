@@ -26,10 +26,11 @@ below it. A truncated coefficient list, with a recorded neglect bound, is
 built on demand only (:meth:`TrigSpline.fourier_series`, the JSON
 document).
 
-Work that depends only on the configuration (grid, order, variant) is
-kept apart from work on the samples: the class table of
-:func:`~trigspec.spline_kernel.class_table` is computed once per
-configuration.
+Work that depends only on the grid, the order and the sign pattern of
+the gains (grid, order, signed) is kept apart from work on the samples:
+the class table of :func:`~trigspec.spline_kernel.class_table` is
+computed once per such triple, so gain families with the same signs share
+one table and give bit-identical splines.
 """
 
 import json
@@ -43,10 +44,6 @@ from .sampling import DiscreteSpectrum, discrete_coeffs, extended_coefficient, m
 from .spline_kernel import FilterVariant, KernelConfig, class_table, filter_response, gain
 
 _REPRESENTATION_CAP = 64     # largest L in the series truncation J = L*N
-# Evaluation angle by angle works on blocks of angles holding at most this
-# many (angle x residue) entries; the cell table needs no blocks, since it
-# holds (R + 1) x N entries whatever the number of points.
-_EVAL_CELLS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,8 +138,9 @@ def build_spline(samples, config):
     """Construct the interpolating spline of the given order from samples.
 
     The spline is the configuration and the direct DFT of the samples;
-    the configuration's class table is computed (once per configuration)
-    so a degenerate kernel is refused here rather than at evaluation.
+    the class table of its (grid, order, signed) is computed, once per
+    such triple, so a degenerate kernel is refused here rather than at
+    evaluation.
     """
     if samples.grid != config.grid:
         raise ValueError("samples and kernel config use different grids")
@@ -162,8 +160,8 @@ def _evaluate(spline, theta, cells):
     # so the sum over them is a length-N inverse FFT. It is taken in
     # whichever order needs fewer of them: over the R expansion columns and
     # the singular factor (R + 1 FFTs, then O(R) per point) when there are
-    # more angles than that, else over each angle's expansion rows, in
-    # blocks of at most _EVAL_CELLS (angle x residue) entries.
+    # more angles than that, else over each angle's expansion rows. Either
+    # way the FFT input holds at most (R + 1) x N entries.
     cfg = spline.config
     N = cfg.grid.N
     spec = spline.spectrum
@@ -178,20 +176,15 @@ def _evaluate(spline, theta, cells):
     R = even.shape[1] + odd.shape[1]
     if theta.size > R + 1:
         return _cell_table_sum((even, odd, lead), w, sing, theta, cells) + 0.5 * spline.a0
-    out = np.empty(cells.shape)
-    block = max(_EVAL_CELLS // N, 1)
-    for start in range(0, theta.size, block):
-        at = slice(start, start + block)
-        powers = np.empty((R, theta[at].size))
-        powers[0] = 1.0
-        powers[1:] = theta[at] / np.pi
-        np.cumprod(powers, axis=0, out=powers)
-        rows = even @ powers[0::2] + 1j * (odd @ powers[1::2]) + np.multiply.outer(lead, sing[at])
-        Z = np.zeros((cells[at].shape[0], N), dtype=complex)
-        Z[:, 1:] = rows.T * w
-        Y = np.fft.ifft(Z, norm="forward")      # unscaled: sum_j0 Z e^(2 pi i j0 l/N)
-        out[at] = np.real(Y[np.arange(len(Z))[:, None], cells[at]])
-    return out + 0.5 * spline.a0
+    powers = np.empty((R, theta.size))
+    powers[0] = 1.0
+    powers[1:] = theta / np.pi
+    np.cumprod(powers, axis=0, out=powers)
+    rows = even @ powers[0::2] + 1j * (odd @ powers[1::2]) + np.multiply.outer(lead, sing)
+    Z = np.zeros((theta.size, N), dtype=complex)
+    Z[:, 1:] = rows.T * w
+    Y = np.fft.ifft(Z, norm="forward")      # unscaled: sum_j0 Z e^(2 pi i j0 l/N)
+    return np.real(Y[np.arange(theta.size)[:, None], cells]) + 0.5 * spline.a0
 
 
 def _cell_table_sum(columns, w, sing, theta, cells):

@@ -36,6 +36,17 @@ def cfg(n, r, variant, **kw):
     )
 
 
+def class_sums(c):
+    # H_k = sigma_k (1 + rho_k), k = 1..n: response data.
+    return filter_response(c, c.grid.n).class_sums
+
+
+def constant_class_sum(c):
+    # The H cell of the response row j = N; 17 digits give back its bits.
+    N = c.grid.N
+    return float(response_table_to_csv(filter_response(c, N)).splitlines()[N].split(",")[3])
+
+
 # -- raw gains ---------------------------------------------------------------
 
 
@@ -85,7 +96,7 @@ def test_class_sum_inverse_power_matches_brute_oracle():
     c = cfg(2, 1, "inv-power")
     oracle = class_gain_sum_direct(1, c, 1_000_000)
     assert oracle == pytest.approx(1.1426738, abs=1e-5)
-    H = class_table(c).sums[0]
+    H = class_sums(c)[0]
     assert H == pytest.approx(1.1426740537, abs=1e-9)
     assert H == pytest.approx(oracle, abs=1e-5)
 
@@ -98,12 +109,12 @@ def test_class_sum_matches_direct_summation(variant, r):
         direct = class_gain_sum_direct(k, c, 4000)
         # Direct truncation is the limited side; its tail is O(m^-r).
         tol = max(10.0 * 4000.0**-r, 1e-13)
-        assert class_table(c).sums[k - 1] == pytest.approx(direct, abs=tol)
+        assert class_sums(c)[k - 1] == pytest.approx(direct, abs=tol)
 
 
 def test_abs_sinc_class_sum_exceeds_own_gain():
     c = cfg(8, 3, "abs-sinc")
-    sums = class_table(c).sums
+    sums = class_sums(c)
     for k in range(1, 9):
         assert sums[k - 1] > raw_gain(k, c) > 0
 
@@ -112,7 +123,8 @@ def test_signed_equals_abs_for_odd_order():
     # Odd order means even power: the sign disappears termwise.
     c_signed = cfg(2, 1, "sinc")
     c_abs = cfg(2, 1, "abs-sinc")
-    assert np.array_equal(class_table(c_signed).sums, class_table(c_abs).sums)
+    assert np.array_equal(class_sums(c_signed), class_sums(c_abs))
+    assert class_table(c_signed) is class_table(c_abs)
 
 
 def test_no_degenerate_class_sums_in_scan():
@@ -122,7 +134,7 @@ def test_no_degenerate_class_sums_in_scan():
     for n in range(1, 17):
         for r in (2, 4, 6, 8, 10):
             c = cfg(n, r, "sinc")
-            for k, H in enumerate(class_table(c).sums, start=1):
+            for k, H in enumerate(class_sums(c), start=1):
                 sigma_k = raw_gain(k, c)
                 assert sigma_k > 0
                 # The alternating fold series is positive, so H stays at or
@@ -152,7 +164,7 @@ def test_zero_class_sum_names_its_cause(variant, error):
     c = cfg(8, 2, variant)
     assert c.signed
     with pytest.raises(error, match="signed sinc family degenerated"):
-        spline_kernel._check_class_sums(c, np.zeros(c.grid.n))
+        spline_kernel._check_class_sums(c.signed, np.zeros(c.grid.n))
 
 
 def test_class_gain_sum_at_order_200_is_raw_gain_over_band_gain():
@@ -160,23 +172,25 @@ def test_class_gain_sum_at_order_200_is_raw_gain_over_band_gain():
     # the in-band raw gain over the in-band gain, and the spline is exact.
     c = cfg(64, 200, "abs-sinc")
     for k in (1, 32, 64):
-        assert class_table(c).sums[k - 1] == pytest.approx(raw_gain(k, c) / gain(k, c), rel=1e-15)
+        assert class_sums(c)[k - 1] == pytest.approx(raw_gain(k, c) / gain(k, c), rel=1e-15)
     samples = sample(long_harmonic_sum(), c.grid)
     assert_spline_values_hold(build_spline(samples, c), samples, grids=(1000,))
 
 
 def test_class_table_order_150_still_builds():
     for variant in ("abs-sinc", "inv-power", "sinc"):
-        ct = class_table(cfg(64, 150, variant))
-        assert np.all(np.isfinite(ct.sums)) and np.all(ct.sums > 0)
+        sums = class_sums(cfg(64, 150, variant))
+        assert np.all(np.isfinite(sums)) and np.all(sums > 0)
 
 
 def test_dc_class_sum():
-    assert class_table(cfg(2, 3, "abs-sinc")).dc_sum == 1.0
+    assert constant_class_sum(cfg(2, 3, "abs-sinc")) == 1.0
     c = cfg(2, 1, "inv-power")
     m = np.arange(1.0, 200_000.0)
     oracle = 1.0 + 2.0 * float(np.sum((m * c.grid.N) ** -2.0))
-    assert class_table(c).dc_sum == pytest.approx(oracle, abs=1e-5)
+    assert constant_class_sum(c) == pytest.approx(oracle, abs=1e-5)
+    # gain at a multiple of N is sigma_j over the same normalizer.
+    assert raw_gain(c.grid.N, c) / gain(c.grid.N, c) == pytest.approx(oracle, abs=1e-5)
 
 
 # -- normalized gains -------------------------------------------------------------
@@ -186,7 +200,7 @@ def test_gain_times_class_sum_is_raw_gain():
     c = cfg(8, 3, "abs-sinc")
     for j in (1, 5, 9, 20, 40):
         k = min(j % c.grid.N, c.grid.N - j % c.grid.N)
-        assert gain(j, c) * class_table(c).sums[k - 1] == pytest.approx(
+        assert gain(j, c) * class_sums(c)[k - 1] == pytest.approx(
             raw_gain(j, c), rel=1e-14
         )
 
@@ -240,6 +254,21 @@ def test_direct_summation_refuses_oversized_m_terms():
         class_partition_terms(1, c, 10**6 + 1)
     with pytest.raises(ValueError, match="m_terms"):
         class_partition_terms(1, c, -1)
+    with pytest.raises(ValueError, match="m_terms"):
+        class_gain_sum_direct(1, c, -3)
+
+
+def test_partition_terms_refuse_a_fractional_m_terms():
+    # m_terms = 2.5 used to sum the members to m = 3 and the tail from
+    # m = 3.5, so partial + remainder missed 1 by 2.1e-5.
+    c = cfg(4, 3, "abs-sinc")
+    for bad in (2.5, float("nan")):
+        with pytest.raises(ValueError, match="m_terms"):
+            class_partition_terms(2, c, bad)
+        with pytest.raises(ValueError, match="m_terms"):
+            class_gain_sum_direct(2, c, bad)
+    partial, remainder = class_partition_terms(2, c, 2.0)
+    assert (partial, remainder) == class_partition_terms(2, c, 2)
 
 
 @pytest.mark.parametrize("k", [0, 5])
@@ -359,6 +388,17 @@ def test_gain_decay_slope(variant, r):
 def test_response_requires_band_coverage():
     with pytest.raises(ValueError):
         filter_response(cfg(16, 1, "abs-sinc"), 10)
+
+
+def test_response_refuses_a_fractional_j_max():
+    # j_max = 10.5 used to give a table of 11 gains labelled j_max = 10,
+    # whose CSV then dropped the last gain.
+    c = cfg(4, 1, "abs-sinc")
+    for bad in (10.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="integer"):
+            filter_response(c, bad)
+    table = filter_response(c, 10.0)
+    assert table.j_max == 10 and table.gains.size == 10
 
 
 def test_response_csv_shape():

@@ -17,6 +17,7 @@ from trigspec import (
     SampleVector,
     TrigSpline,
     build_spline,
+    class_table,
     curvature_functional,
     discrete_coeffs,
     extended_coefficient,
@@ -113,6 +114,45 @@ def test_grid_mismatch_rejected():
     sig = power_decay_cosine(4)
     with pytest.raises(ValueError):
         build_spline(sample(sig, make_grid(2)), cfg(3, 3))
+
+
+@pytest.mark.parametrize("n, r", [(4, 1), (4, 2), (8, 3), (8, 4), (32, 5)])
+def test_splines_depend_on_the_gain_signs_only(n, r):
+    # alpha_j = eps_j (k/j)^s / (1 + rho_k): the family reaches a spline only
+    # through the signs eps_j, so the abs-sinc, inverse-power and (at odd r)
+    # sinc splines of the same samples are one spline, bit for bit, built
+    # from one class table. An even-r sinc spline is signed.
+    grid = make_grid(n)
+    rng = np.random.default_rng([n, r])
+    samples = SampleVector(grid, rng.standard_normal(grid.N))
+    splines = {v: build_spline(samples, KernelConfig(grid=grid, order=r, variant=v))
+               for v in FilterVariant}
+    ref = splines[FilterVariant.ABS_SINC_POWER]
+    same = [splines[FilterVariant.INVERSE_POWER]]
+    sinc = splines[FilterVariant.SINC_POWER]
+    if sinc.config.signed:
+        assert class_table(sinc.config) is not class_table(ref.config)
+    else:
+        same.append(sinc)
+    # 1024 angles on a grid of odd N lie past the switch to the cell table.
+    t = {P: rng.uniform(0.0, 2.0 * np.pi, P) for P in (40, 400)}
+
+    def quantities(spline):
+        doc = spline_to_json(spline)
+        return [
+            values_on_uniform_grid(spline, grid.N),
+            values_on_uniform_grid(spline, 1024),
+            *(spline_eval(spline, points) for points in t.values()),
+            *unfolded_spectrum(spline, 4 * grid.N),
+            np.array([doc["J"], doc["a0"]]),
+            np.array(doc["coeffs"]),
+        ]
+
+    want = quantities(ref)
+    for spline in same:
+        assert class_table(spline.config) is class_table(ref.config)
+        for got, expected in zip(quantities(spline), want):
+            assert np.array_equal(got, expected)
 
 
 # -- evaluation ---------------------------------------------------------------

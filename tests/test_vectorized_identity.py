@@ -283,27 +283,33 @@ def test_dft_matches_per_coefficient_loop(n, seed):
 def test_class_table_holds_the_scalar_values(variant, r):
     config = KernelConfig(grid=make_grid(9), order=r, variant=variant, tail_tol=1e-9)
     ct = class_table(config)
+    table = filter_response(config, 30)
+    raw = raw_gain(np.arange(1, 10), config)
     for k in range(1, 10):
         assert ct.gains[k - 1] == gain(k, config)
-        assert ct.raw_gains[k - 1] == raw_gain(k, config)
-        assert ct.sums[k - 1] == loop_class_sum(k, config)
-    # Sinc gains vanish at multiples of N; inverse powers add to the constant class.
-    assert (ct.dc_sum == 1.0) == (variant is not FilterVariant.INVERSE_POWER)
-    table = filter_response(config, 30)
-    assert table.class_sums is ct.sums
-    with pytest.raises(ValueError):
-        ct.sums[0] = 1.0
+        assert ct.norms[k - 1] == loop_one_plus_rho(k, config)
+        assert raw[k - 1] == raw_gain(k, config)
+        assert table.class_sums[k - 1] == loop_class_sum(k, config)
+    # Sinc gains vanish at multiples of N, so their normalizer is 1;
+    # inverse powers add to the constant class.
+    N = config.grid.N
+    assert (gain(N, config) == raw_gain(N, config)) == (variant is not FilterVariant.INVERSE_POWER)
+    assert np.array_equal(table.class_sums, raw * ct.norms)
+    for arr in (table.class_sums, ct.gains, ct.norms):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_class_table_sums_match_per_class_formula(variant):
-    # The table's one array pass against the scalar formula, class by class.
+    # The class table's one array pass, times the raw gains, against the
+    # scalar formula, class by class.
     for order in [*range(1, 13), 40, 100, 150]:
         for n in range(1, 65):
             config = KernelConfig(grid=make_grid(n), order=order, variant=variant)
             raw = raw_gain(np.arange(1, n + 1), config)
             want = [raw[k - 1] * loop_one_plus_rho(k, config) for k in range(1, n + 1)]
-            assert np.array_equal(class_table(config).sums, want), (n, order)
+            assert np.array_equal(filter_response(config, n).class_sums, want), (n, order)
 
 
 @settings(max_examples=40, deadline=None)

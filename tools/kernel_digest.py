@@ -1,9 +1,9 @@
 """Digest of the spectral-kernel tables, splines and fold sums, for bit-identity checks.
 
-Sweeps class tables, ``class_partition_terms``, ``response_table_to_csv``
-and ``folded_coefficients`` over n = 1..40 and 64, 100, 128, 200, 256,
-orders 1..12, 20, 40, 100, 150, 160, 170 and 200, every gain family,
-and fold sums of seeded harmonic sums (indices up to 5N) and power
+Sweeps the raw gains and class sums of ``filter_response``,
+``class_partition_terms`` and ``response_table_to_csv`` over n = 1..40
+and 64, 100, 128, 200, 256, orders 1..12, 20, 40, 100, 150, 160, 170
+and 200, every gain family, and fold sums of seeded harmonic sums (indices up to 5N) and power
 signals. The spline layer is swept over splines of seeded
 samples at n = 1..16 and 64, orders 1..12, 40, 100 and 150, every gain
 family: ``unfolded_spectrum`` to 4N, ``series_truncation``,
@@ -12,7 +12,7 @@ family: ``unfolded_spectrum`` to 4N, ``series_truncation``,
 between the two contraction orders of evaluation. It prints one ``label
 sha256`` line per configuration or spline quantity, hashing the exact
 bits of every value, or ``label refused <error> <sha256 of the message>``
-where the class table or the quantity is refused. The package is the one on the import path, so two versions compare by running
+where the configuration or the quantity is refused. The package is the one on the import path, so two versions compare by running
 the script once against each and diffing the listings:
 
     PYTHONPATH=path/to/base/src python tools/kernel_digest.py > base.txt
@@ -33,13 +33,13 @@ from trigspec import (
     KernelConfig,
     SampleVector,
     build_spline,
-    class_table,
     filter_response,
     folded_coefficients,
     harmonic_sum,
     make_grid,
     power_decay_cosine,
     power_decay_sine,
+    raw_gain,
     spline_eval,
     unfolded_spectrum,
     values_on_uniform_grid,
@@ -79,17 +79,20 @@ def kernel_lines():
                 label = f"table {variant.value} r{order} n{n}"
                 config = KernelConfig(grid=make_grid(n), order=order, variant=variant)
                 try:
-                    ct = class_table(config)
+                    sums = filter_response(config, n).class_sums
                 except (NumericalError, RuntimeWarning) as exc:
                     yield _refusal(label, exc)
                     continue
-                ks = range(1, n + 1)
-                parts = [class_partition_terms(k, config, 8) for k in ks]
+                parts = [class_partition_terms(k, config, 8) for k in range(1, n + 1)]
                 csv = response_table_to_csv(filter_response(config, 2 * config.grid.N))
-                # ct.sums stands twice, so the hashed layout stays that of
-                # earlier listings and two versions still compare line by line.
+                # The constant-class sum is the H cell of row j = N; 17
+                # significant digits give back its exact bits.
+                dc_sum = float(csv.splitlines()[config.grid.N].split(",")[3])
+                # The hashed layout is that of earlier listings, which read
+                # sigma_k, H_k and the constant-class sum off the class table
+                # (H_k stands twice), so two versions still compare line by line.
                 yield f"{label} " + _sha([
-                    ct.raw_gains, ct.sums, ct.dc_sum, ct.sums, parts,
+                    raw_gain(np.arange(1, n + 1), config), sums, dc_sum, sums, parts,
                     np.frombuffer(csv.encode(), dtype=np.uint8),
                 ])
 
