@@ -32,6 +32,7 @@ from trigspec import (
 from trigspec import _series
 from trigspec import _kernels
 from trigspec.sampling import DiscreteSpectrum, SampleVector
+from trigspec.spline_kernel import response_table_to_csv
 
 VARIANTS = list(FilterVariant)
 
@@ -291,9 +292,12 @@ def test_class_table_holds_the_scalar_values(variant, r):
         assert raw[k - 1] == raw_gain(k, config)
         assert table.class_sums[k - 1] == loop_class_sum(k, config)
     # Sinc gains vanish at multiples of N, so their normalizer is 1;
-    # inverse powers add to the constant class.
+    # inverse powers add to the constant class. The response CSV's H cell
+    # at j = N holds it, and 17 digits give back its bits.
     N = config.grid.N
-    assert (gain(N, config) == raw_gain(N, config)) == (variant is not FilterVariant.INVERSE_POWER)
+    dc_sum = float(response_table_to_csv(table).splitlines()[N].split(",")[3])
+    assert (dc_sum == 1.0) == (variant is not FilterVariant.INVERSE_POWER)
+    assert gain(N, config) == raw_gain(N, config) / dc_sum
     assert np.array_equal(table.class_sums, raw * ct.norms)
     for arr in (table.class_sums, ct.gains, ct.norms):
         with pytest.raises(ValueError):
