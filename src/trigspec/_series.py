@@ -20,11 +20,12 @@ guarantees:
   coefficients (:func:`lerch_coefficients`) and its singular term
   (:func:`lerch_singular`); every spline value is a weighted sum of them.
 
-Alongside them sit the small primitives every layer shares: angle
-reduction, derivative rotation of a coefficient pair, the fold of a
-harmonic index onto its alias class (:func:`alias_fold`), and powers of
-ratios formed from their exact numerator and denominator
-(:func:`ratio_power`).
+Alongside them sit the small primitives every layer shares: the integer
+contract every index, count and order the package takes passes
+(:func:`integers`), angle reduction, derivative rotation of a coefficient
+pair, the fold of a harmonic index onto its alias class
+(:func:`alias_fold`), and powers of ratios formed from their exact
+numerator and denominator (:func:`ratio_power`).
 
 Everything here is pure and vectorized.
 """
@@ -46,6 +47,34 @@ _LERCH_EXTRA_TERMS = 64
 # stays small for any number of points.
 _LERCH_BLOCK = 4096
 _I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def integers(x, lowest, message, highest=None):
+    """An integer argument, checked once: a Python int for a scalar, an int64 array for an array.
+
+    Raises ``ValueError(message)`` for any value that is not finite and
+    integral, lies below `lowest` or above `highest`, or falls outside
+    int64. Integer arrays are integral by type and skip that test, so an
+    index array costs one comparison per bound.
+    """
+    top = _INT64_MAX if highest is None else min(highest, _INT64_MAX)
+    if isinstance(x, (int, np.integer)):
+        if lowest <= x <= top:
+            return int(x)
+        raise ValueError(message)
+    arr = np.asarray(x)
+    if arr.dtype.kind in "iu":
+        # Only an explicit bound or uint64 can exceed top.
+        above = highest is not None or arr.dtype.kind == "u"
+        bad = (arr < lowest).any() or (above and (arr > top).any())
+    else:
+        arr = arr.astype(float, copy=False)
+        bad = not ((arr == np.floor(arr)) & (arr >= lowest) & (arr <= top) & (arr < 2.0**63)).all()
+    if bad:
+        raise ValueError(message)
+    arr = arr.astype(np.int64, copy=False)
+    return int(arr) if arr.ndim == 0 else arr
 
 
 def reduce_angle(t):

@@ -67,8 +67,7 @@ def folded_coefficients(signal, grid, k, tol=1e-12):
     _require_analytic(signal)
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if k < 0 or k > grid.n:
-        raise ValueError("band class k must lie in 0..n")
+    k = _series.integers(k, 0, "band class k must lie in 0..n", grid.n)
     N = grid.N
 
     if signal.kind == HARMONIC_SUM:
@@ -123,27 +122,24 @@ def aliasing_error_bound(k, grid, smoothness):
     k is a band index or an array of them: a float or an array shaped
     like k.
     """
-    k = np.asarray(k)
-    if np.any(k < 1) or np.any(k > grid.n):
-        raise ValueError("band index k must lie in 1..n")
+    k = _series.integers(k, 1, "band index k must lie in 1..n", grid.n)
     s = smoothness.r + 1
     if smoothness.variation == 0.0 or s < 2:
-        bound = np.full(k.shape, 0.0 if smoothness.variation == 0.0 else math.inf)
+        bound = np.full(np.shape(k), 0.0 if smoothness.variation == 0.0 else math.inf)
     else:
-        offset = k.astype(float)
+        offset = np.asarray(k, dtype=float)
         total = _series.progression_tail(s, grid.N, offset) + _series.progression_tail(
             s, grid.N, -offset
         )
         bound = smoothness.variation / math.pi * total
-    return bound if k.ndim else float(bound)
+    return bound if np.ndim(k) else float(bound)
 
 
 def band_component(signal, n, t):
     """Partial sum of the true series through harmonic n (the band part)."""
-    if n < 1 or n != int(n):
-        raise ValueError("band size n must be an integer >= 1")
+    n = _series.integers(n, 1, "band size n must be an integer >= 1")
     a0 = true_coefficient(signal, 0)[0]
-    a, b = true_coefficient(signal, np.arange(1, int(n) + 1))
+    a, b = true_coefficient(signal, np.arange(1, n + 1))
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     vals = _kernels.synth(a0, a, b, t_arr)
     return vals if np.ndim(t) else float(vals[0])
@@ -194,8 +190,7 @@ def time_domain_overlay_bound(n, smoothness):
 
     Requires smoothness order r >= 1.
     """
-    if n < 1 or n != int(n):
-        raise ValueError("n must be an integer >= 1")
+    n = _series.integers(n, 1, "n must be an integer >= 1")
     if smoothness.r < 1:
         raise ValueError("the sup-norm bound needs smoothness order r >= 1")
     return 2.0 * smoothness.variation / float(n) ** smoothness.r

@@ -70,9 +70,7 @@ def quad_fourier_coeff(fn, k, _cache=None):
         When the doubling budget runs out; carries the last two
         estimates.
     """
-    if k < 0 or k != int(k):
-        raise ValueError("coefficient index must be an integer >= 0")
-    k = int(k)
+    k = _series.integers(k, 0, "coefficient index must be an integer >= 0")
     G = max(_BASE_POINTS, 32 * max(k, 1))
     if G & (G - 1):
         G = 1 << G.bit_length()
@@ -98,13 +96,14 @@ def quad_fourier_coeff(fn, k, _cache=None):
 def filon_coeffs(phi, k_range):
     """Quadrature coefficients of an approximant over a range of indices.
 
-    `k_range` is an inclusive (k_lo, k_hi) pair. Grid evaluations are
-    shared across indices. Returns a list of (k, a_hat_k, b_hat_k).
+    `k_range` is an inclusive (k_lo, k_hi) pair of integers >= 0. Grid
+    evaluations are shared across indices. Returns a list of (k, a_hat_k,
+    b_hat_k).
     """
-    k_lo, k_hi = k_range
+    k_lo, k_hi = _series.integers(k_range, 0, "k_range must be a pair of integers >= 0")
     cache = {}
     out = []
-    for k in range(int(k_lo), int(k_hi) + 1):
+    for k in range(k_lo, k_hi + 1):
         a, b = quad_fourier_coeff(phi, k, _cache=cache)
         out.append((k, a, b))
     return out
@@ -125,15 +124,12 @@ def refined_error_bound(k, q, diff_variation):
     the q-th derivative of their difference. k is an index or an index
     array: a float or an array shaped like k.
     """
-    k = np.asarray(k)
-    if np.any(k < 1) or np.any(k != np.floor(k)):
-        raise ValueError("bound is defined for integer k >= 1")
-    if q < 0:
-        raise ValueError("q must be >= 0")
+    k = _series.integers(k, 1, "bound is defined for integer k >= 1")
+    q = _series.integers(q, 0, "q must be >= 0")
     if diff_variation < 0:
         raise ValueError("diff_variation must be nonnegative")
-    bound = diff_variation / (math.pi * np.power(k.astype(float), q + 1))
-    return bound if k.ndim else float(bound)
+    bound = diff_variation / (math.pi * np.power(np.asarray(k, dtype=float), q + 1))
+    return bound if np.ndim(k) else float(bound)
 
 
 def sup_distance(f, g):

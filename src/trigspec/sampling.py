@@ -29,9 +29,7 @@ class UniformGrid:
     __slots__ = ("n", "N", "nodes")
 
     def __init__(self, n):
-        if n < 1 or n != int(n):
-            raise ValueError("grid parameter n must be an integer >= 1")
-        self.n = int(n)
+        self.n = _series.integers(n, 1, "grid parameter n must be an integer >= 1")
         self.N = 2 * self.n + 1
         nodes = 2.0 * np.pi * np.arange(self.N) / self.N
         nodes.setflags(write=False)
@@ -127,9 +125,8 @@ class DiscreteSpectrum:
 
     def eval_on_uniform_grid(self, points):
         """Polynomial values at t_g = 2*pi*g/points, g = 0..points-1."""
-        if points < 1 or points != int(points):
-            raise ValueError("points must be a positive integer")
-        t = 2.0 * np.pi * np.arange(int(points)) / points
+        points = _series.integers(points, 1, "points must be a positive integer")
+        t = 2.0 * np.pi * np.arange(points) / points
         return _kernels.synth(self.a0, self.a, self.b, t)
 
     def fourier_series(self):
@@ -155,14 +152,11 @@ def extended_coefficient(spectrum, j):
     a pair of floats or a pair of arrays shaped like j, with the same bits
     either way.
     """
-    j_in = np.asarray(j)
-    # Integer arrays are integral by type; only others pay for the check.
-    if np.any(j_in < 1) or (j_in.dtype.kind not in "iu" and np.any(j_in != np.floor(j_in))):
-        raise ValueError("extended index must be an integer >= 1")
-    k, sin_sign = _series.alias_fold(j_in.astype(np.int64, copy=False), spectrum.grid.N)
+    j = _series.integers(j, 1, "extended index must be an integer >= 1")
+    k, sin_sign = _series.alias_fold(j, spectrum.grid.N)
     a = np.concatenate(([spectrum.a0], spectrum.a))[k]
     b = sin_sign * np.concatenate(([0.0], spectrum.b))[k]
-    return (a, b) if j_in.ndim else (float(a), float(b))
+    return (a, b) if np.ndim(j) else (float(a), float(b))
 
 
 # -- CSV wire format ------------------------------------------------------

@@ -46,8 +46,10 @@ class SmoothnessInfo:
     variation: float
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("smoothness order r must be >= 0")
+        if np.ndim(self.r):
+            raise ValueError("smoothness order r must be one integer, not an array")
+        r = _series.integers(self.r, 0, "smoothness order r must be >= 0")
+        object.__setattr__(self, "r", r)
         if not math.isfinite(self.variation) or self.variation < 0:
             raise ValueError("variation must be finite and >= 0")
 
@@ -62,7 +64,7 @@ class AnalyticSignal:
     """
 
     kind: str
-    terms: tuple  # ((k, a_k, b_k), ...) for HarmonicSum; () otherwise
+    terms: tuple  # ((k, a_k, b_k), ...) sorted by integer k for HarmonicSum; () otherwise
     p: float | None
     smoothness: SmoothnessInfo
 
@@ -70,10 +72,9 @@ class AnalyticSignal:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown signal kind {self.kind!r}")
         if self.kind == HARMONIC_SUM:
+            object.__setattr__(self, "terms", _sorted_terms(self.terms))
             seen = set()
             for k, a, b in self.terms:
-                if k < 0 or k != int(k):
-                    raise ValueError("harmonic indices must be integers >= 0")
                 if k in seen:
                     raise ValueError(f"duplicate harmonic index {k}")
                 if k == 0 and b != 0.0:
@@ -82,8 +83,8 @@ class AnalyticSignal:
                     raise ValueError("harmonic coefficients must be finite")
                 seen.add(k)
         else:
-            if self.p is None or self.p <= 1.0:
-                raise ValueError("power-decay kinds need p > 1")
+            if self.p is None or not 1.0 < self.p < math.inf:
+                raise ValueError("power-decay kinds need a finite p > 1")
             if self.terms:
                 raise ValueError("power-decay kinds take no term list")
 
@@ -105,7 +106,8 @@ class AnalyticSignal:
             if self.kind != HARMONIC_SUM:
                 raise ValueError("specify j_max for power-decay kinds")
             j_max = max((k for k, _, _ in self.terms), default=1)
-        a, b = true_coefficient(self, np.arange(1, int(j_max) + 1))
+        j_max = _series.integers(j_max, 0, "j_max must be an integer >= 0")
+        a, b = true_coefficient(self, np.arange(1, j_max + 1))
         return true_coefficient(self, 0)[0], a, b
 
 
@@ -115,12 +117,10 @@ def _power_eval(kind, p, t):
     Bernoulli closed forms where the parity matches, Re/Im Li_p(e^(it))
     otherwise; shape follows t.
     """
-    if p == int(p):
-        s = int(p)
-        if kind == POWER_DECAY_COSINE and s % 2 == 0:
-            return _series.fourier_power_cos(s, t)
-        if kind == POWER_DECAY_SINE and s % 2 == 1:
-            return _series.fourier_power_sin(s, t)
+    if kind == POWER_DECAY_COSINE and p % 2 == 0:
+        return _series.fourier_power_cos(int(p), t)
+    if kind == POWER_DECAY_SINE and p % 2 == 1:
+        return _series.fourier_power_sin(int(p), t)
     li = _series.polylog_unit(p, t)
     return li.real if kind == POWER_DECAY_COSINE else li.imag
 
@@ -138,14 +138,6 @@ def evaluate(signal, t):
     return vals if t_arr.ndim else float(vals)
 
 
-def _indices(k, lowest, message):
-    # An index or an index array of integers >= lowest, as an int64 array.
-    k_arr = np.asarray(k)
-    if np.any(k_arr < lowest) or np.any(k_arr != np.floor(k_arr)):
-        raise ValueError(message)
-    return k_arr.astype(np.int64)
-
-
 def true_coefficient(signal, k):
     """Exact Fourier coefficients (a_k, b_k); k = 0 gives (a_0, 0).
 
@@ -153,7 +145,7 @@ def true_coefficient(signal, k):
     shaped like k. Powers go through the ``np.power`` ufunc, so an index
     gives the same bits alone as inside an array.
     """
-    k = _indices(k, 0, "coefficient index must be an integer >= 0")
+    k = _series.integers(k, 0, "coefficient index must be an integer >= 0")
     if signal.kind == HARMONIC_SUM:
         # The sorted term list with a sentinel row (-1, 0, 0), which every
         # index absent from the sum reads.
@@ -163,9 +155,9 @@ def true_coefficient(signal, k):
         a, b = a_look[at], b_look[at]
     else:
         mag = np.where(k == 0, 0.0, np.power(np.maximum(k, 1).astype(float), -signal.p))
-        zeros = np.zeros(k.shape)
+        zeros = np.zeros(np.shape(k))
         a, b = (mag, zeros) if signal.kind == POWER_DECAY_COSINE else (zeros, mag)
-    return (a, b) if k.ndim else (float(a), float(b))
+    return (a, b) if np.ndim(k) else (float(a), float(b))
 
 
 def coefficient_bound(smoothness, k):
@@ -174,9 +166,10 @@ def coefficient_bound(smoothness, k):
     Defined for k >= 1 only; k is an index or an index array, as in
     :func:`true_coefficient`.
     """
-    k = _indices(k, 1, "decay bound is defined for integer k >= 1")
-    bound = smoothness.variation / (math.pi * np.power(k.astype(float), smoothness.r + 1))
-    return bound if k.ndim else float(bound)
+    k = _series.integers(k, 1, "decay bound is defined for integer k >= 1")
+    power = np.power(np.asarray(k, dtype=float), smoothness.r + 1)
+    bound = smoothness.variation / (math.pi * power)
+    return bound if np.ndim(k) else float(bound)
 
 
 # -- factories -----------------------------------------------------------
@@ -195,7 +188,7 @@ def harmonic_sum(terms, r=1):
         is bounded by ``sum_k 4 k^(r+1) sqrt(a_k^2+b_k^2)`` (exact for a
         single harmonic, subadditive upper bound otherwise).
     """
-    terms = tuple(sorted((int(k), float(a), float(b)) for k, a, b in terms))
+    terms = _sorted_terms(terms)
     variation = sum(
         4.0 * k ** (r + 1) * math.hypot(a, b) for k, a, b in terms if k >= 1
     )
@@ -210,17 +203,17 @@ def harmonic_sum(terms, r=1):
 _SAWTOOTH_VARIATION = math.pi**2 / 2.0  # integral of |pi - t|/2 over one period
 
 
+def _sorted_terms(terms):
+    # The (k, a_k, b_k) rows of a harmonic sum, sorted by integer index k.
+    message = "harmonic indices must be integers >= 0"
+    return tuple(sorted((_series.integers(k, 0, message), float(a), float(b)) for k, a, b in terms))
+
+
 def _power_smoothness(kind, p, r, variation):
     if r is not None and variation is not None:
         return SmoothnessInfo(r=r, variation=float(variation))
-    matched = (
-        p == int(p)
-        and (
-            (kind == POWER_DECAY_COSINE and int(p) % 2 == 0)
-            or (kind == POWER_DECAY_SINE and int(p) % 2 == 1)
-        )
-    )
-    if not matched:
+    # An integer p whose parity matches the kind (inf and NaN match neither).
+    if p % 2 != (0 if kind == POWER_DECAY_COSINE else 1):
         raise ValueError(
             "smoothness (r, variation) must be supplied explicitly for this p; "
             "the smoothness class is derived only for parity-matched integer p "
@@ -267,6 +260,7 @@ def derivative_values(signal, order, t):
     shift), never by finite differences.
     """
     t = np.asarray(t, dtype=float)
+    order = _series.integers(order, 0, "derivative order must be an integer >= 0")
     rot = order % 4
     if signal.kind == HARMONIC_SUM:
         out = np.zeros(t.shape)
@@ -323,10 +317,9 @@ def signal_from_json(doc):
     if isinstance(doc, str):
         doc = json.loads(doc)
     kind = doc["kind"]
-    smooth = SmoothnessInfo(r=int(doc["r"]), variation=float(doc["variation"]))
+    smooth = SmoothnessInfo(r=doc["r"], variation=float(doc["variation"]))
     if kind == HARMONIC_SUM:
-        terms = tuple(sorted((int(k), float(a), float(b)) for k, a, b in doc["terms"]))
-        return AnalyticSignal(kind=kind, terms=terms, p=None, smoothness=smooth)
+        return AnalyticSignal(kind=kind, terms=doc["terms"], p=None, smoothness=smooth)
     return AnalyticSignal(kind=kind, terms=(), p=float(doc["p"]), smoothness=smooth)
 
 

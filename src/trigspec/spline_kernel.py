@@ -42,6 +42,8 @@ _H_GUARD = 1e-12
 # Largest fold index a direct class summation accepts; larger requests are
 # refused before their index arrays are allocated.
 _M_TERMS_CAP = 10**6
+_M_TERMS_ERROR = f"m_terms must be an integer in 0..{_M_TERMS_CAP}"
+_CLASS_ERROR = "class representative k must lie in 1..n"
 
 
 class FilterVariant(enum.Enum):
@@ -77,8 +79,8 @@ class KernelConfig:
     tail_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.order < 1 or self.order != int(self.order):
-            raise ValueError("spline order must be an integer >= 1")
+        order = _series.integers(self.order, 1, "spline order must be an integer >= 1")
+        object.__setattr__(self, "order", order)
         if not self.tail_tol > 0:
             raise ValueError("tail_tol must be positive")
 
@@ -101,10 +103,8 @@ def raw_gain(j, config):
     family uses j^-(1+r) and rejects j = 0. j is an integer or an integer
     array; a scalar gives a float, an array an array of its shape.
     """
-    j_in = np.asarray(j, dtype=float)
-    j = np.atleast_1d(j_in)
-    if np.any(j < 0):
-        raise ValueError("harmonic index must be >= 0")
+    idx = _series.integers(j, 0, "harmonic index must be >= 0")
+    j = np.atleast_1d(idx).astype(float)
     s = config.power
     N = config.grid.N
     if config.variant is FilterVariant.INVERSE_POWER:
@@ -121,9 +121,9 @@ def raw_gain(j, config):
         mag[j == 0] = 1.0
         out = mag**s
         if config.signed:
-            flips = np.where((j.astype(np.int64) // N) % 2 == 1, -1.0, 1.0)
+            flips = np.where((j // N) % 2 == 1, -1.0, 1.0)
             out = out * flips
-    return out if j_in.ndim else float(out[0])
+    return out if np.ndim(idx) else float(out[0])
 
 
 def _branch_tails(s, N, signed, k, m_start=1):
@@ -148,18 +148,14 @@ def _member_ratios(j, k, s, N, signed):
     return out
 
 
-def _check_m_terms(m_terms):
-    if not 0 <= m_terms <= _M_TERMS_CAP or m_terms != int(m_terms):
-        raise ValueError(f"m_terms must be an integer in 0..{_M_TERMS_CAP}")
-    return int(m_terms)
-
-
 def class_gain_sum_direct(k, config, m_terms):
     """Truncated direct summation of the class sum over fold indices m <= m_terms.
 
-    This is the oracle path; ``m_terms`` must be an integer in 0..10**6.
+    This is the oracle path; k must lie in 1..n and ``m_terms`` must be
+    an integer in 0..10**6.
     """
-    m = np.arange(1, _check_m_terms(m_terms) + 1, dtype=float)
+    k = _series.integers(k, 1, _CLASS_ERROR, config.grid.n)
+    m = np.arange(1, _series.integers(m_terms, 0, _M_TERMS_ERROR, _M_TERMS_CAP) + 1)
     N = config.grid.N
     total = raw_gain(k, config)
     total += float(
@@ -201,7 +197,12 @@ def class_table(config):
     One array pass over k = 1..n builds every entry; ``tail_tol`` does
     not enter. A signed table whose class sums cancelled is refused.
     """
-    return _class_table(config.grid, config.order, config.signed)
+    return _class_table(*_table_key(config))
+
+
+def _table_key(config):
+    # What the per-class data depends on: the grid, the order and the gain signs.
+    return config.grid, config.order, config.signed
 
 
 @lru_cache(maxsize=64)
@@ -248,11 +249,8 @@ def gain(j, config):
     is an integer >= 1 or an integer array; a scalar gives a float, an
     array an array of its shape.
     """
-    j_in = np.asarray(j)
-    # Integer arrays are integral by type; only others pay for the check.
-    if np.any(j_in < 1) or (j_in.dtype.kind not in "iu" and np.any(j_in != np.floor(j_in))):
-        raise ValueError("gain is defined for integer harmonic indices j >= 1")
-    j = np.atleast_1d(j_in.astype(np.int64, copy=False))
+    j_in = _series.integers(j, 1, "gain is defined for integer harmonic indices j >= 1")
+    j = np.atleast_1d(j_in)
     ct = class_table(config)
     N = config.grid.N
     k, _ = _series.alias_fold(j, N)
@@ -260,7 +258,7 @@ def gain(j, config):
     out = _member_ratios(j, k, config.power, N, config.signed) * ct.gains[np.maximum(k, 1) - 1]
     if np.any(dc):
         out[dc] = raw_gain(j[dc], config) / _dc_sum(N, config.power, config.variant)
-    return out if j_in.ndim else float(out[0])
+    return out if np.ndim(j_in) else float(out[0])
 
 
 def filter_response(config, j_max):
@@ -286,14 +284,14 @@ def filter_response(config, j_max):
     The signed sinc family is not ordered across r even at j = n: at
     n = 16, alpha(2, n) = 0.5627 exceeds alpha(3, n) = 0.5523.
     """
-    if j_max < config.grid.n or not float(j_max).is_integer():
-        raise ValueError("j_max must be an integer covering the band (j_max >= n)")
+    j_max = _series.integers(
+        j_max, config.grid.n, "j_max must be an integer covering the band (j_max >= n)")
     norms = class_table(config).norms
     class_sums = raw_gain(np.arange(1, config.grid.n + 1), config) * norms
-    gains = gain(np.arange(1, int(j_max) + 1), config)
+    gains = gain(np.arange(1, j_max + 1), config)
     for arr in (class_sums, gains):
         arr.setflags(write=False)
-    return FilterTable(config, class_sums, gains, int(j_max))
+    return FilterTable(config, class_sums, gains, j_max)
 
 
 def class_partition_terms(k, config, m_terms, table=None):
@@ -303,12 +301,14 @@ def class_partition_terms(k, config, m_terms, table=None):
     alpha over the class members up to fold index m_terms and remainder
     the closed-form value of everything beyond. Their sum is 1 up to
     rounding: the partition-of-unity property. The in-band gain alpha_k
-    is read from ``table`` when one is given, else from the class table.
-    ``m_terms`` must be an integer in 0..10**6.
+    is read from ``table`` when one is given, which must have been built
+    for the grid, order and signs of ``config``, else from the class
+    table. ``m_terms`` must be an integer in 0..10**6.
     """
-    if k < 1 or k > config.grid.n:
-        raise ValueError("class representative k must lie in 1..n")
-    m_terms = _check_m_terms(m_terms)
+    k = _series.integers(k, 1, _CLASS_ERROR, config.grid.n)
+    m_terms = _series.integers(m_terms, 0, _M_TERMS_ERROR, _M_TERMS_CAP)
+    if table is not None and _table_key(table.config) != _table_key(config):
+        raise ValueError("table was built for another (grid, order, signed) than config")
     alpha = float((class_table(config).gains if table is None else table.gains)[k - 1])
     m = np.arange(1, m_terms + 1)
     s, N, signed = config.power, config.grid.N, config.signed

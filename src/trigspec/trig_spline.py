@@ -274,9 +274,7 @@ def values_on_uniform_grid(spline, points):
     :func:`spline_eval`, R + 1 FFTs in all. The error beyond rounding is
     :func:`scattered_eval_bound`.
     """
-    if points < 1 or points != int(points):
-        raise ValueError("points must be a positive integer")
-    G = int(points)
+    G = _series.integers(points, 1, "points must be a positive integer")
     N = spline.config.grid.N
     P = G // math.gcd(N, G)
     num = 2 * N * np.arange(G) + (G if spline.config.signed else 0)
@@ -295,17 +293,14 @@ def spline_fourier_coeff(spline, j):
     many coefficients recovered from N samples. Constant-class indices
     (multiples of N) return (0, 0) — that class enters only via a0.
     """
-    if j < 1 or j != int(j):
-        raise ValueError("coefficient index must be an integer >= 1")
-    ca, cb = _law_coefficients(spline.config, spline.spectrum, np.asarray([int(j)]))
+    j = _series.integers(j, 1, "coefficient index must be an integer >= 1")
+    ca, cb = _law_coefficients(spline.config, spline.spectrum, np.atleast_1d(j))
     return float(ca[0]), float(cb[0])
 
 
 def unfolded_spectrum(spline, j_max):
     """Rows (j, a_hat_j, b_hat_j) for j = 1..j_max, beyond the band included."""
-    if j_max < 1 or j_max != int(j_max):
-        raise ValueError("j_max must be a positive integer")
-    js = np.arange(1, int(j_max) + 1)
+    js = np.arange(1, _series.integers(j_max, 1, "j_max must be a positive integer") + 1)
     ca, cb = _law_coefficients(spline.config, spline.spectrum, js)
     return js, ca, cb
 
@@ -336,8 +331,10 @@ def curvature_functional(fn, order):
     or an ``(a0, a, b)`` tuple) are finite series, summed term by term.
     `order` must be an even integer >= 0.
     """
-    if order < 0 or order % 2 != 0 or order != int(order):
-        raise ValueError("derivative order must be an even integer >= 0")
+    message = "derivative order must be an even integer >= 0"
+    order = _series.integers(order, 0, message)
+    if order % 2:
+        raise ValueError(message)
     if isinstance(fn, TrigSpline):
         cfg = fn.config
         if order > cfg.order:
@@ -394,24 +391,24 @@ def spline_from_json(doc):
     The in-band rows divided by their gains recover the discrete
     spectrum, which with the configuration is the whole spline. Raises
     ValueError, naming the field, for an ``N`` that is not an odd integer
-    >= 3 and for ``coeffs`` rows whose index is below 1 or repeated.
+    >= 3 and for ``coeffs`` rows whose index is not an integer >= 1 or repeats.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
-    N = doc["N"]
-    if N != int(N) or N < 3 or N % 2 == 0:
-        raise ValueError(f"field 'N' must be an odd integer >= 3, got {N!r}")
-    grid = make_grid((int(N) - 1) // 2)
-    config = KernelConfig(
-        grid=grid,
-        order=int(doc["r"]),
-        variant=FilterVariant.from_string(doc["variant"]),
-    )
+    message = f"field 'N' must be an odd integer >= 3, got {doc['N']!r}"
+    N = _series.integers(doc["N"], 3, message)
+    if N % 2 == 0:
+        raise ValueError(message)
+    grid = make_grid((N - 1) // 2)
+    variant = FilterVariant.from_string(doc["variant"])
+    config = KernelConfig(grid=grid, order=doc["r"], variant=variant)
     j, ra, rb = np.array(doc["coeffs"], dtype=float).reshape(-1, 3).T
-    if np.any(j < 1) or np.any(j != np.floor(j)) or np.unique(j).size != j.size:
-        raise ValueError("field 'coeffs' needs distinct integer row indices >= 1")
+    message = "field 'coeffs' needs distinct integer row indices >= 1"
+    j = _series.integers(j, 1, message)
+    if np.unique(j).size != j.size:
+        raise ValueError(message)
     band = j <= grid.n
-    at = j[band].astype(np.int64) - 1
+    at = j[band] - 1
     a = np.zeros(grid.n)
     b = np.zeros(grid.n)
     a[at] = ra[band]

@@ -91,6 +91,31 @@ def test_dft_bad_n(cosine_spec, tmp_path):
                 "--out", str(tmp_path / "x.csv")]) == 2
 
 
+_HARMONIC = {"kind": "HarmonicSum", "terms": [[1, 1.0, 0.0]], "p": None, "r": 1,
+             "variation": 4.0}
+_POWER = {"kind": "PowerDecayCosine", "terms": [], "p": 4.0, "r": 2, "variation": 5.0}
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({**_HARMONIC, "terms": [[float("inf"), 1.0, 0.0]]}, "harmonic indices"),
+    ({**_HARMONIC, "r": float("inf")}, "smoothness order r"),
+    ({**_POWER, "p": float("inf")}, "finite p > 1"),
+    ({**_HARMONIC, "terms": [[2.5, 1.0, 0.0]]}, "harmonic indices"),
+    ({**_HARMONIC, "r": [3]}, "smoothness order r"),
+], ids=["index 1e999", "r 1e999", "p 1e999", "index 2.5", "r list"])
+def test_dft_refuses_a_signal_document_with_a_bad_integer(tmp_path, capsys, doc, field):
+    # The first three used to raise OverflowError (exit 1, a traceback);
+    # the index 2.5 used to put the term at k = 2. r = [3] is an array
+    # where one integer belongs.
+    inline = json.dumps(doc).replace("Infinity", "1e999")
+    out = tmp_path / "x.csv"
+    assert run(["dft", "--inline", inline, "--n", "4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("trigspec: error: ") and field in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # -- spline ------------------------------------------------------------------------
 
 

@@ -1,0 +1,224 @@
+"""One integer contract: every index, count and order the package takes passes `_series.integers`.
+
+Each site refuses a fractional, infinite or NaN value and one below its
+lowest (or above its highest) with its own ValueError message; the array
+sites refuse 2^63, outside int64, too. A value the contract accepts
+reaches the computation as an integer.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from trigspec import _series
+from trigspec.alias_analysis import (
+    aliasing_error_bound,
+    band_component,
+    folded_coefficients,
+    time_domain_overlay_bound,
+)
+from trigspec.filon_oracle import filon_coeffs, quad_fourier_coeff, refined_error_bound
+from trigspec.sampling import discrete_coeffs, extended_coefficient, make_grid, sample
+from trigspec.signal_model import (
+    HARMONIC_SUM,
+    AnalyticSignal,
+    SmoothnessInfo,
+    coefficient_bound,
+    derivative_values,
+    harmonic_sum,
+    power_decay_cosine,
+    signal_from_json,
+    true_coefficient,
+)
+from trigspec.spline_kernel import (
+    FilterVariant,
+    KernelConfig,
+    class_gain_sum_direct,
+    class_partition_terms,
+    filter_response,
+    gain,
+    raw_gain,
+)
+from trigspec.trig_spline import (
+    build_spline,
+    curvature_functional,
+    spline_fourier_coeff,
+    spline_from_json,
+    spline_to_json,
+    unfolded_spectrum,
+    values_on_uniform_grid,
+)
+
+GRID = make_grid(4)
+CONFIG = KernelConfig(grid=GRID, order=3, variant=FilterVariant.ABS_SINC_POWER)
+SIGNAL = power_decay_cosine(4)
+COSINE = harmonic_sum([(1, 1.0, 0.0)], r=3)
+SPECTRUM = discrete_coeffs(sample(SIGNAL, GRID))
+SPLINE = build_spline(sample(SIGNAL, GRID), CONFIG)
+SPLINE_DOC = spline_to_json(SPLINE)
+SIGNAL_DOC = {"kind": HARMONIC_SUM, "terms": [[1, 1.0, 0.0]], "p": None, "r": 1,
+              "variation": 4.0}
+
+
+def _spline_doc(**fields):
+    return {**SPLINE_DOC, **fields}
+
+
+def _rows(j):
+    # A coeffs list with one row per index in j.
+    return [[x, 0.5, 0.0] for x in np.atleast_1d(j).tolist()]
+
+
+# (site, call of the integer argument x, lowest, highest or None, message,
+# whether the site takes an index array).
+SITES = [
+    ("UniformGrid n", make_grid, 1, None, "grid parameter n must be an integer >= 1", False),
+    ("DiscreteSpectrum.eval_on_uniform_grid points", SPECTRUM.eval_on_uniform_grid, 1, None,
+     "points must be a positive integer", False),
+    ("extended_coefficient j", lambda x: extended_coefficient(SPECTRUM, x), 1, None,
+     "extended index must be an integer >= 1", True),
+    ("SmoothnessInfo r", lambda x: SmoothnessInfo(r=x, variation=1.0), 0, None,
+     "smoothness order r must be >= 0", False),
+    ("AnalyticSignal term index",
+     lambda x: AnalyticSignal(HARMONIC_SUM, ((x, 1.0, 0.0),), None, SmoothnessInfo(1, 1.0)),
+     0, None, "harmonic indices must be integers >= 0", False),
+    ("harmonic_sum term index", lambda x: harmonic_sum([(x, 1.0, 0.0)]), 0, None,
+     "harmonic indices must be integers >= 0", False),
+    ("signal_from_json term index",
+     lambda x: signal_from_json({**SIGNAL_DOC, "terms": [[x, 1.0, 0.0]]}), 0, None,
+     "harmonic indices must be integers >= 0", False),
+    ("signal_from_json r", lambda x: signal_from_json({**SIGNAL_DOC, "r": x}), 0, None,
+     "smoothness order r must be >= 0", False),
+    ("AnalyticSignal.fourier_series j_max", lambda x: SIGNAL.fourier_series(x), 0, None,
+     "j_max must be an integer >= 0", False),
+    ("derivative_values order", lambda x: derivative_values(SIGNAL, x, 0.5), 0, None,
+     "derivative order must be an integer >= 0", False),
+    ("true_coefficient k", lambda x: true_coefficient(SIGNAL, x), 0, None,
+     "coefficient index must be an integer >= 0", True),
+    ("coefficient_bound k", lambda x: coefficient_bound(SIGNAL.smoothness, x), 1, None,
+     "decay bound is defined for integer k >= 1", True),
+    ("KernelConfig order",
+     lambda x: KernelConfig(grid=GRID, order=x, variant=FilterVariant.ABS_SINC_POWER), 1, None,
+     "spline order must be an integer >= 1", False),
+    ("raw_gain j", lambda x: raw_gain(x, CONFIG), 0, None, "harmonic index must be >= 0", True),
+    ("gain j", lambda x: gain(x, CONFIG), 1, None,
+     "gain is defined for integer harmonic indices j >= 1", True),
+    ("filter_response j_max", lambda x: filter_response(CONFIG, x), GRID.n, None,
+     "j_max must be an integer covering the band (j_max >= n)", False),
+    ("class_partition_terms k", lambda x: class_partition_terms(x, CONFIG, 8), 1, GRID.n,
+     "class representative k must lie in 1..n", False),
+    ("class_partition_terms m_terms", lambda x: class_partition_terms(1, CONFIG, x), 0, 10**6,
+     "m_terms must be an integer in 0..1000000", False),
+    ("class_gain_sum_direct k", lambda x: class_gain_sum_direct(x, CONFIG, 8), 1, GRID.n,
+     "class representative k must lie in 1..n", False),
+    ("class_gain_sum_direct m_terms", lambda x: class_gain_sum_direct(1, CONFIG, x), 0, 10**6,
+     "m_terms must be an integer in 0..1000000", False),
+    ("values_on_uniform_grid points", lambda x: values_on_uniform_grid(SPLINE, x), 1, None,
+     "points must be a positive integer", False),
+    ("spline_fourier_coeff j", lambda x: spline_fourier_coeff(SPLINE, x), 1, None,
+     "coefficient index must be an integer >= 1", False),
+    ("unfolded_spectrum j_max", lambda x: unfolded_spectrum(SPLINE, x), 1, None,
+     "j_max must be a positive integer", False),
+    ("curvature_functional order", lambda x: curvature_functional(SPLINE, x), 0, None,
+     "derivative order must be an even integer >= 0", False),
+    ("spline_from_json N", lambda x: spline_from_json(_spline_doc(N=x)), 3, None,
+     "field 'N' must be an odd integer >= 3", False),
+    ("spline_from_json r", lambda x: spline_from_json(_spline_doc(r=x)), 1, None,
+     "spline order must be an integer >= 1", False),
+    ("spline_from_json row index",
+     lambda x: spline_from_json(_spline_doc(coeffs=_rows(x))), 1, None,
+     "field 'coeffs' needs distinct integer row indices >= 1", True),
+    ("folded_coefficients k", lambda x: folded_coefficients(SIGNAL, GRID, x), 0, GRID.n,
+     "band class k must lie in 0..n", False),
+    ("aliasing_error_bound k", lambda x: aliasing_error_bound(x, GRID, SIGNAL.smoothness), 1,
+     GRID.n, "band index k must lie in 1..n", True),
+    ("band_component n", lambda x: band_component(SIGNAL, x, 0.5), 1, None,
+     "band size n must be an integer >= 1", False),
+    ("time_domain_overlay_bound n", lambda x: time_domain_overlay_bound(x, SIGNAL.smoothness), 1,
+     None, "n must be an integer >= 1", False),
+    ("quad_fourier_coeff k", lambda x: quad_fourier_coeff(COSINE, x), 0, None,
+     "coefficient index must be an integer >= 0", False),
+    ("filon_coeffs k_range", lambda x: filon_coeffs(COSINE, (0, x)), 0, None,
+     "k_range must be a pair of integers >= 0", False),
+    ("refined_error_bound k", lambda x: refined_error_bound(x, 1, 1.0), 1, None,
+     "bound is defined for integer k >= 1", True),
+    ("refined_error_bound q", lambda x: refined_error_bound(1, x, 1.0), 0, None,
+     "q must be >= 0", False),
+]
+IDS = [site[0] for site in SITES]
+
+
+def _bad_values(lowest, highest, array):
+    bad = [2.5, math.inf, -math.inf, math.nan, lowest - 1, float(lowest - 1)]
+    if highest is not None:
+        bad += [highest + 1, highest + 0.5]
+    if array:
+        # 2^63 lies outside int64, as a uint64 array and as a float.
+        bad += [2**63, np.array([lowest, 2**63]), np.array([lowest, 2.0**63])]
+        bad += [np.array([lowest, x]) for x in (2.5, math.inf, math.nan, lowest - 1)]
+    return bad
+
+
+@pytest.mark.parametrize("site, call, lowest, highest, message, array", SITES, ids=IDS)
+def test_every_site_refuses_what_is_not_an_integer_in_range(site, call, lowest, highest,
+                                                            message, array):
+    for x in _bad_values(lowest, highest, array):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(x)
+
+
+@pytest.mark.parametrize("site, call, lowest, highest, message, array", SITES, ids=IDS)
+def test_every_site_takes_its_lowest_and_highest(site, call, lowest, highest, message, array):
+    # An integral float is its integer; the fold count is kept small.
+    for x in (lowest, float(lowest), np.int64(lowest)):
+        call(x)
+    if highest is not None and highest <= 64:
+        call(highest)
+
+
+def _bits(out):
+    # Shape and bytes of a result: an array or a pair of arrays.
+    return [(part.shape, part.tobytes()) for part in (out if isinstance(out, tuple) else (out,))]
+
+
+@pytest.mark.parametrize("fn", [
+    lambda j: gain(j, CONFIG),
+    lambda j: extended_coefficient(SPECTRUM, j),
+    lambda j: true_coefficient(SIGNAL, j),
+    lambda j: true_coefficient(COSINE, j),
+], ids=["gain", "extended_coefficient", "true_coefficient power", "true_coefficient sum"])
+def test_integer_and_float_index_arrays_give_the_same_bits(fn):
+    js = np.array([[1, 2, 9, 10], [11, 27, 45, 1000]], dtype=np.int64)
+    assert _bits(fn(js)) == _bits(fn(js.astype(float)))
+    assert _bits(fn(js))[0][0] == js.shape
+
+
+def test_integers_returns_a_python_int_or_an_int64_array():
+    for x in (7, 7.0, np.int64(7), np.float32(7.0), np.array(7)):
+        out = _series.integers(x, 0, "bad")
+        assert type(out) is int and out == 7
+    arr = np.arange(5, dtype=np.int64)
+    assert _series.integers(arr, 0, "bad") is arr        # no copy on the fast path
+    for x in ([1.0, 2.0], np.array([1, 2], dtype=np.int32), np.array([1, 2], dtype=np.uint64)):
+        out = _series.integers(x, 0, "bad")
+        assert out.dtype == np.int64 and out.tolist() == [1, 2]
+    assert _series.integers(np.zeros((0, 3)), 1, "bad").shape == (0, 3)
+    assert _series.integers(2**63 - 1, 0, "bad") == 2**63 - 1
+
+
+@pytest.mark.parametrize("x", [2**63, -(2**63) - 1, 2**70, np.array([2**70]), 2.0**63,
+                               np.array([2**63], dtype=np.uint64), -(2.0**64), None])
+def test_integers_refuses_values_outside_int64(x):
+    with pytest.raises(ValueError, match="^bad$"):
+        _series.integers(x, -(2**63), "bad")
+
+
+def test_orders_are_stored_as_python_ints():
+    # A float order used to be stored as given, and written to JSON as 3.0.
+    config = KernelConfig(grid=GRID, order=3.0, variant=FilterVariant.ABS_SINC_POWER)
+    assert type(config.order) is int and config == CONFIG
+    assert type(SmoothnessInfo(r=np.int64(2), variation=1.0).r) is int
+    spline = build_spline(sample(SIGNAL, GRID), config)
+    assert spline_to_json(spline) == SPLINE_DOC and type(spline_to_json(spline)["r"]) is int

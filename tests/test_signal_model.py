@@ -20,7 +20,7 @@ from trigspec import (
     signal_to_json,
     true_coefficient,
 )
-from trigspec.signal_model import derivative_values
+from trigspec.signal_model import HARMONIC_SUM, AnalyticSignal, derivative_values
 
 
 def brute_power_eval(kind_cos, p, t, terms=400_000):
@@ -294,9 +294,30 @@ def test_duplicate_harmonics_rejected():
         harmonic_sum([(1, 1.0, 0.0), (1, 0.5, 0.0)])
 
 
+def test_constructor_sorts_the_terms_by_integer_index():
+    # Unsorted terms used to read (0, 0) at every index, through a binary
+    # search over an unsorted list.
+    sig = AnalyticSignal(HARMONIC_SUM, ((3, 1.0, 0.0), (1.0, 2.0, 0.5)), None,
+                         SmoothnessInfo(1, 1.0))
+    assert sig.terms == ((1, 2.0, 0.5), (3, 1.0, 0.0))
+    assert type(sig.terms[0][0]) is int
+    assert true_coefficient(sig, 1) == (2.0, 0.5) and true_coefficient(sig, 3) == (1.0, 0.0)
+
+
 def test_power_decay_needs_p_above_one():
     with pytest.raises(ValueError):
         power_decay_cosine(1.0, r=0, variation=1.0)
+
+
+@pytest.mark.parametrize("p", [float("inf"), float("nan")])
+@pytest.mark.parametrize("factory", [power_decay_cosine, power_decay_sine])
+def test_power_decay_needs_a_finite_p(factory, p):
+    # p = inf used to construct and then fail at evaluation with
+    # OverflowError; p = NaN passed the p > 1 test the same way.
+    with pytest.raises(ValueError, match="finite p > 1"):
+        factory(p, r=1, variation=1.0)
+    with pytest.raises(ValueError):
+        factory(p)
 
 
 def test_parity_mismatch_needs_explicit_smoothness():

@@ -281,6 +281,21 @@ def test_partition_terms_reject_class_outside_band(k, with_table):
         class_partition_terms(k, c, 64, table)
 
 
+def test_partition_terms_refuse_a_table_of_another_configuration():
+    # An order-1 table with an order-3 configuration used to give
+    # partial + remainder = 0.9604 at n = 4, k = 1, m_terms = 8.
+    c = cfg(4, 3, "abs-sinc")
+    with pytest.raises(ValueError, match="another"):
+        class_partition_terms(1, c, 8, filter_response(cfg(4, 1, "abs-sinc"), 4))
+    with pytest.raises(ValueError, match="another"):
+        class_partition_terms(1, c, 8, filter_response(cfg(5, 3, "abs-sinc"), 5))
+    with pytest.raises(ValueError, match="another"):
+        class_partition_terms(1, cfg(4, 2, "sinc"), 8, filter_response(cfg(4, 2, "abs-sinc"), 4))
+    # Gain families with the same signs share their per-class data.
+    table = filter_response(cfg(4, 3, "inv-power"), 4)
+    assert class_partition_terms(1, c, 8, table) == class_partition_terms(1, c, 8)
+
+
 def test_partition_of_unity_residue_cross_check():
     # alpha(1) computed directly equals 1 minus the summed rest of its class.
     c = cfg(16, 3, "abs-sinc")

@@ -53,6 +53,9 @@ POLYLOG_SIGNAL = ('{"kind": "PowerDecayCosine", "p": 3.0, "r": 1, "terms": [], '
 # eq9 bound needs r >= 1.
 ROUGH_SIGNAL = ('{"kind": "PowerDecaySine", "p": 2.0, "r": 0, "terms": [], '
                 '"variation": 5.0}')
+# A harmonic index of 1e999, which JSON reads as infinity.
+INF_INDEX_SIGNAL = ('{"kind": "HarmonicSum", "p": null, "r": 1, "terms": [[1e999, 1.0, 0.0]], '
+                    '"variation": 4.0}')
 
 
 def invocations(out):
@@ -131,6 +134,8 @@ def refusals(out):
         "bounds", *rough, "--n", N_BAND, "--family", "eq9", "--out", str(out / "b.csv")]
     yield "alias tail-tol 1e-20", [
         "alias", *rough, "--n", "2", "--tail-tol", "1e-20", "--out", str(out / "a.csv")]
+    yield "dft harmonic index inf", [
+        "dft", "--inline", INF_INDEX_SIGNAL, "--n", N_BAND, "--out", str(out / "inf.csv")]
 
 
 def refusal_listing():
