@@ -5,27 +5,27 @@ guarantees:
 
 - full power series ``sum_{k>=1} cos(kt)/k^s`` (even s) and
   ``sum_{k>=1} sin(kt)/k^s`` (odd s), which are Bernoulli polynomials in
-  t/(2*pi) up to a constant factor;
+  t/(2*pi) up to a constant factor (:func:`fourier_power`);
 - tails of arithmetic-progression power sums
   ``sum_{m>=m0} (m*step + offset)^(-s)``, which are Hurwitz zeta values,
   and their ratio form ``sum_i (k/(i*step + j0))^s`` (:func:`ratio_tail`),
   whose terms are powers of ratios below one and never leave the float
   range before they are negligible;
 - the Lerch transcendent on the unit circle,
-  ``sum_{m>=0} e^(i m theta) (q/(m+q))^s``, and the polylogarithm
-  Li_s(e^(i theta)) it contains, through their zeta-series expansion
-  (Erdelyi et al., *Higher Transcendental Functions* I, 1.11; Crandall,
-  "Note on fast polylogarithm computation", 2006). The expansion itself,
-  for |theta| <= pi, is :func:`lerch_series`, read as its cached
-  coefficients (:func:`lerch_coefficients`) and its singular term
-  (:func:`lerch_singular`); every spline value is a weighted sum of them.
+  ``sum_{m>=0} e^(i m theta) (q/(m*N + q))^s`` for q = 1..N, and the
+  polylogarithm Li_s(e^(i theta)) it gives at N = 1, through their
+  zeta-series expansion (Erdelyi et al., *Higher Transcendental
+  Functions* I, 1.11; Crandall, "Note on fast polylogarithm computation",
+  2006), for |theta| <= pi: one cached coefficient table per (s, N)
+  (:func:`lerch_coefficients`) and a singular term (:func:`lerch_singular`)
+  combined by one row builder (:func:`lerch_rows`).
 
 Alongside them sit the small primitives every layer shares: the integer
-contract every index, count and order the package takes passes
-(:func:`integers`), angle reduction, derivative rotation of a coefficient
-pair, the fold of a harmonic index onto its alias class
-(:func:`alias_fold`), and powers of ratios formed from their exact
-numerator and denominator (:func:`ratio_power`).
+contract (:func:`integers`, and :func:`integer` for one scalar), angle
+reduction, derivative rotation of a coefficient pair, the fold of a
+harmonic index onto its alias class (:func:`alias_fold`), and powers of
+ratios formed from their exact numerator and denominator
+(:func:`ratio_power`).
 
 Everything here is pure and vectorized.
 """
@@ -75,6 +75,13 @@ def integers(x, lowest, message, highest=None):
         raise ValueError(message)
     arr = arr.astype(np.int64, copy=False)
     return int(arr) if arr.ndim == 0 else arr
+
+
+def integer(x, lowest, message, highest=None):
+    """:func:`integers` for an argument that is one integer: a list or an array is refused too."""
+    if not isinstance(x, (int, np.integer)) and np.ndim(x):
+        raise ValueError(message)
+    return integers(x, lowest, message, highest)
 
 
 def reduce_angle(t):
@@ -185,25 +192,16 @@ def _bernoulli_poly(n, x):
     return val
 
 
-def fourier_power_cos(s, t):
-    """Exact ``sum_{k>=1} cos(k t)/k^s`` for even integer s >= 2.
+def fourier_power(s, t):
+    """Exact ``sum_{k>=1} cos(k t)/k^s`` for even s and ``sum_{k>=1} sin(k t)/k^s`` for odd s.
 
-    The sum equals ``(-1)^(s/2+1) (2*pi)^s B_s(t/2pi) / (2 s!)`` on one
-    period; evaluation reduces t modulo 2*pi first.
+    For every integer s >= 1 the sum equals ``(-1)^(floor(s/2)+1)
+    (2*pi)^s B_s(t/2pi) / (2 s!)`` on one period; evaluation reduces t
+    modulo 2*pi first.
     """
-    if s < 2 or s % 2 != 0:
-        raise ValueError("closed form requires even integer s >= 2")
+    s = integer(s, 1, "closed form requires an integer s >= 1")
     x = reduce_angle(t) / TWO_PI
-    sign = -1.0 if (s // 2) % 2 == 0 else 1.0
-    return sign * TWO_PI**s / (2.0 * factorial(s)) * _bernoulli_poly(s, x)
-
-
-def fourier_power_sin(s, t):
-    """Exact ``sum_{k>=1} sin(k t)/k^s`` for odd integer s >= 1."""
-    if s < 1 or s % 2 != 1:
-        raise ValueError("closed form requires odd integer s >= 1")
-    x = reduce_angle(t) / TWO_PI
-    sign = 1.0 if ((s + 1) // 2) % 2 == 0 else -1.0
+    sign = 1.0 if (s // 2) % 2 else -1.0
     return sign * TWO_PI**s / (2.0 * factorial(s)) * _bernoulli_poly(s, x)
 
 
@@ -318,33 +316,33 @@ def _pole_pair(s, theta):
 
 
 @lru_cache(maxsize=64)
-def _lerch_table(s, q, step):
+def _lerch_table(s, N):
     # Returns (even, odd, lead): the even and odd columns of a table, each
-    # contiguous for the matrix products. Row i, column r of the table: the
-    # coefficient of u^r, u = theta/pi, in e^(i a theta) sum_m e^(i m theta)
-    # (q/(m step + q))^s minus its singular part, a = q_i/step, times the
-    # real sign of i^r (1, 1, -1, -1 for r = 0, 1, 2, 3 mod 4); every entry
-    # is real, so even columns give the real part and odd columns the
-    # imaginary part. The row is a^s Phi(e^(i theta), s, a), and the
-    # coefficient of (i theta)^r is a^s zeta(s-r, a)/r!; taking the first
-    # term of zeta apart gives a^r [1 + a^(s-r) zeta(s-r, 1+a)] / r!, whose
-    # powers of a stay below one and are formed from q and step. lead holds
-    # a^s, the factor of the singular part and of the columns with s - r <= 1.
-    q = np.asarray(q, dtype=float)
+    # contiguous for the matrix products. Row q-1, column r: the coefficient
+    # of u^r, u = theta/pi, in e^(i a theta) sum_m e^(i m theta) (q/(m N +
+    # q))^s minus its singular part, a = q/N, times the real sign of i^r
+    # (1, 1, -1, -1 for r = 0, 1, 2, 3 mod 4); every entry is real, so even
+    # columns give the real part and odd columns the imaginary part. The
+    # row is a^s Phi(e^(i theta), s, a), and the coefficient of (i theta)^r
+    # is a^s zeta(s-r, a)/r!; taking the first term of zeta apart gives
+    # a^r [1 + a^(s-r) zeta(s-r, 1+a)] / r!, whose powers of a stay below
+    # one and are formed from q and N. lead holds a^s, the factor of the
+    # singular part and of the columns with s - r <= 1.
+    q = np.arange(1.0, N + 1.0)
     R = _lerch_terms(s)
-    integer = s == int(s)
-    pole_col = -1 if integer else _pole_constants(s)[0] - 1
-    a = q / step
-    lead = _ratio_power(q, step, s)
+    integral = s == int(s)
+    pole_col = -1 if integral else _pole_constants(s)[0] - 1
+    a = q / N
+    lead = _ratio_power(q, N, s)
     pf = _powers_over_factorial(math.pi, R)      # pi^r / r!
-    c = np.zeros((q.size, R))
+    c = np.zeros((N, R))
     for r in range(R):
         x = s - r
         if r == pole_col:
             continue                             # summed with the singular term
         if x > 1.0:
-            c[:, r] = (1.0 + _ratio_power(q, step, x) * zeta(x, 1.0 + a)) * (_ratio_power(q, step, r) * pf[r])
-        elif not integer:
+            c[:, r] = (1.0 + _ratio_power(q, N, x) * zeta(x, 1.0 + a)) * (_ratio_power(q, N, r) * pf[r])
+        elif not integral:
             c[:, r] = zeta(x) * lead * pf[r]
         elif x == 1.0:
             harmonic = math.fsum(1.0 / j for j in range(1, r + 1))
@@ -362,29 +360,25 @@ def _lerch_table(s, q, step):
     return even, odd, lead
 
 
-def lerch_coefficients(s, q, step=1.0):
-    """The expansion of :func:`lerch_series` as its cached coefficients ``(even, odd, lead)``.
+def lerch_coefficients(s, N):
+    """The coefficients ``(even, odd, lead)`` of :func:`lerch_series`, cached per (s, N).
 
-    With ``u = theta/pi`` the row of first member q is
+    With ``u = theta/pi`` the row of first member q = 1..N is (:func:`lerch_rows`)
 
-        even @ u^(0, 2, 4, ...) + i odd @ u^(1, 3, 5, ...) + lead * lerch_singular(s, theta),
+        even @ u^(0, 2, 4, ...) + i odd @ u^(1, 3, 5, ...) + lead * lerch_singular(s, theta);
 
-    one row per q; ``even`` and ``odd`` hold the real coefficients of the
-    even and odd powers (the factor i^r folded in as a real sign), and
-    ``lead`` is ``(q/step)^s``. The number of powers, ``even.shape[1] +
-    odd.shape[1]``, depends only on s. q and step are checked as in
-    :func:`lerch_series`; the arrays are read-only.
+    ``even`` and ``odd`` hold the real coefficients of the even and odd
+    powers (the factor i^r folded in as a real sign), and ``lead`` is
+    ``(q/N)^s``. The number of powers, ``even.shape[1] + odd.shape[1]``,
+    depends only on s. s and N are checked as in :func:`lerch_series`; the
+    arrays are read-only.
     """
     if s <= 1:
         raise ValueError("the Lerch expansion requires s > 1")
-    if not step > 0.0:
-        raise ValueError("step must be positive")
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    if q.ndim != 1 or ((q <= 0.0) | (q > step)).any():
-        raise ValueError("q must be a 1-D array of values in (0, step]")
-    if s != int(s) and (q != step).any():
-        raise ValueError("non-integer s is supported for q = step only")
-    return _lerch_table(float(s), tuple(q.tolist()), float(step))
+    N = integer(N, 1, "N must be an integer >= 1")
+    if s != int(s) and N != 1:
+        raise ValueError("non-integer s is supported for N = 1 only")
+    return _lerch_table(float(s), N)
 
 
 def lerch_singular(s, theta):
@@ -413,65 +407,74 @@ def lerch_singular(s, theta):
     return out
 
 
-def lerch_series(s, q, theta, step=1.0):
-    """The expansion ``e^(i a theta) sum_{m>=0} e^(i m theta) (q/(m*step + q))^s`` for |theta| <= pi.
+def lerch_rows(columns, sing, theta):
+    """Rows of :func:`lerch_series` at a 1-D array of angles, one per row of `columns`.
 
-    With ``a = q/step`` it is ``a^s e^(i a theta) Phi(e^(i theta), s, a)``,
+    `columns` is :func:`lerch_coefficients` or row views of it, and `sing`
+    is :func:`lerch_singular` at `theta`.
+    """
+    even, odd, lead = columns
+    powers = np.empty((even.shape[1] + odd.shape[1], theta.size))
+    powers[0] = 1.0
+    powers[1:] = theta / math.pi
+    np.cumprod(powers, axis=0, out=powers)
+    return even @ powers[0::2] + 1j * (odd @ powers[1::2]) + np.multiply.outer(lead, sing)
+
+
+def lerch_series(s, N, theta):
+    """The expansion ``e^(i a theta) sum_{m>=0} e^(i m theta) (q/(m*N + q))^s`` for |theta| <= pi.
+
+    With ``a = q/N`` it is ``a^s e^(i a theta) Phi(e^(i theta), s, a)``,
 
         a^s [sum_r zeta(s-r, a) (i theta)^r / r! + singular term],
 
     which converges geometrically; :func:`lerch_remainder_bound` bounds the
-    terms it drops. Returns a complex array with one row per q and one
-    column per theta. Integer s >= 2 takes any q in (0, step]; non-integer
-    s > 1 takes q = step only. The coefficients depend only on (s, q, step)
-    and are cached (:func:`lerch_coefficients`); each is a power of a ratio
-    below one times a bounded factor, in the float range at any order. For
+    terms it drops. Returns a complex array with one row per q = 1..N and
+    one column per theta. Integer s >= 2 takes any N >= 1; non-integer
+    s > 1 takes N = 1 only. The coefficients depend only on (s, N) and are
+    cached (:func:`lerch_coefficients`); each is a power of a ratio below
+    one times a bounded factor, in the float range at any order. For
     non-integer s the singular term ``Gamma(1-s) (-i theta)^(s-1)`` and the
     coefficient ``zeta(1 + s - round(s))``, each of order 1/(s - round(s)),
     are summed in closed form so that they do not cancel
     (:func:`lerch_singular`).
     """
-    even, odd, lead = lerch_coefficients(s, q, step)
+    columns = lerch_coefficients(s, N)
     sing = lerch_singular(s, theta)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    out = np.empty((lead.size, theta.size), dtype=complex)
+    out = np.empty((columns[2].size, theta.size), dtype=complex)
     for start in range(0, theta.size, _LERCH_BLOCK):
         at = slice(start, start + _LERCH_BLOCK)
-        powers = np.empty((even.shape[1] + odd.shape[1], theta[at].size))
-        powers[0] = 1.0
-        powers[1:] = theta[at] / math.pi
-        np.cumprod(powers, axis=0, out=powers)
-        out[:, at] = even @ powers[0::2] + 1j * (odd @ powers[1::2]) + np.multiply.outer(lead, sing[at])
+        out[:, at] = lerch_rows(columns, sing[at], theta[at])
     return out
 
 
-def lerch_unit(s, q, theta, step=1.0):
-    """``sum_{m>=0} e^(i m theta) (q/(m*step + q))^s``, the Lerch transcendent on the unit circle.
+def lerch_unit(s, N, theta):
+    """``sum_{m>=0} e^(i m theta) (q/(m*N + q))^s``, the Lerch transcendent on the unit circle.
 
     The sum is normalized so that its first term is 1: it is
-    ``a^s Phi(e^(i theta), s, a)`` with ``a = q/step``, and with the
-    default step and q = 1 it is ``Phi(e^(i theta), s, 1)``. Angles reduce
-    to [-pi, pi], where it is ``e^(-i a theta)`` times
-    :func:`lerch_series`; q and step are as there. Returns a complex array
-    with one row per q and one column per theta.
+    ``a^s Phi(e^(i theta), s, a)`` with ``a = q/N``, and at N = 1 it is
+    ``Phi(e^(i theta), s, 1)``. Angles reduce to [-pi, pi], where it is
+    ``e^(-i a theta)`` times :func:`lerch_series`; s and N are as there.
+    Returns a complex array with one row per q = 1..N and one column per theta.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.ndim != 1 or not np.all(np.isfinite(theta)):
         raise ValueError("theta must be a 1-D array of finite angles")
     theta = np.mod(theta + np.pi, TWO_PI) - np.pi
-    series = lerch_series(s, q, theta, step)
-    a = np.atleast_1d(np.asarray(q, dtype=float)) / float(step)
+    series = lerch_series(s, N, theta)
+    a = np.arange(1.0, len(series) + 1.0) / len(series)      # q/N
     return np.exp(-1j * np.multiply.outer(a, theta)) * series
 
 
 def lerch_remainder_bound(s):
-    """Bound on the terms :func:`lerch_series` drops, for any q in (0, step] and theta.
+    """Bound on the terms :func:`lerch_series` drops, for every row of any N and any theta.
 
     With R terms kept, term r >= R of ``Phi`` is at most
     T_r = 2 Gamma(r-s+1) zeta(r-s+1) pi^r / ((2 pi)^(r-s+1) r!), from
     |B_n(x)| <= 2 n! zeta(n) / (2 pi)^n on [0, 1] and the functional
     equation of zeta; T_{r+1} <= T_r / 2, so the remainder is at most
-    2 T_R. A row of :func:`lerch_unit` carries it times ``(q/step)^s``,
+    2 T_R. A row of :func:`lerch_unit` carries it times ``(q/N)^s``,
     which is at most 1. Rounding is not included.
     """
     R = _lerch_terms(s)
@@ -491,7 +494,7 @@ def polylog_unit(s, theta):
     """
     theta = np.asarray(theta, dtype=float)
     flat = theta.ravel()
-    vals = np.exp(1j * flat) * lerch_unit(s, 1.0, flat)[0]
+    vals = np.exp(1j * flat) * lerch_unit(s, 1, flat)[0]
     return vals.reshape(theta.shape)
 
 

@@ -67,7 +67,7 @@ def folded_coefficients(signal, grid, k, tol=1e-12):
     _require_analytic(signal)
     if not tol > 0:
         raise ValueError("tol must be positive")
-    k = _series.integers(k, 0, "band class k must lie in 0..n", grid.n)
+    k = _series.integer(k, 0, "band class k must lie in 0..n", grid.n)
     N = grid.N
 
     if signal.kind == HARMONIC_SUM:
@@ -137,7 +137,7 @@ def aliasing_error_bound(k, grid, smoothness):
 
 def band_component(signal, n, t):
     """Partial sum of the true series through harmonic n (the band part)."""
-    n = _series.integers(n, 1, "band size n must be an integer >= 1")
+    n = _series.integer(n, 1, "band size n must be an integer >= 1")
     a0 = true_coefficient(signal, 0)[0]
     a, b = true_coefficient(signal, np.arange(1, n + 1))
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -161,7 +161,7 @@ def dc_class_component(signal, grid, t):
         j = _term_indices(signal)
         j = j[(_series.alias_fold(j, N)[0] == 0) & (j > 0)]
         a, b = true_coefficient(signal, j)
-        phase = np.outer(t_arr, j)
+        phase = np.multiply.outer(t_arr, j)
         out = np.cos(phase) @ a + np.sin(phase) @ b
         return out if np.ndim(t) else float(out[0])
     # sum_m (mN)^-p trig(mNt) = N^-p f(Nt): the signal itself at the scaled angle.
@@ -190,7 +190,7 @@ def time_domain_overlay_bound(n, smoothness):
 
     Requires smoothness order r >= 1.
     """
-    n = _series.integers(n, 1, "n must be an integer >= 1")
+    n = _series.integer(n, 1, "n must be an integer >= 1")
     if smoothness.r < 1:
         raise ValueError("the sup-norm bound needs smoothness order r >= 1")
     return 2.0 * smoothness.variation / float(n) ** smoothness.r

@@ -70,7 +70,7 @@ def quad_fourier_coeff(fn, k, _cache=None):
         When the doubling budget runs out; carries the last two
         estimates.
     """
-    k = _series.integers(k, 0, "coefficient index must be an integer >= 0")
+    k = _series.integer(k, 0, "coefficient index must be an integer >= 0")
     G = max(_BASE_POINTS, 32 * max(k, 1))
     if G & (G - 1):
         G = 1 << G.bit_length()
@@ -100,7 +100,10 @@ def filon_coeffs(phi, k_range):
     evaluations are shared across indices. Returns a list of (k, a_hat_k,
     b_hat_k).
     """
-    k_lo, k_hi = _series.integers(k_range, 0, "k_range must be a pair of integers >= 0")
+    message = "k_range must be a pair of integers >= 0"
+    if not np.iterable(k_range) or len(k_range) != 2:
+        raise ValueError(message)
+    k_lo, k_hi = (_series.integer(k, 0, message) for k in k_range)
     cache = {}
     out = []
     for k in range(k_lo, k_hi + 1):
@@ -111,7 +114,7 @@ def filon_coeffs(phi, k_range):
 
 def cnorm_error_bound(sup_error):
     """The k-independent coefficient bound (4/pi) * ||f - phi||_C."""
-    if sup_error < 0:
+    if not sup_error >= 0:
         raise ValueError("sup error must be nonnegative")
     return 4.0 / math.pi * sup_error
 
@@ -125,8 +128,8 @@ def refined_error_bound(k, q, diff_variation):
     array: a float or an array shaped like k.
     """
     k = _series.integers(k, 1, "bound is defined for integer k >= 1")
-    q = _series.integers(q, 0, "q must be >= 0")
-    if diff_variation < 0:
+    q = _series.integer(q, 0, "q must be >= 0")
+    if not diff_variation >= 0:
         raise ValueError("diff_variation must be nonnegative")
     bound = diff_variation / (math.pi * np.power(np.asarray(k, dtype=float), q + 1))
     return bound if np.ndim(k) else float(bound)

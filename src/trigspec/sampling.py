@@ -29,7 +29,7 @@ class UniformGrid:
     __slots__ = ("n", "N", "nodes")
 
     def __init__(self, n):
-        self.n = _series.integers(n, 1, "grid parameter n must be an integer >= 1")
+        self.n = _series.integer(n, 1, "grid parameter n must be an integer >= 1")
         self.N = 2 * self.n + 1
         nodes = 2.0 * np.pi * np.arange(self.N) / self.N
         nodes.setflags(write=False)
@@ -125,7 +125,7 @@ class DiscreteSpectrum:
 
     def eval_on_uniform_grid(self, points):
         """Polynomial values at t_g = 2*pi*g/points, g = 0..points-1."""
-        points = _series.integers(points, 1, "points must be a positive integer")
+        points = _series.integer(points, 1, "points must be a positive integer")
         t = 2.0 * np.pi * np.arange(points) / points
         return _kernels.synth(self.a0, self.a, self.b, t)
 

@@ -46,9 +46,7 @@ class SmoothnessInfo:
     variation: float
 
     def __post_init__(self):
-        if np.ndim(self.r):
-            raise ValueError("smoothness order r must be one integer, not an array")
-        r = _series.integers(self.r, 0, "smoothness order r must be >= 0")
+        r = _series.integer(self.r, 0, "smoothness order r must be >= 0")
         object.__setattr__(self, "r", r)
         if not math.isfinite(self.variation) or self.variation < 0:
             raise ValueError("variation must be finite and >= 0")
@@ -83,8 +81,7 @@ class AnalyticSignal:
                     raise ValueError("harmonic coefficients must be finite")
                 seen.add(k)
         else:
-            if self.p is None or not 1.0 < self.p < math.inf:
-                raise ValueError("power-decay kinds need a finite p > 1")
+            _check_power(self.p)
             if self.terms:
                 raise ValueError("power-decay kinds take no term list")
 
@@ -106,7 +103,7 @@ class AnalyticSignal:
             if self.kind != HARMONIC_SUM:
                 raise ValueError("specify j_max for power-decay kinds")
             j_max = max((k for k, _, _ in self.terms), default=1)
-        j_max = _series.integers(j_max, 0, "j_max must be an integer >= 0")
+        j_max = _series.integer(j_max, 0, "j_max must be an integer >= 0")
         a, b = true_coefficient(self, np.arange(1, j_max + 1))
         return true_coefficient(self, 0)[0], a, b
 
@@ -117,10 +114,8 @@ def _power_eval(kind, p, t):
     Bernoulli closed forms where the parity matches, Re/Im Li_p(e^(it))
     otherwise; shape follows t.
     """
-    if kind == POWER_DECAY_COSINE and p % 2 == 0:
-        return _series.fourier_power_cos(int(p), t)
-    if kind == POWER_DECAY_SINE and p % 2 == 1:
-        return _series.fourier_power_sin(int(p), t)
+    if _parity_matched(kind, p):
+        return _series.fourier_power(int(p), t)
     li = _series.polylog_unit(p, t)
     return li.real if kind == POWER_DECAY_COSINE else li.imag
 
@@ -206,22 +201,34 @@ _SAWTOOTH_VARIATION = math.pi**2 / 2.0  # integral of |pi - t|/2 over one period
 def _sorted_terms(terms):
     # The (k, a_k, b_k) rows of a harmonic sum, sorted by integer index k.
     message = "harmonic indices must be integers >= 0"
-    return tuple(sorted((_series.integers(k, 0, message), float(a), float(b)) for k, a, b in terms))
+    return tuple(sorted((_series.integer(k, 0, message), float(a), float(b)) for k, a, b in terms))
 
 
-def _power_smoothness(kind, p, r, variation):
-    if r is not None and variation is not None:
-        return SmoothnessInfo(r=r, variation=float(variation))
-    # An integer p whose parity matches the kind (inf and NaN match neither).
-    if p % 2 != (0 if kind == POWER_DECAY_COSINE else 1):
-        raise ValueError(
-            "smoothness (r, variation) must be supplied explicitly for this p; "
-            "the smoothness class is derived only for parity-matched integer p "
-            "(see estimate_derivative_variation for a numerical derivation)"
-        )
-    # The (p-1)-th derivative is the sawtooth sum sin(kt)/k up to sign, so the
-    # (p-2)-th derivative has variation integral |pi - t|/2 dt = pi^2/2 exactly.
-    return SmoothnessInfo(r=int(p) - 2, variation=_SAWTOOTH_VARIATION)
+def _parity_matched(kind, p):
+    # An integer p whose parity matches the kind: even for the cosine, odd
+    # for the sine (inf and NaN match neither).
+    return p % 2 == (0 if kind == POWER_DECAY_COSINE else 1)
+
+
+def _check_power(p):
+    if p is None or not 1.0 < p < math.inf:
+        raise ValueError("power-decay kinds need a finite p > 1")
+
+
+def _power_signal(kind, p, r, variation):
+    p = float(p)
+    _check_power(p)
+    if r is None or variation is None:
+        if not _parity_matched(kind, p):
+            raise ValueError(
+                "smoothness (r, variation) must be supplied explicitly for this p; "
+                "the smoothness class is derived only for parity-matched integer p "
+                "(see estimate_derivative_variation for a numerical derivation)"
+            )
+        # The (p-1)-th derivative is the sawtooth sum sin(kt)/k up to sign, so the
+        # (p-2)-th derivative has variation integral |pi - t|/2 dt = pi^2/2 exactly.
+        r, variation = int(p) - 2, _SAWTOOTH_VARIATION
+    return AnalyticSignal(kind, (), p, SmoothnessInfo(r=r, variation=float(variation)))
 
 
 def power_decay_cosine(p, r=None, variation=None):
@@ -230,24 +237,12 @@ def power_decay_cosine(p, r=None, variation=None):
     For even integer p the smoothness class (r = p-2, variation = pi^2/2)
     is derived in closed form; otherwise pass both `r` and `variation`.
     """
-    p = float(p)
-    return AnalyticSignal(
-        kind=POWER_DECAY_COSINE,
-        terms=(),
-        p=p,
-        smoothness=_power_smoothness(POWER_DECAY_COSINE, p, r, variation),
-    )
+    return _power_signal(POWER_DECAY_COSINE, p, r, variation)
 
 
 def power_decay_sine(p, r=None, variation=None):
     """Signal with b_k = k^-p, a_k = 0 (p > 1); closed-form class for odd integer p."""
-    p = float(p)
-    return AnalyticSignal(
-        kind=POWER_DECAY_SINE,
-        terms=(),
-        p=p,
-        smoothness=_power_smoothness(POWER_DECAY_SINE, p, r, variation),
-    )
+    return _power_signal(POWER_DECAY_SINE, p, r, variation)
 
 
 # -- numerical derivation of variation -----------------------------------
@@ -260,7 +255,7 @@ def derivative_values(signal, order, t):
     shift), never by finite differences.
     """
     t = np.asarray(t, dtype=float)
-    order = _series.integers(order, 0, "derivative order must be an integer >= 0")
+    order = _series.integer(order, 0, "derivative order must be an integer >= 0")
     rot = order % 4
     if signal.kind == HARMONIC_SUM:
         out = np.zeros(t.shape)

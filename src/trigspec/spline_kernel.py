@@ -79,7 +79,7 @@ class KernelConfig:
     tail_tol: float = 1e-12
 
     def __post_init__(self):
-        order = _series.integers(self.order, 1, "spline order must be an integer >= 1")
+        order = _series.integer(self.order, 1, "spline order must be an integer >= 1")
         object.__setattr__(self, "order", order)
         if not self.tail_tol > 0:
             raise ValueError("tail_tol must be positive")
@@ -154,8 +154,8 @@ def class_gain_sum_direct(k, config, m_terms):
     This is the oracle path; k must lie in 1..n and ``m_terms`` must be
     an integer in 0..10**6.
     """
-    k = _series.integers(k, 1, _CLASS_ERROR, config.grid.n)
-    m = np.arange(1, _series.integers(m_terms, 0, _M_TERMS_ERROR, _M_TERMS_CAP) + 1)
+    k = _series.integer(k, 1, _CLASS_ERROR, config.grid.n)
+    m = np.arange(1, _series.integer(m_terms, 0, _M_TERMS_ERROR, _M_TERMS_CAP) + 1)
     N = config.grid.N
     total = raw_gain(k, config)
     total += float(
@@ -284,7 +284,7 @@ def filter_response(config, j_max):
     The signed sinc family is not ordered across r even at j = n: at
     n = 16, alpha(2, n) = 0.5627 exceeds alpha(3, n) = 0.5523.
     """
-    j_max = _series.integers(
+    j_max = _series.integer(
         j_max, config.grid.n, "j_max must be an integer covering the band (j_max >= n)")
     norms = class_table(config).norms
     class_sums = raw_gain(np.arange(1, config.grid.n + 1), config) * norms
@@ -305,8 +305,8 @@ def class_partition_terms(k, config, m_terms, table=None):
     for the grid, order and signs of ``config``, else from the class
     table. ``m_terms`` must be an integer in 0..10**6.
     """
-    k = _series.integers(k, 1, _CLASS_ERROR, config.grid.n)
-    m_terms = _series.integers(m_terms, 0, _M_TERMS_ERROR, _M_TERMS_CAP)
+    k = _series.integer(k, 1, _CLASS_ERROR, config.grid.n)
+    m_terms = _series.integer(m_terms, 0, _M_TERMS_ERROR, _M_TERMS_CAP)
     if table is not None and _table_key(table.config) != _table_key(config):
         raise ValueError("table was built for another (grid, order, signed) than config")
     alpha = float((class_table(config).gains if table is None else table.gains)[k - 1])

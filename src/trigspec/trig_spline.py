@@ -168,21 +168,16 @@ def _evaluate(spline, theta, cells):
     table = class_table(cfg)
     coeff = spec.a - 1j * spec.b
     w = np.concatenate((table.gains * coeff, (table.mirror_gains * np.conj(coeff))[::-1]))
-    j0 = np.arange(1, N)
     if cfg.signed:
-        w *= np.exp(-1j * np.pi * j0 / N)
-    even, odd, lead = _series.lerch_coefficients(cfg.power, j0, step=N)
+        w *= np.exp(-1j * np.pi * np.arange(1, N) / N)
+    # Rows 1..N-1 of the (s, N) table: the first members j0.
+    columns = [part[:-1] for part in _series.lerch_coefficients(cfg.power, N)]
     sing = _series.lerch_singular(cfg.power, theta)
-    R = even.shape[1] + odd.shape[1]
+    R = columns[0].shape[1] + columns[1].shape[1]
     if theta.size > R + 1:
-        return _cell_table_sum((even, odd, lead), w, sing, theta, cells) + 0.5 * spline.a0
-    powers = np.empty((R, theta.size))
-    powers[0] = 1.0
-    powers[1:] = theta / np.pi
-    np.cumprod(powers, axis=0, out=powers)
-    rows = even @ powers[0::2] + 1j * (odd @ powers[1::2]) + np.multiply.outer(lead, sing)
+        return _cell_table_sum(columns, w, sing, theta, cells) + 0.5 * spline.a0
     Z = np.zeros((theta.size, N), dtype=complex)
-    Z[:, 1:] = rows.T * w
+    Z[:, 1:] = _series.lerch_rows(columns, sing, theta).T * w
     Y = np.fft.ifft(Z, norm="forward")      # unscaled: sum_j0 Z e^(2 pi i j0 l/N)
     return np.real(Y[np.arange(theta.size)[:, None], cells]) + 0.5 * spline.a0
 
@@ -222,16 +217,16 @@ def spline_eval(spline, t):
 
     Each point is written as N t + shift = 2 pi l + theta with |theta| <=
     pi; the sum over first members is then one inverse FFT of the
-    :func:`_series.lerch_series` rows at theta, read at cell l. With more
+    :func:`_series.lerch_rows` at theta of rows j0 = 1..N-1 of the (s, N)
+    table :func:`_series.lerch_coefficients`, read at cell l. With more
     points than the expansion has columns (R + 1, R = order + 65) the sum
-    runs the other way: one inverse FFT per column of
-    :func:`_series.lerch_coefficients` and one for the singular factor
-    builds a table of R + 1 coefficients per cell, and each point sums the
-    R powers of theta/pi at its cell plus the singular term, O(R) per
-    point whatever N is. Every factor lies in the float range at any
-    order. The error beyond rounding is :func:`scattered_eval_bound`, for
-    every order and every point and either order of the sum; it does not
-    depend on ``tail_tol``.
+    runs the other way: one inverse FFT per column of that table and one
+    for the singular factor builds a table of R + 1 coefficients per cell,
+    and each point sums the R powers of theta/pi at its cell plus the
+    singular term, O(R) per point whatever N is. Every factor lies in the
+    float range at any order. The error beyond rounding is
+    :func:`scattered_eval_bound`, for every order and every point and
+    either order of the sum; it does not depend on ``tail_tol``.
     """
     t_arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t_arr)):
@@ -274,7 +269,7 @@ def values_on_uniform_grid(spline, points):
     :func:`spline_eval`, R + 1 FFTs in all. The error beyond rounding is
     :func:`scattered_eval_bound`.
     """
-    G = _series.integers(points, 1, "points must be a positive integer")
+    G = _series.integer(points, 1, "points must be a positive integer")
     N = spline.config.grid.N
     P = G // math.gcd(N, G)
     num = 2 * N * np.arange(G) + (G if spline.config.signed else 0)
@@ -293,14 +288,14 @@ def spline_fourier_coeff(spline, j):
     many coefficients recovered from N samples. Constant-class indices
     (multiples of N) return (0, 0) — that class enters only via a0.
     """
-    j = _series.integers(j, 1, "coefficient index must be an integer >= 1")
+    j = _series.integer(j, 1, "coefficient index must be an integer >= 1")
     ca, cb = _law_coefficients(spline.config, spline.spectrum, np.atleast_1d(j))
     return float(ca[0]), float(cb[0])
 
 
 def unfolded_spectrum(spline, j_max):
     """Rows (j, a_hat_j, b_hat_j) for j = 1..j_max, beyond the band included."""
-    js = np.arange(1, _series.integers(j_max, 1, "j_max must be a positive integer") + 1)
+    js = np.arange(1, _series.integer(j_max, 1, "j_max must be a positive integer") + 1)
     ca, cb = _law_coefficients(spline.config, spline.spectrum, js)
     return js, ca, cb
 
@@ -332,7 +327,7 @@ def curvature_functional(fn, order):
     `order` must be an even integer >= 0.
     """
     message = "derivative order must be an even integer >= 0"
-    order = _series.integers(order, 0, message)
+    order = _series.integer(order, 0, message)
     if order % 2:
         raise ValueError(message)
     if isinstance(fn, TrigSpline):
@@ -396,7 +391,7 @@ def spline_from_json(doc):
     if isinstance(doc, str):
         doc = json.loads(doc)
     message = f"field 'N' must be an odd integer >= 3, got {doc['N']!r}"
-    N = _series.integers(doc["N"], 3, message)
+    N = _series.integer(doc["N"], 3, message)
     if N % 2 == 0:
         raise ValueError(message)
     grid = make_grid((N - 1) // 2)

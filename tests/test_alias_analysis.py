@@ -266,6 +266,20 @@ def test_dc_class_component_without_bernoulli_form(maker, p, lerch_fold):
         assert abs(dc_class_component(sig, grid, 2.0 * np.pi * g / G) - want) <= 1e-14
 
 
+@pytest.mark.parametrize("t", [0.7, np.linspace(0.0, 6.0, 5),
+                               np.linspace(-9.0, 9.0, 6).reshape(2, 3)], ids=["scalar", "1-D", "2-D"])
+@pytest.mark.parametrize("sig", [harmonic_sum([(1, 0.5, 0.25), (9, 1.0, 0.0), (18, 0.0, -0.5)]),
+                                 power_decay_cosine(4)], ids=["harmonic", "power"])
+def test_residual_component_is_the_split_and_keeps_the_shape_of_t(sig, t):
+    # A harmonic sum used to lose the shape of a 2-D t in its constant-class
+    # tail, and the split then failed to broadcast.
+    grid = make_grid(4)
+    got = residual_component(sig, grid, t)
+    want = evaluate(sig, t) - band_component(sig, grid.n, t) - dc_class_component(sig, grid, t)
+    assert np.shape(got) == np.shape(t) == np.shape(dc_class_component(sig, grid, t))
+    assert np.array_equal(got, want)
+
+
 def test_time_domain_split_identity_at_nodes():
     # At the nodes the folded polynomial replaces f, up to the constant fold.
     sig = power_decay_cosine(4)

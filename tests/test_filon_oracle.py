@@ -124,6 +124,10 @@ def test_cnorm_bound_arithmetic():
     assert cnorm_error_bound(np.pi / 4) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         cnorm_error_bound(-1.0)
+    # NaN used to pass the sign test and return NaN; +inf is still a true bound.
+    with pytest.raises(ValueError, match="sup error must be nonnegative"):
+        cnorm_error_bound(np.nan)
+    assert cnorm_error_bound(np.inf) == np.inf
 
 
 def test_refined_bound_arithmetic():
@@ -131,6 +135,9 @@ def test_refined_bound_arithmetic():
     assert refined_error_bound(2, 2, np.pi) == pytest.approx(1.0 / 8.0)
     with pytest.raises(ValueError):
         refined_error_bound(0, 2, 1.0)
+    with pytest.raises(ValueError, match="diff_variation must be nonnegative"):
+        refined_error_bound(1, 1, np.nan)
+    assert refined_error_bound(1, 1, np.inf) == np.inf
 
 
 def test_cnorm_bound_dominates_coefficient_errors():

@@ -158,6 +158,10 @@ def _bad_values(lowest, highest, array):
         # 2^63 lies outside int64, as a uint64 array and as a float.
         bad += [2**63, np.array([lowest, 2**63]), np.array([lowest, 2.0**63])]
         bad += [np.array([lowest, x]) for x in (2.5, math.inf, math.nan, lowest - 1)]
+    else:
+        # A scalar site refuses a one-entry list or array: spline_fourier_coeff
+        # used to return the first entry's pair, class_gain_sum_direct an array.
+        bad += [[lowest], np.array([lowest])]
     return bad
 
 
@@ -176,6 +180,13 @@ def test_every_site_takes_its_lowest_and_highest(site, call, lowest, highest, me
         call(x)
     if highest is not None and highest <= 64:
         call(highest)
+
+
+def test_filon_coeffs_refuses_a_range_that_is_not_a_pair():
+    # (1, 2, 3) used to fail on unpacking, with "too many values to unpack".
+    for k_range in ((1, 2, 3), (1,), 5):
+        with pytest.raises(ValueError, match="k_range must be a pair of integers >= 0"):
+            filon_coeffs(COSINE, k_range)
 
 
 def _bits(out):

@@ -18,7 +18,7 @@ def test_power_cos_series_matches_brute_force(s):
     tol = 2.0 * 400_000.0 ** (1 - s) / (s - 1) + 1e-12
     for t in (0.0, 0.31, 1.234, np.pi, 5.5):
         brute = float(np.sum(np.cos(k * t) / k**s))
-        assert abs(_series.fourier_power_cos(s, t) - brute) < tol
+        assert abs(_series.fourier_power(s, t) - brute) < tol
 
 
 @pytest.mark.parametrize("s", [1, 3, 5, 7])
@@ -27,21 +27,22 @@ def test_power_sin_series_matches_brute_force(s):
     for t in (0.31, 1.234, 2.9, 5.5):
         brute = float(np.sum(np.sin(k * t) / k**s))
         tol = 1e-5 if s == 1 else 5e-11  # s=1 brute truncation is the limit
-        assert abs(_series.fourier_power_sin(s, t) - brute) < tol
+        assert abs(_series.fourier_power(s, t) - brute) < tol
 
 
 def test_power_series_known_values():
     # zeta values at t = 0 and the sawtooth at s = 1.
-    assert _series.fourier_power_cos(2, 0.0) == pytest.approx(np.pi**2 / 6, abs=1e-15)
-    assert _series.fourier_power_cos(4, 0.0) == pytest.approx(np.pi**4 / 90, abs=1e-15)
-    assert _series.fourier_power_sin(1, 1.0) == pytest.approx((np.pi - 1.0) / 2, abs=1e-14)
+    assert _series.fourier_power(2, 0.0) == pytest.approx(np.pi**2 / 6, abs=1e-15)
+    assert _series.fourier_power(4, 0.0) == pytest.approx(np.pi**4 / 90, abs=1e-15)
+    assert _series.fourier_power(1, 1.0) == pytest.approx((np.pi - 1.0) / 2, abs=1e-14)
 
 
-def test_power_series_parity_validation():
-    with pytest.raises(ValueError):
-        _series.fourier_power_cos(3, 0.5)
-    with pytest.raises(ValueError):
-        _series.fourier_power_sin(2, 0.5)
+def test_power_series_validation():
+    # The closed form is the cosine sum at even s and the sine sum at odd s,
+    # so every integer s >= 1 has one; other orders are refused.
+    for s in (0, 2.5, np.inf, np.nan, [2]):
+        with pytest.raises(ValueError, match="integer s >= 1"):
+            _series.fourier_power(s, 0.5)
 
 
 @pytest.mark.parametrize("s,step,offset,m_start", [
@@ -116,15 +117,17 @@ NEAR_INTEGER = [3 + 1e-9, 3 - 1e-9, 2 + 1e-12, 1.5, 3.5]
 
 @pytest.mark.parametrize("s", [2, 2.5, 3, 3.7, 4, 6] + NEAR_INTEGER)
 def test_lerch_unit_matches_residue_fold(s, lerch_fold):
-    # lerch_unit is normalized to a first term of 1: q^s Phi(z, s, q).
-    qs = [1.0] if s != int(s) else [1.0 / 129, 0.25, 0.5, 0.8, 128.0 / 129, 1.0]
+    # lerch_unit is normalized to a first term of 1: a^s Phi(z, s, a) at
+    # a = q/N. The rows (N, q) give a = 1/129, 1/4, 1/2, 4/5, 128/129 and 1.
+    rows = [(1, 1)] if s != int(s) else [(129, 1), (4, 1), (2, 1), (5, 4), (129, 128), (1, 1)]
     for G, gs in ANGLES:
-        got = _series.lerch_unit(s, qs, 2.0 * np.pi * np.asarray(gs) / G)
-        assert got.shape == (len(qs), len(gs))
-        for i, q in enumerate(qs):
+        for N, q in rows:
+            got = _series.lerch_unit(s, N, 2.0 * np.pi * np.asarray(gs) / G)
+            assert got.shape == (N, len(gs))
+            a = q / N
             for j, g in enumerate(gs):
-                want = q**s * lerch_fold(s, q, g, G)
-                assert abs(got[i, j] - want) <= 1e-13 * max(1.0, abs(want)), (q, g, G)
+                want = a**s * lerch_fold(s, a, g, G)
+                assert abs(got[q - 1, j] - want) <= 1e-13 * max(1.0, abs(want)), (a, g, G)
 
 
 @pytest.mark.parametrize("s", [2, 2.5, 3, 3.7, 4, 6] + NEAR_INTEGER)
@@ -141,10 +144,10 @@ def test_polylog_unit_agrees_with_bernoulli_closed_forms():
     # t = 0 (x = t/2pi near 1) they are off by about 1.1e-14.
     t = np.linspace(-7.0, 7.0, 301)
     for s in (2, 4, 6):
-        err = np.abs(_series.polylog_unit(s, t).real - _series.fourier_power_cos(s, t))
+        err = np.abs(_series.polylog_unit(s, t).real - _series.fourier_power(s, t))
         assert np.max(err) < 3e-14
     for s in (3, 5):
-        err = np.abs(_series.polylog_unit(s, t).imag - _series.fourier_power_sin(s, t))
+        err = np.abs(_series.polylog_unit(s, t).imag - _series.fourier_power(s, t))
         assert np.max(err) < 3e-14
 
 
@@ -171,7 +174,7 @@ def test_lerch_unit_step_keeps_large_orders_finite():
     N, s = 129, 151
     j = np.array([1.0, 2.0, 64.0, 65.0, 100.0])
     theta = np.array([0.0, 0.3, -2.0, 3.1])
-    got = _series.lerch_unit(s, j, theta, step=N)
+    got = _series.lerch_unit(s, N, theta)[j.astype(int) - 1]
     m = np.arange(4)
     for a, jj in enumerate(j):
         for b, th in enumerate(theta):
@@ -187,59 +190,59 @@ def test_polylog_unit_keeps_shape():
 
 def test_lerch_unit_validation():
     with pytest.raises(ValueError):
-        _series.lerch_unit(1, 0.5, 0.1)
+        _series.lerch_unit(1, 1, 0.1)
     with pytest.raises(ValueError):
-        _series.lerch_unit(3, 0.0, 0.1)
+        _series.lerch_unit(3, 0, 0.1)
     with pytest.raises(ValueError):
         _series.lerch_unit(3, 1.5, 0.1)
     with pytest.raises(ValueError):
-        _series.lerch_unit(2.5, 0.5, 0.1)
+        _series.lerch_unit(2.5, 2, 0.1)
     with pytest.raises(ValueError):
-        _series.lerch_unit(3, 0.5, np.inf)
-    with pytest.raises(ValueError):
-        _series.lerch_unit(3, 5.0, 0.1, step=4.0)
-    with pytest.raises(ValueError):
-        _series.lerch_unit(3, 0.5, 0.1, step=0.0)
+        _series.lerch_unit(3, 1, np.inf)
 
 
 def test_lerch_series_is_lerch_unit_without_its_phase():
     # On [-pi, pi] the expansion is e^(i a theta) times the Lerch row, a =
-    # q/step; pi itself is accepted (lerch_unit reduces it to -pi), angles
+    # q/N; pi itself is accepted (lerch_unit reduces it to -pi), angles
     # beyond it are refused.
-    q = np.array([1.0, 2.0, 5.0])
+    q = np.arange(1.0, 6.0)
     theta = np.array([-np.pi, -1.0, 0.0, 2.5, np.pi])
-    got = _series.lerch_series(3, q, theta, step=5.0)
-    want = np.exp(1j * np.multiply.outer(q / 5.0, theta)) * _series.lerch_unit(3, q, theta, step=5.0)
+    got = _series.lerch_series(3, 5, theta)
+    want = np.exp(1j * np.multiply.outer(q / 5.0, theta)) * _series.lerch_unit(3, 5, theta)
     assert np.max(np.abs(got - want)) < 1e-14
     with pytest.raises(ValueError):
-        _series.lerch_series(3, q, np.array([np.pi + 1e-9]), step=5.0)
+        _series.lerch_series(3, 5, np.array([np.pi + 1e-9]))
 
 
-@pytest.mark.parametrize("s,q,step", [(3, [1.0, 2.0, 5.0], 5.0), (2.5, [4.0], 4.0), (40, [1.0, 16.0], 17.0)])
-def test_lerch_series_is_its_coefficients_and_singular_term(s, q, step):
+@pytest.mark.parametrize("s,N", [(3, 5), (2.5, 1), (40, 17)])
+def test_lerch_series_is_its_coefficients_and_singular_term(s, N):
     # The evaluation engine reads the expansion through these two, in
-    # either order of its sum over first members.
+    # either order of its sum over first members, and builds the rows of
+    # one order with lerch_rows on a view of the table's rows.
     theta = np.array([-np.pi, -1.0, 0.0, 0.4, np.pi])
-    even, odd, lead = _series.lerch_coefficients(s, q, step)
-    assert even.shape[0] == odd.shape[0] == lead.size == len(q)
+    even, odd, lead = _series.lerch_coefficients(s, N)
+    assert even.shape[0] == odd.shape[0] == lead.size == N
     assert not (even.flags.writeable or odd.flags.writeable or lead.flags.writeable)
+    assert _series.lerch_coefficients(s, float(N))[0] is even     # one table per (s, N)
     u = theta / np.pi
     powers = u[None, :] ** np.arange(even.shape[1] + odd.shape[1])[:, None]
-    want = (even @ powers[0::2] + 1j * (odd @ powers[1::2])
-            + np.multiply.outer(lead, _series.lerch_singular(s, theta)))
-    got = _series.lerch_series(s, q, theta, step)
+    sing = _series.lerch_singular(s, theta)
+    want = even @ powers[0::2] + 1j * (odd @ powers[1::2]) + np.multiply.outer(lead, sing)
+    got = _series.lerch_series(s, N, theta)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    assert np.array_equal(_series.lerch_rows((even, odd, lead), sing, theta), got)
+    first = _series.lerch_rows((even[:1], odd[:1], lead[:1]), sing, theta)
+    assert np.max(np.abs(first - got[:1])) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_lerch_coefficients_and_singular_term_validation():
     with pytest.raises(ValueError, match="s > 1"):
-        _series.lerch_coefficients(1, 0.5)
-    with pytest.raises(ValueError, match="q must be"):
-        _series.lerch_coefficients(3, 5.0, step=4.0)
-    with pytest.raises(ValueError, match="q = step only"):
-        _series.lerch_coefficients(2.5, 0.5)
-    with pytest.raises(ValueError, match="step must be positive"):
-        _series.lerch_coefficients(3, 0.5, step=0.0)
+        _series.lerch_coefficients(1, 1)
+    for N in (0, 2.5, np.inf, np.nan, [3], np.array([3])):
+        with pytest.raises(ValueError, match="N must be an integer >= 1"):
+            _series.lerch_coefficients(3, N)
+    with pytest.raises(ValueError, match="N = 1 only"):
+        _series.lerch_coefficients(2.5, 2)
     with pytest.raises(ValueError, match="theta must be"):
         _series.lerch_singular(3, np.array([np.pi + 1e-9]))
     with pytest.raises(ValueError, match="theta must be"):

@@ -313,10 +313,12 @@ def test_power_decay_needs_p_above_one():
 @pytest.mark.parametrize("factory", [power_decay_cosine, power_decay_sine])
 def test_power_decay_needs_a_finite_p(factory, p):
     # p = inf used to construct and then fail at evaluation with
-    # OverflowError; p = NaN passed the p > 1 test the same way.
+    # OverflowError; p = NaN passed the p > 1 test the same way. Without r
+    # and variation both used to be refused for want of a smoothness class,
+    # which named the wrong argument.
     with pytest.raises(ValueError, match="finite p > 1"):
         factory(p, r=1, variation=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="finite p > 1"):
         factory(p)
 
 

@@ -244,7 +244,7 @@ def test_both_contraction_orders_match_hurwitz_fold(data):
     spectrum = data.draw(spectra(config.grid))
     spline = build_from(spectrum, config)
     N = config.grid.N
-    even, odd, _ = _series.lerch_coefficients(config.power, np.arange(1, N), N)
+    even, odd, _ = _series.lerch_coefficients(config.power, N)
     R = even.shape[1] + odd.shape[1]
     P = R + 1 + data.draw(st.sampled_from([-1, 0, 1]))
     # G = P d with d a divisor of N and N/d prime to P, so G/gcd(N, G) = P.

@@ -9,11 +9,18 @@ samples at n = 1..16 and 64, orders 1..12, 40, 100 and 150, every gain
 family: ``unfolded_spectrum`` to 4N, ``series_truncation``,
 ``values_on_uniform_grid`` at G = N, 64 and 1000, and ``spline_eval`` at
 32 and 512 seeded scattered points, one count on each side of the switch
-between the two contraction orders of evaluation. It prints one ``label
-sha256`` line per configuration or spline quantity, hashing the exact
-bits of every value, or ``label refused <error> <sha256 of the message>``
-where the configuration or the quantity is refused. The package is the one on the import path, so two versions compare by running
-the script once against each and diffing the listings:
+between the two contraction orders of evaluation. The signal layer is
+swept over ``derivative_values`` of the power-decay cosine and sine at
+p = 2, 2.5, 3, 3.5, 4, 5 and 6 and orders 0..3 wherever p - order > 1 (the
+Bernoulli closed forms, the integer-order polylogarithm and the
+non-integer pole pair), and of the suite's harmonic sums at order 0, at
+seeded points with |t| up to 20, among them 0 and +-pi. It prints one
+``label sha256`` line per configuration, spline quantity or signal
+derivative, hashing the exact bits of every value, or ``label refused
+<error> <sha256 of the message>`` where the configuration or the
+quantity is refused. The package is the one on the import path, so two
+versions compare by running the script once against each and diffing
+the listings:
 
     PYTHONPATH=path/to/base/src python tools/kernel_digest.py > base.txt
     PYTHONPATH=src python tools/kernel_digest.py > head.txt
@@ -41,10 +48,12 @@ from trigspec import (
     power_decay_sine,
     raw_gain,
     spline_eval,
+    suite_signals,
     unfolded_spectrum,
     values_on_uniform_grid,
 )
 from trigspec.errors import NumericalError
+from trigspec.signal_model import HARMONIC_SUM, derivative_values
 from trigspec.spline_kernel import class_partition_terms, response_table_to_csv
 from trigspec.trig_spline import series_truncation
 
@@ -58,6 +67,12 @@ EVAL_GRIDS = (64, 1000)   # besides the spline's own N nodes
 # Fewer points than the Lerch expansion has columns (order + 66) are summed
 # angle by angle; more go through the cell table.
 SCATTER_POINTS = (32, 512)
+SIGNAL_POWERS = (2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0)
+SIGNAL_ORDERS = (0, 1, 2, 3)
+SIGNAL_POINTS = np.concatenate((
+    [0.0, np.pi, -np.pi, 20.0, -20.0],
+    np.random.default_rng(2019).uniform(-20.0, 20.0, 1000),
+))
 
 
 def _sha(values):
@@ -144,7 +159,20 @@ def fold_lines():
             yield f"fold {name} n{n} " + _sha([(r.folded_a, r.folded_b) for r in reps])
 
 
+def signal_lines():
+    for p in SIGNAL_POWERS:
+        for kind, maker in (("cos", power_decay_cosine), ("sin", power_decay_sine)):
+            signal = maker(p, r=0, variation=1.0)
+            for order in SIGNAL_ORDERS:
+                if p - order > 1:
+                    values = derivative_values(signal, order, SIGNAL_POINTS)
+                    yield f"signal {kind} p{p} d{order} " + _sha([values])
+    for name, signal in suite_signals().items():
+        if signal.kind == HARMONIC_SUM:
+            yield f"signal {name} d0 " + _sha([derivative_values(signal, 0, SIGNAL_POINTS)])
+
+
 if __name__ == "__main__":
     warnings.simplefilter("error", RuntimeWarning)
-    for line in (*kernel_lines(), *spline_lines(), *fold_lines()):
+    for line in (*kernel_lines(), *spline_lines(), *fold_lines(), *signal_lines()):
         print(line)
