@@ -2,16 +2,26 @@
 
 - ``synth``: evaluate a finite trigonometric series at arbitrary points.
 - ``dft``: direct discrete Fourier coefficients on an odd uniform grid
-  (no FFT); each coefficient is NumPy's pairwise sum of its N products.
+  (no FFT) with exact phases: k*j is reduced mod N in integers and cos/sin
+  of 2*pi*m/N are read from one table of N entries, so no transcendental
+  call is left in the O(nN) loop. The gathered phase matrices are cached
+  per (N, row block) within a fixed memory bound; each coefficient is
+  NumPy's pairwise sum of its N products.
 """
+
+import functools
 
 import numpy as np
 
 # Evaluation is blocked so the (points x terms) work array stays small.
 _BLOCK = 512
-# The DFT builds its (coefficients x samples) phase matrix in row blocks
-# of about this many cells.
+# The DFT gathers its (coefficients x samples) cos and sin matrices in row
+# blocks that together hold at most this many cells (one row when 2N is
+# larger), so every grid with n <= 127 is one block.
 _DFT_CELLS = 1 << 16
+# Blocks kept by the phase cache: at most _DFT_BLOCKS * _DFT_CELLS float64
+# cells, 16 MiB.
+_DFT_BLOCKS = 32
 
 
 def synth(a0, coeff_a, coeff_b, t):
@@ -55,8 +65,20 @@ def dft(values):
         a_k = (2/N) sum_j f_j cos(k t_j)      k = 1..n
         b_k = (2/N) sum_j f_j sin(k t_j)
 
-    Each sum over j is NumPy's pairwise summation of the N products, the
-    same for every coefficient and independent of the row blocking.
+    The phase is exact: cos(k t_j) and sin(k t_j) are read from a table of
+    cos/sin(2*pi*m/N), m = 0..N-1, at m = k(j-1) mod N, reduced in
+    integers, and each table entry is within about 0.6 eps of the true
+    value. Each sum over j is NumPy's pairwise summation of the N products
+    along a contiguous row, the same for every coefficient and independent
+    of the row blocking.
+
+    The gathered (rows x N) cos and sin matrices of each row block are
+    cached, read-only, per (N, block) in an LRU cache of _DFT_BLOCKS = 32
+    blocks of at most _DFT_CELLS = 65536 cells: at most 16 MiB. A grid
+    with n <= 127 is one block, so a repeated N costs only the products
+    and sums; a larger grid cycles its blocks through the same cache. At
+    N > _DFT_CELLS/2 a block is one row of more than _DFT_CELLS cells; such
+    rows are gathered from one table per call without being cached.
 
     Returns
     -------
@@ -67,15 +89,59 @@ def dft(values):
     if N < 3 or N % 2 == 0:
         raise ValueError("need an odd number of samples, N = 2n+1 >= 3")
     n = (N - 1) // 2
-    tj = 2.0 * np.pi * np.arange(N) / N
     scale = 2.0 / N
     a0 = scale * np.sum(values)
     a = np.empty(n)
     b = np.empty(n)
-    rows = max(_DFT_CELLS // N, 1)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        phase = np.multiply.outer(np.arange(start + 1, stop + 1, dtype=float), tj)
-        a[start:stop] = scale * np.sum(values * np.cos(phase), axis=1)
-        b[start:stop] = scale * np.sum(values * np.sin(phase), axis=1)
+    rows = _dft_rows(N)
+    # Rows over the cell budget (2N > _DFT_CELLS) are gathered one at a
+    # time from one table per call and not cached.
+    gather = (_phase_block if 2 * N <= _DFT_CELLS
+              else functools.partial(_gather_block, table=_phase_table(N)))
+    for block, start in enumerate(range(0, n, rows)):
+        cos, sin = gather(N, block)
+        stop = start + cos.shape[0]
+        a[start:stop] = scale * np.sum(values * cos, axis=1)
+        b[start:stop] = scale * np.sum(values * sin, axis=1)
     return a0, a, b
+
+
+def _dft_rows(N):
+    return max(_DFT_CELLS // (2 * N), 1)
+
+
+def _phase_table(N):
+    # cos/sin(2 pi m/N), m = 0..N-1, from the nearest quarter turn q and
+    # the integer remainder r = 4m - qN, |r| < N/2: the rounded angle
+    # (pi/2) r/N stays within pi/4, and the quarter turns are exact sign
+    # swaps, so entries m and N-m are exact conjugates.
+    m = np.arange(N)
+    q = (8 * m + N) // (2 * N)
+    x = 0.5 * np.pi * (4 * m - q * N) / N
+    c = np.cos(x)
+    s = np.sin(x)
+    turns = np.stack((c, -s, -c, s))
+    q %= 4
+    # sin(x + q pi/2) = cos(x + (q - 1) pi/2).
+    return turns[q, m], turns[(q + 3) % 4, m]
+
+
+@functools.lru_cache(maxsize=_DFT_BLOCKS)
+def _phase_block(N, block):
+    # Row k = 1 of block 0 is the table itself, so a grid of many blocks
+    # builds it once: every other block's miss reads (and keeps) block 0.
+    table = _phase_table(N) if block == 0 else [part[0] for part in _phase_block(N, 0)]
+    return _gather_block(N, block, table)
+
+
+def _gather_block(N, block, table):
+    # The read-only cos and sin matrices of the block's rows k: entry
+    # (k, j) is the table entry at m = kj mod N.
+    rows = _dft_rows(N)
+    start = block * rows
+    k = np.arange(start + 1, min(start + rows, (N - 1) // 2) + 1)
+    m = np.multiply.outer(k, np.arange(N)) % N
+    cos, sin = table[0][m], table[1][m]
+    cos.setflags(write=False)
+    sin.setflags(write=False)
+    return cos, sin

@@ -227,7 +227,7 @@ def progression_tail(s, step, offset, m_start=1):
     integer `m_start` may be arrays; they broadcast, and the result has
     their broadcast shape.
     """
-    if s <= 1:
+    if not 1 < s < math.inf:
         raise ValueError("progression tail requires s > 1")
     if np.any(np.asarray(m_start) < 1):
         raise ValueError("m_start must be >= 1")
@@ -373,7 +373,7 @@ def lerch_coefficients(s, N):
     depends only on s. s and N are checked as in :func:`lerch_series`; the
     arrays are read-only.
     """
-    if s <= 1:
+    if not 1 < s < math.inf:
         raise ValueError("the Lerch expansion requires s > 1")
     N = integer(N, 1, "N must be an integer >= 1")
     if s != int(s) and N != 1:

@@ -218,7 +218,9 @@ def _check_power(p):
 def _power_signal(kind, p, r, variation):
     p = float(p)
     _check_power(p)
-    if r is None or variation is None:
+    if (r is None) != (variation is None):
+        raise ValueError("pass both r and variation, or neither")
+    if r is None:
         if not _parity_matched(kind, p):
             raise ValueError(
                 "smoothness (r, variation) must be supplied explicitly for this p; "
@@ -236,6 +238,7 @@ def power_decay_cosine(p, r=None, variation=None):
 
     For even integer p the smoothness class (r = p-2, variation = pi^2/2)
     is derived in closed form; otherwise pass both `r` and `variation`.
+    Passing only one of them is refused.
     """
     return _power_signal(POWER_DECAY_COSINE, p, r, variation)
 

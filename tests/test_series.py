@@ -66,6 +66,10 @@ def test_progression_tail_validation():
         _series.progression_tail(1, 5, 1.0)
     with pytest.raises(ValueError):
         _series.progression_tail(2, 5, -6.0)
+    # A NaN or infinite order used to return NaN.
+    for s in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="requires s > 1"):
+            _series.progression_tail(s, 5, 1.0)
 
 
 def test_hurwitz_tail_alternating():
@@ -236,8 +240,10 @@ def test_lerch_series_is_its_coefficients_and_singular_term(s, N):
 
 
 def test_lerch_coefficients_and_singular_term_validation():
-    with pytest.raises(ValueError, match="s > 1"):
-        _series.lerch_coefficients(1, 1)
+    # NaN and inf used to reach int(s) and raise its ValueError or OverflowError.
+    for s in (1, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="requires s > 1"):
+            _series.lerch_coefficients(s, 1)
     for N in (0, 2.5, np.inf, np.nan, [3], np.array([3])):
         with pytest.raises(ValueError, match="N must be an integer >= 1"):
             _series.lerch_coefficients(3, N)

@@ -322,6 +322,16 @@ def test_power_decay_needs_a_finite_p(factory, p):
         factory(p)
 
 
+@pytest.mark.parametrize("factory,p", [(power_decay_cosine, 4), (power_decay_sine, 3),
+                                       (power_decay_cosine, 3)])
+def test_power_decay_refuses_half_a_smoothness_class(factory, p):
+    # A lone r or variation used to be dropped silently in favour of the
+    # closed-form class (r = p - 2, variation pi^2/2).
+    for half in ({"r": 5}, {"variation": 100.0}):
+        with pytest.raises(ValueError, match="both r and variation"):
+            factory(p, **half)
+
+
 def test_parity_mismatch_needs_explicit_smoothness():
     with pytest.raises(ValueError):
         power_decay_cosine(3)

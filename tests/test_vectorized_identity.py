@@ -109,15 +109,23 @@ def loop_folded_spectrum(spline, G):
 
 
 def loop_dft(values):
+    # One coefficient at a time, with the phase k j reduced mod N in
+    # integers and cos/sin of 2 pi m/N built from the nearest quarter turn.
     N = values.shape[0]
     n = (N - 1) // 2
-    tj = 2.0 * np.pi * np.arange(N) / N
+    j = np.arange(N)
+    q = (8 * j + N) // (2 * N)
+    x = 0.5 * np.pi * (4 * j - q * N) / N
+    c, s = np.cos(x), np.sin(x)
+    cos = np.choose(q % 4, (c, -s, -c, s))
+    sin = np.choose(q % 4, (s, c, -s, -c))
     scale = 2.0 / N
     a = np.empty(n)
     b = np.empty(n)
     for k in range(1, n + 1):
-        a[k - 1] = scale * np.sum(values * np.cos(k * tj))
-        b[k - 1] = scale * np.sum(values * np.sin(k * tj))
+        m = k * j % N
+        a[k - 1] = scale * np.sum(values * cos[m])
+        b[k - 1] = scale * np.sum(values * sin[m])
     return scale * np.sum(values), a, b
 
 
@@ -277,6 +285,20 @@ def test_dft_matches_per_coefficient_loop(n, seed):
     assert a0 == la0
     assert np.array_equal(a, la)
     assert np.array_equal(b, lb)
+
+
+def test_dft_rows_over_the_cell_budget_match_the_loop(monkeypatch):
+    # With a budget of 64 cells every grid below has rows of 2N > 64
+    # cells, which are gathered one at a time and never cached.
+    _kernels._phase_block.cache_clear()
+    monkeypatch.setattr(_kernels, "_DFT_CELLS", 64)
+    for n in (16, 40, 100):
+        values = np.random.default_rng(n).standard_normal(2 * n + 1)
+        got = _kernels.dft(values)
+        want = loop_dft(values)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+    assert _kernels._phase_block.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

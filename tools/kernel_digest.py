@@ -14,7 +14,11 @@ swept over ``derivative_values`` of the power-decay cosine and sine at
 p = 2, 2.5, 3, 3.5, 4, 5 and 6 and orders 0..3 wherever p - order > 1 (the
 Bernoulli closed forms, the integer-order polylogarithm and the
 non-integer pole pair), and of the suite's harmonic sums at order 0, at
-seeded points with |t| up to 20, among them 0 and +-pi. It prints one
+seeded points with |t| up to 20, among them 0 and +-pi. The direct DFT
+(``discrete_coeffs``) is swept over seeded unit-normal samples at n = 1..40,
+64, 127, 128, 256, 1024 and 2048: one cached row block of the phase table
+up to n = 127, two from n = 128, and more blocks than the cache keeps at
+n = 1024 and 2048. It prints one
 ``label sha256`` line per configuration, spline quantity or signal
 derivative, hashing the exact bits of every value, or ``label refused
 <error> <sha256 of the message>`` where the configuration or the
@@ -40,6 +44,7 @@ from trigspec import (
     KernelConfig,
     SampleVector,
     build_spline,
+    discrete_coeffs,
     filter_response,
     folded_coefficients,
     harmonic_sum,
@@ -67,6 +72,7 @@ EVAL_GRIDS = (64, 1000)   # besides the spline's own N nodes
 # Fewer points than the Lerch expansion has columns (order + 66) are summed
 # angle by angle; more go through the cell table.
 SCATTER_POINTS = (32, 512)
+DFT_SIZES = (*range(1, 41), 64, 127, 128, 256, 1024, 2048)
 SIGNAL_POWERS = (2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0)
 SIGNAL_ORDERS = (0, 1, 2, 3)
 SIGNAL_POINTS = np.concatenate((
@@ -159,6 +165,14 @@ def fold_lines():
             yield f"fold {name} n{n} " + _sha([(r.folded_a, r.folded_b) for r in reps])
 
 
+def dft_lines():
+    for n in DFT_SIZES:
+        grid = make_grid(n)
+        values = np.random.default_rng(n).standard_normal(grid.N)
+        spectrum = discrete_coeffs(SampleVector(grid, values))
+        yield f"dft n{n} " + _sha([spectrum.a0, spectrum.a, spectrum.b])
+
+
 def signal_lines():
     for p in SIGNAL_POWERS:
         for kind, maker in (("cos", power_decay_cosine), ("sin", power_decay_sine)):
@@ -174,5 +188,5 @@ def signal_lines():
 
 if __name__ == "__main__":
     warnings.simplefilter("error", RuntimeWarning)
-    for line in (*kernel_lines(), *spline_lines(), *fold_lines(), *signal_lines()):
+    for line in (*kernel_lines(), *spline_lines(), *fold_lines(), *signal_lines(), *dft_lines()):
         print(line)
