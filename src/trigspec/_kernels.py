@@ -5,8 +5,9 @@
   (no FFT) with exact phases: k*j is reduced mod N in integers and cos/sin
   of 2*pi*m/N are read from one table of N entries, so no transcendental
   call is left in the O(nN) loop. The gathered phase matrices are cached
-  per (N, row block) within a fixed memory bound; each coefficient is
-  NumPy's pairwise sum of its N products.
+  per (N, row block) for grids whose blocks all fit the cache (n <= 711),
+  within a fixed memory bound; each coefficient is NumPy's pairwise sum
+  of its N products.
 """
 
 import functools
@@ -20,7 +21,7 @@ _BLOCK = 512
 # larger), so every grid with n <= 127 is one block.
 _DFT_CELLS = 1 << 16
 # Blocks kept by the phase cache: at most _DFT_BLOCKS * _DFT_CELLS float64
-# cells, 16 MiB.
+# cells, 16 MiB. Only grids of at most this many blocks are cached.
 _DFT_BLOCKS = 32
 
 
@@ -74,11 +75,11 @@ def dft(values):
 
     The gathered (rows x N) cos and sin matrices of each row block are
     cached, read-only, per (N, block) in an LRU cache of _DFT_BLOCKS = 32
-    blocks of at most _DFT_CELLS = 65536 cells: at most 16 MiB. A grid
-    with n <= 127 is one block, so a repeated N costs only the products
-    and sums; a larger grid cycles its blocks through the same cache. At
-    N > _DFT_CELLS/2 a block is one row of more than _DFT_CELLS cells; such
-    rows are gathered from one table per call without being cached.
+    blocks of at most _DFT_CELLS = 65536 cells: at most 16 MiB. A grid is
+    cached only when all its blocks fit (n <= 711; n <= 127 is one
+    block), so a repeated N costs only the products and sums. A grid of
+    more blocks would cycle them through the cache without a hit, so its
+    blocks are gathered from one table per call and not cached.
 
     Returns
     -------
@@ -94,9 +95,10 @@ def dft(values):
     a = np.empty(n)
     b = np.empty(n)
     rows = _dft_rows(N)
-    # Rows over the cell budget (2N > _DFT_CELLS) are gathered one at a
-    # time from one table per call and not cached.
-    gather = (_phase_block if 2 * N <= _DFT_CELLS
+    # Cache a grid's blocks only when all of them fit. Rows over the cell
+    # budget (2N > _DFT_CELLS) need n >= 16384 one-row blocks, so they are
+    # never cached: the 16 MiB bound rests on that.
+    gather = (_phase_block if -(-n // rows) <= _DFT_BLOCKS
               else functools.partial(_gather_block, table=_phase_table(N)))
     for block, start in enumerate(range(0, n, rows)):
         cos, sin = gather(N, block)
@@ -128,10 +130,9 @@ def _phase_table(N):
 
 @functools.lru_cache(maxsize=_DFT_BLOCKS)
 def _phase_block(N, block):
-    # Row k = 1 of block 0 is the table itself, so a grid of many blocks
-    # builds it once: every other block's miss reads (and keeps) block 0.
-    table = _phase_table(N) if block == 0 else [part[0] for part in _phase_block(N, 0)]
-    return _gather_block(N, block, table)
+    # The table is rebuilt on each miss: O(N) beside the block's gather,
+    # and paid on cold calls only.
+    return _gather_block(N, block, _phase_table(N))
 
 
 def _gather_block(N, block, table):

@@ -18,14 +18,15 @@ guarantees:
   Functions* I, 1.11; Crandall, "Note on fast polylogarithm computation",
   2006), for |theta| <= pi: one cached coefficient table per (s, N)
   (:func:`lerch_coefficients`) and a singular term (:func:`lerch_singular`)
-  combined by one row builder (:func:`lerch_rows`).
+  combined by one row builder (:func:`lerch_rows`), which both the spline
+  engine and :func:`lerch_unit` (any angle, reduced to [-pi, pi]) call.
 
 Alongside them sit the small primitives every layer shares: the integer
-contract (:func:`integers`, and :func:`integer` for one scalar), angle
-reduction, derivative rotation of a coefficient pair, the fold of a
-harmonic index onto its alias class (:func:`alias_fold`), and powers of
-ratios formed from their exact numerator and denominator
-(:func:`ratio_power`).
+contract (:func:`integers`, and :func:`integer` for one scalar), the
+check of evaluation points (:func:`finite_points`), angle reduction,
+derivative rotation of a coefficient pair, the fold of a harmonic index
+onto its alias class (:func:`alias_fold`), and powers of ratios formed
+from their exact numerator and denominator (:func:`ratio_power`).
 
 Everything here is pure and vectorized.
 """
@@ -43,8 +44,8 @@ TWO_PI = 2.0 * np.pi
 # term they fall off by a factor of at least 2 for |theta| <= pi, so 64 of
 # them reach far below rounding (see lerch_remainder_bound).
 _LERCH_EXTRA_TERMS = 64
-# lerch_series works on blocks of this many angles, so its table of powers
-# stays small for any number of points.
+# lerch_unit builds its rows on blocks of this many angles, so the table of
+# powers in lerch_rows stays small for any number of points.
 _LERCH_BLOCK = 4096
 _I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])
 _INT64_MAX = np.iinfo(np.int64).max
@@ -82,6 +83,14 @@ def integer(x, lowest, message, highest=None):
     if not isinstance(x, (int, np.integer)) and np.ndim(x):
         raise ValueError(message)
     return integers(x, lowest, message, highest)
+
+
+def finite_points(t):
+    """Evaluation points as a float array, checked once: ``ValueError`` unless every one is finite."""
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise ValueError("evaluation point must be finite")
+    return t
 
 
 def reduce_angle(t):
@@ -361,7 +370,7 @@ def _lerch_table(s, N):
 
 
 def lerch_coefficients(s, N):
-    """The coefficients ``(even, odd, lead)`` of :func:`lerch_series`, cached per (s, N).
+    """The coefficients ``(even, odd, lead)`` of the Lerch expansion, cached per (s, N).
 
     With ``u = theta/pi`` the row of first member q = 1..N is (:func:`lerch_rows`)
 
@@ -370,8 +379,10 @@ def lerch_coefficients(s, N):
     ``even`` and ``odd`` hold the real coefficients of the even and odd
     powers (the factor i^r folded in as a real sign), and ``lead`` is
     ``(q/N)^s``. The number of powers, ``even.shape[1] + odd.shape[1]``,
-    depends only on s. s and N are checked as in :func:`lerch_series`; the
-    arrays are read-only.
+    depends only on s. Each coefficient is a power of a ratio below one
+    times a bounded factor, in the float range at any order. Integer
+    s >= 2 takes any N >= 1; non-integer s > 1 takes N = 1 only. The arrays
+    are read-only.
     """
     if not 1 < s < math.inf:
         raise ValueError("the Lerch expansion requires s > 1")
@@ -382,13 +393,15 @@ def lerch_coefficients(s, N):
 
 
 def lerch_singular(s, theta):
-    """The singular term of :func:`lerch_series` at angles |theta| <= pi, the same for every q.
+    """The singular term of the Lerch expansion at angles |theta| <= pi, the same for every q.
 
     It is ``-(i theta)^(s-1) log(-i theta) / (s-1)!`` for integer s (0 at
     theta = 0); for non-integer s it is ``Gamma(1-s) (-i theta)^(s-1)``
     summed in closed form with the coefficient ``zeta(1 + s - round(s))``
     of the power ``(i theta)^(round(s)-1)``, which is left out of
-    :func:`lerch_coefficients`. Returns a complex array shaped like theta.
+    :func:`lerch_coefficients`: each is of order 1/(s - round(s)), and
+    summed as they stand they would cancel. Returns a complex array shaped
+    like theta.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.ndim != 1 or not (np.abs(theta) <= np.pi).all():
@@ -408,10 +421,17 @@ def lerch_singular(s, theta):
 
 
 def lerch_rows(columns, sing, theta):
-    """Rows of :func:`lerch_series` at a 1-D array of angles, one per row of `columns`.
+    """The Lerch expansion ``e^(i a theta) sum_{m>=0} e^(i m theta) (q/(m*N + q))^s``, |theta| <= pi.
 
-    `columns` is :func:`lerch_coefficients` or row views of it, and `sing`
-    is :func:`lerch_singular` at `theta`.
+    With ``a = q/N`` it is ``a^s e^(i a theta) Phi(e^(i theta), s, a)``,
+
+        a^s [sum_r zeta(s-r, a) (i theta)^r / r! + singular term],
+
+    which converges geometrically; :func:`lerch_remainder_bound` bounds the
+    terms it drops. `columns` is :func:`lerch_coefficients` of (s, N) or
+    row views of it, and `sing` is :func:`lerch_singular` at the 1-D array
+    `theta`. Returns a complex array with one row per row of `columns` and
+    one column per theta.
     """
     even, odd, lead = columns
     powers = np.empty((even.shape[1] + odd.shape[1], theta.size))
@@ -421,54 +441,32 @@ def lerch_rows(columns, sing, theta):
     return even @ powers[0::2] + 1j * (odd @ powers[1::2]) + np.multiply.outer(lead, sing)
 
 
-def lerch_series(s, N, theta):
-    """The expansion ``e^(i a theta) sum_{m>=0} e^(i m theta) (q/(m*N + q))^s`` for |theta| <= pi.
-
-    With ``a = q/N`` it is ``a^s e^(i a theta) Phi(e^(i theta), s, a)``,
-
-        a^s [sum_r zeta(s-r, a) (i theta)^r / r! + singular term],
-
-    which converges geometrically; :func:`lerch_remainder_bound` bounds the
-    terms it drops. Returns a complex array with one row per q = 1..N and
-    one column per theta. Integer s >= 2 takes any N >= 1; non-integer
-    s > 1 takes N = 1 only. The coefficients depend only on (s, N) and are
-    cached (:func:`lerch_coefficients`); each is a power of a ratio below
-    one times a bounded factor, in the float range at any order. For
-    non-integer s the singular term ``Gamma(1-s) (-i theta)^(s-1)`` and the
-    coefficient ``zeta(1 + s - round(s))``, each of order 1/(s - round(s)),
-    are summed in closed form so that they do not cancel
-    (:func:`lerch_singular`).
-    """
-    columns = lerch_coefficients(s, N)
-    sing = lerch_singular(s, theta)
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    out = np.empty((columns[2].size, theta.size), dtype=complex)
-    for start in range(0, theta.size, _LERCH_BLOCK):
-        at = slice(start, start + _LERCH_BLOCK)
-        out[:, at] = lerch_rows(columns, sing[at], theta[at])
-    return out
-
-
 def lerch_unit(s, N, theta):
     """``sum_{m>=0} e^(i m theta) (q/(m*N + q))^s``, the Lerch transcendent on the unit circle.
 
     The sum is normalized so that its first term is 1: it is
     ``a^s Phi(e^(i theta), s, a)`` with ``a = q/N``, and at N = 1 it is
     ``Phi(e^(i theta), s, 1)``. Angles reduce to [-pi, pi], where it is
-    ``e^(-i a theta)`` times :func:`lerch_series`; s and N are as there.
+    ``e^(-i a theta)`` times the expansion :func:`lerch_rows`, built on
+    blocks of 4096 angles; s and N are as in :func:`lerch_coefficients`.
     Returns a complex array with one row per q = 1..N and one column per theta.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.ndim != 1 or not np.all(np.isfinite(theta)):
         raise ValueError("theta must be a 1-D array of finite angles")
     theta = np.mod(theta + np.pi, TWO_PI) - np.pi
-    series = lerch_series(s, N, theta)
-    a = np.arange(1.0, len(series) + 1.0) / len(series)      # q/N
-    return np.exp(-1j * np.multiply.outer(a, theta)) * series
+    columns = lerch_coefficients(s, N)
+    sing = lerch_singular(s, theta)
+    rows = np.empty((columns[2].size, theta.size), dtype=complex)
+    for start in range(0, theta.size, _LERCH_BLOCK):
+        at = slice(start, start + _LERCH_BLOCK)
+        rows[:, at] = lerch_rows(columns, sing[at], theta[at])
+    a = np.arange(1.0, len(rows) + 1.0) / len(rows)      # q/N
+    return np.exp(-1j * np.multiply.outer(a, theta)) * rows
 
 
 def lerch_remainder_bound(s):
-    """Bound on the terms :func:`lerch_series` drops, for every row of any N and any theta.
+    """Bound on the terms the Lerch expansion drops, for every row of any N and any theta.
 
     With R terms kept, term r >= R of ``Phi`` is at most
     T_r = 2 Gamma(r-s+1) zeta(r-s+1) pi^r / ((2 pi)^(r-s+1) r!), from
@@ -496,14 +494,3 @@ def polylog_unit(s, theta):
     flat = theta.ravel()
     vals = np.exp(1j * flat) * lerch_unit(s, 1, flat)[0]
     return vals.reshape(theta.shape)
-
-
-def synth_folded(W, a0=0.0):
-    """Synthesize grid values from residue-folded complex coefficients.
-
-    `W` holds ``W[rho] = sum_{j≡rho (mod G), j>=1} (a_j - i b_j)`` for a
-    series ``a0/2 + sum_j a_j cos(jt) + b_j sin(jt)``; the return value is
-    the series evaluated at ``t_g = 2*pi*g/G``.
-    """
-    G = len(W)
-    return G * np.real(np.fft.ifft(W)) + 0.5 * a0

@@ -140,7 +140,7 @@ def band_component(signal, n, t):
     n = _series.integer(n, 1, "band size n must be an integer >= 1")
     a0 = true_coefficient(signal, 0)[0]
     a, b = true_coefficient(signal, np.arange(1, n + 1))
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    t_arr = np.atleast_1d(_series.finite_points(t))
     vals = _kernels.synth(a0, a, b, t_arr)
     return vals if np.ndim(t) else float(vals[0])
 
@@ -156,7 +156,7 @@ def dc_class_component(signal, grid, t):
     """
     _require_analytic(signal)
     N = grid.N
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    t_arr = np.atleast_1d(_series.finite_points(t))
     if signal.kind == HARMONIC_SUM:
         j = _term_indices(signal)
         j = j[(_series.alias_fold(j, N)[0] == 0) & (j > 0)]

@@ -146,10 +146,13 @@ def estimate_diff_variation(signal, spline, q):
     """Grid estimate of Var of the q-th derivative of (signal - spline).
 
     The difference series is truncated at 2**18 coefficients,
-    differentiated termwise, folded onto a grid of 2**16 points and
-    measured by summed absolute steps. An estimate, not a bound:
-    truncation ripple inflates it slightly, which only loosens the bound
-    it feeds.
+    differentiated termwise, folded onto a grid of G = 2**16 points and
+    measured by summed absolute steps. The fold sums the series' four
+    blocks of G terms and rolls the sum one place: block b holds
+    j = bG+1 to (b+1)G, whose residues run 1..G-1 and then 0, so each
+    residue adds its terms in the order of j. The grid values are then
+    G Re(ifft) of the folded sums. An estimate, not a bound: truncation
+    ripple inflates it slightly, which only loosens the bound it feeds.
     """
     js, sa, sb = unfolded_spectrum(spline, _VARIATION_TERMS)
     ta, tb = true_coefficient(signal, js)
@@ -160,9 +163,8 @@ def estimate_diff_variation(signal, spline, q):
     scale = js.astype(float) ** q
     da = scale * ra
     db = scale * rb
-    W = np.zeros(_VARIATION_POINTS, dtype=complex)
-    np.add.at(W, js % _VARIATION_POINTS, da - 1j * db)
-    vals = _series.synth_folded(W, 0.0)
+    W = np.roll((da - 1j * db).reshape(-1, _VARIATION_POINTS).sum(axis=0), 1)
+    vals = _VARIATION_POINTS * np.real(np.fft.ifft(W))
     return _series.grid_total_variation(vals)
 
 

@@ -119,7 +119,7 @@ class DiscreteSpectrum:
 
     def __call__(self, t):
         """Polynomial value at t; scalar in, scalar out, arrays keep their shape."""
-        t_arr = np.asarray(t, dtype=float)
+        t_arr = _series.finite_points(t)
         vals = _kernels.synth(self.a0, self.a, self.b, _series.reduce_angle(np.atleast_1d(t_arr)))
         return vals if t_arr.ndim else float(vals[0])
 

@@ -77,8 +77,6 @@ class AnalyticSignal:
                     raise ValueError(f"duplicate harmonic index {k}")
                 if k == 0 and b != 0.0:
                     raise ValueError("the k=0 term carries only a cosine coefficient")
-                if not (math.isfinite(a) and math.isfinite(b)):
-                    raise ValueError("harmonic coefficients must be finite")
                 seen.add(k)
         else:
             _check_power(self.p)
@@ -126,9 +124,7 @@ def evaluate(signal, t):
     Raises a domain error on non-finite input. 2*pi-periodicity is exact
     because angles are reduced before evaluation.
     """
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t_arr)):
-        raise ValueError("evaluation point must be finite")
+    t_arr = _series.finite_points(t)
     vals = derivative_values(signal, 0, t_arr)
     return vals if t_arr.ndim else float(vals)
 
@@ -199,9 +195,13 @@ _SAWTOOTH_VARIATION = math.pi**2 / 2.0  # integral of |pi - t|/2 over one period
 
 
 def _sorted_terms(terms):
-    # The (k, a_k, b_k) rows of a harmonic sum, sorted by integer index k.
+    # The (k, a_k, b_k) rows of a harmonic sum, sorted by integer index k,
+    # checked before harmonic_sum forms the variation from them.
     message = "harmonic indices must be integers >= 0"
-    return tuple(sorted((_series.integer(k, 0, message), float(a), float(b)) for k, a, b in terms))
+    rows = tuple(sorted((_series.integer(k, 0, message), float(a), float(b)) for k, a, b in terms))
+    if not all(math.isfinite(a) and math.isfinite(b) for _, a, b in rows):
+        raise ValueError("harmonic coefficients must be finite")
+    return rows
 
 
 def _parity_matched(kind, p):

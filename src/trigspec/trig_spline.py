@@ -228,9 +228,7 @@ def spline_eval(spline, t):
     :func:`scattered_eval_bound`, for every order and every point and
     either order of the sum; it does not depend on ``tail_tol``.
     """
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t_arr)):
-        raise ValueError("evaluation point must be finite")
+    t_arr = _series.finite_points(t)
     cfg = spline.config
     x = cfg.grid.N * _series.reduce_angle(t_arr.ravel()) + (np.pi if cfg.signed else 0.0)
     theta = _series.reduce_angle(x + np.pi) - np.pi

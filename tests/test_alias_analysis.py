@@ -208,6 +208,21 @@ def test_band_component_partial_sum_at_zero():
     assert band_component(power_decay_cosine(4), 2, 0.0) == pytest.approx(1.0625)
 
 
+def test_band_component_rejects_non_finite_points():
+    # inf used to reach cos, which warns.
+    for t in (np.nan, np.inf, -np.inf, np.array([0.5, np.inf])):
+        with pytest.raises(ValueError, match="evaluation point must be finite"):
+            band_component(power_decay_cosine(4), 2, t)
+
+
+def test_dc_class_component_rejects_non_finite_points():
+    grid = make_grid(2)
+    for sig in (harmonic_sum([(5, 1.0, 0.0)]), power_decay_cosine(4)):
+        for t in (np.nan, np.inf, -np.inf, np.array([0.5, np.inf])):
+            with pytest.raises(ValueError, match="evaluation point must be finite"):
+                dc_class_component(sig, grid, t)
+
+
 def test_residual_in_band_is_zero(rng):
     sig = harmonic_sum([(1, 1.0, -0.5), (2, 0.3, 0.0)])
     grid = make_grid(2)

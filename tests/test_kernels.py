@@ -48,26 +48,31 @@ def test_dft_is_within_4eps_of_the_40_digit_sum(entry):
 
 
 def test_dft_phase_cache_stays_within_its_bound():
-    # n = 2048 has more row blocks than the cache keeps, so they cycle
-    # through it; the most recent ones are all of this N.
-    values = np.random.default_rng(2048).standard_normal(4097)
-    first = _kernels.dft(values)
+    # A grid is cached only when all its row blocks fit: n = 2048 (293
+    # blocks) is gathered per call and leaves the cache as it was, while
+    # n = 256 (5 blocks) is cached whole and a repeat call is all hits.
     cache = _kernels._phase_block
-    kept = cache.cache_info().currsize
-    blocks = -(-2048 // _kernels._dft_rows(4097))
-    assert 0 < kept <= _kernels._DFT_BLOCKS < blocks
+    big = np.random.default_rng(2048).standard_normal(4097)
     before = cache.cache_info()
-    # Block 0 (the table) stays, with the blocks last gathered.
-    held = [cache(4097, 0), *(cache(4097, b) for b in range(blocks - kept + 1, blocks))]
-    after = cache.cache_info()
-    assert (after.hits - before.hits, after.misses) == (kept, before.misses)
-    arrays = [arr for pair in held for arr in pair]
-    assert not any(arr.flags.writeable for arr in arrays)
-    bound = _kernels._DFT_BLOCKS * _kernels._DFT_CELLS * 8
-    assert sum(arr.nbytes for arr in arrays) <= bound <= 16 * 2**20
-    second = _kernels.dft(values)
-    assert first[0] == second[0]
-    assert np.array_equal(first[1], second[1]) and np.array_equal(first[2], second[2])
+    first = _kernels.dft(big)
+    assert cache.cache_info() == before
+    values = np.random.default_rng(256).standard_normal(513)
+    blocks = -(-256 // _kernels._dft_rows(513))
+    assert blocks == 5
+    cache.cache_clear()
+    cold = _kernels.dft(values)
+    assert cache.cache_info()[:2] == (0, blocks)
+    warm = _kernels.dft(values)
+    assert cache.cache_info()[:2] == (blocks, blocks)
+    # Each cached block holds at most _DFT_CELLS cells, and the cache at
+    # most _DFT_BLOCKS blocks.
+    pairs = [cache(513, b) for b in range(blocks)]
+    assert not any(arr.flags.writeable for pair in pairs for arr in pair)
+    assert all(cos.nbytes + sin.nbytes <= _kernels._DFT_CELLS * 8 for cos, sin in pairs)
+    assert cache.cache_info().maxsize * _kernels._DFT_CELLS * 8 <= 16 * 2**20
+    for got, want in ((_kernels.dft(big), first), (warm, cold)):
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
 
 def test_synth_pure_harmonic():

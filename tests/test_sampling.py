@@ -154,6 +154,14 @@ def test_interpolating_polynomial_is_the_discrete_spectrum():
     assert poly(1.0 + 2.0 * np.pi) == pytest.approx(poly(1.0), abs=1e-14)
 
 
+def test_discrete_spectrum_rejects_non_finite_points():
+    # inf used to reach np.mod, which warns and returns NaN; NaN passed through.
+    poly = discrete_coeffs(sample(power_decay_cosine(4), make_grid(8)))
+    for t in (np.nan, np.inf, -np.inf, np.array([0.5, np.inf])):
+        with pytest.raises(ValueError, match="evaluation point must be finite"):
+            poly(t)
+
+
 def test_reconstruction_at_nodes(rng):
     for n in (2, 8, 64):
         grid = make_grid(n)

@@ -91,21 +91,6 @@ def test_fit_loglog_slope_exact_power():
     assert fit_loglog_slope(x, x**-3.5) == pytest.approx(-3.5, abs=1e-9)
 
 
-def test_synth_folded_matches_direct():
-    # Fold a short series onto a coarser grid and compare against direct eval.
-    rng = np.random.default_rng(5)
-    J, G = 40, 16
-    a = rng.standard_normal(J)
-    b = rng.standard_normal(J)
-    W = np.zeros(G, dtype=complex)
-    np.add.at(W, np.arange(1, J + 1) % G, a - 1j * b)
-    vals = _series.synth_folded(W, a0=0.6)
-    t = 2 * np.pi * np.arange(G) / G
-    j = np.arange(1, J + 1)
-    direct = 0.3 + np.cos(np.outer(t, j)) @ a + np.sin(np.outer(t, j)) @ b
-    assert np.allclose(vals, direct, atol=1e-12)
-
-
 # -- Lerch transcendent and polylogarithm on the unit circle ---------------------
 
 # (G, g): theta = 2*pi*g/G covers 0, small angles, just inside +pi, just
@@ -206,23 +191,28 @@ def test_lerch_unit_validation():
 
 
 def test_lerch_series_is_lerch_unit_without_its_phase():
-    # On [-pi, pi] the expansion is e^(i a theta) times the Lerch row, a =
-    # q/N; pi itself is accepted (lerch_unit reduces it to -pi), angles
-    # beyond it are refused.
-    q = np.arange(1.0, 6.0)
-    theta = np.array([-np.pi, -1.0, 0.0, 2.5, np.pi])
-    got = _series.lerch_series(3, 5, theta)
-    want = np.exp(1j * np.multiply.outer(q / 5.0, theta)) * _series.lerch_unit(3, 5, theta)
-    assert np.max(np.abs(got - want)) < 1e-14
-    with pytest.raises(ValueError):
-        _series.lerch_series(3, 5, np.array([np.pi + 1e-9]))
+    # The Lerch series, the expansion lerch_rows builds on [-pi, pi], is
+    # e^(i a theta) times the Lerch row, a = q/N: lerch_unit is
+    # e^(-i a theta) times it, bit for bit, over 5000 angles (two blocks of
+    # 4096), -pi and 0 among them. pi itself reduces to -pi (alone, its
+    # matrix product rounds differently), and the expansion refuses angles
+    # beyond it.
+    theta = np.concatenate(([-np.pi, 0.0], np.random.default_rng(3).uniform(-np.pi, np.pi, 4998)))
+    columns = _series.lerch_coefficients(3, 5)
+    rows = _series.lerch_rows(columns, _series.lerch_singular(3, theta), theta)
+    a = np.arange(1.0, 6.0) / 5.0
+    got = _series.lerch_unit(3, 5, theta)
+    assert np.array_equal(got, np.exp(-1j * np.multiply.outer(a, theta)) * rows)
+    assert np.max(np.abs(_series.lerch_unit(3, 5, np.pi)[:, 0] - got[:, 0])) < 1e-14
+    with pytest.raises(ValueError, match="theta must be"):
+        _series.lerch_singular(3, np.array([np.pi + 1e-9]))
 
 
 @pytest.mark.parametrize("s,N", [(3, 5), (2.5, 1), (40, 17)])
 def test_lerch_series_is_its_coefficients_and_singular_term(s, N):
-    # The evaluation engine reads the expansion through these two, in
-    # either order of its sum over first members, and builds the rows of
-    # one order with lerch_rows on a view of the table's rows.
+    # lerch_rows sums the expansion from these two. The evaluation engine
+    # reads them in either order of its sum over first members, and builds
+    # the rows of one order with lerch_rows on a view of the table's rows.
     theta = np.array([-np.pi, -1.0, 0.0, 0.4, np.pi])
     even, odd, lead = _series.lerch_coefficients(s, N)
     assert even.shape[0] == odd.shape[0] == lead.size == N
@@ -232,9 +222,8 @@ def test_lerch_series_is_its_coefficients_and_singular_term(s, N):
     powers = u[None, :] ** np.arange(even.shape[1] + odd.shape[1])[:, None]
     sing = _series.lerch_singular(s, theta)
     want = even @ powers[0::2] + 1j * (odd @ powers[1::2]) + np.multiply.outer(lead, sing)
-    got = _series.lerch_series(s, N, theta)
+    got = _series.lerch_rows((even, odd, lead), sing, theta)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-    assert np.array_equal(_series.lerch_rows((even, odd, lead), sing, theta), got)
     first = _series.lerch_rows((even[:1], odd[:1], lead[:1]), sing, theta)
     assert np.max(np.abs(first - got[:1])) <= 1e-15 * np.max(np.abs(want))
 

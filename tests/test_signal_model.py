@@ -85,11 +85,10 @@ def test_eval_vectorized_matches_scalar():
 
 
 def test_eval_rejects_non_finite():
-    sig = harmonic_sum([(1, 1.0, 0.0)])
-    with pytest.raises(ValueError):
-        evaluate(sig, float("nan"))
-    with pytest.raises(ValueError):
-        evaluate(sig, float("inf"))
+    for sig in (harmonic_sum([(1, 1.0, 0.0)]), power_decay_cosine(2.5, r=0, variation=1.0)):
+        for t in (np.nan, np.inf, -np.inf, np.array([0.5, np.inf])):
+            with pytest.raises(ValueError, match="evaluation point must be finite"):
+                evaluate(sig, t)
 
 
 def test_mismatched_parity_eval_feasible():
@@ -292,6 +291,22 @@ def test_variation_closed_forms_match_grid_estimate():
 def test_duplicate_harmonics_rejected():
     with pytest.raises(ValueError):
         harmonic_sum([(1, 1.0, 0.0), (1, 0.5, 0.0)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_harmonic_coefficients_are_named(bad):
+    # harmonic_sum forms the variation from the terms, and used to refuse
+    # them as "variation must be finite and >= 0".
+    message = "harmonic coefficients must be finite"
+    for terms in ([(1, bad, 0.0)], [(2, 1.0, bad), (1, 1.0, 0.0)]):
+        with pytest.raises(ValueError, match=message):
+            harmonic_sum(terms)
+        doc = {"kind": HARMONIC_SUM, "terms": [list(t) for t in terms], "p": None, "r": 1,
+               "variation": 1.0}
+        with pytest.raises(ValueError, match=message):
+            signal_from_json(doc)
+        with pytest.raises(ValueError, match=message):
+            signal_from_json(json.dumps(doc))
 
 
 def test_constructor_sorts_the_terms_by_integer_index():

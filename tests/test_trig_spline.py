@@ -299,8 +299,9 @@ def test_grid_values_match_50_digit_fold(entry):
 
 def test_eval_rejects_non_finite():
     spl, _ = spline_of(power_decay_cosine(4), 2, 3)
-    with pytest.raises(ValueError):
-        spline_eval(spl, float("nan"))
+    for t in (np.nan, np.inf, -np.inf, np.array([0.5, np.inf])):
+        with pytest.raises(ValueError, match="evaluation point must be finite"):
+            spline_eval(spl, t)
 
 
 # -- coefficient law ----------------------------------------------------------

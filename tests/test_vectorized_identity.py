@@ -8,7 +8,9 @@ and results must agree exactly (``==``), not within a tolerance.
 The Hurwitz fold of the whole series onto a uniform grid is kept here as
 a per-class loop too, as the oracle of the evaluation engine; the two
 sum in different orders, so that check allows rounding, as does the
-agreement of scattered points with grid values.
+agreement of scattered points with grid values. The block fold of the
+difference-variation estimate is pinned, bit for bit, to the scatter-add
+it replaced.
 """
 
 import math
@@ -23,6 +25,7 @@ from trigspec import (
     FilterVariant,
     KernelConfig,
     class_table,
+    filon_oracle,
     filter_response,
     gain,
     make_grid,
@@ -31,7 +34,8 @@ from trigspec import (
 )
 from trigspec import _series
 from trigspec import _kernels
-from trigspec.sampling import DiscreteSpectrum, SampleVector
+from trigspec.sampling import DiscreteSpectrum, SampleVector, sample
+from trigspec.signal_model import suite_signals, true_coefficient
 from trigspec.spline_kernel import response_table_to_csv
 
 VARIANTS = list(FilterVariant)
@@ -106,6 +110,25 @@ def loop_folded_spectrum(spline, G):
                 tails = _series.ratio_tail(s, k, j0, PN)
             np.add.at(W, np.mod(j0, G), cfac * tails)
     return W
+
+
+def folded_values(W, a0):
+    # Values at t_g = 2 pi g/G of a0/2 + sum_j (a_j cos(jt) + b_j sin(jt))
+    # from its residue-folded coefficients W[rho] = sum_{j = rho mod G} (a_j - i b_j).
+    return len(W) * np.real(np.fft.ifft(W)) + 0.5 * a0
+
+
+def loop_diff_variation(signal, spectrum, q):
+    # estimate_diff_variation with the fold as a scatter-add over j mod G,
+    # from the spline's unfolded spectrum (j, a_hat_j, b_hat_j), j = 1..4G.
+    js, sa, sb = spectrum
+    ta, tb = true_coefficient(signal, js)
+    ra, rb = _series.rotate_pair(ta - sa, tb - sb, q % 4)
+    scale = js.astype(float) ** q
+    G = filon_oracle._VARIATION_POINTS
+    W = np.zeros(G, dtype=complex)
+    np.add.at(W, js % G, scale * ra - 1j * (scale * rb))
+    return _series.grid_total_variation(folded_values(W, 0.0))
 
 
 def loop_dft(values):
@@ -214,7 +237,7 @@ def test_uniform_grid_values_match_hurwitz_fold(data):
     kind = data.draw(st.sampled_from(["one", "divisor", "coprime", "big"]))
     G = _grid_size(kind, config.grid.N, np.random.default_rng(data.draw(st.integers(0, 2**16))))
     got = trig_spline.values_on_uniform_grid(spline, G)
-    want = _series.synth_folded(loop_folded_spectrum(spline, G), spline.a0)
+    want = folded_values(loop_folded_spectrum(spline, G), spline.a0)
     size = 0.5 * abs(spectrum.a0) + float(np.sum(np.hypot(spectrum.a, spectrum.b)))
     assert np.max(np.abs(got - want)) <= 1e-14 * size
 
@@ -268,7 +291,7 @@ def test_both_contraction_orders_match_hurwitz_fold(data):
         assert table.call_count == table_path
         scattered = trig_spline.spline_eval(spline, 2.0 * np.pi * g / G)
         assert table.call_count == 2 * table_path
-    want = _series.synth_folded(loop_folded_spectrum(spline, G), spline.a0)
+    want = folded_values(loop_folded_spectrum(spline, G), spline.a0)
     size = 0.5 * abs(spectrum.a0) + float(np.sum(np.hypot(spectrum.a, spectrum.b)))
     assert np.max(np.abs(on_grid - want)) <= 1e-14 * size
     # t = 2 pi g/G is rounded, which moves a value by up to about n^2 eps size.
@@ -289,7 +312,9 @@ def test_dft_matches_per_coefficient_loop(n, seed):
 
 def test_dft_rows_over_the_cell_budget_match_the_loop(monkeypatch):
     # With a budget of 64 cells every grid below has rows of 2N > 64
-    # cells, which are gathered one at a time and never cached.
+    # cells, one to a block. n = 16 has 16 blocks, which all fit the cache
+    # and are cached; n = 40 and 100 have more, gathered from one table per
+    # call and never cached.
     _kernels._phase_block.cache_clear()
     monkeypatch.setattr(_kernels, "_DFT_CELLS", 64)
     for n in (16, 40, 100):
@@ -298,7 +323,41 @@ def test_dft_rows_over_the_cell_budget_match_the_loop(monkeypatch):
         want = loop_dft(values)
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
-    assert _kernels._phase_block.cache_info().currsize == 0
+    assert _kernels._phase_block.cache_info().currsize == 16
+
+
+def test_folded_values_match_direct_evaluation():
+    # The oracle itself: a short series folded onto a coarser grid.
+    rng = np.random.default_rng(5)
+    J, G = 40, 16
+    a = rng.standard_normal(J)
+    b = rng.standard_normal(J)
+    W = np.zeros(G, dtype=complex)
+    np.add.at(W, np.arange(1, J + 1) % G, a - 1j * b)
+    t = 2 * np.pi * np.arange(G) / G
+    j = np.arange(1, J + 1)
+    direct = 0.3 + np.cos(np.outer(t, j)) @ a + np.sin(np.outer(t, j)) @ b
+    assert np.allclose(folded_values(W, 0.6), direct, atol=1e-12)
+
+
+@pytest.mark.parametrize("n,name", [(1, "harmonic-mixed"), (2, "power-cos-6"),
+                                    (8, "harmonic-mixed"), (64, "power-cos-6")])
+def test_diff_variation_block_fold_matches_scatter_add(n, name, monkeypatch):
+    # Every family, orders 1-5 and q = 0..min(r, signal r), for a harmonic
+    # sum with a constant term and a power signal of order 4 (q reaches
+    # every rotation). Each spline's unfolded spectrum is computed once
+    # and read by both sides.
+    grid = make_grid(n)
+    signal = suite_signals()[name]
+    samples = sample(signal, grid)
+    for variant in VARIANTS:
+        for r in range(1, 6):
+            spline = trig_spline.build_spline(samples, KernelConfig(grid=grid, order=r, variant=variant))
+            spectrum = trig_spline.unfolded_spectrum(spline, filon_oracle._VARIATION_TERMS)
+            monkeypatch.setattr(filon_oracle, "unfolded_spectrum", lambda *_: spectrum)
+            for q in range(min(r, signal.smoothness.r) + 1):
+                got = filon_oracle.estimate_diff_variation(signal, spline, q)
+                assert got == loop_diff_variation(signal, spectrum, q), (variant, r, q)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

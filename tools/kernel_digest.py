@@ -16,9 +16,11 @@ Bernoulli closed forms, the integer-order polylogarithm and the
 non-integer pole pair), and of the suite's harmonic sums at order 0, at
 seeded points with |t| up to 20, among them 0 and +-pi. The direct DFT
 (``discrete_coeffs``) is swept over seeded unit-normal samples at n = 1..40,
-64, 127, 128, 256, 1024 and 2048: one cached row block of the phase table
-up to n = 127, two from n = 128, and more blocks than the cache keeps at
-n = 1024 and 2048. It prints one
+64, 127, 128, 256, 711, 712, 1024 and 2048: one cached row block of the
+phase table up to n = 127, two from n = 128, 31 at n = 711 (the largest
+grid whose blocks all fit the cache, so it is cached), and more blocks
+than the cache holds, gathered per call and not cached, from n = 712
+(33 blocks). It prints one
 ``label sha256`` line per configuration, spline quantity or signal
 derivative, hashing the exact bits of every value, or ``label refused
 <error> <sha256 of the message>`` where the configuration or the
@@ -72,7 +74,7 @@ EVAL_GRIDS = (64, 1000)   # besides the spline's own N nodes
 # Fewer points than the Lerch expansion has columns (order + 66) are summed
 # angle by angle; more go through the cell table.
 SCATTER_POINTS = (32, 512)
-DFT_SIZES = (*range(1, 41), 64, 127, 128, 256, 1024, 2048)
+DFT_SIZES = (*range(1, 41), 64, 127, 128, 256, 711, 712, 1024, 2048)
 SIGNAL_POWERS = (2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0)
 SIGNAL_ORDERS = (0, 1, 2, 3)
 SIGNAL_POINTS = np.concatenate((
