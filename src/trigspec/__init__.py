@@ -44,7 +44,6 @@ from .signal_model import (
     AnalyticSignal,
     SmoothnessInfo,
     coefficient_bound,
-    estimate_derivative_variation,
     evaluate,
     harmonic_sum,
     power_decay_cosine,

@@ -19,7 +19,7 @@ guarantees:
   2006), for |theta| <= pi: one cached coefficient table per (s, N)
   (:func:`lerch_coefficients`) and a singular term (:func:`lerch_singular`)
   combined by one row builder (:func:`lerch_rows`), which both the spline
-  engine and :func:`lerch_unit` (any angle, reduced to [-pi, pi]) call.
+  engine and :func:`polylog_unit` (any angle, reduced to [-pi, pi]) call.
 
 Alongside them sit the small primitives every layer shares: the integer
 contract (:func:`integers`, and :func:`integer` for one scalar), the
@@ -44,7 +44,7 @@ TWO_PI = 2.0 * np.pi
 # term they fall off by a factor of at least 2 for |theta| <= pi, so 64 of
 # them reach far below rounding (see lerch_remainder_bound).
 _LERCH_EXTRA_TERMS = 64
-# lerch_unit builds its rows on blocks of this many angles, so the table of
+# polylog_unit builds its row on blocks of this many angles, so the table of
 # powers in lerch_rows stays small for any number of points.
 _LERCH_BLOCK = 4096
 _I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])
@@ -441,30 +441,6 @@ def lerch_rows(columns, sing, theta):
     return even @ powers[0::2] + 1j * (odd @ powers[1::2]) + np.multiply.outer(lead, sing)
 
 
-def lerch_unit(s, N, theta):
-    """``sum_{m>=0} e^(i m theta) (q/(m*N + q))^s``, the Lerch transcendent on the unit circle.
-
-    The sum is normalized so that its first term is 1: it is
-    ``a^s Phi(e^(i theta), s, a)`` with ``a = q/N``, and at N = 1 it is
-    ``Phi(e^(i theta), s, 1)``. Angles reduce to [-pi, pi], where it is
-    ``e^(-i a theta)`` times the expansion :func:`lerch_rows`, built on
-    blocks of 4096 angles; s and N are as in :func:`lerch_coefficients`.
-    Returns a complex array with one row per q = 1..N and one column per theta.
-    """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if theta.ndim != 1 or not np.all(np.isfinite(theta)):
-        raise ValueError("theta must be a 1-D array of finite angles")
-    theta = np.mod(theta + np.pi, TWO_PI) - np.pi
-    columns = lerch_coefficients(s, N)
-    sing = lerch_singular(s, theta)
-    rows = np.empty((columns[2].size, theta.size), dtype=complex)
-    for start in range(0, theta.size, _LERCH_BLOCK):
-        at = slice(start, start + _LERCH_BLOCK)
-        rows[:, at] = lerch_rows(columns, sing[at], theta[at])
-    a = np.arange(1.0, len(rows) + 1.0) / len(rows)      # q/N
-    return np.exp(-1j * np.multiply.outer(a, theta)) * rows
-
-
 def lerch_remainder_bound(s):
     """Bound on the terms the Lerch expansion drops, for every row of any N and any theta.
 
@@ -472,8 +448,8 @@ def lerch_remainder_bound(s):
     T_r = 2 Gamma(r-s+1) zeta(r-s+1) pi^r / ((2 pi)^(r-s+1) r!), from
     |B_n(x)| <= 2 n! zeta(n) / (2 pi)^n on [0, 1] and the functional
     equation of zeta; T_{r+1} <= T_r / 2, so the remainder is at most
-    2 T_R. A row of :func:`lerch_unit` carries it times ``(q/N)^s``,
-    which is at most 1. Rounding is not included.
+    2 T_R. The row of first member q carries it times ``(q/N)^s``, which
+    is at most 1. Rounding is not included.
     """
     R = _lerch_terms(s)
     x = R - s + 1.0
@@ -488,9 +464,20 @@ def polylog_unit(s, theta):
     """Polylogarithm ``Li_s(e^(i theta)) = sum_{k>=1} e^(i k theta) / k^s``, s > 1.
 
     Its real part is ``sum cos(k theta)/k^s`` and its imaginary part
-    ``sum sin(k theta)/k^s``. Shape follows theta.
+    ``sum sin(k theta)/k^s``. It is ``e^(i theta) Phi(e^(i theta), s, 1)``.
+    Angles reduce to [-pi, pi], where Phi is ``e^(-i theta)`` times the
+    N = 1 row of :func:`lerch_rows`, built on blocks of 4096 angles. s is
+    as in :func:`lerch_coefficients`; a non-finite theta is refused. Shape
+    follows theta.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = finite_points(theta)
     flat = theta.ravel()
-    vals = np.exp(1j * flat) * lerch_unit(s, 1, flat)[0]
+    reduced = np.mod(flat + np.pi, TWO_PI) - np.pi
+    columns = lerch_coefficients(s, 1)
+    sing = lerch_singular(s, reduced)
+    row = np.empty(flat.size, dtype=complex)
+    for start in range(0, flat.size, _LERCH_BLOCK):
+        at = slice(start, start + _LERCH_BLOCK)
+        row[at] = lerch_rows(columns, sing[at], reduced[at])[0]
+    vals = np.exp(1j * flat) * (np.exp(-1j * reduced) * row)
     return vals.reshape(theta.shape)

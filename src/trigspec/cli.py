@@ -58,6 +58,12 @@ def _write_text(path, text):
         fh.write(text)
 
 
+def _grid(args):
+    if args.n < 1:
+        raise ValueError("--n must be >= 1")
+    return make_grid(args.n)
+
+
 def _kernel_config(args, grid, tail_tol=1e-12):
     if args.r < 1:
         raise ValueError("--r must be >= 1")
@@ -92,9 +98,7 @@ def cmd_gen_signal(args):
 
 def cmd_dft(args):
     sig = _load_signal(args)
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
-    grid = make_grid(args.n)
+    grid = _grid(args)
     spec = discrete_coeffs(sample(sig, grid))
     if args.format == "json":
         doc = {
@@ -111,15 +115,13 @@ def cmd_dft(args):
 
 def cmd_spline(args):
     sig = _load_signal(args)
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
+    grid = _grid(args)
     if args.out is None:
         raise ValueError("spline needs --out STEM for its output files")
     if args.j_max < 0:
         raise ValueError("--j-max must be >= 1 (0 or absent picks the default)")
     if args.eval_grid < 0:
         raise ValueError("--eval-grid must be positive (0 or absent writes no evaluation)")
-    grid = make_grid(args.n)
     config = _kernel_config(args, grid, args.tail_tol)
     spline = trig_spline.build_spline(sample(sig, grid), config)
     _write_text(
@@ -143,9 +145,7 @@ def cmd_spline(args):
 
 
 def cmd_response(args):
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
-    grid = make_grid(args.n)
+    grid = _grid(args)
     try:
         orders = [int(x) for x in str(args.r).split(",") if x != ""]
     except ValueError as exc:
@@ -169,9 +169,7 @@ def cmd_response(args):
 
 def cmd_alias(args):
     sig = _load_signal(args)
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
-    grid = make_grid(args.n)
+    grid = _grid(args)
     rows = alias_analysis.fold_report_table(sig, grid, args.tail_tol)
     _write_text(args.out, alias_analysis.fold_table_to_csv(rows))
     worst = max(max(r["abs_diff_a"], r["abs_diff_b"]) for r in rows)
@@ -180,11 +178,9 @@ def cmd_alias(args):
 
 def cmd_bounds(args):
     sig = _load_signal(args)
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
+    grid = _grid(args)
     if args.j_max < 0:
         raise ValueError("--j-max must be >= 1 (0 or absent picks the default)")
-    grid = make_grid(args.n)
     rows = _bound_rows(sig, grid, args)
     holds = [measured <= bound for _, measured, bound in rows]
     table = [(*row, str(ok).lower()) for row, ok in zip(rows, holds)]

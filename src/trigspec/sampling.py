@@ -123,12 +123,6 @@ class DiscreteSpectrum:
         vals = _kernels.synth(self.a0, self.a, self.b, _series.reduce_angle(np.atleast_1d(t_arr)))
         return vals if t_arr.ndim else float(vals[0])
 
-    def eval_on_uniform_grid(self, points):
-        """Polynomial values at t_g = 2*pi*g/points, g = 0..points-1."""
-        points = _series.integer(points, 1, "points must be a positive integer")
-        t = 2.0 * np.pi * np.arange(points) / points
-        return _kernels.synth(self.a0, self.a, self.b, t)
-
     def fourier_series(self):
         """The polynomial's series (a0, a[1..n], b[1..n])."""
         return self.a0, self.a, self.b

@@ -26,7 +26,6 @@ POWER_DECAY_COSINE = "PowerDecayCosine"
 POWER_DECAY_SINE = "PowerDecaySine"
 
 _KINDS = (HARMONIC_SUM, POWER_DECAY_COSINE, POWER_DECAY_SINE)
-_VARIATION_POINTS = 2**16  # grid of estimate_derivative_variation
 
 
 @dataclass(frozen=True)
@@ -224,8 +223,8 @@ def _power_signal(kind, p, r, variation):
         if not _parity_matched(kind, p):
             raise ValueError(
                 "smoothness (r, variation) must be supplied explicitly for this p; "
-                "the smoothness class is derived only for parity-matched integer p "
-                "(see estimate_derivative_variation for a numerical derivation)"
+                "the smoothness class is derived only for parity-matched integer p, "
+                "so declare r and an upper bound on the variation of the r-th derivative"
             )
         # The (p-1)-th derivative is the sawtooth sum sin(kt)/k up to sign, so the
         # (p-2)-th derivative has variation integral |pi - t|/2 dt = pi^2/2 exactly.
@@ -248,7 +247,7 @@ def power_decay_sine(p, r=None, variation=None):
     return _power_signal(POWER_DECAY_SINE, p, r, variation)
 
 
-# -- numerical derivation of variation -----------------------------------
+# -- derivatives ----------------------------------------------------------
 
 
 def derivative_values(signal, order, t):
@@ -282,18 +281,6 @@ def derivative_values(signal, order, t):
     if kb == 0.0:
         return ka * _power_eval(POWER_DECAY_COSINE, s, t)
     return kb * _power_eval(POWER_DECAY_SINE, s, t)
-
-
-def estimate_derivative_variation(signal, order):
-    """Grid estimate of the total variation of the order-th derivative.
-
-    This is the documented derivation path for supplying `variation` to
-    the power-decay factories when no closed form applies. The grid has
-    2**16 uniform points; the estimate converges from below for
-    continuous derivatives.
-    """
-    t = np.linspace(0.0, _series.TWO_PI, _VARIATION_POINTS, endpoint=False)
-    return _series.grid_total_variation(derivative_values(signal, order, t))
 
 
 # -- serialization ---------------------------------------------------------

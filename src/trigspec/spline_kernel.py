@@ -23,9 +23,7 @@ zeta tail, so results carry no truncation error. It depends only on the
 grid, the order and the signs eps, so the per-class data is computed
 once per (grid, order, signed) (:func:`class_table`). The class sums
 H_k = sigma_k (1 + rho_k) and the constant-class sum are response data,
-formed where the response is written; :func:`class_gain_sum_direct`, a
-truncated direct summation of them, is kept alongside as an independent
-cross-check path.
+formed where the response is written.
 """
 
 import enum
@@ -39,8 +37,8 @@ from ._wire import csv_text
 from .errors import DegenerateKernelError
 
 _H_GUARD = 1e-12
-# Largest fold index a direct class summation accepts; larger requests are
-# refused before their index arrays are allocated.
+# Largest fold index class_partition_terms sums directly; larger requests
+# are refused before their index arrays are allocated.
 _M_TERMS_CAP = 10**6
 _M_TERMS_ERROR = f"m_terms must be an integer in 0..{_M_TERMS_CAP}"
 _CLASS_ERROR = "class representative k must lie in 1..n"
@@ -146,22 +144,6 @@ def _member_ratios(j, k, s, N, signed):
     if signed:
         out = np.where((j // N) % 2 == 1, -out, out)
     return out
-
-
-def class_gain_sum_direct(k, config, m_terms):
-    """Truncated direct summation of the class sum over fold indices m <= m_terms.
-
-    This is the oracle path; k must lie in 1..n and ``m_terms`` must be
-    an integer in 0..10**6.
-    """
-    k = _series.integer(k, 1, _CLASS_ERROR, config.grid.n)
-    m = np.arange(1, _series.integer(m_terms, 0, _M_TERMS_ERROR, _M_TERMS_CAP) + 1)
-    N = config.grid.N
-    total = raw_gain(k, config)
-    total += float(
-        np.sum(raw_gain(m * N + k, config) + raw_gain(m * N - k, config))
-    )
-    return total
 
 
 @dataclass(frozen=True)

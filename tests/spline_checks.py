@@ -1,17 +1,27 @@
-"""Value checks shared by the high-order spline tests.
+"""Value checks shared by the spline and class-sum tests.
 
 At n = 64 and orders from about 130, N^-s is subnormal or zero, so class
 sums that form it lose their fold tails and splines miss their own
 samples; the seeded 130-term harmonic sum has energy in every class and
-shows that. Each check here reads values.
+shows that. Each check here reads values. The class sums are checked
+against their truncated direct summation (:func:`class_gain_sum_direct`).
 """
 
 import math
 
 import numpy as np
 
-from trigspec import harmonic_sum, spline_eval, values_on_uniform_grid
+from trigspec import harmonic_sum, raw_gain, spline_eval, values_on_uniform_grid
 from trigspec.trig_spline import scattered_eval_bound
+
+
+def class_gain_sum_direct(k, config, m_terms):
+    """Class sum of class k in 1..n, summed directly over fold indices m <= m_terms."""
+    m = np.arange(1, m_terms + 1)
+    N = config.grid.N
+    total = raw_gain(k, config)
+    total += float(np.sum(raw_gain(m * N + k, config) + raw_gain(m * N - k, config)))
+    return total
 
 
 def long_harmonic_sum():

@@ -91,6 +91,17 @@ def test_dft_bad_n(cosine_spec, tmp_path):
                 "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["dft"], ["spline", "--j-max", "-1"], ["response"], ["alias"], ["bounds", "--j-max", "-1"],
+])
+def test_every_grid_command_refuses_n_below_one_first(command, cosine_spec, capsys):
+    # The grid size is checked before any other option: spline without
+    # --out and a negative --j-max still report --n.
+    signal = [] if command[0] == "response" else ["--signal", cosine_spec]
+    assert run([*command, *signal, "--n", "0"]) == 2
+    assert capsys.readouterr().err == "trigspec: error: --n must be >= 1\n"
+
+
 _HARMONIC = {"kind": "HarmonicSum", "terms": [[1, 1.0, 0.0]], "p": None, "r": 1,
              "variation": 4.0}
 _POWER = {"kind": "PowerDecayCosine", "terms": [], "p": 4.0, "r": 2, "variation": 5.0}

@@ -8,6 +8,7 @@ from trigspec import (
     KernelConfig,
     build_spline,
     cnorm_error_bound,
+    discrete_coeffs,
     estimate_diff_variation,
     filon_coeffs,
     harmonic_sum,
@@ -64,6 +65,16 @@ def test_quad_exact_on_trig_polynomials(rng):
         ta, tb = true_coefficient(f, k)
         assert a == pytest.approx(ta, abs=1e-12)
         assert b == pytest.approx(tb, abs=1e-12)
+
+
+def test_quad_reads_a_discrete_spectrum_through_its_call():
+    # Quadrature calls the spectrum at its grid angles and recovers the
+    # spectrum's coefficients up to rounding.
+    poly = discrete_coeffs(sample(power_decay_cosine(4), make_grid(8)))
+    for k in range(1, 9):
+        a, b = quad_fourier_coeff(poly, k)
+        assert a == pytest.approx(poly.a[k - 1], abs=1e-14)
+        assert b == pytest.approx(poly.b[k - 1], abs=1e-14)
 
 
 def test_quad_spline_matches_closed_form():

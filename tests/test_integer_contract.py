@@ -35,7 +35,6 @@ from trigspec.signal_model import (
 from trigspec.spline_kernel import (
     FilterVariant,
     KernelConfig,
-    class_gain_sum_direct,
     class_partition_terms,
     filter_response,
     gain,
@@ -75,8 +74,6 @@ def _rows(j):
 # whether the site takes an index array).
 SITES = [
     ("UniformGrid n", make_grid, 1, None, "grid parameter n must be an integer >= 1", False),
-    ("DiscreteSpectrum.eval_on_uniform_grid points", SPECTRUM.eval_on_uniform_grid, 1, None,
-     "points must be a positive integer", False),
     ("extended_coefficient j", lambda x: extended_coefficient(SPECTRUM, x), 1, None,
      "extended index must be an integer >= 1", True),
     ("SmoothnessInfo r", lambda x: SmoothnessInfo(r=x, variation=1.0), 0, None,
@@ -110,10 +107,6 @@ SITES = [
     ("class_partition_terms k", lambda x: class_partition_terms(x, CONFIG, 8), 1, GRID.n,
      "class representative k must lie in 1..n", False),
     ("class_partition_terms m_terms", lambda x: class_partition_terms(1, CONFIG, x), 0, 10**6,
-     "m_terms must be an integer in 0..1000000", False),
-    ("class_gain_sum_direct k", lambda x: class_gain_sum_direct(x, CONFIG, 8), 1, GRID.n,
-     "class representative k must lie in 1..n", False),
-    ("class_gain_sum_direct m_terms", lambda x: class_gain_sum_direct(1, CONFIG, x), 0, 10**6,
      "m_terms must be an integer in 0..1000000", False),
     ("values_on_uniform_grid points", lambda x: values_on_uniform_grid(SPLINE, x), 1, None,
      "points must be a positive integer", False),
@@ -160,7 +153,7 @@ def _bad_values(lowest, highest, array):
         bad += [np.array([lowest, x]) for x in (2.5, math.inf, math.nan, lowest - 1)]
     else:
         # A scalar site refuses a one-entry list or array: spline_fourier_coeff
-        # used to return the first entry's pair, class_gain_sum_direct an array.
+        # used to return the first entry's pair.
         bad += [[lowest], np.array([lowest])]
     return bad
 

@@ -18,6 +18,7 @@ from trigspec import (
     power_decay_cosine,
     sample,
 )
+from trigspec import _kernels
 from trigspec._series import alias_fold
 from trigspec.sampling import SampleVector, spectrum_to_csv
 
@@ -152,6 +153,15 @@ def test_interpolating_polynomial_is_the_discrete_spectrum():
     assert np.max(np.abs(poly(samples.grid.nodes) - samples.values)) < 1e-12
     assert type(poly(1.0)) is float
     assert poly(1.0 + 2.0 * np.pi) == pytest.approx(poly(1.0), abs=1e-14)
+
+
+@pytest.mark.parametrize("G", [17, 64, 1000])
+def test_spectrum_on_a_uniform_grid_is_its_synthesis(G):
+    # Angle reduction leaves t = 2 pi g/G in [0, 2 pi) as it is, so the
+    # spectrum called on the grid is the synthesis at those angles, bit for bit.
+    poly = discrete_coeffs(sample(power_decay_cosine(4), make_grid(8)))
+    t = 2.0 * np.pi * np.arange(G) / G
+    assert np.array_equal(poly(t), _kernels.synth(poly.a0, poly.a, poly.b, t))
 
 
 def test_discrete_spectrum_rejects_non_finite_points():

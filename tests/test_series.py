@@ -104,14 +104,27 @@ ANGLES = ((97, (0, 1, 24, 48, 49, 96)), (64, (0, 5, 31, 32, 33)))
 NEAR_INTEGER = [3 + 1e-9, 3 - 1e-9, 2 + 1e-12, 1.5, 3.5]
 
 
+def lerch_unit(s, N, theta):
+    # The Lerch transcendent on the unit circle normalized to a first term
+    # of 1, a^s Phi(e^(i theta), s, a) at a = q/N: one row per q = 1..N,
+    # |theta| <= pi. It is e^(-i a theta) times the rows of lerch_rows, the
+    # rows the spline engine reads.
+    theta = np.asarray(theta, dtype=float)
+    rows = _series.lerch_rows(_series.lerch_coefficients(s, N), _series.lerch_singular(s, theta),
+                              theta)
+    a = np.arange(1.0, N + 1.0) / N
+    return np.exp(-1j * np.multiply.outer(a, theta)) * rows
+
+
 @pytest.mark.parametrize("s", [2, 2.5, 3, 3.7, 4, 6] + NEAR_INTEGER)
 def test_lerch_unit_matches_residue_fold(s, lerch_fold):
-    # lerch_unit is normalized to a first term of 1: a^s Phi(z, s, a) at
-    # a = q/N. The rows (N, q) give a = 1/129, 1/4, 1/2, 4/5, 128/129 and 1.
+    # The rows (N, q) give a = 1/129, 1/4, 1/2, 4/5, 128/129 and 1; angles
+    # past pi enter as their reduction to [-pi, pi].
     rows = [(1, 1)] if s != int(s) else [(129, 1), (4, 1), (2, 1), (5, 4), (129, 128), (1, 1)]
     for G, gs in ANGLES:
+        theta = 2.0 * np.pi * np.asarray(gs) / G
         for N, q in rows:
-            got = _series.lerch_unit(s, N, 2.0 * np.pi * np.asarray(gs) / G)
+            got = lerch_unit(s, N, np.mod(theta + np.pi, 2.0 * np.pi) - np.pi)
             assert got.shape == (N, len(gs))
             a = q / N
             for j, g in enumerate(gs):
@@ -163,7 +176,7 @@ def test_lerch_unit_step_keeps_large_orders_finite():
     N, s = 129, 151
     j = np.array([1.0, 2.0, 64.0, 65.0, 100.0])
     theta = np.array([0.0, 0.3, -2.0, 3.1])
-    got = _series.lerch_unit(s, N, theta)[j.astype(int) - 1]
+    got = lerch_unit(s, N, theta)[j.astype(int) - 1]
     m = np.arange(4)
     for a, jj in enumerate(j):
         for b, th in enumerate(theta):
@@ -178,32 +191,24 @@ def test_polylog_unit_keeps_shape():
 
 
 def test_lerch_unit_validation():
+    # polylog_unit refuses a non-finite angle; the checks of s and N are
+    # those of lerch_coefficients.
     with pytest.raises(ValueError):
-        _series.lerch_unit(1, 1, 0.1)
-    with pytest.raises(ValueError):
-        _series.lerch_unit(3, 0, 0.1)
-    with pytest.raises(ValueError):
-        _series.lerch_unit(3, 1.5, 0.1)
-    with pytest.raises(ValueError):
-        _series.lerch_unit(2.5, 2, 0.1)
-    with pytest.raises(ValueError):
-        _series.lerch_unit(3, 1, np.inf)
+        _series.polylog_unit(3, np.inf)
 
 
 def test_lerch_series_is_lerch_unit_without_its_phase():
-    # The Lerch series, the expansion lerch_rows builds on [-pi, pi], is
-    # e^(i a theta) times the Lerch row, a = q/N: lerch_unit is
-    # e^(-i a theta) times it, bit for bit, over 5000 angles (two blocks of
-    # 4096), -pi and 0 among them. pi itself reduces to -pi (alone, its
-    # matrix product rounds differently), and the expansion refuses angles
-    # beyond it.
+    # polylog_unit is e^(i theta) times e^(-i theta) times the N = 1 row of
+    # the Lerch series lerch_rows builds on [-pi, pi], bit for bit, over
+    # 5000 angles (two blocks of 4096), -pi and 0 among them. pi itself
+    # reduces to -pi (alone, its matrix product rounds differently), and
+    # the expansion refuses angles beyond it.
     theta = np.concatenate(([-np.pi, 0.0], np.random.default_rng(3).uniform(-np.pi, np.pi, 4998)))
-    columns = _series.lerch_coefficients(3, 5)
-    rows = _series.lerch_rows(columns, _series.lerch_singular(3, theta), theta)
-    a = np.arange(1.0, 6.0) / 5.0
-    got = _series.lerch_unit(3, 5, theta)
-    assert np.array_equal(got, np.exp(-1j * np.multiply.outer(a, theta)) * rows)
-    assert np.max(np.abs(_series.lerch_unit(3, 5, np.pi)[:, 0] - got[:, 0])) < 1e-14
+    columns = _series.lerch_coefficients(3, 1)
+    row = _series.lerch_rows(columns, _series.lerch_singular(3, theta), theta)[0]
+    got = _series.polylog_unit(3, theta)
+    assert np.array_equal(got, np.exp(1j * theta) * (np.exp(-1j * theta) * row))
+    assert abs(_series.polylog_unit(3, np.pi) - got[0]) < 1e-14
     with pytest.raises(ValueError, match="theta must be"):
         _series.lerch_singular(3, np.array([np.pi + 1e-9]))
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from trigspec import (
     SmoothnessInfo,
     coefficient_bound,
-    estimate_derivative_variation,
     evaluate,
     harmonic_sum,
     power_decay_cosine,
@@ -20,6 +19,7 @@ from trigspec import (
     signal_to_json,
     true_coefficient,
 )
+from trigspec import _series
 from trigspec.signal_model import HARMONIC_SUM, AnalyticSignal, derivative_values
 
 
@@ -272,6 +272,15 @@ def test_parseval_spot_check():
     assert abs(quad - series) < 1e-9
 
 
+def estimate_derivative_variation(signal, order):
+    """Total variation of the order-th derivative on 2**16 uniform points.
+
+    The estimate converges from below for continuous derivatives.
+    """
+    t = np.linspace(0.0, _series.TWO_PI, 2**16, endpoint=False)
+    return _series.grid_total_variation(derivative_values(signal, order, t))
+
+
 def test_variation_closed_forms_match_grid_estimate():
     # The supplied pi^2/2 for the parity-matched families and the exact
     # single-harmonic value are both reproduced by the grid derivation.
@@ -348,8 +357,11 @@ def test_power_decay_refuses_half_a_smoothness_class(factory, p):
 
 
 def test_parity_mismatch_needs_explicit_smoothness():
-    with pytest.raises(ValueError):
-        power_decay_cosine(3)
+    # The refusal asks for a declared class: a grid estimate of the
+    # variation converges from below, so it is no upper bound.
+    for factory, p in ((power_decay_cosine, 3), (power_decay_sine, 2.5)):
+        with pytest.raises(ValueError, match="declare r and an upper bound on the variation"):
+            factory(p)
     sig = power_decay_cosine(3, r=1, variation=4.1)
     assert sig.smoothness.r == 1
 

@@ -574,17 +574,9 @@ def test_polynomial_interpolates_and_exposes_series():
     sig = power_decay_cosine(4)
     samples = sample(sig, make_grid(8))
     poly = discrete_coeffs(samples)
-    assert np.max(np.abs(poly.eval_on_uniform_grid(17) - samples.values)) < 1e-10
+    assert np.max(np.abs(poly(2.0 * np.pi * np.arange(17) / 17) - samples.values)) < 1e-10
     a0, a, b = poly.fourier_series()
     assert len(a) == 8
-
-
-@pytest.mark.parametrize("points", [2.5, 0, -3])
-def test_polynomial_grid_refuses_a_bad_point_count(points):
-    # 2.5 points used to give 3 values on a grid of spacing 2 pi/2.5.
-    poly = discrete_coeffs(sample(power_decay_cosine(4), make_grid(8)))
-    with pytest.raises(ValueError, match="positive integer"):
-        poly.eval_on_uniform_grid(points)
 
 
 # -- serialization ----------------------------------------------------------------

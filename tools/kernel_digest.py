@@ -14,7 +14,11 @@ swept over ``derivative_values`` of the power-decay cosine and sine at
 p = 2, 2.5, 3, 3.5, 4, 5 and 6 and orders 0..3 wherever p - order > 1 (the
 Bernoulli closed forms, the integer-order polylogarithm and the
 non-integer pole pair), and of the suite's harmonic sums at order 0, at
-seeded points with |t| up to 20, among them 0 and +-pi. The direct DFT
+seeded points with |t| up to 20, among them 0 and +-pi. Those lines are
+kept as they were; 1,005 points fit in one of the polylogarithm's blocks
+of 4096 angles, so every derivative without a Bernoulli closed form is
+also hashed at 10,000 more seeded points, three blocks, as a
+``signal-blocks`` line. The direct DFT
 (``discrete_coeffs``) is swept over seeded unit-normal samples at n = 1..40,
 64, 127, 128, 256, 711, 712, 1024 and 2048: one cached row block of the
 phase table up to n = 127, two from n = 128, 31 at n = 711 (the largest
@@ -81,6 +85,7 @@ SIGNAL_POINTS = np.concatenate((
     [0.0, np.pi, -np.pi, 20.0, -20.0],
     np.random.default_rng(2019).uniform(-20.0, 20.0, 1000),
 ))
+BLOCK_POINTS = np.random.default_rng(4096).uniform(-20.0, 20.0, 10_000)
 
 
 def _sha(values):
@@ -175,6 +180,14 @@ def dft_lines():
         yield f"dft n{n} " + _sha([spectrum.a0, spectrum.a, spectrum.b])
 
 
+def _bernoulli_form(kind, s, order):
+    # The order-th derivative is a cosine series at even orders of the
+    # cosine kind and odd orders of the sine kind; it has a Bernoulli closed
+    # form for an integer s of matching parity (even for the cosine).
+    cosine = (kind == "cos") == (order % 2 == 0)
+    return s == int(s) and s % 2 == (0 if cosine else 1)
+
+
 def signal_lines():
     for p in SIGNAL_POWERS:
         for kind, maker in (("cos", power_decay_cosine), ("sin", power_decay_sine)):
@@ -186,6 +199,13 @@ def signal_lines():
     for name, signal in suite_signals().items():
         if signal.kind == HARMONIC_SUM:
             yield f"signal {name} d0 " + _sha([derivative_values(signal, 0, SIGNAL_POINTS)])
+    for p in SIGNAL_POWERS:
+        for kind, maker in (("cos", power_decay_cosine), ("sin", power_decay_sine)):
+            signal = maker(p, r=0, variation=1.0)
+            for order in SIGNAL_ORDERS:
+                if p - order > 1 and not _bernoulli_form(kind, p - order, order):
+                    values = derivative_values(signal, order, BLOCK_POINTS)
+                    yield f"signal-blocks {kind} p{p} d{order} " + _sha([values])
 
 
 if __name__ == "__main__":
