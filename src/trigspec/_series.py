@@ -17,9 +17,11 @@ guarantees:
   zeta-series expansion (Erdelyi et al., *Higher Transcendental
   Functions* I, 1.11; Crandall, "Note on fast polylogarithm computation",
   2006), for |theta| <= pi: one cached coefficient table per (s, N)
-  (:func:`lerch_coefficients`) and a singular term (:func:`lerch_singular`)
-  combined by one row builder (:func:`lerch_rows`), which both the spline
-  engine and :func:`polylog_unit` (any angle, reduced to [-pi, pi]) call.
+  (:func:`lerch_coefficients`; the spline engine reads its rows 1..N-1,
+  cut to the powers it needs, through :func:`lerch_residue_columns`) and
+  a singular term (:func:`lerch_singular`) combined by one row builder
+  (:func:`lerch_rows`), which both the spline engine and
+  :func:`polylog_unit` (any angle, reduced to [-pi, pi]) call.
 
 Alongside them sit the small primitives every layer shares: the integer
 contract (:func:`integers`, and :func:`integer` for one scalar), the
@@ -384,12 +386,43 @@ def lerch_coefficients(s, N):
     s >= 2 takes any N >= 1; non-integer s > 1 takes N = 1 only. The arrays
     are read-only.
     """
+    return _lerch_table(*_lerch_key(s, N))
+
+
+def _lerch_key(s, N):
+    # The checks of lerch_coefficients; returns the cache key (float(s), N).
     if not 1 < s < math.inf:
         raise ValueError("the Lerch expansion requires s > 1")
     N = integer(N, 1, "N must be an integer >= 1")
     if s != int(s) and N != 1:
         raise ValueError("non-integer s is supported for N = 1 only")
-    return _lerch_table(float(s), N)
+    return float(s), N
+
+
+def lerch_residue_columns(s, N, terms=None):
+    """Rows q = 1..N-1 of :func:`lerch_coefficients`, cut to the powers u^0..u^(terms-1).
+
+    These are the first members of the nonzero residues mod N, the rows
+    the spline engine sums over; ``terms=None`` keeps every power. The
+    cut ``(even, odd, lead)`` are contiguous read-only copies, made once
+    per (s, N, terms); uncut, they are views of the table. s and N are
+    checked as in :func:`lerch_coefficients`.
+    """
+    if terms is not None:
+        terms = integer(terms, 1, "terms must be an integer >= 1")
+    return _residue_columns(*_lerch_key(s, N), terms)
+
+
+@lru_cache(maxsize=64)
+def _residue_columns(s, N, terms):
+    even, odd, lead = _lerch_table(s, N)
+    if terms is None:
+        return even[:-1], odd[:-1], lead[:-1]
+    out = (np.ascontiguousarray(even[:-1, :(terms + 1) // 2]),
+           np.ascontiguousarray(odd[:-1, :terms // 2]), lead[:-1])
+    for arr in out[:2]:
+        arr.setflags(write=False)
+    return out
 
 
 def lerch_singular(s, theta):
@@ -428,10 +461,11 @@ def lerch_rows(columns, sing, theta):
         a^s [sum_r zeta(s-r, a) (i theta)^r / r! + singular term],
 
     which converges geometrically; :func:`lerch_remainder_bound` bounds the
-    terms it drops. `columns` is :func:`lerch_coefficients` of (s, N) or
-    row views of it, and `sing` is :func:`lerch_singular` at the 1-D array
-    `theta`. Returns a complex array with one row per row of `columns` and
-    one column per theta.
+    terms the full table drops. `columns` is :func:`lerch_coefficients` of
+    (s, N) or :func:`lerch_residue_columns`, which may keep fewer powers,
+    and `sing` is :func:`lerch_singular` at the 1-D array `theta`. Returns
+    a complex array with one row per row of `columns` and one column per
+    theta.
     """
     even, odd, lead = columns
     powers = np.empty((even.shape[1] + odd.shape[1], theta.size))

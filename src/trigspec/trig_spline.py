@@ -17,14 +17,17 @@ circle, expanded in powers of the angle of the point within its cell, and
 the sum over the classes is a length-N inverse FFT read at the cell. A
 call sums in whichever order needs fewer of those FFTs: one per distinct
 angle, or, when a call has more distinct angles than the expansion has
-columns (R + 1, R = order + 65), one per column into a cell table of R
-real coefficients and one singular factor per cell, after which each
-point costs O(R). Uniform grids take cells and angles from integers;
-their values — including the node values that define interpolation — and
-scattered values are exact to rounding, with an expansion remainder far
-below it. A truncated coefficient list, with a recorded neglect bound, is
-built on demand only (:meth:`TrigSpline.fourier_series`, the JSON
-document).
+columns (R + 1), one per column into a cell table of R real coefficients
+and one singular factor per cell, after which each point costs O(R).
+Where s = r + 1 is even or the family is signed, the spline is a periodic
+polynomial spline of degree r (knots at the nodes, or at the midpoints
+when signed), the columns above u^r cancel in the sum over the classes,
+and R = r + 1; otherwise R = order + 65. Uniform grids take cells and
+angles from integers; their values — including the node values that
+define interpolation — and scattered values are exact to rounding, with
+an expansion remainder far below it, and none in a polynomial spline.
+A truncated coefficient list, with a recorded neglect bound, is built on
+demand only (:meth:`TrigSpline.fourier_series`, the JSON document).
 
 Work that depends only on the grid, the order and the sign pattern of
 the gains (grid, order, signed) is kept apart from work on the samples:
@@ -158,10 +161,11 @@ def _evaluate(spline, theta, cells):
     # expansion at theta with first member j0 = k or N - k, times
     # e^(2 pi i j0 l/N) e^(-i j0 shift/N); the j0 are the residues 1..N-1,
     # so the sum over them is a length-N inverse FFT. It is taken in
-    # whichever order needs fewer of them: over the R expansion columns and
-    # the singular factor (R + 1 FFTs, then O(R) per point) when there are
-    # more angles than that, else over each angle's expansion rows. Either
-    # way the FFT input holds at most (R + 1) x N entries.
+    # whichever order needs fewer of them: over the R expansion columns
+    # (R = r + 1 for a polynomial spline, else order + 65) and the singular
+    # factor (R + 1 FFTs, then O(R) per point) when there are more angles
+    # than that, else over each angle's expansion rows. Either way the FFT
+    # input holds at most (R + 1) x N entries.
     cfg = spline.config
     N = cfg.grid.N
     spec = spline.spectrum
@@ -170,8 +174,11 @@ def _evaluate(spline, theta, cells):
     w = np.concatenate((table.gains * coeff, (table.mirror_gains * np.conj(coeff))[::-1]))
     if cfg.signed:
         w *= np.exp(-1j * np.pi * np.arange(1, N) / N)
-    # Rows 1..N-1 of the (s, N) table: the first members j0.
-    columns = [part[:-1] for part in _series.lerch_coefficients(cfg.power, N)]
+    # Rows 1..N-1 of the (s, N) table: the first members j0. In a
+    # polynomial spline the sum over j0 cancels every power of theta above
+    # theta^r, so only columns 0..r are kept (the singular factor always
+    # is); other configurations keep all order + 65 columns.
+    columns = _series.lerch_residue_columns(cfg.power, N, cfg.power if _polynomial(cfg) else None)
     sing = _series.lerch_singular(cfg.power, theta)
     R = columns[0].shape[1] + columns[1].shape[1]
     if theta.size > R + 1:
@@ -180,6 +187,14 @@ def _evaluate(spline, theta, cells):
     Z[:, 1:] = _series.lerch_rows(columns, sing, theta).T * w
     Y = np.fft.ifft(Z, norm="forward")      # unscaled: sum_j0 Z e^(2 pi i j0 l/N)
     return np.real(Y[np.arange(theta.size)[:, None], cells]) + 0.5 * spline.a0
+
+
+def _polynomial(cfg):
+    # Where s = r + 1 is even, or the family is signed, the spline is a
+    # periodic polynomial spline of degree r, with knots at the nodes (even
+    # s) or at the midpoints (signed): Golomb, "Approximation by periodic
+    # spline interpolants on uniform meshes", 1968.
+    return cfg.power % 2 == 0 or cfg.signed
 
 
 def _cell_table_sum(columns, w, sing, theta, cells):
@@ -219,14 +234,16 @@ def spline_eval(spline, t):
     pi; the sum over first members is then one inverse FFT of the
     :func:`_series.lerch_rows` at theta of rows j0 = 1..N-1 of the (s, N)
     table :func:`_series.lerch_coefficients`, read at cell l. With more
-    points than the expansion has columns (R + 1, R = order + 65) the sum
-    runs the other way: one inverse FFT per column of that table and one
-    for the singular factor builds a table of R + 1 coefficients per cell,
-    and each point sums the R powers of theta/pi at its cell plus the
-    singular term, O(R) per point whatever N is. Every factor lies in the
-    float range at any order. The error beyond rounding is
-    :func:`scattered_eval_bound`, for every order and every point and
-    either order of the sum; it does not depend on ``tail_tol``.
+    points than the expansion has columns (R + 1; R = r + 1 where s is
+    even or the family is signed, whose spline is a polynomial spline of
+    degree r, else order + 65) the sum runs the other way: one inverse
+    FFT per column of that table and one for the singular factor builds a
+    table of R + 1 coefficients per cell, and each point sums the R powers
+    of theta/pi at its cell plus the singular term, O(R) per point
+    whatever N is. Every factor lies in the float range at any order. The
+    error beyond rounding is :func:`scattered_eval_bound`, for every order
+    and every point and either order of the sum; it does not depend on
+    ``tail_tol``.
     """
     t_arr = _series.finite_points(t)
     cfg = spline.config
@@ -241,13 +258,20 @@ def scattered_eval_bound(spline):
     """Guaranteed absolute accuracy of every spline value, rounding excluded.
 
     It holds for :func:`spline_eval` and :func:`values_on_uniform_grid`
-    alike, at every point. The Lerch sum of first member j0 carries at most
-    (j0/N)^s times :func:`_series.lerch_remainder_bound` of neglected
-    expansion terms, so each branch of class k adds alpha_k (k/N)^s
-    |a*_k - i b*_k| times it.
+    alike, at every point. Where s is even or the family is signed, the
+    spline is a periodic polynomial spline of degree r: on each cell it is
+    a polynomial in theta plus the singular term, so the sum over first
+    members of every expansion column above theta^r is exactly zero. The
+    engine cuts the rows there, which drops terms that are not small row
+    by row but cancel in that sum, so the bound is 0.0. Elsewhere the
+    Lerch sum of first member j0 carries at most (j0/N)^s times
+    :func:`_series.lerch_remainder_bound` of neglected expansion terms, so
+    each branch of class k adds alpha_k (k/N)^s |a*_k - i b*_k| times it.
     """
     spec = spline.spectrum
     cfg = spline.config
+    if _polynomial(cfg):
+        return 0.0
     k = np.arange(1, cfg.grid.n + 1)
     weight = np.abs(class_table(cfg).gains) * _series.ratio_power(k, cfg.grid.N, cfg.power)
     mass = 2.0 * np.sum(weight * np.hypot(spec.a, spec.b))
@@ -262,7 +286,8 @@ def values_on_uniform_grid(spline, points):
     family) and G = points, so cell l = round(num/2G) and theta = pi (num -
     2Gl)/G are exact. Point g shares its angle with g + P, P = G/gcd(N, G),
     so only P angles are expanded; at G = N all nodes share one. Up to
-    R + 1 angles (R = order + 65) the sum over first members runs angle by
+    R + 1 angles (R = r + 1 for a polynomial spline, else order + 65, as
+    in :func:`spline_eval`) the sum over first members runs angle by
     angle, one FFT each; beyond that through the cell table of
     :func:`spline_eval`, R + 1 FFTs in all. The error beyond rounding is
     :func:`scattered_eval_bound`.

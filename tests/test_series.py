@@ -233,6 +233,25 @@ def test_lerch_series_is_its_coefficients_and_singular_term(s, N):
     assert np.max(np.abs(first - got[:1])) <= 1e-15 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("terms", [None, 1, 2, 3, 4, 7, 500])
+def test_lerch_residue_columns_are_the_tables_first_powers(terms):
+    # Rows 1..N-1 of the (s, N) table, powers u^0..u^(terms-1): every
+    # power at terms=None (views of the table) or past the table's count.
+    even, odd, lead = _series.lerch_coefficients(4, 9)
+    got = _series.lerch_residue_columns(4, 9, terms)
+    width = terms or even.shape[1] + odd.shape[1]
+    assert np.array_equal(got[0], even[:-1, :(width + 1) // 2])
+    assert np.array_equal(got[1], odd[:-1, :width // 2])
+    assert np.array_equal(got[2], lead[:-1])
+    for arr in got:
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+    assert _series.lerch_residue_columns(4.0, 9.0, terms)[0] is got[0]    # cached
+    with pytest.raises(ValueError, match="terms must be"):
+        _series.lerch_residue_columns(4, 9, 0)
+    with pytest.raises(ValueError, match="requires s > 1"):
+        _series.lerch_residue_columns(1, 9, terms)
+
+
 def test_lerch_coefficients_and_singular_term_validation():
     # NaN and inf used to reach int(s) and raise its ValueError or OverflowError.
     for s in (1, np.nan, np.inf, -np.inf):

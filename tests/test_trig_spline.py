@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import make_interp_spline
 
 from trigspec import (
     DiscreteSpectrum,
@@ -35,6 +36,7 @@ from trigspec import (
     unfolded_spectrum,
     values_on_uniform_grid,
 )
+from trigspec import _series
 from trigspec.trig_spline import scattered_eval_bound, series_truncation
 
 from loglog import fit_loglog_slope
@@ -171,6 +173,42 @@ def test_scattered_eval_matches_exact_grid_values():
     t = 2 * np.pi * np.arange(G) / G
     approx = spline_eval(spl, t)
     assert np.max(np.abs(exact - approx)) <= scattered_eval_bound(spl) + 1e-13
+
+
+def test_scattered_bound_is_zero_for_polynomial_splines():
+    # Even s (odd r) or the signed family: the engine keeps columns 0..r,
+    # and the columns it drops cancel in the sum over first members.
+    # Abs-sinc and inverse power at even r keep the Lerch remainder.
+    sig = power_decay_cosine(6)
+    for r, variant in ((1, "abs-sinc"), (3, "inv-power"), (5, "sinc"), (2, "sinc"), (4, "sinc")):
+        spl, _ = spline_of(sig, 8, r, variant)
+        assert scattered_eval_bound(spl) == 0.0, (r, variant)
+    for r, variant in ((2, "abs-sinc"), (2, "inv-power"), (10, "abs-sinc")):
+        spl, c = spline_of(sig, 8, r, variant)
+        k = np.arange(1, c.grid.n + 1)
+        weight = np.abs(class_table(c).gains) * (k / c.grid.N) ** c.power
+        mass = 2.0 * np.sum(weight * np.hypot(spl.spectrum.a, spl.spectrum.b))
+        want = mass * _series.lerch_remainder_bound(c.power)
+        assert 0.0 < scattered_eval_bound(spl) == pytest.approx(want, rel=1e-12), (r, variant)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=64), st.sampled_from([1, 3, 5, 7]),
+       st.sampled_from(["sinc", "abs-sinc", "inv-power"]), st.integers(0, 2**32 - 1))
+def test_odd_order_spline_is_scipys_periodic_interpolating_spline(n, r, variant, seed):
+    # At even s = r + 1 every family gives the periodic spline of degree r
+    # with knots at the nodes that interpolates the samples; SciPy builds
+    # it from B-splines on the N + 1 knots, the first sample repeated at
+    # 2 pi.
+    c = cfg(n, r, variant)
+    rng = np.random.default_rng(seed)
+    samples = SampleVector(c.grid, rng.standard_normal(c.grid.N))
+    spl = build_spline(samples, c)
+    x = np.append(c.grid.nodes, 2 * np.pi)
+    y = np.append(samples.values, samples.values[0])
+    oracle = make_interp_spline(x, y, k=r, bc_type="periodic")
+    t = rng.uniform(0.0, 2 * np.pi, 200)
+    assert np.max(np.abs(spline_eval(spl, t) - oracle(t))) <= 1e-13 * np.max(np.abs(samples.values))
 
 
 @pytest.mark.parametrize("variant", ["sinc", "abs-sinc", "inv-power"])

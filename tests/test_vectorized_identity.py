@@ -267,8 +267,10 @@ def test_scattered_eval_matches_uniform_grid_values(data):
 @given(st.data())
 def test_both_contraction_orders_match_hurwitz_fold(data):
     # The sum over residues runs per angle for up to R + 1 distinct angles
-    # and through the cell table (R + 1 FFTs) beyond; P sits just below, at
-    # and just above the switch, for grids and for scattered points alike.
+    # and through the cell table (R + 1 FFTs) beyond, R the number of
+    # expansion columns the engine sums (r + 1 for a polynomial spline);
+    # P sits just below, at and just above the switch, for grids and for
+    # scattered points alike.
     n = data.draw(st.integers(min_value=1, max_value=64))
     order = data.draw(st.integers(min_value=1, max_value=200))
     config = KernelConfig(grid=make_grid(n), order=order, variant=data.draw(st.sampled_from(VARIANTS)))
@@ -276,7 +278,7 @@ def test_both_contraction_orders_match_hurwitz_fold(data):
     spline = build_from(spectrum, config)
     N = config.grid.N
     even, odd, _ = _series.lerch_coefficients(config.power, N)
-    R = even.shape[1] + odd.shape[1]
+    R = config.power if config.power % 2 == 0 or config.signed else even.shape[1] + odd.shape[1]
     P = R + 1 + data.draw(st.sampled_from([-1, 0, 1]))
     # G = P d with d a divisor of N and N/d prime to P, so G/gcd(N, G) = P.
     d = data.draw(st.sampled_from([d for d in range(1, N + 1) if N % d == 0]))
@@ -297,6 +299,37 @@ def test_both_contraction_orders_match_hurwitz_fold(data):
     # t = 2 pi g/G is rounded, which moves a value by up to about n^2 eps size.
     bound = trig_spline.scattered_eval_bound(spline)
     assert np.max(np.abs(scattered - on_grid[g])) <= bound + 1e-13 * max(1.0, size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_polynomial_splines_need_no_columns_above_r(data):
+    # The engine keeps expansion columns 0..r where s is even or the family
+    # is signed. With every column kept, the cell table's columns above r
+    # read rounding there and only there: in the other families at
+    # order <= 10 some column above r stands above it.
+    n = data.draw(st.integers(min_value=1, max_value=64))
+    order = data.draw(st.one_of(st.integers(min_value=1, max_value=10),
+                                st.integers(min_value=11, max_value=200)))
+    config = KernelConfig(grid=make_grid(n), order=order, variant=data.draw(st.sampled_from(VARIANTS)))
+    spectrum = data.draw(spectra(config.grid))
+    N = config.grid.N
+    table = class_table(config)
+    coeff = spectrum.a - 1j * spectrum.b
+    w = np.concatenate((table.gains * coeff, (table.mirror_gains * np.conj(coeff))[::-1]))
+    if config.signed:
+        w *= np.exp(-1j * np.pi * np.arange(1, N) / N)
+    even, odd, _ = _series.lerch_residue_columns(config.power, N)
+    R = even.shape[1] + odd.shape[1]
+    Z = np.zeros((R, N), dtype=complex)
+    Z[0::2, 1:] = even.T * w
+    Z[1::2, 1:] = odd.T * (1j * w)
+    above = np.abs(np.fft.ifft(Z, norm="forward").real[order + 1:])
+    limit = 4 * np.finfo(float).eps * np.sum(np.abs(w))
+    if config.power % 2 == 0 or config.signed:
+        assert np.all(above <= limit)
+    elif order <= 10 and np.any(w != 0):
+        assert np.any(above > limit)
 
 
 @settings(max_examples=80, deadline=None)

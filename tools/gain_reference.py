@@ -52,10 +52,11 @@ CONFIGS = (
     *((64, 200, variant) for variant in VARIANTS),
 )
 # (n, order, variant, G): G = N, 3N and a coprime 64 at n = 8, N and 64 at
-# n = 16, then n = 64 at high order; each has at most 64 distinct angles,
-# which evaluation sums angle by angle. Then G = 256 at n = 8, and at
-# n = 64, order 150: 256 angles, more than the Lerch expansion's order + 66
-# columns, so these take the cell table.
+# n = 16, n = 64 at high order, G = 256 at n = 8 and at n = 64, order 150,
+# and G = 512 at n = 8 for two spline files of tools/cli_digest.py.
+# Evaluation sums angle by angle up to R + 1 distinct angles and through the
+# cell table beyond, with R = order + 1 expansion columns where s = order + 1
+# is even or the family is signed, else R = order + 65.
 GRID_CONFIGS = (
     *((8, order, variant, G) for G in (17, 51, 64) for order in (1, 2, 3, 10, 40)
       for variant in VARIANTS),
@@ -64,6 +65,8 @@ GRID_CONFIGS = (
     *((64, order, variant, 64) for order in (3, 150, 200) for variant in VARIANTS),
     *((8, order, variant, 256) for order in (1, 2, 3, 10, 40) for variant in VARIANTS),
     *((64, 150, variant, 256) for variant in VARIANTS),
+    (8, 1, "inv-power", 512),
+    (8, 2, "sinc", 512),
 )
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 

@@ -75,8 +75,9 @@ POWERS = (2.0, 2.5, 3.0, 4.0, 6.0)
 SPLINE_SIZES = (*range(1, 17), 64)
 SPLINE_ORDERS = (*range(1, 13), 40, 100, 150)
 EVAL_GRIDS = (64, 1000)   # besides the spline's own N nodes
-# Fewer points than the Lerch expansion has columns (order + 66) are summed
-# angle by angle; more go through the cell table.
+# Up to R + 1 points are summed angle by angle and more through the cell
+# table, with R = order + 1 expansion columns where s = order + 1 is even or
+# the family is signed, else R = order + 65.
 SCATTER_POINTS = (32, 512)
 DFT_SIZES = (*range(1, 41), 64, 127, 128, 256, 711, 712, 1024, 2048)
 SIGNAL_POWERS = (2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0)
