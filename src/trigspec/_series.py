@@ -122,6 +122,11 @@ def alias_fold(j, N):
     validation: j are integers (a negative j folds by its residue mod N)
     and N is odd.
     """
+    return _alias_fold(j, N)
+
+
+def _alias_fold(j, N):
+    # alias_fold's body, for cached builders (see _ratio_power).
     res = np.mod(j, N)
     k = np.minimum(res, N - res)
     return k, np.where(res > N // 2, -1.0, 1.0)
@@ -142,9 +147,10 @@ def ratio_power(a, b, x):
 
 
 def _ratio_power(a, b, x):
-    # ratio_power's body. The cached _lerch_table calls it directly, so a
-    # table built on a cache miss adds no public calls: the benchmark's
-    # traced call counts must not depend on cache state.
+    # ratio_power's body. Cached builders (_lerch_table here, the class
+    # table and the spline's plans elsewhere) call bodies like this one
+    # directly, so a table built on a cache miss adds no public calls: the
+    # benchmark's traced call counts must not depend on cache state.
     if x > 1000:
         times, rest = divmod(x, 1000)
         return np.power(_ratio_power(a, b, 1000), times) * _ratio_power(a, b, rest)
@@ -439,6 +445,11 @@ def lerch_singular(s, theta):
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.ndim != 1 or not (np.abs(theta) <= np.pi).all():
         raise ValueError("theta must be a 1-D array of angles in [-pi, pi]")
+    return _lerch_singular(s, theta)
+
+
+def _lerch_singular(s, theta):
+    # lerch_singular's body, for a 1-D float array of angles in [-pi, pi].
     # The pole pair of _pole_pair also carries the coefficient of
     # (i theta)^(round(s)-1).
     m = (int(s) if s == int(s) else _pole_constants(s)[0]) - 1
@@ -467,6 +478,11 @@ def lerch_rows(columns, sing, theta):
     a complex array with one row per row of `columns` and one column per
     theta.
     """
+    return _lerch_rows(columns, sing, theta)
+
+
+def _lerch_rows(columns, sing, theta):
+    # lerch_rows' body.
     even, odd, lead = columns
     powers = np.empty((even.shape[1] + odd.shape[1], theta.size))
     powers[0] = 1.0

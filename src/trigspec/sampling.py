@@ -23,13 +23,18 @@ from . import _kernels, _series
 from ._wire import csv_text
 
 
+# Largest grid parameter: N = 2n + 1 <= 2^25 + 1 nodes, whose node array
+# takes 256 MiB. Larger n is refused before anything is allocated.
+_MAX_N = 2**24
+
+
 class UniformGrid:
-    """N = 2n+1 equally spaced nodes on [0, 2*pi), starting at 0."""
+    """N = 2n+1 equally spaced nodes on [0, 2*pi), starting at 0; n is an integer in 1..2^24."""
 
     __slots__ = ("n", "N", "nodes")
 
     def __init__(self, n):
-        self.n = _series.integer(n, 1, "grid parameter n must be an integer >= 1")
+        self.n = _series.integer(n, 1, "grid parameter n must be an integer >= 1", _MAX_N)
         self.N = 2 * self.n + 1
         nodes = 2.0 * np.pi * np.arange(self.N) / self.N
         nodes.setflags(write=False)
@@ -46,7 +51,11 @@ class UniformGrid:
 
 
 def make_grid(n):
-    """Grid with N = 2n+1 nodes; the only grid shape the package supports."""
+    """Grid with N = 2n+1 nodes; the only grid shape the package supports.
+
+    n is an integer in 1..2^24; a larger n is refused with ValueError
+    before its nodes are allocated.
+    """
     return UniformGrid(n)
 
 
@@ -147,10 +156,16 @@ def extended_coefficient(spectrum, j):
     either way.
     """
     j = _series.integers(j, 1, "extended index must be an integer >= 1")
-    k, sin_sign = _series.alias_fold(j, spectrum.grid.N)
+    a, b = _folded_coefficient(spectrum, *_series.alias_fold(j, spectrum.grid.N))
+    return (a, b) if np.ndim(j) else (float(a), float(b))
+
+
+def _folded_coefficient(spectrum, k, sin_sign):
+    # extended_coefficient's body, for indices already folded to their
+    # class k and sine sign; the spline's coefficient law keeps that fold.
     a = np.concatenate(([spectrum.a0], spectrum.a))[k]
     b = sin_sign * np.concatenate(([0.0], spectrum.b))[k]
-    return (a, b) if np.ndim(j) else (float(a), float(b))
+    return a, b
 
 
 # -- CSV wire format ------------------------------------------------------

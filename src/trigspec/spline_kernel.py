@@ -102,7 +102,12 @@ def raw_gain(j, config):
     array; a scalar gives a float, an array an array of its shape.
     """
     idx = _series.integers(j, 0, "harmonic index must be >= 0")
-    j = np.atleast_1d(idx).astype(float)
+    out = _raw_gain(np.atleast_1d(idx).astype(float), config)
+    return out if np.ndim(idx) else float(out[0])
+
+
+def _raw_gain(j, config):
+    # raw_gain's body, on a float array of checked indices.
     s = config.power
     N = config.grid.N
     if config.variant is FilterVariant.INVERSE_POWER:
@@ -121,7 +126,7 @@ def raw_gain(j, config):
         if config.signed:
             flips = np.where((j // N) % 2 == 1, -1.0, 1.0)
             out = out * flips
-    return out if np.ndim(idx) else float(out[0])
+    return out
 
 
 def _branch_tails(s, N, signed, k, m_start=1):
@@ -140,7 +145,8 @@ def _branch_tails(s, N, signed, k, m_start=1):
 
 def _member_ratios(j, k, s, N, signed):
     # eps_j (k/j)^s for members j of classes k >= 1: alpha_j / alpha_k.
-    out = _series.ratio_power(k, j, s)
+    # It runs inside cached builders, so it calls the body of ratio_power.
+    out = _series._ratio_power(k, j, s)
     if signed:
         out = np.where((j // N) % 2 == 1, -out, out)
     return out
@@ -233,14 +239,23 @@ def gain(j, config):
     """
     j_in = _series.integers(j, 1, "gain is defined for integer harmonic indices j >= 1")
     j = np.atleast_1d(j_in)
-    ct = class_table(config)
+    k, _ = _series.alias_fold(j, config.grid.N)
+    out = _folded_gain(j, k, config)
+    return out if np.ndim(j_in) else float(out[0])
+
+
+def _folded_gain(j, k, config):
+    # gain's body: the gains of the int64 indices j, whose alias classes k
+    # are already folded. The spline's cached coefficient law calls it with
+    # the fold it keeps, so the gains have the same bits either way and a
+    # law built on a cache miss adds no public calls.
+    ct = _class_table(*_table_key(config))
     N = config.grid.N
-    k, _ = _series.alias_fold(j, N)
     dc = k == 0
     out = _member_ratios(j, k, config.power, N, config.signed) * ct.gains[np.maximum(k, 1) - 1]
     if np.any(dc):
-        out[dc] = raw_gain(j[dc], config) / _dc_sum(N, config.power, config.variant)
-    return out if np.ndim(j_in) else float(out[0])
+        out[dc] = _raw_gain(j[dc].astype(float), config) / _dc_sum(N, config.power, config.variant)
+    return out
 
 
 def filter_response(config, j_max):

@@ -33,20 +33,51 @@ Work that depends only on the grid, the order and the sign pattern of
 the gains (grid, order, signed) is kept apart from work on the samples:
 the class table of :func:`~trigspec.spline_kernel.class_table` is
 computed once per such triple, so gain families with the same signs share
-one table and give bit-identical splines.
+one table and give bit-identical splines. Two plans carry this further,
+so that a spline's own work is a gather, a product and its FFTs:
+
+- the coefficient law of j = 1..J (gains, alias classes, sine signs and
+  the constant-class mask, from one fold), keyed on (grid, order, variant,
+  J) and shared across ``tail_tol``, read by :func:`unfolded_spectrum` and
+  so by the truncated series, the JSON document and the curvature
+  functional;
+- the angle plan of a uniform grid of G points (angles, cells, singular
+  factors and, when the sum runs angle by angle, the expansion rows),
+  keyed on (grid, order, signed, G), read by :func:`values_on_uniform_grid`.
+
+A plan is stored only when its arrays hold at most 16 KiB; larger ones
+(J = 2^18, G = 2^14, the quadrature grids) are built the same way on every
+call, laws of more than 2^14 indices in blocks of 2^14. Each kind keeps
+its 64 most recently used plans, so the two hold at most 2 MiB. Plans are
+read-only, every returned array is fresh, and a value has the same bits
+whether its plan was stored or built for the call.
 """
 
 import json
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _series
-from .sampling import DiscreteSpectrum, discrete_coeffs, extended_coefficient, make_grid
+from . import _series, sampling, spline_kernel
+from .sampling import DiscreteSpectrum, discrete_coeffs, make_grid
 from .spline_kernel import FilterVariant, KernelConfig, class_table, filter_response, gain
 
 _REPRESENTATION_CAP = 64     # largest L in the series truncation J = L*N
+# Largest j_max and uniform-grid size. It covers the longest series the
+# package builds (64 N at the largest grid, N = 2^25 + 1), and keeps the
+# grid's angle numerators 2 N g + G below (2 N + 1) G < 2^59, inside int64.
+_MAX_SIZE = 2**32
+# The plans of one configuration and size are kept when their arrays hold
+# at most _PLAN_BYTES, at most _PLAN_ENTRIES of each kind: the two caches
+# hold at most 2 x 64 x 16 KiB = 2 MiB.
+_PLAN_BYTES = 1 << 14
+_PLAN_ENTRIES = 64
+# Longest coefficient law built in one piece; unfolded_spectrum builds
+# longer ones (such as the 2^18 rows of the variation estimate) in blocks.
+_LAW_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,18 +115,67 @@ class TrigSpline:
         return self.a0, ca, cb
 
 
-def _law_coefficients(config, spectrum, js):
+class _PlanCache:
+    # Read-only plans by key, least recently used out first. A plan whose
+    # arrays hold more than _PLAN_BYTES is built on every call and not
+    # stored. Builders call private bodies only, so a plan built on a miss
+    # adds no public calls: the benchmark's traced call counts must not
+    # depend on cache state.
+
+    def __init__(self, build):
+        self._build = build
+        self._plans = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __call__(self, key, *args):
+        with self._lock:
+            plan = self._plans.get(key)
+            if plan is not None:
+                self._plans.move_to_end(key)
+                return plan
+        plan = self._build(*args)
+        arrays = [arr for arr in plan if arr is not None]
+        for arr in arrays:
+            arr.setflags(write=False)
+        if sum(arr.nbytes for arr in arrays) <= _PLAN_BYTES:
+            with self._lock:
+                self._plans[key] = plan
+                if len(self._plans) > _PLAN_ENTRIES:
+                    self._plans.popitem(last=False)
+        return plan
+
+    def cache_clear(self):
+        with self._lock:
+            self._plans.clear()
+
+
+def _law(config, js):
+    # The coefficient law of the int64 indices js, from one fold: the gains,
+    # the alias classes k, the sine signs and the constant-class mask.
+    k, sin_sign = _series._alias_fold(js, config.grid.N)
+    return spline_kernel._folded_gain(js, k, config), k, sin_sign, k == 0
+
+
+# Keyed on (N, order, variant, J): the law of j = 1..J, shared across tail_tol.
+_LAW_PLANS = _PlanCache(_law)
+
+
+def _law_coefficients(law, spectrum):
     """Coefficients (a_hat_j, b_hat_j) = gain * extended discrete coefficient.
 
     The one code path of every coefficient query, so the coefficient law
     holds as the same floating-point expression everywhere. The constant
-    class (j a multiple of N) carries zero.
+    class (j a multiple of N) carries zero. `law` is :func:`_law` of the
+    indices; the discrete coefficients are read through its fold, into
+    fresh arrays that take the product in place, so an unstored law of
+    many indices needs no temporaries beside the ones it holds.
     """
-    js = np.asarray(js, dtype=np.int64)
-    gains = gain(js, config)
-    ea, eb = extended_coefficient(spectrum, js)
-    dc = js % config.grid.N == 0
-    return np.where(dc, 0.0, gains * ea), np.where(dc, 0.0, gains * eb)
+    gains, k, sin_sign, dc = law
+    coefficients = sampling._folded_coefficient(spectrum, k, sin_sign)
+    for c in coefficients:
+        c *= gains
+        c[dc] = 0.0
+    return coefficients
 
 
 def series_truncation(spline):
@@ -154,18 +234,20 @@ def build_spline(samples, config):
 # -- evaluation -------------------------------------------------------------
 
 
-def _evaluate(spline, theta, cells):
+def _evaluate(spline, plan, columns):
     # Values at x = N t + shift = 2 pi l + theta (shift pi for the signed
     # family) for P distinct angles |theta| <= pi and a (P, d) array of
-    # cells l mod N. Class k's members on each branch sum to a Lerch
-    # expansion at theta with first member j0 = k or N - k, times
-    # e^(2 pi i j0 l/N) e^(-i j0 shift/N); the j0 are the residues 1..N-1,
-    # so the sum over them is a length-N inverse FFT. It is taken in
-    # whichever order needs fewer of them: over the R expansion columns
-    # (R = r + 1 for a polynomial spline, else order + 65) and the singular
-    # factor (R + 1 FFTs, then O(R) per point) when there are more angles
-    # than that, else over each angle's expansion rows. Either way the FFT
-    # input holds at most (R + 1) x N entries.
+    # cells l mod N, both from the plan (:func:`_angle_plan`). Class k's
+    # members on each branch sum to a Lerch expansion at theta with first
+    # member j0 = k or N - k, times e^(2 pi i j0 l/N) e^(-i j0 shift/N); the
+    # j0 are the residues 1..N-1, so the sum over them is a length-N inverse
+    # FFT. It is taken in whichever order needs fewer of them: over the R
+    # expansion columns (R = r + 1 for a polynomial spline, else order + 65)
+    # and the singular factor (R + 1 FFTs, then O(R) per point) when there
+    # are more angles than that, else over each angle's expansion rows,
+    # which the plan then holds. Either way the FFT input holds at most
+    # (R + 1) x N entries.
+    theta, cells, sing, rows = plan
     cfg = spline.config
     N = cfg.grid.N
     spec = spline.spectrum
@@ -174,19 +256,46 @@ def _evaluate(spline, theta, cells):
     w = np.concatenate((table.gains * coeff, (table.mirror_gains * np.conj(coeff))[::-1]))
     if cfg.signed:
         w *= np.exp(-1j * np.pi * np.arange(1, N) / N)
+    if rows is None:
+        return _cell_table_sum(columns, w, sing, theta, cells) + 0.5 * spline.a0
+    Z = np.zeros((theta.size, N), dtype=complex)
+    Z[:, 1:] = rows * w
+    Y = np.fft.ifft(Z, norm="forward")      # unscaled: sum_j0 Z e^(2 pi i j0 l/N)
+    return np.real(Y[np.arange(theta.size)[:, None], cells]) + 0.5 * spline.a0
+
+
+def _columns(cfg):
     # Rows 1..N-1 of the (s, N) table: the first members j0. In a
     # polynomial spline the sum over j0 cancels every power of theta above
     # theta^r, so only columns 0..r are kept (the singular factor always
     # is); other configurations keep all order + 65 columns.
-    columns = _series.lerch_residue_columns(cfg.power, N, cfg.power if _polynomial(cfg) else None)
-    sing = _series.lerch_singular(cfg.power, theta)
+    terms = cfg.power if _polynomial(cfg) else None
+    return _series.lerch_residue_columns(cfg.power, cfg.grid.N, terms)
+
+
+def _angle_plan(power, columns, theta, cells):
+    # What evaluation at the distinct angles theta and the cells needs
+    # besides the samples: both of them, the singular factor at each angle
+    # and, when the sum runs angle by angle, the (P, N-1) expansion rows.
+    sing = _series._lerch_singular(power, theta)
     R = columns[0].shape[1] + columns[1].shape[1]
-    if theta.size > R + 1:
-        return _cell_table_sum(columns, w, sing, theta, cells) + 0.5 * spline.a0
-    Z = np.zeros((theta.size, N), dtype=complex)
-    Z[:, 1:] = _series.lerch_rows(columns, sing, theta).T * w
-    Y = np.fft.ifft(Z, norm="forward")      # unscaled: sum_j0 Z e^(2 pi i j0 l/N)
-    return np.real(Y[np.arange(theta.size)[:, None], cells]) + 0.5 * spline.a0
+    rows = None if theta.size > R + 1 else _series._lerch_rows(columns, sing, theta).T
+    return theta, cells, sing, rows
+
+
+def _grid_plan(N, signed, G, power, columns):
+    # The angle plan of the uniform grid of G points (see
+    # values_on_uniform_grid): P = G/gcd(N, G) angles, and the cells as a
+    # (P, G/P) array whose column c holds points cP..cP + P - 1.
+    P = G // math.gcd(N, G)
+    num = 2 * N * np.arange(G) + (G if signed else 0)
+    cells = (num + G) // (2 * G)
+    theta = np.pi * ((num[:P] - 2 * G * cells[:P]) / G)
+    return _angle_plan(power, columns, theta, (cells % N).reshape(-1, P).T)
+
+
+# Keyed on (N, order, signed, G).
+_GRID_PLANS = _PlanCache(_grid_plan)
 
 
 def _polynomial(cfg):
@@ -250,7 +359,8 @@ def spline_eval(spline, t):
     x = cfg.grid.N * _series.reduce_angle(t_arr.ravel()) + (np.pi if cfg.signed else 0.0)
     theta = _series.reduce_angle(x + np.pi) - np.pi
     cells = np.rint((x - theta) / _series.TWO_PI).astype(np.int64) % cfg.grid.N
-    out = _evaluate(spline, theta, cells[:, None])[:, 0]
+    columns = _columns(cfg)
+    out = _evaluate(spline, _angle_plan(cfg.power, columns, theta, cells[:, None]), columns)[:, 0]
     return out.reshape(t_arr.shape) if t_arr.ndim else float(out[0])
 
 
@@ -291,14 +401,20 @@ def values_on_uniform_grid(spline, points):
     angle, one FFT each; beyond that through the cell table of
     :func:`spline_eval`, R + 1 FFTs in all. The error beyond rounding is
     :func:`scattered_eval_bound`.
+
+    Everything but the samples' part is the grid's angle plan, kept per
+    (grid, order, signed, G) when it holds at most 16 KiB (64 plans, 1 MiB
+    at most; larger ones are built on each call, with the same bits): the
+    P angles, the cells, the singular factor at each angle and, summed
+    angle by angle, the (P, N-1) expansion rows. `points` is an integer in
+    1..2^32, refused with ValueError before anything is allocated.
     """
-    G = _series.integer(points, 1, "points must be a positive integer")
-    N = spline.config.grid.N
-    P = G // math.gcd(N, G)
-    num = 2 * N * np.arange(G) + (G if spline.config.signed else 0)
-    cells = (num + G) // (2 * G)
-    theta = np.pi * ((num[:P] - 2 * G * cells[:P]) / G)
-    return _evaluate(spline, theta, (cells % N).reshape(-1, P).T).T.ravel()
+    G = _series.integer(points, 1, "points must be an integer in 1..4294967296", _MAX_SIZE)
+    cfg = spline.config
+    N = cfg.grid.N
+    columns = _columns(cfg)
+    plan = _GRID_PLANS((N, cfg.order, cfg.signed, G), N, cfg.signed, G, cfg.power, columns)
+    return _evaluate(spline, plan, columns).T.ravel()
 
 
 # -- spectrum queries -------------------------------------------------------
@@ -312,14 +428,36 @@ def spline_fourier_coeff(spline, j):
     (multiples of N) return (0, 0) — that class enters only via a0.
     """
     j = _series.integer(j, 1, "coefficient index must be an integer >= 1")
-    ca, cb = _law_coefficients(spline.config, spline.spectrum, np.atleast_1d(j))
+    law = _law(spline.config, np.array([j], dtype=np.int64))
+    ca, cb = _law_coefficients(law, spline.spectrum)
     return float(ca[0]), float(cb[0])
 
 
 def unfolded_spectrum(spline, j_max):
-    """Rows (j, a_hat_j, b_hat_j) for j = 1..j_max, beyond the band included."""
-    js = np.arange(1, _series.integer(j_max, 1, "j_max must be a positive integer") + 1)
-    ca, cb = _law_coefficients(spline.config, spline.spectrum, js)
+    """Rows (j, a_hat_j, b_hat_j) for j = 1..j_max, beyond the band included.
+
+    The coefficient law of j = 1..j_max (gains, alias classes, sine signs
+    and the constant-class mask) is a plan kept per (grid, order, variant,
+    j_max), whatever ``tail_tol`` is, when it holds at most 16 KiB (64
+    plans, 1 MiB at most), so a spline's rows cost a gather and a product.
+    Larger laws are built on each call with the same bits, beyond 2^14
+    rows in blocks of 2^14. `j_max` is an integer in 1..2^32, refused with
+    ValueError before anything is allocated.
+    """
+    J = _series.integer(j_max, 1, "j_max must be an integer in 1..4294967296", _MAX_SIZE)
+    cfg = spline.config
+    js = np.arange(1, J + 1)
+    if J <= _LAW_BLOCK:
+        law = _LAW_PLANS((cfg.grid.N, cfg.order, cfg.variant, J), cfg, js)
+        ca, cb = _law_coefficients(law, spline.spectrum)
+        return js, ca, cb
+    # A longer law is far above the plans' budget; built block by block,
+    # it holds no more than one block's fold and gains at a time.
+    ca = np.empty(J)
+    cb = np.empty(J)
+    for start in range(0, J, _LAW_BLOCK):
+        at = slice(start, start + _LAW_BLOCK)
+        ca[at], cb[at] = _law_coefficients(_law(cfg, js[at]), spline.spectrum)
     return js, ca, cb
 
 

@@ -73,7 +73,7 @@ def _rows(j):
 # (site, call of the integer argument x, lowest, highest or None, message,
 # whether the site takes an index array).
 SITES = [
-    ("UniformGrid n", make_grid, 1, None, "grid parameter n must be an integer >= 1", False),
+    ("UniformGrid n", make_grid, 1, 2**24, "grid parameter n must be an integer >= 1", False),
     ("extended_coefficient j", lambda x: extended_coefficient(SPECTRUM, x), 1, None,
      "extended index must be an integer >= 1", True),
     ("SmoothnessInfo r", lambda x: SmoothnessInfo(r=x, variation=1.0), 0, None,
@@ -108,12 +108,12 @@ SITES = [
      "class representative k must lie in 1..n", False),
     ("class_partition_terms m_terms", lambda x: class_partition_terms(1, CONFIG, x), 0, 10**6,
      "m_terms must be an integer in 0..1000000", False),
-    ("values_on_uniform_grid points", lambda x: values_on_uniform_grid(SPLINE, x), 1, None,
-     "points must be a positive integer", False),
+    ("values_on_uniform_grid points", lambda x: values_on_uniform_grid(SPLINE, x), 1, 2**32,
+     "points must be an integer in 1..4294967296", False),
     ("spline_fourier_coeff j", lambda x: spline_fourier_coeff(SPLINE, x), 1, None,
      "coefficient index must be an integer >= 1", False),
-    ("unfolded_spectrum j_max", lambda x: unfolded_spectrum(SPLINE, x), 1, None,
-     "j_max must be a positive integer", False),
+    ("unfolded_spectrum j_max", lambda x: unfolded_spectrum(SPLINE, x), 1, 2**32,
+     "j_max must be an integer in 1..4294967296", False),
     ("curvature_functional order", lambda x: curvature_functional(SPLINE, x), 0, None,
      "derivative order must be an even integer >= 0", False),
     ("spline_from_json N", lambda x: spline_from_json(_spline_doc(N=x)), 3, None,

@@ -2,8 +2,11 @@
 
 import json
 import math
+import sys
+import threading
 from decimal import Decimal
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,7 +39,7 @@ from trigspec import (
     unfolded_spectrum,
     values_on_uniform_grid,
 )
-from trigspec import _series
+from trigspec import _series, trig_spline
 from trigspec.trig_spline import scattered_eval_bound, series_truncation
 
 from loglog import fit_loglog_slope
@@ -383,6 +386,168 @@ def test_unfolded_rows_are_gain_times_extension_bit_for_bit(variant, r, rng):
     for got, want in ((ca, g * ea), (cb, g * eb)):
         assert np.array_equal(got[off].view(np.int64), want[off].view(np.int64))
         assert np.all(got[~off].view(np.int64) == 0)
+
+
+# -- per-configuration plans ----------------------------------------------------
+
+PLAN_CACHES = (trig_spline._LAW_PLANS, trig_spline._GRID_PLANS)
+
+
+def _clear_plans():
+    for cache in PLAN_CACHES:
+        cache.cache_clear()
+
+
+def _bits(out):
+    return [(np.shape(x), np.asarray(x).tobytes()) for x in out]
+
+
+def _stored_arrays(cache):
+    return [[arr for arr in plan if arr is not None] for plan in cache._plans.values()]
+
+
+def _seeded_splines(c, count=2):
+    rng = np.random.default_rng([c.grid.n, c.order, count])
+    return [build_spline(SampleVector(c.grid, rng.standard_normal(c.grid.N)), c)
+            for _ in range(count)]
+
+
+def test_warm_plans_give_the_cold_bits():
+    # For every family at order 1 (a polynomial spline) and order 2 (log-type
+    # unless signed), a call whose plan another spline built gives the bits
+    # of the same call on empty caches. The sizes fall on both sides of the
+    # plans' byte budget and of the switch between the two contraction
+    # orders: at n = 8 the law of J = 4N is stored and J = 1000 is not; G = N
+    # and 3N have 1 and 3 angles, G = 64 has 64, which a log-type spline
+    # (order + 66 angles at most) sums angle by angle, unstored, and a
+    # polynomial one through the cell table, stored; G = 1000 and 2048 are
+    # summed through the cell table, unstored. A last pass warms the caches
+    # with every configuration at once, so a plan read under another
+    # configuration's key would show.
+    seen = {"law": set(), "grid": set()}
+    cases = []
+    for variant in ("sinc", "abs-sinc", "inv-power"):
+        for r in (1, 2):
+            c = cfg(8, r, variant)
+            N = c.grid.N
+            first, second = _seeded_splines(c)
+            calls = [("law", J, lambda s, J=J: unfolded_spectrum(s, J)) for J in (1, N, 4 * N, 1000)]
+            calls += [("grid", G, lambda s, G=G: (values_on_uniform_grid(s, G),))
+                      for G in (1, 7, N, 3 * N, 64, 1000, 2048)]
+            for kind, size, call in calls:
+                cache = trig_spline._LAW_PLANS if kind == "law" else trig_spline._GRID_PLANS
+                _clear_plans()
+                cold = _bits(call(second))
+                _clear_plans()
+                with mock.patch.object(trig_spline, "_cell_table_sum",
+                                       wraps=trig_spline._cell_table_sum) as table:
+                    call(first)
+                stored = len(cache._plans)
+                assert _bits(call(second)) == cold, (variant, r, kind, size)
+                seen[kind].add((bool(stored), table.call_count > 0))
+                cases.append((first, second, call, cold))
+    assert seen["law"] == {(True, False), (False, False)}
+    assert seen["grid"] == {(stored, cells) for stored in (True, False) for cells in (True, False)}
+    _clear_plans()
+    for first, _, call, _ in cases:
+        call(first)
+    for _, second, call, cold in cases:
+        assert _bits(call(second)) == cold
+
+
+def test_long_laws_are_built_block_by_block_with_the_same_bits():
+    c = cfg(8, 2, "sinc")
+    spl = _seeded_splines(c, 1)[0]
+    js, ca, cb = unfolded_spectrum(spl, 2 * trig_spline._LAW_BLOCK + 100)
+    whole = trig_spline._law_coefficients(trig_spline._law(c, js), spl.spectrum)
+    assert _bits((ca, cb)) == _bits(whole)
+
+
+def test_returned_arrays_are_fresh_and_plans_are_read_only():
+    _clear_plans()
+    c = cfg(8, 2)
+    spl = _seeded_splines(c, 1)[0]
+    N = c.grid.N
+    calls = [lambda: unfolded_spectrum(spl, 4 * N),
+             *(lambda G=G: (values_on_uniform_grid(spl, G),) for G in (N, 64, 100))]
+    for call in calls:
+        first = call()
+        want = _bits(first)
+        for arr in first:
+            arr[...] = 7
+        assert _bits(call()) == want
+    for cache in PLAN_CACHES:
+        plans = _stored_arrays(cache)
+        assert plans and not any(arr.flags.writeable for plan in plans for arr in plan)
+
+
+def test_plan_caches_stay_within_their_bound():
+    # A sweep of more sizes than the caches hold: each keeps at most
+    # _PLAN_ENTRIES plans of at most _PLAN_BYTES, 2 MiB for both.
+    _clear_plans()
+    entries, most = trig_spline._PLAN_ENTRIES, trig_spline._PLAN_BYTES
+    for n, r, variant in ((1, 1, "sinc"), (8, 2, "abs-sinc"), (64, 3, "inv-power")):
+        spl = _seeded_splines(cfg(n, r, variant), 1)[0]
+        for size in (*range(1, 700, 9), 2000, 5000):
+            unfolded_spectrum(spl, size)
+            values_on_uniform_grid(spl, size)
+    sizes = [[sum(arr.nbytes for arr in plan) for plan in _stored_arrays(cache)]
+             for cache in PLAN_CACHES]
+    assert [len(plans) for plans in sizes] == [entries, entries]
+    assert max(map(max, sizes)) <= most
+    assert sum(map(sum, sizes)) <= 2 * entries * most == 2 * 2**20
+
+
+def test_plan_caches_hold_under_threads():
+    # More threads than cores read plans at random from slightly more sizes
+    # than a cache holds, so plans are evicted while others read them, with
+    # a short switch interval; every result keeps its single-threaded bits.
+    # Without the caches' lock a thread could lose a plan between finding
+    # and refreshing it and raise KeyError.
+    c = cfg(2, 1)
+    spl = _seeded_splines(c, 1)[0]
+    sizes = range(1, trig_spline._PLAN_ENTRIES + 7)
+
+    def both(size):
+        return _bits((*unfolded_spectrum(spl, size), values_on_uniform_grid(spl, size)))
+
+    want = {size: both(size) for size in sizes}
+    errors = []
+
+    def work(seed):
+        try:
+            for size in np.random.default_rng(seed).choice(sizes, 2000).tolist():
+                if both(size) != want[size]:
+                    errors.append(size)
+        except Exception as exc:     # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert all(len(cache._plans) <= trig_spline._PLAN_ENTRIES for cache in PLAN_CACHES)
+
+
+def test_configurations_differing_only_in_tail_tol_share_their_plans():
+    _clear_plans()
+    tight = cfg(8, 3)
+    loose = cfg(8, 3, tail_tol=1e-6)
+    samples = SampleVector(tight.grid, np.random.default_rng(3).standard_normal(tight.grid.N))
+    outs = []
+    for c in (tight, loose):
+        spl = build_spline(samples, c)
+        outs.append(_bits((*unfolded_spectrum(spl, 4 * c.grid.N), values_on_uniform_grid(spl, 64))))
+    assert outs[0] == outs[1]
+    assert [len(cache._plans) for cache in PLAN_CACHES] == [1, 1]
 
 
 def test_fourier_coeff_constant_class_is_zero():

@@ -9,7 +9,15 @@ samples at n = 1..16 and 64, orders 1..12, 40, 100 and 150, every gain
 family: ``unfolded_spectrum`` to 4N, ``series_truncation``,
 ``values_on_uniform_grid`` at G = N, 64 and 1000, and ``spline_eval`` at
 32 and 512 seeded scattered points, one count on each side of the switch
-between the two contraction orders of evaluation. The signal layer is
+between the two contraction orders of evaluation. Each of these
+quantities is hashed again, as a ``spline-warm`` line, for a second
+seeded sample vector on the same configuration, so its coefficient law
+and grid angles come from the plans the first vector's spline stored;
+``spline-large`` lines hash ``unfolded_spectrum`` to J = 4096 and
+40,000 at n = 64, order 2, for every family: laws above the plans' size
+budget, built on every call, the second in blocks of 2^14 rows. The
+other lines are those of earlier listings, byte for byte, so two
+versions still compare line by line. The signal layer is
 swept over ``derivative_values`` of the power-decay cosine and sine at
 p = 2, 2.5, 3, 3.5, 4, 5 and 6 and orders 0..3 wherever p - order > 1 (the
 Bernoulli closed forms, the integer-order polylogarithm and the
@@ -79,6 +87,9 @@ EVAL_GRIDS = (64, 1000)   # besides the spline's own N nodes
 # table, with R = order + 1 expansion columns where s = order + 1 is even or
 # the family is signed, else R = order + 65.
 SCATTER_POINTS = (32, 512)
+# n, order and lengths J of the spline-large lines: laws far above the
+# plans' size budget, one of them built in blocks.
+LARGE_LAW = (64, 2, (4096, 40_000))
 DFT_SIZES = (*range(1, 41), 64, 127, 128, 256, 711, 712, 1024, 2048)
 SIGNAL_POWERS = (2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0)
 SIGNAL_ORDERS = (0, 1, 2, 3)
@@ -130,30 +141,48 @@ def spline_lines():
     for n in SPLINE_SIZES:
         grid = make_grid(n)
         samples = SampleVector(grid, np.random.default_rng(n).standard_normal(grid.N))
+        warm_samples = SampleVector(grid, np.random.default_rng([n, 2]).standard_normal(grid.N))
         scatter_points = {P: np.random.default_rng([n, P]).uniform(0.0, 2.0 * np.pi, P)
                           for P in SCATTER_POINTS}
         for variant in FilterVariant:
             for order in SPLINE_ORDERS:
-                label = f"spline {variant.value} r{order} n{n}"
                 config = KernelConfig(grid=grid, order=order, variant=variant)
-                try:
-                    spline = build_spline(samples, config)
-                except (NumericalError, RuntimeWarning) as exc:
-                    yield _refusal(label, exc)
-                    continue
-                quantities = [
-                    ("unfolded", lambda: unfolded_spectrum(spline, 4 * grid.N)),
-                    ("truncation", lambda: series_truncation(spline)),
-                    *((f"grid{G}", lambda G=G: [values_on_uniform_grid(spline, G)])
-                      for G in (grid.N, *EVAL_GRIDS)),
-                    *((f"scatter{P}", lambda t=t: [spline_eval(spline, t)])
-                      for P, t in scatter_points.items()),
-                ]
-                for name, compute in quantities:
-                    try:
-                        yield f"{label} {name} " + _sha(compute())
-                    except (NumericalError, RuntimeWarning) as exc:
-                        yield _refusal(f"{label} {name}", exc)
+                for kind, vector in (("spline", samples), ("spline-warm", warm_samples)):
+                    label = f"{kind} {variant.value} r{order} n{n}"
+                    yield from _spline_quantity_lines(label, vector, config, scatter_points)
+    n, order, lengths = LARGE_LAW
+    grid = make_grid(n)
+    samples = SampleVector(grid, np.random.default_rng(n).standard_normal(grid.N))
+    for variant in FilterVariant:
+        config = KernelConfig(grid=grid, order=order, variant=variant)
+        for J in lengths:
+            label = f"spline-large {variant.value} r{order} n{n} unfolded{J}"
+            try:
+                yield f"{label} " + _sha(unfolded_spectrum(build_spline(samples, config), J))
+            except (NumericalError, RuntimeWarning) as exc:
+                yield _refusal(label, exc)
+
+
+def _spline_quantity_lines(label, samples, config, scatter_points):
+    grid = config.grid
+    try:
+        spline = build_spline(samples, config)
+    except (NumericalError, RuntimeWarning) as exc:
+        yield _refusal(label, exc)
+        return
+    quantities = [
+        ("unfolded", lambda: unfolded_spectrum(spline, 4 * grid.N)),
+        ("truncation", lambda: series_truncation(spline)),
+        *((f"grid{G}", lambda G=G: [values_on_uniform_grid(spline, G)])
+          for G in (grid.N, *EVAL_GRIDS)),
+        *((f"scatter{P}", lambda t=t: [spline_eval(spline, t)])
+          for P, t in scatter_points.items()),
+    ]
+    for name, compute in quantities:
+        try:
+            yield f"{label} {name} " + _sha(compute())
+        except (NumericalError, RuntimeWarning) as exc:
+            yield _refusal(f"{label} {name}", exc)
 
 
 def fold_lines():
