@@ -16,12 +16,13 @@ guarantees:
   polylogarithm Li_s(e^(i theta)) it gives at N = 1, through their
   zeta-series expansion (Erdelyi et al., *Higher Transcendental
   Functions* I, 1.11; Crandall, "Note on fast polylogarithm computation",
-  2006), for |theta| <= pi: one cached coefficient table per (s, N)
-  (:func:`lerch_coefficients`; the spline engine reads its rows 1..N-1,
-  cut to the powers it needs, through :func:`lerch_residue_columns`) and
-  a singular term (:func:`lerch_singular`) combined by one row builder
-  (:func:`lerch_rows`), which both the spline engine and
-  :func:`polylog_unit` (any angle, reduced to [-pi, pi]) call.
+  2006), for |theta| <= pi: one cached coefficient table per (s, N,
+  terms), built to the number of powers its caller sums
+  (:func:`lerch_coefficients`; the spline engine reads rows 1..N-1 of it
+  as views, r + 1 powers for a polynomial spline and all int(s) + 64
+  otherwise) and a singular term (:func:`lerch_singular`), combined by the
+  private row builder :func:`_lerch_rows`, which both the spline engine
+  and :func:`polylog_unit` (any angle, reduced to [-pi, pi]) call.
 
 Alongside them sit the small primitives every layer shares: the integer
 contract (:func:`integers`, and :func:`integer` for one scalar), the
@@ -47,7 +48,7 @@ TWO_PI = 2.0 * np.pi
 # them reach far below rounding (see lerch_remainder_bound).
 _LERCH_EXTRA_TERMS = 64
 # polylog_unit builds its row on blocks of this many angles, so the table of
-# powers in lerch_rows stays small for any number of points.
+# powers in _lerch_rows stays small for any number of points.
 _LERCH_BLOCK = 4096
 _I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])
 _INT64_MAX = np.iinfo(np.int64).max
@@ -173,8 +174,13 @@ def ratio_tail(s, k, j0, step, alternating=False):
     k <= j0 every term lies below one, so whatever underflows is
     negligible beside the first.
     """
-    rest = ratio_power(k, step, s) * hurwitz_tail(s, 1.0 + np.asarray(j0) / step, alternating)
-    first = ratio_power(k, j0, s)
+    return _ratio_tail(s, k, j0, step, alternating)
+
+
+def _ratio_tail(s, k, j0, step, alternating=False):
+    # ratio_tail's body, for cached builders (see _ratio_power).
+    rest = _ratio_power(k, step, s) * _hurwitz_tail(s, 1.0 + np.asarray(j0) / step, alternating)
+    first = _ratio_power(k, j0, s)
     return first - rest if alternating else first + rest
 
 
@@ -230,6 +236,11 @@ def hurwitz_tail(s, q, alternating=False):
     q = np.asarray(q, dtype=float)
     if np.any(q <= 0.0):
         raise ValueError("Hurwitz tail requires q > 0")
+    return _hurwitz_tail(s, q, alternating)
+
+
+def _hurwitz_tail(s, q, alternating):
+    # hurwitz_tail's body, for a float array q > 0.
     if not alternating:
         return zeta(s, q)
     # Split even/odd i: sum (-1)^i (i+q)^-s = 2^-s [zeta(s, q/2) - zeta(s, (q+1)/2)].
@@ -250,6 +261,11 @@ def progression_tail(s, step, offset, m_start=1):
         raise ValueError("m_start must be >= 1")
     if np.any(m_start * step + offset <= 0):
         raise ValueError("first progression term must be positive")
+    return _progression_tail(s, step, offset, m_start)
+
+
+def _progression_tail(s, step, offset, m_start=1):
+    # progression_tail's body, for cached builders (see _ratio_power).
     return step**-float(s) * zeta(s, m_start + offset / step)
 
 
@@ -333,20 +349,21 @@ def _pole_pair(s, theta):
 
 
 @lru_cache(maxsize=64)
-def _lerch_table(s, N):
-    # Returns (even, odd, lead): the even and odd columns of a table, each
-    # contiguous for the matrix products. Row q-1, column r: the coefficient
-    # of u^r, u = theta/pi, in e^(i a theta) sum_m e^(i m theta) (q/(m N +
-    # q))^s minus its singular part, a = q/N, times the real sign of i^r
-    # (1, 1, -1, -1 for r = 0, 1, 2, 3 mod 4); every entry is real, so even
-    # columns give the real part and odd columns the imaginary part. The
-    # row is a^s Phi(e^(i theta), s, a), and the coefficient of (i theta)^r
-    # is a^s zeta(s-r, a)/r!; taking the first term of zeta apart gives
-    # a^r [1 + a^(s-r) zeta(s-r, 1+a)] / r!, whose powers of a stay below
-    # one and are formed from q and N. lead holds a^s, the factor of the
-    # singular part and of the columns with s - r <= 1.
+def _lerch_table(s, N, R):
+    # Returns (even, odd, lead): the even and odd columns of a table of R
+    # columns, each contiguous for the matrix products. Row q-1, column r:
+    # the coefficient of u^r, u = theta/pi, in e^(i a theta) sum_m e^(i m
+    # theta) (q/(m N + q))^s minus its singular part, a = q/N, times the real
+    # sign of i^r (1, 1, -1, -1 for r = 0, 1, 2, 3 mod 4); every entry is
+    # real, so even columns give the real part and odd columns the imaginary
+    # part. The row is a^s Phi(e^(i theta), s, a), and the coefficient of
+    # (i theta)^r is a^s zeta(s-r, a)/r!; taking the first term of zeta apart
+    # gives a^r [1 + a^(s-r) zeta(s-r, 1+a)] / r!, whose powers of a stay
+    # below one and are formed from q and N. lead holds a^s, the factor of
+    # the singular part and of the columns with s - r <= 1. Column r does
+    # not depend on R, so a narrower table is the first columns of the full
+    # one, bit for bit.
     q = np.arange(1.0, N + 1.0)
-    R = _lerch_terms(s)
     integral = s == int(s)
     pole_col = -1 if integral else _pole_constants(s)[0] - 1
     a = q / N
@@ -377,58 +394,33 @@ def _lerch_table(s, N):
     return even, odd, lead
 
 
-def lerch_coefficients(s, N):
-    """The coefficients ``(even, odd, lead)`` of the Lerch expansion, cached per (s, N).
+def lerch_coefficients(s, N, terms=None):
+    """The coefficients ``(even, odd, lead)`` of the Lerch expansion, cached per (s, N, terms).
 
-    With ``u = theta/pi`` the row of first member q = 1..N is (:func:`lerch_rows`)
+    With ``u = theta/pi`` the row of first member q = 1..N is (:func:`_lerch_rows`)
 
         even @ u^(0, 2, 4, ...) + i odd @ u^(1, 3, 5, ...) + lead * lerch_singular(s, theta);
 
     ``even`` and ``odd`` hold the real coefficients of the even and odd
     powers (the factor i^r folded in as a real sign), and ``lead`` is
-    ``(q/N)^s``. The number of powers, ``even.shape[1] + odd.shape[1]``,
-    depends only on s. Each coefficient is a power of a ratio below one
-    times a bounded factor, in the float range at any order. Integer
-    s >= 2 takes any N >= 1; non-integer s > 1 takes N = 1 only. The arrays
-    are read-only.
+    ``(q/N)^s``. The table holds the powers u^0..u^(R-1), R = ``terms``
+    capped at the full width int(s) + 64 (:func:`lerch_remainder_bound`);
+    ``terms=None`` or a count at or past the full width gives the full
+    table, and a narrower one is its first R columns, bit for bit. Each
+    coefficient is a power of a ratio below one times a bounded factor, in
+    the float range at any order. Integer s >= 2 takes any N >= 1;
+    non-integer s > 1 takes N = 1 only; ``terms`` is an integer >= 1. The
+    arrays are contiguous and read-only.
     """
-    return _lerch_table(*_lerch_key(s, N))
-
-
-def _lerch_key(s, N):
-    # The checks of lerch_coefficients; returns the cache key (float(s), N).
+    if terms is not None:
+        terms = integer(terms, 1, "terms must be an integer >= 1")
     if not 1 < s < math.inf:
         raise ValueError("the Lerch expansion requires s > 1")
     N = integer(N, 1, "N must be an integer >= 1")
     if s != int(s) and N != 1:
         raise ValueError("non-integer s is supported for N = 1 only")
-    return float(s), N
-
-
-def lerch_residue_columns(s, N, terms=None):
-    """Rows q = 1..N-1 of :func:`lerch_coefficients`, cut to the powers u^0..u^(terms-1).
-
-    These are the first members of the nonzero residues mod N, the rows
-    the spline engine sums over; ``terms=None`` keeps every power. The
-    cut ``(even, odd, lead)`` are contiguous read-only copies, made once
-    per (s, N, terms); uncut, they are views of the table. s and N are
-    checked as in :func:`lerch_coefficients`.
-    """
-    if terms is not None:
-        terms = integer(terms, 1, "terms must be an integer >= 1")
-    return _residue_columns(*_lerch_key(s, N), terms)
-
-
-@lru_cache(maxsize=64)
-def _residue_columns(s, N, terms):
-    even, odd, lead = _lerch_table(s, N)
-    if terms is None:
-        return even[:-1], odd[:-1], lead[:-1]
-    out = (np.ascontiguousarray(even[:-1, :(terms + 1) // 2]),
-           np.ascontiguousarray(odd[:-1, :terms // 2]), lead[:-1])
-    for arr in out[:2]:
-        arr.setflags(write=False)
-    return out
+    R = _lerch_terms(s) if terms is None else min(terms, _lerch_terms(s))
+    return _lerch_table(float(s), N, R)
 
 
 def lerch_singular(s, theta):
@@ -464,7 +456,7 @@ def _lerch_singular(s, theta):
     return out
 
 
-def lerch_rows(columns, sing, theta):
+def _lerch_rows(columns, sing, theta):
     """The Lerch expansion ``e^(i a theta) sum_{m>=0} e^(i m theta) (q/(m*N + q))^s``, |theta| <= pi.
 
     With ``a = q/N`` it is ``a^s e^(i a theta) Phi(e^(i theta), s, a)``,
@@ -473,16 +465,10 @@ def lerch_rows(columns, sing, theta):
 
     which converges geometrically; :func:`lerch_remainder_bound` bounds the
     terms the full table drops. `columns` is :func:`lerch_coefficients` of
-    (s, N) or :func:`lerch_residue_columns`, which may keep fewer powers,
-    and `sing` is :func:`lerch_singular` at the 1-D array `theta`. Returns
-    a complex array with one row per row of `columns` and one column per
-    theta.
+    (s, N), or any rows of it, and may keep fewer powers; `sing` is
+    :func:`lerch_singular` at the 1-D array `theta`. Returns a complex
+    array with one row per row of `columns` and one column per theta.
     """
-    return _lerch_rows(columns, sing, theta)
-
-
-def _lerch_rows(columns, sing, theta):
-    # lerch_rows' body.
     even, odd, lead = columns
     powers = np.empty((even.shape[1] + odd.shape[1], theta.size))
     powers[0] = 1.0
@@ -516,7 +502,7 @@ def polylog_unit(s, theta):
     Its real part is ``sum cos(k theta)/k^s`` and its imaginary part
     ``sum sin(k theta)/k^s``. It is ``e^(i theta) Phi(e^(i theta), s, 1)``.
     Angles reduce to [-pi, pi], where Phi is ``e^(-i theta)`` times the
-    N = 1 row of :func:`lerch_rows`, built on blocks of 4096 angles. s is
+    N = 1 row of :func:`_lerch_rows`, built on blocks of 4096 angles. s is
     as in :func:`lerch_coefficients`; a non-finite theta is refused. Shape
     follows theta.
     """
@@ -528,6 +514,6 @@ def polylog_unit(s, theta):
     row = np.empty(flat.size, dtype=complex)
     for start in range(0, flat.size, _LERCH_BLOCK):
         at = slice(start, start + _LERCH_BLOCK)
-        row[at] = lerch_rows(columns, sing[at], reduced[at])[0]
+        row[at] = _lerch_rows(columns, sing[at], reduced[at])[0]
     vals = np.exp(1j * flat) * (np.exp(-1j * reduced) * row)
     return vals.reshape(theta.shape)

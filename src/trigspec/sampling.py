@@ -34,7 +34,8 @@ class UniformGrid:
     __slots__ = ("n", "N", "nodes")
 
     def __init__(self, n):
-        self.n = _series.integer(n, 1, "grid parameter n must be an integer >= 1", _MAX_N)
+        message = f"grid parameter n must be an integer in 1..{_MAX_N}"
+        self.n = _series.integer(n, 1, message, _MAX_N)
         self.N = 2 * self.n + 1
         nodes = 2.0 * np.pi * np.arange(self.N) / self.N
         nodes.setflags(write=False)

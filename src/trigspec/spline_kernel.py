@@ -134,9 +134,10 @@ def _branch_tails(s, N, signed, k, m_start=1):
     # signed ratios to the in-band member, sum eps_j (k/j)^s over
     # j = mN + k and over j = mN - k. The signed family's sign is (-1)^m
     # on the plus branch and -(-1)^m on the minus branch, so rho_k is
-    # plus + minus at m_start = 1.
-    plus = _series.ratio_tail(s, k, m_start * N + k, N, signed)
-    minus = _series.ratio_tail(s, k, m_start * N - k, N, signed)
+    # plus + minus at m_start = 1. It runs inside the cached class-table
+    # builder, so it calls the body of ratio_tail.
+    plus = _series._ratio_tail(s, k, m_start * N + k, N, signed)
+    minus = _series._ratio_tail(s, k, m_start * N - k, N, signed)
     if not signed:
         return plus, minus
     sign = -1.0 if m_start % 2 else 1.0
@@ -224,9 +225,10 @@ def _check_class_sums(signed, one_plus_rho):
 def _dc_sum(N, s, variant):
     # The constant-class normalizer: sigma_0 = 1 plus the raw gains at the
     # nonzero multiples of N, which only inverse powers do not zero.
+    # Cached, so it calls the body of progression_tail.
     if variant is not FilterVariant.INVERSE_POWER:
         return 1.0
-    return 1.0 + 2.0 * _series.progression_tail(s, N, 0.0)
+    return 1.0 + 2.0 * _series._progression_tail(s, N, 0.0)
 
 
 def gain(j, config):

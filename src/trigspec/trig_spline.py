@@ -265,12 +265,14 @@ def _evaluate(spline, plan, columns):
 
 
 def _columns(cfg):
-    # Rows 1..N-1 of the (s, N) table: the first members j0. In a
+    # Rows 1..N-1, the first members j0, of the one (s, N, terms) table, as
+    # views: leading rows of contiguous arrays, so contiguous too. In a
     # polynomial spline the sum over j0 cancels every power of theta above
-    # theta^r, so only columns 0..r are kept (the singular factor always
-    # is); other configurations keep all order + 65 columns.
+    # theta^r, so the table is built to columns 0..r only (the singular
+    # factor is always kept); other configurations read all order + 65.
     terms = cfg.power if _polynomial(cfg) else None
-    return _series.lerch_residue_columns(cfg.power, cfg.grid.N, terms)
+    even, odd, lead = _series.lerch_coefficients(cfg.power, cfg.grid.N, terms)
+    return even[:-1], odd[:-1], lead[:-1]
 
 
 def _angle_plan(power, columns, theta, cells):
@@ -341,11 +343,12 @@ def spline_eval(spline, t):
 
     Each point is written as N t + shift = 2 pi l + theta with |theta| <=
     pi; the sum over first members is then one inverse FFT of the
-    :func:`_series.lerch_rows` at theta of rows j0 = 1..N-1 of the (s, N)
-    table :func:`_series.lerch_coefficients`, read at cell l. With more
-    points than the expansion has columns (R + 1; R = r + 1 where s is
-    even or the family is signed, whose spline is a polynomial spline of
-    degree r, else order + 65) the sum runs the other way: one inverse
+    expansion rows at theta (:func:`_series._lerch_rows`) of rows j0 =
+    1..N-1 of the Lerch table :func:`_series.lerch_coefficients`, read at
+    cell l. That table is the one cached per (s, N, R), built to the R
+    columns summed: R = r + 1 where s is even or the family is signed,
+    whose spline is a polynomial spline of degree r, else order + 65. With
+    more points than R + 1 the sum runs the other way: one inverse
     FFT per column of that table and one for the singular factor builds a
     table of R + 1 coefficients per cell, and each point sums the R powers
     of theta/pi at its cell plus the singular term, O(R) per point

@@ -73,7 +73,8 @@ def _rows(j):
 # (site, call of the integer argument x, lowest, highest or None, message,
 # whether the site takes an index array).
 SITES = [
-    ("UniformGrid n", make_grid, 1, 2**24, "grid parameter n must be an integer >= 1", False),
+    ("UniformGrid n", make_grid, 1, 2**24, "grid parameter n must be an integer in 1..16777216",
+     False),
     ("extended_coefficient j", lambda x: extended_coefficient(SPECTRUM, x), 1, None,
      "extended index must be an integer >= 1", True),
     ("SmoothnessInfo r", lambda x: SmoothnessInfo(r=x, variation=1.0), 0, None,

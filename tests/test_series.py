@@ -107,11 +107,11 @@ NEAR_INTEGER = [3 + 1e-9, 3 - 1e-9, 2 + 1e-12, 1.5, 3.5]
 def lerch_unit(s, N, theta):
     # The Lerch transcendent on the unit circle normalized to a first term
     # of 1, a^s Phi(e^(i theta), s, a) at a = q/N: one row per q = 1..N,
-    # |theta| <= pi. It is e^(-i a theta) times the rows of lerch_rows, the
+    # |theta| <= pi. It is e^(-i a theta) times the rows of _lerch_rows, the
     # rows the spline engine reads.
     theta = np.asarray(theta, dtype=float)
-    rows = _series.lerch_rows(_series.lerch_coefficients(s, N), _series.lerch_singular(s, theta),
-                              theta)
+    rows = _series._lerch_rows(_series.lerch_coefficients(s, N), _series.lerch_singular(s, theta),
+                               theta)
     a = np.arange(1.0, N + 1.0) / N
     return np.exp(-1j * np.multiply.outer(a, theta)) * rows
 
@@ -199,13 +199,13 @@ def test_lerch_unit_validation():
 
 def test_lerch_series_is_lerch_unit_without_its_phase():
     # polylog_unit is e^(i theta) times e^(-i theta) times the N = 1 row of
-    # the Lerch series lerch_rows builds on [-pi, pi], bit for bit, over
+    # the Lerch series _lerch_rows builds on [-pi, pi], bit for bit, over
     # 5000 angles (two blocks of 4096), -pi and 0 among them. pi itself
     # reduces to -pi (alone, its matrix product rounds differently), and
     # the expansion refuses angles beyond it.
     theta = np.concatenate(([-np.pi, 0.0], np.random.default_rng(3).uniform(-np.pi, np.pi, 4998)))
     columns = _series.lerch_coefficients(3, 1)
-    row = _series.lerch_rows(columns, _series.lerch_singular(3, theta), theta)[0]
+    row = _series._lerch_rows(columns, _series.lerch_singular(3, theta), theta)[0]
     got = _series.polylog_unit(3, theta)
     assert np.array_equal(got, np.exp(1j * theta) * (np.exp(-1j * theta) * row))
     assert abs(_series.polylog_unit(3, np.pi) - got[0]) < 1e-14
@@ -215,9 +215,9 @@ def test_lerch_series_is_lerch_unit_without_its_phase():
 
 @pytest.mark.parametrize("s,N", [(3, 5), (2.5, 1), (40, 17)])
 def test_lerch_series_is_its_coefficients_and_singular_term(s, N):
-    # lerch_rows sums the expansion from these two. The evaluation engine
+    # _lerch_rows sums the expansion from these two. The evaluation engine
     # reads them in either order of its sum over first members, and builds
-    # the rows of one order with lerch_rows on a view of the table's rows.
+    # the rows of one order with _lerch_rows on a view of the table's rows.
     theta = np.array([-np.pi, -1.0, 0.0, 0.4, np.pi])
     even, odd, lead = _series.lerch_coefficients(s, N)
     assert even.shape[0] == odd.shape[0] == lead.size == N
@@ -227,29 +227,37 @@ def test_lerch_series_is_its_coefficients_and_singular_term(s, N):
     powers = u[None, :] ** np.arange(even.shape[1] + odd.shape[1])[:, None]
     sing = _series.lerch_singular(s, theta)
     want = even @ powers[0::2] + 1j * (odd @ powers[1::2]) + np.multiply.outer(lead, sing)
-    got = _series.lerch_rows((even, odd, lead), sing, theta)
+    got = _series._lerch_rows((even, odd, lead), sing, theta)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-    first = _series.lerch_rows((even[:1], odd[:1], lead[:1]), sing, theta)
+    first = _series._lerch_rows((even[:1], odd[:1], lead[:1]), sing, theta)
     assert np.max(np.abs(first - got[:1])) <= 1e-15 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("terms", [None, 1, 2, 3, 4, 7, 500])
-def test_lerch_residue_columns_are_the_tables_first_powers(terms):
-    # Rows 1..N-1 of the (s, N) table, powers u^0..u^(terms-1): every
-    # power at terms=None (views of the table) or past the table's count.
-    even, odd, lead = _series.lerch_coefficients(4, 9)
-    got = _series.lerch_residue_columns(4, 9, terms)
-    width = terms or even.shape[1] + odd.shape[1]
-    assert np.array_equal(got[0], even[:-1, :(width + 1) // 2])
-    assert np.array_equal(got[1], odd[:-1, :width // 2])
-    assert np.array_equal(got[2], lead[:-1])
+@pytest.mark.parametrize("s,N", [(4, 9), (7, 5), (2.5, 1)])
+@pytest.mark.parametrize("terms", [1, 2, 3, 4, 7, "full", 500])
+def test_lerch_coefficients_build_the_tables_first_powers(s, N, terms):
+    # A table built to `terms` powers u^0..u^(terms-1) is the first columns
+    # of the full table, bit for bit; a count at or past the full width
+    # int(s) + 64 is the full table itself, cached once.
+    even, odd, lead = full = _series.lerch_coefficients(s, N)
+    width = even.shape[1] + odd.shape[1]
+    assert width == int(s) + 64
+    count = width if terms == "full" else terms
+    got = _series.lerch_coefficients(s, N, count)
+    R = min(count, width)
+    assert got[0].shape == (N, (R + 1) // 2) and got[1].shape == (N, R // 2)
+    assert np.array_equal(got[0], even[:, :(R + 1) // 2])
+    assert np.array_equal(got[1], odd[:, :R // 2])
+    assert np.array_equal(got[2], lead)
     for arr in got:
         assert arr.flags.c_contiguous and not arr.flags.writeable
-    assert _series.lerch_residue_columns(4.0, 9.0, terms)[0] is got[0]    # cached
+    assert _series.lerch_coefficients(float(s), float(N), float(count))[0] is got[0]  # one per (s, N, R)
+    if count >= width:
+        assert all(a is b for a, b in zip(got, full))                  # the full table itself
     with pytest.raises(ValueError, match="terms must be"):
-        _series.lerch_residue_columns(4, 9, 0)
+        _series.lerch_coefficients(s, N, 0)
     with pytest.raises(ValueError, match="requires s > 1"):
-        _series.lerch_residue_columns(1, 9, terms)
+        _series.lerch_coefficients(1, N, count)
 
 
 def test_lerch_coefficients_and_singular_term_validation():

@@ -1,9 +1,11 @@
 """Spline construction, evaluation, unfolded spectrum and curvature."""
 
+import inspect
 import json
 import math
 import sys
 import threading
+from collections import Counter
 from decimal import Decimal
 from pathlib import Path
 from unittest import mock
@@ -39,7 +41,7 @@ from trigspec import (
     unfolded_spectrum,
     values_on_uniform_grid,
 )
-from trigspec import _series, trig_spline
+from trigspec import _series, spline_kernel, trig_spline
 from trigspec.trig_spline import scattered_eval_bound, series_truncation
 
 from loglog import fit_loglog_slope
@@ -548,6 +550,82 @@ def test_configurations_differing_only_in_tail_tol_share_their_plans():
         outs.append(_bits((*unfolded_spectrum(spl, 4 * c.grid.N), values_on_uniform_grid(spl, 64))))
     assert outs[0] == outs[1]
     assert [len(cache._plans) for cache in PLAN_CACHES] == [1, 1]
+
+
+def _clear_caches():
+    # Every cache a spline's work fills: the plans, the class tables, the
+    # constant-class normalizers and the Lerch tables.
+    _clear_plans()
+    spline_kernel._class_table.cache_clear()
+    spline_kernel._dc_sum.cache_clear()
+    _series._lerch_table.cache_clear()
+
+
+def _public_series_calls(work):
+    # Calls of each public _series function made by work(), through the
+    # module attributes that every caller looks up at call time.
+    names = [name for name, fn in vars(_series).items()
+             if not name.startswith("_") and inspect.isfunction(fn)
+             and fn.__module__ == _series.__name__]
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    patches = [mock.patch.object(_series, name, counting(name, getattr(_series, name)))
+               for name in names]
+    for patch in patches:
+        patch.start()
+    try:
+        work()
+    finally:
+        for patch in patches:
+            patch.stop()
+    return counts
+
+
+@pytest.mark.parametrize("n, r, variant", [(5, 3, "inv-power"), (5, 2, "abs-sinc"),
+                                           (8, 2, "sinc"), (3, 1, "inv-power")])
+def test_cached_builders_make_no_public_series_calls(n, r, variant):
+    # The class table, the constant-class normalizer, the plans and the
+    # Lerch table are built from private bodies, so a spline's work makes
+    # the same public _series calls on empty caches as on warm ones: the
+    # benchmark's traced call counts do not depend on cache state.
+    c = cfg(n, r, variant)
+    samples = SampleVector(c.grid, np.random.default_rng(n).standard_normal(c.grid.N))
+    points = np.random.default_rng(r).uniform(0.0, 2.0 * np.pi, 9)
+
+    def work():
+        class_table(c)
+        spl = build_spline(samples, c)
+        unfolded_spectrum(spl, 44)
+        values_on_uniform_grid(spl, 16)
+        values_on_uniform_grid(spl, 1000)
+        spline_eval(spl, points)
+
+    _clear_caches()
+    cold = _public_series_calls(work)
+    warm = _public_series_calls(work)
+    assert cold == warm
+    assert cold["lerch_coefficients"] == 3      # one per evaluation: the count sees every call
+
+
+@pytest.mark.parametrize("n, r, variant", [(5, 3, "abs-sinc"), (8, 2, "sinc"), (64, 3, "sinc")])
+def test_cold_polynomial_evaluation_builds_only_r_plus_one_columns(n, r, variant):
+    # A polynomial spline (s = r + 1 even, or the signed family) sums
+    # expansion columns 0..r only, and its table is built to those columns:
+    # one (s, N, r + 1) table, the full width never.
+    c = cfg(n, r, variant)
+    spl = _seeded_splines(c, 1)[0]
+    _clear_caches()
+    with mock.patch.object(_series, "_lerch_table", wraps=_series._lerch_table) as table:
+        values_on_uniform_grid(spl, 16)
+        spline_eval(spl, np.linspace(0.0, 6.0, 200))
+    assert {call.args for call in table.call_args_list} == {(float(c.power), c.grid.N, r + 1)}
+    assert _series._lerch_table.cache_info().currsize == 1
 
 
 def test_fourier_coeff_constant_class_is_zero():

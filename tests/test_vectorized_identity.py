@@ -319,11 +319,11 @@ def test_polynomial_splines_need_no_columns_above_r(data):
     w = np.concatenate((table.gains * coeff, (table.mirror_gains * np.conj(coeff))[::-1]))
     if config.signed:
         w *= np.exp(-1j * np.pi * np.arange(1, N) / N)
-    even, odd, _ = _series.lerch_residue_columns(config.power, N)
+    even, odd, _ = _series.lerch_coefficients(config.power, N)
     R = even.shape[1] + odd.shape[1]
     Z = np.zeros((R, N), dtype=complex)
-    Z[0::2, 1:] = even.T * w
-    Z[1::2, 1:] = odd.T * (1j * w)
+    Z[0::2, 1:] = even[:-1].T * w
+    Z[1::2, 1:] = odd[:-1].T * (1j * w)
     above = np.abs(np.fft.ifft(Z, norm="forward").real[order + 1:])
     limit = 4 * np.finfo(float).eps * np.sum(np.abs(w))
     if config.power % 2 == 0 or config.signed:

@@ -32,9 +32,13 @@ also hashed at 10,000 more seeded points, three blocks, as a
 phase table up to n = 127, two from n = 128, 31 at n = 711 (the largest
 grid whose blocks all fit the cache, so it is cached), and more blocks
 than the cache holds, gathered per call and not cached, from n = 712
-(33 blocks). It prints one
-``label sha256`` line per configuration, spline quantity or signal
-derivative, hashing the exact bits of every value, or ``label refused
+(33 blocks). Last, one ``lerch s=... N=...`` line hashes each full Lerch
+expansion table the spline and signal sweeps read
+(``_series.lerch_coefficients(s, N)``: the log-type splines' (s, N) and
+the polylogarithm's (s, 1)), so the tables' own bits are compared, not
+only the values built from them. It prints one
+``label sha256`` line per configuration, spline quantity, signal
+derivative or table, hashing the exact bits of every value, or ``label refused
 <error> <sha256 of the message>`` where the configuration or the
 quantity is refused. The package is the one on the import path, so two
 versions compare by running the script once against each and diffing
@@ -71,6 +75,7 @@ from trigspec import (
     unfolded_spectrum,
     values_on_uniform_grid,
 )
+from trigspec._series import lerch_coefficients
 from trigspec.errors import NumericalError
 from trigspec.signal_model import HARMONIC_SUM, derivative_values
 from trigspec.spline_kernel import class_partition_terms, response_table_to_csv
@@ -238,7 +243,22 @@ def signal_lines():
                     yield f"signal-blocks {kind} p{p} d{order} " + _sha([values])
 
 
+def lerch_lines():
+    # The full Lerch tables the sweeps above read: (s, N) of every spline
+    # whose s = order + 1 is odd and whose family is not signed (a
+    # polynomial spline reads only r + 1 columns), and (s, 1) of every
+    # signal derivative without a Bernoulli closed form.
+    keys = {(float(order + 1), 2 * n + 1)
+            for n in SPLINE_SIZES for order in SPLINE_ORDERS if order % 2 == 0}
+    keys |= {(p - order, 1)
+             for p in SIGNAL_POWERS for kind in ("cos", "sin") for order in SIGNAL_ORDERS
+             if p - order > 1 and not _bernoulli_form(kind, p - order, order)}
+    for s, N in sorted(keys):
+        yield f"lerch s={s:g} N={N} " + _sha(lerch_coefficients(s, N))
+
+
 if __name__ == "__main__":
     warnings.simplefilter("error", RuntimeWarning)
-    for line in (*kernel_lines(), *spline_lines(), *fold_lines(), *signal_lines(), *dft_lines()):
+    for line in (*kernel_lines(), *spline_lines(), *fold_lines(), *signal_lines(), *dft_lines(),
+                 *lerch_lines()):
         print(line)
