@@ -71,6 +71,7 @@ from .trig_spline import (
     spline_fourier_coeff,
     spline_from_json,
     spline_to_json,
+    unfolded_blocks,
     unfolded_spectrum,
     values_on_uniform_grid,
 )

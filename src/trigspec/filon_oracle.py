@@ -20,13 +20,15 @@ import numpy as np
 from . import _series
 from .errors import QuadratureConvergenceError
 from .signal_model import true_coefficient
-from .trig_spline import unfolded_spectrum
+from .trig_spline import unfolded_blocks, unfolded_spectrum
 
 # Quadrature policy: the base grid (a power of two), the doubling budget
 # and the agreement two successive estimates must reach.
 _BASE_POINTS = 1024
 _MAX_DOUBLINGS = 10
 _CONVERGENCE_TOL = 1e-11
+# Largest quadrature grid, the largest uniform grid a spline evaluates on.
+_MAX_POINTS = 2**32
 # Grid of the sup-norm distance; grid and series length of the
 # difference-variation estimate.
 _SUP_POINTS = 2**14
@@ -61,21 +63,27 @@ def quad_fourier_coeff(fn, k, _cache=None):
     """Coefficients (a_k, b_k) of fn by periodic trapezoid quadrature.
 
     The grid starts at max(1024, 32*max(k,1)) rounded up to a power of
-    two and doubles, at most 10 times, until two successive estimates
-    agree within 1e-11 in both components.
+    two and doubles, at most 10 times and to at most 2**32 points, until
+    two successive estimates agree within 1e-11 in both components. `k`
+    is an integer in 0..2**27, whose first grid has at most 2**32 points;
+    a larger one is refused with ValueError before anything is allocated.
 
     Raises
     ------
     QuadratureConvergenceError
-        When the doubling budget runs out; carries the last two
-        estimates.
+        When the doubling budget runs out or the next grid would pass
+        2**32 points; carries the last two estimates.
     """
-    k = _series.integer(k, 0, "coefficient index must be an integer >= 0")
+    top = _MAX_POINTS // 32
+    k = _series.integer(k, 0, f"coefficient index k must be an integer in 0..{top}", top)
     G = max(_BASE_POINTS, 32 * max(k, 1))
     if G & (G - 1):
         G = 1 << G.bit_length()
     before = prev = None
     for _ in range(_MAX_DOUBLINGS + 1):
+        if G > _MAX_POINTS:
+            reason = f"on grids of up to {_MAX_POINTS} points"
+            break
         vals = _values_on_grid(fn, G, _cache)
         cur = _trapezoid_pair(vals, k)
         if prev is not None and (
@@ -85,9 +93,10 @@ def quad_fourier_coeff(fn, k, _cache=None):
             return cur
         before, prev = prev, cur
         G *= 2
+    else:
+        reason = f"within {_MAX_DOUBLINGS} doublings"
     raise QuadratureConvergenceError(
-        f"quadrature for k={k} did not converge within "
-        f"{_MAX_DOUBLINGS} doublings (last {prev}, previous {before})",
+        f"quadrature for k={k} did not converge {reason} (last {prev}, previous {before})",
         last=prev,
         previous=before,
     )
@@ -147,24 +156,32 @@ def estimate_diff_variation(signal, spline, q):
 
     The difference series is truncated at 2**18 coefficients,
     differentiated termwise, folded onto a grid of G = 2**16 points and
-    measured by summed absolute steps. The fold sums the series' four
-    blocks of G terms and rolls the sum one place: block b holds
-    j = bG+1 to (b+1)G, whose residues run 1..G-1 and then 0, so each
-    residue adds its terms in the order of j. The grid values are then
-    G Re(ifft) of the folded sums. An estimate, not a bound: truncation
-    ripple inflates it slightly, which only loosens the bound it feeds.
+    measured by summed absolute steps. The series is streamed, never
+    built whole: each block of :func:`~trigspec.trig_spline.unfolded_blocks`
+    (2**14 indices) is differenced against the true coefficients, rotated,
+    scaled and written into one accumulator of G sums at (j - 1) mod G,
+    assigned over j = 1..G and added over each later period, so each
+    residue adds its terms in the order of j. Rolled one place, the sums
+    are indexed by j mod G, and the grid values are G Re(ifft) of them.
+    An estimate, not a bound: truncation ripple inflates it slightly,
+    which only loosens the bound it feeds. `q` is an integer >= 0.
     """
-    js, sa, sb = unfolded_spectrum(spline, _VARIATION_TERMS)
-    ta, tb = true_coefficient(signal, js)
-    diff_a = ta - sa
-    diff_b = tb - sb
+    q = _series.integer(q, 0, "q must be >= 0")
+    G = _VARIATION_POINTS
+    W = np.empty(G, dtype=complex)
     rot = q % 4
-    ra, rb = _series.rotate_pair(diff_a, diff_b, rot)
-    scale = js.astype(float) ** q
-    da = scale * ra
-    db = scale * rb
-    W = np.roll((da - 1j * db).reshape(-1, _VARIATION_POINTS).sum(axis=0), 1)
-    vals = _VARIATION_POINTS * np.real(np.fft.ifft(W))
+    for js, sa, sb in unfolded_blocks(spline, _VARIATION_TERMS):
+        ta, tb = true_coefficient(signal, js)
+        ra, rb = _series.rotate_pair(ta - sa, tb - sb, rot)
+        scale = js.astype(float) ** q
+        d = scale * ra - 1j * (scale * rb)
+        # Blocks of 2**14 indices tile each period of G.
+        at = slice((js[0] - 1) % G, (js[-1] - 1) % G + 1)
+        if js[0] <= G:
+            W[at] = d
+        else:
+            W[at] += d
+    vals = G * np.real(np.fft.ifft(np.roll(W, 1)))
     return _series.grid_total_variation(vals)
 
 

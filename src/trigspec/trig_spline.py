@@ -47,7 +47,9 @@ so that a spline's own work is a gather, a product and its FFTs:
 
 A plan is stored only when its arrays hold at most 16 KiB; larger ones
 (J = 2^18, G = 2^14, the quadrature grids) are built the same way on every
-call, laws of more than 2^14 indices in blocks of 2^14. Each kind keeps
+call, laws of more than 2^14 indices in blocks of 2^14, which
+:func:`unfolded_blocks` also hands out one at a time (the variation
+estimate reads 2^18 rows without holding them all). Each kind keeps
 its 64 most recently used plans, so the two hold at most 2 MiB. Plans are
 read-only, every returned array is fresh, and a value has the same bits
 whether its plan was stored or built for the call.
@@ -75,8 +77,8 @@ _MAX_SIZE = 2**32
 # hold at most 2 x 64 x 16 KiB = 2 MiB.
 _PLAN_BYTES = 1 << 14
 _PLAN_ENTRIES = 64
-# Longest coefficient law built in one piece; unfolded_spectrum builds
-# longer ones (such as the 2^18 rows of the variation estimate) in blocks.
+# Longest coefficient law built in one piece; longer rows come in blocks
+# of this many indices (unfolded_blocks).
 _LAW_BLOCK = 1 << 14
 
 
@@ -443,25 +445,47 @@ def unfolded_spectrum(spline, j_max):
     and the constant-class mask) is a plan kept per (grid, order, variant,
     j_max), whatever ``tail_tol`` is, when it holds at most 16 KiB (64
     plans, 1 MiB at most), so a spline's rows cost a gather and a product.
-    Larger laws are built on each call with the same bits, beyond 2^14
-    rows in blocks of 2^14. `j_max` is an integer in 1..2^32, refused with
-    ValueError before anything is allocated.
+    Longer rows are filled from :func:`unfolded_blocks`, with the same
+    bits. `j_max` is an integer in 1..2^32, refused with ValueError before
+    anything is allocated.
     """
-    J = _series.integer(j_max, 1, "j_max must be an integer in 1..4294967296", _MAX_SIZE)
+    J = _checked_j_max(j_max)
     cfg = spline.config
-    js = np.arange(1, J + 1)
     if J <= _LAW_BLOCK:
+        js = np.arange(1, J + 1)
         law = _LAW_PLANS((cfg.grid.N, cfg.order, cfg.variant, J), cfg, js)
         ca, cb = _law_coefficients(law, spline.spectrum)
         return js, ca, cb
-    # A longer law is far above the plans' budget; built block by block,
-    # it holds no more than one block's fold and gains at a time.
     ca = np.empty(J)
     cb = np.empty(J)
+    for js, a, b in _blocks(spline, J):
+        ca[js[0] - 1:js[-1]] = a
+        cb[js[0] - 1:js[-1]] = b
+    return np.arange(1, J + 1), ca, cb
+
+
+def unfolded_blocks(spline, j_max):
+    """The rows of :func:`unfolded_spectrum` as consecutive blocks of at most 2^14 indices.
+
+    Yields (js, a_hat, b_hat) for js = 1..2^14, 2^14 + 1..2^15, ... up to
+    j_max, each block's coefficient law built for it and dropped after,
+    so a caller that consumes the rows block by block (the
+    difference-variation estimate reads 2^18 of them) holds no more than
+    one block at a time. Joined, the blocks are :func:`unfolded_spectrum`
+    bit for bit. `j_max` is checked as there, when this is called.
+    """
+    return _blocks(spline, _checked_j_max(j_max))
+
+
+def _checked_j_max(j_max):
+    return _series.integer(j_max, 1, "j_max must be an integer in 1..4294967296", _MAX_SIZE)
+
+
+def _blocks(spline, J):
     for start in range(0, J, _LAW_BLOCK):
-        at = slice(start, start + _LAW_BLOCK)
-        ca[at], cb[at] = _law_coefficients(_law(cfg, js[at]), spline.spectrum)
-    return js, ca, cb
+        js = np.arange(start + 1, min(start + _LAW_BLOCK, J) + 1)
+        ca, cb = _law_coefficients(_law(spline.config, js), spline.spectrum)
+        yield js, ca, cb
 
 
 # -- curvature functional ---------------------------------------------------

@@ -1,5 +1,7 @@
 """Quadrature coefficients, their agreement with closed forms, and the bounds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from trigspec import (
     sup_distance,
     true_coefficient,
 )
+from trigspec import filon_oracle
 from trigspec.errors import QuadratureConvergenceError
 from trigspec.filon_oracle import filon_table
 
@@ -103,6 +106,39 @@ def test_quad_non_convergence_raises():
     assert max(abs(last[0] - previous[0]), abs(last[1] - previous[1])) > 1e-11
 
 
+def test_quad_ladder_ends_at_the_largest_grid(monkeypatch):
+    # A ladder that would pass the largest grid ends as a spent doubling
+    # budget does, with the last two estimates: after one grid, for the
+    # largest index, with no second one. An index whose first grid is
+    # larger is refused before any grid is built.
+    monkeypatch.setattr(filon_oracle, "_MAX_POINTS", 4096)
+    sizes = []
+
+    def f(t):
+        sizes.append(np.size(t))
+        return np.sign(np.sin(np.asarray(t)) + 0.3)
+
+    with pytest.raises(QuadratureConvergenceError, match="on grids of up to 4096 points") as err:
+        quad_fourier_coeff(f, 1)
+    assert sizes == [1024, 2048, 4096]
+    assert err.value.last is not None and err.value.previous is not None
+    with pytest.raises(QuadratureConvergenceError) as err:
+        quad_fourier_coeff(f, 128)
+    assert sizes[3:] == [4096] and err.value.previous is None
+    with pytest.raises(ValueError, match=r"coefficient index k must be an integer in 0\.\.128"):
+        quad_fourier_coeff(f, 129)
+    assert len(sizes) == 4
+
+
+def test_quad_refuses_an_oversized_index_for_a_spline_too():
+    # 10^12 used to reach a 2^45-point grid: a MemoryError for a callable,
+    # a refusal naming `points` for a spline.
+    spl = spline_of(power_decay_cosine(4), 2, 1)
+    for fn in (harmonic_sum([(1, 1.0, 0.0)]), spl):
+        with pytest.raises(ValueError, match="coefficient index k must be an integer in"):
+            quad_fourier_coeff(fn, 10**12)
+
+
 def test_filon_coeffs_pure_cosine():
     rows = filon_coeffs(harmonic_sum([(1, 1.0, 0.0)]), (1, 3))
     assert [r[0] for r in rows] == [1, 2, 3]
@@ -182,6 +218,32 @@ def test_refined_bound_dominates_and_restores_decay():
 
     slope = fit_loglog_slope(ks, np.array(measured))
     assert slope <= -(q + 1) + 0.4
+
+
+def test_diff_variation_streams_its_series():
+    # The 2^18-term difference series is consumed block by block, never
+    # held whole: one estimate, its class table warm, peaks far below the
+    # 30 MB of the whole-array fold.
+    sig = power_decay_cosine(6)
+    spl = spline_of(sig, 64, 3)
+    estimate_diff_variation(sig, spl, 3)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        estimate_diff_variation(sig, spl, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+
+
+def test_diff_variation_refuses_a_q_that_is_not_an_integer_order():
+    # q = 1.5 used to give a value between the q = 1 and q = 2 estimates.
+    sig = power_decay_cosine(6)
+    spl = spline_of(sig, 2, 3)
+    for q in (1.5, -1, np.nan):
+        with pytest.raises(ValueError, match="q must be >= 0"):
+            estimate_diff_variation(sig, spl, q)
 
 
 # -- sup distance -----------------------------------------------------------------

@@ -19,7 +19,12 @@ from trigspec.alias_analysis import (
     folded_coefficients,
     time_domain_overlay_bound,
 )
-from trigspec.filon_oracle import filon_coeffs, quad_fourier_coeff, refined_error_bound
+from trigspec.filon_oracle import (
+    estimate_diff_variation,
+    filon_coeffs,
+    quad_fourier_coeff,
+    refined_error_bound,
+)
 from trigspec.sampling import discrete_coeffs, extended_coefficient, make_grid, sample
 from trigspec.signal_model import (
     HARMONIC_SUM,
@@ -46,6 +51,7 @@ from trigspec.trig_spline import (
     spline_fourier_coeff,
     spline_from_json,
     spline_to_json,
+    unfolded_blocks,
     unfolded_spectrum,
     values_on_uniform_grid,
 )
@@ -115,6 +121,8 @@ SITES = [
      "coefficient index must be an integer >= 1", False),
     ("unfolded_spectrum j_max", lambda x: unfolded_spectrum(SPLINE, x), 1, 2**32,
      "j_max must be an integer in 1..4294967296", False),
+    ("unfolded_blocks j_max", lambda x: unfolded_blocks(SPLINE, x), 1, 2**32,
+     "j_max must be an integer in 1..4294967296", False),
     ("curvature_functional order", lambda x: curvature_functional(SPLINE, x), 0, None,
      "derivative order must be an even integer >= 0", False),
     ("spline_from_json N", lambda x: spline_from_json(_spline_doc(N=x)), 3, None,
@@ -132,13 +140,15 @@ SITES = [
      "band size n must be an integer >= 1", False),
     ("time_domain_overlay_bound n", lambda x: time_domain_overlay_bound(x, SIGNAL.smoothness), 1,
      None, "n must be an integer >= 1", False),
-    ("quad_fourier_coeff k", lambda x: quad_fourier_coeff(COSINE, x), 0, None,
-     "coefficient index must be an integer >= 0", False),
+    ("quad_fourier_coeff k", lambda x: quad_fourier_coeff(COSINE, x), 0, 2**27,
+     "coefficient index k must be an integer in 0..134217728", False),
     ("filon_coeffs k_range", lambda x: filon_coeffs(COSINE, (0, x)), 0, None,
      "k_range must be a pair of integers >= 0", False),
     ("refined_error_bound k", lambda x: refined_error_bound(x, 1, 1.0), 1, None,
      "bound is defined for integer k >= 1", True),
     ("refined_error_bound q", lambda x: refined_error_bound(1, x, 1.0), 0, None,
+     "q must be >= 0", False),
+    ("estimate_diff_variation q", lambda x: estimate_diff_variation(COSINE, SPLINE, x), 0, None,
      "q must be >= 0", False),
 ]
 IDS = [site[0] for site in SITES]

@@ -465,6 +465,21 @@ def test_long_laws_are_built_block_by_block_with_the_same_bits():
     assert _bits((ca, cb)) == _bits(whole)
 
 
+@pytest.mark.parametrize("J", [1, 2**14, 2**14 + 1, 3 * 2**14 + 7, 2**18])
+def test_unfolded_blocks_join_to_the_unfolded_spectrum(J):
+    # Consecutive blocks of 2^14 indices, the last one shorter, whose rows
+    # joined are the unfolded spectrum's: below 2^14 read from a stored
+    # law, above filled from these same blocks.
+    c = cfg(8, 3, "inv-power")
+    spl = _seeded_splines(c, 1)[0]
+    blocks = list(trig_spline.unfolded_blocks(spl, J))
+    sizes = [js.size for js, _, _ in blocks]
+    assert sizes[:-1] == [trig_spline._LAW_BLOCK] * (len(blocks) - 1)
+    assert 1 <= sizes[-1] <= trig_spline._LAW_BLOCK
+    joined = [np.concatenate(part) for part in zip(*blocks)]
+    assert _bits(joined) == _bits(unfolded_spectrum(spl, J))
+
+
 def test_returned_arrays_are_fresh_and_plans_are_read_only():
     _clear_plans()
     c = cfg(8, 2)

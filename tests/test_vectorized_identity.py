@@ -8,9 +8,9 @@ and results must agree exactly (``==``), not within a tolerance.
 The Hurwitz fold of the whole series onto a uniform grid is kept here as
 a per-class loop too, as the oracle of the evaluation engine; the two
 sum in different orders, so that check allows rounding, as does the
-agreement of scattered points with grid values. The block fold of the
-difference-variation estimate is pinned, bit for bit, to the scatter-add
-it replaced.
+agreement of scattered points with grid values. The streamed
+difference-variation estimate is pinned, bit for bit, to the whole-array
+block fold it replaced and to the scatter-add before that.
 """
 
 import math
@@ -118,16 +118,33 @@ def folded_values(W, a0):
     return len(W) * np.real(np.fft.ifft(W)) + 0.5 * a0
 
 
-def loop_diff_variation(signal, spectrum, q):
-    # estimate_diff_variation with the fold as a scatter-add over j mod G,
-    # from the spline's unfolded spectrum (j, a_hat_j, b_hat_j), j = 1..4G.
+def _scaled_difference(signal, spectrum, q):
+    # The q-th derivative's coefficients of signal - spline, rotated to
+    # (a, b) and written a - ib, from the spline's unfolded spectrum
+    # (j, a_hat_j, b_hat_j), j = 1..4G.
     js, sa, sb = spectrum
     ta, tb = true_coefficient(signal, js)
     ra, rb = _series.rotate_pair(ta - sa, tb - sb, q % 4)
     scale = js.astype(float) ** q
+    return js, scale * ra - 1j * (scale * rb)
+
+
+def whole_diff_variation(signal, spectrum, q):
+    # estimate_diff_variation over the whole 4G-term series at once: its
+    # four periods summed as the rows of a (4, G) array, then rolled one
+    # place so that entry rho holds the residue j = rho mod G.
+    _, d = _scaled_difference(signal, spectrum, q)
+    G = filon_oracle._VARIATION_POINTS
+    W = np.roll(d.reshape(-1, G).sum(axis=0), 1)
+    return _series.grid_total_variation(G * np.real(np.fft.ifft(W)))
+
+
+def loop_diff_variation(signal, spectrum, q):
+    # The same estimate with the fold as a scatter-add over j mod G.
+    js, d = _scaled_difference(signal, spectrum, q)
     G = filon_oracle._VARIATION_POINTS
     W = np.zeros(G, dtype=complex)
-    np.add.at(W, js % G, scale * ra - 1j * (scale * rb))
+    np.add.at(W, js % G, d)
     return _series.grid_total_variation(folded_values(W, 0.0))
 
 
@@ -343,20 +360,32 @@ def test_dft_matches_per_coefficient_loop(n, seed):
     assert np.array_equal(b, lb)
 
 
-def test_dft_rows_over_the_cell_budget_match_the_loop(monkeypatch):
+def _assert_dft_matches_loop(n):
+    values = np.random.default_rng(n).standard_normal(2 * n + 1)
+    got = _kernels.dft(values)
+    want = loop_dft(values)
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+
+def test_dft_rows_over_the_cell_budget_match_the_loop():
     # With a budget of 64 cells every grid below has rows of 2N > 64
     # cells, one to a block. n = 16 has 16 blocks, which all fit the cache
     # and are cached; n = 40 and 100 have more, gathered from one table per
-    # call and never cached.
+    # call and never cached. The cache is keyed on (N, block), not on the
+    # budget, so its one-row blocks are cleared with the budget restored:
+    # left there, they would be read by every later dft at N = 33.
     _kernels._phase_block.cache_clear()
-    monkeypatch.setattr(_kernels, "_DFT_CELLS", 64)
-    for n in (16, 40, 100):
-        values = np.random.default_rng(n).standard_normal(2 * n + 1)
-        got = _kernels.dft(values)
-        want = loop_dft(values)
-        assert got[0] == want[0]
-        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
-    assert _kernels._phase_block.cache_info().currsize == 16
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_kernels, "_DFT_CELLS", 64)
+            for n in (16, 40, 100):
+                _assert_dft_matches_loop(n)
+            assert _kernels._phase_block.cache_info().currsize == 16
+    finally:
+        _kernels._phase_block.cache_clear()
+    _assert_dft_matches_loop(16)
+    assert _kernels._phase_block.cache_info().currsize == 1
 
 
 def test_folded_values_match_direct_evaluation():
@@ -375,11 +404,11 @@ def test_folded_values_match_direct_evaluation():
 
 @pytest.mark.parametrize("n,name", [(1, "harmonic-mixed"), (2, "power-cos-6"),
                                     (8, "harmonic-mixed"), (64, "power-cos-6")])
-def test_diff_variation_block_fold_matches_scatter_add(n, name, monkeypatch):
+def test_diff_variation_block_fold_matches_scatter_add(n, name):
     # Every family, orders 1-5 and q = 0..min(r, signal r), for a harmonic
     # sum with a constant term and a power signal of order 4 (q reaches
     # every rotation). Each spline's unfolded spectrum is computed once
-    # and read by both sides.
+    # and read by both oracles.
     grid = make_grid(n)
     signal = suite_signals()[name]
     samples = sample(signal, grid)
@@ -387,10 +416,11 @@ def test_diff_variation_block_fold_matches_scatter_add(n, name, monkeypatch):
         for r in range(1, 6):
             spline = trig_spline.build_spline(samples, KernelConfig(grid=grid, order=r, variant=variant))
             spectrum = trig_spline.unfolded_spectrum(spline, filon_oracle._VARIATION_TERMS)
-            monkeypatch.setattr(filon_oracle, "unfolded_spectrum", lambda *_: spectrum)
             for q in range(min(r, signal.smoothness.r) + 1):
                 got = filon_oracle.estimate_diff_variation(signal, spline, q)
-                assert got == loop_diff_variation(signal, spectrum, q), (variant, r, q)
+                whole = whole_diff_variation(signal, spectrum, q)
+                assert got.hex() == whole.hex(), (variant, r, q)
+                assert whole == loop_diff_variation(signal, spectrum, q), (variant, r, q)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -5,9 +5,10 @@ Runs a fixed set of invocations (``gen-signal``, ``dft`` as CSV and JSON,
 eq3, eq8, eq9 and filon families) on suite presets at small n, plus a
 power signal without a Bernoulli closed form (evaluated through the
 polylogarithm), a signed spline on a grid whose fold step is odd, filon
-bounds for the other two gain families, a response at order 40, and
+bounds for the other two gain families, a response at order 40,
 splines at n = 64 of order 200 (every family) and of order 150 on a
-64-point grid. It prints one ``name sha256`` line per output file,
+64-point grid, and filon bounds at n = 64 whose variation estimates
+take q = 0, 2 and 3. It prints one ``name sha256`` line per output file,
 sorted by name. A second
 fixed set of invocations must be refused (exit status 2 for invalid input,
 3 for a numerical failure); each prints as ``label exit=<status>
@@ -110,6 +111,15 @@ def invocations(out):
     yield "spline r150 eval-grid 64", [
         "spline", "--inline", _long_harmonic_sum(), "--n", "64", "--r", "150",
         "--eval-grid", "64", "--out", str(out / "harmonic130.abs-sinc.r150")]
+    # Filon bounds at n = 64 and order 3, whose variation estimates take
+    # q = 2 (harmonic-mixed), q = 0 (power-cos-2) and q = 3 (power-cos-6).
+    for preset in ("power-cos-2", "power-cos-6"):
+        yield f"gen-signal {preset}", [
+            "gen-signal", "--preset", preset, "--out", str(out / f"{preset}.signal.json")]
+    for preset in ("harmonic-mixed", "power-cos-2", "power-cos-6"):
+        yield f"bounds {preset} filon n64", [
+            "bounds", "--signal", str(out / f"{preset}.signal.json"), "--n", "64", "--r", "3",
+            "--family", "filon", "--out", str(out / f"{preset}.bounds.filon.n64.csv")]
 
 
 def _long_harmonic_sum():
