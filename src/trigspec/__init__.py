@@ -25,7 +25,7 @@ from .errors import (
 )
 from .filon_oracle import (
     cnorm_error_bound,
-    estimate_diff_variation,
+    diff_variation_bound,
     filon_coeffs,
     quad_fourier_coeff,
     refined_error_bound,
@@ -71,7 +71,6 @@ from .trig_spline import (
     spline_fourier_coeff,
     spline_from_json,
     spline_to_json,
-    unfolded_blocks,
     unfolded_spectrum,
     values_on_uniform_grid,
 )

@@ -269,12 +269,6 @@ def _progression_tail(s, step, offset, m_start=1):
     return step**-float(s) * zeta(s, m_start + offset / step)
 
 
-def grid_total_variation(values):
-    """Total variation of a periodic sequence, wrap-around step included."""
-    values = np.asarray(values, dtype=float)
-    return float(np.sum(np.abs(np.diff(values))) + abs(values[0] - values[-1]))
-
-
 def _lerch_terms(s):
     return int(s) + _LERCH_EXTRA_TERMS
 

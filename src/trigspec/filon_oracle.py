@@ -10,7 +10,14 @@ oracle for the closed-form spline coefficients: integrating the spline's
 
 Both coefficient-error bounds live here as well: the k-independent
 sup-norm bound (4/pi) ||f - phi||_C, and the refined bound
-variation / (pi k^(q+1)) that restores the decay order q = min(r, m).
+Var(h)/(pi k^(q+1)) on the coefficients of h = (f - phi)^(q), which
+restores the decay order q. The variation is proved in closed form
+(:func:`diff_variation_bound`) by the smaller of two routes: the
+difference route sqrt(2 pi) ||(f - phi)^(q+1)||_2, and the sum route
+Var(f^(q)) + Var(phi^(q)), whose spline part at q = r is the sum of the
+jumps of phi^(r) in a polynomial spline. q is min(R, r), the signal's
+declared order and the spline's, except where phi^(r) has infinite
+variation (s = r + 1 odd, unsigned family): there it is r - 1.
 """
 
 import math
@@ -19,8 +26,8 @@ import numpy as np
 
 from . import _series
 from .errors import QuadratureConvergenceError
-from .signal_model import true_coefficient
-from .trig_spline import unfolded_blocks, unfolded_spectrum
+from .signal_model import HARMONIC_SUM, POWER_DECAY_COSINE, true_coefficient
+from .trig_spline import unfolded_spectrum
 
 # Quadrature policy: the base grid (a power of two), the doubling budget
 # and the agreement two successive estimates must reach.
@@ -29,11 +36,26 @@ _MAX_DOUBLINGS = 10
 _CONVERGENCE_TOL = 1e-11
 # Largest quadrature grid, the largest uniform grid a spline evaluates on.
 _MAX_POINTS = 2**32
-# Grid of the sup-norm distance; grid and series length of the
-# difference-variation estimate.
+# Grid of the sup-norm distance.
 _SUP_POINTS = 2**14
-_VARIATION_POINTS = 2**16
-_VARIATION_TERMS = 4 * _VARIATION_POINTS
+# The difference route sums j = 1..J0 directly, J0 = _HEAD_PERIODS * N,
+# and bounds the tail beyond in closed form.
+_HEAD_PERIODS = 4
+_EPS = math.ulp(1.0)
+# Relative error allowed on each computed coefficient, true or spline:
+# a power, a gain (ratio power, class normalizer) and a product, each a
+# few eps.
+_COEFF_REL = 16 * _EPS
+# Outward factor on a variation bound: every power, square, product,
+# square root and SciPy zeta value on the way is within a few eps
+# relative, and the sums are correctly rounded (math.fsum).
+_ROUND_OUT = 1.0 + 64 * _EPS
+# What underflow can take from a term of weight w >= 1 of an energy sum
+# (a square, a product and the weight's product, each at most half the
+# smallest subnormal 2^-1074), with room: w * _TINY.
+_TINY = 2.0**-1070
+# Cells of the (nodes x band) phase block of the jump sum.
+_JUMP_CELLS = 1 << 16
 
 
 def _values_on_grid(fn, G, cache=None):
@@ -65,8 +87,10 @@ def quad_fourier_coeff(fn, k, _cache=None):
     The grid starts at max(1024, 32*max(k,1)) rounded up to a power of
     two and doubles, at most 10 times and to at most 2**32 points, until
     two successive estimates agree within 1e-11 in both components. `k`
-    is an integer in 0..2**27, whose first grid has at most 2**32 points;
-    a larger one is refused with ValueError before anything is allocated.
+    is an integer in 0..2**26, whose first grid has at most 2**31 points,
+    so the ladder reaches at least two grids; a larger one, whose first
+    grid would be the largest, could never converge and is refused with
+    ValueError before anything is allocated.
 
     Raises
     ------
@@ -74,7 +98,7 @@ def quad_fourier_coeff(fn, k, _cache=None):
         When the doubling budget runs out or the next grid would pass
         2**32 points; carries the last two estimates.
     """
-    top = _MAX_POINTS // 32
+    top = _MAX_POINTS // 64
     k = _series.integer(k, 0, f"coefficient index k must be an integer in 0..{top}", top)
     G = max(_BASE_POINTS, 32 * max(k, 1))
     if G & (G - 1):
@@ -131,10 +155,14 @@ def cnorm_error_bound(sup_error):
 def refined_error_bound(k, q, diff_variation):
     """Decay-restoring bound variation/(pi k^(q+1)).
 
-    `q` is the shared smoothness order of the signal and approximant
-    (the smaller of the two); `diff_variation` bounds the variation of
-    the q-th derivative of their difference. k is an index or an index
-    array: a float or an array shaped like k.
+    |c_k(h)| <= Var(h)/(pi k) for the coefficients of a periodic h of
+    bounded variation (Zygmund, *Trigonometric Series*, ch. II), and the
+    coefficients of f - phi are those of h = (f - phi)^(q) divided by
+    k^q. `diff_variation` bounds Var(h); :func:`diff_variation_bound`
+    proves one, by the difference or the sum route, and
+    :func:`filon_table` takes q = min(R, r), or r - 1 where phi^(r) has
+    infinite variation. k is an index or an index array: a float or an
+    array shaped like k.
     """
     k = _series.integers(k, 1, "bound is defined for integer k >= 1")
     q = _series.integer(q, 0, "q must be >= 0")
@@ -151,46 +179,185 @@ def sup_distance(f, g):
     return float(np.max(np.abs(fv - gv)))
 
 
-def estimate_diff_variation(signal, spline, q):
-    """Grid estimate of Var of the q-th derivative of (signal - spline).
+def diff_variation_bound(signal, spline, q):
+    """Proved upper bound on Var(h), h = (f - phi)^(q), for signal f and spline phi.
 
-    The difference series is truncated at 2**18 coefficients,
-    differentiated termwise, folded onto a grid of G = 2**16 points and
-    measured by summed absolute steps. The series is streamed, never
-    built whole: each block of :func:`~trigspec.trig_spline.unfolded_blocks`
-    (2**14 indices) is differenced against the true coefficients, rotated,
-    scaled and written into one accumulator of G sums at (j - 1) mod G,
-    assigned over j = 1..G and added over each later period, so each
-    residue adds its terms in the order of j. Rolled one place, the sums
-    are indexed by j mod G, and the grid values are G Re(ifft) of them.
-    An estimate, not a bound: truncation ripple inflates it slightly,
-    which only loosens the bound it feeds. `q` is an integer >= 0.
+    It is the smaller of two routes, in O(n + J0) work, J0 = 4N (the
+    jump sum below is O(nN), the order of the spline's own DFT). Here R
+    and V are the signal's declared order and variation, r the spline's
+    order, s = r + 1, and ||g||_2^2 = pi sum_j j^(2q+2) |g_j|^2 for
+    g = h' by Parseval, |g_j|^2 = a_j^2 + b_j^2.
+
+    - Difference route, for q <= r - 1 where the signal's sum converges
+      (p > q + 3/2 for power decay, always for a harmonic sum): Var(h) =
+      int |h'| <= sqrt(2 pi) ||h'||_2 by Cauchy-Schwarz. The terms
+      j <= J0 are summed directly from f_j - phi_j, so they do not
+      cancel. Beyond J0, T_f is the signal's part (zeta(2p - 2q - 2,
+      J0 + 1) for power decay, an exact finite sum for a harmonic sum)
+      and T_phi the spline's, summed per alias class: |phi_k|^2 k^(2q+2)
+      times the ratio tails (k/j)^(2s - 2q - 2) of both branches from
+      their first members above J0. The tail is T_f - 2X + T_phi exactly
+      for an integer p, X the cross term in closed form, and at most
+      (sqrt(T_f) + sqrt(T_phi))^2 by Minkowski otherwise.
+    - Sum route: Var(f^(q)) + Var(phi^(q)). Var(f^(q)) <= min(pi^(R-q)
+      V, sqrt(2 pi) ||f^(q+1)||_2); the first holds for q <= R since a
+      zero-mean periodic g has sup |g| <= Var(g)/2 and Var(g) <= 2 pi
+      sup |g'|. Var(phi^(q)) <= sqrt(2 pi) ||phi^(q+1)||_2, the class sums
+      of :func:`~trigspec.trig_spline.curvature_functional` at order
+      q + 1, for q <= r - 1. At q = r, where s is even or the family is
+      signed, phi^(r) is constant between its knots tau_i (the nodes, or
+      the midpoints when signed), so Var(phi^(r)) = sum_i |d_i| over its
+      jumps d_i = (2 pi/N) sum_{k=1..n} k^(r+1) [A_k cos k tau_i + B_k
+      sin k tau_i], with (A_k, B_k) the in-band coefficients turned r + 1
+      quarter turns (:func:`~trigspec._series.rotate_pair`).
+
+    Any other case has no finite route and gives inf: q > r, and q = r
+    where s is odd and the family unsigned, whose phi^(r) has infinite
+    variation (:func:`filon_table` takes q = r - 1 there).
+
+    Rounding is outward: each |f_j - phi_j| is enlarged by 16 eps
+    (|f_j| + |phi_j|), the error allowed on its two operands, before it is
+    squared; each jump by (2n + 64) (eps sum_k (|A_k| + |B_k|) + 2^-1070);
+    each energy sum by 2^-1070 times its weights j^(2q+2), for what
+    underflow takes from tiny terms; nonnegative terms are added with
+    math.fsum; and the result is multiplied by 1 + 64 eps for the relative
+    rounding of the powers, products, square roots and SciPy zeta values
+    on the way. A bound that leaves the float range is inf. `q` is an
+    integer >= 0.
     """
     q = _series.integer(q, 0, "q must be >= 0")
-    G = _VARIATION_POINTS
-    W = np.empty(G, dtype=complex)
-    rot = q % 4
-    for js, sa, sb in unfolded_blocks(spline, _VARIATION_TERMS):
-        ta, tb = true_coefficient(signal, js)
-        ra, rb = _series.rotate_pair(ta - sa, tb - sb, rot)
-        scale = js.astype(float) ** q
-        d = scale * ra - 1j * (scale * rb)
-        # Blocks of 2**14 indices tile each period of G.
-        at = slice((js[0] - 1) % G, (js[-1] - 1) % G + 1)
-        if js[0] <= G:
-            W[at] = d
+    cfg = spline.config
+    N, n, r = cfg.grid.N, cfg.grid.n, cfg.order
+    J0 = _HEAD_PERIODS * N
+    with np.errstate(over="ignore", invalid="ignore"):
+        js, sa, sb = unfolded_spectrum(spline, J0)
+        weight = js.astype(float) ** (2 * q + 2)
+        band = weight[:n] * (sa[:n] ** 2 + sb[:n] ** 2)
+        floor = _TINY * math.fsum(weight)
+        routes = []
+        if q <= r - 1:
+            f_tail = _signal_energy(signal, q, J0, N)
+            if f_tail < math.inf:
+                ta, tb = true_coefficient(signal, js)
+                da = np.abs(ta - sa) + _COEFF_REL * (np.abs(ta) + np.abs(sa))
+                db = np.abs(tb - sb) + _COEFF_REL * (np.abs(tb) + np.abs(sb))
+                head = math.fsum(weight * da**2) + math.fsum(weight * db**2)
+                tail = _difference_tail(signal, cfg, q, J0, f_tail, sa[:n], sb[:n], band)
+                routes.append(_norm_variation(head + tail + floor))
+            phi_var = _norm_variation(_spline_tail(band, 2 * (r - q), N, 0) + floor)
+        elif q == r and cfg.polynomial:
+            phi_var = _jump_variation(cfg, sa[:n], sb[:n])
         else:
-            W[at] += d
-    vals = G * np.real(np.fft.ifft(np.roll(W, 1)))
-    return _series.grid_total_variation(vals)
+            phi_var = math.inf
+        f_var = _norm_variation(_signal_energy(signal, q))
+        R, V = signal.smoothness.r, signal.smoothness.variation
+        if q <= R:
+            f_var = min(f_var, V * float(np.power(math.pi, R - q)))
+        routes.append(f_var + phi_var)
+    bound = min((x for x in routes if not math.isnan(x)), default=math.inf)
+    return bound * _ROUND_OUT
+
+
+def _norm_variation(energy):
+    # sqrt(2 pi) ||g||_2 with ||g||_2^2 = pi * energy.
+    return math.pi * math.sqrt(2.0 * energy)
+
+
+def _signal_energy(signal, q, above=0, N=1):
+    # sum_{j > above} j^(2q+2) |f_j|^2 for `above` a multiple of N: inf
+    # where the power-decay sum diverges (p <= q + 3/2). That sum runs over
+    # the residues of j mod N, so each Hurwitz argument lies in (above/N,
+    # above/N + 1]: at large arguments SciPy's zeta loses up to 1e-9.
+    if signal.kind == HARMONIC_SUM:
+        ks, a, b = np.array(signal.terms, dtype=float).reshape(-1, 3).T
+        weight = ks ** (2 * q + 2)
+        return math.fsum((weight * (a * a + b * b + _TINY))[ks > above])
+    x = 2.0 * (signal.p - q - 1)
+    if x <= 1.0:
+        return math.inf
+    rho = np.arange(1, N + 1)
+    return math.fsum(_series.progression_tail(x, N, rho - N, above // N + 1))
+
+
+def _branch_starts(k, N, J0):
+    # The first members above J0 of class k's branches j = mN + k (m >= 0)
+    # and j = mN - k (m >= 1).
+    return N * ((J0 - k) // N + 1) + k, N * ((J0 + k) // N + 1) - k
+
+
+def _spline_tail(band, e, N, J0):
+    # sum_{j > J0} j^(2q+2) |phi_j|^2: class k's member j carries
+    # band_k (k/j)^e, e = 2(r - q), summed over both branches from their
+    # first members above J0.
+    k = np.arange(1, band.size + 1)
+    plus, minus = _branch_starts(k, N, J0)
+    return math.fsum(band * (_series.ratio_tail(e, k, plus, N) + _series.ratio_tail(e, k, minus, N)))
+
+
+def _difference_tail(signal, config, q, J0, f_tail, a, b, band):
+    # sum_{j > J0} j^(2q+2) |f_j - phi_j|^2, with T_f = f_tail and T_phi
+    # the spline's. A harmonic sum, or a power p that is not an integer and
+    # so not s, takes (sqrt(T_f) + sqrt(T_phi))^2. An integer p takes
+    # T_f - 2X + T_phi exactly: where p = s the spline's members j^-s track
+    # the signal's and the Minkowski form would overstate a tail that
+    # cancels (ratio tails take a non-integer exponent only at equal binary
+    # exponents, see _series.ratio_power). Member j of class k carries
+    # eps_j (k/j)^s times the in-band coefficient C_k (the one on the
+    # signal's component, its sine turned on the mN - k branch), so X is
+    # sum_k C_k k^(2q+2-p) times, on each branch, the sign of its first
+    # member and a ratio tail of exponent p + s - 2q - 2 > 3/2 (alternating
+    # in the signed family). Rounding: 64 eps (T_f + 2 sum_k |X_k| + T_phi).
+    N = config.grid.N
+    spline_tail = _spline_tail(band, 2 * (config.order - q), N, J0)
+    if signal.kind == HARMONIC_SUM or signal.p != int(signal.p):
+        return (math.sqrt(f_tail) + math.sqrt(spline_tail)) ** 2
+    k = np.arange(1, a.size + 1)
+    x = signal.p + config.power - 2 * q - 2
+    cosine = signal.kind == POWER_DECAY_COSINE
+    cross = np.zeros(k.size)
+    for start, c in zip(_branch_starts(k, N, J0), (a, a) if cosine else (b, -b)):
+        sign = np.where((start // N) % 2 == 1, -1.0, 1.0) if config.signed else 1.0
+        cross += sign * c * _series.ratio_tail(x, k, start, N, config.signed)
+    cross *= k.astype(float) ** (2 * q + 2 - signal.p)
+    total = f_tail - 2.0 * math.fsum(cross) + spline_tail
+    slack = 64 * _EPS * (f_tail + 2.0 * math.fsum(np.abs(cross)) + spline_tail)
+    return max(total, 0.0) + slack
+
+
+def _jump_variation(config, a, b):
+    # sum_i |d_i| over the N jumps of phi^(r) (see diff_variation_bound),
+    # from the in-band coefficients a, b. Phases k tau_i = pi m/N with
+    # m = k(2i + signed) mod 2N reduced in integers, so each cos/sin is
+    # within 11 eps; each d_i then lies within (2n + 64) eps sum_k (|A_k| +
+    # |B_k|) of its computed value, the gains' error included. Nodes are
+    # taken in blocks of at most _JUMP_CELLS phases.
+    N, n, r = config.grid.N, config.grid.n, config.order
+    k = np.arange(1, n + 1)
+    scale = k.astype(float) ** (r + 1)
+    A, B = (scale * c for c in _series.rotate_pair(a, b, (r + 1) % 4))
+    rows = max(_JUMP_CELLS // n, 1)
+    jumps = []
+    for start in range(0, N, rows):
+        i = np.arange(start, min(start + rows, N))
+        angle = (math.pi / N) * (np.multiply.outer(2 * i + config.signed, k) % (2 * N))
+        jumps.append(np.abs(np.cos(angle) @ A + np.sin(angle) @ B))
+    slack = N * (2 * n + 64) * (_EPS * math.fsum(np.abs(A) + np.abs(B)) + _TINY)
+    return 2.0 * math.pi / N * (math.fsum(np.concatenate(jumps)) + slack)
+
+
+def _shared_order(signal, config):
+    # The order q of the refined bound: min(R, r), or r - 1 where q = r
+    # and phi^(r) has infinite variation (s odd, unsigned family).
+    q = min(signal.smoothness.r, config.order)
+    return q - 1 if q == config.order and not config.polynomial else q
 
 
 def filon_table(signal, spline, k_max):
     """Rows comparing the spline's coefficients with the true ones, both bounds attached."""
     sup = sup_distance(signal, spline)
     cbound = cnorm_error_bound(sup)
-    q = min(signal.smoothness.r, spline.config.order)
-    dv = estimate_diff_variation(signal, spline, q)
+    q = _shared_order(signal, spline.config)
+    dv = diff_variation_bound(signal, spline, q)
     js, ah, bh = unfolded_spectrum(spline, k_max)
     ta, tb = true_coefficient(signal, js)
     refined = refined_error_bound(js, q, dv)

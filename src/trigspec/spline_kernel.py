@@ -92,6 +92,16 @@ class KernelConfig:
         """True when raw gains can change sign (odd power of the signed sinc)."""
         return self.variant is FilterVariant.SINC_POWER and self.power % 2 == 1
 
+    @property
+    def polynomial(self):
+        """True when the spline is a periodic polynomial spline of degree r.
+
+        That is where s = r + 1 is even (knots at the nodes) or the family
+        is signed (knots at the midpoints): Golomb, "Approximation by
+        periodic spline interpolants on uniform meshes", 1968.
+        """
+        return self.power % 2 == 0 or self.signed
+
 
 def raw_gain(j, config):
     """The damping factor sigma applied to harmonic j before normalization.

@@ -46,10 +46,8 @@ so that a spline's own work is a gather, a product and its FFTs:
   keyed on (grid, order, signed, G), read by :func:`values_on_uniform_grid`.
 
 A plan is stored only when its arrays hold at most 16 KiB; larger ones
-(J = 2^18, G = 2^14, the quadrature grids) are built the same way on every
-call, laws of more than 2^14 indices in blocks of 2^14, which
-:func:`unfolded_blocks` also hands out one at a time (the variation
-estimate reads 2^18 rows without holding them all). Each kind keeps
+(G = 2^14, the quadrature grids) are built the same way on every call,
+laws of more than 2^14 indices in blocks of 2^14. Each kind keeps
 its 64 most recently used plans, so the two hold at most 2 MiB. Plans are
 read-only, every returned array is fresh, and a value has the same bits
 whether its plan was stored or built for the call.
@@ -78,7 +76,7 @@ _MAX_SIZE = 2**32
 _PLAN_BYTES = 1 << 14
 _PLAN_ENTRIES = 64
 # Longest coefficient law built in one piece; longer rows come in blocks
-# of this many indices (unfolded_blocks).
+# of this many indices.
 _LAW_BLOCK = 1 << 14
 
 
@@ -272,7 +270,7 @@ def _columns(cfg):
     # polynomial spline the sum over j0 cancels every power of theta above
     # theta^r, so the table is built to columns 0..r only (the singular
     # factor is always kept); other configurations read all order + 65.
-    terms = cfg.power if _polynomial(cfg) else None
+    terms = cfg.power if cfg.polynomial else None
     even, odd, lead = _series.lerch_coefficients(cfg.power, cfg.grid.N, terms)
     return even[:-1], odd[:-1], lead[:-1]
 
@@ -300,14 +298,6 @@ def _grid_plan(N, signed, G, power, columns):
 
 # Keyed on (N, order, signed, G).
 _GRID_PLANS = _PlanCache(_grid_plan)
-
-
-def _polynomial(cfg):
-    # Where s = r + 1 is even, or the family is signed, the spline is a
-    # periodic polynomial spline of degree r, with knots at the nodes (even
-    # s) or at the midpoints (signed): Golomb, "Approximation by periodic
-    # spline interpolants on uniform meshes", 1968.
-    return cfg.power % 2 == 0 or cfg.signed
 
 
 def _cell_table_sum(columns, w, sing, theta, cells):
@@ -385,7 +375,7 @@ def scattered_eval_bound(spline):
     """
     spec = spline.spectrum
     cfg = spline.config
-    if _polynomial(cfg):
+    if cfg.polynomial:
         return 0.0
     k = np.arange(1, cfg.grid.n + 1)
     weight = np.abs(class_table(cfg).gains) * _series.ratio_power(k, cfg.grid.N, cfg.power)
@@ -445,11 +435,11 @@ def unfolded_spectrum(spline, j_max):
     and the constant-class mask) is a plan kept per (grid, order, variant,
     j_max), whatever ``tail_tol`` is, when it holds at most 16 KiB (64
     plans, 1 MiB at most), so a spline's rows cost a gather and a product.
-    Longer rows are filled from :func:`unfolded_blocks`, with the same
-    bits. `j_max` is an integer in 1..2^32, refused with ValueError before
-    anything is allocated.
+    Longer rows are filled in blocks of 2^14 indices, each block's law
+    built for it and dropped, with the same bits. `j_max` is an integer in
+    1..2^32, refused with ValueError before anything is allocated.
     """
-    J = _checked_j_max(j_max)
+    J = _series.integer(j_max, 1, "j_max must be an integer in 1..4294967296", _MAX_SIZE)
     cfg = spline.config
     if J <= _LAW_BLOCK:
         js = np.arange(1, J + 1)
@@ -462,23 +452,6 @@ def unfolded_spectrum(spline, j_max):
         ca[js[0] - 1:js[-1]] = a
         cb[js[0] - 1:js[-1]] = b
     return np.arange(1, J + 1), ca, cb
-
-
-def unfolded_blocks(spline, j_max):
-    """The rows of :func:`unfolded_spectrum` as consecutive blocks of at most 2^14 indices.
-
-    Yields (js, a_hat, b_hat) for js = 1..2^14, 2^14 + 1..2^15, ... up to
-    j_max, each block's coefficient law built for it and dropped after,
-    so a caller that consumes the rows block by block (the
-    difference-variation estimate reads 2^18 of them) holds no more than
-    one block at a time. Joined, the blocks are :func:`unfolded_spectrum`
-    bit for bit. `j_max` is checked as there, when this is called.
-    """
-    return _blocks(spline, _checked_j_max(j_max))
-
-
-def _checked_j_max(j_max):
-    return _series.integer(j_max, 1, "j_max must be an integer in 1..4294967296", _MAX_SIZE)
 
 
 def _blocks(spline, J):

@@ -24,8 +24,8 @@ from trigspec import (
     cnorm_error_bound,
     coefficient_bound,
     curvature_functional,
+    diff_variation_bound,
     discrete_coeffs,
-    estimate_diff_variation,
     filter_response,
     folded_coefficients,
     make_grid,
@@ -139,7 +139,8 @@ def test_c3_bound_suite(suite):
                     violations.append(("overlay", name, n))
 
     # Quadrature-route bounds for order-3 splines on N = 17; 10% slack on
-    # the two checks that rest on dense-grid estimates.
+    # the sup-norm check, which rests on a dense-grid estimate of the sup.
+    # The refined bound's variation is proved, so it takes none.
     grid = make_grid(8)
     for name in SIX_SIGNALS:
         sig = suite[name]
@@ -147,14 +148,14 @@ def test_c3_bound_suite(suite):
         sup = sup_distance(sig, spl)
         cbound = cnorm_error_bound(sup)
         q = min(sig.smoothness.r, 3)
-        dv = estimate_diff_variation(sig, spl, q)
+        dv = diff_variation_bound(sig, spl, q)
         for k in range(1, 4 * grid.N + 1):
             ta, tb = true_coefficient(sig, k)
             ca, cb = spline_fourier_coeff(spl, k)
             measured = max(abs(ta - ca), abs(tb - cb))
             if measured > 1.1 * cbound:
                 violations.append(("cnorm", name, k))
-            if measured > 1.1 * refined_error_bound(k, q, dv):
+            if measured > refined_error_bound(k, q, dv):
                 violations.append(("refined", name, k))
 
     elapsed = time.monotonic() - start

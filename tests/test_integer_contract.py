@@ -20,7 +20,7 @@ from trigspec.alias_analysis import (
     time_domain_overlay_bound,
 )
 from trigspec.filon_oracle import (
-    estimate_diff_variation,
+    diff_variation_bound,
     filon_coeffs,
     quad_fourier_coeff,
     refined_error_bound,
@@ -51,7 +51,6 @@ from trigspec.trig_spline import (
     spline_fourier_coeff,
     spline_from_json,
     spline_to_json,
-    unfolded_blocks,
     unfolded_spectrum,
     values_on_uniform_grid,
 )
@@ -121,8 +120,6 @@ SITES = [
      "coefficient index must be an integer >= 1", False),
     ("unfolded_spectrum j_max", lambda x: unfolded_spectrum(SPLINE, x), 1, 2**32,
      "j_max must be an integer in 1..4294967296", False),
-    ("unfolded_blocks j_max", lambda x: unfolded_blocks(SPLINE, x), 1, 2**32,
-     "j_max must be an integer in 1..4294967296", False),
     ("curvature_functional order", lambda x: curvature_functional(SPLINE, x), 0, None,
      "derivative order must be an even integer >= 0", False),
     ("spline_from_json N", lambda x: spline_from_json(_spline_doc(N=x)), 3, None,
@@ -140,15 +137,15 @@ SITES = [
      "band size n must be an integer >= 1", False),
     ("time_domain_overlay_bound n", lambda x: time_domain_overlay_bound(x, SIGNAL.smoothness), 1,
      None, "n must be an integer >= 1", False),
-    ("quad_fourier_coeff k", lambda x: quad_fourier_coeff(COSINE, x), 0, 2**27,
-     "coefficient index k must be an integer in 0..134217728", False),
+    ("quad_fourier_coeff k", lambda x: quad_fourier_coeff(COSINE, x), 0, 2**26,
+     "coefficient index k must be an integer in 0..67108864", False),
     ("filon_coeffs k_range", lambda x: filon_coeffs(COSINE, (0, x)), 0, None,
      "k_range must be a pair of integers >= 0", False),
     ("refined_error_bound k", lambda x: refined_error_bound(x, 1, 1.0), 1, None,
      "bound is defined for integer k >= 1", True),
     ("refined_error_bound q", lambda x: refined_error_bound(1, x, 1.0), 0, None,
      "q must be >= 0", False),
-    ("estimate_diff_variation q", lambda x: estimate_diff_variation(COSINE, SPLINE, x), 0, None,
+    ("diff_variation_bound q", lambda x: diff_variation_bound(COSINE, SPLINE, x), 0, None,
      "q must be >= 0", False),
 ]
 IDS = [site[0] for site in SITES]

@@ -9,6 +9,7 @@ import pytest
 from trigspec import _series
 
 from loglog import fit_loglog_slope
+from variation import grid_total_variation
 
 
 @pytest.mark.parametrize("s", [2, 4, 6, 8])
@@ -83,7 +84,7 @@ def test_grid_total_variation_sawtooth():
     t = np.linspace(0, 2 * np.pi, 2**14, endpoint=False)
     vals = (np.pi - t) / 2.0
     # Slope contributes pi, the wrap-around jump contributes pi.
-    assert _series.grid_total_variation(vals) == pytest.approx(2 * np.pi, rel=1e-3)
+    assert grid_total_variation(vals) == pytest.approx(2 * np.pi, rel=1e-3)
 
 
 def test_fit_loglog_slope_exact_power():

@@ -22,6 +22,8 @@ from trigspec import (
 from trigspec import _series
 from trigspec.signal_model import HARMONIC_SUM, AnalyticSignal, derivative_values
 
+from variation import grid_total_variation
+
 
 def brute_power_eval(kind_cos, p, t, terms=400_000):
     """Independent partial-sum oracle for the power-decay families."""
@@ -278,7 +280,7 @@ def estimate_derivative_variation(signal, order):
     The estimate converges from below for continuous derivatives.
     """
     t = np.linspace(0.0, _series.TWO_PI, 2**16, endpoint=False)
-    return _series.grid_total_variation(derivative_values(signal, order, t))
+    return grid_total_variation(derivative_values(signal, order, t))
 
 
 def test_variation_closed_forms_match_grid_estimate():

@@ -472,7 +472,7 @@ def test_unfolded_blocks_join_to_the_unfolded_spectrum(J):
     # law, above filled from these same blocks.
     c = cfg(8, 3, "inv-power")
     spl = _seeded_splines(c, 1)[0]
-    blocks = list(trig_spline.unfolded_blocks(spl, J))
+    blocks = list(trig_spline._blocks(spl, J))
     sizes = [js.size for js, _, _ in blocks]
     assert sizes[:-1] == [trig_spline._LAW_BLOCK] * (len(blocks) - 1)
     assert 1 <= sizes[-1] <= trig_spline._LAW_BLOCK

@@ -8,9 +8,7 @@ and results must agree exactly (``==``), not within a tolerance.
 The Hurwitz fold of the whole series onto a uniform grid is kept here as
 a per-class loop too, as the oracle of the evaluation engine; the two
 sum in different orders, so that check allows rounding, as does the
-agreement of scattered points with grid values. The streamed
-difference-variation estimate is pinned, bit for bit, to the whole-array
-block fold it replaced and to the scatter-add before that.
+agreement of scattered points with grid values.
 """
 
 import math
@@ -25,7 +23,6 @@ from trigspec import (
     FilterVariant,
     KernelConfig,
     class_table,
-    filon_oracle,
     filter_response,
     gain,
     make_grid,
@@ -34,8 +31,7 @@ from trigspec import (
 )
 from trigspec import _series
 from trigspec import _kernels
-from trigspec.sampling import DiscreteSpectrum, SampleVector, sample
-from trigspec.signal_model import suite_signals, true_coefficient
+from trigspec.sampling import DiscreteSpectrum, SampleVector
 from trigspec.spline_kernel import response_table_to_csv
 
 VARIANTS = list(FilterVariant)
@@ -116,36 +112,6 @@ def folded_values(W, a0):
     # Values at t_g = 2 pi g/G of a0/2 + sum_j (a_j cos(jt) + b_j sin(jt))
     # from its residue-folded coefficients W[rho] = sum_{j = rho mod G} (a_j - i b_j).
     return len(W) * np.real(np.fft.ifft(W)) + 0.5 * a0
-
-
-def _scaled_difference(signal, spectrum, q):
-    # The q-th derivative's coefficients of signal - spline, rotated to
-    # (a, b) and written a - ib, from the spline's unfolded spectrum
-    # (j, a_hat_j, b_hat_j), j = 1..4G.
-    js, sa, sb = spectrum
-    ta, tb = true_coefficient(signal, js)
-    ra, rb = _series.rotate_pair(ta - sa, tb - sb, q % 4)
-    scale = js.astype(float) ** q
-    return js, scale * ra - 1j * (scale * rb)
-
-
-def whole_diff_variation(signal, spectrum, q):
-    # estimate_diff_variation over the whole 4G-term series at once: its
-    # four periods summed as the rows of a (4, G) array, then rolled one
-    # place so that entry rho holds the residue j = rho mod G.
-    _, d = _scaled_difference(signal, spectrum, q)
-    G = filon_oracle._VARIATION_POINTS
-    W = np.roll(d.reshape(-1, G).sum(axis=0), 1)
-    return _series.grid_total_variation(G * np.real(np.fft.ifft(W)))
-
-
-def loop_diff_variation(signal, spectrum, q):
-    # The same estimate with the fold as a scatter-add over j mod G.
-    js, d = _scaled_difference(signal, spectrum, q)
-    G = filon_oracle._VARIATION_POINTS
-    W = np.zeros(G, dtype=complex)
-    np.add.at(W, js % G, d)
-    return _series.grid_total_variation(folded_values(W, 0.0))
 
 
 def loop_dft(values):
@@ -400,27 +366,6 @@ def test_folded_values_match_direct_evaluation():
     j = np.arange(1, J + 1)
     direct = 0.3 + np.cos(np.outer(t, j)) @ a + np.sin(np.outer(t, j)) @ b
     assert np.allclose(folded_values(W, 0.6), direct, atol=1e-12)
-
-
-@pytest.mark.parametrize("n,name", [(1, "harmonic-mixed"), (2, "power-cos-6"),
-                                    (8, "harmonic-mixed"), (64, "power-cos-6")])
-def test_diff_variation_block_fold_matches_scatter_add(n, name):
-    # Every family, orders 1-5 and q = 0..min(r, signal r), for a harmonic
-    # sum with a constant term and a power signal of order 4 (q reaches
-    # every rotation). Each spline's unfolded spectrum is computed once
-    # and read by both oracles.
-    grid = make_grid(n)
-    signal = suite_signals()[name]
-    samples = sample(signal, grid)
-    for variant in VARIANTS:
-        for r in range(1, 6):
-            spline = trig_spline.build_spline(samples, KernelConfig(grid=grid, order=r, variant=variant))
-            spectrum = trig_spline.unfolded_spectrum(spline, filon_oracle._VARIATION_TERMS)
-            for q in range(min(r, signal.smoothness.r) + 1):
-                got = filon_oracle.estimate_diff_variation(signal, spline, q)
-                whole = whole_diff_variation(signal, spectrum, q)
-                assert got.hex() == whole.hex(), (variant, r, q)
-                assert whole == loop_diff_variation(signal, spectrum, q), (variant, r, q)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -7,9 +7,10 @@ power signal without a Bernoulli closed form (evaluated through the
 polylogarithm), a signed spline on a grid whose fold step is odd, filon
 bounds for the other two gain families, a response at order 40,
 splines at n = 64 of order 200 (every family) and of order 150 on a
-64-point grid, and filon bounds at n = 64 whose variation estimates
-take q = 0, 2 and 3. It prints one ``name sha256`` line per output file,
-sorted by name. A second
+64-point grid, filon bounds at n = 64 whose variation bounds take q = 0,
+2 and 3, one at n = 8 where s is odd and q = r drops to r - 1, and one
+whose signal's norm diverges, so only the sum route is finite. It prints
+one ``name sha256`` line per output file, sorted by name. A second
 fixed set of invocations must be refused (exit status 2 for invalid input,
 3 for a numerical failure); each prints as ``label exit=<status>
 stderr=<sha256>`` after the files, so a change to an error message or an
@@ -54,6 +55,13 @@ POLYLOG_SIGNAL = ('{"kind": "PowerDecayCosine", "p": 3.0, "r": 1, "terms": [], '
 # eq9 bound needs r >= 1.
 ROUGH_SIGNAL = ('{"kind": "PowerDecaySine", "p": 2.0, "r": 0, "terms": [], '
                 '"variation": 5.0}')
+# p = 2.5 and r = 1: ||f''||_2 diverges (p <= q + 3/2 at q = 1), so the
+# filon variation takes the sum route. f' = sum cos(kt)/k^1.5 decreases on
+# (0, pi), since f'' = -sum sin(kt)/k^0.5 < 0 there (k^-0.5 is convex and
+# decreasing; Zygmund, *Trigonometric Series*, ch. V), so Var(f') =
+# 2 (f'(0) - f'(pi)) = 2 (2 - 2^-0.5) zeta(3/2) = 6.7550...
+SUM_ROUTE_SIGNAL = ('{"kind": "PowerDecaySine", "p": 2.5, "r": 1, "terms": [], '
+                    '"variation": 6.76}')
 # A harmonic index of 1e999, which JSON reads as infinity.
 INF_INDEX_SIGNAL = ('{"kind": "HarmonicSum", "p": null, "r": 1, "terms": [[1e999, 1.0, 0.0]], '
                     '"variation": 4.0}')
@@ -111,7 +119,7 @@ def invocations(out):
     yield "spline r150 eval-grid 64", [
         "spline", "--inline", _long_harmonic_sum(), "--n", "64", "--r", "150",
         "--eval-grid", "64", "--out", str(out / "harmonic130.abs-sinc.r150")]
-    # Filon bounds at n = 64 and order 3, whose variation estimates take
+    # Filon bounds at n = 64 and order 3, whose variation bounds take
     # q = 2 (harmonic-mixed), q = 0 (power-cos-2) and q = 3 (power-cos-6).
     for preset in ("power-cos-2", "power-cos-6"):
         yield f"gen-signal {preset}", [
@@ -120,6 +128,15 @@ def invocations(out):
         yield f"bounds {preset} filon n64", [
             "bounds", "--signal", str(out / f"{preset}.signal.json"), "--n", "64", "--r", "3",
             "--family", "filon", "--out", str(out / f"{preset}.bounds.filon.n64.csv")]
+    # s = 3 is odd and the family unsigned: phi'' has infinite variation,
+    # so q = min(4, 2) = 2 drops to 1.
+    yield "bounds power-cos-6 filon abs-sinc r2", [
+        "bounds", "--signal", str(out / "power-cos-6.signal.json"), "--n", N_BAND, "--r", "2",
+        "--variant", "abs-sinc", "--family", "filon",
+        "--out", str(out / "power-cos-6.bounds.filon.abs-sinc.r2.csv")]
+    yield "bounds sum-route filon", [
+        "bounds", "--inline", SUM_ROUTE_SIGNAL, "--n", N_BAND, "--family", "filon",
+        "--out", str(out / "sum-route.bounds.filon.csv")]
 
 
 def _long_harmonic_sum():
