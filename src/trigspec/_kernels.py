@@ -4,25 +4,22 @@
 - ``dft``: direct discrete Fourier coefficients on an odd uniform grid
   (no FFT) with exact phases: k*j is reduced mod N in integers and cos/sin
   of 2*pi*m/N are read from one table of N entries, so no transcendental
-  call is left in the O(nN) loop. The gathered phase matrices are cached
-  per (N, row block) for grids whose blocks all fit the cache (n <= 711),
-  within a fixed memory bound; each coefficient is NumPy's pairwise sum
-  of its N products.
+  call is left in the O(nN) loop. The gathered (n, N) phase matrices of a
+  grid are one entry of the package's store (:mod:`trigspec._cache`) when
+  they fit its byte budget (n <= 1023), read in row blocks; each
+  coefficient is NumPy's pairwise sum of its N products.
 """
-
-import functools
 
 import numpy as np
 
+from . import _cache
+
 # Evaluation is blocked so the (points x terms) work array stays small.
 _BLOCK = 512
-# The DFT gathers its (coefficients x samples) cos and sin matrices in row
+# The DFT reads its (coefficients x samples) cos and sin matrices in row
 # blocks that together hold at most this many cells (one row when 2N is
 # larger), so every grid with n <= 127 is one block.
 _DFT_CELLS = 1 << 16
-# Blocks kept by the phase cache: at most _DFT_BLOCKS * _DFT_CELLS float64
-# cells, 16 MiB. Only grids of at most this many blocks are cached.
-_DFT_BLOCKS = 32
 
 
 def synth(a0, coeff_a, coeff_b, t):
@@ -73,13 +70,11 @@ def dft(values):
     along a contiguous row, the same for every coefficient and independent
     of the row blocking.
 
-    The gathered (rows x N) cos and sin matrices of each row block are
-    cached, read-only, per (N, block) in an LRU cache of _DFT_BLOCKS = 32
-    blocks of at most _DFT_CELLS = 65536 cells: at most 16 MiB. A grid is
-    cached only when all its blocks fit (n <= 711; n <= 127 is one
-    block), so a repeated N costs only the products and sums. A grid of
-    more blocks would cycle them through the cache without a hit, so its
-    blocks are gathered from one table per call and not cached.
+    The gathered (n x N) cos and sin matrices of a grid are kept, read-only,
+    as one entry of the package's store, when their 16 nN bytes fit its
+    budget (32 MiB: n <= 1023), so a repeated N costs only the products
+    and sums. A larger grid gathers its row blocks from one table per call
+    and leaves the store as it was.
 
     Returns
     -------
@@ -94,22 +89,18 @@ def dft(values):
     a0 = scale * np.sum(values)
     a = np.empty(n)
     b = np.empty(n)
-    rows = _dft_rows(N)
-    # Cache a grid's blocks only when all of them fit. Rows over the cell
-    # budget (2N > _DFT_CELLS) need n >= 16384 one-row blocks, so they are
-    # never cached: the 16 MiB bound rests on that.
-    gather = (_phase_block if -(-n // rows) <= _DFT_BLOCKS
-              else functools.partial(_gather_block, table=_phase_table(N)))
-    for block, start in enumerate(range(0, n, rows)):
-        cos, sin = gather(N, block)
-        stop = start + cos.shape[0]
+    phases = _cache.get(_phase_matrices, N) if _cache.fits(16 * n * N) else None
+    table = _phase_table(N) if phases is None else None
+    rows = max(_DFT_CELLS // (2 * N), 1)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        if phases is None:
+            cos, sin = _phase_rows(table, N, start, stop)
+        else:
+            cos, sin = phases[0][start:stop], phases[1][start:stop]
         a[start:stop] = scale * np.sum(values * cos, axis=1)
         b[start:stop] = scale * np.sum(values * sin, axis=1)
     return a0, a, b
-
-
-def _dft_rows(N):
-    return max(_DFT_CELLS // (2 * N), 1)
 
 
 def _phase_table(N):
@@ -128,21 +119,13 @@ def _phase_table(N):
     return turns[q, m], turns[(q + 3) % 4, m]
 
 
-@functools.lru_cache(maxsize=_DFT_BLOCKS)
-def _phase_block(N, block):
-    # The table is rebuilt on each miss: O(N) beside the block's gather,
-    # and paid on cold calls only.
-    return _gather_block(N, block, _phase_table(N))
+def _phase_rows(table, N, start, stop):
+    # The cos and sin matrices of rows k = start+1..stop: entry (k, j) is
+    # the table entry at m = kj mod N.
+    m = np.multiply.outer(np.arange(start + 1, stop + 1), np.arange(N)) % N
+    return table[0][m], table[1][m]
 
 
-def _gather_block(N, block, table):
-    # The read-only cos and sin matrices of the block's rows k: entry
-    # (k, j) is the table entry at m = kj mod N.
-    rows = _dft_rows(N)
-    start = block * rows
-    k = np.arange(start + 1, min(start + rows, (N - 1) // 2) + 1)
-    m = np.multiply.outer(k, np.arange(N)) % N
-    cos, sin = table[0][m], table[1][m]
-    cos.setflags(write=False)
-    sin.setflags(write=False)
-    return cos, sin
+def _phase_matrices(N):
+    # The store's entry: the (n, N) cos and sin matrices of the grid.
+    return _phase_rows(_phase_table(N), N, 0, (N - 1) // 2)

@@ -16,13 +16,14 @@ guarantees:
   polylogarithm Li_s(e^(i theta)) it gives at N = 1, through their
   zeta-series expansion (Erdelyi et al., *Higher Transcendental
   Functions* I, 1.11; Crandall, "Note on fast polylogarithm computation",
-  2006), for |theta| <= pi: one cached coefficient table per (s, N,
-  terms), built to the number of powers its caller sums
-  (:func:`lerch_coefficients`; the spline engine reads rows 1..N-1 of it
-  as views, r + 1 powers for a polynomial spline and all int(s) + 64
-  otherwise) and a singular term (:func:`lerch_singular`), combined by the
-  private row builder :func:`_lerch_rows`, which both the spline engine
-  and :func:`polylog_unit` (any angle, reduced to [-pi, pi]) call.
+  2006), for |theta| <= pi: one coefficient table per (s, N, terms),
+  kept in the package's store (:mod:`trigspec._cache`) and built to the
+  number of powers its caller sums (:func:`lerch_coefficients`; the
+  spline engine reads rows 1..N-1 of it as views, r + 1 powers for a
+  polynomial spline and all int(s) + 64 otherwise) and a singular term
+  (:func:`lerch_singular`), combined by the private row builder
+  :func:`_lerch_rows`, which both the spline engine and
+  :func:`polylog_unit` (any angle, reduced to [-pi, pi]) call.
 
 Alongside them sit the small primitives every layer shares: the integer
 contract (:func:`integers`, and :func:`integer` for one scalar), the
@@ -41,6 +42,8 @@ from math import comb, factorial
 
 import numpy as np
 from scipy.special import digamma, gammaln, zeta
+
+from . import _cache
 
 TWO_PI = 2.0 * np.pi
 # Terms of the Lerch expansion kept beyond the order s. Past the singular
@@ -148,10 +151,9 @@ def ratio_power(a, b, x):
 
 
 def _ratio_power(a, b, x):
-    # ratio_power's body. Cached builders (_lerch_table here, the class
-    # table and the spline's plans elsewhere) call bodies like this one
-    # directly, so a table built on a cache miss adds no public calls: the
-    # benchmark's traced call counts must not depend on cache state.
+    # ratio_power's body. The store's builders (_lerch_table here, the
+    # class table and the spline's plans elsewhere) call bodies like this
+    # one directly (see trigspec._cache).
     if x > 1000:
         times, rest = divmod(x, 1000)
         return np.power(_ratio_power(a, b, 1000), times) * _ratio_power(a, b, rest)
@@ -228,19 +230,9 @@ def fourier_power(s, t):
     return sign * TWO_PI**s / (2.0 * factorial(s)) * _bernoulli_poly(s, x)
 
 
-def hurwitz_tail(s, q, alternating=False):
-    """``sum_{i>=0} (i+q)^(-s)`` or the sign-alternating variant ``sum (-1)^i (i+q)^(-s)``.
-
-    Vectorized over q; requires s > 1 and q > 0.
-    """
-    q = np.asarray(q, dtype=float)
-    if np.any(q <= 0.0):
-        raise ValueError("Hurwitz tail requires q > 0")
-    return _hurwitz_tail(s, q, alternating)
-
-
 def _hurwitz_tail(s, q, alternating):
-    # hurwitz_tail's body, for a float array q > 0.
+    # sum_{i>=0} (i+q)^(-s), or sum (-1)^i (i+q)^(-s) when alternating, for
+    # s > 1 and a float array q > 0.
     if not alternating:
         return zeta(s, q)
     # Split even/odd i: sum (-1)^i (i+q)^-s = 2^-s [zeta(s, q/2) - zeta(s, (q+1)/2)].
@@ -342,7 +334,6 @@ def _pole_pair(s, theta):
     return out
 
 
-@lru_cache(maxsize=64)
 def _lerch_table(s, N, R):
     # Returns (even, odd, lead): the even and odd columns of a table of R
     # columns, each contiguous for the matrix products. Row q-1, column r:
@@ -382,14 +373,11 @@ def _lerch_table(s, N, R):
             sign = np.where(a > 0.5, (-1.0) ** n, 1.0)
             c[:, r] = -sign * _bernoulli_poly(n, np.minimum(a, 1.0 - a)) / n * lead * pf[r]
     table = c * np.array([1.0, 1.0, -1.0, -1.0])[np.arange(R) % 4]
-    even, odd = np.ascontiguousarray(table[:, 0::2]), np.ascontiguousarray(table[:, 1::2])
-    for arr in (even, odd, lead):
-        arr.setflags(write=False)
-    return even, odd, lead
+    return np.ascontiguousarray(table[:, 0::2]), np.ascontiguousarray(table[:, 1::2]), lead
 
 
 def lerch_coefficients(s, N, terms=None):
-    """The coefficients ``(even, odd, lead)`` of the Lerch expansion, cached per (s, N, terms).
+    """The coefficients ``(even, odd, lead)`` of the Lerch expansion, one table per (s, N, terms).
 
     With ``u = theta/pi`` the row of first member q = 1..N is (:func:`_lerch_rows`)
 
@@ -404,7 +392,9 @@ def lerch_coefficients(s, N, terms=None):
     coefficient is a power of a ratio below one times a bounded factor, in
     the float range at any order. Integer s >= 2 takes any N >= 1;
     non-integer s > 1 takes N = 1 only; ``terms`` is an integer >= 1. The
-    arrays are contiguous and read-only.
+    arrays are contiguous and read-only. The table is an entry of the
+    package's store, kept while its 8 (R + 1) N bytes fit the store's
+    32 MiB budget and built on every call beyond it.
     """
     if terms is not None:
         terms = integer(terms, 1, "terms must be an integer >= 1")
@@ -414,7 +404,7 @@ def lerch_coefficients(s, N, terms=None):
     if s != int(s) and N != 1:
         raise ValueError("non-integer s is supported for N = 1 only")
     R = _lerch_terms(s) if terms is None else min(terms, _lerch_terms(s))
-    return _lerch_table(float(s), N, R)
+    return _cache.get(_lerch_table, float(s), N, R)
 
 
 def lerch_singular(s, theta):

@@ -27,7 +27,7 @@ import numpy as np
 from . import _series
 from .errors import QuadratureConvergenceError
 from .signal_model import HARMONIC_SUM, POWER_DECAY_COSINE, true_coefficient
-from .trig_spline import unfolded_spectrum
+from .trig_spline import TrigSpline, unfolded_spectrum, values_on_uniform_grid
 
 # Quadrature policy: the base grid (a power of two), the doubling budget
 # and the agreement two successive estimates must reach.
@@ -61,8 +61,8 @@ _JUMP_CELLS = 1 << 16
 def _values_on_grid(fn, G, cache=None):
     if cache is not None and G in cache:
         return cache[G]
-    if hasattr(fn, "eval_on_uniform_grid"):
-        vals = np.asarray(fn.eval_on_uniform_grid(G), dtype=float)
+    if isinstance(fn, TrigSpline):
+        vals = values_on_uniform_grid(fn, G)
     else:
         t = 2.0 * np.pi * np.arange(G) / G
         vals = np.asarray(fn(t), dtype=float)

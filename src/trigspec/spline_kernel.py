@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _series
+from . import _cache, _series
 from ._wire import csv_text
 from .errors import DegenerateKernelError
 
@@ -191,31 +191,30 @@ class ClassTable:
 
 
 def class_table(config):
-    """The :class:`ClassTable` of ``config``, computed once per (grid, order, signed).
+    """The :class:`ClassTable` of ``config``, one per (grid, order, signed).
 
     One array pass over k = 1..n builds every entry; ``tail_tol`` does
-    not enter. A signed table whose class sums cancelled is refused.
+    not enter. A signed table whose class sums cancelled is refused. The
+    table is an entry of the package's store, kept while its 24 n bytes
+    fit the store's 32 MiB budget and built on every call beyond it.
     """
-    return _class_table(*_table_key(config))
+    return _cache.get(_class_table, *_table_key(config))
 
 
 def _table_key(config):
-    # What the per-class data depends on: the grid, the order and the gain signs.
-    return config.grid, config.order, config.signed
+    # What the per-class data depends on: the grid, the order and the gain
+    # signs, as integers, which the store hashes fast.
+    return config.grid.N, config.order, config.signed
 
 
-@lru_cache(maxsize=64)
-def _class_table(grid, order, signed):
+def _class_table(N, order, signed):
     s = order + 1
-    N = grid.N
-    k = np.arange(1, grid.n + 1)
+    k = np.arange(1, (N - 1) // 2 + 1)
     plus, minus = _branch_tails(s, N, signed, k)
     norms = 1.0 + (plus + minus)
     _check_class_sums(signed, norms)
     gains = 1.0 / norms
     mirror_gains = _member_ratios(N - k, k, s, N, signed) * gains
-    for arr in (gains, mirror_gains, norms):
-        arr.setflags(write=False)
     return ClassTable(gains, mirror_gains, norms)
 
 
@@ -261,7 +260,7 @@ def _folded_gain(j, k, config):
     # are already folded. The spline's cached coefficient law calls it with
     # the fold it keeps, so the gains have the same bits either way and a
     # law built on a cache miss adds no public calls.
-    ct = _class_table(*_table_key(config))
+    ct = _cache.get(_class_table, *_table_key(config))
     N = config.grid.N
     dc = k == 0
     out = _member_ratios(j, k, config.power, N, config.signed) * ct.gains[np.maximum(k, 1) - 1]

@@ -45,23 +45,22 @@ so that a spline's own work is a gather, a product and its FFTs:
   factors and, when the sum runs angle by angle, the expansion rows),
   keyed on (grid, order, signed, G), read by :func:`values_on_uniform_grid`.
 
-A plan is stored only when its arrays hold at most 16 KiB; larger ones
-(G = 2^14, the quadrature grids) are built the same way on every call,
-laws of more than 2^14 indices in blocks of 2^14. Each kind keeps
-its 64 most recently used plans, so the two hold at most 2 MiB. Plans are
-read-only, every returned array is fresh, and a value has the same bits
-whether its plan was stored or built for the call.
+The class table, the Lerch table and both plans are entries of the
+package's one store (:mod:`trigspec._cache`), least recently used out
+first under one 32 MiB budget; an entry beyond it is built the same way on
+every call, and laws of more than 2^14 indices are built in blocks of 2^14
+and never stored. Plans are read-only, every returned array is fresh, and
+a value has the same bits whether its plan was stored or built for the
+call.
 """
 
 import json
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _series, sampling, spline_kernel
+from . import _cache, _series, sampling, spline_kernel
 from .sampling import DiscreteSpectrum, discrete_coeffs, make_grid
 from .spline_kernel import FilterVariant, KernelConfig, class_table, filter_response, gain
 
@@ -70,11 +69,6 @@ _REPRESENTATION_CAP = 64     # largest L in the series truncation J = L*N
 # package builds (64 N at the largest grid, N = 2^25 + 1), and keeps the
 # grid's angle numerators 2 N g + G below (2 N + 1) G < 2^59, inside int64.
 _MAX_SIZE = 2**32
-# The plans of one configuration and size are kept when their arrays hold
-# at most _PLAN_BYTES, at most _PLAN_ENTRIES of each kind: the two caches
-# hold at most 2 x 64 x 16 KiB = 2 MiB.
-_PLAN_BYTES = 1 << 14
-_PLAN_ENTRIES = 64
 # Longest coefficient law built in one piece; longer rows come in blocks
 # of this many indices.
 _LAW_BLOCK = 1 << 14
@@ -105,9 +99,6 @@ class TrigSpline:
     def __call__(self, t):
         return spline_eval(self, t)
 
-    def eval_on_uniform_grid(self, points):
-        return values_on_uniform_grid(self, points)
-
     def fourier_series(self):
         """Truncated series (a0, a[1..J], b[1..J]), J from :func:`series_truncation`."""
         J, _ = series_truncation(self)
@@ -115,49 +106,11 @@ class TrigSpline:
         return self.a0, ca, cb
 
 
-class _PlanCache:
-    # Read-only plans by key, least recently used out first. A plan whose
-    # arrays hold more than _PLAN_BYTES is built on every call and not
-    # stored. Builders call private bodies only, so a plan built on a miss
-    # adds no public calls: the benchmark's traced call counts must not
-    # depend on cache state.
-
-    def __init__(self, build):
-        self._build = build
-        self._plans = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __call__(self, key, *args):
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                self._plans.move_to_end(key)
-                return plan
-        plan = self._build(*args)
-        arrays = [arr for arr in plan if arr is not None]
-        for arr in arrays:
-            arr.setflags(write=False)
-        if sum(arr.nbytes for arr in arrays) <= _PLAN_BYTES:
-            with self._lock:
-                self._plans[key] = plan
-                if len(self._plans) > _PLAN_ENTRIES:
-                    self._plans.popitem(last=False)
-        return plan
-
-    def cache_clear(self):
-        with self._lock:
-            self._plans.clear()
-
-
 def _law(config, js):
     # The coefficient law of the int64 indices js, from one fold: the gains,
     # the alias classes k, the sine signs and the constant-class mask.
     k, sin_sign = _series._alias_fold(js, config.grid.N)
     return spline_kernel._folded_gain(js, k, config), k, sin_sign, k == 0
-
-
-# Keyed on (N, order, variant, J): the law of j = 1..J, shared across tail_tol.
-_LAW_PLANS = _PlanCache(_law)
 
 
 def _law_coefficients(law, spectrum):
@@ -296,10 +249,6 @@ def _grid_plan(N, signed, G, power, columns):
     return _angle_plan(power, columns, theta, (cells % N).reshape(-1, P).T)
 
 
-# Keyed on (N, order, signed, G).
-_GRID_PLANS = _PlanCache(_grid_plan)
-
-
 def _cell_table_sum(columns, w, sing, theta, cells):
     # The cell table: column r of the expansion (odd ones times i) and the
     # singular factor, weighted by w and summed over j0 by one inverse FFT
@@ -337,7 +286,7 @@ def spline_eval(spline, t):
     pi; the sum over first members is then one inverse FFT of the
     expansion rows at theta (:func:`_series._lerch_rows`) of rows j0 =
     1..N-1 of the Lerch table :func:`_series.lerch_coefficients`, read at
-    cell l. That table is the one cached per (s, N, R), built to the R
+    cell l. That table is the one stored per (s, N, R), built to the R
     columns summed: R = r + 1 where s is even or the family is signed,
     whose spline is a polynomial spline of degree r, else order + 65. With
     more points than R + 1 the sum runs the other way: one inverse
@@ -397,18 +346,20 @@ def values_on_uniform_grid(spline, points):
     :func:`spline_eval`, R + 1 FFTs in all. The error beyond rounding is
     :func:`scattered_eval_bound`.
 
-    Everything but the samples' part is the grid's angle plan, kept per
-    (grid, order, signed, G) when it holds at most 16 KiB (64 plans, 1 MiB
-    at most; larger ones are built on each call, with the same bits): the
-    P angles, the cells, the singular factor at each angle and, summed
-    angle by angle, the (P, N-1) expansion rows. `points` is an integer in
-    1..2^32, refused with ValueError before anything is allocated.
+    Everything but the samples' part is the grid's angle plan, one entry
+    per (grid, order, signed, G) of the package's store, kept while it fits
+    the store's 32 MiB budget (larger ones are built on each call, with the
+    same bits): the P angles, the cells, the singular factor at each angle
+    and, summed angle by angle, the (P, N-1) expansion rows. `points` is an
+    integer in 1..2^32, refused with ValueError before anything is
+    allocated.
     """
     G = _series.integer(points, 1, "points must be an integer in 1..4294967296", _MAX_SIZE)
     cfg = spline.config
     N = cfg.grid.N
     columns = _columns(cfg)
-    plan = _GRID_PLANS((N, cfg.order, cfg.signed, G), N, cfg.signed, G, cfg.power, columns)
+    plan = _cache.get(_grid_plan, N, cfg.signed, G, cfg.power, columns,
+                      key=(N, cfg.order, cfg.signed, G))
     return _evaluate(spline, plan, columns).T.ravel()
 
 
@@ -432,18 +383,19 @@ def unfolded_spectrum(spline, j_max):
     """Rows (j, a_hat_j, b_hat_j) for j = 1..j_max, beyond the band included.
 
     The coefficient law of j = 1..j_max (gains, alias classes, sine signs
-    and the constant-class mask) is a plan kept per (grid, order, variant,
-    j_max), whatever ``tail_tol`` is, when it holds at most 16 KiB (64
-    plans, 1 MiB at most), so a spline's rows cost a gather and a product.
-    Longer rows are filled in blocks of 2^14 indices, each block's law
-    built for it and dropped, with the same bits. `j_max` is an integer in
-    1..2^32, refused with ValueError before anything is allocated.
+    and the constant-class mask) is a plan, one entry per (grid, order,
+    variant, j_max) of the package's store whatever ``tail_tol`` is, kept
+    while it fits the store's 32 MiB budget, so a spline's rows cost a
+    gather and a product. Rows beyond 2^14 are filled in blocks of 2^14
+    indices, each block's law built for it and dropped, with the same
+    bits. `j_max` is an integer in 1..2^32, refused with ValueError before
+    anything is allocated.
     """
     J = _series.integer(j_max, 1, "j_max must be an integer in 1..4294967296", _MAX_SIZE)
     cfg = spline.config
     if J <= _LAW_BLOCK:
         js = np.arange(1, J + 1)
-        law = _LAW_PLANS((cfg.grid.N, cfg.order, cfg.variant, J), cfg, js)
+        law = _cache.get(_law, cfg, js, key=(cfg.grid.N, cfg.order, cfg.variant, J))
         ca, cb = _law_coefficients(law, spline.spectrum)
         return js, ca, cb
     ca = np.empty(J)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
-from trigspec import make_grid, suite_signals
+from trigspec import _cache, make_grid, suite_signals
 
 
 def _lerch_fold(s, q, g, G):
@@ -31,3 +31,16 @@ def grids():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def cache_patch(monkeypatch):
+    """A monkeypatch for constants that stored tables and plans depend on.
+
+    The store is cleared before the test and again after the constants are
+    restored, so no entry built under a patched value outlives the test.
+    """
+    _cache.clear()
+    yield monkeypatch
+    monkeypatch.undo()
+    _cache.clear()

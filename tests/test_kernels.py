@@ -2,11 +2,12 @@
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from trigspec import _kernels
+from trigspec import _cache, _kernels
 
 
 def _case(J=400, P=97, seed=7):
@@ -47,29 +48,32 @@ def test_dft_is_within_4eps_of_the_40_digit_sum(entry):
         assert abs(b[k - 1] - float(row["b"])) <= tol
 
 
-def test_dft_phase_cache_stays_within_its_bound():
-    # A grid is cached only when all its row blocks fit: n = 2048 (293
-    # blocks) is gathered per call and leaves the cache as it was, while
-    # n = 256 (5 blocks) is cached whole and a repeat call is all hits.
-    cache = _kernels._phase_block
-    big = np.random.default_rng(2048).standard_normal(4097)
-    before = cache.cache_info()
-    first = _kernels.dft(big)
-    assert cache.cache_info() == before
+def _phase_entries():
+    # The store's DFT entries: N -> (cos, sin).
+    return {key[0]: value for (build, key), (value, _) in _cache._entries.items()
+            if build is _kernels._phase_matrices}
+
+
+def test_dft_phase_cache_stays_within_its_bound(cache_patch):
+    # A grid's (n, N) phase matrices are one entry of the store when their
+    # 16 nN bytes fit its budget, so n = 1023 is the largest grid stored:
+    # n = 1024 is gathered per call and leaves the store as it was, while
+    # n = 256 is stored whole and a repeat call reads it, building no table.
+    assert 16 * 1023 * 2047 <= _cache._BUDGET < 16 * 1024 * 2049
     values = np.random.default_rng(256).standard_normal(513)
-    blocks = -(-256 // _kernels._dft_rows(513))
-    assert blocks == 5
-    cache.cache_clear()
     cold = _kernels.dft(values)
-    assert cache.cache_info()[:2] == (0, blocks)
-    warm = _kernels.dft(values)
-    assert cache.cache_info()[:2] == (blocks, blocks)
-    # Each cached block holds at most _DFT_CELLS cells, and the cache at
-    # most _DFT_BLOCKS blocks.
-    pairs = [cache(513, b) for b in range(blocks)]
-    assert not any(arr.flags.writeable for pair in pairs for arr in pair)
-    assert all(cos.nbytes + sin.nbytes <= _kernels._DFT_CELLS * 8 for cos, sin in pairs)
-    assert cache.cache_info().maxsize * _kernels._DFT_CELLS * 8 <= 16 * 2**20
+    entries = _phase_entries()
+    assert list(entries) == [513]
+    cos, sin = entries[513]
+    assert cos.shape == sin.shape == (256, 513)
+    assert not (cos.flags.writeable or sin.flags.writeable)
+    assert _cache.stored_bytes() == cos.nbytes + sin.nbytes == 16 * 256 * 513
+    stored = dict(_cache._entries)
+    big = np.random.default_rng(1024).standard_normal(2049)
+    first = _kernels.dft(big)
+    assert _cache._entries == stored and _cache.stored_bytes() == 16 * 256 * 513
+    with mock.patch.object(_kernels, "_phase_table", side_effect=AssertionError):
+        warm = _kernels.dft(values)
     for got, want in ((_kernels.dft(big), first), (warm, cold)):
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])

@@ -77,7 +77,7 @@ def test_hurwitz_tail_alternating():
     q = 0.8
     i = np.arange(0, 3_000_000, dtype=float)
     brute = float(np.sum((-1.0) ** i * (i + q) ** -3.0))
-    assert abs(_series.hurwitz_tail(3, q, alternating=True) - brute) < 1e-13
+    assert abs(_series._hurwitz_tail(3, np.array(q), alternating=True) - brute) < 1e-13
 
 
 def test_grid_total_variation_sawtooth():

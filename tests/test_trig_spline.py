@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import make_interp_spline
 
@@ -41,7 +41,7 @@ from trigspec import (
     unfolded_spectrum,
     values_on_uniform_grid,
 )
-from trigspec import _series, spline_kernel, trig_spline
+from trigspec import _cache, _kernels, _series, spline_kernel, trig_spline
 from trigspec.trig_spline import scattered_eval_bound, series_truncation
 
 from loglog import fit_loglog_slope
@@ -390,67 +390,95 @@ def test_unfolded_rows_are_gain_times_extension_bit_for_bit(variant, r, rng):
         assert np.all(got[~off].view(np.int64) == 0)
 
 
-# -- per-configuration plans ----------------------------------------------------
+# -- the store of tables and plans ----------------------------------------------
 
-PLAN_CACHES = (trig_spline._LAW_PLANS, trig_spline._GRID_PLANS)
+# The builder of each kind of entry the store holds.
+STORED_KINDS = {
+    "dft": _kernels._phase_matrices,
+    "class": spline_kernel._class_table,
+    "lerch": _series._lerch_table,
+    "law": trig_spline._law,
+    "grid": trig_spline._grid_plan,
+}
 
 
-def _clear_plans():
-    for cache in PLAN_CACHES:
-        cache.cache_clear()
+def _stored(build):
+    # The store's entries of one builder, by key.
+    return {key: value for (b, key), (value, _) in _cache._entries.items() if b is build}
 
 
 def _bits(out):
     return [(np.shape(x), np.asarray(x).tobytes()) for x in out]
 
 
-def _stored_arrays(cache):
-    return [[arr for arr in plan if arr is not None] for plan in cache._plans.values()]
+def _seeded_samples(c, count=2):
+    rng = np.random.default_rng([c.grid.n, c.order, count])
+    return [SampleVector(c.grid, rng.standard_normal(c.grid.N)) for _ in range(count)]
 
 
 def _seeded_splines(c, count=2):
-    rng = np.random.default_rng([c.grid.n, c.order, count])
-    return [build_spline(SampleVector(c.grid, rng.standard_normal(c.grid.N)), c)
-            for _ in range(count)]
+    return [build_spline(samples, c) for samples in _seeded_samples(c, count)]
 
 
-def test_warm_plans_give_the_cold_bits():
+def _store_calls(c, points):
+    # (kind, call) pairs: each call of a sample vector reads entries of its kind.
+    N = c.grid.N
+
+    def spectrum(v):
+        d = discrete_coeffs(v)
+        return d.a0, d.a, d.b
+
+    def table(v):
+        t = class_table(c)
+        return t.gains, t.mirror_gains, t.norms
+
+    def spline(v):
+        return build_spline(v, c)
+
+    calls = [("dft", spectrum), ("class", table),
+             ("lerch", lambda v: (spline_eval(spline(v), points),))]
+    calls += [("law", lambda v, J=J: unfolded_spectrum(spline(v), J)) for J in (1, N, 4 * N, 1000)]
+    calls += [("grid", lambda v, G=G: (values_on_uniform_grid(spline(v), G),))
+              for G in (1, 7, N, 3 * N, 64, 1000, 2048)]
+    return calls
+
+
+def test_warm_plans_give_the_cold_bits(cache_patch):
     # For every family at order 1 (a polynomial spline) and order 2 (log-type
-    # unless signed), a call whose plan another spline built gives the bits
-    # of the same call on empty caches. The sizes fall on both sides of the
-    # plans' byte budget and of the switch between the two contraction
-    # orders: at n = 8 the law of J = 4N is stored and J = 1000 is not; G = N
-    # and 3N have 1 and 3 angles, G = 64 has 64, which a log-type spline
-    # (order + 66 angles at most) sums angle by angle, unstored, and a
-    # polynomial one through the cell table, stored; G = 1000 and 2048 are
-    # summed through the cell table, unstored. A last pass warms the caches
-    # with every configuration at once, so a plan read under another
-    # configuration's key would show.
-    seen = {"law": set(), "grid": set()}
+    # unless signed), a call whose tables and plans another sample vector
+    # built gives the bits of the same call on an empty store. Each call
+    # runs under the store's budget, which keeps every entry here, and
+    # under 128 bytes, which keeps only the smallest laws, so each of the
+    # five kinds is seen stored and not stored. G = N and 3N have 1 and 3
+    # angles, G = 64 has 64, which a log-type spline (order + 66 angles at
+    # most) sums angle by angle and a polynomial one through the cell
+    # table; G = 1000 and 2048 are summed through the cell table. A last
+    # pass fills the store with every configuration at once, so an entry
+    # read under another configuration's key would show.
+    seen = {kind: set() for kind in STORED_KINDS}
     cases = []
-    for variant in ("sinc", "abs-sinc", "inv-power"):
-        for r in (1, 2):
-            c = cfg(8, r, variant)
-            N = c.grid.N
-            first, second = _seeded_splines(c)
-            calls = [("law", J, lambda s, J=J: unfolded_spectrum(s, J)) for J in (1, N, 4 * N, 1000)]
-            calls += [("grid", G, lambda s, G=G: (values_on_uniform_grid(s, G),))
-                      for G in (1, 7, N, 3 * N, 64, 1000, 2048)]
-            for kind, size, call in calls:
-                cache = trig_spline._LAW_PLANS if kind == "law" else trig_spline._GRID_PLANS
-                _clear_plans()
-                cold = _bits(call(second))
-                _clear_plans()
-                with mock.patch.object(trig_spline, "_cell_table_sum",
-                                       wraps=trig_spline._cell_table_sum) as table:
-                    call(first)
-                stored = len(cache._plans)
-                assert _bits(call(second)) == cold, (variant, r, kind, size)
-                seen[kind].add((bool(stored), table.call_count > 0))
-                cases.append((first, second, call, cold))
-    assert seen["law"] == {(True, False), (False, False)}
+    points = np.linspace(-1.0, 7.0, 50)
+    for budget in (_cache._BUDGET, 128):
+        cache_patch.setattr(_cache, "_BUDGET", budget)
+        for variant in ("sinc", "abs-sinc", "inv-power"):
+            for r in (1, 2):
+                c = cfg(8, r, variant)
+                first, second = _seeded_samples(c)
+                for kind, call in _store_calls(c, points):
+                    _cache.clear()
+                    cold = _bits(call(second))
+                    _cache.clear()
+                    with mock.patch.object(trig_spline, "_cell_table_sum",
+                                           wraps=trig_spline._cell_table_sum) as table:
+                        call(first)
+                    stored = bool(_stored(STORED_KINDS[kind]))
+                    assert _bits(call(second)) == cold, (budget, variant, r, kind)
+                    seen[kind].add((stored, table.call_count > 0) if kind == "grid" else stored)
+                    cases.append((first, second, call, cold))
+    assert all(seen[kind] == {True, False} for kind in ("dft", "class", "lerch", "law"))
     assert seen["grid"] == {(stored, cells) for stored in (True, False) for cells in (True, False)}
-    _clear_plans()
+    cache_patch.undo()
+    _cache.clear()
     for first, _, call, _ in cases:
         call(first)
     for _, second, call, cold in cases:
@@ -468,7 +496,7 @@ def test_long_laws_are_built_block_by_block_with_the_same_bits():
 @pytest.mark.parametrize("J", [1, 2**14, 2**14 + 1, 3 * 2**14 + 7, 2**18])
 def test_unfolded_blocks_join_to_the_unfolded_spectrum(J):
     # Consecutive blocks of 2^14 indices, the last one shorter, whose rows
-    # joined are the unfolded spectrum's: below 2^14 read from a stored
+    # joined are the unfolded spectrum's: up to 2^14 read from a stored
     # law, above filled from these same blocks.
     c = cfg(8, 3, "inv-power")
     spl = _seeded_splines(c, 1)[0]
@@ -481,7 +509,7 @@ def test_unfolded_blocks_join_to_the_unfolded_spectrum(J):
 
 
 def test_returned_arrays_are_fresh_and_plans_are_read_only():
-    _clear_plans()
+    _cache.clear()
     c = cfg(8, 2)
     spl = _seeded_splines(c, 1)[0]
     N = c.grid.N
@@ -493,48 +521,45 @@ def test_returned_arrays_are_fresh_and_plans_are_read_only():
         for arr in first:
             arr[...] = 7
         assert _bits(call()) == want
-    for cache in PLAN_CACHES:
-        plans = _stored_arrays(cache)
-        assert plans and not any(arr.flags.writeable for plan in plans for arr in plan)
+    assert all(_stored(build) for build in STORED_KINDS.values())
+    stored = [part for value, _ in _cache._entries.values()
+              for part in (value if isinstance(value, tuple) else vars(value).values())]
+    arrays = [part for part in stored if isinstance(part, np.ndarray)]
+    assert arrays and not any(arr.flags.writeable for arr in arrays)
+    assert _cache.stored_bytes() == sum(arr.nbytes for arr in arrays)
 
 
-def test_plan_caches_stay_within_their_bound():
-    # A sweep of more sizes than the caches hold: each keeps at most
-    # _PLAN_ENTRIES plans of at most _PLAN_BYTES, 2 MiB for both.
-    _clear_plans()
-    entries, most = trig_spline._PLAN_ENTRIES, trig_spline._PLAN_BYTES
-    for n, r, variant in ((1, 1, "sinc"), (8, 2, "abs-sinc"), (64, 3, "inv-power")):
-        spl = _seeded_splines(cfg(n, r, variant), 1)[0]
-        for size in (*range(1, 700, 9), 2000, 5000):
-            unfolded_spectrum(spl, size)
-            values_on_uniform_grid(spl, size)
-    sizes = [[sum(arr.nbytes for arr in plan) for plan in _stored_arrays(cache)]
-             for cache in PLAN_CACHES]
-    assert [len(plans) for plans in sizes] == [entries, entries]
-    assert max(map(max, sizes)) <= most
-    assert sum(map(sum, sizes)) <= 2 * entries * most == 2 * 2**20
-
-
-def test_plan_caches_hold_under_threads():
-    # More threads than cores read plans at random from slightly more sizes
-    # than a cache holds, so plans are evicted while others read them, with
-    # a short switch interval; every result keeps its single-threaded bits.
-    # Without the caches' lock a thread could lose a plan between finding
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(1, 40), r=st.integers(1, 6),
+       variant=st.sampled_from(["sinc", "abs-sinc", "inv-power"]),
+       sizes=st.lists(st.integers(1, 3000), min_size=2, max_size=6, unique=True),
+       budget=st.sampled_from([1 << 12, 1 << 15, 1 << 18]))
+def test_the_store_stays_within_its_budget(cache_patch, n, r, variant, sizes, budget):
+    # A budget that holds a few of the sweep's entries, so that entries are
+    # evicted while other threads read them. More threads than cores build
+    # splines, laws and grid values at random sizes, with a short switch
+    # interval; every result keeps its single-threaded bits, the store's
+    # arrays stay within the budget, and its count of them is exact.
+    # Without the store's lock a thread could lose an entry between finding
     # and refreshing it and raise KeyError.
-    c = cfg(2, 1)
-    spl = _seeded_splines(c, 1)[0]
-    sizes = range(1, trig_spline._PLAN_ENTRIES + 7)
+    cache_patch.setattr(_cache, "_BUDGET", budget)
+    _cache.clear()
+    c = cfg(n, r, variant)
+    samples = _seeded_samples(c, 1)[0]
 
-    def both(size):
+    def work(size):
+        spl = build_spline(samples, c)
         return _bits((*unfolded_spectrum(spl, size), values_on_uniform_grid(spl, size)))
 
-    want = {size: both(size) for size in sizes}
+    want = {size: work(size) for size in sizes}
+    assert 0 < _cache.stored_bytes() <= budget
     errors = []
 
-    def work(seed):
+    def run(seed):
         try:
-            for size in np.random.default_rng(seed).choice(sizes, 2000).tolist():
-                if both(size) != want[size]:
+            for size in np.random.default_rng(seed).choice(sizes, 30).tolist():
+                if work(size) != want[size]:
                     errors.append(size)
         except Exception as exc:     # reported by the assertion below
             errors.append(exc)
@@ -542,7 +567,7 @@ def test_plan_caches_hold_under_threads():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in range(4)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -551,11 +576,12 @@ def test_plan_caches_hold_under_threads():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert all(len(cache._plans) <= trig_spline._PLAN_ENTRIES for cache in PLAN_CACHES)
+    assert _cache.stored_bytes() <= budget
+    assert _cache.stored_bytes() == sum(size for _, size in _cache._entries.values())
 
 
 def test_configurations_differing_only_in_tail_tol_share_their_plans():
-    _clear_plans()
+    _cache.clear()
     tight = cfg(8, 3)
     loose = cfg(8, 3, tail_tol=1e-6)
     samples = SampleVector(tight.grid, np.random.default_rng(3).standard_normal(tight.grid.N))
@@ -564,16 +590,14 @@ def test_configurations_differing_only_in_tail_tol_share_their_plans():
         spl = build_spline(samples, c)
         outs.append(_bits((*unfolded_spectrum(spl, 4 * c.grid.N), values_on_uniform_grid(spl, 64))))
     assert outs[0] == outs[1]
-    assert [len(cache._plans) for cache in PLAN_CACHES] == [1, 1]
+    assert [len(_stored(STORED_KINDS[kind])) for kind in ("law", "grid")] == [1, 1]
 
 
 def _clear_caches():
-    # Every cache a spline's work fills: the plans, the class tables, the
-    # constant-class normalizers and the Lerch tables.
-    _clear_plans()
-    spline_kernel._class_table.cache_clear()
+    # Every cache a spline's work fills: the store and the constant-class
+    # normalizers.
+    _cache.clear()
     spline_kernel._dc_sum.cache_clear()
-    _series._lerch_table.cache_clear()
 
 
 def _public_series_calls(work):
@@ -629,18 +653,19 @@ def test_cached_builders_make_no_public_series_calls(n, r, variant):
 
 
 @pytest.mark.parametrize("n, r, variant", [(5, 3, "abs-sinc"), (8, 2, "sinc"), (64, 3, "sinc")])
-def test_cold_polynomial_evaluation_builds_only_r_plus_one_columns(n, r, variant):
+def test_cold_polynomial_evaluation_builds_only_r_plus_one_columns(cache_patch, n, r, variant):
     # A polynomial spline (s = r + 1 even, or the signed family) sums
     # expansion columns 0..r only, and its table is built to those columns:
     # one (s, N, r + 1) table, the full width never.
     c = cfg(n, r, variant)
     spl = _seeded_splines(c, 1)[0]
     _clear_caches()
-    with mock.patch.object(_series, "_lerch_table", wraps=_series._lerch_table) as table:
-        values_on_uniform_grid(spl, 16)
-        spline_eval(spl, np.linspace(0.0, 6.0, 200))
+    table = mock.Mock(wraps=_series._lerch_table)
+    cache_patch.setattr(_series, "_lerch_table", table)
+    values_on_uniform_grid(spl, 16)
+    spline_eval(spl, np.linspace(0.0, 6.0, 200))
     assert {call.args for call in table.call_args_list} == {(float(c.power), c.grid.N, r + 1)}
-    assert _series._lerch_table.cache_info().currsize == 1
+    assert list(_stored(table)) == [(float(c.power), c.grid.N, r + 1)]
 
 
 def test_fourier_coeff_constant_class_is_zero():

@@ -30,7 +30,7 @@ from trigspec import (
     trig_spline,
 )
 from trigspec import _series
-from trigspec import _kernels
+from trigspec import _cache, _kernels
 from trigspec.sampling import DiscreteSpectrum, SampleVector
 from trigspec.spline_kernel import response_table_to_csv
 
@@ -334,24 +334,23 @@ def _assert_dft_matches_loop(n):
     assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
 
-def test_dft_rows_over_the_cell_budget_match_the_loop():
+def test_dft_rows_over_the_cell_budget_match_the_loop(cache_patch):
     # With a budget of 64 cells every grid below has rows of 2N > 64
-    # cells, one to a block. n = 16 has 16 blocks, which all fit the cache
-    # and are cached; n = 40 and 100 have more, gathered from one table per
-    # call and never cached. The cache is keyed on (N, block), not on the
-    # budget, so its one-row blocks are cleared with the budget restored:
-    # left there, they would be read by every later dft at N = 33.
-    _kernels._phase_block.cache_clear()
-    try:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(_kernels, "_DFT_CELLS", 64)
-            for n in (16, 40, 100):
-                _assert_dft_matches_loop(n)
-            assert _kernels._phase_block.cache_info().currsize == 16
-    finally:
-        _kernels._phase_block.cache_clear()
+    # cells, one to a block: read as views of the stored (n, N) matrices
+    # and, with the store's budget at 0, gathered from one table per call.
+    # The stored entry does not depend on the block size, so it gives the
+    # same bits after the cell budget is restored.
+    cache_patch.setattr(_kernels, "_DFT_CELLS", 64)
+    for n in (16, 40, 100):
+        _assert_dft_matches_loop(n)
+    stored = sorted(key for build, key in _cache._entries if build is _kernels._phase_matrices)
+    assert stored == [(33,), (81,), (201,)]
+    cache_patch.setattr(_cache, "_BUDGET", 0)
+    for n in (16, 40, 100):
+        _assert_dft_matches_loop(n)
+    cache_patch.undo()
     _assert_dft_matches_loop(16)
-    assert _kernels._phase_block.cache_info().currsize == 1
+    assert len(_cache._entries) == 3
 
 
 def test_folded_values_match_direct_evaluation():

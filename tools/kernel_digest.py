@@ -12,10 +12,11 @@ family: ``unfolded_spectrum`` to 4N, ``series_truncation``,
 between the two contraction orders of evaluation. Each of these
 quantities is hashed again, as a ``spline-warm`` line, for a second
 seeded sample vector on the same configuration, so its coefficient law
-and grid angles come from the plans the first vector's spline stored;
-``spline-large`` lines hash ``unfolded_spectrum`` to J = 4096 and
-40,000 at n = 64, order 2, for every family: laws above the plans' size
-budget, built on every call, the second in blocks of 2^14 rows. The
+and grid angles come from the plans the first vector's spline left in
+the package's store (``trigspec._cache``); ``spline-large`` lines hash
+``unfolded_spectrum`` to J = 4096 and 40,000 at n = 64, order 2, for
+every family: a law of 4096 rows, stored, and one built in blocks of
+2^14 rows on every call and never stored. The
 other lines are those of earlier listings, byte for byte, so two
 versions still compare line by line. The signal layer is
 swept over ``derivative_values`` of the power-decay cosine and sine at
@@ -28,11 +29,11 @@ of 4096 angles, so every derivative without a Bernoulli closed form is
 also hashed at 10,000 more seeded points, three blocks, as a
 ``signal-blocks`` line. The direct DFT
 (``discrete_coeffs``) is swept over seeded unit-normal samples at n = 1..40,
-64, 127, 128, 256, 711, 712, 1024 and 2048: one cached row block of the
-phase table up to n = 127, two from n = 128, 31 at n = 711 (the largest
-grid whose blocks all fit the cache, so it is cached), and more blocks
-than the cache holds, gathered per call and not cached, from n = 712
-(33 blocks). Last, one ``lerch s=... N=...`` line hashes each full Lerch
+64, 127, 128, 256, 711, 712, 1024 and 2048: one row block of the phase
+matrices up to n = 127, two from n = 128, read from the store's entry
+for the grid up to n = 1023 (the largest whose 16 nN bytes fit the
+store's 32 MiB budget), and gathered per call from one table, not
+stored, from n = 1024. Last, one ``lerch s=... N=...`` line hashes each full Lerch
 expansion table the spline and signal sweeps read
 (``_series.lerch_coefficients(s, N)``: the log-type splines' (s, N) and
 the polylogarithm's (s, 1)), so the tables' own bits are compared, not
@@ -47,6 +48,12 @@ the listings:
     PYTHONPATH=path/to/base/src python tools/kernel_digest.py > base.txt
     PYTHONPATH=src python tools/kernel_digest.py > head.txt
     diff base.txt head.txt
+
+Run with the store's budget patched to 0, the listing shows that every
+stored table and plan gives the bits of one built for the call:
+
+    PYTHONPATH=src python -c 'import runpy, trigspec._cache as c; c._BUDGET = 0; runpy.run_path("tools/kernel_digest.py", run_name="__main__")' > uncached.txt
+    diff head.txt uncached.txt
 
 A RuntimeWarning from NumPy is an error here, so a value that silently
 left the float range shows as a refusal.
