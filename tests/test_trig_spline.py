@@ -580,6 +580,67 @@ def test_the_store_stays_within_its_budget(cache_patch, n, r, variant, sizes, bu
     assert _cache.stored_bytes() == sum(size for _, size in _cache._entries.values())
 
 
+def test_plan_caches_stay_within_their_bound(cache_patch):
+    # A sweep of more law and grid plans than a 1 MiB budget holds: the
+    # oldest are evicted, the store's arrays stay within the budget, and its
+    # count of them is exact.
+    budget = 1 << 20
+    cache_patch.setattr(_cache, "_BUDGET", budget)
+    sizes = (*range(1, 700, 9), 2000, 5000)
+    for n, r, variant in ((1, 1, "sinc"), (8, 2, "abs-sinc"), (64, 3, "inv-power")):
+        spl = _seeded_splines(cfg(n, r, variant), 1)[0]
+        for size in sizes:
+            unfolded_spectrum(spl, size)
+            values_on_uniform_grid(spl, size)
+            assert _cache.stored_bytes() <= budget
+    plans = [len(_stored(STORED_KINDS[kind])) for kind in ("law", "grid")]
+    assert all(plans) and sum(plans) < 2 * 3 * len(sizes)
+    assert _cache.stored_bytes() == sum(size for _, size in _cache._entries.values())
+
+
+def test_plan_caches_hold_under_threads(cache_patch):
+    # More threads than cores read plans at random from more sizes than a
+    # budget of half their bytes holds, so plans are evicted while others
+    # read them, with a short switch interval; every result keeps its
+    # single-threaded bits. Without the store's lock a thread could lose a
+    # plan between finding and refreshing it and raise KeyError.
+    c = cfg(2, 1)
+    spl = _seeded_splines(c, 1)[0]
+    sizes = range(1, 71)
+
+    def both(size):
+        return _bits((*unfolded_spectrum(spl, size), values_on_uniform_grid(spl, size)))
+
+    want = {size: both(size) for size in sizes}
+    budget = _cache.stored_bytes() // 2
+    cache_patch.setattr(_cache, "_BUDGET", budget)
+    _cache.clear()
+    errors = []
+
+    def work(seed):
+        try:
+            for size in np.random.default_rng(seed).choice(sizes, 2000).tolist():
+                if both(size) != want[size]:
+                    errors.append(size)
+        except Exception as exc:     # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert 0 < _cache.stored_bytes() <= budget
+    assert _cache.stored_bytes() == sum(size for _, size in _cache._entries.values())
+
+
 def test_configurations_differing_only_in_tail_tol_share_their_plans():
     _cache.clear()
     tight = cfg(8, 3)
