@@ -1,8 +1,8 @@
 """One store for every table and plan the package keeps between calls.
 
 The Lerch expansion tables, the class tables, the DFT's gathered phase
-matrices and the spline's coefficient-law and grid plans depend only on a
-configuration. Each is kept here under (builder, key), least recently
+matrices, the grid evaluator's phase tables and the spline's
+coefficient-law and grid plans depend only on a configuration. Each is kept here under (builder, key), least recently
 used out first, within one byte budget ``_BUDGET`` read at each call. An
 entry's size is the bytes of its arrays, which the store makes read-only;
 an entry larger than the budget is built the same way on every call and

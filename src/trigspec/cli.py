@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import alias_analysis, filon_oracle, signal_model, spline_kernel, trig_spline
+from . import _kernels, alias_analysis, filon_oracle, signal_model, spline_kernel, trig_spline
 from ._wire import csv_text
 from .errors import NumericalError
 from .sampling import discrete_coeffs, make_grid, sample, spectrum_to_csv
@@ -138,7 +138,7 @@ def cmd_spline(args):
         P = args.eval_grid
         t = 2.0 * np.pi * np.arange(P) / P
         sv = trig_spline.values_on_uniform_grid(spline, P)
-        fv = np.atleast_1d(signal_model.evaluate(sig, t))
+        fv = signal_model.grid_values(sig, P)
         table = zip(t, sv, fv, np.abs(sv - fv))
         _write_text(args.out + ".eval.csv", csv_text(["t", "spline", "signal", "abs_err"], table))
     return 0
@@ -207,9 +207,8 @@ def _bound_rows(sig, grid, args):
         if sig.smoothness.r < 1:
             raise ValueError("eq9 bound needs smoothness order r >= 1")
         spec = discrete_coeffs(sample(sig, grid))
-        t = 2.0 * np.pi * np.arange(4096) / 4096
-        fn = np.atleast_1d(alias_analysis.band_component(sig, grid.n, t))
-        fstar = spec(t)
+        fn = _series_on_grid(*sig.fourier_series(grid.n), 4096)
+        fstar = _series_on_grid(*spec.fourier_series(), 4096)
         measured = float(np.max(np.abs(fn - fstar)))
         bound = alias_analysis.time_domain_overlay_bound(grid.n, sig.smoothness)
         return [(grid.n, measured, bound)]
@@ -227,6 +226,12 @@ def _bound_rows(sig, grid, args):
             for r in table
         ]
     raise ValueError(f"unknown bound family {family!r}")
+
+
+def _series_on_grid(a0, a, b, G):
+    # a0/2 + sum_k (a_k cos kt + b_k sin kt), k = 1..len(a), at t = 2 pi g/G.
+    ks = np.arange(a.size + 1)
+    return _kernels.grid_series(ks, np.concatenate(([0.5 * a0], a)), np.concatenate(([0.0], b)), G)
 
 
 # -- parser ------------------------------------------------------------------

@@ -6,7 +6,10 @@ the integrals are periodic trapezoid sums on doubling grids — spectrally
 accurate for smooth periodic integrands and exact on trigonometric
 polynomials whose degree the grid resolves. That gives an independent
 oracle for the closed-form spline coefficients: integrating the spline's
-*values* must reproduce the coefficients its own series claims.
+*values* must reproduce the coefficients its own series claims. On each
+grid an analytic signal's values come from ``signal_model.grid_values``
+(exact phases for a harmonic sum), and the weights cos/sin(2*pi*k*g/G)
+are the grid's phase table read at k*g mod G (``_kernels.grid_phases``).
 
 Both coefficient-error bounds live here as well: the k-independent
 sup-norm bound (4/pi) ||f - phi||_C, and the refined bound
@@ -24,9 +27,15 @@ import math
 
 import numpy as np
 
-from . import _series
+from . import _kernels, _series
 from .errors import QuadratureConvergenceError
-from .signal_model import HARMONIC_SUM, POWER_DECAY_COSINE, true_coefficient
+from .signal_model import (
+    HARMONIC_SUM,
+    POWER_DECAY_COSINE,
+    AnalyticSignal,
+    grid_values,
+    true_coefficient,
+)
 from .trig_spline import TrigSpline, unfolded_spectrum, values_on_uniform_grid
 
 # Quadrature policy: the base grid (a power of two), the doubling budget
@@ -63,6 +72,8 @@ def _values_on_grid(fn, G, cache=None):
         return cache[G]
     if isinstance(fn, TrigSpline):
         vals = values_on_uniform_grid(fn, G)
+    elif isinstance(fn, AnalyticSignal):
+        vals = grid_values(fn, G)
     else:
         t = 2.0 * np.pi * np.arange(G) / G
         vals = np.asarray(fn(t), dtype=float)
@@ -75,9 +86,9 @@ def _values_on_grid(fn, G, cache=None):
 
 def _trapezoid_pair(values, k):
     G = len(values)
-    t = 2.0 * np.pi * np.arange(G) / G
-    a = 2.0 / G * float(values @ np.cos(k * t))
-    b = 2.0 / G * float(values @ np.sin(k * t))
+    cos, sin = _kernels.grid_phases(k, G)
+    a = 2.0 / G * float(values @ cos)
+    b = 2.0 / G * float(values @ sin)
     return a, b
 
 

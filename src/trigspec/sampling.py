@@ -85,11 +85,14 @@ def sample(signal, grid):
 
     The signal is any callable of t: the package's analytic signals or a
     black box (black-box signals sample fine; only the analytic bound
-    checks need known coefficients). It is called once on the array of
-    nodes; one that does not return an array of that shape is called
-    node by node.
+    checks need known coefficients). A signal with a ``grid_values(G)``
+    method, as the analytic signals have, gives its node values through it
+    at G = N, so a harmonic sum takes exact phases there. Any other
+    callable is called once on the array of nodes; one that does not
+    return an array of that shape is called node by node.
     """
-    values = np.asarray(signal(grid.nodes), dtype=float)
+    on_grid = getattr(signal, "grid_values", None)
+    values = np.asarray(signal(grid.nodes) if on_grid is None else on_grid(grid.N), dtype=float)
     if values.shape != grid.nodes.shape:
         values = np.array([float(signal(t)) for t in grid.nodes])
     return SampleVector(grid, values)

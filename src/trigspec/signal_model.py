@@ -2,11 +2,19 @@
 
 Every later identity and bound in the package is checked against these
 signals, so the module keeps evaluation *exact*: finite harmonic sums are
-summed directly, and the power-decay families use Bernoulli-polynomial
+summed term by term, and the power-decay families use Bernoulli-polynomial
 closed forms whenever the decay exponent's parity matches the series
 (cosine with even integer p, sine with odd integer p). Every other
 exponent, integer or not, is the real or imaginary part of the
 polylogarithm Li_p(e^(it)), also a closed form exact to rounding.
+
+On the uniform grid 2*pi*g/G (:func:`grid_values`, which sampling, the
+quadrature oracle and the CLI use) a harmonic sum takes exact phases:
+cos/sin(2*pi*m/G) read from a table at m = k*g mod G, reduced in integers
+(``_kernels.grid_series``), so each value lies within (3 + M/2) eps
+sum_k (|a_k| + |b_k|) of the exact sum of its M terms, the k = 0 term
+counted as a_0/2. At other points, and for its derivatives, each term is
+a cos(kt) + b sin(kt) of the rounded product kt.
 
 A signal carries its smoothness class: the order ``r`` of the derivative
 that still has bounded variation, and an upper bound on that variation.
@@ -19,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _series
+from . import _kernels, _series
 
 HARMONIC_SUM = "HarmonicSum"
 POWER_DECAY_COSINE = "PowerDecayCosine"
@@ -90,6 +98,9 @@ class AnalyticSignal:
     def true_coefficient(self, k):
         return true_coefficient(self, k)
 
+    def grid_values(self, points):
+        return grid_values(self, points)
+
     def fourier_series(self, j_max=None):
         """Truncated coefficient view (a0, a[1..j_max], b[1..j_max]).
 
@@ -126,6 +137,26 @@ def evaluate(signal, t):
     t_arr = _series.finite_points(t)
     vals = derivative_values(signal, 0, t_arr)
     return vals if t_arr.ndim else float(vals)
+
+
+def grid_values(signal, points):
+    """Signal values at t_g = 2*pi*g/G, g = 0..G-1, G = points.
+
+    A harmonic sum is evaluated with exact phases by
+    ``_kernels.grid_series`` over its terms in index order, the k = 0 term
+    as a_0/2, each value within (3 + M/2) eps sum_k (|a_k| + |b_k|) of the
+    exact sum of its M terms. A power-decay signal is :func:`evaluate` at
+    the points 2*pi*g/G, with the same bits. `points` is an integer in
+    1..2^32, refused with ValueError before anything is allocated.
+    """
+    top = _kernels._MAX_GRID
+    G = _series.integer(points, 1, f"points must be an integer in 1..{top}", top)
+    if signal.kind != HARMONIC_SUM:
+        return evaluate(signal, 2.0 * np.pi * np.arange(G) / G)
+    ks, a, b = np.array(signal.terms, dtype=object).reshape(-1, 3).T
+    ks, a, b = ks.astype(np.int64), a.astype(float), b.astype(float)
+    a[ks == 0] *= 0.5
+    return _kernels.grid_series(ks, a, b, G)
 
 
 def true_coefficient(signal, k):

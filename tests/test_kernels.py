@@ -94,3 +94,92 @@ def test_synth_readonly_inputs():
         arr.setflags(write=False)
     vals = _kernels.synth(a0, a, b, t)
     assert vals.shape == t.shape
+
+
+GRID_REFERENCE = Path(__file__).parent / "data" / "harmonic_grid_reference.json"
+
+
+@pytest.mark.parametrize("entry", json.loads(GRID_REFERENCE.read_text())["configs"],
+                         ids=lambda entry: f"G{entry['G']}")
+def test_grid_series_is_within_its_contract_of_the_40_digit_sum(entry):
+    # tools/harmonic_grid_reference.py sums the same terms at 40 digits, k
+    # up to 4G. The contract is (3 + M/2) eps sum_k (|a_k| + |b_k|) for M
+    # terms; the exact phases keep every fixture value within 1 eps of that
+    # scale (0.12-0.34 eps here), where rounded phases k * (2 pi g/G) are
+    # 24 eps off at G = 17 and 13,000 eps at G = 2^14.
+    G, ks = entry["G"], np.array(entry["k"])
+    values = _kernels.grid_series(ks, np.array(entry["a"]), np.array(entry["b"]), G)
+    assert values.shape == (G,)
+    scale = np.finfo(float).eps * float(entry["abs_scale"])
+    errors = np.abs(values[entry["points"]] - np.array(entry["values"], dtype=float))
+    assert np.all(errors <= (3 + ks.size / 2) * scale)
+    assert np.all(errors <= scale)
+
+
+def _term_loop(ks, a, b, G):
+    # The definition of the summation order: term i's a_i C + b_i S, added
+    # to the running sum one term after another, from the table at k g mod G.
+    cos, sin = _kernels._phase_table(G)
+    out = np.zeros(G)
+    for k, x, y in zip(ks, a, b):
+        m = k * np.arange(G) % G
+        out = out + (x * cos[m] + y * sin[m])
+    return out
+
+
+@pytest.mark.parametrize("G", [1, 2, 3, 17, 128, 129, 4096])
+def test_grid_series_bits_depend_on_neither_blocks_nor_the_store(G, cache_patch):
+    # Blocks of one row each and a store that keeps nothing give the bits of
+    # the default blocks and stored table, which are the term loop's.
+    rng = np.random.default_rng(G)
+    ks = rng.integers(0, 5 * G, 40)
+    a, b = rng.standard_normal((2, ks.size)) * 10.0 ** rng.integers(-6, 6, (2, ks.size))
+    values = _kernels.grid_series(ks, a, b, G)
+    assert np.array_equal(values, _term_loop(ks, a, b, G))
+    cache_patch.setattr(_kernels, "_GRID_CELLS", 1)
+    assert np.array_equal(_kernels.grid_series(ks, a, b, G), values)
+    cache_patch.setattr(_cache, "_BUDGET", 0)
+    _cache.clear()
+    assert np.array_equal(_kernels.grid_series(ks, a, b, G), values)
+    assert _cache.stored_bytes() == 0
+
+
+def test_grid_series_keeps_one_read_only_table_per_grid(cache_patch):
+    _kernels.grid_series([1, 5], [1.0, 2.0], [0.5, 0.0], 129)
+    cos, sin = _kernels.grid_phases(7, 129)
+    (build, key), (table, size) = next(iter(_cache._entries.items()))
+    assert len(_cache._entries) == 1 and (build, key) == (_kernels._phase_table, (129,))
+    assert size == _cache.stored_bytes() == 16 * 129
+    assert not any(part.flags.writeable for part in table)
+    m = 7 * np.arange(129) % 129
+    assert np.array_equal(cos, table[0][m]) and np.array_equal(sin, table[1][m])
+    # A unit cosine or sine coefficient reads the table entries themselves.
+    assert np.array_equal(_kernels.grid_series([7], [1.0], [0.0], 129), cos)
+    assert np.array_equal(_kernels.grid_series([7], [0.0], [1.0], 129), sin)
+    assert len(_cache._entries) == 1
+
+
+@pytest.mark.parametrize("G", [0, -1, 2**32 + 1, 2**64, 2.5, float("nan"), [3]])
+def test_grid_series_refuses_a_bad_grid_before_allocating(G):
+    with mock.patch.object(_kernels._cache, "get", side_effect=AssertionError):
+        with pytest.raises(ValueError, match="grid size G"):
+            _kernels.grid_series([1], [1.0], [0.0], G)
+        with pytest.raises(ValueError, match="grid size G"):
+            _kernels.grid_phases(1, G)
+
+
+def test_grid_series_refuses_mismatched_terms():
+    for ks, a, b in (([1, 2], [1.0], [0.0]), ([[1]], [[1.0]], [[0.0]]), ([-1], [1.0], [0.0])):
+        with pytest.raises(ValueError):
+            _kernels.grid_series(ks, a, b, 17)
+
+
+@pytest.mark.parametrize("G", [2**32 - 1, 2**32])
+def test_phase_index_is_exact_near_the_largest_grid(G):
+    # The reduction k g mod G at indices near G, where the product nears
+    # 2^64, against Python's integers; only these few cells are allocated.
+    near = [0, 1, 2, 3, G // 2, G // 2 + 1, G - 3, G - 2, G - 1]
+    k = np.array(near, dtype=np.uint64)
+    got = _kernels._phase_index(k, k, G)
+    assert got.dtype == np.int64
+    assert got.tolist() == [[i * j % G for j in near] for i in near]

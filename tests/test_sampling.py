@@ -103,6 +103,18 @@ def test_sample_accepts_black_box_callable():
     assert spec.a0 == pytest.approx(1.0, abs=1e-14)
 
 
+def test_sample_reads_analytic_signals_on_their_grid(suite):
+    # An analytic signal's nodes come from grid_values at G = N: exact
+    # phases for a harmonic sum, the evaluate bits for a power signal; a
+    # black box is still called on the nodes themselves.
+    grid = make_grid(8)
+    for sig in suite.values():
+        assert np.array_equal(sample(sig, grid).values, sig.grid_values(grid.N))
+    nodes = []
+    sample(lambda t: nodes.append(t) or np.cos(t), grid)
+    assert len(nodes) == 1 and nodes[0] is grid.nodes
+
+
 def test_sample_vector_validation():
     grid = make_grid(2)
     with pytest.raises(ValueError):

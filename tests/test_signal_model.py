@@ -19,8 +19,8 @@ from trigspec import (
     signal_to_json,
     true_coefficient,
 )
-from trigspec import _series
-from trigspec.signal_model import HARMONIC_SUM, AnalyticSignal, derivative_values
+from trigspec import _kernels, _series
+from trigspec.signal_model import HARMONIC_SUM, AnalyticSignal, derivative_values, grid_values
 
 from variation import grid_total_variation
 
@@ -144,6 +144,35 @@ def test_non_integer_power_eval_matches_residue_fold(p, lerch_fold):
 
 
 # -- coefficients -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("G", [1, 2, 17, 129, 4096])
+def test_grid_values_of_a_harmonic_sum_take_exact_phases(G):
+    # The terms in index order through the grid kernel, the constant as
+    # a_0/2, at indices above G whose phases are reduced before rounding.
+    terms = [(0, 0.8, 0.0), (1, 0.5, -0.25), (G + 2, 0.75, 0.5), (3 * G + 5, -0.25, 1.0)]
+    sig = harmonic_sum(terms)
+    ks, a, b = (np.array(col) for col in zip(*terms))
+    values = grid_values(sig, G)
+    assert np.array_equal(values, _kernels.grid_series(ks, a * np.where(ks == 0, 0.5, 1.0), b, G))
+    angle = 2 * np.pi * (np.outer(ks, np.arange(G)) % G) / G
+    reduced = (a * np.where(ks == 0, 0.5, 1.0)) @ np.cos(angle) + b @ np.sin(angle)
+    assert np.max(np.abs(values - reduced)) <= 8 * np.finfo(float).eps * 3.65
+
+
+@pytest.mark.parametrize("name", ["power-cos-2", "power-cos-4", "power-sin-3"])
+def test_grid_values_of_a_power_signal_keep_the_evaluate_bits(name, suite):
+    sig = suite[name]
+    for G in (1, 17, 1024):
+        t = 2.0 * np.pi * np.arange(G) / G
+        assert np.array_equal(grid_values(sig, G), evaluate(sig, t))
+
+
+@pytest.mark.parametrize("points", [0, -3, 2**32 + 1, 2.5, [4]])
+def test_grid_values_refuse_a_bad_grid(points, suite):
+    for sig in (suite["harmonic-mixed"], suite["power-cos-4"]):
+        with pytest.raises(ValueError, match="points must be an integer"):
+            grid_values(sig, points)
 
 
 def test_true_coefficient_reads_terms():

@@ -33,7 +33,12 @@ also hashed at 10,000 more seeded points, three blocks, as a
 matrices up to n = 127, two from n = 128, read from the store's entry
 for the grid up to n = 1023 (the largest whose 16 nN bytes fit the
 store's 32 MiB budget), and gathered per call from one table, not
-stored, from n = 1024. Last, one ``lerch s=... N=...`` line hashes each full Lerch
+stored, from n = 1024. The exact-phase grid evaluator
+(``_kernels.grid_series``) is swept over seeded harmonic sums of 40
+terms with indices up to 5G on grids of G = 1..40, 64, 127, 128, 129,
+1000, 4096 and 2^14 points, as ``grid_series G...`` lines: one block of
+terms up to G = 1024, several from G = 4096, each reading the grid's
+phase table from the store. Last, one ``lerch s=... N=...`` line hashes each full Lerch
 expansion table the spline and signal sweeps read
 (``_series.lerch_coefficients(s, N)``: the log-type splines' (s, N) and
 the polylogarithm's (s, 1)), so the tables' own bits are compared, not
@@ -82,6 +87,7 @@ from trigspec import (
     unfolded_spectrum,
     values_on_uniform_grid,
 )
+from trigspec._kernels import grid_series
 from trigspec._series import lerch_coefficients
 from trigspec.errors import NumericalError
 from trigspec.signal_model import HARMONIC_SUM, derivative_values
@@ -103,6 +109,7 @@ SCATTER_POINTS = (32, 512)
 # plans' size budget, one of them built in blocks.
 LARGE_LAW = (64, 2, (4096, 40_000))
 DFT_SIZES = (*range(1, 41), 64, 127, 128, 256, 711, 712, 1024, 2048)
+GRID_SERIES_SIZES = (*range(1, 41), 64, 127, 128, 129, 1000, 4096, 2**14)
 SIGNAL_POWERS = (2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0)
 SIGNAL_ORDERS = (0, 1, 2, 3)
 SIGNAL_POINTS = np.concatenate((
@@ -222,6 +229,14 @@ def dft_lines():
         yield f"dft n{n} " + _sha([spectrum.a0, spectrum.a, spectrum.b])
 
 
+def grid_series_lines():
+    for G in GRID_SERIES_SIZES:
+        rng = np.random.default_rng([G, 5])
+        ks = rng.integers(0, 5 * G + 1, 40)
+        a, b = rng.standard_normal((2, ks.size))
+        yield f"grid_series G{G} " + _sha([grid_series(ks, a, b, G)])
+
+
 def _bernoulli_form(kind, s, order):
     # The order-th derivative is a cosine series at even orders of the
     # cosine kind and odd orders of the sine kind; it has a Bernoulli closed
@@ -267,5 +282,5 @@ def lerch_lines():
 if __name__ == "__main__":
     warnings.simplefilter("error", RuntimeWarning)
     for line in (*kernel_lines(), *spline_lines(), *fold_lines(), *signal_lines(), *dft_lines(),
-                 *lerch_lines()):
+                 *grid_series_lines(), *lerch_lines()):
         print(line)
