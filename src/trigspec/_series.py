@@ -21,9 +21,11 @@ guarantees:
   number of powers its caller sums (:func:`lerch_coefficients`; the
   spline engine reads rows 1..N-1 of it as views, r + 1 powers for a
   polynomial spline and all int(s) + 64 otherwise) and a singular term
-  (:func:`lerch_singular`), combined by the private row builder
-  :func:`_lerch_rows`, which both the spline engine and
-  :func:`polylog_unit` (any angle, reduced to [-pi, pi]) call.
+  (:func:`lerch_singular`). The spline engine sums the rows over first
+  members column by column into a table per cell; :func:`polylog_unit`
+  (any angle, reduced to [-pi, pi]) sums its one row by Horner's rule.
+  Both take the same operations at every point, so a value has the same
+  bits alone as inside any array.
 
 Alongside them sit the small primitives every layer shares: the integer
 contract (:func:`integers`, and :func:`integer` for one scalar), the
@@ -50,9 +52,6 @@ TWO_PI = 2.0 * np.pi
 # term they fall off by a factor of at least 2 for |theta| <= pi, so 64 of
 # them reach far below rounding (see lerch_remainder_bound).
 _LERCH_EXTRA_TERMS = 64
-# polylog_unit builds its row on blocks of this many angles, so the table of
-# powers in _lerch_rows stays small for any number of points.
-_LERCH_BLOCK = 4096
 _I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -62,8 +61,10 @@ def integers(x, lowest, message, highest=None):
 
     Raises ``ValueError(message)`` for any value that is not finite and
     integral, lies below `lowest` or above `highest`, or falls outside
-    int64. Integer arrays are integral by type and skip that test, so an
-    index array costs one comparison per bound.
+    int64, and for any value whose NumPy type is not bool, integer or
+    float: a numeric string such as ``'3'`` is refused, not parsed. Integer
+    arrays are integral by type and skip that test, so an index array costs
+    one comparison per bound.
     """
     top = _INT64_MAX if highest is None else min(highest, _INT64_MAX)
     if isinstance(x, (int, np.integer)):
@@ -71,6 +72,8 @@ def integers(x, lowest, message, highest=None):
             return int(x)
         raise ValueError(message)
     arr = np.asarray(x)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(message)
     if arr.dtype.kind in "iu":
         # Only an explicit bound or uint64 can exceed top.
         above = highest is not None or arr.dtype.kind == "u"
@@ -207,14 +210,18 @@ def _bernoulli_poly_coeffs(n):
                  for j, b in enumerate(map(_bernoulli_number, range(n + 1))))
 
 
-def _bernoulli_poly(n, x):
-    # Horner in descending powers.
-    coeffs = _bernoulli_poly_coeffs(n)
-    x = np.asarray(x, dtype=float)
+def _horner(coeffs, x):
+    # sum_i coeffs[i] x^(len - 1 - i), highest power first, at a float array
+    # x: the same operations at every point, whatever else is in x.
     val = np.full_like(x, coeffs[0])
     for c in coeffs[1:]:
-        val = val * x + c
+        val *= x
+        val += c
     return val
+
+
+def _bernoulli_poly(n, x):
+    return _horner(_bernoulli_poly_coeffs(n), np.asarray(x, dtype=float))
 
 
 def fourier_power(s, t):
@@ -336,7 +343,7 @@ def _pole_pair(s, theta):
 
 def _lerch_table(s, N, R):
     # Returns (even, odd, lead): the even and odd columns of a table of R
-    # columns, each contiguous for the matrix products. Row q-1, column r:
+    # columns, each contiguous. Row q-1, column r:
     # the coefficient of u^r, u = theta/pi, in e^(i a theta) sum_m e^(i m
     # theta) (q/(m N + q))^s minus its singular part, a = q/N, times the real
     # sign of i^r (1, 1, -1, -1 for r = 0, 1, 2, 3 mod 4); every entry is
@@ -379,9 +386,15 @@ def _lerch_table(s, N, R):
 def lerch_coefficients(s, N, terms=None):
     """The coefficients ``(even, odd, lead)`` of the Lerch expansion, one table per (s, N, terms).
 
-    With ``u = theta/pi`` the row of first member q = 1..N is (:func:`_lerch_rows`)
+    With ``u = theta/pi`` and ``a = q/N``, the row of first member q = 1..N,
 
-        even @ u^(0, 2, 4, ...) + i odd @ u^(1, 3, 5, ...) + lead * lerch_singular(s, theta);
+        even @ u^(0, 2, 4, ...) + i odd @ u^(1, 3, 5, ...) + lead * lerch_singular(s, theta),
+
+    is the Lerch expansion ``e^(i a theta) sum_{m>=0} e^(i m theta)
+    (q/(m*N + q))^s`` at |theta| <= pi: it is ``a^s e^(i a theta)
+    Phi(e^(i theta), s, a) = a^s [sum_r zeta(s-r, a) (i theta)^r / r! +
+    singular term]``, which converges geometrically;
+    :func:`lerch_remainder_bound` bounds the terms the full table drops.
 
     ``even`` and ``odd`` hold the real coefficients of the even and odd
     powers (the factor i^r folded in as a real sign), and ``lead`` is
@@ -440,27 +453,6 @@ def _lerch_singular(s, theta):
     return out
 
 
-def _lerch_rows(columns, sing, theta):
-    """The Lerch expansion ``e^(i a theta) sum_{m>=0} e^(i m theta) (q/(m*N + q))^s``, |theta| <= pi.
-
-    With ``a = q/N`` it is ``a^s e^(i a theta) Phi(e^(i theta), s, a)``,
-
-        a^s [sum_r zeta(s-r, a) (i theta)^r / r! + singular term],
-
-    which converges geometrically; :func:`lerch_remainder_bound` bounds the
-    terms the full table drops. `columns` is :func:`lerch_coefficients` of
-    (s, N), or any rows of it, and may keep fewer powers; `sing` is
-    :func:`lerch_singular` at the 1-D array `theta`. Returns a complex
-    array with one row per row of `columns` and one column per theta.
-    """
-    even, odd, lead = columns
-    powers = np.empty((even.shape[1] + odd.shape[1], theta.size))
-    powers[0] = 1.0
-    powers[1:] = theta / math.pi
-    np.cumprod(powers, axis=0, out=powers)
-    return even @ powers[0::2] + 1j * (odd @ powers[1::2]) + np.multiply.outer(lead, sing)
-
-
 def lerch_remainder_bound(s):
     """Bound on the terms the Lerch expansion drops, for every row of any N and any theta.
 
@@ -486,18 +478,20 @@ def polylog_unit(s, theta):
     Its real part is ``sum cos(k theta)/k^s`` and its imaginary part
     ``sum sin(k theta)/k^s``. It is ``e^(i theta) Phi(e^(i theta), s, 1)``.
     Angles reduce to [-pi, pi], where Phi is ``e^(-i theta)`` times the
-    N = 1 row of :func:`_lerch_rows`, built on blocks of 4096 angles. s is
-    as in :func:`lerch_coefficients`; a non-finite theta is refused. Shape
-    follows theta.
+    N = 1 row of :func:`lerch_coefficients`: its even columns are one real
+    polynomial in u^2, u = theta/pi, and its odd columns u times another,
+    each summed by Horner's rule, plus the singular term. Every point takes
+    the same operations, so a value has the same bits alone as inside any
+    array. s is as in :func:`lerch_coefficients`; a non-finite theta is
+    refused. Shape follows theta.
     """
     theta = finite_points(theta)
     flat = theta.ravel()
     reduced = np.mod(flat + np.pi, TWO_PI) - np.pi
-    columns = lerch_coefficients(s, 1)
-    sing = lerch_singular(s, reduced)
-    row = np.empty(flat.size, dtype=complex)
-    for start in range(0, flat.size, _LERCH_BLOCK):
-        at = slice(start, start + _LERCH_BLOCK)
-        row[at] = _lerch_rows(columns, sing[at], reduced[at])[0]
+    (even,), (odd,), lead = lerch_coefficients(s, 1)
+    u = reduced / np.pi
+    u2 = u * u
+    row = _horner(even[::-1], u2) + 1j * (u * _horner(odd[::-1], u2))
+    row += lead * lerch_singular(s, reduced)
     vals = np.exp(1j * flat) * (np.exp(-1j * reduced) * row)
     return vals.reshape(theta.shape)

@@ -14,11 +14,13 @@ every coefficient and value derives from those two, and evaluation never
 truncates. One engine sums the *entire* infinite series at every point:
 each alias class's two branches are Lerch transcendents on the unit
 circle, expanded in powers of the angle of the point within its cell, and
-the sum over the classes is a length-N inverse FFT read at the cell. A
-call sums in whichever order needs fewer of those FFTs: one per distinct
-angle, or, when a call has more distinct angles than the expansion has
-columns (R + 1), one per column into a cell table of R real coefficients
-and one singular factor per cell, after which each point costs O(R).
+the sum over the classes is a length-N inverse FFT per expansion column
+(R of them) and one for the singular factor, which build a cell table of
+R real coefficients and one singular factor per cell; each point then
+sums the powers of its angle at its cell, O(R) whatever N is. There is
+one such order of summation, so a value has the same bits alone as
+inside any array. A call whose angles are all 0 (the nodes of an
+unsigned family) builds column 0 alone, the only one nonzero there.
 Where s = r + 1 is even or the family is signed, the spline is a periodic
 polynomial spline of degree r (knots at the nodes, or at the midpoints
 when signed), the columns above u^r cancel in the sum over the classes,
@@ -41,9 +43,9 @@ so that a spline's own work is a gather, a product and its FFTs:
   J) and shared across ``tail_tol``, read by :func:`unfolded_spectrum` and
   so by the truncated series, the JSON document and the curvature
   functional;
-- the angle plan of a uniform grid of G points (angles, cells, singular
-  factors and, when the sum runs angle by angle, the expansion rows),
-  keyed on (grid, order, signed, G), read by :func:`values_on_uniform_grid`.
+- the angle plan of a uniform grid of G points (angles, cells and
+  singular factors), keyed on (grid, signed, G, order + 1), read by
+  :func:`values_on_uniform_grid`.
 
 The class table, the Lerch table and both plans are entries of the
 package's one store (:mod:`trigspec._cache`), least recently used out
@@ -187,20 +189,15 @@ def build_spline(samples, config):
 # -- evaluation -------------------------------------------------------------
 
 
-def _evaluate(spline, plan, columns):
+def _evaluate(spline, plan):
     # Values at x = N t + shift = 2 pi l + theta (shift pi for the signed
     # family) for P distinct angles |theta| <= pi and a (P, d) array of
-    # cells l mod N, both from the plan (:func:`_angle_plan`). Class k's
-    # members on each branch sum to a Lerch expansion at theta with first
-    # member j0 = k or N - k, times e^(2 pi i j0 l/N) e^(-i j0 shift/N); the
-    # j0 are the residues 1..N-1, so the sum over them is a length-N inverse
-    # FFT. It is taken in whichever order needs fewer of them: over the R
-    # expansion columns (R = r + 1 for a polynomial spline, else order + 65)
-    # and the singular factor (R + 1 FFTs, then O(R) per point) when there
-    # are more angles than that, else over each angle's expansion rows,
-    # which the plan then holds. Either way the FFT input holds at most
-    # (R + 1) x N entries.
-    theta, cells, sing, rows = plan
+    # cells l mod N, both from the plan with the singular factor at each
+    # angle. Class k's members on each branch sum to a Lerch expansion at
+    # theta with first member j0 = k or N - k, times e^(2 pi i j0 l/N)
+    # e^(-i j0 shift/N); the j0 are the residues 1..N-1, so the sum over them
+    # is a length-N inverse FFT, taken over the cell table's columns.
+    theta, cells, sing = plan
     cfg = spline.config
     N = cfg.grid.N
     spec = spline.spectrum
@@ -209,12 +206,7 @@ def _evaluate(spline, plan, columns):
     w = np.concatenate((table.gains * coeff, (table.mirror_gains * np.conj(coeff))[::-1]))
     if cfg.signed:
         w *= np.exp(-1j * np.pi * np.arange(1, N) / N)
-    if rows is None:
-        return _cell_table_sum(columns, w, sing, theta, cells) + 0.5 * spline.a0
-    Z = np.zeros((theta.size, N), dtype=complex)
-    Z[:, 1:] = rows * w
-    Y = np.fft.ifft(Z, norm="forward")      # unscaled: sum_j0 Z e^(2 pi i j0 l/N)
-    return np.real(Y[np.arange(theta.size)[:, None], cells]) + 0.5 * spline.a0
+    return _cell_table_sum(_columns(cfg), w, sing, theta, cells) + 0.5 * spline.a0
 
 
 def _columns(cfg):
@@ -228,25 +220,15 @@ def _columns(cfg):
     return even[:-1], odd[:-1], lead[:-1]
 
 
-def _angle_plan(power, columns, theta, cells):
-    # What evaluation at the distinct angles theta and the cells needs
-    # besides the samples: both of them, the singular factor at each angle
-    # and, when the sum runs angle by angle, the (P, N-1) expansion rows.
-    sing = _series._lerch_singular(power, theta)
-    R = columns[0].shape[1] + columns[1].shape[1]
-    rows = None if theta.size > R + 1 else _series._lerch_rows(columns, sing, theta).T
-    return theta, cells, sing, rows
-
-
-def _grid_plan(N, signed, G, power, columns):
-    # The angle plan of the uniform grid of G points (see
-    # values_on_uniform_grid): P = G/gcd(N, G) angles, and the cells as a
-    # (P, G/P) array whose column c holds points cP..cP + P - 1.
+def _grid_plan(N, signed, G, power):
+    # The P = G/gcd(N, G) angles of the uniform grid of G points (see
+    # values_on_uniform_grid), the cells as a (P, G/P) array whose column c
+    # holds points cP..cP + P - 1, and the singular factor at each angle.
     P = G // math.gcd(N, G)
     num = 2 * N * np.arange(G) + (G if signed else 0)
     cells = (num + G) // (2 * G)
     theta = np.pi * ((num[:P] - 2 * G * cells[:P]) / G)
-    return _angle_plan(power, columns, theta, (cells % N).reshape(-1, P).T)
+    return theta, (cells % N).reshape(-1, P).T, _series._lerch_singular(power, theta)
 
 
 def _cell_table_sum(columns, w, sing, theta, cells):
@@ -254,7 +236,16 @@ def _cell_table_sum(columns, w, sing, theta, cells):
     # singular factor, weighted by w and summed over j0 by one inverse FFT
     # each. Cell l then reads the real coefficients E[r, l] of u^r,
     # u = theta/pi, summed by Horner's rule, and D[R, l] of the singular term.
+    # Every point takes these same operations whatever else is in its call.
+    # At theta = 0 every power above u^0 and the singular term (s is an
+    # integer here) are exactly 0, so a call whose angles are all 0 builds
+    # column 0 alone: the FFT of one row has the bits of the same row among
+    # the R + 1, and Horner's rule at u = 0 returns E[0].
     even, odd, lead = columns
+    if not theta.any():
+        Z = np.zeros((1, w.size + 1), dtype=complex)
+        Z[0, 1:] = even[:, 0] * w
+        return np.fft.ifft(Z, norm="forward")[0].real[cells]
     R = even.shape[1] + odd.shape[1]
     Z = np.zeros((R + 1, w.size + 1), dtype=complex)
     Z[0:R:2, 1:] = even.T * w
@@ -283,28 +274,29 @@ def spline_eval(spline, t):
                           + (k/(N-k))^s (a*_k + i b*_k) e^(i(N-k)t) L(z, N-k)].
 
     Each point is written as N t + shift = 2 pi l + theta with |theta| <=
-    pi; the sum over first members is then one inverse FFT of the
-    expansion rows at theta (:func:`_series._lerch_rows`) of rows j0 =
-    1..N-1 of the Lerch table :func:`_series.lerch_coefficients`, read at
-    cell l. That table is the one stored per (s, N, R), built to the R
+    pi. Rows j0 = 1..N-1 of the Lerch table
+    :func:`_series.lerch_coefficients` hold the expansion in powers of
+    theta/pi; that table is the one stored per (s, N, R), built to the R
     columns summed: R = r + 1 where s is even or the family is signed,
-    whose spline is a polynomial spline of degree r, else order + 65. With
-    more points than R + 1 the sum runs the other way: one inverse
-    FFT per column of that table and one for the singular factor builds a
+    whose spline is a polynomial spline of degree r, else order + 65. One
+    inverse FFT per column over j0 and one for the singular factor build a
     table of R + 1 coefficients per cell, and each point sums the R powers
-    of theta/pi at its cell plus the singular term, O(R) per point
-    whatever N is. Every factor lies in the float range at any order. The
-    error beyond rounding is :func:`scattered_eval_bound`, for every order
-    and every point and either order of the sum; it does not depend on
-    ``tail_tol``.
+    of theta/pi at its cell by Horner's rule plus the singular term, O(R)
+    per point whatever N is. Each point takes the same operations whatever
+    else is in the call, so it has the same bits alone as inside any
+    array. Points that all sit at theta = 0 build column 0 alone; any other
+    call pays the R + 1 FFTs, also for one point (R = 67 at order 2 in the
+    unsigned families). Every factor lies in the float range at any order.
+    The error beyond rounding is :func:`scattered_eval_bound`, for every
+    order and every point; it does not depend on ``tail_tol``.
     """
     t_arr = _series.finite_points(t)
     cfg = spline.config
     x = cfg.grid.N * _series.reduce_angle(t_arr.ravel()) + (np.pi if cfg.signed else 0.0)
     theta = _series.reduce_angle(x + np.pi) - np.pi
     cells = np.rint((x - theta) / _series.TWO_PI).astype(np.int64) % cfg.grid.N
-    columns = _columns(cfg)
-    out = _evaluate(spline, _angle_plan(cfg.power, columns, theta, cells[:, None]), columns)[:, 0]
+    plan = theta, cells[:, None], _series._lerch_singular(cfg.power, theta)
+    out = _evaluate(spline, plan)[:, 0]
     return out.reshape(t_arr.shape) if t_arr.ndim else float(out[0])
 
 
@@ -339,28 +331,25 @@ def values_on_uniform_grid(spline, points):
     integers: N t_g + shift = pi num/G with num = 2Ng (+ G for the signed
     family) and G = points, so cell l = round(num/2G) and theta = pi (num -
     2Gl)/G are exact. Point g shares its angle with g + P, P = G/gcd(N, G),
-    so only P angles are expanded; at G = N all nodes share one. Up to
-    R + 1 angles (R = r + 1 for a polynomial spline, else order + 65, as
-    in :func:`spline_eval`) the sum over first members runs angle by
-    angle, one FFT each; beyond that through the cell table of
-    :func:`spline_eval`, R + 1 FFTs in all. The error beyond rounding is
-    :func:`scattered_eval_bound`.
+    so only P angles are expanded; at G = N all nodes share one, theta = 0
+    in the unsigned families, where the cell table of :func:`spline_eval`
+    needs column 0 alone. Any other grid builds all R + 1 columns (R =
+    r + 1 for a polynomial spline, else order + 65). A value has the bits
+    of :func:`spline_eval` at the same cell and angle. The error beyond
+    rounding is :func:`scattered_eval_bound`.
 
     Everything but the samples' part is the grid's angle plan, one entry
-    per (grid, order, signed, G) of the package's store, kept while it fits
-    the store's 32 MiB budget (larger ones are built on each call, with the
-    same bits): the P angles, the cells, the singular factor at each angle
-    and, summed angle by angle, the (P, N-1) expansion rows. `points` is an
-    integer in 1..2^32, refused with ValueError before anything is
-    allocated.
+    per (grid, signed, G, order + 1) of the package's store, kept while it
+    fits the store's 32 MiB budget (larger ones are built on each call,
+    with the same bits): the P angles, the cells and the singular factor at
+    each angle. `points` is an integer in 1..2^32, refused with ValueError
+    before anything is allocated.
     """
     G = _series.integer(points, 1, "points must be an integer in 1..4294967296", _MAX_SIZE)
     cfg = spline.config
     N = cfg.grid.N
-    columns = _columns(cfg)
-    plan = _cache.get(_grid_plan, N, cfg.signed, G, cfg.power, columns,
-                      key=(N, cfg.order, cfg.signed, G))
-    return _evaluate(spline, plan, columns).T.ravel()
+    plan = _cache.get(_grid_plan, N, cfg.signed, G, cfg.power)
+    return _evaluate(spline, plan).T.ravel()
 
 
 # -- spectrum queries -------------------------------------------------------
@@ -510,9 +499,10 @@ def spline_from_json(doc):
     grid = make_grid((N - 1) // 2)
     variant = FilterVariant.from_string(doc["variant"])
     config = KernelConfig(grid=grid, order=doc["r"], variant=variant)
-    j, ra, rb = np.array(doc["coeffs"], dtype=float).reshape(-1, 3).T
+    rows = np.array(doc["coeffs"], dtype=object).reshape(-1, 3)
     message = "field 'coeffs' needs distinct integer row indices >= 1"
-    j = _series.integers(j, 1, message)
+    j = _series.integers(rows[:, 0].tolist(), 1, message)
+    ra, rb = rows[:, 1:].astype(float).T
     if np.unique(j).size != j.size:
         raise ValueError(message)
     band = j <= grid.n

@@ -152,7 +152,8 @@ IDS = [site[0] for site in SITES]
 
 
 def _bad_values(lowest, highest, array):
-    bad = [2.5, math.inf, -math.inf, math.nan, lowest - 1, float(lowest - 1)]
+    bad = [2.5, math.inf, -math.inf, math.nan, lowest - 1, float(lowest - 1), "3",
+           np.array(["3"])]
     if highest is not None:
         bad += [highest + 1, highest + 0.5]
     if array:

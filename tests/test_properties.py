@@ -7,6 +7,9 @@ and the agreement of grid and scattered evaluation. Each holds in exact
 arithmetic; the tolerances leave rounding room of a few hundred ulps
 relative to the data's scale. Interpolation and the grid agreement are
 swept to n = 64 and order 200, where no configuration may be refused.
+One property holds bit for bit: a value is a fixed function of its point,
+so a point evaluated alone gives the bits it gives inside any array, for
+splines and for every kind of signal.
 """
 
 import math
@@ -28,6 +31,7 @@ from trigspec import (
     spline_eval,
     values_on_uniform_grid,
 )
+from trigspec.signal_model import derivative_values, power_decay_cosine, power_decay_sine
 from trigspec.spline_kernel import class_partition_terms
 from trigspec.trig_spline import scattered_eval_bound
 
@@ -119,3 +123,61 @@ def test_fold_identity(data):
         dft_b = 0.0 if k == 0 else spec.b[k - 1]
         assert abs(rep.folded_a - dft_a) <= tol, k
         assert abs(rep.folded_b - dft_b) <= tol, k
+
+
+# -- a point alone and inside an array ----------------------------------------
+
+
+@st.composite
+def points(draw, N):
+    """Seeded scattered points with nodes, cell midpoints, 0 and +-pi among them."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    count = draw(st.integers(min_value=1, max_value=24))
+    t = rng.uniform(-20.0, 20.0, count)
+    marks = 2.0 * np.pi * rng.integers(-2 * N, 2 * N, count) / (2 * N)
+    special = np.array([0.0, np.pi, -np.pi, 2.0 * np.pi])
+    return rng.permutation(np.concatenate((t, marks, special)))
+
+
+def assert_each_point_alone_has_its_bits(values_at, t):
+    inside = np.asarray(values_at(t))
+    for i, x in enumerate(t):
+        alone = np.asarray(values_at(x))
+        assert alone.shape == () and alone.tobytes() == inside[i].tobytes(), x
+    # And inside another array: the points reversed, as a 2-D block.
+    block = np.asarray(values_at(t[::-1].reshape(1, -1)))
+    assert block.tobytes() == inside[::-1].reshape(1, -1).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_spline_values_do_not_depend_on_their_call(data):
+    config = data.draw(configs(max_n=64, max_order=200))
+    grid = config.grid
+    spline = build_spline(sample(data.draw(harmonic_sums(grid)), grid), config)
+    assert_each_point_alone_has_its_bits(lambda t: spline_eval(spline, t),
+                                         data.draw(points(grid.N)))
+
+
+# Integer p with and without a Bernoulli closed form (it needs p - order
+# even for the cosine's even derivatives), non-integer p, and orders next to
+# an integer, where the polylogarithm's pole pair is summed in closed form.
+POWERS = [2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 2.5, 3.3, 4.75, 3.0 + 1e-9, 4.0 - 1e-9]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_signal_values_do_not_depend_on_their_call(data):
+    kind = data.draw(st.sampled_from(["harmonic", "cos", "sin"]))
+    if kind == "harmonic":
+        signal = data.draw(harmonic_sums(make_grid(data.draw(st.integers(1, 16)))))
+        order = data.draw(st.integers(min_value=0, max_value=3))
+    else:
+        p = data.draw(st.sampled_from(POWERS))
+        maker = power_decay_cosine if kind == "cos" else power_decay_sine
+        signal = maker(p, r=0, variation=1.0)
+        order = data.draw(st.sampled_from([q for q in range(4) if p - q > 1]))
+    t = data.draw(points(17))
+    assert_each_point_alone_has_its_bits(lambda x: derivative_values(signal, order, x), t)
+    if order == 0:
+        assert_each_point_alone_has_its_bits(signal, t)

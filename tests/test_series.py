@@ -6,7 +6,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from trigspec import _series
+from trigspec import _series, trig_spline
 
 from loglog import fit_loglog_slope
 from variation import grid_total_variation
@@ -94,6 +94,8 @@ def test_fit_loglog_slope_exact_power():
 
 # -- Lerch transcendent and polylogarithm on the unit circle ---------------------
 
+EPS = np.finfo(float).eps
+
 # (G, g): theta = 2*pi*g/G covers 0, small angles, just inside +pi, just
 # inside -pi (after reduction), and pi itself (reduced to -pi).
 ANGLES = ((97, (0, 1, 24, 48, 49, 96)), (64, (0, 5, 31, 32, 33)))
@@ -105,14 +107,33 @@ ANGLES = ((97, (0, 1, 24, 48, 49, 96)), (64, (0, 5, 31, 32, 33)))
 NEAR_INTEGER = [3 + 1e-9, 3 - 1e-9, 2 + 1e-12, 1.5, 3.5]
 
 
+def lerch_rows(columns, theta, s, magnitudes=False):
+    # The rows of the Lerch expansion of order s at the 1-D array theta, one
+    # per row of `columns` (lerch_coefficients of (s, N) or any rows of it),
+    # from its coefficients and singular term as lerch_coefficients states
+    # them: even @ u^(0, 2, ...) + i odd @ u^(1, 3, ...) + lead * singular term.
+    # With `magnitudes`, the sums of the terms' magnitudes instead: any order
+    # of summing the terms rounds to a few eps times these, also where they
+    # cancel (next to theta = +-pi).
+    even, odd, lead = columns
+    u = theta / np.pi
+    sing = _series.lerch_singular(s, theta)
+    if magnitudes:
+        even, odd, lead, u, sing = (np.abs(x) for x in (even, odd, lead, u, sing))
+    powers = u[None, :] ** np.arange(even.shape[1] + odd.shape[1])[:, None]
+    odd_part = odd @ powers[1::2]
+    if not magnitudes:
+        odd_part = 1j * odd_part
+    return even @ powers[0::2] + odd_part + np.multiply.outer(lead, sing)
+
+
 def lerch_unit(s, N, theta):
     # The Lerch transcendent on the unit circle normalized to a first term
     # of 1, a^s Phi(e^(i theta), s, a) at a = q/N: one row per q = 1..N,
-    # |theta| <= pi. It is e^(-i a theta) times the rows of _lerch_rows, the
-    # rows the spline engine reads.
+    # |theta| <= pi. It is e^(-i a theta) times the rows of the expansion,
+    # the rows the spline engine sums.
     theta = np.asarray(theta, dtype=float)
-    rows = _series._lerch_rows(_series.lerch_coefficients(s, N), _series.lerch_singular(s, theta),
-                               theta)
+    rows = lerch_rows(_series.lerch_coefficients(s, N), theta, s)
     a = np.arange(1.0, N + 1.0) / N
     return np.exp(-1j * np.multiply.outer(a, theta)) * rows
 
@@ -199,39 +220,52 @@ def test_lerch_unit_validation():
 
 
 def test_lerch_series_is_lerch_unit_without_its_phase():
-    # polylog_unit is e^(i theta) times e^(-i theta) times the N = 1 row of
-    # the Lerch series _lerch_rows builds on [-pi, pi], bit for bit, over
-    # 5000 angles (two blocks of 4096), -pi and 0 among them. pi itself
-    # reduces to -pi (alone, its matrix product rounds differently), and
-    # the expansion refuses angles beyond it.
-    theta = np.concatenate(([-np.pi, 0.0], np.random.default_rng(3).uniform(-np.pi, np.pi, 4998)))
+    # polylog_unit is e^(i theta) times e^(-i x) times the N = 1 row of the
+    # Lerch series at x, theta reduced to [-pi, pi], over 5000 angles, -pi,
+    # 0 and pi (reduced to -pi) among them, summed by Horner's rule. Each
+    # angle alone gives its bits inside the array; the expansion refuses
+    # angles beyond pi.
+    theta = np.concatenate(([-np.pi, 0.0, np.pi],
+                            np.random.default_rng(3).uniform(-np.pi, np.pi, 4997)))
+    x = np.mod(theta + np.pi, 2.0 * np.pi) - np.pi
+    assert x[2] == -np.pi
     columns = _series.lerch_coefficients(3, 1)
-    row = _series._lerch_rows(columns, _series.lerch_singular(3, theta), theta)[0]
     got = _series.polylog_unit(3, theta)
-    assert np.array_equal(got, np.exp(1j * theta) * (np.exp(-1j * theta) * row))
-    assert abs(_series.polylog_unit(3, np.pi) - got[0]) < 1e-14
+    want = np.exp(1j * theta) * (np.exp(-1j * x) * lerch_rows(columns, x, 3)[0])
+    assert (np.abs(got - want) <= 4 * EPS * lerch_rows(columns, x, 3, magnitudes=True)[0]).all()
+    for i in (0, 1, 2, 3, 4999):
+        assert _series.polylog_unit(3, theta[i]).tobytes() == got[i].tobytes()
     with pytest.raises(ValueError, match="theta must be"):
         _series.lerch_singular(3, np.array([np.pi + 1e-9]))
 
 
 @pytest.mark.parametrize("s,N", [(3, 5), (2.5, 1), (40, 17)])
 def test_lerch_series_is_its_coefficients_and_singular_term(s, N):
-    # _lerch_rows sums the expansion from these two. The evaluation engine
-    # reads them in either order of its sum over first members, and builds
-    # the rows of one order with _lerch_rows on a view of the table's rows.
+    # The engines sum the expansion from these two: polylog_unit the N = 1
+    # row, and the spline's cell table rows 1..N-1, as views of the table,
+    # weighted and summed over first members by an FFT. With one weight of
+    # 1 (or -i) at first member q, cell 0 of that table reads the real (or
+    # imaginary) part of row q.
     theta = np.array([-np.pi, -1.0, 0.0, 0.4, np.pi])
-    even, odd, lead = _series.lerch_coefficients(s, N)
+    columns = even, odd, lead = _series.lerch_coefficients(s, N)
     assert even.shape[0] == odd.shape[0] == lead.size == N
     assert not (even.flags.writeable or odd.flags.writeable or lead.flags.writeable)
     assert _series.lerch_coefficients(s, float(N))[0] is even     # one table per (s, N)
-    u = theta / np.pi
-    powers = u[None, :] ** np.arange(even.shape[1] + odd.shape[1])[:, None]
+    want = lerch_rows(columns, theta, s)
+    tol = 4 * EPS * lerch_rows(columns, theta, s, magnitudes=True)
+    if N == 1:
+        got = _series.polylog_unit(s, theta)
+        assert (np.abs(got - np.exp(1j * theta) * (np.exp(-1j * theta) * want[0])) <= tol[0]).all()
+        return
+    views = even[:-1], odd[:-1], lead[:-1]
     sing = _series.lerch_singular(s, theta)
-    want = even @ powers[0::2] + 1j * (odd @ powers[1::2]) + np.multiply.outer(lead, sing)
-    got = _series._lerch_rows((even, odd, lead), sing, theta)
-    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-    first = _series._lerch_rows((even[:1], odd[:1], lead[:1]), sing, theta)
-    assert np.max(np.abs(first - got[:1])) <= 1e-15 * np.max(np.abs(want))
+    cells = np.zeros((theta.size, 1), dtype=np.int64)
+    for q in range(1, N):
+        for weight, part in ((1.0, np.real), (-1j, np.imag)):
+            w = np.zeros(N - 1, dtype=complex)
+            w[q - 1] = weight
+            got = trig_spline._cell_table_sum(views, w, sing, theta, cells)[:, 0]
+            assert (np.abs(got - part(want[q - 1])) <= tol[q - 1]).all(), (q, weight)
 
 
 @pytest.mark.parametrize("s,N", [(4, 9), (7, 5), (2.5, 1)])

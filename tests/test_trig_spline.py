@@ -141,7 +141,7 @@ def test_splines_depend_on_the_gain_signs_only(n, r):
         assert class_table(sinc.config) is not class_table(ref.config)
     else:
         same.append(sinc)
-    # 1024 angles on a grid of odd N lie past the switch to the cell table.
+    # G = N has one angle, 0 unless signed; G = 1024 has 1024 on a grid of odd N.
     t = {P: rng.uniform(0.0, 2.0 * np.pi, P) for P in (40, 400)}
 
     def quantities(spline):
@@ -195,6 +195,31 @@ def test_scattered_bound_is_zero_for_polynomial_splines():
         mass = 2.0 * np.sum(weight * np.hypot(spl.spectrum.a, spl.spectrum.b))
         want = mass * _series.lerch_remainder_bound(c.power)
         assert 0.0 < scattered_eval_bound(spl) == pytest.approx(want, rel=1e-12), (r, variant)
+
+
+@pytest.mark.parametrize("variant", ["sinc", "abs-sinc", "inv-power"])
+@pytest.mark.parametrize("n, r", [(1, 1), (8, 1), (8, 2), (8, 3), (8, 10), (64, 40), (16, 200)])
+def test_zero_angle_calls_read_column_0_of_the_full_table(n, r, variant):
+    # A call whose angles are all 0 builds column 0 of the cell table alone,
+    # one FFT row; at every cell it gives the bits of the full table of
+    # R + 1 rows, which a call with one more angle builds.
+    c = cfg(n, r, variant)
+    N = c.grid.N
+    columns = trig_spline._columns(c)
+    rng = np.random.default_rng([n, r])
+    w = rng.standard_normal(N - 1) + 1j * rng.standard_normal(N - 1)
+    cells = np.arange(N)
+    with mock.patch.object(np.fft, "ifft", wraps=np.fft.ifft) as fft:
+        theta = np.zeros(1)
+        alone = trig_spline._cell_table_sum(columns, w, _series._lerch_singular(c.power, theta),
+                                            theta, cells[None, :])
+        assert fft.call_args.args[0].shape == (1, N)
+        theta = np.array([0.0, 0.7])
+        full = trig_spline._cell_table_sum(columns, w, _series._lerch_singular(c.power, theta),
+                                           theta, np.stack((cells, cells)))
+        R = columns[0].shape[1] + columns[1].shape[1]
+        assert fft.call_args.args[0].shape == (R + 1, N)
+    assert alone.tobytes() == full[:1].tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -449,12 +474,11 @@ def test_warm_plans_give_the_cold_bits(cache_patch):
     # built gives the bits of the same call on an empty store. Each call
     # runs under the store's budget, which keeps every entry here, and
     # under 128 bytes, which keeps only the smallest laws, so each of the
-    # five kinds is seen stored and not stored. G = N and 3N have 1 and 3
-    # angles, G = 64 has 64, which a log-type spline (order + 66 angles at
-    # most) sums angle by angle and a polynomial one through the cell
-    # table; G = 1000 and 2048 are summed through the cell table. A last
-    # pass fills the store with every configuration at once, so an entry
-    # read under another configuration's key would show.
+    # five kinds is seen stored and not stored. G = 1 and N have one angle,
+    # 0 in the unsigned families, where the cell table builds column 0
+    # alone; G = 3N, 64, 1000 and 2048 have 3 to 2048 angles and build every
+    # column. A last pass fills the store with every configuration at once,
+    # so an entry read under another configuration's key would show.
     seen = {kind: set() for kind in STORED_KINDS}
     cases = []
     points = np.linspace(-1.0, 7.0, 50)
@@ -473,10 +497,12 @@ def test_warm_plans_give_the_cold_bits(cache_patch):
                         call(first)
                     stored = bool(_stored(STORED_KINDS[kind]))
                     assert _bits(call(second)) == cold, (budget, variant, r, kind)
-                    seen[kind].add((stored, table.call_count > 0) if kind == "grid" else stored)
+                    if kind == "grid":
+                        stored = stored, not table.call_args.args[3].any()    # every angle 0
+                    seen[kind].add(stored)
                     cases.append((first, second, call, cold))
     assert all(seen[kind] == {True, False} for kind in ("dft", "class", "lerch", "law"))
-    assert seen["grid"] == {(stored, cells) for stored in (True, False) for cells in (True, False)}
+    assert seen["grid"] == {(stored, zero) for stored in (True, False) for zero in (True, False)}
     cache_patch.undo()
     _cache.clear()
     for first, _, call, _ in cases:

@@ -249,11 +249,10 @@ def test_scattered_eval_matches_uniform_grid_values(data):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_both_contraction_orders_match_hurwitz_fold(data):
-    # The sum over residues runs per angle for up to R + 1 distinct angles
-    # and through the cell table (R + 1 FFTs) beyond, R the number of
-    # expansion columns the engine sums (r + 1 for a polynomial spline);
-    # P sits just below, at and just above the switch, for grids and for
-    # scattered points alike.
+    # The sum over residues runs through the cell table (R + 1 FFTs), R the
+    # number of expansion columns the engine sums (r + 1 for a polynomial
+    # spline), for any number P of distinct angles; P sits just below, at
+    # and just above R + 1, for grids and for scattered points alike.
     n = data.draw(st.integers(min_value=1, max_value=64))
     order = data.draw(st.integers(min_value=1, max_value=200))
     config = KernelConfig(grid=make_grid(n), order=order, variant=data.draw(st.sampled_from(VARIANTS)))
@@ -269,13 +268,8 @@ def test_both_contraction_orders_match_hurwitz_fold(data):
         d = N
     G = P * d
     g = np.random.default_rng(data.draw(st.integers(0, 2**16))).choice(G, P, replace=False)
-    table_path = int(P > R + 1)
-    wrapped = mock.patch.object(trig_spline, "_cell_table_sum", wraps=trig_spline._cell_table_sum)
-    with wrapped as table:
-        on_grid = trig_spline.values_on_uniform_grid(spline, G)
-        assert table.call_count == table_path
-        scattered = trig_spline.spline_eval(spline, 2.0 * np.pi * g / G)
-        assert table.call_count == 2 * table_path
+    on_grid = trig_spline.values_on_uniform_grid(spline, G)
+    scattered = trig_spline.spline_eval(spline, 2.0 * np.pi * g / G)
     want = folded_values(loop_folded_spectrum(spline, G), spline.a0)
     size = 0.5 * abs(spectrum.a0) + float(np.sum(np.hypot(spectrum.a, spectrum.b)))
     assert np.max(np.abs(on_grid - want)) <= 1e-14 * size

@@ -54,9 +54,10 @@ CONFIGS = (
 # (n, order, variant, G): G = N, 3N and a coprime 64 at n = 8, N and 64 at
 # n = 16, n = 64 at high order, G = 256 at n = 8 and at n = 64, order 150,
 # and G = 512 at n = 8 for two spline files of tools/cli_digest.py.
-# Evaluation sums angle by angle up to R + 1 distinct angles and through the
-# cell table beyond, with R = order + 1 expansion columns where s = order + 1
-# is even or the family is signed, else R = order + 65.
+# Evaluation sums through the cell table of R + 1 FFTs, with R = order + 1
+# expansion columns where s = order + 1 is even or the family is signed,
+# else R = order + 65; a grid whose angles are all 0 (G = N in an unsigned
+# family) builds column 0 alone.
 GRID_CONFIGS = (
     *((8, order, variant, G) for G in (17, 51, 64) for order in (1, 2, 3, 10, 40)
       for variant in VARIANTS),

@@ -7,9 +7,9 @@ and 200, every gain family, and fold sums of seeded harmonic sums (indices up to
 signals. The spline layer is swept over splines of seeded
 samples at n = 1..16 and 64, orders 1..12, 40, 100 and 150, every gain
 family: ``unfolded_spectrum`` to 4N, ``series_truncation``,
-``values_on_uniform_grid`` at G = N, 64 and 1000, and ``spline_eval`` at
-32 and 512 seeded scattered points, one count on each side of the switch
-between the two contraction orders of evaluation. Each of these
+``values_on_uniform_grid`` at G = N (every angle 0 in the unsigned
+families, where the cell table builds column 0 alone), 64 and 1000, and
+``spline_eval`` at 32 and 512 seeded scattered points. Each of these
 quantities is hashed again, as a ``spline-warm`` line, for a second
 seeded sample vector on the same configuration, so its coefficient law
 and grid angles come from the plans the first vector's spline left in
@@ -23,11 +23,11 @@ swept over ``derivative_values`` of the power-decay cosine and sine at
 p = 2, 2.5, 3, 3.5, 4, 5 and 6 and orders 0..3 wherever p - order > 1 (the
 Bernoulli closed forms, the integer-order polylogarithm and the
 non-integer pole pair), and of the suite's harmonic sums at order 0, at
-seeded points with |t| up to 20, among them 0 and +-pi. Those lines are
-kept as they were; 1,005 points fit in one of the polylogarithm's blocks
-of 4096 angles, so every derivative without a Bernoulli closed form is
-also hashed at 10,000 more seeded points, three blocks, as a
-``signal-blocks`` line. The direct DFT
+seeded points with |t| up to 20, among them 0 and +-pi. Every derivative
+without a Bernoulli closed form is also hashed at 10,000 more seeded
+points, as a ``signal-blocks`` line; each point's value is the same
+whatever array it is in, so the two lines check the same evaluation on
+different points. The direct DFT
 (``discrete_coeffs``) is swept over seeded unit-normal samples at n = 1..40,
 64, 127, 128, 256, 711, 712, 1024 and 2048: one row block of the phase
 matrices up to n = 127, two from n = 128, read from the store's entry
@@ -101,9 +101,10 @@ POWERS = (2.0, 2.5, 3.0, 4.0, 6.0)
 SPLINE_SIZES = (*range(1, 17), 64)
 SPLINE_ORDERS = (*range(1, 13), 40, 100, 150)
 EVAL_GRIDS = (64, 1000)   # besides the spline's own N nodes
-# Up to R + 1 points are summed angle by angle and more through the cell
-# table, with R = order + 1 expansion columns where s = order + 1 is even or
-# the family is signed, else R = order + 65.
+# Counts of scattered points: every call sums through the cell table of
+# R + 1 FFTs, whatever its number of points, with R = order + 1 expansion
+# columns where s = order + 1 is even or the family is signed, else
+# R = order + 65.
 SCATTER_POINTS = (32, 512)
 # n, order and lengths J of the spline-large lines: laws far above the
 # plans' size budget, one of them built in blocks.
