@@ -1,12 +1,14 @@
 """The hot kernels, in NumPy.
 
-- ``synth``: evaluate a finite trigonometric series at arbitrary points.
-- ``grid_series``: evaluate a finite trigonometric series, a harmonic sum
-  or a spectrum, on the uniform grid 2*pi*g/G with exact phases: k*g is
-  reduced mod G in integers and cos/sin of 2*pi*m/G are read from the
-  grid's table of G entries, one entry of the package's store per G. The
-  terms are added one after another in their given order. ``grid_phases``
-  reads one harmonic's row of that table, for quadrature on the grid.
+- ``point_series`` and ``grid_series``: evaluate a finite trigonometric
+  series term by term, one accumulator adding the terms in their given
+  order; they differ only in where cos and sin come from.
+  ``point_series`` takes them at the rounded phases k*t of arbitrary
+  points, so a point has the same bits alone as inside any array.
+  ``grid_series`` takes the uniform grid 2*pi*g/G with exact phases: k*g
+  is reduced mod G in integers and cos/sin of 2*pi*m/G are read from the
+  grid's table of G entries, one entry of the package's store per G.
+  ``grid_phases`` reads one harmonic's row of that table, for quadrature.
 - ``dft``: direct discrete Fourier coefficients on an odd uniform grid
   (no FFT) with exact phases: k*j is reduced mod N in integers and cos/sin
   of 2*pi*m/N are read from one table of N entries, so no transcendental
@@ -20,14 +22,12 @@ import numpy as np
 
 from . import _cache, _series
 
-# Evaluation is blocked so the (points x terms) work array stays small.
-_BLOCK = 512
 # The DFT reads its (coefficients x samples) cos and sin matrices in row
 # blocks that together hold at most this many cells (one row when 2N is
 # larger), so every grid with n <= 127 is one block.
 _DFT_CELLS = 1 << 16
-# grid_series adds its terms in blocks of rows that together hold at most
-# this many (terms x points) cells (one row when G is larger).
+# A series adds its terms in blocks of rows that together hold at most
+# this many (terms x points) cells (one row when there are more points).
 _GRID_CELLS = 1 << 16
 # Largest grid of grid_series and grid_phases: the phase index
 # (k mod G) g < G^2 <= 2^64 is exact in unsigned 64-bit integers.
@@ -35,36 +35,24 @@ _MAX_GRID = 1 << 32
 _GRID_MESSAGE = f"grid size G must be an integer in 1..{_MAX_GRID}"
 
 
-def synth(a0, coeff_a, coeff_b, t):
-    """Evaluate a0/2 + sum_j (a_j cos(j t) + b_j sin(j t)) at points t.
+def point_series(ks, a, b, t):
+    """Evaluate sum_i (a_i cos(k_i t) + b_i sin(k_i t)) at finite points t of any shape.
 
-    Parameters
-    ----------
-    a0 : float
-        Constant-term coefficient; contributes a0/2.
-    coeff_a, coeff_b : 1-D arrays
-        Cosine and sine coefficients for harmonics j = 1..J.
-    t : 1-D array
-        Evaluation points in radians.
-
-    Returns
-    -------
-    1-D array of series values, same length as `t`.
+    The terms ks, a, b are taken and added as by :func:`grid_series`, with
+    cos and sin of the rounded products k_i t (t as given, not reduced),
+    each off by up to |k_i t| eps/2. A value depends on its point alone:
+    a point gives the same bits alone as inside any array. The result is
+    shaped like t.
     """
-    coeff_a = np.ascontiguousarray(coeff_a, dtype=float)
-    coeff_b = np.ascontiguousarray(coeff_b, dtype=float)
-    t = np.ascontiguousarray(t, dtype=float)
-    if coeff_a.shape != coeff_b.shape:
-        raise ValueError("coefficient arrays must have equal length")
-    out = np.full(t.shape, 0.5 * a0)
-    J = coeff_a.shape[0]
-    for start in range(0, J, _BLOCK):
-        stop = min(start + _BLOCK, J)
-        j = np.arange(start + 1, stop + 1, dtype=float)
-        phase = np.multiply.outer(t, j)
-        out += np.cos(phase) @ coeff_a[start:stop]
-        out += np.sin(phase) @ coeff_b[start:stop]
-    return out
+    t = np.asarray(t, dtype=float)
+    flat = t.ravel()
+
+    def phases(k, cosines):
+        phase = np.multiply.outer(k, flat)
+        np.cos(phase, out=cosines)
+        return np.sin(phase, out=phase)
+
+    return _term_sum(ks, a, b, flat.size, phases).reshape(t.shape)
 
 
 def grid_series(ks, a, b, G):
@@ -88,40 +76,42 @@ def grid_series(ks, a, b, G):
     two products and their sum, and M/2 eps for adding the terms one
     after another.
 
-    Parameters
-    ----------
-    ks : 1-D array of integers >= 0
-        Harmonic indices, in the order their terms are added.
-    a, b : 1-D arrays
-        Cosine and sine coefficients, one per index.
-    G : int
-        Grid size, an integer in 1..2^32; any other value is refused with
-        ValueError before anything is allocated.
-
-    Returns
-    -------
-    1-D array of G series values.
+    ks (integers >= 0, in the order their terms are added), a and b (the
+    cosine and sine coefficients) are 1-D arrays of one length. G, an
+    integer in 1..2^32, is refused otherwise with ValueError before
+    anything is allocated. Returns the G values as a 1-D array.
     """
     G = _series.integer(G, 1, _GRID_MESSAGE, _MAX_GRID)
+    cos, sin = _cache.get(_phase_table, G)
+    g = np.arange(G, dtype=np.uint64)
+
+    def phases(k, cosines):
+        m = _phase_index((k % G).astype(np.uint64), g, G)
+        np.take(cos, m, out=cosines)
+        return np.take(sin, m)
+
+    return _term_sum(ks, a, b, G, phases)
+
+
+def _term_sum(ks, a, b, P, phases):
+    # The one accumulator: sum_i (a_i C_i + b_i S_i) at P points, where
+    # phases(k, out) writes the cos rows C of harmonics k into out and
+    # returns their sin rows S. Row 0 of each block carries the sum so far,
+    # so the terms are added one after another, whatever the blocks.
     ks = np.atleast_1d(_series.integers(ks, 0, "harmonic indices must be integers >= 0"))
     a = np.ascontiguousarray(a, dtype=float)
     b = np.ascontiguousarray(b, dtype=float)
     if ks.ndim != 1 or not ks.shape == a.shape == b.shape:
         raise ValueError("indices and coefficient arrays must be 1-D of equal length")
-    cos, sin = _cache.get(_phase_table, G)
-    k = (ks % G).astype(np.uint64)
-    g = np.arange(G, dtype=np.uint64)
-    out = np.zeros(G)
-    rows = max(_GRID_CELLS // G, 1)
-    for start in range(0, k.size, rows):
-        stop = min(start + rows, k.size)
-        m = _phase_index(k[start:stop], g, G)
-        # Row 0 carries the sum so far, so each block continues it.
-        block = np.empty((stop - start + 1, G))
+    out = np.zeros(P)
+    rows = max(_GRID_CELLS // max(P, 1), 1)
+    for start in range(0, ks.size, rows):
+        stop = min(start + rows, ks.size)
+        block = np.empty((stop - start + 1, P))
         block[0] = out
-        terms = np.take(cos, m, out=block[1:])
+        terms = block[1:]
+        sines = phases(ks[start:stop], terms)
         terms *= a[start:stop, None]
-        sines = np.take(sin, m)
         sines *= b[start:stop, None]
         terms += sines
         out = _row_sum(block)
@@ -160,7 +150,7 @@ def _phase_index(k, g, G):
 def _row_sum(block):
     # The rows' sum, added one after another. NumPy reduces over the rows of
     # a block of two or more columns that way, but sums a single column
-    # pairwise, so a one-point grid accumulates instead.
+    # pairwise, so a single point accumulates instead.
     if block.shape[1] > 1:
         return np.add.reduce(block, axis=0)
     return np.add.accumulate(block, axis=0)[-1]

@@ -28,11 +28,11 @@ guarantees:
   bits alone as inside any array.
 
 Alongside them sit the small primitives every layer shares: the integer
-contract (:func:`integers`, and :func:`integer` for one scalar), the
-check of evaluation points (:func:`finite_points`), angle reduction,
-derivative rotation of a coefficient pair, the fold of a harmonic index
-onto its alias class (:func:`alias_fold`), and powers of ratios formed
-from their exact numerator and denominator (:func:`ratio_power`).
+contract (:func:`integers`, :func:`integer` for one scalar and its float
+twin :func:`real`), the check of evaluation points (:func:`finite_points`),
+angle reduction, derivative rotation of a coefficient pair, the fold of a
+harmonic index onto its alias class (:func:`alias_fold`), and powers of
+ratios formed from their exact numerator and denominator (:func:`ratio_power`).
 
 Everything here is pure and vectorized.
 """
@@ -92,6 +92,22 @@ def integer(x, lowest, message, highest=None):
     if not isinstance(x, (int, np.integer)) and np.ndim(x):
         raise ValueError(message)
     return integers(x, lowest, message, highest)
+
+
+def real(x, message):
+    """The float twin of :func:`integer`: one finite number, as a Python float.
+
+    Raises ``ValueError(message)`` for a value that is not finite, a list
+    or an array, and any type but bool, integer or float: a numeric string
+    such as ``'1.0'`` is refused, not parsed.
+    """
+    try:
+        value = float(x) if isinstance(x, (int, float, np.integer, np.floating, np.bool_)) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(message)
+    return value
 
 
 def finite_points(t):

@@ -4,8 +4,12 @@ Sampling on N = 2n+1 nodes folds every harmonic mN +- k onto the band
 harmonic k. This module computes those fold sums directly from a
 signal's true coefficients (so they can be compared against the discrete
 coefficients), the frequency-domain error bound they imply, the
-time-domain split of a signal into its band part and the out-of-band
-remainder, and the sup-norm bound on the band-limited mismatch.
+time-domain split of a signal into its band part, its constant-class
+tail and the out-of-band remainder, and the sup-norm bound on the
+band-limited mismatch. The band part and a harmonic sum's constant-class
+tail go through the one scattered evaluator, ``_kernels.point_series``,
+so these parts and the remainder formed from them have the same bits at
+a point alone as inside any array.
 
 Fold sums over the power-decay families are evaluated exactly: the tails
 are Hurwitz zeta values, so the usual truncation error never enters.
@@ -29,6 +33,9 @@ from .signal_model import (
 
 # Terms summed explicitly before switching to the exact zeta tail.
 _DIRECT_TERMS = 16
+# The fold report's columns, in the order the CSV writes them.
+_FOLD_COLUMNS = ("k", "a_star_fold", "b_star_fold", "a_star_dft", "b_star_dft", "abs_diff_a",
+                 "abs_diff_b", "bound8")
 
 
 @dataclass(frozen=True)
@@ -75,8 +82,7 @@ def folded_coefficients(signal, grid, k, tol=1e-12):
         # with (a_j, -b_j), a_0 at 0 once. Class k's members are the indices
         # = k mod N, the ones alias_fold gives class k and sine sign +1, so
         # the constant class takes each mN twice and its b fold cancels.
-        j = _term_indices(signal)
-        a, b = true_coefficient(signal, j)
+        j, a, b = signal.term_arrays
         mirror = j > 0
         j = np.concatenate((j, -j[mirror]))
         a = np.concatenate((a, a[mirror]))
@@ -138,15 +144,11 @@ def aliasing_error_bound(k, grid, smoothness):
 def band_component(signal, n, t):
     """Partial sum of the true series through harmonic n (the band part)."""
     n = _series.integer(n, 1, "band size n must be an integer >= 1")
-    a0 = true_coefficient(signal, 0)[0]
-    a, b = true_coefficient(signal, np.arange(1, n + 1))
-    t_arr = np.atleast_1d(_series.finite_points(t))
-    vals = _kernels.synth(a0, a, b, t_arr)
-    return vals if np.ndim(t) else float(vals[0])
-
-
-def _term_indices(signal):
-    return np.array([j for j, _, _ in signal.terms], dtype=np.int64)
+    j = np.arange(n + 1)
+    a, b = true_coefficient(signal, j)
+    a[0] *= 0.5
+    vals = _kernels.point_series(j, a, b, _series.finite_points(t))
+    return vals if np.ndim(t) else float(vals)
 
 
 def dc_class_component(signal, grid, t):
@@ -156,17 +158,15 @@ def dc_class_component(signal, grid, t):
     """
     _require_analytic(signal)
     N = grid.N
-    t_arr = np.atleast_1d(_series.finite_points(t))
+    t_arr = _series.finite_points(t)
     if signal.kind == HARMONIC_SUM:
-        j = _term_indices(signal)
-        j = j[(_series.alias_fold(j, N)[0] == 0) & (j > 0)]
-        a, b = true_coefficient(signal, j)
-        phase = np.multiply.outer(t_arr, j)
-        out = np.cos(phase) @ a + np.sin(phase) @ b
-        return out if np.ndim(t) else float(out[0])
-    # sum_m (mN)^-p trig(mNt) = N^-p f(Nt): the signal itself at the scaled angle.
-    out = N**-signal.p * evaluate(signal, N * t_arr)
-    return out if np.ndim(t) else float(out[0])
+        j, a, b = signal.term_arrays
+        tail = (_series.alias_fold(j, N)[0] == 0) & (j > 0)
+        out = _kernels.point_series(j[tail], a[tail], b[tail], t_arr)
+    else:
+        # sum_m (mN)^-p trig(mNt) = N^-p f(Nt): the signal itself at the scaled angle.
+        out = N**-signal.p * evaluate(signal, N * t_arr)
+    return out if np.ndim(t) else float(out)
 
 
 def residual_component(signal, grid, t):
@@ -178,11 +178,7 @@ def residual_component(signal, grid, t):
     class tail; each piece is exact for the shipped signal kinds.
     """
     full = evaluate(signal, t)
-    return (
-        full
-        - band_component(signal, grid.n, t)
-        - dc_class_component(signal, grid, t)
-    )
+    return full - band_component(signal, grid.n, t) - dc_class_component(signal, grid, t)
 
 
 def time_domain_overlay_bound(n, smoothness):
@@ -206,35 +202,13 @@ def fold_report_table(signal, grid, tol=1e-12):
     rows = []
     for k, bound in enumerate([None, *bounds.tolist()]):
         rep = folded_coefficients(signal, grid, k, tol)
-        if k == 0:
-            dft_a, dft_b = spec.a0, 0.0
-        else:
-            dft_a, dft_b = spec.a[k - 1], spec.b[k - 1]
-        rows.append(
-            {
-                "k": k,
-                "a_star_fold": rep.folded_a,
-                "b_star_fold": rep.folded_b,
-                "a_star_dft": dft_a,
-                "b_star_dft": dft_b,
-                "abs_diff_a": abs(rep.folded_a - dft_a),
-                "abs_diff_b": abs(rep.folded_b - dft_b),
-                "bound8": bound,
-            }
-        )
+        dft_a, dft_b = (spec.a0, 0.0) if k == 0 else (spec.a[k - 1], spec.b[k - 1])
+        values = (k, rep.folded_a, rep.folded_b, dft_a, dft_b, abs(rep.folded_a - dft_a),
+                  abs(rep.folded_b - dft_b), bound)
+        rows.append(dict(zip(_FOLD_COLUMNS, values)))
     return rows
 
 
 def fold_table_to_csv(rows):
     """CSV with the fixed fold-report column set; a missing bound8 is empty."""
-    header = [
-        "k",
-        "a_star_fold",
-        "b_star_fold",
-        "a_star_dft",
-        "b_star_dft",
-        "abs_diff_a",
-        "abs_diff_b",
-        "bound8",
-    ]
-    return csv_text(header, ([r[col] for col in header] for r in rows))
+    return csv_text(_FOLD_COLUMNS, ([r[col] for col in _FOLD_COLUMNS] for r in rows))

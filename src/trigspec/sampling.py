@@ -8,7 +8,9 @@ periodically and oddly. ``extended_coefficient`` applies that folding
 (``_series.alias_fold``) to an index or an index array.
 
 The discrete spectrum is also the band-limited interpolant of the
-samples: called at t, it evaluates a*_0/2 + sum_k (a*_k cos kt + b*_k sin kt).
+samples: called at t, it evaluates a*_0/2 + sum_k (a*_k cos kt + b*_k sin kt)
+at t mod 2*pi through ``_kernels.point_series``, the terms in index order,
+so a point has the same bits alone as inside any array.
 ``spectrum_to_csv`` is its one wire format.
 
 Coefficients are computed by direct summation (no FFT) so every number
@@ -132,9 +134,11 @@ class DiscreteSpectrum:
 
     def __call__(self, t):
         """Polynomial value at t; scalar in, scalar out, arrays keep their shape."""
-        t_arr = _series.finite_points(t)
-        vals = _kernels.synth(self.a0, self.a, self.b, _series.reduce_angle(np.atleast_1d(t_arr)))
-        return vals if t_arr.ndim else float(vals[0])
+        t_arr = _series.reduce_angle(_series.finite_points(t))
+        a = np.concatenate(([0.5 * self.a0], self.a))
+        b = np.concatenate(([0.0], self.b))
+        vals = _kernels.point_series(np.arange(self.grid.n + 1), a, b, t_arr)
+        return vals if t_arr.ndim else float(vals)
 
     def fourier_series(self):
         """The polynomial's series (a0, a[1..n], b[1..n])."""

@@ -13,8 +13,10 @@ quadrature oracle and the CLI use) a harmonic sum takes exact phases:
 cos/sin(2*pi*m/G) read from a table at m = k*g mod G, reduced in integers
 (``_kernels.grid_series``), so each value lies within (3 + M/2) eps
 sum_k (|a_k| + |b_k|) of the exact sum of its M terms, the k = 0 term
-counted as a_0/2. At other points, and for its derivatives, each term is
-a cos(kt) + b sin(kt) of the rounded product kt.
+counted as a_0/2. At any other points, and for every derivative, it goes
+through the one scattered evaluator, ``_kernels.point_series``: each term
+is a cos(kt) + b sin(kt) of the rounded product kt, added in index order,
+so a point has the same bits alone as inside any array.
 
 A signal carries its smoothness class: the order ``r`` of the derivative
 that still has bounded variation, and an upper bound on that variation.
@@ -23,7 +25,7 @@ Those two numbers feed every decay and aliasing bound downstream.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +36,7 @@ POWER_DECAY_COSINE = "PowerDecayCosine"
 POWER_DECAY_SINE = "PowerDecaySine"
 
 _KINDS = (HARMONIC_SUM, POWER_DECAY_COSINE, POWER_DECAY_SINE)
+_VARIATION = "variation must be finite and >= 0"
 
 
 @dataclass(frozen=True)
@@ -55,8 +58,8 @@ class SmoothnessInfo:
     def __post_init__(self):
         r = _series.integer(self.r, 0, "smoothness order r must be >= 0")
         object.__setattr__(self, "r", r)
-        if not math.isfinite(self.variation) or self.variation < 0:
-            raise ValueError("variation must be finite and >= 0")
+        if _series.real(self.variation, _VARIATION) < 0:
+            raise ValueError(_VARIATION)
 
 
 @dataclass(frozen=True)
@@ -72,23 +75,31 @@ class AnalyticSignal:
     terms: tuple  # ((k, a_k, b_k), ...) sorted by integer k for HarmonicSum; () otherwise
     p: float | None
     smoothness: SmoothnessInfo
+    # The terms as read-only arrays (int64 k, float a_k, float b_k), built
+    # once; empty for the power-decay kinds.
+    term_arrays: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown signal kind {self.kind!r}")
         if self.kind == HARMONIC_SUM:
             object.__setattr__(self, "terms", _sorted_terms(self.terms))
-            seen = set()
-            for k, a, b in self.terms:
-                if k in seen:
-                    raise ValueError(f"duplicate harmonic index {k}")
-                if k == 0 and b != 0.0:
-                    raise ValueError("the k=0 term carries only a cosine coefficient")
-                seen.add(k)
         else:
-            _check_power(self.p)
+            object.__setattr__(self, "p", _check_power(self.p))
             if self.terms:
                 raise ValueError("power-decay kinds take no term list")
+        columns = tuple(zip(*self.terms)) or ((), (), ())
+        arrays = tuple(np.array(c, dtype=d) for c, d in zip(columns, (np.int64, float, float)))
+        for x in arrays:
+            x.setflags(write=False)
+        ks, _, b = arrays
+        # The terms are sorted, so a repeated index follows its first row.
+        if ks.size and ks[0] == 0 and b[0] != 0.0:
+            raise ValueError("the k=0 term carries only a cosine coefficient")
+        repeated = ks[1:][ks[1:] == ks[:-1]]
+        if repeated.size:
+            raise ValueError(f"duplicate harmonic index {repeated[0]}")
+        object.__setattr__(self, "term_arrays", arrays)
 
     # -- evaluation ------------------------------------------------------
 
@@ -153,10 +164,8 @@ def grid_values(signal, points):
     G = _series.integer(points, 1, f"points must be an integer in 1..{top}", top)
     if signal.kind != HARMONIC_SUM:
         return evaluate(signal, 2.0 * np.pi * np.arange(G) / G)
-    ks, a, b = np.array(signal.terms, dtype=object).reshape(-1, 3).T
-    ks, a, b = ks.astype(np.int64), a.astype(float), b.astype(float)
-    a[ks == 0] *= 0.5
-    return _kernels.grid_series(ks, a, b, G)
+    ks, a, b = signal.term_arrays
+    return _kernels.grid_series(ks, np.where(ks == 0, 0.5 * a, a), b, G)
 
 
 def true_coefficient(signal, k):
@@ -168,12 +177,12 @@ def true_coefficient(signal, k):
     """
     k = _series.integers(k, 0, "coefficient index must be an integer >= 0")
     if signal.kind == HARMONIC_SUM:
-        # The sorted term list with a sentinel row (-1, 0, 0), which every
+        # The sorted term arrays with a sentinel row (-1, 0, 0), which every
         # index absent from the sum reads.
-        ks, a_look, b_look = np.array([*signal.terms, (-1, 0.0, 0.0)]).T
+        ks, a, b = (np.append(x, y) for x, y in zip(signal.term_arrays, (-1, 0.0, 0.0)))
         at = np.searchsorted(ks[:-1], k)
         at = np.where(ks[at] == k, at, ks.size - 1)
-        a, b = a_look[at], b_look[at]
+        a, b = a[at], b[at]
     else:
         mag = np.where(k == 0, 0.0, np.power(np.maximum(k, 1).astype(float), -signal.p))
         zeros = np.zeros(np.shape(k))
@@ -227,11 +236,12 @@ _SAWTOOTH_VARIATION = math.pi**2 / 2.0  # integral of |pi - t|/2 over one period
 def _sorted_terms(terms):
     # The (k, a_k, b_k) rows of a harmonic sum, sorted by integer index k,
     # checked before harmonic_sum forms the variation from them.
-    message = "harmonic indices must be integers >= 0"
-    rows = tuple(sorted((_series.integer(k, 0, message), float(a), float(b)) for k, a, b in terms))
-    if not all(math.isfinite(a) and math.isfinite(b) for _, a, b in rows):
-        raise ValueError("harmonic coefficients must be finite")
-    return rows
+    index = "harmonic indices must be integers >= 0"
+    coefficient = "harmonic coefficients must be finite"
+    return tuple(sorted(
+        (_series.integer(k, 0, index), _series.real(a, coefficient), _series.real(b, coefficient))
+        for k, a, b in terms
+    ))
 
 
 def _parity_matched(kind, p):
@@ -241,13 +251,16 @@ def _parity_matched(kind, p):
 
 
 def _check_power(p):
-    if p is None or not 1.0 < p < math.inf:
-        raise ValueError("power-decay kinds need a finite p > 1")
+    # p as a float, refused unless it is a finite number > 1.
+    message = "power-decay kinds need a finite p > 1"
+    p = _series.real(p, message)
+    if not p > 1.0:
+        raise ValueError(message)
+    return p
 
 
 def _power_signal(kind, p, r, variation):
-    p = float(p)
-    _check_power(p)
+    p = _check_power(p)
     if (r is None) != (variation is None):
         raise ValueError("pass both r and variation, or neither")
     if r is None:
@@ -260,7 +273,7 @@ def _power_signal(kind, p, r, variation):
         # The (p-1)-th derivative is the sawtooth sum sin(kt)/k up to sign, so the
         # (p-2)-th derivative has variation integral |pi - t|/2 dt = pi^2/2 exactly.
         r, variation = int(p) - 2, _SAWTOOTH_VARIATION
-    return AnalyticSignal(kind, (), p, SmoothnessInfo(r=r, variation=float(variation)))
+    return AnalyticSignal(kind, (), p, SmoothnessInfo(r, _series.real(variation, _VARIATION)))
 
 
 def power_decay_cosine(p, r=None, variation=None):
@@ -285,24 +298,21 @@ def derivative_values(signal, order, t):
     """Values of the order-th derivative of the signal at points t.
 
     Derivatives are taken termwise (k^order with a quarter-period phase
-    shift), never by finite differences.
+    shift), never by finite differences. A harmonic sum's terms go through
+    ``_kernels.point_series`` in index order, so a point has the same bits
+    alone as inside any array.
     """
     t = np.asarray(t, dtype=float)
     order = _series.integer(order, 0, "derivative order must be an integer >= 0")
     rot = order % 4
     if signal.kind == HARMONIC_SUM:
-        out = np.zeros(t.shape)
-        for k, a, b in signal.terms:
-            if k == 0:
-                # The constant term survives only the zeroth derivative.
-                if order == 0:
-                    out += 0.5 * a
-                continue
-            # Scaling the pair, not the values, leaves a cos + b sin itself at order 0.
-            scale = float(k) ** order
-            ka, kb = _series.rotate_pair(scale * a, scale * b, rot)
-            out += ka * np.cos(k * t) + kb * np.sin(k * t)
-        return out
+        ks, a, b = signal.term_arrays
+        # Python's float(k) ** order (NumPy rounds k^order otherwise past
+        # 2^53): 0^0 = 1 keeps a_0/2 at order 0 and 0^order = 0 drops it
+        # after. Scaling the pair leaves a cos + b sin itself at order 0.
+        scale = np.power(ks.astype(float).astype(object), order).astype(float)
+        ka, kb = _series.rotate_pair(scale * np.where(ks == 0, 0.5 * a, a), scale * b, rot)
+        return _kernels.point_series(ks, ka, kb, t)
     s = signal.p - order
     if s <= 1:
         raise ValueError("derivative series no longer converges absolutely")
@@ -333,10 +343,10 @@ def signal_from_json(doc):
     if isinstance(doc, str):
         doc = json.loads(doc)
     kind = doc["kind"]
-    smooth = SmoothnessInfo(r=doc["r"], variation=float(doc["variation"]))
+    smooth = SmoothnessInfo(r=doc["r"], variation=_series.real(doc["variation"], _VARIATION))
     if kind == HARMONIC_SUM:
         return AnalyticSignal(kind=kind, terms=doc["terms"], p=None, smoothness=smooth)
-    return AnalyticSignal(kind=kind, terms=(), p=float(doc["p"]), smoothness=smooth)
+    return AnalyticSignal(kind=kind, terms=(), p=doc["p"], smoothness=smooth)
 
 
 # -- reference suite -------------------------------------------------------

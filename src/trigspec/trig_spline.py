@@ -488,7 +488,8 @@ def spline_from_json(doc):
     The in-band rows divided by their gains recover the discrete
     spectrum, which with the configuration is the whole spline. Raises
     ValueError, naming the field, for an ``N`` that is not an odd integer
-    >= 3 and for ``coeffs`` rows whose index is not an integer >= 1 or repeats.
+    >= 3, for ``coeffs`` rows whose index is not an integer >= 1 or repeats,
+    and for an ``a0`` or a row value that is not a finite number.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -502,9 +503,10 @@ def spline_from_json(doc):
     rows = np.array(doc["coeffs"], dtype=object).reshape(-1, 3)
     message = "field 'coeffs' needs distinct integer row indices >= 1"
     j = _series.integers(rows[:, 0].tolist(), 1, message)
-    ra, rb = rows[:, 1:].astype(float).T
     if np.unique(j).size != j.size:
         raise ValueError(message)
+    finite = "coefficients must be finite"
+    ra, rb = np.array([[_series.real(x, finite) for x in row] for row in rows[:, 1:]]).reshape(-1, 2).T
     band = j <= grid.n
     at = j[band] - 1
     a = np.zeros(grid.n)
@@ -512,5 +514,5 @@ def spline_from_json(doc):
     a[at] = ra[band]
     b[at] = rb[band]
     gains = gain(np.arange(1, grid.n + 1), config)
-    spectrum = DiscreteSpectrum(grid, float(doc["a0"]), a / gains, b / gains)
+    spectrum = DiscreteSpectrum(grid, _series.real(doc["a0"], finite), a / gains, b / gains)
     return TrigSpline(config=config, spectrum=spectrum)

@@ -3,7 +3,10 @@
 Each site refuses a fractional, infinite or NaN value and one below its
 lowest (or above its highest) with its own ValueError message; the array
 sites refuse 2^63, outside int64, too. A value the contract accepts
-reaches the computation as an integer.
+reaches the computation as an integer. Its float twin, `_series.reals`,
+holds for the float fields read from JSON and the terms of a harmonic
+sum: each refuses a numeric string, a non-finite value and a list with
+its own message, and a value it accepts is stored as a float.
 """
 
 import math
@@ -28,6 +31,7 @@ from trigspec.filon_oracle import (
 from trigspec.sampling import discrete_coeffs, extended_coefficient, make_grid, sample
 from trigspec.signal_model import (
     HARMONIC_SUM,
+    POWER_DECAY_COSINE,
     AnalyticSignal,
     SmoothnessInfo,
     coefficient_bound,
@@ -235,3 +239,51 @@ def test_orders_are_stored_as_python_ints():
     assert type(SmoothnessInfo(r=np.int64(2), variation=1.0).r) is int
     spline = build_spline(sample(SIGNAL, GRID), config)
     assert spline_to_json(spline) == SPLINE_DOC and type(spline_to_json(spline)["r"]) is int
+
+
+POWER_DOC = {"kind": POWER_DECAY_COSINE, "terms": [], "p": 4.0, "r": 2, "variation": 4.0}
+
+
+def _coeffs_with(x):
+    # SPLINE_DOC's rows with the first row's cosine value replaced by x.
+    rows = [list(row) for row in SPLINE_DOC["coeffs"]]
+    rows[0][1] = x
+    return rows
+
+
+# (site, call of the float argument x, its value as stored, message).
+FLOAT_SITES = [
+    ("signal_from_json term a", lambda x: signal_from_json({**SIGNAL_DOC, "terms": [[1, x, 0.0]]}),
+     lambda s: s.terms[0][1], "harmonic coefficients must be finite"),
+    ("signal_from_json term b", lambda x: signal_from_json({**SIGNAL_DOC, "terms": [[1, 0.0, x]]}),
+     lambda s: s.terms[0][2], "harmonic coefficients must be finite"),
+    ("signal_from_json p", lambda x: signal_from_json({**POWER_DOC, "p": x}), lambda s: s.p,
+     "power-decay kinds need a finite p > 1"),
+    ("signal_from_json variation", lambda x: signal_from_json({**SIGNAL_DOC, "variation": x}),
+     lambda s: s.smoothness.variation, "variation must be finite and >= 0"),
+    ("harmonic_sum term a", lambda x: harmonic_sum([(1, x, 0.0)]), lambda s: s.terms[0][1],
+     "harmonic coefficients must be finite"),
+    ("spline_from_json a0", lambda x: spline_from_json(_spline_doc(a0=x)),
+     lambda s: s.spectrum.a0, "coefficients must be finite"),
+    ("spline_from_json row value", lambda x: spline_from_json(_spline_doc(coeffs=_coeffs_with(x))),
+     None, "coefficients must be finite"),
+]
+FLOAT_IDS = [site[0] for site in FLOAT_SITES]
+
+
+@pytest.mark.parametrize("site, call, stored, message", FLOAT_SITES, ids=FLOAT_IDS)
+def test_every_float_site_refuses_what_is_not_a_finite_number(site, call, stored, message):
+    # '1.0', '4.0' and '4' used to be parsed by float(); 10^400 is an
+    # integer beyond the float range.
+    for x in ("1.0", "4.0", "4", np.array(["4.0"]), None, math.inf, -math.inf, math.nan, 10**400,
+              [4.0], np.array([4.0]), np.array(4.0)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(x)
+
+
+@pytest.mark.parametrize("site, call, stored, message", FLOAT_SITES, ids=FLOAT_IDS)
+def test_every_float_site_takes_a_number_as_a_float(site, call, stored, message):
+    for x in (4.0, 4, np.float64(4.0), np.float32(4.0), np.int64(4), np.uint64(4)):
+        built = call(x)
+        if stored is not None:
+            assert type(stored(built)) is float and stored(built) == 4.0

@@ -15,13 +15,13 @@ def _case(J=400, P=97, seed=7):
     a = rng.standard_normal(J)
     b = rng.standard_normal(J)
     t = rng.uniform(0, 2 * np.pi, P)
-    return 0.37, a, b, t
+    return np.arange(J), a, b, t
 
 
 def test_deterministic_reruns():
-    a0, a, b, t = _case()
-    first = _kernels.synth(a0, a, b, t)
-    second = _kernels.synth(a0, a, b, t)
+    ks, a, b, t = _case()
+    first = _kernels.point_series(ks, a, b, t)
+    second = _kernels.point_series(ks, a, b, t)
     assert np.array_equal(first, second)
 
 
@@ -79,21 +79,53 @@ def test_dft_phase_cache_stays_within_its_bound(cache_patch):
         assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
 
-def test_synth_pure_harmonic():
-    # Single harmonic: synth must reproduce cos/sin exactly up to rounding.
+def test_point_series_pure_harmonic():
+    # A unit cosine coefficient, among zero terms, reads cos(2t) itself.
     t = np.linspace(0, 2 * np.pi, 11, endpoint=False)
-    a = np.array([0.0, 1.0])
-    b = np.array([0.0, 0.0])
-    vals = _kernels.synth(0.0, a, b, t)
-    assert np.allclose(vals, np.cos(2 * t), atol=1e-14)
+    vals = _kernels.point_series([1, 2], [0.0, 1.0], [0.0, 0.0], t)
+    assert np.array_equal(vals, np.cos(2 * t))
 
 
-def test_synth_readonly_inputs():
-    a0, a, b, t = _case(J=16, P=5)
-    for arr in (a, b, t):
+def test_point_series_readonly_inputs():
+    ks, a, b, t = _case(J=16, P=5)
+    for arr in (ks, a, b, t):
         arr.setflags(write=False)
-    vals = _kernels.synth(a0, a, b, t)
+    vals = _kernels.point_series(ks, a, b, t)
     assert vals.shape == t.shape
+
+
+def _point_loop(ks, a, b, t):
+    # The definition of the summation order: term i's a_i cos(k_i t) +
+    # b_i sin(k_i t) at the rounded phase k_i t, added to the running sum
+    # one term after another.
+    out = np.zeros(np.shape(t))
+    for k, x, y in zip(ks, a, b):
+        out = out + (x * np.cos(k * t) + y * np.sin(k * t))
+    return out
+
+
+@pytest.mark.parametrize("P", [1, 2, 97, 70_000])
+def test_point_series_bits_depend_on_neither_blocks_nor_shape(P, cache_patch):
+    # One row per block, the points as a column, and each point alone give
+    # the bits of the default blocks, which are the term loop's.
+    rng = np.random.default_rng(P)
+    ks = rng.integers(0, 400, 40)
+    a, b = rng.standard_normal((2, ks.size)) * 10.0 ** rng.integers(-6, 6, (2, ks.size))
+    t = np.concatenate(([0.0, np.pi, -np.pi], rng.uniform(-20.0, 20.0, P)))[:P]
+    values = _kernels.point_series(ks, a, b, t)
+    assert np.array_equal(values, _point_loop(ks, a, b, t))
+    column = _kernels.point_series(ks, a, b, t.reshape(-1, 1))
+    assert column.shape == (P, 1) and np.array_equal(column[:, 0], values)
+    for i in range(min(P, 5)):
+        alone = _kernels.point_series(ks, a, b, t[i])
+        assert alone.shape == () and alone.tobytes() == values[i].tobytes()
+    cache_patch.setattr(_kernels, "_GRID_CELLS", 1)
+    assert np.array_equal(_kernels.point_series(ks, a, b, t), values)
+
+
+def test_point_series_of_no_terms_or_no_points_is_empty_sum():
+    assert np.array_equal(_kernels.point_series([], [], [], [0.5, 1.0]), [0.0, 0.0])
+    assert _kernels.point_series([1, 2], [1.0, 2.0], [0.0, 1.0], np.zeros((0, 3))).shape == (0, 3)
 
 
 GRID_REFERENCE = Path(__file__).parent / "data" / "harmonic_grid_reference.json"
@@ -172,6 +204,8 @@ def test_grid_series_refuses_mismatched_terms():
     for ks, a, b in (([1, 2], [1.0], [0.0]), ([[1]], [[1.0]], [[0.0]]), ([-1], [1.0], [0.0])):
         with pytest.raises(ValueError):
             _kernels.grid_series(ks, a, b, 17)
+        with pytest.raises(ValueError):
+            _kernels.point_series(ks, a, b, [0.5])
 
 
 @pytest.mark.parametrize("G", [2**32 - 1, 2**32])

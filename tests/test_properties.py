@@ -9,7 +9,8 @@ relative to the data's scale. Interpolation and the grid agreement are
 swept to n = 64 and order 200, where no configuration may be refused.
 One property holds bit for bit: a value is a fixed function of its point,
 so a point evaluated alone gives the bits it gives inside any array, for
-splines and for every kind of signal.
+splines, for every kind of signal, for the discrete spectrum and for the
+overlay's band, constant-class and remainder parts.
 """
 
 import math
@@ -31,6 +32,7 @@ from trigspec import (
     spline_eval,
     values_on_uniform_grid,
 )
+from trigspec.alias_analysis import band_component, dc_class_component, residual_component
 from trigspec.signal_model import derivative_values, power_decay_cosine, power_decay_sine
 from trigspec.spline_kernel import class_partition_terms
 from trigspec.trig_spline import scattered_eval_bound
@@ -181,3 +183,26 @@ def test_signal_values_do_not_depend_on_their_call(data):
     assert_each_point_alone_has_its_bits(lambda x: derivative_values(signal, order, x), t)
     if order == 0:
         assert_each_point_alone_has_its_bits(signal, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_spectra_and_overlay_parts_do_not_depend_on_their_call(data):
+    # The interpolating polynomial and the time-domain split are finite
+    # series at scattered points (the power families' constant-class tail
+    # is the signal at a scaled angle); each used to contract its terms by
+    # BLAS, whose order depends on the number of points.
+    grid = make_grid(data.draw(st.integers(min_value=1, max_value=256)))
+    kind = data.draw(st.sampled_from(["harmonic", "cos", "sin"]))
+    if kind == "harmonic":
+        signal = data.draw(harmonic_sums(grid))
+    else:
+        maker = power_decay_cosine if kind == "cos" else power_decay_sine
+        signal = maker(data.draw(st.sampled_from(POWERS)), r=0, variation=1.0)
+    t = data.draw(points(grid.N))
+    spectrum = discrete_coeffs(sample(signal, grid))
+    for values_at in (spectrum,
+                      lambda x: band_component(signal, grid.n, x),
+                      lambda x: dc_class_component(signal, grid, x),
+                      lambda x: residual_component(signal, grid, x)):
+        assert_each_point_alone_has_its_bits(values_at, t)

@@ -170,10 +170,13 @@ def test_interpolating_polynomial_is_the_discrete_spectrum():
 @pytest.mark.parametrize("G", [17, 64, 1000])
 def test_spectrum_on_a_uniform_grid_is_its_synthesis(G):
     # Angle reduction leaves t = 2 pi g/G in [0, 2 pi) as it is, so the
-    # spectrum called on the grid is the synthesis at those angles, bit for bit.
+    # spectrum called on the grid is its series, a0/2 first and then k = 1..n
+    # in order, at those angles, bit for bit.
     poly = discrete_coeffs(sample(power_decay_cosine(4), make_grid(8)))
     t = 2.0 * np.pi * np.arange(G) / G
-    assert np.array_equal(poly(t), _kernels.synth(poly.a0, poly.a, poly.b, t))
+    a = np.concatenate(([0.5 * poly.a0], poly.a))
+    b = np.concatenate(([0.0], poly.b))
+    assert np.array_equal(poly(t), _kernels.point_series(np.arange(9), a, b, t))
 
 
 def test_discrete_spectrum_rejects_non_finite_points():

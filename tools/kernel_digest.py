@@ -22,12 +22,10 @@ versions still compare line by line. The signal layer is
 swept over ``derivative_values`` of the power-decay cosine and sine at
 p = 2, 2.5, 3, 3.5, 4, 5 and 6 and orders 0..3 wherever p - order > 1 (the
 Bernoulli closed forms, the integer-order polylogarithm and the
-non-integer pole pair), and of the suite's harmonic sums at order 0, at
-seeded points with |t| up to 20, among them 0 and +-pi. Every derivative
-without a Bernoulli closed form is also hashed at 10,000 more seeded
-points, as a ``signal-blocks`` line; each point's value is the same
-whatever array it is in, so the two lines check the same evaluation on
-different points. The direct DFT
+non-integer pole pair), and of the suite's harmonic sums at orders 0..3
+(the scattered evaluator ``_kernels.point_series``, whose bits are those
+of adding the terms one after another in index order), at seeded points
+with |t| up to 20, among them 0 and +-pi. The direct DFT
 (``discrete_coeffs``) is swept over seeded unit-normal samples at n = 1..40,
 64, 127, 128, 256, 711, 712, 1024 and 2048: one row block of the phase
 matrices up to n = 127, two from n = 128, read from the store's entry
@@ -117,7 +115,6 @@ SIGNAL_POINTS = np.concatenate((
     [0.0, np.pi, -np.pi, 20.0, -20.0],
     np.random.default_rng(2019).uniform(-20.0, 20.0, 1000),
 ))
-BLOCK_POINTS = np.random.default_rng(4096).uniform(-20.0, 20.0, 10_000)
 
 
 def _sha(values):
@@ -256,14 +253,9 @@ def signal_lines():
                     yield f"signal {kind} p{p} d{order} " + _sha([values])
     for name, signal in suite_signals().items():
         if signal.kind == HARMONIC_SUM:
-            yield f"signal {name} d0 " + _sha([derivative_values(signal, 0, SIGNAL_POINTS)])
-    for p in SIGNAL_POWERS:
-        for kind, maker in (("cos", power_decay_cosine), ("sin", power_decay_sine)):
-            signal = maker(p, r=0, variation=1.0)
             for order in SIGNAL_ORDERS:
-                if p - order > 1 and not _bernoulli_form(kind, p - order, order):
-                    values = derivative_values(signal, order, BLOCK_POINTS)
-                    yield f"signal-blocks {kind} p{p} d{order} " + _sha([values])
+                values = derivative_values(signal, order, SIGNAL_POINTS)
+                yield f"signal {name} d{order} " + _sha([values])
 
 
 def lerch_lines():
