@@ -224,7 +224,8 @@ def _phase_table(N):
 def _phase_rows(table, N, start, stop):
     # The cos and sin matrices of rows k = start+1..stop: entry (k, j) is
     # the table entry at m = kj mod N.
-    m = np.multiply.outer(np.arange(start + 1, stop + 1), np.arange(N)) % N
+    k = np.arange(start + 1, stop + 1, dtype=np.uint64)
+    m = _phase_index(k, np.arange(N, dtype=np.uint64), N)
     return table[0][m], table[1][m]
 
 

@@ -63,8 +63,6 @@ _ROUND_OUT = 1.0 + 64 * _EPS
 # (a square, a product and the weight's product, each at most half the
 # smallest subnormal 2^-1074), with room: w * _TINY.
 _TINY = 2.0**-1070
-# Cells of the (nodes x band) phase block of the jump sum.
-_JUMP_CELLS = 1 << 16
 
 
 def _values_on_grid(fn, G, cache=None):
@@ -228,13 +226,16 @@ def diff_variation_bound(signal, spline, q):
 
     Rounding is outward: each |f_j - phi_j| is enlarged by 16 eps
     (|f_j| + |phi_j|), the error allowed on its two operands, before it is
-    squared; each jump by (2n + 64) (eps sum_k (|A_k| + |B_k|) + 2^-1070);
-    each energy sum by 2^-1070 times its weights j^(2q+2), for what
-    underflow takes from tiny terms; nonnegative terms are added with
-    math.fsum; and the result is multiplied by 1 + 64 eps for the relative
-    rounding of the powers, products, square roots and SciPy zeta values
-    on the way. A bound that leaves the float range is inf. `q` is an
-    integer >= 0.
+    squared; each jump by (2n + 64) (eps sum_k (|A_k| + |B_k|) + 2^-1070),
+    which covers the (3 + n/2) eps sum_k (|A_k| + |B_k|) of
+    :func:`~trigspec._kernels.grid_series`, whose exact phases give the
+    jumps, and the coefficients' own 16 eps; each energy sum by 2^-1070
+    times its weights j^(2q+2), for what underflow takes from tiny terms;
+    nonnegative terms are added with math.fsum; and the result is
+    multiplied by 1 + 64 eps for the relative rounding of the powers,
+    products, square roots and SciPy zeta values (within 2.1 eps of direct
+    sums wherever normal) on the way. A bound that leaves the float range
+    is inf. `q` is an integer >= 0.
     """
     q = _series.integer(q, 0, "q must be >= 0")
     cfg = spline.config
@@ -247,7 +248,7 @@ def diff_variation_bound(signal, spline, q):
         floor = _TINY * math.fsum(weight)
         routes = []
         if q <= r - 1:
-            f_tail = _signal_energy(signal, q, J0, N)
+            f_tail = _signal_energy(signal, q, J0)
             if f_tail < math.inf:
                 ta, tb = true_coefficient(signal, js)
                 da = np.abs(ta - sa) + _COEFF_REL * (np.abs(ta) + np.abs(sa))
@@ -274,13 +275,11 @@ def _norm_variation(energy):
     return math.pi * math.sqrt(2.0 * energy)
 
 
-def _signal_energy(signal, q, above=0, N=1):
-    # sum_{j > above} j^(2q+2) |f_j|^2 for `above` a multiple of N: inf
-    # where the power-decay sum diverges (p <= q + 3/2). That sum runs over
-    # the residues of j mod N, so each Hurwitz argument lies in (above/N,
-    # above/N + 1]. SciPy's zeta is within a few eps of direct sums at large
-    # arguments too: the loss of up to 1e-9 once blamed on it there is that
-    # of mpmath, its reference. One call at above + 1 may replace the N.
+def _signal_energy(signal, q, above=0):
+    # sum_{j > above} j^(2q+2) |f_j|^2: inf where the power-decay sum
+    # diverges (p <= q + 3/2), else one Hurwitz value at above + 1, which
+    # SciPy gives within 2.1 eps of direct sums wherever it is a normal
+    # double, at large arguments too.
     if signal.kind == HARMONIC_SUM:
         ks, a, b = signal.term_arrays
         weight = ks.astype(float) ** (2 * q + 2)
@@ -288,8 +287,7 @@ def _signal_energy(signal, q, above=0, N=1):
     x = 2.0 * (signal.p - q - 1)
     if x <= 1.0:
         return math.inf
-    rho = np.arange(1, N + 1)
-    return math.fsum(_series.progression_tail(x, N, rho - N, above // N + 1))
+    return float(_series.progression_tail(x, 1, 0.0, above + 1))
 
 
 def _branch_starts(k, N, J0):
@@ -339,23 +337,20 @@ def _difference_tail(signal, config, q, J0, f_tail, a, b, band):
 
 def _jump_variation(config, a, b):
     # sum_i |d_i| over the N jumps of phi^(r) (see diff_variation_bound),
-    # from the in-band coefficients a, b. Phases k tau_i = pi m/N with
-    # m = k(2i + signed) mod 2N reduced in integers, so each cos/sin is
-    # within 11 eps; each d_i then lies within (2n + 64) eps sum_k (|A_k| +
-    # |B_k|) of its computed value, the gains' error included. Nodes are
-    # taken in blocks of at most _JUMP_CELLS phases.
+    # from the in-band coefficients a, b. The knots tau_i are the grid
+    # 2 pi g/G at G = N, or its odd points at G = 2N when signed, so the
+    # phases are grid_series' exact ones: each d_i lies within (3 + n/2) eps
+    # sum_k (|A_k| + |B_k|) of the exact sum of its computed terms, and the
+    # terms' own error (16 eps on a coefficient, a few on its power and
+    # product) adds under 20 eps sum_k (|A_k| + |B_k|); 2n + 64 covers both.
     N, n, r = config.grid.N, config.grid.n, config.order
     k = np.arange(1, n + 1)
     scale = k.astype(float) ** (r + 1)
     A, B = (scale * c for c in _series.rotate_pair(a, b, (r + 1) % 4))
-    rows = max(_JUMP_CELLS // n, 1)
-    jumps = []
-    for start in range(0, N, rows):
-        i = np.arange(start, min(start + rows, N))
-        angle = (math.pi / N) * (np.multiply.outer(2 * i + config.signed, k) % (2 * N))
-        jumps.append(np.abs(np.cos(angle) @ A + np.sin(angle) @ B))
+    step = 2 if config.signed else 1
+    jumps = _kernels.grid_series(k, A, B, step * N)[step - 1::step]
     slack = N * (2 * n + 64) * (_EPS * math.fsum(np.abs(A) + np.abs(B)) + _TINY)
-    return 2.0 * math.pi / N * (math.fsum(np.concatenate(jumps)) + slack)
+    return 2.0 * math.pi / N * (math.fsum(np.abs(jumps)) + slack)
 
 
 def _shared_order(signal, config):

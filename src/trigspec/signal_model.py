@@ -145,9 +145,8 @@ def evaluate(signal, t):
     Raises a domain error on non-finite input. 2*pi-periodicity is exact
     because angles are reduced before evaluation.
     """
-    t_arr = _series.finite_points(t)
-    vals = derivative_values(signal, 0, t_arr)
-    return vals if t_arr.ndim else float(vals)
+    vals = derivative_values(signal, 0, t)
+    return vals if np.ndim(t) else float(vals)
 
 
 def grid_values(signal, points):
@@ -300,9 +299,9 @@ def derivative_values(signal, order, t):
     Derivatives are taken termwise (k^order with a quarter-period phase
     shift), never by finite differences. A harmonic sum's terms go through
     ``_kernels.point_series`` in index order, so a point has the same bits
-    alone as inside any array.
+    alone as inside any array. Every point must be finite, or ValueError.
     """
-    t = np.asarray(t, dtype=float)
+    t = _series.finite_points(t)
     order = _series.integer(order, 0, "derivative order must be an integer >= 0")
     rot = order % 4
     if signal.kind == HARMONIC_SUM:

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -349,6 +350,38 @@ def test_difference_route_dominates_the_explicit_series(n):
             assert explicit <= bound <= 2 * explicit, (name, variant, r, q)
             cases += 1
     assert cases == 24
+
+
+def _power_tail_reference(x, above, terms=64):
+    # sum_{j > above} j^-x for an integer x >= 2: `terms` direct terms,
+    # each 1/j^x correctly rounded (integer division), then the
+    # Euler-Maclaurin remainder from a = above + terms + 1 in exact
+    # rationals, through B_10. Its truncation is below 1e-20 relative here.
+    a = above + terms + 1
+    rest = Fraction(1, (x - 1) * a ** (x - 1)) + Fraction(1, 2 * a**x)
+    rising = Fraction(x)                      # x (x + 1) ... (x + 2i - 2)
+    for i, b in enumerate((Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
+                           Fraction(-1, 30), Fraction(5, 66)), start=1):
+        rest += b / math.factorial(2 * i) * rising / a ** (x + 2 * i - 1)
+        rising *= (x + 2 * i - 1) * (x + 2 * i)
+    return math.fsum([1 / j**x for j in range(above + 1, a)] + [float(rest)])
+
+
+@pytest.mark.parametrize("N", [3, 17, 129])
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0, 7.5])
+def test_energy_tail_is_one_hurwitz_value_within_4_eps(p, N):
+    # The power-decay energy beyond J0 = 4N, sum_{j > J0} j^(2q+2) j^(-2p),
+    # at every q where it converges (x = 2(p - q - 1) > 1).
+    sig = power_decay_cosine(p, r=0, variation=1.0)
+    cases = 0
+    for q in range(int(p)):
+        x = 2 * (p - q - 1)
+        if x > 1:
+            want = _power_tail_reference(int(x), 4 * N)
+            got = filon_oracle._signal_energy(sig, q, 4 * N)
+            assert abs(got - want) <= 4 * math.ulp(1.0) * want, (q, got, want)
+            cases += 1
+    assert cases == math.ceil(p - 1.5)
 
 
 @pytest.mark.parametrize("r", [2, 4])

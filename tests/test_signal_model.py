@@ -93,6 +93,21 @@ def test_eval_rejects_non_finite():
                 evaluate(sig, t)
 
 
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_derivative_values_reject_non_finite(order, bad):
+    # A harmonic sum, the Bernoulli closed forms (cosine p = 6: every
+    # derivative is a series of matched parity), and the polylogarithm at
+    # integer and non-integer order (sine p = 6 and p = 5.5).
+    signals = (harmonic_sum([(1, 1.0, 0.0)]), power_decay_cosine(6),
+               power_decay_sine(6, r=0, variation=1.0),
+               power_decay_sine(5.5, r=0, variation=1.0))
+    for sig in signals:
+        for t in (bad, np.array([0.5, bad]), np.array([[0.0, 1.0], [bad, 2.0]])):
+            with pytest.raises(ValueError, match="evaluation point must be finite"):
+                derivative_values(sig, order, t)
+
+
 def test_mismatched_parity_eval_feasible():
     # Sine with even p has no closed form; the truncated path must still
     # meet the 1e-14 tail contract when that is affordable.

@@ -27,6 +27,12 @@ failure (exit status 2 or 3) prints as ``label exit=<status>`` after the
 files, so a diff against a version that refuses it shows the invocation,
 not only its missing files. The script then exits 1, as it does if a
 refusal succeeds.
+
+Run with the store's budget patched to 0, the listing shows that every
+stored table and plan gives the bytes of one built for the call:
+
+    PYTHONPATH=src python -c 'import runpy, trigspec._cache as c; c._BUDGET = 0; runpy.run_path("tools/cli_digest.py", run_name="__main__")' > uncached.txt
+    diff head.txt uncached.txt
 """
 
 import contextlib

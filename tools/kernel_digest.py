@@ -36,11 +36,17 @@ stored, from n = 1024. The exact-phase grid evaluator
 terms with indices up to 5G on grids of G = 1..40, 64, 127, 128, 129,
 1000, 4096 and 2^14 points, as ``grid_series G...`` lines: one block of
 terms up to G = 1024, several from G = 4096, each reading the grid's
-phase table from the store. Last, one ``lerch s=... N=...`` line hashes each full Lerch
+phase table from the store. Then one ``lerch s=... N=...`` line hashes each full Lerch
 expansion table the spline and signal sweeps read
 (``_series.lerch_coefficients(s, N)``: the log-type splines' (s, N) and
 the polylogarithm's (s, 1)), so the tables' own bits are compared, not
-only the values built from them. It prints one
+only the values built from them. Last, ``variation ...`` lines hash
+the refined Filon bound's proved variation (``diff_variation_bound``) at
+every q from 0 to the order, for splines of seeded samples of every family
+at orders 1..4 and n = 1..8 and 64, against each suite signal and one
+seeded harmonic sum: the difference route with its Hurwitz energy tail,
+the sum route, and the jump sum of polynomial configurations, at the nodes
+and, for the signed sinc at even orders, at the midpoints. It prints one
 ``label sha256`` line per configuration, spline quantity, signal
 derivative or table, hashing the exact bits of every value, or ``label refused
 <error> <sha256 of the message>`` where the configuration or the
@@ -72,6 +78,7 @@ from trigspec import (
     KernelConfig,
     SampleVector,
     build_spline,
+    diff_variation_bound,
     discrete_coeffs,
     filter_response,
     folded_coefficients,
@@ -111,6 +118,8 @@ DFT_SIZES = (*range(1, 41), 64, 127, 128, 256, 711, 712, 1024, 2048)
 GRID_SERIES_SIZES = (*range(1, 41), 64, 127, 128, 129, 1000, 4096, 2**14)
 SIGNAL_POWERS = (2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0)
 SIGNAL_ORDERS = (0, 1, 2, 3)
+VARIATION_SIZES = (*range(1, 9), 64)
+VARIATION_ORDERS = (1, 2, 3, 4)
 SIGNAL_POINTS = np.concatenate((
     [0.0, np.pi, -np.pi, 20.0, -20.0],
     np.random.default_rng(2019).uniform(-20.0, 20.0, 1000),
@@ -272,8 +281,29 @@ def lerch_lines():
         yield f"lerch s={s:g} N={N} " + _sha(lerch_coefficients(s, N))
 
 
+def variation_lines():
+    rng = np.random.default_rng(2019)
+    ks = rng.choice(200, size=12, replace=False)
+    ab = rng.standard_normal((ks.size, 2))
+    signals = {**suite_signals(), "harmonic-seeded": harmonic_sum(
+        ((int(k), a, b if k else 0.0) for k, (a, b) in zip(ks, ab)), r=2)}
+    for n in VARIATION_SIZES:
+        grid = make_grid(n)
+        samples = SampleVector(grid, np.random.default_rng([n, 3]).standard_normal(grid.N))
+        for variant in FilterVariant:
+            for order in VARIATION_ORDERS:
+                spline = build_spline(samples, KernelConfig(grid=grid, order=order, variant=variant))
+                for name, signal in signals.items():
+                    label = f"variation {variant.value} r{order} n{n} {name}"
+                    try:
+                        yield f"{label} " + _sha(
+                            [diff_variation_bound(signal, spline, q) for q in range(order + 1)])
+                    except (NumericalError, RuntimeWarning) as exc:
+                        yield _refusal(label, exc)
+
+
 if __name__ == "__main__":
     warnings.simplefilter("error", RuntimeWarning)
     for line in (*kernel_lines(), *spline_lines(), *fold_lines(), *signal_lines(), *dft_lines(),
-                 *grid_series_lines(), *lerch_lines()):
+                 *grid_series_lines(), *lerch_lines(), *variation_lines()):
         print(line)
