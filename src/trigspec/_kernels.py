@@ -29,10 +29,11 @@ _DFT_CELLS = 1 << 16
 # A series adds its terms in blocks of rows that together hold at most
 # this many (terms x points) cells (one row when there are more points).
 _GRID_CELLS = 1 << 16
-# Largest grid of grid_series and grid_phases: the phase index
-# (k mod G) g < G^2 <= 2^64 is exact in unsigned 64-bit integers.
-_MAX_GRID = 1 << 32
-_GRID_MESSAGE = f"grid size G must be an integer in 1..{_MAX_GRID}"
+# Largest uniform grid of the package (grid_series, grid_phases, signal
+# and spline grid values, quadrature): the phase index (k mod G) g <
+# G^2 <= 2^64 is exact in unsigned 64-bit integers.
+MAX_GRID = 1 << 32
+_GRID_MESSAGE = f"grid size G must be an integer in 1..{MAX_GRID}"
 
 
 def point_series(ks, a, b, t):
@@ -81,7 +82,7 @@ def grid_series(ks, a, b, G):
     integer in 1..2^32, is refused otherwise with ValueError before
     anything is allocated. Returns the G values as a 1-D array.
     """
-    G = _series.integer(G, 1, _GRID_MESSAGE, _MAX_GRID)
+    G = _series.integer(G, 1, _GRID_MESSAGE, MAX_GRID)
     cos, sin = _cache.get(_phase_table, G)
     g = np.arange(G, dtype=np.uint64)
 
@@ -126,7 +127,7 @@ def grid_phases(k, G):
     an integer in 1..2^32, refused with ValueError before anything is
     allocated.
     """
-    G = _series.integer(G, 1, _GRID_MESSAGE, _MAX_GRID)
+    G = _series.integer(G, 1, _GRID_MESSAGE, MAX_GRID)
     k = _series.integer(k, 0, "harmonic index k must be an integer >= 0")
     cos, sin = _cache.get(_phase_table, G)
     m = _phase_index(np.array([k % G], dtype=np.uint64), np.arange(G, dtype=np.uint64), G)[0]

@@ -143,6 +143,7 @@ def aliasing_error_bound(k, grid, smoothness):
 
 def band_component(signal, n, t):
     """Partial sum of the true series through harmonic n (the band part)."""
+    _require_analytic(signal)
     n = _series.integer(n, 1, "band size n must be an integer >= 1")
     j = np.arange(n + 1)
     a, b = true_coefficient(signal, j)
@@ -177,6 +178,7 @@ def residual_component(signal, grid, t):
     the band. Computed as f(t) minus the band part minus the constant
     class tail; each piece is exact for the shipped signal kinds.
     """
+    _require_analytic(signal)
     full = evaluate(signal, t)
     return full - band_component(signal, grid.n, t) - dc_class_component(signal, grid, t)
 

@@ -36,6 +36,7 @@ from .signal_model import (
     grid_values,
     true_coefficient,
 )
+from .spline_kernel import class_tails
 from .trig_spline import TrigSpline, unfolded_spectrum, values_on_uniform_grid
 
 # Quadrature policy: the base grid (a power of two), the doubling budget
@@ -43,8 +44,8 @@ from .trig_spline import TrigSpline, unfolded_spectrum, values_on_uniform_grid
 _BASE_POINTS = 1024
 _MAX_DOUBLINGS = 10
 _CONVERGENCE_TOL = 1e-11
-# Largest quadrature grid, the largest uniform grid a spline evaluates on.
-_MAX_POINTS = 2**32
+# Largest quadrature grid, the largest uniform grid of the package.
+_MAX_POINTS = _kernels.MAX_GRID
 # Grid of the sup-norm distance.
 _SUP_POINTS = 2**14
 # The difference route sums j = 1..J0 directly, J0 = _HEAD_PERIODS * N,
@@ -204,21 +205,23 @@ def diff_variation_bound(signal, spline, q):
       cancel. Beyond J0, T_f is the signal's part (zeta(2p - 2q - 2,
       J0 + 1) for power decay, an exact finite sum for a harmonic sum)
       and T_phi the spline's, summed per alias class: |phi_k|^2 k^(2q+2)
-      times the ratio tails (k/j)^(2s - 2q - 2) of both branches from
-      their first members above J0. The tail is T_f - 2X + T_phi exactly
-      for an integer p, X the cross term in closed form, and at most
-      (sqrt(T_f) + sqrt(T_phi))^2 by Minkowski otherwise.
+      times its tails above J0 of exponent 2s - 2q - 2
+      (:func:`~trigspec.spline_kernel.class_tails`). The tail is T_f -
+      2X + T_phi exactly for an integer p, X the cross term in closed
+      form from the signed tails above J0, and at most (sqrt(T_f) +
+      sqrt(T_phi))^2 by Minkowski otherwise.
     - Sum route: Var(f^(q)) + Var(phi^(q)). Var(f^(q)) <= min(pi^(R-q)
       V, sqrt(2 pi) ||f^(q+1)||_2); the first holds for q <= R since a
       zero-mean periodic g has sup |g| <= Var(g)/2 and Var(g) <= 2 pi
       sup |g'|. Var(phi^(q)) <= sqrt(2 pi) ||phi^(q+1)||_2, the class sums
       of :func:`~trigspec.trig_spline.curvature_functional` at order
-      q + 1, for q <= r - 1. At q = r, where s is even or the family is
-      signed, phi^(r) is constant between its knots tau_i (the nodes, or
-      the midpoints when signed), so Var(phi^(r)) = sum_i |d_i| over its
-      jumps d_i = (2 pi/N) sum_{k=1..n} k^(r+1) [A_k cos k tau_i + B_k
-      sin k tau_i], with (A_k, B_k) the in-band coefficients turned r + 1
-      quarter turns (:func:`~trigspec._series.rotate_pair`).
+      q + 1 (each class's tails above 0), for q <= r - 1. At q = r,
+      where s is even or the family is signed, phi^(r) is constant
+      between its knots tau_i (the nodes, or the midpoints when signed),
+      so Var(phi^(r)) = sum_i |d_i| over its jumps d_i = (2 pi/N)
+      sum_{k=1..n} k^(r+1) [A_k cos k tau_i + B_k sin k tau_i], with
+      (A_k, B_k) the in-band coefficients turned r + 1 quarter turns
+      (:func:`~trigspec._series.rotate_pair`).
 
     Any other case has no finite route and gives inf: q > r, and q = r
     where s is odd and the family unsigned, whose phi^(r) has infinite
@@ -290,19 +293,12 @@ def _signal_energy(signal, q, above=0):
     return float(_series.progression_tail(x, 1, 0.0, above + 1))
 
 
-def _branch_starts(k, N, J0):
-    # The first members above J0 of class k's branches j = mN + k (m >= 0)
-    # and j = mN - k (m >= 1).
-    return N * ((J0 - k) // N + 1) + k, N * ((J0 + k) // N + 1) - k
-
-
-def _spline_tail(band, e, N, J0):
-    # sum_{j > J0} j^(2q+2) |phi_j|^2: class k's member j carries
-    # band_k (k/j)^e, e = 2(r - q), summed over both branches from their
-    # first members above J0.
-    k = np.arange(1, band.size + 1)
-    plus, minus = _branch_starts(k, N, J0)
-    return math.fsum(band * (_series.ratio_tail(e, k, plus, N) + _series.ratio_tail(e, k, minus, N)))
+def _spline_tail(band, e, N, above):
+    # sum_{j > above} j^(2q+2) |phi_j|^2: class k's member j carries
+    # band_k (k/j)^e, e = 2(r - q), so it is band_k times class k's tails
+    # above the cut.
+    plus, minus = class_tails(e, np.arange(1, band.size + 1), above, N)
+    return math.fsum(band * (plus + minus))
 
 
 def _difference_tail(signal, config, q, J0, f_tail, a, b, band):
@@ -311,24 +307,20 @@ def _difference_tail(signal, config, q, J0, f_tail, a, b, band):
     # so not s, takes (sqrt(T_f) + sqrt(T_phi))^2. An integer p takes
     # T_f - 2X + T_phi exactly: where p = s the spline's members j^-s track
     # the signal's and the Minkowski form would overstate a tail that
-    # cancels (ratio tails take a non-integer exponent only at equal binary
-    # exponents, see _series.ratio_power). Member j of class k carries
-    # eps_j (k/j)^s times the in-band coefficient C_k (the one on the
-    # signal's component, its sine turned on the mN - k branch), so X is
-    # sum_k C_k k^(2q+2-p) times, on each branch, the sign of its first
-    # member and a ratio tail of exponent p + s - 2q - 2 > 3/2 (alternating
-    # in the signed family). Rounding: 64 eps (T_f + 2 sum_k |X_k| + T_phi).
+    # cancels (class tails take an integer exponent). Member j of class k
+    # carries eps_j (k/j)^s times the in-band coefficient C_k (the one on
+    # the signal's component, its sine turned on the mN - k branch), so X
+    # is sum_k C_k k^(2q+2-p) times class k's signed tails above J0 of
+    # exponent p + s - 2q - 2 > 3/2. Rounding: 64 eps (T_f + 2 sum_k |X_k|
+    # + T_phi).
     N = config.grid.N
     spline_tail = _spline_tail(band, 2 * (config.order - q), N, J0)
     if signal.kind == HARMONIC_SUM or signal.p != int(signal.p):
         return (math.sqrt(f_tail) + math.sqrt(spline_tail)) ** 2
     k = np.arange(1, a.size + 1)
     x = signal.p + config.power - 2 * q - 2
-    cosine = signal.kind == POWER_DECAY_COSINE
-    cross = np.zeros(k.size)
-    for start, c in zip(_branch_starts(k, N, J0), (a, a) if cosine else (b, -b)):
-        sign = np.where((start // N) % 2 == 1, -1.0, 1.0) if config.signed else 1.0
-        cross += sign * c * _series.ratio_tail(x, k, start, N, config.signed)
+    plus, minus = class_tails(x, k, J0, N, config.signed)
+    cross = a * plus + a * minus if signal.kind == POWER_DECAY_COSINE else b * plus - b * minus
     cross *= k.astype(float) ** (2 * q + 2 - signal.p)
     total = f_tail - 2.0 * math.fsum(cross) + spline_tail
     slack = 64 * _EPS * (f_tail + 2.0 * math.fsum(np.abs(cross)) + spline_tail)

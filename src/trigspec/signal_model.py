@@ -83,7 +83,8 @@ class AnalyticSignal:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown signal kind {self.kind!r}")
         if self.kind == HARMONIC_SUM:
-            object.__setattr__(self, "terms", _sorted_terms(self.terms))
+            if not isinstance(self.terms, _SortedTerms):
+                object.__setattr__(self, "terms", _sorted_terms(self.terms))
         else:
             object.__setattr__(self, "p", _check_power(self.p))
             if self.terms:
@@ -159,7 +160,7 @@ def grid_values(signal, points):
     the points 2*pi*g/G, with the same bits. `points` is an integer in
     1..2^32, refused with ValueError before anything is allocated.
     """
-    top = _kernels._MAX_GRID
+    top = _kernels.MAX_GRID
     G = _series.integer(points, 1, f"points must be an integer in 1..{top}", top)
     if signal.kind != HARMONIC_SUM:
         return evaluate(signal, 2.0 * np.pi * np.arange(G) / G)
@@ -232,12 +233,18 @@ def harmonic_sum(terms, r=1):
 _SAWTOOTH_VARIATION = math.pi**2 / 2.0  # integral of |pi - t|/2 over one period
 
 
+class _SortedTerms(tuple):
+    # Terms _sorted_terms has checked and sorted, which AnalyticSignal
+    # stores as given: harmonic_sum checks its terms once, before it forms
+    # the variation from them. It compares, hashes and prints as a tuple.
+    __slots__ = ()
+
+
 def _sorted_terms(terms):
-    # The (k, a_k, b_k) rows of a harmonic sum, sorted by integer index k,
-    # checked before harmonic_sum forms the variation from them.
+    # The (k, a_k, b_k) rows of a harmonic sum, sorted by integer index k.
     index = "harmonic indices must be integers >= 0"
     coefficient = "harmonic coefficients must be finite"
-    return tuple(sorted(
+    return _SortedTerms(sorted(
         (_series.integer(k, 0, index), _series.real(a, coefficient), _series.real(b, coefficient))
         for k, a, b in terms
     ))

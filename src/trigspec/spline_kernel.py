@@ -17,13 +17,14 @@ of a class, so a member j of class k has
 
 with s = r + 1 and eps_j the sign of sigma_j (-1 on odd blocks of N in
 the signed family, else 1). Every term of rho_k lies below one, so the
-gains stay in the float range at any order. rho_k is evaluated in
-closed form, each branch's first term apart and the rest as a Hurwitz
-zeta tail, so results carry no truncation error. It depends only on the
-grid, the order and the signs eps, so the per-class data is computed
-once per (grid, order, signed) (:func:`class_table`). The class sums
-H_k = sigma_k (1 + rho_k) and the constant-class sum are response data,
-formed where the response is written.
+gains stay in the float range at any order. rho_k is the sum of the
+class's tails above k (:func:`class_tails`: per branch, the first term
+apart and the rest as a Hurwitz zeta tail), so results carry no
+truncation error. It depends only on the grid, the order and the signs
+eps, so the per-class data is computed once per (grid, order, signed)
+(:func:`class_table`). The class sums H_k = sigma_k (1 + rho_k) and the
+constant-class sum are response data, formed where the response is
+written.
 """
 
 import enum
@@ -42,6 +43,10 @@ _H_GUARD = 1e-12
 _M_TERMS_CAP = 10**6
 _M_TERMS_ERROR = f"m_terms must be an integer in 0..{_M_TERMS_CAP}"
 _CLASS_ERROR = "class representative k must lie in 1..n"
+# class_tails' ranges: N up to the largest grid's 2^25 + 1, and cuts whose
+# first members (at most cut + 2N) stay exact in a double.
+_TAIL_N_CAP = 2**25 + 1
+_CUT_CAP = 2**51
 
 
 class FilterVariant(enum.Enum):
@@ -139,19 +144,35 @@ def _raw_gain(j, config):
     return out
 
 
-def _branch_tails(s, N, signed, k, m_start=1):
-    # (plus, minus): the fold members of class k with m >= m_start as
-    # signed ratios to the in-band member, sum eps_j (k/j)^s over
-    # j = mN + k and over j = mN - k. The signed family's sign is (-1)^m
-    # on the plus branch and -(-1)^m on the minus branch, so rho_k is
-    # plus + minus at m_start = 1. It runs inside the cached class-table
-    # builder, so it calls the body of ratio_tail.
-    plus = _series._ratio_tail(s, k, m_start * N + k, N, signed)
-    minus = _series._ratio_tail(s, k, m_start * N - k, N, signed)
-    if not signed:
-        return plus, minus
-    sign = -1.0 if m_start % 2 else 1.0
-    return sign * plus, -sign * minus
+def class_tails(e, k, above, N, signed=False):
+    """Sums of eps_j (k/j)^e over class k's members j > `above`, one per branch.
+
+    Returns ``(plus, minus)``: the sum over j = mN + k (m >= 0) and over
+    j = mN - k (m >= 1), with eps_j = (-1)^floor(j/N) when `signed` and 1
+    otherwise. Each branch is one ratio tail
+    (:func:`~trigspec._series.ratio_tail`) from its first member above the
+    cut, carrying that member's sign: its terms are powers of ratios at
+    most one, and nothing is truncated. Every closed form the package
+    proves over a class is such a pair: 1 + rho_k is one plus the signed
+    tails above k, a truncated series' neglect bound takes the unsigned
+    tails above L N. `e` is an integer >= 2, `N` an integer in
+    3..2^25 + 1 (odd, for the package's grids), `k` a class in
+    1..(N - 1)/2 and `above` a cut in 0..2^51; k and `above` broadcast.
+    """
+    N = _series.integer(N, 3, f"N must be an integer in 3..{_TAIL_N_CAP}", _TAIL_N_CAP)
+    e = _series.integer(e, 2, "exponent e must be an integer >= 2")
+    k = _series.integers(k, 1, "class k must be an integer in 1..(N - 1)/2", (N - 1) // 2)
+    above = _series.integers(above, 0, f"cut above must be an integer in 0..{_CUT_CAP}", _CUT_CAP)
+    return _class_tails(e, k, above, N, signed)
+
+
+def _class_tails(e, k, above, N, signed):
+    # class_tails' body, which the cached class-table builder calls. Along
+    # a branch the members step by N, so their signs alternate and the
+    # tail is alternating from its first member's sign (-1)^floor(j/N).
+    firsts = N * ((above - k) // N + 1) + k, N * ((above + k) // N + 1) - k
+    tails = (_series._ratio_tail(e, k, j, N, signed) for j in firsts)
+    return tuple((1 - 2 * (j // N % 2)) * t if signed else t for j, t in zip(firsts, tails))
 
 
 def _member_ratios(j, k, s, N, signed):
@@ -210,7 +231,7 @@ def _table_key(config):
 def _class_table(N, order, signed):
     s = order + 1
     k = np.arange(1, (N - 1) // 2 + 1)
-    plus, minus = _branch_tails(s, N, signed, k)
+    plus, minus = _class_tails(s, k, k, N, signed)
     norms = 1.0 + (plus + minus)
     _check_class_sums(signed, norms)
     gains = 1.0 / norms
@@ -307,7 +328,8 @@ def class_partition_terms(k, config, m_terms, table=None):
 
     Returns ``(partial, remainder)`` with partial the directly summed
     alpha over the class members up to fold index m_terms and remainder
-    the closed-form value of everything beyond. Their sum is 1 up to
+    alpha_k times the class's tails above m_terms N + k
+    (:func:`class_tails`, with the family's signs). Their sum is 1 up to
     rounding: the partition-of-unity property. The in-band gain alpha_k
     is read from ``table`` when one is given, which must have been built
     for the grid, order and signs of ``config``, else from the class
@@ -322,7 +344,7 @@ def class_partition_terms(k, config, m_terms, table=None):
     s, N, signed = config.power, config.grid.N, config.signed
     members = np.concatenate(([k], m * N + k, m * N - k))
     partial = alpha * float(np.sum(_member_ratios(members, k, s, N, signed)))
-    plus, minus = _branch_tails(s, N, signed, k, m_start=m_terms + 1)
+    plus, minus = class_tails(s, k, m_terms * N + k, N, signed)
     return partial, alpha * (plus + minus)
 
 

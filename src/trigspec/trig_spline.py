@@ -62,14 +62,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _cache, _series, sampling, spline_kernel
+from . import _cache, _kernels, _series, sampling, spline_kernel
 from .sampling import DiscreteSpectrum, discrete_coeffs, make_grid
 from .spline_kernel import FilterVariant, KernelConfig, class_table, filter_response, gain
 
 _REPRESENTATION_CAP = 64     # largest L in the series truncation J = L*N
-# Largest j_max and uniform-grid size. It covers the longest series the
-# package builds (64 N at the largest grid, N = 2^25 + 1), and keeps the
-# grid's angle numerators 2 N g + G below (2 N + 1) G < 2^59, inside int64.
+# Largest j_max. It covers the longest series the package builds (64 N at
+# the largest grid, N = 2^25 + 1). The largest uniform grid, _kernels.MAX_GRID,
+# keeps the angle numerators 2 N g + G below (2 N + 1) G < 2^59, in int64.
 _MAX_SIZE = 2**32
 # Longest coefficient law built in one piece; longer rows come in blocks
 # of this many indices.
@@ -141,8 +141,8 @@ def series_truncation(spline):
     L = 64; returns ``(J, tail_bound)``, the bound achieved at that J.
     Class k contributes w |alpha_k| S_k(L) with w = |a*_k| + |b*_k| and
     alpha_k the in-band gain, added in class order with classes of w = 0
-    skipped; S_k(L) is the sum of (k/j)^s over the members beyond J,
-    j = mN + k with m >= L and j = mN - k with m >= L + 1, in ratio form.
+    skipped; S_k(L) is the sum of class k's unsigned tails above J
+    (:func:`~trigspec.spline_kernel.class_tails` of exponent s).
     """
     config = spline.config
     spectrum = spline.spectrum
@@ -154,9 +154,9 @@ def series_truncation(spline):
     factor = (w * np.abs(class_table(config).gains))[live]
 
     def bound(L):
-        S = _series.ratio_tail(s, k, L * N + k, N) + _series.ratio_tail(s, k, (L + 1) * N - k, N)
+        plus, minus = spline_kernel.class_tails(s, k, L * N, N)
         # cumsum adds in class order, as a per-class loop would.
-        return float(np.cumsum(factor * S)[-1]) if k.size else 0.0
+        return float(np.cumsum(factor * (plus + minus))[-1]) if k.size else 0.0
 
     # The bound falls as L grows, so the first L below tail_tol is found
     # by bisection: at most eight bounds instead of all 64.
@@ -345,7 +345,8 @@ def values_on_uniform_grid(spline, points):
     each angle. `points` is an integer in 1..2^32, refused with ValueError
     before anything is allocated.
     """
-    G = _series.integer(points, 1, "points must be an integer in 1..4294967296", _MAX_SIZE)
+    top = _kernels.MAX_GRID
+    G = _series.integer(points, 1, f"points must be an integer in 1..{top}", top)
     cfg = spline.config
     N = cfg.grid.N
     plan = _cache.get(_grid_plan, N, cfg.signed, G, cfg.power)
@@ -422,8 +423,9 @@ def curvature_functional(fn, order):
     By Parseval it is pi * sum_j j^(2q) (a_j^2 + b_j^2), q = `order`,
     plus pi a0^2 / 2 at q = 0. For a spline every member j of alias class
     k has |gain_j| = |alpha_k| (k/j)^s, s = r + 1, so the class is its
-    in-band term times sum_j (k/j)^(2s - 2q), in ratio form with two
-    Hurwitz zeta tails: O(n), no truncation, independent of ``tail_tol``. That sum diverges
+    in-band term times one plus its unsigned tails above k of exponent
+    2s - 2q (:func:`~trigspec.spline_kernel.class_tails`): O(n), no
+    truncation, independent of ``tail_tol``. That sum diverges
     for q > r, which raises ValueError. Other inputs (``.fourier_series()``
     or an ``(a0, a, b)`` tuple) are finite series, summed term by term.
     `order` must be an even integer >= 0.
@@ -436,13 +438,9 @@ def curvature_functional(fn, order):
         cfg = fn.config
         if order > cfg.order:
             raise ValueError(f"curvature of order {order} diverges at spline order {cfg.order}")
-        # (k/j)^e over the members j = mN +- k, m >= 1: ratios below one,
-        # inside the float range at any order.
-        e = 2 * (cfg.power - order)
-        N = cfg.grid.N
         k = np.arange(1, cfg.grid.n + 1)
-        mass = 1.0 + _series.ratio_tail(e, k, N + k, N)
-        mass += _series.ratio_tail(e, k, N - k, N)
+        plus, minus = spline_kernel.class_tails(2 * (cfg.power - order), k, k, cfg.grid.N)
+        mass = (1.0 + plus) + minus
         a0 = fn.a0
         _, a, b = unfolded_spectrum(fn, cfg.grid.n)
     else:

@@ -147,6 +147,16 @@ def test_fold_rejects_black_box():
         folded_coefficients(lambda t: 0.0, make_grid(2), 1)
 
 
+@pytest.mark.parametrize("split", [
+    lambda f: band_component(f, 4, 0.0),
+    lambda f: residual_component(f, make_grid(4), 0.0),
+], ids=["band", "residual"])
+def test_time_domain_split_rejects_black_box(split):
+    # Both used to fail on the callable's missing .kind with AttributeError.
+    with pytest.raises(UnsupportedSignalError):
+        split(np.cos)
+
+
 def test_fold_rejects_bad_tol():
     # A NaN tolerance compares false with every rounding floor; it would certify anything.
     for tol in (0.0, -1e-12, float("nan")):

@@ -45,6 +45,7 @@ from trigspec.spline_kernel import (
     FilterVariant,
     KernelConfig,
     class_partition_terms,
+    class_tails,
     filter_response,
     gain,
     raw_gain,
@@ -118,6 +119,14 @@ SITES = [
      "class representative k must lie in 1..n", False),
     ("class_partition_terms m_terms", lambda x: class_partition_terms(1, CONFIG, x), 0, 10**6,
      "m_terms must be an integer in 0..1000000", False),
+    ("class_tails e", lambda x: class_tails(x, 1, 0, 9), 2, None,
+     "exponent e must be an integer >= 2", False),
+    ("class_tails k", lambda x: class_tails(4, x, 0, 9), 1, 4,
+     "class k must be an integer in 1..(N - 1)/2", True),
+    ("class_tails above", lambda x: class_tails(4, 1, x, 9), 0, 2**51,
+     "cut above must be an integer in 0..2251799813685248", True),
+    ("class_tails N", lambda x: class_tails(4, 1, 0, x), 3, 2**25 + 1,
+     "N must be an integer in 3..33554433", False),
     ("values_on_uniform_grid points", lambda x: values_on_uniform_grid(SPLINE, x), 1, 2**32,
      "points must be an integer in 1..4294967296", False),
     ("spline_fourier_coeff j", lambda x: spline_fourier_coeff(SPLINE, x), 1, None,

@@ -1,6 +1,7 @@
 """Signal definitions, exact evaluation, coefficient access and the decay bound."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -362,6 +363,20 @@ def test_non_finite_harmonic_coefficients_are_named(bad):
             signal_from_json(doc)
         with pytest.raises(ValueError, match=message):
             signal_from_json(json.dumps(doc))
+
+
+def test_harmonic_sum_checks_each_coefficient_once(monkeypatch):
+    # Each term's two coefficients pass the float contract once and the
+    # variation once; the constructor used to check the terms a second time.
+    checked = []
+    real = _series.real
+    monkeypatch.setattr(_series, "real", lambda x, message: checked.append(x) or real(x, message))
+    terms = [(3, 1.0, 0.5), (1, -0.25, 0.0), (2, 0.0, 2.0)]
+    sig = harmonic_sum(terms, r=2)
+    assert len(checked) == 2 * len(terms) + 1
+    assert sig.terms == tuple(sorted(terms))
+    assert sig.smoothness.variation == sum(4.0 * k**3 * math.hypot(a, b) for k, a, b in sorted(terms))
+    assert sig == AnalyticSignal(HARMONIC_SUM, terms, None, sig.smoothness)
 
 
 def test_constructor_sorts_the_terms_by_integer_index():

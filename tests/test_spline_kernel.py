@@ -1,11 +1,14 @@
 """Raw gains, class sums, normalized gains and the filter-response table."""
 
 import json
+import math
 from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trigspec import (
     FilterVariant,
@@ -20,7 +23,7 @@ from trigspec import (
 )
 from trigspec import spline_kernel
 from trigspec.errors import DegenerateKernelError
-from trigspec.spline_kernel import class_partition_terms, response_table_to_csv
+from trigspec.spline_kernel import class_partition_terms, class_tails, response_table_to_csv
 
 from loglog import fit_loglog_slope
 from spline_checks import assert_spline_values_hold, class_gain_sum_direct, long_harmonic_sum
@@ -302,6 +305,68 @@ def test_partition_of_unity(variant, r):
     for k in (1, 4, 8):
         partial, remainder = class_partition_terms(k, c, 64)
         assert partial + remainder == pytest.approx(1.0, abs=1e-9)
+
+
+# -- class tails -----------------------------------------------------------------
+
+# Members of each branch summed directly; the rest is bounded.
+_DIRECT_MEMBERS = 2000
+
+
+def _branch_oracle(e, k, above, N, signed, sign):
+    # (sum, bound on |error|) for one branch, j = mN + sign k, of class k's
+    # tail above the cut: the first member is found by stepping, each term
+    # is k^e / j^e correctly rounded (Python's integer division) and the
+    # direct terms are added by math.fsum. The unsigned rest lies between
+    # the integrals of (k/(j_M + xN))^e from x = 0 and from x = -1/2 (the
+    # terms are convex in the member index), the alternating rest between
+    # 0 and its first term.
+    j = k if sign > 0 else N - k
+    while j <= above:
+        j += N
+    members = range(j, j + _DIRECT_MEMBERS * N, N)
+    terms = [(-1) ** (m // N if signed else 0) * (k**e / m**e) for m in members]
+    direct = math.fsum(terms)
+    j_rest = j + _DIRECT_MEMBERS * N
+    if signed:
+        first = k**e / j_rest**e
+        mid, half = 0.0, first
+    else:
+        lo = k / (N * (e - 1)) * (k / j_rest) ** (e - 1)
+        hi = k / (N * (e - 1)) * (k / (j_rest - N / 2)) ** (e - 1)
+        mid, half = (lo + hi) / 2, (hi - lo) / 2 * (1 + 1e-12)
+    size = math.fsum(map(abs, terms)) + abs(mid) + half
+    return direct + mid, half + 32 * np.finfo(float).eps * size
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_class_tails_match_direct_sums(data):
+    # Every cut from 0 to 8N, below k and between multiples of N included,
+    # both sign patterns, and k as a scalar and inside an array.
+    n = data.draw(st.integers(1, 64), label="n")
+    N = 2 * n + 1
+    e = data.draw(st.integers(2, 40), label="e")
+    k = data.draw(st.integers(1, n), label="k")
+    above = data.draw(st.integers(0, 8 * N), label="above")
+    signed = data.draw(st.booleans(), label="signed")
+    plus, minus = class_tails(e, k, above, N, signed)
+    for got, sign in ((plus, 1), (minus, -1)):
+        want, tol = _branch_oracle(e, k, above, N, signed, sign)
+        assert abs(float(got) - want) <= tol, (sign, got, want, tol)
+    ks = np.arange(1, n + 1)
+    many = class_tails(e, ks, np.full(n, above), N, signed)
+    assert [float(x[k - 1]) for x in many] == [float(plus), float(minus)]
+
+
+@pytest.mark.parametrize("variant", ["abs-sinc", "inv-power", "sinc"])
+@pytest.mark.parametrize("r", [1, 2, 10])
+def test_class_table_normalizers_are_tails_above_k(variant, r):
+    # 1 + rho_k is one plus the class's signed tails above k, bit for bit.
+    c = cfg(9, r, variant)
+    k = np.arange(1, 10)
+    plus, minus = class_tails(c.power, k, k, c.grid.N, c.signed)
+    assert class_table(c).norms.tobytes() == (1.0 + (plus + minus)).tobytes()
 
 
 def test_abs_sinc_and_inverse_power_gains_coincide_off_dc():
