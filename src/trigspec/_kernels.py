@@ -8,6 +8,9 @@
   ``grid_series`` takes the uniform grid 2*pi*g/G with exact phases: k*g
   is reduced mod G in integers and cos/sin of 2*pi*m/G are read from the
   grid's table of G entries, one entry of the package's store per G.
+  Both add their terms in blocks of at most 2^14 (terms x points) cells,
+  small enough that the heap reuses a block's arrays instead of mapping
+  and faulting in fresh pages for each; the blocks change no bit.
   ``grid_phases`` reads one harmonic's row of that table, for quadrature.
 - ``dft``: direct discrete Fourier coefficients on an odd uniform grid
   (no FFT) with exact phases: k*j is reduced mod N in integers and cos/sin
@@ -28,7 +31,9 @@ from . import _cache, _series
 _DFT_CELLS = 1 << 16
 # A series adds its terms in blocks of rows that together hold at most
 # this many (terms x points) cells (one row when there are more points).
-_GRID_CELLS = 1 << 16
+# Blocks this small are reused from the heap; blocks of 2^16 cells are
+# mapped afresh on each call at G = 2^14, at 500-700 page faults a call.
+_GRID_CELLS = 1 << 14
 # Largest uniform grid of the package (grid_series, grid_phases, signal
 # and spline grid values, quadrature): the phase index (k mod G) g <
 # G^2 <= 2^64 is exact in unsigned 64-bit integers.
@@ -65,9 +70,10 @@ def grid_series(ks, a, b, G):
     a_i C + b_i S, and the terms are added one after another in their
     given order, starting from 0: the bits are those of summing a_i
     cos(k_i t) + b_i sin(k_i t) term by term, but for the phases. Terms go
-    in blocks of rows of at most 2^16 (terms x points) cells (one row when
-    G is larger), and the table is one entry of the package's store per G
-    while its 16 G bytes fit the budget; neither changes a bit.
+    in blocks of rows of at most 2^14 (terms x points) cells (one row when
+    G is larger), so a call at G <= 2^14 takes no fresh pages once warm,
+    and the table is one entry of the package's store per G while its
+    16 G bytes fit the budget; neither changes a bit.
 
     Each table entry is within 2 eps of the true value (the angle, at most
     pi/4, within 0.93 eps, and one rounding of its cosine or sine; 0.58

@@ -8,7 +8,7 @@ guarantees:
   t/(2*pi) up to a constant factor (:func:`fourier_power`);
 - tails of arithmetic-progression power sums
   ``sum_{m>=m0} (m*step + offset)^(-s)``, which are Hurwitz zeta values,
-  and their ratio form ``sum_i (k/(i*step + j0))^s`` (:func:`ratio_tail`),
+  and their ratio form ``sum_i (k/(i*step + j0))^s`` (:func:`_ratio_tail`),
   whose terms are powers of ratios below one and never leave the float
   range before they are negligible;
 - the Lerch transcendent on the unit circle,
@@ -186,20 +186,17 @@ def _ratio_power(a, b, x):
     return np.ldexp(np.power(ma, x) / np.power(mb, x), shift)
 
 
-def ratio_tail(s, k, j0, step, alternating=False):
+def _ratio_tail(s, k, j0, step, alternating=False):
     """``sum_{i>=0} eps^i (k/(i*step + j0))^s``, eps = -1 when `alternating`, else 1.
 
     k, j0 and step are positive and exact (integers, in every use here);
     arrays broadcast. The first term is :func:`ratio_power` of k and j0,
     the rest ``(k/step)^s`` times a Hurwitz tail at 1 + j0/step. For
     k <= j0 every term lies below one, so whatever underflows is
-    negligible beside the first.
+    negligible beside the first. Its one caller is
+    ``spline_kernel.class_tails``, whose body the cached class table calls;
+    being private, it adds no traced call there.
     """
-    return _ratio_tail(s, k, j0, step, alternating)
-
-
-def _ratio_tail(s, k, j0, step, alternating=False):
-    # ratio_tail's body, for cached builders (see _ratio_power).
     rest = _ratio_power(k, step, s) * _hurwitz_tail(s, 1.0 + np.asarray(j0) / step, alternating)
     first = _ratio_power(k, j0, s)
     return first - rest if alternating else first + rest

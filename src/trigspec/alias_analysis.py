@@ -47,15 +47,17 @@ class FoldReport:
     folded_b: float
 
 
-def _require_analytic(signal):
+def _require_analytic(signal, message="fold sums need a signal with analytically known coefficients"):
     if getattr(signal, "kind", None) not in (
         HARMONIC_SUM,
         POWER_DECAY_COSINE,
         POWER_DECAY_SINE,
     ):
-        raise UnsupportedSignalError(
-            "fold sums need a signal with analytically known coefficients"
-        )
+        raise UnsupportedSignalError(message)
+
+
+# The refusal of the band part and the remainder, which form no fold sum.
+_KNOWN_COEFFICIENTS = "the signal's Fourier coefficients must be known analytically"
 
 
 def folded_coefficients(signal, grid, k, tol=1e-12):
@@ -143,7 +145,7 @@ def aliasing_error_bound(k, grid, smoothness):
 
 def band_component(signal, n, t):
     """Partial sum of the true series through harmonic n (the band part)."""
-    _require_analytic(signal)
+    _require_analytic(signal, _KNOWN_COEFFICIENTS)
     n = _series.integer(n, 1, "band size n must be an integer >= 1")
     j = np.arange(n + 1)
     a, b = true_coefficient(signal, j)
@@ -178,7 +180,7 @@ def residual_component(signal, grid, t):
     the band. Computed as f(t) minus the band part minus the constant
     class tail; each piece is exact for the shipped signal kinds.
     """
-    _require_analytic(signal)
+    _require_analytic(signal, _KNOWN_COEFFICIENTS)
     full = evaluate(signal, t)
     return full - band_component(signal, grid.n, t) - dc_class_component(signal, grid, t)
 

@@ -4,12 +4,19 @@ Subcommands: gen-signal, dft, spline, response, alias, bounds. All
 output is deterministic CSV/JSON (17 significant digits, LF endings, '.'
 decimal point); identical invocations produce byte-identical files.
 
+Calls of :func:`main` in one process share one argument parser, built on
+the first call (about 1 ms of argparse work that no number depends on);
+:func:`build_parser` returns a fresh one each time, so changing it leaves
+``main`` as it was. A call's bytes and exit code are those of the same
+argv run in a fresh process.
+
 Exit codes: 0 success, 1 a bound or identity check failed, 2 invalid
 configuration or input (or too large to allocate), 3 numerical failure
 (degenerate kernel, quadrature non-convergence, unreachable series precision).
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -253,14 +260,12 @@ def build_parser():
     p.add_argument("--preset", help="named preset signal")
     _add_signal_args(p)
     p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(handler=cmd_gen_signal)
 
     p = sub.add_parser("dft", help="discrete Fourier coefficients of a sampled signal")
     _add_signal_args(p)
     p.add_argument("--n", type=int, required=True, help="band size; N = 2n+1 nodes")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(handler=cmd_dft)
 
     p = sub.add_parser("spline", help="build the interpolating spline")
     _add_signal_args(p)
@@ -271,7 +276,6 @@ def build_parser():
     p.add_argument("--j-max", type=int, default=0, help="unfolded table size (default 4N)")
     p.add_argument("--eval-grid", type=int, default=0, help="dense evaluation CSV size")
     p.add_argument("--out", help="output stem (writes STEM.spline.json etc.)")
-    p.set_defaults(handler=cmd_spline)
 
     p = sub.add_parser("response", help="filter gain tables (plot data)")
     p.add_argument("--n", type=int, required=True)
@@ -279,14 +283,12 @@ def build_parser():
     p.add_argument("--variant", default="abs-sinc")
     p.add_argument("--j-max", type=int, default=0, help="table size (default 2N)")
     p.add_argument("--out", help="output stem (writes STEM.r{r}.csv)")
-    p.set_defaults(handler=cmd_response)
 
     p = sub.add_parser("alias", help="fold-identity report")
     _add_signal_args(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tail-tol", type=float, default=1e-12)
     p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(handler=cmd_alias)
 
     p = sub.add_parser("bounds", help="bound-verification table")
     _add_signal_args(p)
@@ -299,16 +301,23 @@ def build_parser():
     p.add_argument("--variant", default="abs-sinc")
     p.add_argument("--j-max", type=int, default=0, help="row count override")
     p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(handler=cmd_bounds)
 
     return parser
 
 
+@functools.cache
+def _shared_parser():
+    # main's parser, built on its first call and kept for the process.
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
+    # Looked up by name at call time, as every call inside the package is,
+    # so a rebound cmd_* function is the one the shared parser reaches.
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.handler(args)
+        return handler(args)
     except NumericalError as exc:
         print(f"trigspec: numerical failure: {exc}", file=sys.stderr)
         return 3

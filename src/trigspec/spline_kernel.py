@@ -150,7 +150,7 @@ def class_tails(e, k, above, N, signed=False):
     Returns ``(plus, minus)``: the sum over j = mN + k (m >= 0) and over
     j = mN - k (m >= 1), with eps_j = (-1)^floor(j/N) when `signed` and 1
     otherwise. Each branch is one ratio tail
-    (:func:`~trigspec._series.ratio_tail`) from its first member above the
+    (:func:`~trigspec._series._ratio_tail`) from its first member above the
     cut, carrying that member's sign: its terms are powers of ratios at
     most one, and nothing is truncated. Every closed form the package
     proves over a class is such a pair: 1 + rho_k is one plus the signed

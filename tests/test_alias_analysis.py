@@ -153,8 +153,10 @@ def test_fold_rejects_black_box():
 ], ids=["band", "residual"])
 def test_time_domain_split_rejects_black_box(split):
     # Both used to fail on the callable's missing .kind with AttributeError.
-    with pytest.raises(UnsupportedSignalError):
+    # Neither forms a fold sum, so the refusal names the coefficients alone.
+    with pytest.raises(UnsupportedSignalError) as info:
         split(np.cos)
+    assert str(info.value) == "the signal's Fourier coefficients must be known analytically"
 
 
 def test_fold_rejects_bad_tol():

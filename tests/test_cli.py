@@ -1,12 +1,17 @@
 """Command line contract: outputs, determinism, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trigspec import trig_spline
+import trigspec
+from trigspec import cli, trig_spline
 from trigspec.cli import main
 
 
@@ -376,3 +381,70 @@ def test_inputs_not_mutated(power_spec, tmp_path):
     before = open(power_spec, "rb").read()
     run(["dft", "--signal", power_spec, "--n", "4", "--out", str(tmp_path / "o.csv")])
     assert open(power_spec, "rb").read() == before
+
+
+# -- one parser per process ----------------------------------------------------------
+
+PACKAGE_ROOT = Path(trigspec.__file__).resolve().parent.parent
+
+
+def _in_process(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out.encode(), err.encode()
+
+
+def _fresh_process(argv):
+    # The same argv in a new interpreter: `python -m trigspec.cli`, with the
+    # package imported from where this process imported it.
+    path = [str(PACKAGE_ROOT), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-m", "trigspec.cli", *argv],
+                          capture_output=True, env=env, check=False)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_calls_sharing_the_parser_match_fresh_processes(tmp_path, capsys):
+    # The first call builds the shared parser on an argv argparse refuses;
+    # the later ones reuse it. Each gives the bytes and exit code of a
+    # fresh process.
+    cli._shared_parser.cache_clear()
+    power = json.dumps({"kind": "PowerDecayCosine", "terms": [], "p": 4.0,
+                        "r": 2, "variation": 4.9348022005446793})
+    invocations = [
+        (["bounds", "--family", "eq7", "--n", "4"], 2),
+        (["bounds", "--family", "eq8", "--inline", power, "--n", "0", "--out", "OUT/refused.csv"], 2),
+        (["bounds", "--family", "filon", "--inline", power, "--n", "4", "--out", "OUT/bounds.csv"], 0),
+        (["response", "--n", "4", "--r", "1,3", "--out", "OUT/resp"], 0),
+    ]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    for argv, code in invocations:
+        got = _in_process([a.replace("OUT", str(here)) for a in argv], capsys)
+        assert got[0] == code, argv
+        assert got == _fresh_process([a.replace("OUT", str(fresh)) for a in argv]), argv
+    names = sorted(p.name for p in here.iterdir())
+    assert names == ["bounds.csv", "resp.r1.csv", "resp.r3.csv"]
+    assert names == sorted(p.name for p in fresh.iterdir())
+    for name in names:
+        assert (here / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_changing_a_built_parser_leaves_main_as_it_was(power_spec, tmp_path, capsys):
+    refused = ["bounds", "--family", "eq7", "--n", "4"]
+    before = _in_process(refused, capsys)
+    parser = cli.build_parser()
+    assert parser is not cli.build_parser()
+    parser.prog = "changed"
+    parser.add_argument("--extra", required=True)
+    parser.set_defaults(command="gen-signal")
+    assert _in_process(refused, capsys) == before
+    assert b"usage: trigspec bounds" in before[2]
+    out = tmp_path / "b.csv"
+    argv = ["bounds", "--family", "eq8", "--signal", power_spec, "--n", "4", "--out", str(out)]
+    assert _in_process(argv, capsys) == (0, b"", b"")
+    assert out.read_text().startswith("k,measured,bound,holds\n1,")

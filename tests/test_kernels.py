@@ -1,6 +1,7 @@
 """Determinism and contracts of the hot kernels."""
 
 import json
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -159,10 +160,11 @@ def _term_loop(ks, a, b, G):
     return out
 
 
-@pytest.mark.parametrize("G", [1, 2, 3, 17, 128, 129, 4096])
+@pytest.mark.parametrize("G", [1, 2, 3, 17, 128, 129, 4096, 1 << 14, (1 << 14) + 3])
 def test_grid_series_bits_depend_on_neither_blocks_nor_the_store(G, cache_patch):
     # Blocks of one row each and a store that keeps nothing give the bits of
-    # the default blocks and stored table, which are the term loop's.
+    # the default blocks and stored table, which are the term loop's. From
+    # G = 2^14 up a default block holds one row too.
     rng = np.random.default_rng(G)
     ks = rng.integers(0, 5 * G, 40)
     a, b = rng.standard_normal((2, ks.size)) * 10.0 ** rng.integers(-6, 6, (2, ks.size))
@@ -174,6 +176,24 @@ def test_grid_series_bits_depend_on_neither_blocks_nor_the_store(G, cache_patch)
     _cache.clear()
     assert np.array_equal(_kernels.grid_series(ks, a, b, G), values)
     assert _cache.stored_bytes() == 0
+
+
+def test_grid_series_blocks_stay_small():
+    # A warm call at G = 2^14 with 65 terms holds at most 8 arrays of G
+    # doubles at once (7 with blocks of one row); blocks of 2^15 cells
+    # would hold 11, and the heap would map them afresh on each call.
+    G = 1 << 14
+    ks = np.arange(65)
+    a, b = np.random.default_rng(65).standard_normal((2, ks.size))
+    _kernels.grid_series(ks, a, b, G)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        _kernels.grid_series(ks, a, b, G)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 8 * G
 
 
 def test_grid_series_keeps_one_read_only_table_per_grid(cache_patch):

@@ -361,5 +361,5 @@ def test_ratio_tail_matches_brute_force(s, alternating):
     i = np.arange(200_000)
     sign = np.where(i % 2 == 1, -1.0, 1.0) if alternating else 1.0
     brute = math.fsum((sign * (k / (i * step + j0)) ** float(s)).tolist())
-    got = _series.ratio_tail(s, k, j0, step, alternating)
+    got = _series._ratio_tail(s, k, j0, step, alternating)
     assert got == pytest.approx(brute, rel=1e-12, abs=1e-300)

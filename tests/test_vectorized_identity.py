@@ -49,8 +49,8 @@ def loop_tail_bound(config, spectrum, table, L):
         if w == 0.0:
             continue
         alpha = abs(float(table.gains[k - 1]))
-        plus = _series.ratio_tail(s, k, L * N + k, N)
-        minus = _series.ratio_tail(s, k, (L + 1) * N - k, N)
+        plus = _series._ratio_tail(s, k, L * N + k, N)
+        minus = _series._ratio_tail(s, k, (L + 1) * N - k, N)
         total += w * alpha * (plus + minus)
     return total
 
@@ -62,7 +62,7 @@ def loop_one_plus_rho(k, config):
     # minus branch positive.
     s = config.power
     N = config.grid.N
-    plus, minus = _series.ratio_tail(s, k, np.array([N + k, N - k]), N, config.signed)
+    plus, minus = _series._ratio_tail(s, k, np.array([N + k, N - k]), N, config.signed)
     rho = minus - plus if config.signed else plus + minus
     return 1.0 + rho
 
@@ -101,9 +101,9 @@ def loop_folded_spectrum(spline, G):
             j0 = m0 * N + branch * k
             if cfg.signed:
                 sgn0 = np.where((j0 // N) % 2 == 1, -1.0, 1.0)
-                tails = sgn0 * _series.ratio_tail(s, k, j0, PN, alternating=(P % 2 == 1))
+                tails = sgn0 * _series._ratio_tail(s, k, j0, PN, alternating=(P % 2 == 1))
             else:
-                tails = _series.ratio_tail(s, k, j0, PN)
+                tails = _series._ratio_tail(s, k, j0, PN)
             np.add.at(W, np.mod(j0, G), cfac * tails)
     return W
 
