@@ -8,9 +8,13 @@
   ``grid_series`` takes the uniform grid 2*pi*g/G with exact phases: k*g
   is reduced mod G in integers and cos/sin of 2*pi*m/G are read from the
   grid's table of G entries, one entry of the package's store per G.
+  On an even grid the table's entry m + G/2 is exactly minus entry m, so
+  ``grid_series`` reads the phases of the first G/2 points only and adds
+  each term there and, negated for odd k, at the second half's points.
   Both add their terms in blocks of at most 2^14 (terms x points) cells,
   small enough that the heap reuses a block's arrays instead of mapping
-  and faulting in fresh pages for each; the blocks change no bit.
+  and faulting in fresh pages for each; a block of one row is added in
+  place. Neither the blocks nor the half-turn changes a bit.
   ``grid_phases`` reads one harmonic's row of that table, for quadrature.
 - ``dft``: direct discrete Fourier coefficients on an odd uniform grid
   (no FFT) with exact phases: k*j is reduced mod N in integers and cos/sin
@@ -30,7 +34,8 @@ from . import _cache, _series
 # larger), so every grid with n <= 127 is one block.
 _DFT_CELLS = 1 << 16
 # A series adds its terms in blocks of rows that together hold at most
-# this many (terms x points) cells (one row when there are more points).
+# this many (terms x points) cells (one row when there are more points;
+# an even grid's points are its first half).
 # Blocks this small are reused from the heap; blocks of 2^16 cells are
 # mapped afresh on each call at G = 2^14, at 500-700 page faults a call.
 _GRID_CELLS = 1 << 14
@@ -69,11 +74,16 @@ def grid_series(ks, a, b, G):
     64-bit integers (a mask when G is a power of two). Term i contributes
     a_i C + b_i S, and the terms are added one after another in their
     given order, starting from 0: the bits are those of summing a_i
-    cos(k_i t) + b_i sin(k_i t) term by term, but for the phases. Terms go
-    in blocks of rows of at most 2^14 (terms x points) cells (one row when
-    G is larger), so a call at G <= 2^14 takes no fresh pages once warm,
-    and the table is one entry of the package's store per G while its
-    16 G bytes fit the budget; neither changes a bit.
+    cos(k_i t) + b_i sin(k_i t) term by term, but for the phases. On an
+    even grid the indices, gathers and products are formed at g < G/2
+    only: entry m + G/2 of the table is exactly minus entry m, so term i
+    at g + G/2 is its value u at g for even k_i and -u for odd k_i, the
+    same products and sums, and each half adds its terms in order. Terms
+    go in blocks of rows of at most 2^14 (terms x points computed) cells
+    (one row, added in place, when more points are computed), so a call
+    at G <= 2^14 takes no fresh pages once warm, and the table is one
+    entry of the package's store per G while its 16 G bytes fit the
+    budget; neither changes a bit.
 
     Each table entry is within 2 eps of the true value (the angle, at most
     pi/4, within 0.93 eps, and one rounding of its cosine or sine; 0.58
@@ -90,38 +100,48 @@ def grid_series(ks, a, b, G):
     """
     G = _series.integer(G, 1, _GRID_MESSAGE, MAX_GRID)
     cos, sin = _cache.get(_phase_table, G)
-    g = np.arange(G, dtype=np.uint64)
+    # On an even grid the points g + G/2 repeat the first half's terms,
+    # negated for odd k, so only the first half's phases are read.
+    half = G % 2 == 0
+    g = np.arange(G // 2 if half else G, dtype=np.uint64)
 
     def phases(k, cosines):
         m = _phase_index((k % G).astype(np.uint64), g, G)
-        np.take(cos, m, out=cosines)
-        return np.take(sin, m)
+        # The indices lie in 0..G-1, so no bounds check (and no buffer).
+        np.take(cos, m, out=cosines, mode="clip")
+        return np.take(sin, m, mode="clip")
 
-    return _term_sum(ks, a, b, G, phases)
+    return _term_sum(ks, a, b, g.size, phases, half)
 
 
-def _term_sum(ks, a, b, P, phases):
+def _term_sum(ks, a, b, P, phases, half_turn=False):
     # The one accumulator: sum_i (a_i C_i + b_i S_i) at P points, where
     # phases(k, out) writes the cos rows C of harmonics k into out and
-    # returns their sin rows S. Row 0 of each block carries the sum so far,
-    # so the terms are added one after another, whatever the blocks.
+    # returns their sin rows S. With half_turn the P points are the first
+    # half of 2P and term i at point g + P is its value at g, negated for
+    # odd k_i: the half-turn entries of an even grid's table are exact
+    # negatives. (Negated, a term's exact zero can change sign, but a sum
+    # started at +0 is never -0, so either zero adds the same bits.) Each
+    # block's rows are added to the sum so far one after another, whatever
+    # the blocks.
     ks = np.atleast_1d(_series.integers(ks, 0, "harmonic indices must be integers >= 0"))
     a = np.ascontiguousarray(a, dtype=float)
     b = np.ascontiguousarray(b, dtype=float)
     if ks.ndim != 1 or not ks.shape == a.shape == b.shape:
         raise ValueError("indices and coefficient arrays must be 1-D of equal length")
-    out = np.zeros(P)
+    out = np.zeros(2 * P if half_turn else P)
     rows = max(_GRID_CELLS // max(P, 1), 1)
     for start in range(0, ks.size, rows):
         stop = min(start + rows, ks.size)
         block = np.empty((stop - start + 1, P))
-        block[0] = out
         terms = block[1:]
         sines = phases(ks[start:stop], terms)
         terms *= a[start:stop, None]
         sines *= b[start:stop, None]
         terms += sines
-        out = _row_sum(block)
+        _add_rows(out[:P], block)
+        if half_turn:
+            _add_rows(out[P:], block, ks[start:stop] % 2 == 1)
     return out
 
 
@@ -154,13 +174,25 @@ def _phase_index(k, g, G):
     return m.view(np.int64)
 
 
-def _row_sum(block):
-    # The rows' sum, added one after another. NumPy reduces over the rows of
-    # a block of two or more columns that way, but sums a single column
-    # pairwise, so a single point accumulates instead.
+def _add_rows(out, block, negate=None):
+    # Add the rows block[1:] to out in place, one after another, each row
+    # negated where `negate` is true. One row is added (or subtracted) in
+    # place. NumPy reduces over the rows of a block of two or more columns
+    # in order, but sums a single column pairwise, so a single point
+    # accumulates instead.
+    if block.shape[0] == 2:
+        if negate is not None and negate[0]:
+            out -= block[1]
+        else:
+            out += block[1]
+        return
+    if negate is not None:
+        np.negative(block[1:], out=block[1:], where=negate[:, None])
+    block[0] = out
     if block.shape[1] > 1:
-        return np.add.reduce(block, axis=0)
-    return np.add.accumulate(block, axis=0)[-1]
+        np.add.reduce(block, axis=0, out=out)
+    else:
+        out[:] = np.add.accumulate(block, axis=0)[-1]
 
 
 def dft(values):
@@ -214,9 +246,15 @@ def dft(values):
 
 def _phase_table(N):
     # cos/sin(2 pi m/N), m = 0..N-1, from the nearest quarter turn q and
-    # the integer remainder r = 4m - qN, |r| < N/2: the rounded angle
+    # the integer remainder r = 4m - qN, |r| <= N/2: the rounded angle
     # (pi/2) r/N stays within pi/4, and the quarter turns are exact sign
-    # swaps, so entries m and N-m are exact conjugates.
+    # swaps. So, bit for bit, entry m + N/2 is minus entry m for every even
+    # N (grid_series reads half an even grid by it), and entry m + N/4 is
+    # entry m turned a quarter, (-sin, cos), when 4 divides N. Entries m
+    # and N - m are conjugates in value only when 8 does not divide N, as
+    # on every odd DFT grid: when it does, the 45-degree entries m = N/8,
+    # 3N/8, ... all take the angle -pi/4 (r = -N/2), and their pairs mix
+    # the rounded cos(pi/4) and sin(pi/4), one ulp apart.
     m = np.arange(N)
     q = (8 * m + N) // (2 * N)
     x = 0.5 * np.pi * (4 * m - q * N) / N

@@ -40,7 +40,10 @@ _FOLD_COLUMNS = ("k", "a_star_fold", "b_star_fold", "a_star_dft", "b_star_dft", 
 
 @dataclass(frozen=True)
 class FoldReport:
-    """One alias class's fold sum: the out-of-band-inclusive coefficient sums."""
+    """The fold sums (out-of-band-inclusive coefficient sums) of alias class k.
+
+    Floats for one class, arrays shaped like k for an array of classes.
+    """
 
     k: int
     folded_a: float
@@ -61,7 +64,7 @@ _KNOWN_COEFFICIENTS = "the signal's Fourier coefficients must be known analytica
 
 
 def folded_coefficients(signal, grid, k, tol=1e-12):
-    """Fold sum of the true coefficients for band class k.
+    """Fold sums of the true coefficients for band class k.
 
     Returns a :class:`FoldReport` with
 
@@ -71,54 +74,75 @@ def folded_coefficients(signal, grid, k, tol=1e-12):
     and, for k = 0, ``a_0 + 2 sum_m a_{mN}``. Equality of these values
     with the discrete coefficients of the sampled signal is the aliasing
     identity itself. For a harmonic sum each value is the exact sum,
-    correctly rounded.
+    correctly rounded. k is a class or an array of classes, as in
+    :func:`~trigspec.signal_model.true_coefficient`: the report holds
+    floats, or arrays shaped like k, and a class has the same bits alone
+    as inside an array. A power-decay fold sum is refused with
+    SeriesPrecisionError where its rounding floor, 16 eps times its
+    magnitude (at least 1), exceeds `tol`; the first such class is named.
     """
     _require_analytic(signal)
     if not tol > 0:
         raise ValueError("tol must be positive")
-    k = _series.integer(k, 0, "band class k must lie in 0..n", grid.n)
-    N = grid.N
-
+    k = _series.integers(k, 0, "band class k must lie in 0..n", grid.n)
+    ks = np.atleast_1d(k).ravel()
     if signal.kind == HARMONIC_SUM:
-        # Two-sided view: term j > 0 stands at +j with (a_j, b_j) and at -j
-        # with (a_j, -b_j), a_0 at 0 once. Class k's members are the indices
-        # = k mod N, the ones alias_fold gives class k and sine sign +1, so
-        # the constant class takes each mN twice and its b fold cancels.
-        j, a, b = signal.term_arrays
-        mirror = j > 0
-        j = np.concatenate((j, -j[mirror]))
-        a = np.concatenate((a, a[mirror]))
-        b = np.concatenate((b, -b[mirror]))
-        cls, sin_sign = _series.alias_fold(j, N)
-        members = (cls == k) & (sin_sign > 0)
-        return FoldReport(k=k, folded_a=math.fsum(a[members]), folded_b=math.fsum(b[members]))
-
-    p = signal.p
-    is_cos = signal.kind == POWER_DECAY_COSINE
-    if k == 0:
-        # Constant class: only cosine terms survive at the nodes.
-        total = 2.0 * _series.progression_tail(p, N, 0.0) if is_cos else 0.0
-        report_val = (total, 0.0)
+        folded_a, folded_b = _harmonic_folds(signal, grid.N, ks)
     else:
-        m = np.arange(1, _DIRECT_TERMS + 1, dtype=float)
-        plus = np.sum((m * N + k) ** -p) + _series.progression_tail(
-            p, N, float(k), m_start=_DIRECT_TERMS + 1
-        )
-        minus = np.sum((m * N - k) ** -p) + _series.progression_tail(
-            p, N, float(-k), m_start=_DIRECT_TERMS + 1
-        )
-        base = float(k) ** -p
-        if is_cos:
-            report_val = (base + plus + minus, 0.0)
-        else:
-            report_val = (0.0, base + plus - minus)
-    scale = max(abs(report_val[0]), abs(report_val[1]), 1.0)
-    tail = 16.0 * np.finfo(float).eps * scale
-    if tail > tol:
-        raise SeriesPrecisionError(
-            f"fold sum cannot be certified below tol={tol} (rounding floor {tail:.2e})"
-        )
-    return FoldReport(k=k, folded_a=float(report_val[0]), folded_b=float(report_val[1]))
+        folded_a, folded_b = _power_folds(signal, grid.N, ks)
+        scale = np.maximum(np.maximum(np.abs(folded_a), np.abs(folded_b)), 1.0)
+        tails = 16.0 * np.finfo(float).eps * scale
+        refused = np.flatnonzero(tails > tol)
+        if refused.size:
+            raise SeriesPrecisionError(f"fold sum cannot be certified below tol={tol} "
+                                       f"(rounding floor {tails[refused[0]]:.2e})")
+    if np.ndim(k):
+        return FoldReport(k=k, folded_a=folded_a.reshape(k.shape),
+                          folded_b=folded_b.reshape(k.shape))
+    return FoldReport(k=k, folded_a=float(folded_a[0]), folded_b=float(folded_b[0]))
+
+
+def _harmonic_folds(signal, N, ks):
+    # Two-sided view: term j > 0 stands at +j with (a_j, b_j) and at -j with
+    # (a_j, -b_j), a_0 at 0 once. Class k's members are the indices = k mod
+    # N, the ones alias_fold gives class k and sine sign +1, so the constant
+    # class takes each mN twice and its b fold cancels. The indices are
+    # folded once; each class then takes its members, in their order.
+    j, a, b = signal.term_arrays
+    mirror = j > 0
+    j = np.concatenate((j, -j[mirror]))
+    a = np.concatenate((a, a[mirror]))
+    b = np.concatenate((b, -b[mirror]))
+    cls, sin_sign = _series.alias_fold(j, N)
+    members = sin_sign > 0
+    cls, a, b = cls[members], a[members], b[members]
+    picks = [cls == k for k in ks.tolist()]
+    return (np.array([math.fsum(a[pick]) for pick in picks]),
+            np.array([math.fsum(b[pick]) for pick in picks]))
+
+
+def _power_folds(signal, N, ks):
+    # Class k > 0 sums its first _DIRECT_TERMS members of each branch
+    # directly, in one row per class and branch, and the rest as one exact
+    # Hurwitz tail per class and branch; k^-p is a Python power, whose last
+    # bit can differ from NumPy's. The constant class keeps only its cosine
+    # terms, 2 sum_m (mN)^-p.
+    p = signal.p
+    k = ks.astype(float)
+    # The branches mN + k and mN - k as one block of offsets +k and -k.
+    offsets = np.concatenate((k, -k))
+    steps = np.arange(1, _DIRECT_TERMS + 1, dtype=float) * N
+    branches = np.sum((steps + offsets[:, None]) ** -p, axis=1) + _series.progression_tail(
+        p, N, offsets, m_start=_DIRECT_TERMS + 1)
+    plus, minus = branches[:ks.size], branches[ks.size:]
+    base = np.array([x ** -p if x else 0.0 for x in k.tolist()])
+    zeros = np.zeros(ks.size)
+    if signal.kind == POWER_DECAY_SINE:
+        return zeros, np.where(ks > 0, base + plus - minus, 0.0)
+    folded = base + plus + minus
+    if not ks.all():
+        folded[ks == 0] = 2.0 * _series.progression_tail(p, N, 0.0)
+    return folded, zeros
 
 
 def aliasing_error_bound(k, grid, smoothness):
@@ -203,12 +227,14 @@ def fold_report_table(signal, grid, tol=1e-12):
     """Rows comparing fold sums against the sampled discrete coefficients."""
     spec = sampling.discrete_coeffs(sampling.sample(signal, grid))
     bounds = aliasing_error_bound(np.arange(1, grid.n + 1), grid, signal.smoothness)
+    folds = folded_coefficients(signal, grid, np.arange(grid.n + 1), tol)
     rows = []
-    for k, bound in enumerate([None, *bounds.tolist()]):
-        rep = folded_coefficients(signal, grid, k, tol)
+    for k, (fold_a, fold_b, bound) in enumerate(zip(folds.folded_a.tolist(),
+                                                    folds.folded_b.tolist(),
+                                                    [None, *bounds.tolist()])):
         dft_a, dft_b = (spec.a0, 0.0) if k == 0 else (spec.a[k - 1], spec.b[k - 1])
-        values = (k, rep.folded_a, rep.folded_b, dft_a, dft_b, abs(rep.folded_a - dft_a),
-                  abs(rep.folded_b - dft_b), bound)
+        values = (k, fold_a, fold_b, dft_a, dft_b, abs(fold_a - dft_a), abs(fold_b - dft_b),
+                  bound)
         rows.append(dict(zip(_FOLD_COLUMNS, values)))
     return rows
 

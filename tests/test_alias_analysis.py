@@ -1,10 +1,12 @@
 """Fold sums, their bounds, and the time-domain split of a sampled signal."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from trigspec import _series
 from trigspec import (
     SmoothnessInfo,
     aliasing_error_bound,
@@ -23,7 +25,8 @@ from trigspec import (
     true_coefficient,
 )
 from trigspec.alias_analysis import fold_report_table, fold_table_to_csv
-from trigspec.errors import UnsupportedSignalError
+from trigspec.errors import SeriesPrecisionError, UnsupportedSignalError
+from trigspec.signal_model import HARMONIC_SUM, POWER_DECAY_COSINE
 
 
 def brute_fold_sum(p, N, k, m_max=1_000_000):
@@ -353,3 +356,119 @@ def test_fold_report_csv_columns():
         "abs_diff_a,abs_diff_b,bound8"
     )
     assert len(text.splitlines()) == 4  # header + k=0..2
+
+
+# -- one fold pass ---------------------------------------------------------------
+
+
+def _class_fold(signal, N, k, tol=1e-12):
+    """Class k's fold sum as one class alone forms it: the fold pass's oracle."""
+    if signal.kind == HARMONIC_SUM:
+        j, a, b = signal.term_arrays
+        mirror = j > 0
+        j = np.concatenate((j, -j[mirror]))
+        a = np.concatenate((a, a[mirror]))
+        b = np.concatenate((b, -b[mirror]))
+        cls, sin_sign = _series.alias_fold(j, N)
+        members = (cls == k) & (sin_sign > 0)
+        return math.fsum(a[members]), math.fsum(b[members])
+    p, is_cos = signal.p, signal.kind == POWER_DECAY_COSINE
+    if k == 0:
+        folded = (2.0 * _series.progression_tail(p, N, 0.0) if is_cos else 0.0, 0.0)
+    else:
+        m = np.arange(1, 17, dtype=float)
+        plus = np.sum((m * N + k) ** -p) + _series.progression_tail(p, N, float(k), m_start=17)
+        minus = np.sum((m * N - k) ** -p) + _series.progression_tail(p, N, float(-k), m_start=17)
+        base = float(k) ** -p
+        folded = (base + plus + minus, 0.0) if is_cos else (0.0, base + plus - minus)
+    tail = 16.0 * np.finfo(float).eps * max(abs(folded[0]), abs(folded[1]), 1.0)
+    if tail > tol:
+        raise SeriesPrecisionError(
+            f"fold sum cannot be certified below tol={tol} (rounding floor {tail:.2e})"
+        )
+    return float(folded[0]), float(folded[1])
+
+
+def _fold_signals(suite, N, seed):
+    # The suite, both power kinds at five exponents, and two seeded harmonic
+    # sums with members up to 5N, a_0 and multiples of N among them.
+    yield from suite.items()
+    for p in (2, 2.5, 3, 4.5, 6):
+        yield f"cos p={p}", power_decay_cosine(p, r=1, variation=1.0)
+        yield f"sin p={p}", power_decay_sine(p, r=1, variation=1.0)
+    rng = np.random.default_rng(seed)
+    for i in range(2):
+        ks = np.union1d(rng.choice(5 * N + 1, size=3 * N, replace=False), [0, N, 5 * N])
+        ab = rng.standard_normal((ks.size, 2)) * 10.0 ** rng.integers(-4, 4, (ks.size, 2))
+        yield f"harmonic {i}", harmonic_sum((int(k), a, b if k else 0.0)
+                                            for k, (a, b) in zip(ks, ab))
+
+
+def _fold_bits(pairs):
+    return np.array(pairs, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 31, 64, 100])
+def test_fold_pass_has_the_bits_of_each_class_alone(n, suite):
+    # fold_report_table's one call, an array call in any order and shape,
+    # and a scalar call each give every class the bits of the class alone.
+    grid = make_grid(n)
+    rng = np.random.default_rng(n)
+    for name, signal in _fold_signals(suite, grid.N, n):
+        want = [_class_fold(signal, grid.N, k) for k in range(n + 1)]
+        rows = fold_report_table(signal, grid)
+        assert [row["k"] for row in rows] == list(range(n + 1))
+        got = [(row["a_star_fold"], row["b_star_fold"]) for row in rows]
+        assert _fold_bits(got) == _fold_bits(want), name
+        ks = rng.permutation(n + 1)
+        ks = np.stack((ks, ks[::-1]))
+        rep = folded_coefficients(signal, grid, ks)
+        assert rep.folded_a.shape == rep.folded_b.shape == ks.shape
+        pairs = np.stack((rep.folded_a, rep.folded_b), axis=-1)
+        assert pairs.tobytes() == _fold_bits([[want[k] for k in row] for row in ks]), name
+        for k in (0, n, n // 2 + 1):
+            rep = folded_coefficients(signal, grid, k)
+            assert_float_fields(rep)
+            assert _fold_bits((rep.folded_a, rep.folded_b)) == _fold_bits(want[k]), (name, k)
+
+
+def test_fold_pass_scalar_forms_return_floats():
+    grid = make_grid(8)
+    signal = power_decay_sine(3)
+    want = _fold_bits(_class_fold(signal, grid.N, 5))
+    for k in (5, 5.0, np.int64(5), np.array(5)):
+        rep = folded_coefficients(signal, grid, k)
+        assert_float_fields(rep)
+        assert type(rep.k) is int and rep.k == 5
+        assert _fold_bits((rep.folded_a, rep.folded_b)) == want
+
+
+def test_fold_pass_refuses_at_the_first_class_that_cannot_be_certified():
+    # The rounding floor 16 eps max(|fold|, 1) of class 1 (about 1.01 at
+    # N = 17) is above 3.56e-15 and the other classes' (3.55e-15) below it:
+    # the refusal names class 1's floor, as the classes summed alone in
+    # order do, in the table and in any array order.
+    grid = make_grid(8)
+    signal = power_decay_cosine(2)
+    refused = 0
+    for tol in (1e-15, 3.56e-15, 1e-12):
+        try:
+            for k in range(grid.n + 1):
+                _class_fold(signal, grid.N, k, tol)
+            message = None
+        except SeriesPrecisionError as err:
+            message = str(err)
+        for call in (lambda: fold_report_table(signal, grid, tol),
+                     lambda: folded_coefficients(signal, grid, np.arange(grid.n + 1), tol)):
+            if message is None:
+                call()
+                continue
+            with pytest.raises(SeriesPrecisionError) as info:
+                call()
+            assert str(info.value) == message, tol
+            refused += 1
+    assert refused == 4
+    with pytest.raises(SeriesPrecisionError, match=r"rounding floor 3\.59e-15"):
+        folded_coefficients(signal, grid, [3, 0, 1], 3.56e-15)
+    with pytest.raises(SeriesPrecisionError, match=r"rounding floor 3\.55e-15"):
+        folded_coefficients(signal, grid, [3, 0, 1], 1e-15)

@@ -143,7 +143,7 @@ SITES = [
      lambda x: spline_from_json(_spline_doc(coeffs=_rows(x))), 1, None,
      "field 'coeffs' needs distinct integer row indices >= 1", True),
     ("folded_coefficients k", lambda x: folded_coefficients(SIGNAL, GRID, x), 0, GRID.n,
-     "band class k must lie in 0..n", False),
+     "band class k must lie in 0..n", True),
     ("aliasing_error_bound k", lambda x: aliasing_error_bound(x, GRID, SIGNAL.smoothness), 1,
      GRID.n, "band index k must lie in 1..n", True),
     ("band_component n", lambda x: band_component(SIGNAL, x, 0.5), 1, None,

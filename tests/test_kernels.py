@@ -7,6 +7,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trigspec import _cache, _kernels
 
@@ -178,10 +180,102 @@ def test_grid_series_bits_depend_on_neither_blocks_nor_the_store(G, cache_patch)
     assert _cache.stored_bytes() == 0
 
 
+@st.composite
+def _grid_terms(draw):
+    # A grid of G in 1..70, 4094..4098 or 2^14 +- 2 and up to 8 terms at
+    # k = qG + r >= G for some, with r = 0 and r = G/2 among the residues;
+    # coefficients of any sign, signed zeros and subnormals among them,
+    # with magnitudes from 1e-300 to 1e300.
+    G = draw(st.one_of(st.integers(1, 70), st.integers(4094, 4098),
+                       st.integers((1 << 14) - 2, (1 << 14) + 2)))
+    residues = st.one_of(st.just(0), st.just(G // 2), st.integers(0, G - 1))
+    ks = draw(st.lists(st.builds(lambda q, r: q * G + r, st.integers(0, 4), residues),
+                       max_size=8))
+    coefficients = st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320]),
+        st.builds(lambda x, e: x * 10.0 ** e, st.floats(-1.0, 1.0), st.integers(-300, 300)))
+    a = draw(st.lists(coefficients, min_size=len(ks), max_size=len(ks)))
+    b = draw(st.lists(coefficients, min_size=len(ks), max_size=len(ks)))
+    return np.array(ks, dtype=np.int64), np.array(a, dtype=float), np.array(b, dtype=float), G
+
+
+@settings(max_examples=80, deadline=None)
+@given(_grid_terms())
+def test_grid_series_has_the_bits_of_the_term_loop(case):
+    # Even grids read half their phases and add each term to both halves,
+    # blocks of one row are added in place and larger ones reduced, and
+    # the table may be stored or built for the call: the bits are the term
+    # loop's in every case, signed zeros included.
+    ks, a, b, G = case
+    want = _term_loop(ks, a, b, G).tobytes()
+    assert _kernels.grid_series(ks, a, b, G).tobytes() == want
+    with mock.patch.object(_kernels, "_GRID_CELLS", 1):
+        assert _kernels.grid_series(ks, a, b, G).tobytes() == want
+    with mock.patch.object(_cache, "_BUDGET", 0):
+        _cache.clear()
+        assert _kernels.grid_series(ks, a, b, G).tobytes() == want
+        assert _cache.stored_bytes() == 0
+
+
+# Grid sizes for the phase table's identities: every G up to 600 and a few
+# large ones, powers of two and not.
+_TABLE_SIZES = [*range(1, 601), 4094, 4095, 4096, 4097, 4098, 1 << 14, 1 << 16, 3 << 15, 10**6]
+
+
+def _bits(x):
+    return np.asarray(x).view(np.uint64)
+
+
+def test_phase_table_half_turn_is_an_exact_negation_on_every_even_grid():
+    # Entry m + G/2 is minus entry m, bit for bit (signed zeros too): what
+    # lets grid_series read half the phases of an even grid.
+    for G in (G for G in _TABLE_SIZES if G % 2 == 0):
+        cos, sin = _kernels._phase_table(G)
+        turned = (np.arange(G) + G // 2) % G
+        assert np.array_equal(_bits(cos[turned]), _bits(-cos)), G
+        assert np.array_equal(_bits(sin[turned]), _bits(-sin)), G
+
+
+def test_phase_table_quarter_turn_holds_where_four_divides_G():
+    # Entry m + G/4 is entry m turned a quarter, (-sin, cos), bit for bit.
+    for G in (G for G in _TABLE_SIZES if G % 4 == 0):
+        cos, sin = _kernels._phase_table(G)
+        turned = (np.arange(G) + G // 4) % G
+        assert np.array_equal(_bits(cos[turned]), _bits(-sin)), G
+        assert np.array_equal(_bits(sin[turned]), _bits(cos)), G
+
+
+def _eighths(G):
+    # The 45-degree entries m = G/8, 3G/8, 5G/8, 7G/8 of a grid 8 divides.
+    return [G // 8 * i for i in (1, 3, 5, 7)]
+
+
+def test_phase_table_reflection_holds_only_where_eight_does_not_divide_G():
+    # Entries m and G - m are conjugates in value (a zero's sign aside)
+    # unless 8 divides G; then they differ at the four 45-degree entries
+    # alone. Every odd grid, the DFT's among them, has the reflection.
+    for G in _TABLE_SIZES:
+        cos, sin = _kernels._phase_table(G)
+        m = np.arange(G)
+        broken = (cos[-m % G] != cos) | (sin[-m % G] != -sin)
+        assert m[broken].tolist() == (_eighths(G) if G % 8 == 0 else []), G
+
+
+def test_phase_table_45_degree_entries_mix_the_rounded_cos_and_sin():
+    # At G = 2^14 the angle at m = 2048 and m = 14336 is the rounded -pi/4,
+    # reached from the quarter turns q = 1 and q = 0: their cosines are the
+    # rounded sin(pi/4) and cos(pi/4), one ulp apart.
+    cos, sin = _kernels._phase_table(1 << 14)
+    assert (cos[2048], sin[2048]) == (0.7071067811865475, 0.7071067811865476)
+    assert (cos[14336], sin[14336]) == (0.7071067811865476, -0.7071067811865475)
+    assert np.cos(np.pi / 4) == 0.7071067811865476 and np.sin(np.pi / 4) == 0.7071067811865475
+
+
 def test_grid_series_blocks_stay_small():
     # A warm call at G = 2^14 with 65 terms holds at most 8 arrays of G
-    # doubles at once (7 with blocks of one row); blocks of 2^15 cells
-    # would hold 11, and the heap would map them afresh on each call.
+    # doubles at once (6 here, 4 with blocks of one row, since an even
+    # grid's terms are formed at half its points); blocks of 2^15 cells
+    # would hold more, and the heap would map them afresh on each call.
     G = 1 << 14
     ks = np.arange(65)
     a, b = np.random.default_rng(65).standard_normal((2, ks.size))

@@ -35,8 +35,9 @@ stored, from n = 1024. The exact-phase grid evaluator
 (``_kernels.grid_series``) is swept over seeded harmonic sums of 40
 terms with indices up to 5G on grids of G = 1..40, 64, 127, 128, 129,
 1000, 4096 and 2^14 points, as ``grid_series G...`` lines: one block of
-terms up to G = 1024, several from G = 4096, each reading the grid's
-phase table from the store. Then one ``lerch s=... N=...`` line hashes each full Lerch
+terms up to G = 129, several from G = 1000, the even grids forming their
+terms at half their points, each reading the grid's phase table from
+the store. Then one ``lerch s=... N=...`` line hashes each full Lerch
 expansion table the spline and signal sweeps read
 (``_series.lerch_coefficients(s, N)``: the log-type splines' (s, N) and
 the polylogarithm's (s, 1)), so the tables' own bits are compared, not
@@ -63,6 +64,13 @@ stored table and plan gives the bits of one built for the call:
 
     PYTHONPATH=src python -c 'import runpy, trigspec._cache as c; c._BUDGET = 0; runpy.run_path("tools/kernel_digest.py", run_name="__main__")' > uncached.txt
     diff head.txt uncached.txt
+
+Run with ``_kernels._GRID_CELLS`` patched to 1, it shows that a series'
+terms added one row per block, in place, give the bits of the default
+blocks:
+
+    PYTHONPATH=src python -c 'import runpy, trigspec._kernels as k; k._GRID_CELLS = 1; runpy.run_path("tools/kernel_digest.py", run_name="__main__")' > one-row.txt
+    diff head.txt one-row.txt
 
 A RuntimeWarning from NumPy is an error here, so a value that silently
 left the float range shows as a refusal.
