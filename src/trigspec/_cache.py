@@ -1,15 +1,17 @@
 """One store for every table and plan the package keeps between calls.
 
-The Lerch expansion tables, the class tables, the DFT's gathered phase
-matrices, the grid evaluator's phase tables and the spline's
-coefficient-law and grid plans depend only on a configuration. Each is kept here under (builder, key), least recently
-used out first, within one byte budget ``_BUDGET`` read at each call. An
-entry's size is the bytes of its arrays, which the store makes read-only;
-an entry larger than the budget is built the same way on every call and
-not stored, so it has the same bits. Only the dict is locked: a builder
-may read other entries, and two threads that miss one key both build it.
-Builders call private bodies only, so an entry built on a miss adds no
-public calls: the benchmark's traced counts must not depend on the store.
+The Lerch expansion tables, the class tables, the DFT's stacked matrix
+of ones, cos and sin rows, the grid evaluator's phase tables, the signed
+spline's phase shift and the spline's coefficient-law and grid plans
+depend only on a configuration. Each is kept here under (builder, key),
+least recently used out first, within one byte budget ``_BUDGET`` read at
+each call. An entry's size is the bytes of its arrays, which the store
+makes read-only; an entry larger than the budget is built the same way on
+every call and not stored, so it has the same bits. Only the dict is
+locked: a builder may read other entries, and two threads that miss one
+key both build it. Builders call private bodies only, so an entry built on
+a miss adds no public calls: the benchmark's traced counts must not
+depend on the store.
 """
 
 import threading

@@ -19,19 +19,18 @@
 - ``dft``: direct discrete Fourier coefficients on an odd uniform grid
   (no FFT) with exact phases: k*j is reduced mod N in integers and cos/sin
   of 2*pi*m/N are read from one table of N entries, so no transcendental
-  call is left in the O(nN) loop. The gathered (n, N) phase matrices of a
-  grid are one entry of the package's store (:mod:`trigspec._cache`) when
-  they fit its byte budget (n <= 1023), read in row blocks; each
-  coefficient is NumPy's pairwise sum of its N products.
+  call is left in the O(nN) loop. a0, a and b are one product and one
+  reduction over the grid's stacked (2n+1, N) matrix of ones, cos and sin
+  rows, one entry of the package's store (:mod:`trigspec._cache`) when it
+  fits its budget (n <= 1023); each coefficient is a pairwise sum.
 """
 
 import numpy as np
 
 from . import _cache, _series
 
-# The DFT reads its (coefficients x samples) cos and sin matrices in row
-# blocks that together hold at most this many cells (one row when 2N is
-# larger), so every grid with n <= 127 is one block.
+# The DFT reads its stacked (2n+1, N) matrix in row blocks of at most this
+# many cells (one row when N is larger): one block for every n <= 127.
 _DFT_CELLS = 1 << 16
 # A series adds its terms in blocks of rows that together hold at most
 # this many (terms x points) cells (one row when there are more points;
@@ -207,15 +206,15 @@ def dft(values):
     The phase is exact: cos(k t_j) and sin(k t_j) are read from a table of
     cos/sin(2*pi*m/N), m = 0..N-1, at m = k(j-1) mod N, reduced in
     integers, and each table entry is within about 0.6 eps of the true
-    value. Each sum over j is NumPy's pairwise summation of the N products
-    along a contiguous row, the same for every coefficient and independent
-    of the row blocking.
+    value. The coefficients are one product and one reduction: the samples
+    times the stacked (2n+1) x N matrix of a row of ones, the n cos rows
+    and the n sin rows, each row summed by NumPy's pairwise summation of
+    its N contiguous products, whatever the row blocking.
 
-    The gathered (n x N) cos and sin matrices of a grid are kept, read-only,
-    as one entry of the package's store, when their 16 nN bytes fit its
-    budget (32 MiB: n <= 1023), so a repeated N costs only the products
-    and sums. A larger grid gathers its row blocks from one table per call
-    and leaves the store as it was.
+    A grid's stacked matrix is kept, read-only, as one entry of the
+    package's store when its 8 N^2 bytes fit its budget (32 MiB: n <=
+    1023), so a repeated N costs only the product and the sums. A larger
+    grid gathers its row blocks from one table per call, storing nothing.
 
     Returns
     -------
@@ -225,23 +224,16 @@ def dft(values):
     N = values.shape[0]
     if N < 3 or N % 2 == 0:
         raise ValueError("need an odd number of samples, N = 2n+1 >= 3")
-    n = (N - 1) // 2
-    scale = 2.0 / N
-    a0 = scale * np.sum(values)
-    a = np.empty(n)
-    b = np.empty(n)
-    phases = _cache.get(_phase_matrices, N) if _cache.fits(16 * n * N) else None
-    table = _phase_table(N) if phases is None else None
-    rows = max(_DFT_CELLS // (2 * N), 1)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        if phases is None:
-            cos, sin = _phase_rows(table, N, start, stop)
-        else:
-            cos, sin = phases[0][start:stop], phases[1][start:stop]
-        a[start:stop] = scale * np.sum(values * cos, axis=1)
-        b[start:stop] = scale * np.sum(values * sin, axis=1)
-    return a0, a, b
+    stacked = _cache.get(_dft_matrix, N)[0] if _cache.fits(8 * N * N) else None
+    table = np.concatenate(_phase_table(N)) if stacked is None else None
+    sums = np.empty(N)
+    rows = max(_DFT_CELLS // N, 1)
+    for start in range(0, N, rows):
+        stop = min(start + rows, N)
+        block = _dft_rows(table, N, start, stop) if stacked is None else stacked[start:stop]
+        np.add.reduce(values * block, axis=1, out=sums[start:stop])
+    sums *= 2.0 / N
+    return sums[0], sums[1:N // 2 + 1], sums[N // 2 + 1:]
 
 
 def _phase_table(N):
@@ -266,14 +258,17 @@ def _phase_table(N):
     return turns[q, m], turns[(q + 3) % 4, m]
 
 
-def _phase_rows(table, N, start, stop):
-    # The cos and sin matrices of rows k = start+1..stop: entry (k, j) is
-    # the table entry at m = kj mod N.
-    k = np.arange(start + 1, stop + 1, dtype=np.uint64)
-    m = _phase_index(k, np.arange(N, dtype=np.uint64), N)
-    return table[0][m], table[1][m]
+def _dft_rows(table, N, start, stop):
+    # Rows start..stop-1 of the stacked matrix, from the joined cos and sin
+    # table: row k <= n reads cos at m = kj mod N (row 0 is exactly 1) and
+    # row n + k reads sin, at m + N.
+    i = np.arange(start, stop, dtype=np.uint64)
+    sine = i > N // 2
+    m = _phase_index(i - sine * np.uint64(N // 2), np.arange(N, dtype=np.uint64), N)
+    m[sine] += N
+    return table[m]
 
 
-def _phase_matrices(N):
-    # The store's entry: the (n, N) cos and sin matrices of the grid.
-    return _phase_rows(_phase_table(N), N, 0, (N - 1) // 2)
+def _dft_matrix(N):
+    # The store's entry: the grid's whole stacked (2n+1, N) matrix.
+    return (_dft_rows(np.concatenate(_phase_table(N)), N, 0, N),)

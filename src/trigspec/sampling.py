@@ -63,20 +63,20 @@ def make_grid(n):
 
 
 class SampleVector:
-    """Signal values on the nodes of a uniform grid."""
+    """Read-only signal values on a uniform grid's nodes, and their spectrum once computed."""
 
-    __slots__ = ("grid", "values")
+    __slots__ = ("grid", "values", "_spectrum")
 
     def __init__(self, grid, values):
-        values = np.asarray(values, dtype=float)
+        values = np.array(values, dtype=float)
         if values.shape != (grid.N,):
             raise ValueError(f"expected {grid.N} samples, got {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("samples must be finite")
-        values = values.copy()
         values.setflags(write=False)
         self.grid = grid
         self.values = values
+        self._spectrum = None
 
     def __repr__(self):
         return f"SampleVector(N={self.grid.N})"
@@ -90,11 +90,19 @@ def sample(signal, grid):
     checks need known coefficients). A signal with a ``grid_values(G)``
     method, as the analytic signals have, gives its node values through it
     at G = N, so a harmonic sum takes exact phases there. Any other
-    callable is called once on the array of nodes; one that does not
-    return an array of that shape is called node by node.
+    callable is called once on the array of nodes; one that cannot take
+    the array (raising TypeError, as ``math.sin`` does) or does not return
+    an array of that shape is called node by node.
     """
     on_grid = getattr(signal, "grid_values", None)
-    values = np.asarray(signal(grid.nodes) if on_grid is None else on_grid(grid.N), dtype=float)
+    if on_grid is not None:
+        values = on_grid(grid.N)
+    else:
+        try:
+            values = signal(grid.nodes)
+        except TypeError:
+            values = ()  # a scalar-only callable, called node by node below
+    values = np.asarray(values, dtype=float)
     if values.shape != grid.nodes.shape:
         values = np.array([float(signal(t)) for t in grid.nodes])
     return SampleVector(grid, values)
@@ -117,14 +125,12 @@ class DiscreteSpectrum:
     __slots__ = ("grid", "a0", "a", "b")
 
     def __init__(self, grid, a0, a, b):
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
+        a = np.array(a, dtype=float)
+        b = np.array(b, dtype=float)
         if a.shape != (grid.n,) or b.shape != (grid.n,):
             raise ValueError("coefficient arrays must have length n")
         if not (math.isfinite(a0) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("coefficients must be finite")
-        a = a.copy()
-        b = b.copy()
         a.setflags(write=False)
         b.setflags(write=False)
         self.grid = grid
@@ -149,9 +155,10 @@ class DiscreteSpectrum:
 
 
 def discrete_coeffs(samples):
-    """Discrete Fourier coefficients of the samples, by direct summation."""
-    a0, a, b = _kernels.dft(samples.values)
-    return DiscreteSpectrum(samples.grid, a0, a, b)
+    """Discrete Fourier coefficients by direct summation, computed once and kept on the samples."""
+    if samples._spectrum is None:
+        samples._spectrum = DiscreteSpectrum(samples.grid, *_kernels.dft(samples.values))
+    return samples._spectrum
 
 
 def extended_coefficient(spectrum, j):

@@ -47,13 +47,13 @@ so that a spline's own work is a gather, a product and its FFTs:
   singular factors), keyed on (grid, signed, G, order + 1), read by
   :func:`values_on_uniform_grid`.
 
-The class table, the Lerch table and both plans are entries of the
-package's one store (:mod:`trigspec._cache`), least recently used out
-first under one 32 MiB budget; an entry beyond it is built the same way on
-every call, and laws of more than 2^14 indices are built in blocks of 2^14
-and never stored. Plans are read-only, every returned array is fresh, and
-a value has the same bits whether its plan was stored or built for the
-call.
+The class table, the Lerch table, the signed family's phase shift (one
+per grid) and both plans are entries of the package's one store
+(:mod:`trigspec._cache`), least recently used out first under one 32 MiB
+budget; an entry beyond it is built the same way on every call, and laws
+of more than 2^14 indices are built in blocks of 2^14 and never stored.
+Plans are read-only, every returned array is fresh, and a value has the
+same bits whether its plan was stored or built for the call.
 """
 
 import json
@@ -205,8 +205,13 @@ def _evaluate(spline, plan):
     coeff = spec.a - 1j * spec.b
     w = np.concatenate((table.gains * coeff, (table.mirror_gains * np.conj(coeff))[::-1]))
     if cfg.signed:
-        w *= np.exp(-1j * np.pi * np.arange(1, N) / N)
+        w *= _cache.get(_signed_shift, N)[0]
     return _cell_table_sum(_columns(cfg), w, sing, theta, cells) + 0.5 * spline.a0
+
+
+def _signed_shift(N):
+    # e^(-i j0 pi/N) at j0 = 1..N-1: the signed family's shift, one per grid.
+    return (np.exp(-1j * np.pi * np.arange(1, N) / N),)
 
 
 def _columns(cfg):

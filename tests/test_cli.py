@@ -237,6 +237,20 @@ def test_bounds_families_pass(power_spec, tmp_path, family):
     assert all(line.endswith("true") for line in out.read_text().splitlines()[1:])
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2 (measurement 2): the filon bound is a grid sup with rounding left out, "
+    "0 for a constant signal, while the measured error is rounding up to 7.4e-18"))
+def test_bounds_filon_holds_for_a_constant_signal(tmp_path):
+    out = tmp_path / "filon.csv"
+    inline = json.dumps({"kind": "HarmonicSum", "terms": [[0, 0.59375, 0.0]], "p": None,
+                         "r": 0, "variation": 0.0})
+    code = run(["bounds", "--family", "filon", "--inline", inline, "--n", "3", "--r", "1",
+                "--variant", "sinc", "--out", str(out)])
+    rows = out.read_text().splitlines()[1:]
+    assert rows and all(row.endswith("true") for row in rows)
+    assert code == 0
+
+
 @pytest.mark.parametrize("family", ["eq3", "filon"])
 def test_bounds_refuses_a_negative_j_max(power_spec, tmp_path, capsys, family):
     # eq3 used to write a header-only table for --j-max -3 and exit 0.

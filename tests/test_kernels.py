@@ -51,30 +51,31 @@ def test_dft_is_within_4eps_of_the_40_digit_sum(entry):
         assert abs(b[k - 1] - float(row["b"])) <= tol
 
 
-def _phase_entries():
-    # The store's DFT entries: N -> (cos, sin).
-    return {key[0]: value for (build, key), (value, _) in _cache._entries.items()
-            if build is _kernels._phase_matrices}
+def _dft_entries():
+    # The store's DFT entries: N -> stacked matrix.
+    return {key[0]: value[0] for (build, key), (value, _) in _cache._entries.items()
+            if build is _kernels._dft_matrix}
 
 
 def test_dft_phase_cache_stays_within_its_bound(cache_patch):
-    # A grid's (n, N) phase matrices are one entry of the store when their
-    # 16 nN bytes fit its budget, so n = 1023 is the largest grid stored:
-    # n = 1024 is gathered per call and leaves the store as it was, while
-    # n = 256 is stored whole and a repeat call reads it, building no table.
-    assert 16 * 1023 * 2047 <= _cache._BUDGET < 16 * 1024 * 2049
+    # A grid's stacked (2n+1, N) matrix (a row of ones, the n cos rows, the
+    # n sin rows) is one entry of the store when its 8 N^2 bytes fit its
+    # budget, so n = 1023 is the largest grid stored: n = 1024 is gathered
+    # per call and leaves the store as it was, while n = 256 is stored
+    # whole and a repeat call reads it, building no table.
+    assert 8 * 2047**2 <= _cache._BUDGET < 8 * 2049**2
     values = np.random.default_rng(256).standard_normal(513)
     cold = _kernels.dft(values)
-    entries = _phase_entries()
+    entries = _dft_entries()
     assert list(entries) == [513]
-    cos, sin = entries[513]
-    assert cos.shape == sin.shape == (256, 513)
-    assert not (cos.flags.writeable or sin.flags.writeable)
-    assert _cache.stored_bytes() == cos.nbytes + sin.nbytes == 16 * 256 * 513
+    stacked = entries[513]
+    assert stacked.shape == (513, 513) and np.all(stacked[0] == 1.0)
+    assert not stacked.flags.writeable
+    assert _cache.stored_bytes() == stacked.nbytes == 8 * 513 * 513
     stored = dict(_cache._entries)
     big = np.random.default_rng(1024).standard_normal(2049)
     first = _kernels.dft(big)
-    assert _cache._entries == stored and _cache.stored_bytes() == 16 * 256 * 513
+    assert _cache._entries == stored and _cache.stored_bytes() == 8 * 513 * 513
     with mock.patch.object(_kernels, "_phase_table", side_effect=AssertionError):
         warm = _kernels.dft(values)
     for got, want in ((_kernels.dft(big), first), (warm, cold)):

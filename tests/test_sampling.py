@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from hypothesis import strategies as st
 
 from trigspec import (
     DiscreteSpectrum,
+    FilterVariant,
+    KernelConfig,
+    build_spline,
     discrete_coeffs,
     extended_coefficient,
     harmonic_sum,
@@ -113,6 +117,27 @@ def test_sample_reads_analytic_signals_on_their_grid(suite):
     nodes = []
     sample(lambda t: nodes.append(t) or np.cos(t), grid)
     assert len(nodes) == 1 and nodes[0] is grid.nodes
+
+
+def test_sample_calls_a_scalar_only_callable_node_by_node():
+    # math.sin cannot take the node array: its TypeError sends sample to
+    # one call per node.
+    grid = make_grid(3)
+    sv = sample(lambda t: math.sin(t), grid)
+    assert np.array_equal(sv.values, [math.sin(t) for t in grid.nodes])
+
+
+def test_sample_raises_again_for_a_broken_callable():
+    # A callable that fails on the array and on a node raises at its first node.
+    calls = []
+
+    def broken(t):
+        calls.append(t)
+        raise TypeError("broken signal")
+
+    with pytest.raises(TypeError, match="broken signal"):
+        sample(broken, make_grid(3))
+    assert len(calls) == 2
 
 
 def test_sample_vector_validation():
@@ -321,3 +346,57 @@ def test_spectrum_csv_round_trip():
     assert a[0] == spec.a0 and b[0] == 0.0
     assert np.array_equal(a[1:], spec.a)
     assert np.array_equal(b[1:], spec.b)
+
+
+# -- one DFT per sample vector ---------------------------------------------------
+
+
+def _spectrum_bits(spec):
+    return [np.float64(spec.a0).tobytes(), spec.a.tobytes(), spec.b.tobytes()]
+
+
+def _config(grid, order):
+    return KernelConfig(grid=grid, order=order, variant=FilterVariant.from_string("abs-sinc"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), order=st.integers(1, 4),
+       spectrum_first=st.booleans())
+def test_a_sample_vector_keeps_one_spectrum(n, seed, order, spectrum_first):
+    # The spline takes the spectrum its vector keeps, whichever call comes
+    # first, and that spectrum has the bits of a fresh vector's.
+    values = np.random.default_rng(seed).standard_normal(2 * n + 1)
+    samples = SampleVector(make_grid(n), values)
+    if spectrum_first:
+        spec = discrete_coeffs(samples)
+        spline = build_spline(samples, _config(samples.grid, order))
+    else:
+        spline = build_spline(samples, _config(samples.grid, order))
+        spec = discrete_coeffs(samples)
+    assert spec is spline.spectrum and discrete_coeffs(samples) is spec
+    assert _spectrum_bits(spec) == _spectrum_bits(discrete_coeffs(SampleVector(samples.grid, values)))
+
+
+def test_the_dft_runs_once_per_sample_vector():
+    grid = make_grid(8)
+    vectors = [SampleVector(grid, np.random.default_rng(i).standard_normal(grid.N)) for i in range(3)]
+    with mock.patch.object(_kernels, "dft", wraps=_kernels.dft) as dft:
+        for v in vectors:
+            for order in (1, 3):
+                discrete_coeffs(v)
+                build_spline(v, _config(grid, order))
+    assert dft.call_count == len(vectors)
+
+
+def test_changing_the_callers_array_leaves_the_kept_spectrum():
+    # The vector holds a copy of the caller's values, so writing to the
+    # caller's array, before or after the first call, moves no bit.
+    grid = make_grid(8)
+    values = np.random.default_rng(5).standard_normal(grid.N)
+    want = _spectrum_bits(discrete_coeffs(SampleVector(grid, values.copy())))
+    samples = SampleVector(grid, values)
+    values[:] = 0.0
+    spec = discrete_coeffs(samples)
+    values[:] = 1.0
+    assert discrete_coeffs(samples) is spec
+    assert _spectrum_bits(spec) == want

@@ -419,7 +419,8 @@ def test_unfolded_rows_are_gain_times_extension_bit_for_bit(variant, r, rng):
 
 # The builder of each kind of entry the store holds.
 STORED_KINDS = {
-    "dft": _kernels._phase_matrices,
+    "dft": _kernels._dft_matrix,
+    "shift": trig_spline._signed_shift,
     "class": spline_kernel._class_table,
     "lerch": _series._lerch_table,
     "law": trig_spline._law,
@@ -450,7 +451,8 @@ def _store_calls(c, points):
     N = c.grid.N
 
     def spectrum(v):
-        d = discrete_coeffs(v)
+        # A fresh vector, since a vector keeps its spectrum once computed.
+        d = discrete_coeffs(SampleVector(v.grid, v.values))
         return d.a0, d.a, d.b
 
     def table(v):
@@ -461,7 +463,8 @@ def _store_calls(c, points):
         return build_spline(v, c)
 
     calls = [("dft", spectrum), ("class", table),
-             ("lerch", lambda v: (spline_eval(spline(v), points),))]
+             ("lerch", lambda v: (spline_eval(spline(v), points),)),
+             ("shift", lambda v: (spline_eval(spline(v), points),))]
     calls += [("law", lambda v, J=J: unfolded_spectrum(spline(v), J)) for J in (1, N, 4 * N, 1000)]
     calls += [("grid", lambda v, G=G: (values_on_uniform_grid(spline(v), G),))
               for G in (1, 7, N, 3 * N, 64, 1000, 2048)]
@@ -474,7 +477,8 @@ def test_warm_plans_give_the_cold_bits(cache_patch):
     # built gives the bits of the same call on an empty store. Each call
     # runs under the store's budget, which keeps every entry here, and
     # under 128 bytes, which keeps only the smallest laws, so each of the
-    # five kinds is seen stored and not stored. G = 1 and N have one angle,
+    # six kinds is seen stored and not stored (the phase shift is read by
+    # the signed family only). G = 1 and N have one angle,
     # 0 in the unsigned families, where the cell table builds column 0
     # alone; G = 3N, 64, 1000 and 2048 have 3 to 2048 angles and build every
     # column. A last pass fills the store with every configuration at once,
@@ -501,7 +505,7 @@ def test_warm_plans_give_the_cold_bits(cache_patch):
                         stored = stored, not table.call_args.args[3].any()    # every angle 0
                     seen[kind].add(stored)
                     cases.append((first, second, call, cold))
-    assert all(seen[kind] == {True, False} for kind in ("dft", "class", "lerch", "law"))
+    assert all(seen[kind] == {True, False} for kind in ("dft", "shift", "class", "lerch", "law"))
     assert seen["grid"] == {(stored, zero) for stored in (True, False) for zero in (True, False)}
     cache_patch.undo()
     _cache.clear()
@@ -538,9 +542,11 @@ def test_returned_arrays_are_fresh_and_plans_are_read_only():
     _cache.clear()
     c = cfg(8, 2)
     spl = _seeded_splines(c, 1)[0]
+    signed = _seeded_splines(cfg(8, 2, "sinc"), 1)[0]
     N = c.grid.N
     calls = [lambda: unfolded_spectrum(spl, 4 * N),
-             *(lambda G=G: (values_on_uniform_grid(spl, G),) for G in (N, 64, 100))]
+             *(lambda G=G: (values_on_uniform_grid(spl, G),) for G in (N, 64, 100)),
+             lambda: (values_on_uniform_grid(signed, 64),)]
     for call in calls:
         first = call()
         want = _bits(first)

@@ -329,15 +329,15 @@ def _assert_dft_matches_loop(n):
 
 
 def test_dft_rows_over_the_cell_budget_match_the_loop(cache_patch):
-    # With a budget of 64 cells every grid below has rows of 2N > 64
-    # cells, one to a block: read as views of the stored (n, N) matrices
+    # With a budget of 64 cells every grid below has rows of N > 64 cells,
+    # one to a block: read as views of the stored stacked (2n+1, N) matrix
     # and, with the store's budget at 0, gathered from one table per call.
     # The stored entry does not depend on the block size, so it gives the
     # same bits after the cell budget is restored.
     cache_patch.setattr(_kernels, "_DFT_CELLS", 64)
     for n in (16, 40, 100):
         _assert_dft_matches_loop(n)
-    stored = sorted(key for build, key in _cache._entries if build is _kernels._phase_matrices)
+    stored = sorted(key for build, key in _cache._entries if build is _kernels._dft_matrix)
     assert stored == [(33,), (81,), (201,)]
     cache_patch.setattr(_cache, "_BUDGET", 0)
     for n in (16, 40, 100):
