@@ -39,6 +39,7 @@ from .sampling import (
     extended_coefficient,
     make_grid,
     sample,
+    uniform_values,
 )
 from .signal_model import (
     AnalyticSignal,

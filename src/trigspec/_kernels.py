@@ -14,8 +14,9 @@
   Both add their terms in blocks of at most 2^14 (terms x points) cells,
   small enough that the heap reuses a block's arrays instead of mapping
   and faulting in fresh pages for each; a block of one row is added in
-  place. Neither the blocks nor the half-turn changes a bit.
-  ``grid_phases`` reads one harmonic's row of that table, for quadrature.
+  place. Neither the blocks nor the half-turn changes a bit. (Quadrature
+  needs no table: ``filon_oracle`` takes all of a grid's trapezoid sums
+  from one real FFT of its values.)
 - ``dft``: direct discrete Fourier coefficients on an odd uniform grid
   (no FFT) with exact phases: k*j is reduced mod N in integers and cos/sin
   of 2*pi*m/N are read from one table of N entries, so no transcendental
@@ -38,9 +39,9 @@ _DFT_CELLS = 1 << 16
 # Blocks this small are reused from the heap; blocks of 2^16 cells are
 # mapped afresh on each call at G = 2^14, at 500-700 page faults a call.
 _GRID_CELLS = 1 << 14
-# Largest uniform grid of the package (grid_series, grid_phases, signal
-# and spline grid values, quadrature): the phase index (k mod G) g <
-# G^2 <= 2^64 is exact in unsigned 64-bit integers.
+# Largest uniform grid of the package (grid_series, signal and spline grid
+# values, the sampler, each quadrature grid and its FFT): the phase index
+# (k mod G) g < G^2 <= 2^64 is exact in unsigned 64-bit integers.
 MAX_GRID = 1 << 32
 _GRID_MESSAGE = f"grid size G must be an integer in 1..{MAX_GRID}"
 
@@ -142,21 +143,6 @@ def _term_sum(ks, a, b, P, phases, half_turn=False):
         if half_turn:
             _add_rows(out[P:], block, ks[start:stop] % 2 == 1)
     return out
-
-
-def grid_phases(k, G):
-    """cos and sin of 2*pi*k*g/G at g = 0..G-1, read from the grid's phase table.
-
-    The table entries of :func:`grid_series` at m = (k mod G) g mod G, so
-    each value is within 2 eps of the true one. k is an integer >= 0 and G
-    an integer in 1..2^32, refused with ValueError before anything is
-    allocated.
-    """
-    G = _series.integer(G, 1, _GRID_MESSAGE, MAX_GRID)
-    k = _series.integer(k, 0, "harmonic index k must be an integer >= 0")
-    cos, sin = _cache.get(_phase_table, G)
-    m = _phase_index(np.array([k % G], dtype=np.uint64), np.arange(G, dtype=np.uint64), G)[0]
-    return cos[m], sin[m]
 
 
 def _phase_index(k, g, G):

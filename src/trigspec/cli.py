@@ -131,6 +131,9 @@ def cmd_spline(args):
         raise ValueError("--eval-grid must be positive (0 or absent writes no evaluation)")
     config = _kernel_config(args, grid, args.tail_tol)
     spline = trig_spline.build_spline(sample(sig, grid), config)
+    P = args.eval_grid
+    # The evaluation grid is read first, so a size it refuses leaves no file.
+    sv = trig_spline.values_on_uniform_grid(spline, P) if P else None
     _write_text(
         args.out + ".spline.json",
         json.dumps(trig_spline.spline_to_json(spline), sort_keys=True) + "\n",
@@ -141,10 +144,8 @@ def cmd_spline(args):
     table = zip(js.tolist(), ca, cb, ta, tb, np.abs(ca - ta), np.abs(cb - tb))
     header = ["j", "a_hat", "b_hat", "a_true", "b_true", "abs_err_a", "abs_err_b"]
     _write_text(args.out + ".unfolded.csv", csv_text(header, table))
-    if args.eval_grid:
-        P = args.eval_grid
+    if P:
         t = 2.0 * np.pi * np.arange(P) / P
-        sv = trig_spline.values_on_uniform_grid(spline, P)
         fv = signal_model.grid_values(sig, P)
         table = zip(t, sv, fv, np.abs(sv - fv))
         _write_text(args.out + ".eval.csv", csv_text(["t", "spline", "signal", "abs_err"], table))

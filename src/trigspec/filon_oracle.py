@@ -6,10 +6,12 @@ the integrals are periodic trapezoid sums on doubling grids — spectrally
 accurate for smooth periodic integrands and exact on trigonometric
 polynomials whose degree the grid resolves. That gives an independent
 oracle for the closed-form spline coefficients: integrating the spline's
-*values* must reproduce the coefficients its own series claims. On each
-grid an analytic signal's values come from ``signal_model.grid_values``
-(exact phases for a harmonic sum), and the weights cos/sin(2*pi*k*g/G)
-are the grid's phase table read at k*g mod G (``_kernels.grid_phases``).
+*values* must reproduce the coefficients its own series claims. Every
+grid is read through ``sampling.uniform_values`` (an analytic signal's
+values from ``signal_model.grid_values``, exact phases for a harmonic
+sum; a spline's from ``values_on_uniform_grid``, exact angles), and the
+trapezoid sums of all harmonics k < G/2 on a grid of G points are one
+real FFT of its values: (2/G) rfft(values) holds a_k - i b_k at entry k.
 
 Both coefficient-error bounds live here as well: the k-independent
 sup-norm bound (4/pi) ||f - phi||_C, and the refined bound
@@ -29,15 +31,10 @@ import numpy as np
 
 from . import _kernels, _series
 from .errors import QuadratureConvergenceError
-from .signal_model import (
-    HARMONIC_SUM,
-    POWER_DECAY_COSINE,
-    AnalyticSignal,
-    grid_values,
-    true_coefficient,
-)
+from .sampling import uniform_values
+from .signal_model import HARMONIC_SUM, POWER_DECAY_COSINE, true_coefficient
 from .spline_kernel import class_tails
-from .trig_spline import TrigSpline, unfolded_spectrum, values_on_uniform_grid
+from .trig_spline import unfolded_spectrum
 
 # Quadrature policy: the base grid (a power of two), the doubling budget
 # and the agreement two successive estimates must reach.
@@ -66,41 +63,19 @@ _ROUND_OUT = 1.0 + 64 * _EPS
 _TINY = 2.0**-1070
 
 
-def _values_on_grid(fn, G, cache=None):
-    if cache is not None and G in cache:
-        return cache[G]
-    if isinstance(fn, TrigSpline):
-        vals = values_on_uniform_grid(fn, G)
-    elif isinstance(fn, AnalyticSignal):
-        vals = grid_values(fn, G)
-    else:
-        t = 2.0 * np.pi * np.arange(G) / G
-        vals = np.asarray(fn(t), dtype=float)
-        if vals.shape != (G,):
-            vals = np.array([float(fn(x)) for x in t])
-    if cache is not None:
-        cache[G] = vals
-    return vals
-
-
-def _trapezoid_pair(values, k):
-    G = len(values)
-    cos, sin = _kernels.grid_phases(k, G)
-    a = 2.0 / G * float(values @ cos)
-    b = 2.0 / G * float(values @ sin)
-    return a, b
-
-
 def quad_fourier_coeff(fn, k, _cache=None):
     """Coefficients (a_k, b_k) of fn by periodic trapezoid quadrature.
 
     The grid starts at max(1024, 32*max(k,1)) rounded up to a power of
     two and doubles, at most 10 times and to at most 2**32 points, until
-    two successive estimates agree within 1e-11 in both components. `k`
-    is an integer in 0..2**26, whose first grid has at most 2**31 points,
-    so the ladder reaches at least two grids; a larger one, whose first
-    grid would be the largest, could never converge and is refused with
-    ValueError before anything is allocated.
+    two successive estimates agree within 1e-11 in both components. A
+    grid's estimate is entry k of one real FFT of fn's values there,
+    (2/G) rfft(values) = a - i b, read by ``sampling.uniform_values``; a
+    dict passed as `_cache` keeps each grid's spectrum for the next index.
+    `k` is an integer in 0..2**26, whose first grid has at most 2**31
+    points, so the ladder reaches at least two grids; a larger one, whose
+    first grid would be the largest, could never converge and is refused
+    with ValueError before anything is allocated.
 
     Raises
     ------
@@ -113,13 +88,16 @@ def quad_fourier_coeff(fn, k, _cache=None):
     G = max(_BASE_POINTS, 32 * max(k, 1))
     if G & (G - 1):
         G = 1 << G.bit_length()
+    spectra = {} if _cache is None else _cache
     before = prev = None
     for _ in range(_MAX_DOUBLINGS + 1):
         if G > _MAX_POINTS:
             reason = f"on grids of up to {_MAX_POINTS} points"
             break
-        vals = _values_on_grid(fn, G, _cache)
-        cur = _trapezoid_pair(vals, k)
+        if G not in spectra:
+            spectra[G] = 2.0 / G * np.fft.rfft(uniform_values(fn, G))
+        c = spectra[G][k]
+        cur = (float(c.real), -float(c.imag))
         if prev is not None and (
             abs(cur[0] - prev[0]) <= _CONVERGENCE_TOL
             and abs(cur[1] - prev[1]) <= _CONVERGENCE_TOL
@@ -139,9 +117,9 @@ def quad_fourier_coeff(fn, k, _cache=None):
 def filon_coeffs(phi, k_range):
     """Quadrature coefficients of an approximant over a range of indices.
 
-    `k_range` is an inclusive (k_lo, k_hi) pair of integers >= 0. Grid
-    evaluations are shared across indices. Returns a list of (k, a_hat_k,
-    b_hat_k).
+    `k_range` is an inclusive (k_lo, k_hi) pair of integers >= 0. Each
+    grid's values and FFT are shared across indices. Returns a list of
+    (k, a_hat_k, b_hat_k).
     """
     message = "k_range must be a pair of integers >= 0"
     if not np.iterable(k_range) or len(k_range) != 2:
@@ -184,9 +162,7 @@ def refined_error_bound(k, q, diff_variation):
 
 def sup_distance(f, g):
     """Max of |f - g| over a uniform grid of 2**14 points (a lower sup-norm estimate)."""
-    fv = _values_on_grid(f, _SUP_POINTS)
-    gv = _values_on_grid(g, _SUP_POINTS)
-    return float(np.max(np.abs(fv - gv)))
+    return float(np.max(np.abs(uniform_values(f, _SUP_POINTS) - uniform_values(g, _SUP_POINTS))))
 
 
 def diff_variation_bound(signal, spline, q):

@@ -82,30 +82,40 @@ class SampleVector:
         return f"SampleVector(N={self.grid.N})"
 
 
-def sample(signal, grid):
-    """Evaluate the signal at the grid nodes.
+def uniform_values(fn, points):
+    """Values of fn at t_g = 2*pi*g/G, g = 0..G-1, G = points: the package's one grid sampler.
 
-    The signal is any callable of t: the package's analytic signals or a
-    black box (black-box signals sample fine; only the analytic bound
-    checks need known coefficients). A signal with a ``grid_values(G)``
-    method, as the analytic signals have, gives its node values through it
-    at G = N, so a harmonic sum takes exact phases there. Any other
-    callable is called once on the array of nodes; one that cannot take
+    fn is any callable of t. One with a ``grid_values(G)`` method, as the
+    analytic signals and the splines have, gives its values through it, so
+    a harmonic sum takes exact phases and a spline exact angles. Any other
+    callable is called once on the array of points; one that cannot take
     the array (raising TypeError, as ``math.sin`` does) or does not return
-    an array of that shape is called node by node.
+    an array of that shape is called point by point. `points` is an integer
+    in 1..2^32, refused with ValueError before anything is allocated.
     """
-    on_grid = getattr(signal, "grid_values", None)
+    top = _kernels.MAX_GRID
+    G = _series.integer(points, 1, f"points must be an integer in 1..{top}", top)
+    on_grid = getattr(fn, "grid_values", None)
     if on_grid is not None:
-        values = on_grid(grid.N)
-    else:
-        try:
-            values = signal(grid.nodes)
-        except TypeError:
-            values = ()  # a scalar-only callable, called node by node below
+        return np.asarray(on_grid(G), dtype=float)
+    t = 2.0 * np.pi * np.arange(G) / G
+    try:
+        values = fn(t)
+    except TypeError:
+        values = ()  # a scalar-only callable, called point by point below
     values = np.asarray(values, dtype=float)
-    if values.shape != grid.nodes.shape:
-        values = np.array([float(signal(t)) for t in grid.nodes])
-    return SampleVector(grid, values)
+    if values.shape != (G,):
+        values = np.array([float(fn(x)) for x in t])
+    return values
+
+
+def sample(signal, grid):
+    """The signal's values at the grid nodes: the sampler :func:`uniform_values` at G = N.
+
+    Any callable of t samples; only the analytic bound checks need known
+    coefficients.
+    """
+    return SampleVector(grid, uniform_values(signal, grid.N))
 
 
 class DiscreteSpectrum:
@@ -155,7 +165,11 @@ class DiscreteSpectrum:
 
 
 def discrete_coeffs(samples):
-    """Discrete Fourier coefficients by direct summation, computed once and kept on the samples."""
+    """Discrete Fourier coefficients by direct summation, computed once and kept on the samples.
+
+    Two threads whose first calls on one vector overlap may each compute
+    the spectrum (the same bits); either object is kept and returned after.
+    """
     if samples._spectrum is None:
         samples._spectrum = DiscreteSpectrum(samples.grid, *_kernels.dft(samples.values))
     return samples._spectrum

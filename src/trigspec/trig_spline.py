@@ -101,6 +101,10 @@ class TrigSpline:
     def __call__(self, t):
         return spline_eval(self, t)
 
+    def grid_values(self, points):
+        """Values on the uniform grid of `points` points, :func:`values_on_uniform_grid`."""
+        return values_on_uniform_grid(self, points)
+
     def fourier_series(self):
         """Truncated series (a0, a[1..J], b[1..J]), J from :func:`series_truncation`."""
         J, _ = series_truncation(self)
@@ -491,8 +495,9 @@ def spline_from_json(doc):
     The in-band rows divided by their gains recover the discrete
     spectrum, which with the configuration is the whole spline. Raises
     ValueError, naming the field, for an ``N`` that is not an odd integer
-    >= 3, for ``coeffs`` rows whose index is not an integer >= 1 or repeats,
-    and for an ``a0`` or a row value that is not a finite number.
+    >= 3, for a ``coeffs`` that is not a list of [j, a_j, b_j] rows, for
+    rows whose index is not an integer >= 1 or repeats, and for an ``a0``
+    or a row value that is not a finite number.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -503,13 +508,15 @@ def spline_from_json(doc):
     grid = make_grid((N - 1) // 2)
     variant = FilterVariant.from_string(doc["variant"])
     config = KernelConfig(grid=grid, order=doc["r"], variant=variant)
-    rows = np.array(doc["coeffs"], dtype=object).reshape(-1, 3)
+    rows = doc["coeffs"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) and len(row) == 3 for row in rows):
+        raise ValueError("field 'coeffs' must be a list of [j, a_j, b_j] rows")
     message = "field 'coeffs' needs distinct integer row indices >= 1"
-    j = _series.integers(rows[:, 0].tolist(), 1, message)
+    j = _series.integers([row[0] for row in rows], 1, message)
     if np.unique(j).size != j.size:
         raise ValueError(message)
     finite = "coefficients must be finite"
-    ra, rb = np.array([[_series.real(x, finite) for x in row] for row in rows[:, 1:]]).reshape(-1, 2).T
+    ra, rb = np.array([[_series.real(x, finite) for x in row[1:]] for row in rows]).reshape(-1, 2).T
     band = j <= grid.n
     at = j[band] - 1
     a = np.zeros(grid.n)

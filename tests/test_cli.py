@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -270,6 +271,27 @@ def test_spline_refuses_a_bad_option_before_writing(power_spec, tmp_path, capsys
                 "--out", str(stem)]) == 2
     assert f"{option[0]} must be" in capsys.readouterr().err
     assert list(tmp_path.glob("x*")) == []
+
+
+def test_spline_refuses_an_eval_grid_above_the_largest_before_writing(power_spec, tmp_path,
+                                                                      capsys, monkeypatch):
+    # P above the largest grid used to be refused after STEM.spline.json and
+    # STEM.unfolded.csv were written and the 8 P-byte t column allocated.
+    # The cap is patched low so that P's column would be 32 MiB.
+    monkeypatch.setattr(trigspec._kernels, "MAX_GRID", 1024)
+    stem = tmp_path / "x"
+    P = 2**22
+    tracemalloc.start()
+    try:
+        code = run(["spline", "--signal", power_spec, "--n", "4", "--eval-grid", str(P),
+                    "--out", str(stem)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "points must be an integer in 1..1024" in capsys.readouterr().err
+    assert list(tmp_path.glob("x*")) == []
+    assert peak < 8 * P // 16
 
 
 def test_bounds_eq9_needs_smooth_class(tmp_path):

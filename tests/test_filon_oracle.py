@@ -191,6 +191,61 @@ def test_filon_coeffs_spline_agreement():
         assert abs(b - cb) < 1e-8
 
 
+def test_filon_coeffs_reads_each_grid_once():
+    # One sampler call and one FFT per grid, whatever the number of
+    # indices: k = 1..32 start at 1024 points, k = 33, 34 at 2048.
+    sizes = []
+    signal = harmonic_sum([(3, 1.0, 0.5), (33, 0.25, 0.0)])
+
+    def f(t):
+        sizes.append(np.size(t))
+        return signal(t)
+
+    rows = filon_coeffs(f, (1, 34))
+    assert sizes == [1024, 2048, 4096]
+    ta, tb = true_coefficient(signal, np.arange(1, 35))
+    assert np.allclose([a for _, a, _ in rows], ta, rtol=0, atol=1e-14)
+    assert np.allclose([b for _, _, b in rows], tb, rtol=0, atol=1e-14)
+
+
+def test_oracle_reads_a_scalar_only_callable_as_its_array_twin():
+    # math.sin cannot take an array: quadrature and the sup distance used to
+    # raise TypeError where sample called it point by point.
+    def scalar(t):
+        return math.sin(t) + 0.5 * math.cos(3 * t)
+
+    def array(t):
+        return np.sin(t) + 0.5 * np.cos(3 * t)
+
+    for k in (0, 1, 3):
+        assert quad_fourier_coeff(scalar, k) == pytest.approx(quad_fourier_coeff(array, k), abs=1e-15)
+    rows = filon_coeffs(scalar, (0, 4))
+    assert np.allclose(rows, filon_coeffs(array, (0, 4)), rtol=0, atol=1e-15)
+    sig = power_decay_cosine(4)
+    assert sup_distance(scalar, sig) == pytest.approx(sup_distance(array, sig), abs=1e-15)
+    assert sup_distance(scalar, array) <= 1e-15
+
+
+def test_quad_reads_a_spline_through_its_grid_values(monkeypatch):
+    # The spline's values on each quadrature grid are values_on_uniform_grid's,
+    # called through the module's own name (so a rebound name is the one
+    # reached), and the coefficient is entry k of the grid's real FFT.
+    spl = spline_of(power_decay_cosine(6), 8, 3)
+    calls = []
+    original = trig_spline.values_on_uniform_grid
+
+    def counted(spline, points):
+        calls.append(points)
+        return original(spline, points)
+
+    monkeypatch.setattr(trig_spline, "values_on_uniform_grid", counted)
+    cache = {}
+    a, b = quad_fourier_coeff(spl, 5, _cache=cache)
+    assert calls == [1024, 2048] and sorted(cache) == calls
+    spectrum = 2.0 / 2048 * np.fft.rfft(original(spl, 2048))
+    assert (a, b) == (spectrum[5].real, -spectrum[5].imag)
+
+
 # -- bounds --------------------------------------------------------------------
 
 

@@ -28,7 +28,13 @@ from trigspec.filon_oracle import (
     quad_fourier_coeff,
     refined_error_bound,
 )
-from trigspec.sampling import discrete_coeffs, extended_coefficient, make_grid, sample
+from trigspec.sampling import (
+    discrete_coeffs,
+    extended_coefficient,
+    make_grid,
+    sample,
+    uniform_values,
+)
 from trigspec.signal_model import (
     HARMONIC_SUM,
     POWER_DECAY_COSINE,
@@ -128,6 +134,8 @@ SITES = [
     ("class_tails N", lambda x: class_tails(4, 1, 0, x), 3, 2**25 + 1,
      "N must be an integer in 3..33554433", False),
     ("values_on_uniform_grid points", lambda x: values_on_uniform_grid(SPLINE, x), 1, 2**32,
+     "points must be an integer in 1..4294967296", False),
+    ("uniform_values points", lambda x: uniform_values(SIGNAL, x), 1, 2**32,
      "points must be an integer in 1..4294967296", False),
     ("spline_fourier_coeff j", lambda x: spline_fourier_coeff(SPLINE, x), 1, None,
      "coefficient index must be an integer >= 1", False),

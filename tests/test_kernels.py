@@ -293,13 +293,12 @@ def test_grid_series_blocks_stay_small():
 
 def test_grid_series_keeps_one_read_only_table_per_grid(cache_patch):
     _kernels.grid_series([1, 5], [1.0, 2.0], [0.5, 0.0], 129)
-    cos, sin = _kernels.grid_phases(7, 129)
     (build, key), (table, size) = next(iter(_cache._entries.items()))
     assert len(_cache._entries) == 1 and (build, key) == (_kernels._phase_table, (129,))
     assert size == _cache.stored_bytes() == 16 * 129
     assert not any(part.flags.writeable for part in table)
     m = 7 * np.arange(129) % 129
-    assert np.array_equal(cos, table[0][m]) and np.array_equal(sin, table[1][m])
+    cos, sin = table[0][m], table[1][m]
     # A unit cosine or sine coefficient reads the table entries themselves.
     assert np.array_equal(_kernels.grid_series([7], [1.0], [0.0], 129), cos)
     assert np.array_equal(_kernels.grid_series([7], [0.0], [1.0], 129), sin)
@@ -311,8 +310,6 @@ def test_grid_series_refuses_a_bad_grid_before_allocating(G):
     with mock.patch.object(_kernels._cache, "get", side_effect=AssertionError):
         with pytest.raises(ValueError, match="grid size G"):
             _kernels.grid_series([1], [1.0], [0.0], G)
-        with pytest.raises(ValueError, match="grid size G"):
-            _kernels.grid_phases(1, G)
 
 
 def test_grid_series_refuses_mismatched_terms():

@@ -2,8 +2,9 @@
 
 Signals are seeded harmonic sums of up to 3N terms at indices 0..3N, so
 most draws put energy beyond the band and exercise the aliasing fold.
-The identities are interpolation, partition of unity, the fold identity
-and the agreement of grid and scattered evaluation. Each holds in exact
+The identities are interpolation, partition of unity, the fold identity,
+the agreement of grid and scattered evaluation and the agreement of the
+quadrature oracle with the closed-form spectrum. Each holds in exact
 arithmetic; the tolerances leave rounding room of a few hundred ulps
 relative to the data's scale. Interpolation and the grid agreement are
 swept to n = 64 and order 200, where no configuration may be refused.
@@ -25,11 +26,13 @@ from trigspec import (
     KernelConfig,
     build_spline,
     discrete_coeffs,
+    filon_coeffs,
     folded_coefficients,
     harmonic_sum,
     make_grid,
     sample,
     spline_eval,
+    unfolded_spectrum,
     values_on_uniform_grid,
 )
 from trigspec.alias_analysis import band_component, dc_class_component, residual_component
@@ -90,6 +93,31 @@ def test_scattered_eval_agrees_with_grid_values(data):
     got = spline_eval(spline, 2.0 * np.pi * np.arange(G) / G)
     tol = 1e-12 * max(1.0, float(np.max(np.abs(samples.values)))) + scattered_eval_bound(spline)
     assert np.max(np.abs(got - want)) <= tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_quadrature_of_the_values_gives_the_closed_form_spectrum(data):
+    # The paper's relation checked by an independent route: trapezoid sums
+    # of the spline's values reproduce coefficient = gain x discrete
+    # coefficient, within the band and beyond it, for every family. Orders
+    # start at 3: the coefficients decay like j^-(r+1), so the ladder's
+    # successive estimates differ by about (n/G)^(r+1), and at r = 1 or 2
+    # they may not come within 1e-11 in ten doublings from 1024 points.
+    # The bound is c5's 1e-8, not 1e-9: the ladder stops when two estimates
+    # agree, and their difference holds only the aliases at odd multiples
+    # of the coarser grid. Where those fall in low classes (n = 11: 1024 + 11
+    # is 45 N) the error left is larger; at r = 3 it reached 5.2e-9 in 12000
+    # seeded draws of these sums (n = 1..16, every family).
+    grid = make_grid(data.draw(st.integers(min_value=1, max_value=16)))
+    order = data.draw(st.integers(min_value=3, max_value=6))
+    config = KernelConfig(grid=grid, order=order, variant=data.draw(st.sampled_from(list(FilterVariant))))
+    spline = build_spline(sample(data.draw(harmonic_sums(grid)), grid), config)
+    rows = np.array(filon_coeffs(spline, (1, 2 * grid.N)))
+    js, a, b = unfolded_spectrum(spline, 2 * grid.N)
+    assert np.array_equal(rows[:, 0], js)
+    assert np.max(np.abs(rows[:, 1] - a)) <= 1e-8
+    assert np.max(np.abs(rows[:, 2] - b)) <= 1e-8
 
 
 @pytest.mark.parametrize("variant", list(FilterVariant))

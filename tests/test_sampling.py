@@ -20,9 +20,12 @@ from trigspec import (
     harmonic_sum,
     make_grid,
     power_decay_cosine,
+    power_decay_sine,
     sample,
+    uniform_values,
+    values_on_uniform_grid,
 )
-from trigspec import _kernels
+from trigspec import _kernels, trig_spline
 from trigspec._series import alias_fold
 from trigspec.sampling import SampleVector, spectrum_to_csv
 
@@ -110,13 +113,13 @@ def test_sample_accepts_black_box_callable():
 def test_sample_reads_analytic_signals_on_their_grid(suite):
     # An analytic signal's nodes come from grid_values at G = N: exact
     # phases for a harmonic sum, the evaluate bits for a power signal; a
-    # black box is still called on the nodes themselves.
+    # black box is called once on the nodes' bits.
     grid = make_grid(8)
     for sig in suite.values():
         assert np.array_equal(sample(sig, grid).values, sig.grid_values(grid.N))
     nodes = []
     sample(lambda t: nodes.append(t) or np.cos(t), grid)
-    assert len(nodes) == 1 and nodes[0] is grid.nodes
+    assert len(nodes) == 1 and np.array_equal(nodes[0], grid.nodes)
 
 
 def test_sample_calls_a_scalar_only_callable_node_by_node():
@@ -138,6 +141,36 @@ def test_sample_raises_again_for_a_broken_callable():
     with pytest.raises(TypeError, match="broken signal"):
         sample(broken, make_grid(3))
     assert len(calls) == 2
+
+
+def test_sample_reads_a_spline_through_values_on_uniform_grid():
+    # A spline's grid_values is values_on_uniform_grid, called through the
+    # module's own name: the sampler takes its exact angles at every G.
+    grid = make_grid(8)
+    config = KernelConfig(grid=grid, order=3, variant=FilterVariant.from_string("inv-power"))
+    spline = build_spline(sample(power_decay_sine(3), grid), config)
+    original = trig_spline.values_on_uniform_grid
+    calls = []
+
+    def counted(s, points):
+        calls.append(points)
+        return original(s, points)
+
+    with mock.patch.object(trig_spline, "values_on_uniform_grid", counted):
+        assert np.array_equal(sample(spline, grid).values, original(spline, grid.N))
+        assert np.array_equal(uniform_values(spline, 100), values_on_uniform_grid(spline, 100))
+    assert calls == [grid.N, 100]
+
+
+def test_uniform_values_calls_a_callable_by_the_sample_rule():
+    # Once on the points; point by point when the array call raises
+    # TypeError or returns another shape.
+    t = 2.0 * np.pi * np.arange(12) / 12
+    assert np.array_equal(uniform_values(np.cos, 12), np.cos(t))
+    assert np.array_equal(uniform_values(lambda x: math.cos(x), 12), [math.cos(x) for x in t])
+    assert np.array_equal(uniform_values(lambda x: 1.5, 12), np.full(12, 1.5))
+    with pytest.raises(ValueError, match=r"points must be an integer in 1\.\.4294967296"):
+        uniform_values(mock.Mock(side_effect=AssertionError), 2**32 + 1)
 
 
 def test_sample_vector_validation():

@@ -1039,6 +1039,25 @@ def test_json_refuses_a_repeated_row_index():
         spline_from_json(doc)
 
 
+@pytest.mark.parametrize("coeffs", [
+    [[1, 0.5, 0.25, 2, 0.125, 0.0]],  # used to be read as two rows
+    [1, 0.5, 0.25],                   # used to be read as one row
+    [[1, 0.5]],                       # these two failed in NumPy's reshape
+    [[1, 0.5, 0.25, 0.0]],
+    [[1, 0.5, 0.25], [2, 0.125]],
+    [[[1, 0.5, 0.25]]],
+    {"1": [0.5, 0.25]},
+    "1,0.5,0.25",
+    None,
+], ids=["six-wide", "flat", "two-wide", "four-wide", "ragged", "nested", "dict", "string",
+        "null"])
+def test_json_refuses_coeffs_that_are_not_a_list_of_rows(coeffs):
+    doc = _spline_doc()
+    doc["coeffs"] = coeffs
+    with pytest.raises(ValueError, match=r"field 'coeffs' must be a list of \[j, a_j, b_j\] rows"):
+        spline_from_json(doc)
+
+
 def test_json_refuses_a_row_index_of_zero():
     # Row 0 used to be ignored; a0 has its own field.
     doc = _spline_doc()
